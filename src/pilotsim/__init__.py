@@ -10,7 +10,7 @@ from .estimation import (ContaminationCache, EstimationQuality,
                          estimation_error_local, gamma_bound,
                          local_error_profile)
 from .harness import (ExperimentSpec, ResultRow, SCHEME_CODE, derive_seed,
-                      emit_cdf, emit_plot_script, run_experiment)
+                      emit_cdf, run_experiment)
 from .network import (AssociationMap, NetworkConfig, NetworkRealization,
                       PathLossParams, PowerProfile, associate_aps,
                       compute_lsfc, generate_drop, group_strong_ues,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all
 from .harness import (SCHEME_CODE, ExperimentSpec, derive_seed, emit_cdf,
-                      emit_plot_script, run_experiment)
+                      run_experiment)
 from .network import (NetworkConfig, PathLossParams, associate_aps,
                       generate_drop, normalize_powers)
 from .protocol import BudgetViolation, audit_overhead, run_protocol
@@ -121,9 +121,7 @@ def _run_sweep(args, command) -> int:
                           output_dir=args.out, name=command.replace("-", "_"),
                           workers=args.workers, **scheme_opts)
     _, paths = run_experiment(spec)
-    script = emit_plot_script([paths["aggregates"]],
-                              Path(args.out) / f"{spec.name}_plot.py")
-    for label, p in {**paths, "plot_script": script}.items():
+    for label, p in paths.items():
         print(f"{label}: {p}")
     return 0
 
@@ -141,8 +139,7 @@ def _run_cdf(args) -> int:
     for scheme in schemes:
         cdf_files.append(emit_cdf(rows, scheme,
                                   Path(args.out) / f"cdf_cdf_{scheme}.csv"))
-    script = emit_plot_script(cdf_files, Path(args.out) / "cdf_plot.py")
-    for p in [*paths.values(), *cdf_files, script]:
+    for p in [*paths.values(), *cdf_files]:
         print(p)
     return 0
 

@@ -33,7 +33,6 @@ __all__ = [
     "derive_seed",
     "run_experiment",
     "emit_cdf",
-    "emit_plot_script",
 ]
 
 SCHEME_CODE = {"eem": 0, "dpb": 1, "random": 2, "scalable": 3}
@@ -233,81 +232,4 @@ def emit_cdf(rows, scheme: str, out_path) -> Path:
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_path, "\n".join(lines) + "\n")
-    return out_path
-
-
-_PLOT_TEMPLATE = '''#!/usr/bin/env python
-"""Generated plotting script; reads harness CSVs, embeds no data."""
-import csv
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-SWEEP_FILES = {sweep_files!r}
-CDF_FILES = {cdf_files!r}
-
-
-def read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-fig, axes = plt.subplots(1, max(1, bool(SWEEP_FILES) + bool(CDF_FILES)),
-                         figsize=(6 * max(1, bool(SWEEP_FILES) + bool(CDF_FILES)), 4),
-                         squeeze=False)
-col = 0
-if SWEEP_FILES:
-    ax = axes[0][col]
-    col += 1
-    for path in SWEEP_FILES:
-        series = defaultdict(list)
-        for row in read_rows(path):
-            series[row["scheme"]].append(
-                (float(row["sweep_value"]), float(row["mean_sum_se"]),
-                 float(row["stderr_sum_se"])))
-        for scheme, pts in sorted(series.items()):
-            pts.sort()
-            xs, ys, es = zip(*pts)
-            ax.errorbar(xs, ys, yerr=es, marker="o", capsize=3, label=scheme)
-    ax.set_xlabel("sweep value")
-    ax.set_ylabel("mean sum SE (bits/s/Hz)")
-    ax.legend()
-    ax.grid(True, alpha=0.3)
-if CDF_FILES:
-    ax = axes[0][col]
-    for path in CDF_FILES:
-        rows = read_rows(path)
-        ax.plot([float(r["se"]) for r in rows], [float(r["cdf"]) for r in rows],
-                label=path.rsplit("_", 1)[-1].removesuffix(".csv"))
-    ax.set_xlabel("per-user SE (bits/s/Hz)")
-    ax.set_ylabel("CDF")
-    ax.legend()
-    ax.grid(True, alpha=0.3)
-fig.tight_layout()
-fig.savefig({out_png!r}, dpi=150)
-print("wrote", {out_png!r})
-'''
-
-
-def emit_plot_script(result_files, out_path) -> Path:
-    """Write a self-contained plotting script over existing result files.
-
-    Aggregates CSVs become sweep lines (one per scheme); CDF CSVs become
-    distribution curves. Missing or unrecognized inputs fail immediately.
-    """
-    sweep_files, cdf_files = [], []
-    for f in result_files:
-        p = Path(f)
-        if not p.is_file():
-            raise FileNotFoundError(f"result file not found: {p}")
-        if "_cdf_" in p.name:
-            cdf_files.append(str(p))
-        elif p.name.endswith("_aggregates.csv"):
-            sweep_files.append(str(p))
-        else:
-            raise ValueError(f"cannot plot {p.name}; pass aggregates or cdf files")
-    out_path = Path(out_path)
-    script = _PLOT_TEMPLATE.format(sweep_files=sweep_files, cdf_files=cdf_files,
-                                   out_png=str(out_path.with_suffix(".png")))
-    _write_atomic(out_path, script)
     return out_path

@@ -302,24 +302,35 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
     if not 0.0 < strong_threshold <= 1.0:
         raise ValueError("strong_threshold must be in (0, 1]")
     num_aps, num_ues = real.beta.shape
+    pilot_of = assignment.pilot_of
+    # each AP's row ranked by LSFC: served UEs first, descending, ties in
+    # index order; the unserved follow as zeros and leave the sums unchanged
+    masked = np.where(assoc.serves, real.beta, 0.0)
+    order = np.argsort(-masked, axis=1, kind="stable")
+    csum = np.cumsum(np.take_along_axis(masked, order, axis=1), axis=1)
+    need = strong_threshold * csum[:, -1:]
+    size = np.where(assoc.serves.any(axis=1),
+                    np.count_nonzero(csum < need, axis=1) + 1, 0)
     strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
-    strong_sets = []
-    pilot_count = np.zeros(num_aps, dtype=int)
-    for m in range(num_aps):
-        members = assoc.served_ues[m]
-        if members.size == 0:
-            strong_sets.append(_readonly(members.copy()))
-            continue
-        pilots = assignment.pilot_of[members]
-        if np.any(pilots < 0):
+    np.put_along_axis(strong_flag, order, np.arange(num_ues) < size[:, None],
+                      axis=1)
+    aps, ues = np.nonzero(strong_flag)
+    on_pilot = np.zeros((num_aps, assignment.num_pilots), dtype=bool)
+    on_pilot[aps, pilot_of[ues]] = True
+    pilot_count = np.count_nonzero(on_pilot, axis=1)
+    unassigned = np.any(assoc.serves & (pilot_of < 0), axis=1)
+    too_many = (pilot_count >= antennas_per_ap if antennas_per_ap is not None
+                else np.zeros(num_aps, dtype=bool))
+    # report the first offending AP, as a scan in AP order would; an AP with
+    # unassigned UEs has a meaningless pilot count and fails on that first
+    bad = np.flatnonzero(unassigned | too_many)
+    if bad.size:
+        m = bad[0]
+        if unassigned[m]:
             raise ValueError(f"AP {m} serves unassigned UEs; assign pilots first")
-        chosen = members[_cumulative_prefix(real.beta[m, members], strong_threshold)]
-        strong_sets.append(_readonly(np.sort(chosen)))
-        strong_flag[m, chosen] = True
-        pilot_count[m] = np.unique(assignment.pilot_of[chosen]).size
-        if antennas_per_ap is not None and pilot_count[m] >= antennas_per_ap:
-            raise ValueError(
-                f"AP {m} would zero-force {pilot_count[m]} pilots with only "
-                f"{antennas_per_ap} antennas")
+        raise ValueError(
+            f"AP {m} would zero-force {pilot_count[m]} pilots with only "
+            f"{antennas_per_ap} antennas")
+    strong_sets = np.split(_readonly(ues), np.cumsum(size)[:-1])
     return replace(assoc, strong_ues=tuple(strong_sets),
                    strong_flag=strong_flag, strong_pilot_count=pilot_count)

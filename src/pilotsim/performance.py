@@ -1,10 +1,15 @@
 """Closed-form uplink performance: LSFD weights, PFZF SINR, spectral efficiency.
 
 The SINR is evaluated in closed form from large-scale quantities only. For a
-UE served by n APs it is a generalized Rayleigh quotient in the LSFD weight
-vector a: signal p_t (a.b)^2 over a.Q a, where Q collects coherent co-pilot
-interference plus a diagonal of non-coherent interference and noise. The
-optimal weights are therefore Q^{-1} b up to scale, and scale is irrelevant.
+UE t served by the APs M_t it is a generalized Rayleigh quotient in the LSFD
+weight vector a: signal p_t (a.b)^2 over a.Q a, where Q collects coherent
+co-pilot interference plus a diagonal of non-coherent interference and noise.
+The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
+is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
+systems with MMSE and LSFD receivers", Asilomar 2016); equal weights give
+p_t (sum b)^2 / 1.Q 1. `evaluate` scores a drop from these closed forms
+without forming any weight vector: it groups the UEs by |M_t|, stacks the
+(Q_t, b_t) of each group and solves the whole stack in one call.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .estimation import PilotAssignment, compute_gamma
 from .network import group_strong_ues
@@ -61,41 +65,79 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
     return (1.0 - pilot_length / coherence_block) / 2.0
 
 
-def _array_gain(assoc, serving, t, antennas):
-    # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
-    # strong pilot, but only from the viewpoint of strong UEs
-    delta = assoc.strong_flag[serving, t].astype(float)
-    return delta, antennas - delta * assoc.strong_pilot_count[serving]
+class _LsfdSystems:
+    """The LSFD system (Q_t, b_t) of every UE of one drop, built on demand.
+
+    b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
+    Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
+    b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
+    diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
+    """
+
+    def __init__(self, beta, gamma, powers, assoc, assignment: PilotAssignment,
+                 antennas: int):
+        beta = np.asarray(beta, dtype=float)
+        num_ues = beta.shape[1]
+        self.flag = assoc.strong_flag
+        self.pilot_count = assoc.strong_pilot_count
+        self.antennas = antennas
+        # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
+        self.noncoh = beta @ powers.p_uplink
+        self.zf = (gamma * self.flag) @ powers.p_uplink
+        self.gamma = gamma
+        # sqrt(p_k gamma_mk) per co-pilot k; column T is zero and pads the table
+        self.w = np.zeros((beta.shape[0], num_ues + 1))
+        self.w[:, :num_ues] = np.sqrt(gamma * powers.p_uplink)
+        # table[i] lists pilot i's UEs in ascending order, padded with T;
+        # slot[t] is t's own position in its row
+        pilot_of = assignment.pilot_of
+        load = np.bincount(pilot_of, minlength=assignment.num_pilots)
+        order = np.argsort(pilot_of, kind="stable")
+        first = np.cumsum(load) - load
+        self.slot = np.empty(num_ues, dtype=int)
+        self.slot[order] = np.arange(num_ues) - first[pilot_of[order]]
+        self.table = np.full((assignment.num_pilots, load.max()), num_ues)
+        self.table[pilot_of, self.slot] = np.arange(num_ues)
+        self.pilot_of = pilot_of
+        self.serving_aps = assoc.serving_aps
+
+    def build(self, ues):
+        """Q as an (N, n, n) stack and b as (N, n) for N UEs with |M_t| = n."""
+        ues = np.asarray(ues, dtype=int)
+        serving = np.stack([self.serving_aps[t] for t in ues])
+        col = ues[:, None]
+        delta = self.flag[serving, col]
+        # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
+        # strong pilot, but only from the viewpoint of strong UEs
+        gain = self.antennas - delta * self.pilot_count[serving]
+        # each UE's co-pilots: its pilot's row of the table minus its own slot
+        j = np.arange(self.table.shape[1] - 1)
+        copilots = self.table[self.pilot_of[col], j + (j >= self.slot[col])]
+        c = (np.sqrt(gain)[:, :, None]
+             * self.w[serving[:, :, None], copilots[:, None, :]])
+        q = c @ np.swapaxes(c, 1, 2)
+        diag = np.arange(serving.shape[1])
+        q[:, diag, diag] += self.noncoh[serving] - delta * self.zf[serving] + 1.0
+        return q, np.sqrt(gain * self.gamma[serving, col])
+
+    def weights(self, t: int) -> np.ndarray:
+        """Optimal LSFD weights of UE t: Q_t^{-1} b_t at unit norm."""
+        q, b = self.build([t])
+        a = np.linalg.solve(q[0], b[0])
+        norm = np.linalg.norm(a)
+        if not np.isfinite(norm) or norm == 0.0:
+            raise ArithmeticError(f"degenerate LSFD solve for UE {t}")
+        return a / norm
 
 
 def compute_lsfd(t: int, beta, gamma, powers, assoc, assignment: PilotAssignment,
                  antennas: int) -> np.ndarray:
     """Optimal LSFD weight vector for UE t over its serving APs, unit norm.
 
-    Solves (sum_k p_k c_k c_k^T + diag(D)) a = b with b_m = sqrt((A -
-    delta L_S) gamma_mt), c_k the co-pilot counterparts of b, and D the
-    non-coherent-plus-noise diagonal. The system is symmetric positive
-    definite (D >= 1), so a Cholesky solve suffices.
+    Solves Q_t a = b_t (see `_LsfdSystems`) and normalizes the solution.
     """
-    beta = np.asarray(beta, dtype=float)
-    serving = np.asarray(assoc.serving_aps[t], dtype=int)
-    delta, gain = _array_gain(assoc, serving, t, antennas)
-    b = np.sqrt(gain * gamma[serving, t])
-    p_u = powers.p_uplink
-    noncoh = beta[serving, :] @ p_u
-    zf = (gamma[serving, :] * assoc.strong_flag[serving, :]) @ p_u
-    d = noncoh - delta * zf + 1.0
-    copilots = assignment.copilot_set(int(assignment.pilot_of[t]))
-    copilots = copilots[copilots != t]
-    q = np.diag(d)
-    if copilots.size:
-        c = np.sqrt(gain[:, None] * gamma[np.ix_(serving, copilots)])
-        q = q + (c * p_u[copilots]) @ c.T
-    a = cho_solve(cho_factor(q, lower=True), b)
-    norm = np.linalg.norm(a)
-    if not np.isfinite(norm) or norm == 0.0:
-        raise ArithmeticError(f"degenerate LSFD solve for UE {t}")
-    return a / norm
+    return _LsfdSystems(beta, gamma, powers, assoc, assignment,
+                        antennas).weights(t)
 
 
 def collect_lsfd(beta, gamma, powers, assoc, assignment: PilotAssignment,
@@ -104,47 +146,39 @@ def collect_lsfd(beta, gamma, powers, assoc, assignment: PilotAssignment,
     beta = np.asarray(beta, dtype=float)
     num_aps, num_ues = beta.shape
     a = np.zeros((num_aps, num_ues))
+    if weight_mode == "optimal":
+        systems = _LsfdSystems(beta, gamma, powers, assoc, assignment, antennas)
     for t in range(num_ues):
         serving = assoc.serving_aps[t]
         if weight_mode == "equal":
             a[serving, t] = 1.0 / serving.size
         elif weight_mode == "optimal":
-            a[serving, t] = compute_lsfd(t, beta, gamma, powers, assoc,
-                                         assignment, antennas)
+            a[serving, t] = systems.weights(t)
         else:
             raise ValueError(f"unknown weight mode {weight_mode!r}")
     return LsfdWeights(a)
 
 
 def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
-              assignment: PilotAssignment, antennas: int) -> float:
-    """Closed-form PFZF SINR for UE t under the given weight vector.
+              assignment: PilotAssignment, antennas: int):
+    """Closed-form PFZF SINR for UE t, p_t (a.b)^2 / a.Q a, per weight vector.
 
     `weights` aligns with assoc.serving_aps[t]; APs outside the serving set
-    carry zero weight by definition and are omitted from every sum.
+    carry zero weight by definition and are omitted from every sum. A vector
+    gives a float; a (K, |M_t|) matrix of K weight vectors gives K SINRs
+    from one build of Q.
     """
-    beta = np.asarray(beta, dtype=float)
-    serving = np.asarray(assoc.serving_aps[t], dtype=int)
     a = np.asarray(weights, dtype=float)
-    if a.shape != (serving.size,):
+    if a.ndim not in (1, 2) or a.shape[-1] != assoc.serving_aps[t].size:
         raise ValueError("weight vector must align with the serving set")
-    if not np.any(a):
+    if not np.all(np.any(a, axis=-1)):
         raise ValueError("all-zero weight vector")
-    delta, gain = _array_gain(assoc, serving, t, antennas)
-    p_u = powers.p_uplink
-    signal = p_u[t] * (a @ np.sqrt(gain * gamma[serving, t])) ** 2
-    copilots = assignment.copilot_set(int(assignment.pilot_of[t]))
-    copilots = copilots[copilots != t]
-    coherent = 0.0
-    if copilots.size:
-        roots = np.sqrt(gain[:, None] * gamma[np.ix_(serving, copilots)])
-        coherent = p_u[copilots] @ (a @ roots) ** 2
-    a2 = a * a
-    leak = beta[serving, :] - delta[:, None] * (assoc.strong_flag[serving, :]
-                                                * gamma[serving, :])
-    noncoherent = (a2 @ leak) @ p_u
-    noise = a2.sum()
-    return float(signal / (coherent + noncoherent + noise))
+    q, b = _LsfdSystems(beta, gamma, powers, assoc, assignment,
+                        antennas).build([t])
+    probes = np.atleast_2d(a)
+    sinr = (powers.p_uplink[t] * (probes @ b[0]) ** 2
+            / np.sum((probes @ q[0]) * probes, axis=1))
+    return float(sinr[0]) if a.ndim == 1 else sinr
 
 
 def se_uplink(sinr, coherence_block: int, pilot_length: int):
@@ -157,19 +191,34 @@ def se_uplink(sinr, coherence_block: int, pilot_length: int):
 
 def evaluate(real, assoc, assignment: PilotAssignment, powers, config,
              weight_mode: str = "optimal") -> SeReport:
-    """Full pipeline for one drop: gamma, strong grouping, LSFD, SINR, SE."""
+    """Full pipeline for one drop: gamma, strong grouping, closed-form SINR, SE.
+
+    `optimal` scores each UE at p_t b.Q^{-1} b, `equal` at the 1/|M_t|
+    weights; both in one batched pass per serving-set size.
+    """
+    if weight_mode not in ("optimal", "equal"):
+        raise ValueError(f"unknown weight mode {weight_mode!r}")
     if not assignment.is_complete:
         raise ValueError("evaluation requires a complete assignment")
     gamma = compute_gamma(real.beta, powers, config.pilot_length, assignment).gamma
     grouped = group_strong_ues(real, assoc, config.strong_threshold, assignment,
                                config.antennas_per_ap)
-    weights = collect_lsfd(real.beta, gamma, powers, grouped, assignment,
-                           config.antennas_per_ap, weight_mode)
-    sinr = np.empty(real.num_ues)
-    for t in range(real.num_ues):
-        serving = grouped.serving_aps[t]
-        sinr[t] = sinr_pfzf(t, weights.a[serving, t], real.beta, gamma, powers,
-                            grouped, assignment, config.antennas_per_ap)
+    systems = _LsfdSystems(real.beta, gamma, powers, grouped, assignment,
+                           config.antennas_per_ap)
+    sizes = np.count_nonzero(grouped.serves, axis=0)
+    score = np.empty(real.num_ues)
+    for n in np.unique(sizes):
+        ues = np.flatnonzero(sizes == n)
+        q, b = systems.build(ues)
+        if weight_mode == "optimal":
+            score[ues] = np.sum(b * np.linalg.solve(q, b[:, :, None])[:, :, 0],
+                                axis=1)
+        else:
+            score[ues] = np.sum(b, axis=1) ** 2 / np.sum(q, axis=(1, 2))
+    sinr = powers.p_uplink * score
+    bad = np.flatnonzero(~(np.isfinite(sinr) & (sinr > 0.0)))
+    if bad.size:
+        raise ArithmeticError(f"non-finite or non-positive SINR for UE {bad[0]}")
     se = se_uplink(sinr, config.coherence_block, config.pilot_length)
     return SeReport(sinr=sinr, se=se, sum_se=float(se.sum()),
                     per_user_cdf=np.sort(se))

@@ -99,6 +99,36 @@ def brute_force_prefix(column, threshold):
     return set(int(i) for i in order)
 
 
+def oracle_strong_groups(beta, served_ues, pilot_of, strong_threshold,
+                         antennas=None):
+    """Per-AP strong grouping, one AP at a time in index order.
+
+    Returns (strong sets, M x T strong flags, distinct strong pilots per AP)
+    and raises the first AP's error exactly as the package does.
+    """
+    num_aps, num_ues = beta.shape
+    strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
+    strong_sets = []
+    pilot_count = np.zeros(num_aps, dtype=int)
+    for m in range(num_aps):
+        members = np.asarray(served_ues[m], dtype=int)
+        if members.size == 0:
+            strong_sets.append(members.copy())
+            continue
+        if np.any(pilot_of[members] < 0):
+            raise ValueError(f"AP {m} serves unassigned UEs; assign pilots first")
+        local = brute_force_prefix(beta[m, members], strong_threshold)
+        chosen = np.array(sorted(int(members[i]) for i in local), dtype=int)
+        strong_sets.append(chosen)
+        strong_flag[m, chosen] = True
+        pilot_count[m] = len({int(pilot_of[k]) for k in chosen})
+        if antennas is not None and pilot_count[m] >= antennas:
+            raise ValueError(
+                f"AP {m} would zero-force {pilot_count[m]} pilots with only "
+                f"{antennas} antennas")
+    return tuple(strong_sets), strong_flag, pilot_count
+
+
 def micro_instance(rng):
     """Tiny random system (M <= 3, T <= 4, Lp <= 2) with full structures."""
     num_aps = int(rng.integers(1, 4))

@@ -143,13 +143,11 @@ def test_criterion_05_lsfd_dominance():
             args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
             best = sinr_pfzf(t, compute_lsfd(t, *args), *args)
             slack = best * (1.0 + 1e-12)
-            if sinr_pfzf(t, np.full(serving.size, 1.0 / serving.size),
-                         *args) > slack:
-                violations += 1
-            for _ in range(1000):
-                if sinr_pfzf(t, random_unit_vector(rng, serving.size),
-                             *args) > slack:
-                    violations += 1
+            probes = [np.full(serving.size, 1.0 / serving.size)]
+            probes += [random_unit_vector(rng, serving.size)
+                       for _ in range(1000)]
+            violations += int(np.count_nonzero(
+                sinr_pfzf(t, np.array(probes), *args) > slack))
             instances += 1
     assert instances == 200
     assert violations == 0

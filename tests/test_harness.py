@@ -1,8 +1,6 @@
 """Experiment harness: seeding discipline, file outputs, CLI plumbing."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from pilotsim import (
     ResultRow,
     derive_seed,
     emit_cdf,
-    emit_plot_script,
     run_experiment,
 )
 from pilotsim.cli import main
@@ -163,28 +160,6 @@ class TestEmitCdf:
             emit_cdf([bare], "eem", tmp_path / "c.csv")
 
 
-class TestEmitPlotScript:
-    def test_rejects_missing_and_unknown_files(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            emit_plot_script([tmp_path / "nope_aggregates.csv"], tmp_path / "p.py")
-        stray = tmp_path / "stuff.csv"
-        stray.write_text("x\n")
-        with pytest.raises(ValueError):
-            emit_plot_script([stray], tmp_path / "p.py")
-
-    def test_script_runs_and_draws(self, tmp_path):
-        spec = tiny_spec(tmp_path, num_drops=2, schemes=("eem", "random"))
-        _, paths = run_experiment(spec)
-        script = emit_plot_script([paths["aggregates"]], tmp_path / "plot.py")
-        text = script.read_text()
-        assert str(paths["aggregates"]) in text
-        assert "import matplotlib" in text
-        proc = subprocess.run([sys.executable, str(script)],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "plot.png").is_file()
-
-
 class TestCli:
     def test_sweep_ues_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"
@@ -196,7 +171,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "results:" in out
         assert (tmp_path / "out" / "sweep_ues_results.csv").is_file()
-        assert (tmp_path / "out" / "sweep_ues_plot.py").is_file()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"
@@ -222,7 +196,6 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "c" / "cdf_cdf_eem.csv").is_file()
         assert (tmp_path / "c" / "cdf_cdf_dpb.csv").is_file()
-        assert (tmp_path / "c" / "cdf_plot.py").is_file()
         code = main(["protocol-audit", "--config", str(cfg), "--drops", "2",
                      "--out", str(tmp_path / "p")])
         assert code == 0

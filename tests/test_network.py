@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_prefix
-from pilotsim import (NetworkConfig, NetworkRealization, PathLossParams,
-                      PilotAssignment, associate_aps, compute_lsfc,
+from oracles import brute_force_prefix, oracle_strong_groups
+from pilotsim import (AssociationMap, NetworkConfig, NetworkRealization,
+                      PathLossParams, PilotAssignment, associate_aps,
+                      compute_lsfc,
                       generate_drop, group_strong_ues, noise_power_dbm,
                       normalize_powers)
 
@@ -234,6 +237,40 @@ class TestStrongGrouping:
         partial = PilotAssignment(np.array([0, -1]), 2)
         with pytest.raises(ValueError):
             group_strong_ues(real, assoc, 0.9, partial)
+
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([1.0, 0.95, 0.5, 1e-12, 1e-300, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_ap_oracle(self, seed, threshold):
+        r = np.random.default_rng(seed)
+        m, t, lp = (int(r.integers(1, 6)), int(r.integers(1, 9)),
+                    int(r.integers(1, 5)))
+        if threshold is None:
+            threshold = float(r.uniform(1e-3, 1.0))
+        # three LSFC levels per instance, so ties are common
+        beta = r.choice(10.0 ** r.uniform(-12.0, -6.0, size=3), size=(m, t))
+        serves = r.random((m, t)) < 0.6  # some APs serve nobody
+        pilots = r.integers(-1 if r.random() < 0.3 else 0, lp, size=t)
+        antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else None
+        real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
+        assoc = AssociationMap(
+            tuple(np.flatnonzero(serves[:, k]) for k in range(t)),
+            tuple(np.flatnonzero(serves[i]) for i in range(m)), serves)
+        asg = PilotAssignment(pilots, lp)
+        try:
+            want = oracle_strong_groups(beta, assoc.served_ues, asg.pilot_of,
+                                        threshold, antennas)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                group_strong_ues(real, assoc, threshold, asg, antennas)
+            assert str(got.value) == str(exc)
+            return
+        grouped = group_strong_ues(real, assoc, threshold, asg, antennas)
+        assert len(grouped.strong_ues) == m
+        for mine, ref in zip(grouped.strong_ues, want[0]):
+            np.testing.assert_array_equal(mine, ref)
+        np.testing.assert_array_equal(grouped.strong_flag, want[1])
+        np.testing.assert_array_equal(grouped.strong_pilot_count, want[2])
 
 
 def test_config_is_frozen():

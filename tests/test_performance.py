@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pilotsim import (
+    SCHEME_IDS,
     AssociationMap,
     NetworkConfig,
     NetworkRealization,
@@ -20,6 +21,7 @@ from pilotsim import (
     se_uplink,
     sinr_pfzf,
 )
+from pilotsim import performance
 from oracles import micro_instance, oracle_sinr, random_unit_vector
 
 
@@ -98,6 +100,12 @@ class TestSinrSingleLink:
         with pytest.raises(ValueError):
             sinr_pfzf(0, np.array([0.0]), real.beta, gamma, powers, grouped,
                       pa, antennas)
+        with pytest.raises(ValueError):
+            sinr_pfzf(0, np.array([[1.0], [0.0]]), real.beta, gamma, powers,
+                      grouped, pa, antennas)
+        with pytest.raises(ValueError):
+            sinr_pfzf(0, np.ones((1, 1, 1)), real.beta, gamma, powers,
+                      grouped, pa, antennas)
 
 
 class TestSinrAgainstOracle:
@@ -131,6 +139,20 @@ class TestSinrAgainstOracle:
             a = sinr_pfzf(t, w, real.beta, gamma, powers, grouped, pa, ants)
             b = sinr_pfzf(t, 7.5 * w, real.beta, gamma, powers, grouped, pa, ants)
             assert b == pytest.approx(a, rel=1e-12)
+
+    def test_weight_matrix_matches_vectors(self, rng):
+        inst = micro_instance(rng)
+        real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
+        grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+        gamma = compute_gamma(real.beta, powers, lp, pa).gamma
+        args = (real.beta, gamma, powers, grouped, pa, ants)
+        for t in range(real.num_ues):
+            probes = rng.normal(size=(6, grouped.serving_aps[t].size))
+            got = sinr_pfzf(t, probes, *args)
+            assert got.shape == (6,)
+            singles = [sinr_pfzf(t, w, *args) for w in probes]
+            assert all(isinstance(x, float) for x in singles)
+            np.testing.assert_allclose(got, singles, rtol=1e-13)
 
 
 class TestLsfdWeights:
@@ -284,6 +306,78 @@ class TestEvaluate:
         eq = evaluate(real, assoc, pa, powers, cfg, weight_mode="equal")
         assert np.all(opt.sinr + 1e-12 * opt.sinr >= eq.sinr)
         assert opt.sum_se >= eq.sum_se
+
+
+def per_ue_sinr(real, assoc, pa, powers, cfg, weight_mode):
+    """evaluate's SINR rebuilt one UE at a time from explicit weights."""
+    gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
+    grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+                               cfg.antennas_per_ap)
+    args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
+    out = []
+    for t in range(real.num_ues):
+        n = grouped.serving_aps[t].size
+        w = (compute_lsfd(t, *args) if weight_mode == "optimal"
+             else np.full(n, 1.0 / n))
+        out.append(sinr_pfzf(t, w, *args))
+    return np.array(out)
+
+
+EDGE_CONFIGS = {
+    "desk": {},
+    "t_le_lp": dict(num_ues=5),
+    "one_ap": dict(num_aps=1),
+    "assoc_threshold_1": dict(assoc_threshold=1.0),
+    "single_serving_ap": dict(assoc_threshold=1e-9),
+}
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_matches_per_ue_path(self, desk_drop, scheme, edge):
+        for seed in (3, 4):
+            cfg, real, powers, assoc = desk_drop(seed=seed, **EDGE_CONFIGS[edge])
+            sizes = {aps.size for aps in assoc.serving_aps}
+            if edge == "single_serving_ap":
+                assert sizes == {1}
+            if edge == "assoc_threshold_1":
+                assert sizes == {cfg.num_aps}
+            pa = assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
+                            powers, cfg.pilot_length)
+            for mode in ("optimal", "equal"):
+                got = evaluate(real, assoc, pa, powers, cfg, weight_mode=mode)
+                want = per_ue_sinr(real, assoc, pa, powers, cfg, mode)
+                np.testing.assert_allclose(got.sinr, want, rtol=1e-10)
+
+    def test_unknown_weight_mode_rejected_before_work(self, desk_drop,
+                                                      monkeypatch):
+        cfg, real, powers, assoc = desk_drop(seed=2)
+        pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
+                        cfg.pilot_length)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluate started work")
+
+        monkeypatch.setattr(performance, "compute_gamma", no_work)
+        with pytest.raises(ValueError, match="unknown weight mode"):
+            evaluate(real, assoc, pa, powers, cfg, weight_mode="uniform")
+
+    def test_degenerate_sinr_names_first_ue(self):
+        # UE 1's only AP sees an overflowing interference sum, so its SINR
+        # is NaN while UE 0 stays finite
+        cfg = NetworkConfig(num_aps=2, num_ues=2, antennas_per_ap=8,
+                            pilot_length=3)
+        beta = np.array([[1e-10, 1e-13], [1e-13, 1e10]])
+        real = NetworkRealization(np.zeros((2, 2)), np.zeros((2, 2)), beta, 0)
+        powers = PowerProfile(np.full(2, 1e12), np.full(2, 1e300))
+        assoc = AssociationMap((np.array([0]), np.array([1])),
+                               (np.array([0]), np.array([1])),
+                               np.eye(2, dtype=bool))
+        pa = PilotAssignment(np.array([0, 1]), 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="for UE 1$"):
+                evaluate(real, assoc, pa, powers, cfg)
 
 
 class TestContaminationMonotonicity:
