@@ -4,13 +4,13 @@ distributed massive MIMO networks."""
 from .assignment import (CandidateSets, OpCounter, SCHEME_IDS, SchemeConfig,
                          assign_all, candidate_set_from_profile,
                          dpb_candidates, eem_step, priority_select,
-                         random_pa_step, rank_from_order, scalable_pa_step)
+                         random_pa_step, rank_from_order)
 from .estimation import (ContaminationCache, EstimationQuality,
                          PilotAssignment, compute_gamma, estimation_error_global,
                          estimation_error_local, gamma_bound,
                          local_error_profile)
-from .harness import (ExperimentSpec, ResultRow, SCHEME_CODE, derive_seed,
-                      emit_cdf, run_experiment)
+from .harness import (CellError, ExperimentSpec, ResultRow, SCHEME_CODE,
+                      derive_seed, emit_cdf, run_experiment)
 from .network import (AssociationMap, NetworkConfig, NetworkRealization,
                       PathLossParams, PowerProfile, associate_aps,
                       compute_lsfc, generate_drop, group_strong_ues,

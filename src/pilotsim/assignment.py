@@ -7,12 +7,20 @@ at the UE; `random` and `scalable` are baselines. All schemes are strictly
 sequential and never revisit an earlier UE's pilot, so assignments are
 prefix-stable under newly arriving UEs.
 
+Per-UE step cost, with the running sums of a ContaminationCache: `eem`
+reads |M_t| Lp sums; `dpb` evaluates S' Lp local errors and intersects at
+most 2^S' - S' - 1 pilot bitmasks; `random` makes one seeded draw;
+`scalable` takes the argmin of its master AP's Lp sums. Recording a pick
+adds one precomputed row to the sums; no step scans the other UEs.
+
 Pilot indices are 0-based throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +41,6 @@ __all__ = [
     "rank_from_order",
     "priority_select",
     "random_pa_step",
-    "scalable_pa_step",
 ]
 
 SCHEME_IDS = ("eem", "dpb", "random", "scalable")
@@ -114,14 +121,17 @@ def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int,
     return int(np.argmin(errors))
 
 
-def candidate_set_from_profile(errors: np.ndarray, delta: float) -> np.ndarray:
+def candidate_set_from_profile(errors: np.ndarray, delta: float):
     """Pilots within (1 + delta) of the minimum error, ascending index.
 
     Errors are nonnegative, so the argmin always qualifies; delta = 0
-    degenerates to the exact argmin set.
+    degenerates to the exact argmin set. A stack of profiles gives a tuple
+    of sets, one per row.
     """
-    er_min = float(np.min(errors))
-    return np.flatnonzero(errors <= (1.0 + delta) * er_min)
+    within = errors <= (1.0 + delta) * errors.min(axis=-1, keepdims=True)
+    if within.ndim == 1:
+        return within.nonzero()[0]
+    return tuple(row.nonzero()[0] for row in within)
 
 
 def dpb_candidates(t: int, m: int, delta: float, beta, powers, lp: int,
@@ -159,45 +169,38 @@ def priority_select(cands: CandidateSets, tie_rule: str = "seeded_random",
 
     Levels run from all S' sets down to pairs; within a level, AP groups are
     tried in lexicographic order of priority rank (for S = 3: {1,2,3}, then
-    {1,2}, {1,3}, {2,3}). The first nonempty intersection wins and the pilot
-    is drawn from it per `tie_rule`. If every intersection is empty, fall
-    back to the best pilot of the strongest AP.
+    {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot bitmasks
+    wins; a lone pilot is forced, several go to `tie_rule`. If every
+    intersection is empty, fall back to the best pilot of the strongest AP.
     """
-    sets = [np.asarray(c, dtype=int) for c in cands.sets]
-    s = len(sets)
-    common = None
-    for level in range(s, 1, -1):
-        for group in itertools.combinations(range(s), level):
+    masks = [sum(1 << i for i in np.asarray(c, dtype=int).tolist())
+             for c in cands.sets]
+    common = 0
+    for level in range(len(masks), 1, -1):
+        for group in itertools.combinations(masks, level):
             if counter is not None:
                 counter.add_checks(1)
-            cand = sets[group[0]]
-            for j in group[1:]:
-                cand = np.intersect1d(cand, sets[j], assume_unique=True)
-                if cand.size == 0:
-                    break
-            if cand.size:
-                common = cand
+            common = functools.reduce(operator.and_, group)
+            if common:
                 break
-        if common is not None:
+        if common:
             break
-    if common is None:
-        members = sets[0]
+    if not common:
+        members = np.asarray(cands.sets[0], dtype=int)
         return int(members[np.argmin(cands.top_errors[members])])
-    if tie_rule == "deterministic":
-        return int(common[np.argmin(cands.top_errors[common])])
+    pilots = [i for i in range(common.bit_length()) if common >> i & 1]
+    if len(pilots) == 1 or tie_rule == "deterministic":
+        return min(pilots, key=cands.top_errors.__getitem__)
     rng = np.random.default_rng([seed, ue])
-    return int(common[rng.integers(common.size)])
+    return pilots[rng.integers(len(pilots))]
 
 
 def _dpb_step(t: int, cache: ContaminationCache, serving, scheme: SchemeConfig,
               counter: OpCounter | None) -> int:
-    serving = np.asarray(serving, dtype=int)
-    s_prime = min(scheme.dpb_s, serving.size)
-    priority = serving[:s_prime]
-    profiles = [cache.local_errors(m, t) for m in priority]
+    profiles = cache.local_errors(serving[:scheme.dpb_s], t)
     if counter is not None:
-        counter.add_evals(s_prime * cache.num_pilots)
-    sets = tuple(candidate_set_from_profile(p, scheme.dpb_delta) for p in profiles)
+        counter.add_evals(profiles.size)
+    sets = candidate_set_from_profile(profiles, scheme.dpb_delta)
     best_first = sets[0][np.argsort(profiles[0][sets[0]], kind="stable")]
     cands = CandidateSets(sets, rank_from_order(best_first, cache.num_pilots))
     return priority_select(cands, scheme.tie_rule, scheme.seed, ue=t,
@@ -208,24 +211,6 @@ def random_pa_step(t: int, lp: int, seed: int) -> int:
     """Uniform pilot from UE t's own seeded stream."""
     rng = np.random.default_rng([seed, t])
     return int(rng.integers(lp))
-
-
-def scalable_pa_step(t: int, beta, powers, lp: int, partial) -> int:
-    """Least-loaded pilot as seen from the master (strongest) AP of UE t.
-
-    Load of pilot i is the pilot-power-weighted LSFC sum of its current
-    holders at the master AP; ties go to the lowest pilot index.
-    """
-    beta = np.asarray(beta, dtype=float)
-    pilots = np.asarray(getattr(partial, "pilot_of", partial), dtype=int)
-    m_star = int(np.argmax(beta[:, t]))
-    loads = np.zeros(lp)
-    for i in range(lp):
-        members = np.flatnonzero(pilots == i)
-        members = members[members != t]
-        if members.size:
-            loads[i] = beta[m_star, members] @ powers.p_pilot[members]
-    return int(np.argmin(loads))
 
 
 def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
@@ -239,23 +224,28 @@ def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
         if not np.array_equal(np.sort(order), np.arange(num_ues)):
             raise ValueError("order must be a permutation of all UEs")
     cache = None
-    if scheme.scheme_id in ("eem", "dpb"):
-        serves = assoc.serves if scheme.scheme_id == "dpb" else None
-        cache = ContaminationCache(real.beta, powers, lp, serves=serves)
+    if scheme.scheme_id != "random":
+        cache = ContaminationCache(real.beta, powers, lp,
+                                   track_local=scheme.scheme_id == "dpb")
+    if scheme.scheme_id == "scalable":
+        # master AP per UE: the first strongest, as np.argmax picks it
+        master = np.argmax(real.beta, axis=0)
     pilot_of = np.full(num_ues, -1, dtype=int)
     for rank, t in enumerate(order):
         t = int(t)
+        serving = assoc.serving_aps[t]
         if counter is not None:
             counter.start_ue()
         if scheme.scheme_id == "eem":
-            pilot = eem_step(t, cache, assoc.serving_aps[t], rank, counter)
+            pilot = eem_step(t, cache, serving, rank, counter)
         elif scheme.scheme_id == "dpb":
-            pilot = _dpb_step(t, cache, assoc.serving_aps[t], scheme, counter)
+            pilot = _dpb_step(t, cache, serving, scheme, counter)
         elif scheme.scheme_id == "random":
             pilot = random_pa_step(t, lp, scheme.seed)
         else:
-            pilot = scalable_pa_step(t, real.beta, powers, lp, pilot_of)
+            # least-loaded pilot at the master AP, lowest index on ties
+            pilot = int(np.argmin(cache.global_sums[master[t]]))
         pilot_of[t] = pilot
         if cache is not None:
-            cache.record(t, pilot)
+            cache.record(t, pilot, serving)
     return PilotAssignment(pilot_of, lp)

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all
-from .harness import (SCHEME_CODE, ExperimentSpec, derive_seed, emit_cdf,
-                      run_experiment)
+from .harness import (SCHEME_CODE, CellError, ExperimentSpec, derive_seed,
+                      emit_cdf, run_experiment)
 from .network import (NetworkConfig, PathLossParams, associate_aps,
                       generate_drop, normalize_powers)
 from .protocol import BudgetViolation, audit_overhead, run_protocol
@@ -197,7 +197,8 @@ def main(argv=None) -> int:
         if args.command == "cdf":
             return _run_cdf(args)
         return _run_protocol_audit(args)
-    except (ValueError, FileNotFoundError) as exc:
+    # np.linalg.LinAlgError is a ValueError
+    except (ValueError, FileNotFoundError, ArithmeticError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -160,29 +160,34 @@ def estimation_error_local(t: int, m: int, beta, powers, lp: int,
 class ContaminationCache:
     """Running per-(AP, pilot) contamination sums for sequential assignment.
 
-    Holding the sums incrementally is what keeps the greedy step at
+    Holding the sums incrementally is what keeps a sequential step at
     O(|M_t| Lp): evaluating a pilot costs one cached read per serving AP
-    instead of a fresh pass over all co-pilot UEs. `record` must be called
-    once per assignment, in arrival order; sums then accumulate in the same
-    order as the message-passing agents see notifications, which keeps the
-    two DPB code paths bitwise identical.
+    instead of a fresh pass over all co-pilot UEs. `global_sums[m, i]` sums
+    w_k b_mk over the UEs on pilot i, so it carries the factor Lp of
+    w = p_pilot Lp; `scalable` reads its master AP's row, whose argmin that
+    factor leaves unchanged. `local_sums` (with `track_local`) keeps the sums
+    over the UEs each AP serves. `record` must be called once per assignment,
+    in arrival order; sums then accumulate in the same order as the
+    message-passing agents see notifications, which keeps the two DPB code
+    paths bitwise identical.
     """
 
-    def __init__(self, beta, powers, lp: int, serves=None):
+    def __init__(self, beta, powers, lp: int, track_local: bool = False):
         self.beta = np.asarray(beta, dtype=float)
         self.w = powers.p_pilot * lp
         self.num_pilots = int(lp)
         num_aps = self.beta.shape[0]
+        # row t is w_t b_mt over all APs: one contiguous read per record
+        self.contrib = np.ascontiguousarray((self.beta * self.w).T)
         self.global_sums = np.zeros((num_aps, lp))
-        self.serves = None if serves is None else np.asarray(serves, dtype=bool)
-        self.local_sums = None if serves is None else np.zeros((num_aps, lp))
+        self.local_sums = np.zeros((num_aps, lp)) if track_local else None
 
-    def record(self, t: int, pilot: int):
-        contrib = self.w[t] * self.beta[:, t]
+    def record(self, t: int, pilot: int, serving):
+        """Add UE t on `pilot`; local sums change at its `serving` APs."""
+        contrib = self.contrib[t]
         self.global_sums[:, pilot] += contrib
         if self.local_sums is not None:
-            mask = self.serves[:, t]
-            self.local_sums[mask, pilot] += contrib[mask]
+            self.local_sums[serving, pilot] += contrib[serving]
 
     def global_error_profile(self, t: int, serving) -> np.ndarray:
         """Serving-set aggregate error for every pilot at once, length Lp."""
@@ -194,9 +199,10 @@ class ContaminationCache:
             weighted_own[:, None] + self.global_sums[serving, :] + 1.0)
         return np.sum(bound[:, None] - contaminated, axis=0)
 
-    def local_errors(self, m: int, t: int) -> np.ndarray:
-        """Local error profile at AP m, one entry per pilot."""
+    def local_errors(self, m, t: int) -> np.ndarray:
+        """Local error profile at AP m, one entry per pilot; an index array
+        of APs gives one row per AP."""
         if self.local_sums is None:
             raise ValueError("cache was built without serving-set tracking")
-        own = self.beta[m, t]
+        own = self.beta[m, t][..., None]
         return local_error_profile(self.w[t] * own, own, self.local_sums[m])

@@ -26,6 +26,7 @@ from .network import NetworkConfig, associate_aps, generate_drop, normalize_powe
 from .performance import evaluate
 
 __all__ = [
+    "CellError",
     "SCHEME_CODE",
     "SWEEP_FIELDS",
     "ExperimentSpec",
@@ -45,6 +46,10 @@ SWEEP_FIELDS = {
 }
 
 _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
+
+
+class CellError(RuntimeError):
+    """A scheme failed on one cell; the original error is the cause."""
 
 
 def derive_seed(*parts) -> int:
@@ -119,8 +124,12 @@ def _run_cell(args) -> list:
                                100 + SCHEME_CODE[scheme_id])
         scheme = SchemeConfig(scheme_id, spec.dpb_s, spec.dpb_delta,
                               spec.tie_rule, run_seed)
-        assignment = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
-        report = evaluate(real, assoc, assignment, powers, cfg)
+        try:
+            assignment = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
+            report = evaluate(real, assoc, assignment, powers, cfg)
+        except Exception as exc:
+            raise CellError(f"{spec.sweep}={value!r}, drop seed {drop_seed}, scheme "
+                            f"{scheme_id}: {type(exc).__name__}: {exc}") from exc
         rows.append(ResultRow(
             scheme_id, value, drop_seed, report.sum_se,
             report.percentile(5.0), report.percentile(10.0),
@@ -142,12 +151,14 @@ def _write_atomic(path: Path, text: str):
 
 
 def _git_describe() -> str:
+    """State of the checkout holding this package, wherever the run started."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).resolve().parent,
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 

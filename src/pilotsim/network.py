@@ -181,10 +181,6 @@ class AssociationMap:
             object.__setattr__(self, "strong_pilot_count",
                                _readonly(np.asarray(self.strong_pilot_count, dtype=int)))
 
-    @property
-    def has_strong_groups(self) -> bool:
-        return self.strong_flag is not None
-
 
 def compute_lsfc(distance_m, shadow_db=0.0, params: PathLossParams | None = None):
     """Linear-scale LSFC for one distance or an array of distances.
@@ -200,13 +196,14 @@ def compute_lsfc(distance_m, shadow_db=0.0, params: PathLossParams | None = None
     # offsets chain the segments together so the profile stays continuous
     mid_off = 10.0 * (p.exp_far - p.exp_mid) * math.log10(d1)
     near_off = mid_off + 10.0 * (p.exp_mid - p.exp_near) * math.log10(d0)
+    log_d = np.log10(d_km)
     pl_db = np.where(
         d_km > d1,
-        p.ref_loss_db + 10.0 * p.exp_far * np.log10(d_km),
+        p.ref_loss_db + 10.0 * p.exp_far * log_d,
         np.where(
             d_km > d0,
-            p.ref_loss_db + mid_off + 10.0 * p.exp_mid * np.log10(d_km),
-            p.ref_loss_db + near_off + 10.0 * p.exp_near * np.log10(d_km),
+            p.ref_loss_db + mid_off + 10.0 * p.exp_mid * log_d,
+            p.ref_loss_db + near_off + 10.0 * p.exp_near * log_d,
         ),
     )
     shadowed = np.where(d_km > d1, shadow_db, 0.0)
@@ -263,30 +260,25 @@ def normalize_powers(config: NetworkConfig) -> PowerProfile:
     return PowerProfile(per_ue, per_ue.copy())
 
 
-def _cumulative_prefix(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Indices (into `values`) of the smallest descending-order prefix whose
-    sum reaches `threshold` times the total."""
-    order = np.argsort(-values, kind="stable")
-    csum = np.cumsum(values[order])
-    need = threshold * csum[-1]
-    k = int(np.searchsorted(csum, need, side="left")) + 1
-    return order[:k]
-
-
 def associate_aps(real: NetworkRealization, assoc_threshold: float) -> AssociationMap:
     """Serving sets per UE: smallest descending-LSFC prefix of APs capturing
     `assoc_threshold` of the UE's total LSFC mass across all APs."""
     if not 0.0 < assoc_threshold <= 1.0:
         raise ValueError("assoc_threshold must be in (0, 1]")
     num_aps, num_ues = real.beta.shape
+    # every column ranked descending, ties in AP index order
+    order = np.argsort(-real.beta, axis=0, kind="stable")
+    csum = np.cumsum(np.take_along_axis(real.beta, order, axis=0), axis=0)
+    size = np.count_nonzero(csum < assoc_threshold * csum[-1], axis=0) + 1
+    chosen = np.arange(num_aps)[:, None] < size
     serves = np.zeros((num_aps, num_ues), dtype=bool)
-    serving = []
-    for t in range(num_ues):
-        chosen = _cumulative_prefix(real.beta[:, t], assoc_threshold)
-        serving.append(_readonly(chosen))
-        serves[chosen, t] = True
-    served = tuple(_readonly(np.flatnonzero(serves[m])) for m in range(num_aps))
-    return AssociationMap(tuple(serving), served, serves)
+    np.put_along_axis(serves, order, chosen, axis=0)
+    # transposed, each UE's chosen prefix is one contiguous run
+    serving = np.split(_readonly(order.T[chosen.T]), np.cumsum(size)[:-1])
+    aps, ues = np.nonzero(serves)
+    degree = np.bincount(aps, minlength=num_aps)
+    served = np.split(_readonly(ues), np.cumsum(degree)[:-1])
+    return AssociationMap(tuple(serving), tuple(served), serves)
 
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
@@ -303,22 +295,31 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
         raise ValueError("strong_threshold must be in (0, 1]")
     num_aps, num_ues = real.beta.shape
     pilot_of = assignment.pilot_of
-    # each AP's row ranked by LSFC: served UEs first, descending, ties in
-    # index order; the unserved follow as zeros and leave the sums unchanged
-    masked = np.where(assoc.serves, real.beta, 0.0)
-    order = np.argsort(-masked, axis=1, kind="stable")
-    csum = np.cumsum(np.take_along_axis(masked, order, axis=1), axis=1)
+    # each AP's served links ranked by LSFC, descending, ties in index order;
+    # rows are padded to the largest degree with zeros, which trail and leave
+    # the sums unchanged
+    link_aps, link_ues = np.nonzero(assoc.serves)
+    degree = np.bincount(link_aps, minlength=num_aps)
+    start = np.cumsum(degree) - degree
+    slot = np.arange(link_aps.size) - start[link_aps]
+    padded = np.zeros((num_aps, int(degree.max())))
+    padded[link_aps, slot] = real.beta[link_aps, link_ues]
+    order = np.argsort(-padded, axis=1, kind="stable")
+    csum = np.cumsum(np.take_along_axis(padded, order, axis=1), axis=1)
     need = strong_threshold * csum[:, -1:]
-    size = np.where(assoc.serves.any(axis=1),
-                    np.count_nonzero(csum < need, axis=1) + 1, 0)
+    size = np.where(degree > 0, np.count_nonzero(csum < need, axis=1) + 1, 0)
+    # links are stored AP-major in UE order, so sorted link indices list each
+    # strong set in ascending UE order
+    ranked = start[:, None] + order
+    strong = np.sort(ranked[np.arange(padded.shape[1]) < size[:, None]])
+    aps, ues = link_aps[strong], link_ues[strong]
     strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
-    np.put_along_axis(strong_flag, order, np.arange(num_ues) < size[:, None],
-                      axis=1)
-    aps, ues = np.nonzero(strong_flag)
+    strong_flag[aps, ues] = True
     on_pilot = np.zeros((num_aps, assignment.num_pilots), dtype=bool)
     on_pilot[aps, pilot_of[ues]] = True
     pilot_count = np.count_nonzero(on_pilot, axis=1)
-    unassigned = np.any(assoc.serves & (pilot_of < 0), axis=1)
+    unassigned = np.bincount(link_aps[pilot_of[link_ues] < 0],
+                             minlength=num_aps) > 0
     too_many = (pilot_count >= antennas_per_ap if antennas_per_ap is not None
                 else np.zeros(num_aps, dtype=bool))
     # report the first offending AP, as a scan in AP order would; an AP with

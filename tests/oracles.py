@@ -5,6 +5,7 @@ shared with the package, so the package is checked against a structurally
 different evaluation path.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,55 @@ def oracle_eem_choice(t, beta, p_pilot, lp, pilot_of, serving):
         if err < best_err:
             best, best_err = i, err
     return best
+
+
+def oracle_scalable_choice(t, beta, powers, lp, partial):
+    """Least-loaded pilot as seen from the master (strongest) AP of UE t,
+    rescanning every UE's pilot on every call.
+
+    Load of pilot i is the pilot-power-weighted LSFC sum of its current
+    holders at the master AP; ties go to the lowest pilot index.
+    """
+    beta = np.asarray(beta, dtype=float)
+    pilots = np.asarray(getattr(partial, "pilot_of", partial), dtype=int)
+    m_star = int(np.argmax(beta[:, t]))
+    loads = np.zeros(lp)
+    for i in range(lp):
+        members = np.flatnonzero(pilots == i)
+        members = members[members != t]
+        if members.size:
+            loads[i] = beta[m_star, members] @ powers.p_pilot[members]
+    return int(np.argmin(loads))
+
+
+def oracle_priority_select(cands, tie_rule="seeded_random", seed=0, ue=0,
+                           counter=None):
+    """Priority intersection over sorted index arrays with np.intersect1d,
+    drawing from a fresh seeded generator whatever the common set's size."""
+    sets = [np.asarray(c, dtype=int) for c in cands.sets]
+    s = len(sets)
+    common = None
+    for level in range(s, 1, -1):
+        for group in itertools.combinations(range(s), level):
+            if counter is not None:
+                counter.add_checks(1)
+            cand = sets[group[0]]
+            for j in group[1:]:
+                cand = np.intersect1d(cand, sets[j], assume_unique=True)
+                if cand.size == 0:
+                    break
+            if cand.size:
+                common = cand
+                break
+        if common is not None:
+            break
+    if common is None:
+        members = sets[0]
+        return int(members[np.argmin(cands.top_errors[members])])
+    if tie_rule == "deterministic":
+        return int(common[np.argmin(cands.top_errors[common])])
+    rng = np.random.default_rng([seed, ue])
+    return int(common[rng.integers(common.size)])
 
 
 def oracle_sinr(t, a_full, beta, gamma, p_uplink, pilot_of, strong_flag,

@@ -20,9 +20,11 @@ from pilotsim import (
     eem_step,
     priority_select,
     random_pa_step,
-    scalable_pa_step,
+    rank_from_order,
 )
-from oracles import oracle_eem_choice
+from pilotsim.assignment import TIE_RULES
+from oracles import (oracle_eem_choice, oracle_priority_select,
+                     oracle_scalable_choice)
 
 
 def unit_powers(n):
@@ -66,7 +68,7 @@ class TestEemStep:
     def test_avoids_contaminated_pilot(self):
         beta = np.array([[1.0, 1.0]])
         cache = ContaminationCache(beta, unit_powers(2), 2)
-        cache.record(0, 0)
+        cache.record(0, 0, [0])
         assert eem_step(1, cache, [0], arrival_rank=2) == 1
 
     def test_full_trajectory_matches_naive_scan(self, desk_drop):
@@ -112,9 +114,9 @@ class TestCandidateSets:
         assert list(got) == [2]
         for delta in (0.0, 0.5, 100.0):
             assert list(dpb_candidates(3, 0, delta, beta, powers, lp, local)) == [2]
-        cache = ContaminationCache(beta, powers, lp, serves=np.ones((1, 4), bool))
+        cache = ContaminationCache(beta, powers, lp, track_local=True)
         for t, p in enumerate([0, 1, 0]):
-            cache.record(t, p)
+            cache.record(t, p, [0])
         np.testing.assert_allclose(cache.local_errors(0, 3), errors, rtol=1e-13)
 
     def test_delta_widens_set(self):
@@ -128,9 +130,9 @@ class TestCandidateSets:
             0.042004138338752606,
             0.1301707779886148,
         ])
-        cache = ContaminationCache(beta, powers, lp, serves=np.ones((1, 5), bool))
+        cache = ContaminationCache(beta, powers, lp, track_local=True)
         for t, p in enumerate([0, 1, 2, 2]):
-            cache.record(t, p)
+            cache.record(t, p, [0])
         np.testing.assert_allclose(cache.local_errors(0, 4), errors, rtol=1e-13)
         assert list(dpb_candidates(4, 0, 0.0, beta, powers, lp, local)) == [1]
         assert list(dpb_candidates(4, 0, 0.1, beta, powers, lp, local)) == [0, 1]
@@ -201,6 +203,34 @@ class TestPrioritySelect:
         cands = CandidateSets((np.array([2, 4]),), np.array([0, 0, 5.0, 0, 1.0]))
         assert priority_select(cands, tie_rule="deterministic") == 4
 
+    def test_pilots_beyond_64_bits(self):
+        cands = CandidateSets((np.array([3, 70, 199]), np.array([70, 199])),
+                              np.zeros(200))
+        assert priority_select(cands, tie_rule="deterministic") == 70
+        assert priority_select(cands, seed=4, ue=1) in (70, 199)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(TIE_RULES))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_intersect1d_oracle(self, seed, tie_rule):
+        r = np.random.default_rng(seed)
+        s, lp = int(r.integers(1, 5)), int(r.integers(1, 9))
+        sets = tuple(np.sort(r.choice(lp, size=int(r.integers(1, lp + 1)),
+                                      replace=False)) for _ in range(s))
+        if r.random() < 0.5:
+            top = rank_from_order(r.permutation(lp)[:int(r.integers(1, lp + 1))], lp)
+        else:
+            top = r.choice([0.0, 1.0, 2.0, np.inf], size=lp)  # ties likely
+        cands = CandidateSets(sets, top)
+        for _ in range(8):
+            run_seed, ue = int(r.integers(2 ** 31)), int(r.integers(1000))
+            mine, ref = OpCounter(), OpCounter()
+            mine.start_ue()
+            ref.start_ue()
+            got = priority_select(cands, tie_rule, run_seed, ue, mine)
+            want = oracle_priority_select(cands, tie_rule, run_seed, ue, ref)
+            assert got == want
+            assert mine.intersection_checks == ref.intersection_checks
+
 
 class TestRandomPa:
     def test_single_pilot(self):
@@ -220,35 +250,94 @@ class TestRandomPa:
         assert np.all(np.abs(counts - n / 7) <= 3 * sigma)
 
 
+def cache_choice(t, beta, powers, lp, prior):
+    """assign_all's scalable read: holders recorded, argmin at the master."""
+    cache = ContaminationCache(beta, powers, lp)
+    for k, pilot in enumerate(prior):
+        if pilot >= 0 and k != t:
+            cache.record(k, pilot, [])
+    return int(np.argmin(cache.global_sums[np.argmax(beta[:, t])]))
+
+
+def oracle_scalable_run(beta, powers, lp, order):
+    pilot_of = np.full(beta.shape[1], -1)
+    for t in order:
+        pilot_of[t] = oracle_scalable_choice(t, beta, powers, lp, pilot_of)
+    return pilot_of
+
+
 class TestScalablePa:
     def test_empty_prior_takes_pilot_zero(self):
         beta = np.array([[0.5, 0.4]])
         prior = np.array([-1, -1])
-        assert scalable_pa_step(1, beta, unit_powers(2), 3, prior) == 0
+        assert oracle_scalable_choice(1, beta, unit_powers(2), 3, prior) == 0
+        assert cache_choice(1, beta, unit_powers(2), 3, prior) == 0
 
     def test_frozen_loads(self):
         # master AP row [0.5, 0.4, 0.3, _], prior [0, 1, 0]:
         # loads [0.5 + 0.3, 0.4] so pilot 1 wins
         beta = np.array([[0.5, 0.4, 0.3, 0.2]])
         prior = np.array([0, 1, 0, -1])
-        assert scalable_pa_step(3, beta, unit_powers(4), 2, prior) == 1
+        assert oracle_scalable_choice(3, beta, unit_powers(4), 2, prior) == 1
+        assert cache_choice(3, beta, unit_powers(4), 2, prior) == 1
 
     def test_master_is_strongest_ap(self):
         # AP 1 is the master for UE 2 and sees pilot 0 as the lighter one
         beta = np.array([[0.9, 0.1, 0.2],
                          [0.1, 0.9, 0.3]])
         prior = np.array([0, 1, -1])
-        assert scalable_pa_step(2, beta, unit_powers(3), 2, prior) == 0
+        assert oracle_scalable_choice(2, beta, unit_powers(3), 2, prior) == 0
+        assert cache_choice(2, beta, unit_powers(3), 2, prior) == 0
 
     def test_tie_goes_to_lowest_index(self):
         beta = np.array([[0.5, 0.5, 0.5]])
         prior = np.array([0, 1, -1])
-        assert scalable_pa_step(2, beta, unit_powers(3), 2, prior) == 0
+        assert oracle_scalable_choice(2, beta, unit_powers(3), 2, prior) == 0
+        assert cache_choice(2, beta, unit_powers(3), 2, prior) == 0
 
     def test_own_stale_entry_ignored(self):
         beta = np.array([[1.0, 0.1]])
         prior = np.array([0, 1])
-        assert scalable_pa_step(1, beta, unit_powers(2), 2, prior) == 1
+        assert oracle_scalable_choice(1, beta, unit_powers(2), 2, prior) == 1
+        assert cache_choice(1, beta, unit_powers(2), 2, prior) == 1
+
+    def test_tied_master_is_first_ap(self):
+        # UE 2 hears APs 0 and 1 equally; AP 0 sees pilot 0 as the lighter
+        # one (0.5 < 0.9), AP 1 would pick pilot 1
+        beta = np.array([[0.5, 0.9, 0.7],
+                         [0.9, 0.5, 0.7]])
+        real = NetworkRealization(np.zeros((2, 2)), np.zeros((3, 2)), beta, 0)
+        pa = assign_all(SchemeConfig("scalable"), real, associate_aps(real, 1.0),
+                        unit_powers(3), 2)
+        assert pa.pilot_of.tolist() == [0, 1, 0]
+
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans(),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rescan_oracle(self, seed, const_rows, equal_powers,
+                                   tied_masters, shuffled):
+        r = np.random.default_rng(seed)
+        m, t, lp = (int(r.integers(1, 5)), int(r.integers(1, 13)),
+                    int(r.integers(1, 5)))
+        beta = 10.0 ** r.uniform(-12.0, -6.0, size=(m, t))
+        if const_rows:
+            rows = r.random(m) < 0.5
+            beta[rows] = 10.0 ** r.uniform(-12.0, -6.0, size=(rows.sum(), 1))
+        if tied_masters and m > 1:
+            # some UEs hear a second AP exactly as strongly as their master
+            for k in np.flatnonzero(r.random(t) < 0.5):
+                beta[int(r.integers(m)), k] = beta[:, k].max()
+        if equal_powers:
+            powers = PowerProfile(np.full(t, 10.0 ** r.uniform(0.0, 3.0)),
+                                  np.ones(t))
+        else:
+            powers = PowerProfile(10.0 ** r.uniform(0.0, 3.0, t), np.ones(t))
+        order = r.permutation(t) if shuffled else np.arange(t)
+        real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
+        pa = assign_all(SchemeConfig("scalable"), real,
+                        associate_aps(real, 0.95), powers, lp, order=order)
+        np.testing.assert_array_equal(
+            pa.pilot_of, oracle_scalable_run(beta, powers, lp, order))
 
 
 class TestAssignAll:

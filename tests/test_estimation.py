@@ -261,7 +261,7 @@ class TestContaminationCache:
             lp = pa.num_pilots
             cache = ContaminationCache(beta, powers, lp)
             for k in range(pa.num_ues - 1):
-                cache.record(k, int(pa.pilot_of[k]))
+                cache.record(k, int(pa.pilot_of[k]), [])
             serving = [0, 2, 3]
             profile = cache.global_error_profile(pa.num_ues - 1, serving)
             direct = [estimation_error_global(pa.num_ues - 1, i, beta, powers,
@@ -273,9 +273,9 @@ class TestContaminationCache:
         beta, powers, pa = self._random_state(rng)
         lp = pa.num_pilots
         serves = rng.random(beta.shape) < 0.6
-        cache = ContaminationCache(beta, powers, lp, serves=serves)
+        cache = ContaminationCache(beta, powers, lp, track_local=True)
         for k in range(pa.num_ues - 1):
-            cache.record(k, int(pa.pilot_of[k]))
+            cache.record(k, int(pa.pilot_of[k]), np.flatnonzero(serves[:, k]))
         t = pa.num_ues - 1
         for m in range(beta.shape[0]):
             got = cache.local_errors(m, t)
@@ -284,6 +284,22 @@ class TestContaminationCache:
                 local = members[serves[m, members]]
                 want = estimation_error_local(t, m, beta, powers, lp, local)
                 assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_multi_ap_rows_equal_per_ap_profiles(self, rng):
+        for _ in range(20):
+            beta, powers, pa = self._random_state(rng)
+            serves = rng.random(beta.shape) < 0.6
+            cache = ContaminationCache(beta, powers, pa.num_pilots,
+                                       track_local=True)
+            for k in range(pa.num_ues - 1):
+                cache.record(k, int(pa.pilot_of[k]),
+                             np.flatnonzero(serves[:, k]))
+            aps = rng.permutation(beta.shape[0])[:int(rng.integers(1, 4))]
+            t = pa.num_ues - 1
+            rows = cache.local_errors(aps, t)
+            assert rows.shape == (aps.size, pa.num_pilots)
+            for row, m in zip(rows, aps):
+                assert np.array_equal(row, cache.local_errors(int(m), t))
 
     def test_local_needs_serving_sets(self, rng):
         beta, powers, pa = self._random_state(rng)

@@ -1,11 +1,16 @@
 """Experiment harness: seeding discipline, file outputs, CLI plumbing."""
 
 import json
+import pickle
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pilotsim
 from pilotsim import (
+    CellError,
     ExperimentSpec,
     NetworkConfig,
     ResultRow,
@@ -13,6 +18,7 @@ from pilotsim import (
     emit_cdf,
     run_experiment,
 )
+from pilotsim import cli, harness
 from pilotsim.cli import main
 
 
@@ -116,6 +122,17 @@ class TestRunExperiment:
             assert b[kind].read_bytes() == ref
             assert c[kind].read_bytes() == ref
 
+    def test_meta_names_the_package_checkout(self, tmp_path, monkeypatch):
+        want = subprocess.run(["git", "describe", "--always", "--dirty"],
+                              cwd=Path(pilotsim.__file__).resolve().parent,
+                              capture_output=True, text=True)
+        if want.returncode != 0:
+            pytest.skip("pilotsim is not imported from a git checkout")
+        monkeypatch.chdir(tmp_path)
+        _, paths = run_experiment(tiny_spec(tmp_path / "out", num_drops=1))
+        meta = json.loads(paths["metadata"].read_text())
+        assert meta["git"] == want.stdout.strip()
+
     def test_per_user_detail(self, tmp_path):
         spec = tiny_spec(tmp_path, store_per_user=True, sweep="none",
                          sweep_values=(12,), num_drops=2)
@@ -123,6 +140,56 @@ class TestRunExperiment:
         for r in rows:
             assert r.per_user.shape == (12,)
             assert np.all(np.diff(r.per_user) >= 0)
+
+
+def fail_second_evaluate(monkeypatch, exc):
+    """Make the second evaluate call, dpb on the first cell, raise `exc`."""
+    calls = []
+    real_evaluate = harness.evaluate
+
+    def evaluate(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise exc
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate", evaluate)
+
+
+class TestCellFailures:
+    def test_error_names_its_cell(self, tmp_path, monkeypatch):
+        fail_second_evaluate(monkeypatch, ArithmeticError("bad SINR for UE 3"))
+        with pytest.raises(CellError) as info:
+            run_experiment(tiny_spec(tmp_path))
+        msg = str(info.value)
+        assert msg == (f"ue_count=10, drop seed {derive_seed(3, 0, 0)}, "
+                       "scheme dpb: ArithmeticError: bad SINR for UE 3")
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        again = pickle.loads(pickle.dumps(info.value))
+        assert type(again) is CellError and str(again) == msg
+
+    def test_cli_reports_cell_failure(self, tmp_path, monkeypatch, capsys):
+        fail_second_evaluate(monkeypatch, np.linalg.LinAlgError("singular"))
+        code = main(["sweep-ues", "--desk-scale", "--values", "30",
+                     "--drops", "1", "--scheme", "eem,dpb",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ue_count=30, drop seed ")
+        assert "scheme dpb: LinAlgError: singular" in err
+
+    @pytest.mark.parametrize("exc", [ArithmeticError("overflow"),
+                                     np.linalg.LinAlgError("singular")])
+    def test_cli_reports_numeric_errors(self, tmp_path, monkeypatch, capsys,
+                                        exc):
+        def run_protocol(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_protocol", run_protocol)
+        code = main(["protocol-audit", "--desk-scale", "--drops", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 class TestEmitCdf:

@@ -163,6 +163,35 @@ class TestAssociation:
             assert set(assoc.serving_aps[0].tolist()) == brute_force_prefix(
                 column, 0.95)
 
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([1.0, 0.95, 0.5, 1e-12, None]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_column_wise_matches_brute_force(self, seed, threshold, tied):
+        r = np.random.default_rng(seed)
+        m = 1 if r.random() < 0.2 else int(r.integers(2, 8))
+        t = 1 if r.random() < 0.2 else int(r.integers(2, 10))
+        if threshold is None:
+            threshold = float(r.uniform(1e-3, 1.0))
+        if tied:  # three LSFC levels, so ties are common
+            beta = r.choice(10.0 ** r.uniform(-12.0, -6.0, size=3), size=(m, t))
+        else:
+            beta = 10.0 ** r.uniform(-12.0, -6.0, size=(m, t))
+        real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
+        assoc = associate_aps(real, threshold)
+        serves = np.zeros((m, t), dtype=bool)
+        for k in range(t):
+            col = beta[:, k]
+            want = sorted(brute_force_prefix(col, threshold),
+                          key=lambda a: (-col[a], a))
+            assert assoc.serving_aps[k].tolist() == want
+            assert not assoc.serving_aps[k].flags.writeable
+            serves[want, k] = True
+        assert np.array_equal(assoc.serves, serves)
+        assert len(assoc.served_ues) == m
+        for a, ues in enumerate(assoc.served_ues):
+            assert ues.tolist() == np.flatnonzero(serves[a]).tolist()
+            assert not ues.flags.writeable
+
     def test_threshold_monotonicity(self, rng):
         for _ in range(50):
             column = 10.0 ** rng.uniform(-14.0, -8.0, size=12)
