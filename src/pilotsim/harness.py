@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +50,14 @@ _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
 
 
 class CellError(RuntimeError):
-    """A scheme failed on one cell; the original error is the cause."""
+    """One cell failed: its drop, its association or one of its schemes.
+
+    The message names the cell; the original error is the cause.
+    """
+
+
+def _cell_error(where: str, exc: Exception) -> CellError:
+    return CellError(f"{where}: {type(exc).__name__}: {exc}")
 
 
 def derive_seed(*parts) -> int:
@@ -115,9 +123,13 @@ def _run_cell(args) -> list:
     value = spec.sweep_values[sweep_idx]
     cfg = spec.config_for(value)
     drop_seed = derive_seed(spec.master_seed, sweep_idx, drop_idx)
-    real = generate_drop(cfg, drop_seed)
-    powers = normalize_powers(cfg)
-    assoc = associate_aps(real, cfg.assoc_threshold)
+    cell = f"{spec.sweep}={value!r}, drop seed {drop_seed}"
+    try:
+        real = generate_drop(cfg, drop_seed)
+        powers = normalize_powers(cfg)
+        assoc = associate_aps(real, cfg.assoc_threshold)
+    except Exception as exc:
+        raise _cell_error(cell, exc) from exc
     rows = []
     for scheme_id in spec.schemes:
         run_seed = derive_seed(spec.master_seed, sweep_idx, drop_idx,
@@ -128,8 +140,7 @@ def _run_cell(args) -> list:
             assignment = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
             report = evaluate(real, assoc, assignment, powers, cfg)
         except Exception as exc:
-            raise CellError(f"{spec.sweep}={value!r}, drop seed {drop_seed}, scheme "
-                            f"{scheme_id}: {type(exc).__name__}: {exc}") from exc
+            raise _cell_error(f"{cell}, scheme {scheme_id}", exc) from exc
         rows.append(ResultRow(
             scheme_id, value, drop_seed, report.sum_se,
             report.percentile(5.0), report.percentile(10.0),
@@ -216,6 +227,8 @@ def run_experiment(spec: ExperimentSpec):
         "dpb_delta": spec.dpb_delta,
         "tie_rule": spec.tie_rule,
         "git": _git_describe(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     meta_path = out_dir / f"{spec.name}_meta.json"
     _write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -9,6 +9,7 @@ only this large-scale information; no small-scale fading is ever drawn.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,6 +87,13 @@ class NetworkConfig:
         self.validate()
 
     def validate(self):
+        for name in ("num_aps", "num_ues", "antennas_per_ap", "coherence_block",
+                     "pilot_length"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         for name in ("area_side_m", "bandwidth_hz", "shadow_sigma_db",
                      "assoc_threshold", "strong_threshold", "tx_power_mw",
                      "noise_figure_db"):

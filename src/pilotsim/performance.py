@@ -8,8 +8,10 @@ The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016); equal weights give
 p_t (sum b)^2 / 1.Q 1. `evaluate` scores a drop from these closed forms
-without forming any weight vector: it groups the UEs by |M_t|, stacks the
-(Q_t, b_t) of each group and solves the whole stack in one call.
+without forming any weight vector. It lays the serving links of all UEs out
+once, ordered by |M_t|, and computes every per-link term over all links at
+once. Each serving-set size is then a contiguous run of links, from which its
+(Q_t, b_t) stack is built and solved in one call.
 """
 
 from __future__ import annotations
@@ -66,12 +68,18 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 
 
 class _LsfdSystems:
-    """The LSFD system (Q_t, b_t) of every UE of one drop, built on demand.
+    """The LSFD systems (Q_t, b_t) of one drop, built link-major per group.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
+
+    `groups` lays the serving links of the requested UEs out flat, ordered
+    by |M_t| and then by UE, and computes every per-link scalar once. Each
+    serving-set size is then one contiguous run of links that reshapes to
+    (N, n); only its co-pilot gather and Q = C C^T are formed per group,
+    which keeps the largest temporary at one group's (N, n, K) stack.
     """
 
     def __init__(self, beta, gamma, powers, assoc, assignment: PilotAssignment,
@@ -101,28 +109,45 @@ class _LsfdSystems:
         self.pilot_of = pilot_of
         self.serving_aps = assoc.serving_aps
 
-    def build(self, ues):
-        """Q as an (N, n, n) stack and b as (N, n) for N UEs with |M_t| = n."""
+    def groups(self, ues):
+        """Yield (ues, Q, b) per serving-set size n, ascending: the given UEs
+        with |M_t| = n in ascending order, Q as (N, n, n) and b as (N, n)."""
         ues = np.asarray(ues, dtype=int)
-        serving = np.stack([self.serving_aps[t] for t in ues])
-        col = ues[:, None]
-        delta = self.flag[serving, col]
+        sets = [self.serving_aps[t] for t in ues.tolist()]
+        sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
+        order = np.argsort(sizes, kind="stable")
+        ues, sizes = ues[order], sizes[order]
+        serving = np.concatenate([sets[i] for i in order.tolist()])
+        link_ue = np.repeat(ues, sizes)
+        delta = self.flag[serving, link_ue]
         # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
         # strong pilot, but only from the viewpoint of strong UEs
         gain = self.antennas - delta * self.pilot_count[serving]
+        root = np.sqrt(gain)
+        diag = self.noncoh[serving] - delta * self.zf[serving] + 1.0
+        b = np.sqrt(gain * self.gamma[serving, link_ue])
         # each UE's co-pilots: its pilot's row of the table minus its own slot
+        col = ues[:, None]
         j = np.arange(self.table.shape[1] - 1)
         copilots = self.table[self.pilot_of[col], j + (j >= self.slot[col])]
-        c = (np.sqrt(gain)[:, :, None]
-             * self.w[serving[:, :, None], copilots[:, None, :]])
-        q = c @ np.swapaxes(c, 1, 2)
-        diag = np.arange(serving.shape[1])
-        q[:, diag, diag] += self.noncoh[serving] - delta * self.zf[serving] + 1.0
-        return q, np.sqrt(gain * self.gamma[serving, col])
+        cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+        start = 0
+        for lo, hi in zip([0, *cuts], [*cuts, ues.size]):
+            n = int(sizes[lo])
+            shape = (hi - lo, n)
+            links = slice(start, start + (hi - lo) * n)
+            start = links.stop
+            c = (root[links].reshape(shape)[:, :, None]
+                 * self.w[serving[links].reshape(shape)[:, :, None],
+                          copilots[lo:hi, None, :]])
+            q = c @ c.transpose(0, 2, 1)
+            # the diagonal of each n x n block, as a strided view
+            q.reshape(hi - lo, n * n)[:, ::n + 1] += diag[links].reshape(shape)
+            yield ues[lo:hi], q, b[links].reshape(shape)
 
     def weights(self, t: int) -> np.ndarray:
         """Optimal LSFD weights of UE t: Q_t^{-1} b_t at unit norm."""
-        q, b = self.build([t])
+        (_, q, b), = self.groups([t])
         a = np.linalg.solve(q[0], b[0])
         norm = np.linalg.norm(a)
         if not np.isfinite(norm) or norm == 0.0:
@@ -173,8 +198,8 @@ def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
         raise ValueError("weight vector must align with the serving set")
     if not np.all(np.any(a, axis=-1)):
         raise ValueError("all-zero weight vector")
-    q, b = _LsfdSystems(beta, gamma, powers, assoc, assignment,
-                        antennas).build([t])
+    (_, q, b), = _LsfdSystems(beta, gamma, powers, assoc, assignment,
+                              antennas).groups([t])
     probes = np.atleast_2d(a)
     sinr = (powers.p_uplink[t] * (probes @ b[0]) ** 2
             / np.sum((probes @ q[0]) * probes, axis=1))
@@ -205,11 +230,8 @@ def evaluate(real, assoc, assignment: PilotAssignment, powers, config,
                                config.antennas_per_ap)
     systems = _LsfdSystems(real.beta, gamma, powers, grouped, assignment,
                            config.antennas_per_ap)
-    sizes = np.count_nonzero(grouped.serves, axis=0)
     score = np.empty(real.num_ues)
-    for n in np.unique(sizes):
-        ues = np.flatnonzero(sizes == n)
-        q, b = systems.build(ues)
+    for ues, q, b in systems.groups(np.arange(real.num_ues)):
         if weight_mode == "optimal":
             score[ues] = np.sum(b * np.linalg.solve(q, b[:, :, None])[:, :, 0],
                                 axis=1)

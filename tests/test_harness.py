@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import platform
 import subprocess
 from pathlib import Path
 
@@ -133,6 +134,12 @@ class TestRunExperiment:
         meta = json.loads(paths["metadata"].read_text())
         assert meta["git"] == want.stdout.strip()
 
+    def test_meta_records_versions(self, tmp_path):
+        _, paths = run_experiment(tiny_spec(tmp_path, num_drops=1))
+        meta = json.loads(paths["metadata"].read_text())
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+
     def test_per_user_detail(self, tmp_path):
         spec = tiny_spec(tmp_path, store_per_user=True, sweep="none",
                          sweep_values=(12,), num_drops=2)
@@ -167,6 +174,17 @@ class TestCellFailures:
         assert isinstance(info.value.__cause__, ArithmeticError)
         again = pickle.loads(pickle.dumps(info.value))
         assert type(again) is CellError and str(again) == msg
+
+    def test_association_failure_names_its_cell(self, tmp_path, monkeypatch):
+        def associate_aps(*args, **kwargs):
+            raise ValueError("no AP in range")
+
+        monkeypatch.setattr(harness, "associate_aps", associate_aps)
+        with pytest.raises(CellError) as info:
+            run_experiment(tiny_spec(tmp_path))
+        assert str(info.value) == (f"ue_count=10, drop seed {derive_seed(3, 0, 0)}"
+                                   ": ValueError: no AP in range")
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_cli_reports_cell_failure(self, tmp_path, monkeypatch, capsys):
         fail_second_evaluate(monkeypatch, np.linalg.LinAlgError("singular"))
@@ -245,6 +263,18 @@ class TestCli:
         code = main(["sweep-ues", "--config", str(cfg)])
         assert code == 2
         assert "unknown config keys: num_apps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [{"num_aps": 30.5}, {"pilot_length": 7.0}])
+    def test_non_integral_count_exits_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(entry))
+        code = main(["sweep-ues", "--desk-scale", "--config", str(cfg),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        (name, value), = entry.items()
+        assert capsys.readouterr().err == (
+            f"error: {name} must be an integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_scheme_exits_2(self, tmp_path, capsys):
         code = main(["sweep-ues", "--scheme", "psychic",

@@ -131,6 +131,19 @@ class TestGenerateDrop:
         with pytest.raises(ValueError):
             NetworkConfig(area_side_m=float("nan"))
 
+    @pytest.mark.parametrize("name", ["num_aps", "num_ues", "antennas_per_ap",
+                                      "coherence_block", "pilot_length"])
+    def test_rejects_non_integral_counts(self, name):
+        base = NetworkConfig()
+        value = float(getattr(base, name))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            NetworkConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            NetworkConfig(**{name: value + 0.5})
+        # numpy integers are integers
+        cfg = NetworkConfig(**{name: np.int64(getattr(base, name))})
+        assert getattr(cfg, name) == getattr(base, name)
+
     def test_realization_validation(self):
         with pytest.raises(ValueError):
             NetworkRealization(np.zeros((2, 2)), np.zeros((3, 2)),

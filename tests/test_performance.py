@@ -350,6 +350,23 @@ class TestBatchedEvaluate:
                 want = per_ue_sinr(real, assoc, pa, powers, cfg, mode)
                 np.testing.assert_allclose(got.sinr, want, rtol=1e-10)
 
+    def test_one_solve_per_serving_set_size(self, desk_drop, monkeypatch):
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        pa = assign_all(SchemeConfig("dpb", seed=3), real, assoc, powers,
+                        cfg.pilot_length)
+        sizes = {aps.size for aps in assoc.serving_aps}
+        assert len(sizes) > 1
+        calls = []
+        solve = performance.np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
+        evaluate(real, assoc, pa, powers, cfg, weight_mode="optimal")
+        assert sorted(shape[-1] for shape in calls) == sorted(sizes)
+
     def test_unknown_weight_mode_rejected_before_work(self, desk_drop,
                                                       monkeypatch):
         cfg, real, powers, assoc = desk_drop(seed=2)
