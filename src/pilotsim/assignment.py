@@ -27,6 +27,7 @@ import numpy as np
 
 from .estimation import (ContaminationCache, PilotAssignment,
                          estimation_error_local)
+from .network import require_integer
 
 __all__ = [
     "SCHEME_IDS",
@@ -58,6 +59,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme_id not in SCHEME_IDS:
             raise ValueError(f"unknown scheme {self.scheme_id!r}; pick from {SCHEME_IDS}")
+        require_integer("dpb_s", self.dpb_s)
         if self.dpb_s < 1:
             raise ValueError("dpb_s must be >= 1")
         if self.dpb_delta < 0:

@@ -147,6 +147,8 @@ def _run_cdf(args) -> int:
 def _run_protocol_audit(args) -> int:
     config, scheme_opts, _, _ = _resolve(args, "protocol-audit")
     drops = args.drops if args.drops is not None else 10
+    base = SchemeConfig("dpb", scheme_opts["dpb_s"], scheme_opts["dpb_delta"],
+                        scheme_opts["tie_rule"])
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
     for di in range(drops):
@@ -154,9 +156,7 @@ def _run_protocol_audit(args) -> int:
         assoc = associate_aps(real, config.assoc_threshold)
         order = np.random.default_rng([args.seed, di]).permutation(real.num_ues)
         run_seed = derive_seed(args.seed, 0, di, 100 + SCHEME_CODE["dpb"])
-        scheme = SchemeConfig("dpb", scheme_opts["dpb_s"],
-                              scheme_opts["dpb_delta"],
-                              scheme_opts["tie_rule"], run_seed)
+        scheme = dataclasses.replace(base, seed=run_seed)
         negotiated, log = run_protocol(real, assoc, scheme, order, powers,
                                        config.pilot_length)
         try:

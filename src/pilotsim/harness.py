@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all
-from .network import NetworkConfig, associate_aps, generate_drop, normalize_powers
+from .network import (NetworkConfig, associate_aps, generate_drop,
+                      normalize_powers, require_integer)
 from .performance import evaluate
 
 __all__ = [
@@ -84,8 +85,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep not in SWEEP_FIELDS:
             raise ValueError(f"unknown sweep {self.sweep!r}")
+        require_integer("num_drops", self.num_drops)
+        require_integer("workers", self.workers)
         if self.num_drops < 1 or self.workers < 1:
             raise ValueError("num_drops and workers must be >= 1")
+        # the per-cell scheme options, checked before any cell runs
+        SchemeConfig("dpb", self.dpb_s, self.dpb_delta, self.tie_rule)
         unknown = [s for s in self.schemes if s not in SCHEME_IDS]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}")

@@ -59,6 +59,14 @@ class PathLossParams:
                 raise ValueError(f"non-finite path loss parameter {name}")
 
 
+def require_integer(name: str, value):
+    """Reject a count that is not integral; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static system parameters for one simulation scenario.
@@ -89,11 +97,7 @@ class NetworkConfig:
     def validate(self):
         for name in ("num_aps", "num_ues", "antennas_per_ap", "coherence_block",
                      "pilot_length"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            require_integer(name, getattr(self, name))
         for name in ("area_side_m", "bandwidth_hz", "shadow_sigma_db",
                      "assoc_threshold", "strong_threshold", "tx_power_mw",
                      "noise_figure_db"):
@@ -170,13 +174,13 @@ class AssociationMap:
     `serving_aps[t]` lists the APs serving UE t in descending LSFC order;
     `served_ues[m]` is the (ascending) set of UEs served by AP m; the two are
     transposes of each other through the boolean `serves` matrix. The strong
-    fields are None until :func:`group_strong_ues` has run.
+    fields are None until :func:`group_strong_ues` has run; AP m's strong
+    set is `np.flatnonzero(strong_flag[m])`.
     """
 
     serving_aps: tuple
     served_ues: tuple
     serves: np.ndarray
-    strong_ues: tuple | None = None
     strong_flag: np.ndarray | None = None
     strong_pilot_count: np.ndarray | None = None
 
@@ -282,11 +286,16 @@ def associate_aps(real: NetworkRealization, assoc_threshold: float) -> Associati
     serves = np.zeros((num_aps, num_ues), dtype=bool)
     np.put_along_axis(serves, order, chosen, axis=0)
     # transposed, each UE's chosen prefix is one contiguous run
-    serving = np.split(_readonly(order.T[chosen.T]), np.cumsum(size)[:-1])
     aps, ues = np.nonzero(serves)
     degree = np.bincount(aps, minlength=num_aps)
-    served = np.split(_readonly(ues), np.cumsum(degree)[:-1])
-    return AssociationMap(tuple(serving), tuple(served), serves)
+    return AssociationMap(_runs(_readonly(order.T[chosen.T]), size),
+                          _runs(_readonly(ues), degree), serves)
+
+
+def _runs(flat: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Consecutive slices of `flat` with the given lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return tuple(flat[a:b] for a, b in zip([0, *ends[:-1]], ends))
 
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
@@ -316,10 +325,8 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
     csum = np.cumsum(np.take_along_axis(padded, order, axis=1), axis=1)
     need = strong_threshold * csum[:, -1:]
     size = np.where(degree > 0, np.count_nonzero(csum < need, axis=1) + 1, 0)
-    # links are stored AP-major in UE order, so sorted link indices list each
-    # strong set in ascending UE order
     ranked = start[:, None] + order
-    strong = np.sort(ranked[np.arange(padded.shape[1]) < size[:, None]])
+    strong = ranked[np.arange(padded.shape[1]) < size[:, None]]
     aps, ues = link_aps[strong], link_ues[strong]
     strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
     strong_flag[aps, ues] = True
@@ -340,6 +347,5 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
         raise ValueError(
             f"AP {m} would zero-force {pilot_count[m]} pilots with only "
             f"{antennas_per_ap} antennas")
-    strong_sets = np.split(_readonly(ues), np.cumsum(size)[:-1])
-    return replace(assoc, strong_ues=tuple(strong_sets),
-                   strong_flag=strong_flag, strong_pilot_count=pilot_count)
+    return replace(assoc, strong_flag=strong_flag,
+                   strong_pilot_count=pilot_count)

@@ -7,11 +7,14 @@ different evaluation path.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-from pilotsim import (AssociationMap, NetworkRealization, PilotAssignment,
-                      PowerProfile, group_strong_ues)
+from pilotsim import (AssociationMap, CandidateSets, Message,
+                      NetworkRealization, PilotAssignment, PowerProfile,
+                      group_strong_ues)
+from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
 
 
 def oracle_gamma(beta, p_pilot, lp, pilot_of):
@@ -177,6 +180,79 @@ def oracle_strong_groups(beta, served_ues, pilot_of, strong_threshold,
                 f"AP {m} would zero-force {pilot_count[m]} pilots with only "
                 f"{antennas} antennas")
     return tuple(strong_sets), strong_flag, pilot_count
+
+
+def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
+    """The DPB negotiation with one validated Message per send.
+
+    Each AP keeps its own per-pilot sums; an offer is the candidate set
+    (errors within (1 + delta) of the least) reordered best-first by a stable
+    argsort over its members; the UE resolves sorted offers with
+    `oracle_priority_select`. The audit counts messages by parsing node ids
+    back out of the records. Returns a dict with `pilot_of`, `records`,
+    `lines`, `by_kind`, `by_edge` and `audit`.
+    """
+    w = powers.p_pilot * lp
+    sums = [np.zeros(lp) for _ in range(real.num_aps)]
+    records = []
+    pilot_of = np.full(real.num_ues, -1, dtype=int)
+    for idx, t in enumerate(arrival_order):
+        t = int(t)
+        serving = assoc.serving_aps[t]
+        offers = []
+        for m in serving[:min(scheme.dpb_s, serving.size)]:
+            m = int(m)
+            records.append((idx, Message(KIND_PROBE, f"ue{t}", f"ap{m}", 0)))
+            weighted_own = float(w[t]) * float(real.beta[m, t])
+            num = weighted_own * float(real.beta[m, t])
+            errors = (num / (weighted_own + 1.0)
+                      - num / (weighted_own + sums[m] + 1.0))
+            members = np.flatnonzero(
+                errors <= (1.0 + scheme.dpb_delta) * errors.min())
+            offer = members[np.argsort(errors[members], kind="stable")]
+            records.append((idx, Message(KIND_OFFER, f"ap{m}", f"ue{t}",
+                                         len(offer))))
+            offers.append(offer)
+        rank = np.full(lp, np.inf)
+        rank[offers[0]] = np.arange(offers[0].size)
+        cands = CandidateSets(tuple(np.sort(o) for o in offers), rank)
+        pilot = oracle_priority_select(cands, scheme.tie_rule, scheme.seed, ue=t)
+        for m in serving:
+            m = int(m)
+            records.append((idx, Message(KIND_NOTIFY, f"ue{t}", f"ap{m}", 1)))
+            sums[m][pilot] += float(w[t]) * float(real.beta[m, t])
+        pilot_of[t] = pilot
+
+    probes, offered, notifies = Counter(), Counter(), Counter()
+    for _, msg in records:
+        if msg.kind == KIND_PROBE:
+            probes[int(msg.src[2:])] += 1
+        elif msg.kind == KIND_OFFER:
+            offered[int(msg.dst[2:])] += 1
+        else:
+            notifies[int(msg.src[2:])] += 1
+    per_ue = {}
+    for t in sorted(set(probes) | set(offered) | set(notifies)):
+        size = len(assoc.serving_aps[t])
+        got = (probes[t], offered[t], notifies[t])
+        assert got == (min(scheme.dpb_s, size),) * 2 + (size,)
+        per_ue[t] = {"probes": got[0], "offers": got[1], "notifies": got[2]}
+    audit = {
+        "per_ue": per_ue,
+        "total_messages": len(records),
+        "total_payload": sum(msg.payload_size for _, msg in records),
+        "ap_to_ap": sum(1 for _, msg in records
+                        if msg.src.startswith("ap") and msg.dst.startswith("ap")),
+    }
+    return {
+        "pilot_of": pilot_of,
+        "records": records,
+        "lines": [f"{idx},{msg.kind},{msg.src},{msg.dst},{msg.payload_size}"
+                  for idx, msg in records],
+        "by_kind": Counter(msg.kind for _, msg in records),
+        "by_edge": Counter((msg.src, msg.dst) for _, msg in records),
+        "audit": audit,
+    }
 
 
 def micro_instance(rng):

@@ -51,6 +51,12 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    def test_rejects_non_integral_s(self, value):
+        with pytest.raises(ValueError, match="^dpb_s must be an integer"):
+            SchemeConfig("dpb", dpb_s=value)
+        assert SchemeConfig("dpb", dpb_s=np.int64(2)).dpb_s == 2
+
 
 class TestEemStep:
     def test_unique_phase_uses_rank(self):

@@ -61,6 +61,14 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(tmp_path, schemes=())
 
+    @pytest.mark.parametrize("name,value", [
+        ("num_drops", 2.5), ("num_drops", 4.0), ("workers", 1.0),
+        ("dpb_s", 2.5)])
+    def test_rejects_non_integral_counts(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            tiny_spec(tmp_path, **{name: value})
+        assert tiny_spec(tmp_path, **{name: np.int64(2)}).config is not None
+
     def test_swept_values_are_validated_eagerly(self, tmp_path):
         # pilot length 9 would exceed the 8 antennas: must fail at spec time
         with pytest.raises(ValueError):
@@ -264,7 +272,8 @@ class TestCli:
         assert code == 2
         assert "unknown config keys: num_apps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [{"num_aps": 30.5}, {"pilot_length": 7.0}])
+    @pytest.mark.parametrize("entry", [{"num_aps": 30.5}, {"pilot_length": 7.0},
+                                       {"dpb_s": 2.5}])
     def test_non_integral_count_exits_2(self, tmp_path, capsys, entry):
         cfg = tmp_path / "net.json"
         cfg.write_text(json.dumps(entry))
@@ -274,6 +283,17 @@ class TestCli:
         (name, value), = entry.items()
         assert capsys.readouterr().err == (
             f"error: {name} must be an integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integral_s_stops_audit_before_any_drop(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps({"dpb_s": 2.5}))
+        code = main(["protocol-audit", "--desk-scale", "--config", str(cfg),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dpb_s must be an integer, got 2.5\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_scheme_exits_2(self, tmp_path, capsys):

@@ -246,12 +246,12 @@ class TestStrongGrouping:
     def test_full_threshold_takes_everyone(self):
         real, assoc, asg = self._instance([0.4, 0.3, 0.2], [0, 1, 0], 1.0)
         grouped = group_strong_ues(real, assoc, 1.0, asg)
-        assert grouped.strong_ues[0].tolist() == [0, 1, 2]
+        assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0, 1, 2]
 
     def test_singleton_served_set(self):
         real, assoc, asg = self._instance([0.4], [0], 0.5)
         grouped = group_strong_ues(real, assoc, 0.5, asg)
-        assert grouped.strong_ues[0].tolist() == [0]
+        assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0]
         assert grouped.strong_pilot_count[0] == 1
 
     def test_distinct_pilot_count(self):
@@ -270,9 +270,10 @@ class TestStrongGrouping:
                                    cfg.antennas_per_ap)
         for m in range(cfg.num_aps):
             ls = grouped.strong_pilot_count[m]
-            assert ls <= min(len(grouped.strong_ues[m]), cfg.pilot_length)
+            strong = np.flatnonzero(grouped.strong_flag[m])
+            assert ls <= min(len(strong), cfg.pilot_length)
             assert ls < cfg.antennas_per_ap
-            assert set(grouped.strong_ues[m]) <= set(grouped.served_ues[m])
+            assert set(strong) <= set(grouped.served_ues[m])
 
     def test_rejects_unassigned(self):
         real, assoc, _ = self._instance([0.4, 0.3], [0, 1], 1.0)
@@ -308,9 +309,9 @@ class TestStrongGrouping:
             assert str(got.value) == str(exc)
             return
         grouped = group_strong_ues(real, assoc, threshold, asg, antennas)
-        assert len(grouped.strong_ues) == m
-        for mine, ref in zip(grouped.strong_ues, want[0]):
-            np.testing.assert_array_equal(mine, ref)
+        assert len(grouped.strong_flag) == m
+        for mine, ref in zip(grouped.strong_flag, want[0]):
+            np.testing.assert_array_equal(np.flatnonzero(mine), ref)
         np.testing.assert_array_equal(grouped.strong_flag, want[1])
         np.testing.assert_array_equal(grouped.strong_pilot_count, want[2])
 

@@ -427,7 +427,7 @@ class TestContaminationMonotonicity:
                               np.zeros((cfg.num_aps, 1), dtype=bool)])
         assoc_ext = AssociationMap(
             grouped.serving_aps + (np.array([], dtype=int),),
-            grouped.served_ues, serves_ext, grouped.strong_ues, flag_ext,
+            grouped.served_ues, serves_ext, flag_ext,
             grouped.strong_pilot_count)
         gamma1 = compute_gamma(beta_ext, powers_ext, cfg.pilot_length,
                                pa_ext).gamma

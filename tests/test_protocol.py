@@ -1,26 +1,41 @@
 """Message-level protocol: structural locality, budgets, and equivalence."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotsim import (
     AccessPointAgent,
     AssociationMap,
     BudgetViolation,
     Message,
+    NetworkConfig,
     NetworkRealization,
     PowerProfile,
     SchemeConfig,
     TraceLog,
     UserAgent,
     assign_all,
+    associate_aps,
     audit_overhead,
+    candidate_set_from_profile,
+    derive_seed,
+    generate_drop,
+    local_error_profile,
+    normalize_powers,
     priority_select,
     rank_from_order,
     run_protocol,
 )
+from pilotsim.assignment import TIE_RULES
+from pilotsim.cli import main
+from pilotsim.harness import SCHEME_CODE
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE, node_role
 from pilotsim import CandidateSets
+from oracles import oracle_protocol_log
 
 
 def all_serve_instance(num_aps=5, num_ues=10, lp=4, seed=0):
@@ -86,6 +101,18 @@ class TestTraceLog:
         lines = list(log.export_lines())
         assert lines[0] == f"0,{KIND_PROBE},ue0,ap2,0"
         assert lines[2] == f"1,{KIND_NOTIFY},ue1,ap2,1"
+
+    def test_records_view_and_integer_ids(self):
+        log = TraceLog()
+        log.record(4, Message(KIND_OFFER, "ap2", "ue7", 3))
+        assert list(log.records) == [(4, Message(KIND_OFFER, "ap2", "ue7", 3))]
+        assert log.records[-1:] == [log.records[0]]
+        assert not hasattr(log.records, "append")
+        # a row stores integer indices, so ids must round-trip through them
+        for src in ("ue07", "ue7x"):
+            with pytest.raises(ValueError):
+                log.record(0, Message(KIND_PROBE, src, "ap0", 0))
+        assert len(log.records) == 1 and log.verify_counters()
 
     def test_counter_tamper_detected(self):
         log = TraceLog()
@@ -227,3 +254,91 @@ class TestAuditOverhead:
         with pytest.raises(BudgetViolation) as err:
             audit_overhead(log, assoc, 3)
         assert err.value.ue == 0
+
+
+def assert_matches_oracle(real, assoc, scheme, order, powers, lp):
+    want = oracle_protocol_log(real, assoc, scheme, order, powers, lp)
+    pa, log = run_protocol(real, assoc, scheme, order, powers, lp)
+    np.testing.assert_array_equal(pa.pilot_of, want["pilot_of"])
+    assert list(log.export_lines()) == want["lines"]
+    assert list(log.records) == want["records"]
+    assert log.by_kind == want["by_kind"]
+    assert log.by_edge == want["by_edge"]
+    assert log.verify_counters()
+    # json also pins plain Python ints and the ascending UE order
+    audit = audit_overhead(log, assoc, scheme.dpb_s)
+    assert json.dumps(audit) == json.dumps(want["audit"])
+
+
+class TestOracleLog:
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from(["drop", "all_serve", "one_ap"]),
+           st.integers(1, 4), st.sampled_from([0.0, 0.1, 5.0]),
+           st.sampled_from(TIE_RULES), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_message_per_send_oracle(self, seed, kind, s, delta, rule,
+                                             prefix):
+        r = np.random.default_rng(seed)
+        if kind == "all_serve":
+            real, assoc, powers, lp = all_serve_instance(
+                int(r.integers(1, 6)), int(r.integers(1, 13)),
+                int(r.integers(1, 6)), seed)
+        else:
+            lp = int(r.integers(1, 6))
+            cfg = NetworkConfig(
+                num_aps=1 if kind == "one_ap" else int(r.integers(2, 12)),
+                num_ues=int(r.integers(1, 25)), pilot_length=lp,
+                antennas_per_ap=lp + 1,
+                assoc_threshold=float(r.choice([0.9, 0.95, 1.0])))
+            real = generate_drop(cfg, seed)
+            assoc = associate_aps(real, cfg.assoc_threshold)
+            powers = normalize_powers(cfg)
+        order = r.permutation(real.num_ues)
+        order = order[:int(round(prefix * order.size))]
+        scheme = SchemeConfig("dpb", s, delta, rule, seed)
+        assert_matches_oracle(real, assoc, scheme, order, powers, lp)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 70),
+           st.sampled_from([0.0, 0.1, 5.0, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_offer_is_sorted_candidate_set(self, seed, lp, delta):
+        r = np.random.default_rng(seed)
+        if delta is None:
+            delta = float(r.uniform(0.0, 2.0))
+        own, weight = 10.0 ** r.uniform(-9, -6), 10.0 ** r.uniform(0, 3)
+        agent = AccessPointAgent(0, {3: own}, {3: weight}, lp, delta)
+        # a few distinct sums, zero among them, so pilots tie often
+        agent.pilot_sums[:] = r.choice(
+            np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)), size=lp)
+        errors = local_error_profile(weight * own, own, agent.pilot_sums)
+        members = candidate_set_from_profile(errors, delta)
+        ranked = members[np.argsort(errors[members], kind="stable")]
+        assert agent.candidate_offer(3) == tuple(ranked.tolist())
+
+
+def test_cli_trace_matches_oracle(tmp_path, capsys):
+    out = tmp_path / "audit"
+    assert main(["protocol-audit", "--desk-scale", "--drops", "2",
+                 "--out", str(out)]) == 0
+    cfg = NetworkConfig(num_aps=30, num_ues=50)
+    powers = normalize_powers(cfg)
+    totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
+    for di in range(2):
+        real = generate_drop(cfg, derive_seed(1, 0, di))
+        assoc = associate_aps(real, cfg.assoc_threshold)
+        order = np.random.default_rng([1, di]).permutation(cfg.num_ues)
+        scheme = SchemeConfig(
+            "dpb", seed=derive_seed(1, 0, di, 100 + SCHEME_CODE["dpb"]))
+        want = oracle_protocol_log(real, assoc, scheme, order, powers,
+                                   cfg.pilot_length)
+        if di == 0:
+            lines = (out / "protocol_trace.txt").read_text(
+                encoding="utf-8").splitlines()
+            assert lines == want["lines"]
+        totals["messages"] += want["audit"]["total_messages"]
+        totals["payload"] += want["audit"]["total_payload"]
+        totals["ap_to_ap"] += want["audit"]["ap_to_ap"]
+    printed = capsys.readouterr().out.splitlines()
+    assert f"total messages: {totals['messages']}" in printed
+    assert f"total payload (pilot indices): {totals['payload']}" in printed
+    assert f"ap-to-ap messages: {totals['ap_to_ap']}" in printed
