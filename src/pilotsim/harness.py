@@ -123,7 +123,13 @@ class ResultRow:
 
 
 def _run_cell(args) -> list:
-    """All schemes on one (sweep value, drop) cell; shared geometry."""
+    """All schemes on one (sweep value, drop) cell; shared geometry.
+
+    Each scheme assigns its pilots on the shared drop, then one `evaluate`
+    call scores them all, with one stacked LSFD solve per serving-set size.
+    If that fails, the schemes run again one at a time, so the error names
+    the first scheme, in spec order, whose assignment or evaluation fails.
+    """
     spec, sweep_idx, drop_idx = args
     value = spec.sweep_values[sweep_idx]
     cfg = spec.config_for(value)
@@ -135,20 +141,31 @@ def _run_cell(args) -> list:
         assoc = associate_aps(real, cfg.assoc_threshold)
     except Exception as exc:
         raise _cell_error(cell, exc) from exc
+    schemes = [SchemeConfig(scheme_id, spec.dpb_s, spec.dpb_delta,
+                            spec.tie_rule,
+                            derive_seed(spec.master_seed, sweep_idx, drop_idx,
+                                        100 + SCHEME_CODE[scheme_id]))
+               for scheme_id in spec.schemes]
+    try:
+        reports = evaluate(real, assoc,
+                           [assign_all(scheme, real, assoc, powers,
+                                       cfg.pilot_length) for scheme in schemes],
+                           powers, cfg)
+    except Exception:
+        reports = []
+        for scheme in schemes:
+            try:
+                assignment = assign_all(scheme, real, assoc, powers,
+                                        cfg.pilot_length)
+                reports.append(evaluate(real, assoc, assignment, powers, cfg))
+            except Exception as exc:
+                raise _cell_error(f"{cell}, scheme {scheme.scheme_id}",
+                                  exc) from exc
     rows = []
-    for scheme_id in spec.schemes:
-        run_seed = derive_seed(spec.master_seed, sweep_idx, drop_idx,
-                               100 + SCHEME_CODE[scheme_id])
-        scheme = SchemeConfig(scheme_id, spec.dpb_s, spec.dpb_delta,
-                              spec.tie_rule, run_seed)
-        try:
-            assignment = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
-            report = evaluate(real, assoc, assignment, powers, cfg)
-        except Exception as exc:
-            raise _cell_error(f"{cell}, scheme {scheme_id}", exc) from exc
+    for scheme_id, report in zip(spec.schemes, reports):
+        p5, p10 = np.percentile(report.se, (5.0, 10.0)).tolist()
         rows.append(ResultRow(
-            scheme_id, value, drop_seed, report.sum_se,
-            report.percentile(5.0), report.percentile(10.0),
+            scheme_id, value, drop_seed, report.sum_se, p5, p10,
             float(report.se.mean()),
             report.per_user_cdf.copy() if spec.store_per_user else None))
     return rows

@@ -278,9 +278,15 @@ def associate_aps(real: NetworkRealization, assoc_threshold: float) -> Associati
     if not 0.0 < assoc_threshold <= 1.0:
         raise ValueError("assoc_threshold must be in (0, 1]")
     num_aps, num_ues = real.beta.shape
-    # every column ranked descending, ties in AP index order
-    order = np.argsort(-real.beta, axis=0, kind="stable")
-    csum = np.cumsum(np.take_along_axis(real.beta, order, axis=0), axis=0)
+    # every column ranked descending, ties in AP index order; any sort gives
+    # that order on a column without ties, so only tied columns need the
+    # stable one
+    order = np.argsort(-real.beta, axis=0)
+    ranked = np.take_along_axis(real.beta, order, axis=0)
+    tied = np.flatnonzero(np.any(ranked[1:] == ranked[:-1], axis=0))
+    if tied.size:
+        order[:, tied] = np.argsort(-real.beta[:, tied], axis=0, kind="stable")
+    csum = np.cumsum(ranked, axis=0)
     size = np.count_nonzero(csum < assoc_threshold * csum[-1], axis=0) + 1
     chosen = np.arange(num_aps)[:, None] < size
     serves = np.zeros((num_aps, num_ues), dtype=bool)

@@ -8,10 +8,13 @@ The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016); equal weights give
 p_t (sum b)^2 / 1.Q 1. `evaluate` scores a drop from these closed forms
-without forming any weight vector. It lays the serving links of all UEs out
-once, ordered by |M_t|, and computes every per-link term over all links at
-once. Each serving-set size is then a contiguous run of links, from which its
-(Q_t, b_t) stack is built and solved in one call.
+without forming any weight vector, for one pilot assignment or for several
+(a cell's schemes) at once. The serving sets do not depend on the pilots, so
+it lays the serving links of all UEs out once, ordered by |M_t|, and
+computes every per-link term of every assignment over all links at once.
+Each serving-set size is then a contiguous run of links, from which the
+(Q_t, b_t) stack of all assignments is built and solved in one call: a
+cell's schemes share one stacked solve per serving-set size.
 """
 
 from __future__ import annotations
@@ -68,50 +71,61 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 
 
 class _LsfdSystems:
-    """The LSFD systems (Q_t, b_t) of one drop, built link-major per group.
+    """The LSFD systems (Q_t, b_t) of one drop under S pilot assignments.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
-    `groups` lays the serving links of the requested UEs out flat, ordered
-    by |M_t| and then by UE, and computes every per-link scalar once. Each
-    serving-set size is then one contiguous run of links that reshapes to
-    (N, n); only its co-pilot gather and Q = C C^T are formed per group,
-    which keeps the largest temporary at one group's (N, n, K) stack.
+    `schemes` holds one (gamma, grouped association, assignment) triple per
+    assignment; all share the drop's serving sets. `groups` lays the serving
+    links of the requested UEs out once, ordered by |M_t| and then by UE,
+    and computes every per-link scalar of all S assignments as (S, L) rows.
+    Each serving-set size is then one contiguous run of links that reshapes
+    to (S, N, n); only its co-pilot gather and Q = C C^T are formed per
+    group, which keeps the largest temporary at one group's (S, N, n, K)
+    stack.
     """
 
-    def __init__(self, beta, gamma, powers, assoc, assignment: PilotAssignment,
-                 antennas: int):
+    def __init__(self, beta, powers, schemes, antennas: int):
         beta = np.asarray(beta, dtype=float)
-        num_ues = beta.shape[1]
-        self.flag = assoc.strong_flag
-        self.pilot_count = assoc.strong_pilot_count
+        num_aps, num_ues = beta.shape
+        p = powers.p_uplink
+        self.gammas, grouped, assignments = zip(*schemes)
+        self.flags = [g.strong_flag for g in grouped]
+        self.pilot_count = np.stack([g.strong_pilot_count for g in grouped])
+        self.serving_aps = grouped[0].serving_aps
         self.antennas = antennas
         # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
-        self.noncoh = beta @ powers.p_uplink
-        self.zf = (gamma * self.flag) @ powers.p_uplink
-        self.gamma = gamma
+        self.noncoh = beta @ p
+        self.zf = np.stack([(gamma * flag) @ p
+                            for gamma, flag in zip(self.gammas, self.flags)])
         # sqrt(p_k gamma_mk) per co-pilot k; column T is zero and pads the table
-        self.w = np.zeros((beta.shape[0], num_ues + 1))
-        self.w[:, :num_ues] = np.sqrt(gamma * powers.p_uplink)
-        # table[i] lists pilot i's UEs in ascending order, padded with T;
-        # slot[t] is t's own position in its row
-        pilot_of = assignment.pilot_of
-        load = np.bincount(pilot_of, minlength=assignment.num_pilots)
-        order = np.argsort(pilot_of, kind="stable")
+        self.w = np.empty((len(schemes), num_aps, num_ues + 1))
+        self.w[:, :, num_ues] = 0.0
+        for w, gamma in zip(self.w, self.gammas):
+            np.sqrt(gamma * p, out=w[:, :num_ues])
+        # one table row per (assignment, pilot) lists that pilot's UEs in
+        # ascending order, padded with T to the largest load of any
+        # assignment; key[s, t] is t's row and slot[s, t] its position there
+        pilot_of = np.stack([pa.pilot_of for pa in assignments])
+        num_pilots = max(pa.num_pilots for pa in assignments)
+        key = np.arange(len(schemes))[:, None] * num_pilots + pilot_of
+        flat = key.ravel()
+        load = np.bincount(flat, minlength=num_pilots * len(schemes))
+        order = np.argsort(flat, kind="stable")
         first = np.cumsum(load) - load
-        self.slot = np.empty(num_ues, dtype=int)
-        self.slot[order] = np.arange(num_ues) - first[pilot_of[order]]
-        self.table = np.full((assignment.num_pilots, load.max()), num_ues)
-        self.table[pilot_of, self.slot] = np.arange(num_ues)
-        self.pilot_of = pilot_of
-        self.serving_aps = assoc.serving_aps
+        slot = np.empty(flat.size, dtype=int)
+        slot[order] = np.arange(flat.size) - first[flat[order]]
+        self.table = np.full((load.size, load.max()), num_ues)
+        self.table[flat, slot] = np.tile(np.arange(num_ues), len(schemes))
+        self.key, self.slot = key, slot.reshape(key.shape)
 
     def groups(self, ues):
         """Yield (ues, Q, b) per serving-set size n, ascending: the given UEs
-        with |M_t| = n in ascending order, Q as (N, n, n) and b as (N, n)."""
+        with |M_t| = n in ascending order, Q as (S, N, n, n) and b as
+        (S, N, n)."""
         ues = np.asarray(ues, dtype=int)
         sets = [self.serving_aps[t] for t in ues.tolist()]
         sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
@@ -119,36 +133,44 @@ class _LsfdSystems:
         ues, sizes = ues[order], sizes[order]
         serving = np.concatenate([sets[i] for i in order.tolist()])
         link_ue = np.repeat(ues, sizes)
-        delta = self.flag[serving, link_ue]
+        delta = np.stack([flag[serving, link_ue] for flag in self.flags])
         # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
         # strong pilot, but only from the viewpoint of strong UEs
-        gain = self.antennas - delta * self.pilot_count[serving]
+        gain = self.antennas - delta * self.pilot_count[:, serving]
         root = np.sqrt(gain)
-        diag = self.noncoh[serving] - delta * self.zf[serving] + 1.0
-        b = np.sqrt(gain * self.gamma[serving, link_ue])
-        # each UE's co-pilots: its pilot's row of the table minus its own slot
-        col = ues[:, None]
+        diag = self.noncoh[serving] - delta * self.zf[:, serving] + 1.0
+        b = np.sqrt(gain * np.stack([gamma[serving, link_ue]
+                                     for gamma in self.gammas]))
+        # each link's row of w, as a flat offset, and each UE's co-pilots:
+        # its pilot's row of the table minus its own slot
+        num_schemes, num_aps, width = self.w.shape
+        row = (np.arange(num_schemes)[:, None] * num_aps + serving) * width
+        key, slot = self.key[:, ues, None], self.slot[:, ues, None]
         j = np.arange(self.table.shape[1] - 1)
-        copilots = self.table[self.pilot_of[col], j + (j >= self.slot[col])]
+        copilots = self.table[key, j + (j >= slot)]
+        w = self.w.ravel()
         cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
         start = 0
         for lo, hi in zip([0, *cuts], [*cuts, ues.size]):
             n = int(sizes[lo])
-            shape = (hi - lo, n)
+            shape = (num_schemes, hi - lo, n)
             links = slice(start, start + (hi - lo) * n)
             start = links.stop
-            c = (root[links].reshape(shape)[:, :, None]
-                 * self.w[serving[links].reshape(shape)[:, :, None],
-                          copilots[lo:hi, None, :]])
-            q = c @ c.transpose(0, 2, 1)
+            c = (root[:, links].reshape(shape)[..., None]
+                 * w[row[:, links].reshape(shape)[..., None]
+                     + copilots[:, lo:hi, None, :]])
+            q = c @ c.swapaxes(-1, -2)
             # the diagonal of each n x n block, as a strided view
-            q.reshape(hi - lo, n * n)[:, ::n + 1] += diag[links].reshape(shape)
-            yield ues[lo:hi], q, b[links].reshape(shape)
+            q.reshape(-1, n * n)[:, ::n + 1] += diag[:, links].reshape(-1, n)
+            # contiguous, so that sums over each b_t run as for one assignment
+            yield (ues[lo:hi], q,
+                   np.ascontiguousarray(b[:, links].reshape(shape)))
 
     def weights(self, t: int) -> np.ndarray:
-        """Optimal LSFD weights of UE t: Q_t^{-1} b_t at unit norm."""
+        """Optimal LSFD weights of UE t under the first assignment:
+        Q_t^{-1} b_t at unit norm."""
         (_, q, b), = self.groups([t])
-        a = np.linalg.solve(q[0], b[0])
+        a = np.linalg.solve(q[0, 0], b[0, 0])
         norm = np.linalg.norm(a)
         if not np.isfinite(norm) or norm == 0.0:
             raise ArithmeticError(f"degenerate LSFD solve for UE {t}")
@@ -161,7 +183,7 @@ def compute_lsfd(t: int, beta, gamma, powers, assoc, assignment: PilotAssignment
 
     Solves Q_t a = b_t (see `_LsfdSystems`) and normalizes the solution.
     """
-    return _LsfdSystems(beta, gamma, powers, assoc, assignment,
+    return _LsfdSystems(beta, powers, [(gamma, assoc, assignment)],
                         antennas).weights(t)
 
 
@@ -172,7 +194,8 @@ def collect_lsfd(beta, gamma, powers, assoc, assignment: PilotAssignment,
     num_aps, num_ues = beta.shape
     a = np.zeros((num_aps, num_ues))
     if weight_mode == "optimal":
-        systems = _LsfdSystems(beta, gamma, powers, assoc, assignment, antennas)
+        systems = _LsfdSystems(beta, powers, [(gamma, assoc, assignment)],
+                               antennas)
     for t in range(num_ues):
         serving = assoc.serving_aps[t]
         if weight_mode == "equal":
@@ -198,11 +221,11 @@ def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
         raise ValueError("weight vector must align with the serving set")
     if not np.all(np.any(a, axis=-1)):
         raise ValueError("all-zero weight vector")
-    (_, q, b), = _LsfdSystems(beta, gamma, powers, assoc, assignment,
+    (_, q, b), = _LsfdSystems(beta, powers, [(gamma, assoc, assignment)],
                               antennas).groups([t])
     probes = np.atleast_2d(a)
-    sinr = (powers.p_uplink[t] * (probes @ b[0]) ** 2
-            / np.sum((probes @ q[0]) * probes, axis=1))
+    sinr = (powers.p_uplink[t] * (probes @ b[0, 0]) ** 2
+            / np.sum((probes @ q[0, 0]) * probes, axis=1))
     return float(sinr[0]) if a.ndim == 1 else sinr
 
 
@@ -214,33 +237,46 @@ def se_uplink(sinr, coherence_block: int, pilot_length: int):
     return se
 
 
-def evaluate(real, assoc, assignment: PilotAssignment, powers, config,
-             weight_mode: str = "optimal") -> SeReport:
+def evaluate(real, assoc, assignments, powers, config,
+             weight_mode: str = "optimal"):
     """Full pipeline for one drop: gamma, strong grouping, closed-form SINR, SE.
 
-    `optimal` scores each UE at p_t b.Q^{-1} b, `equal` at the 1/|M_t|
-    weights; both in one batched pass per serving-set size.
+    `assignments` is one `PilotAssignment`, which gives one `SeReport`, or a
+    sequence of them on this drop, which gives one `SeReport` per assignment
+    in order. `optimal` scores each UE at p_t b.Q^{-1} b, `equal` at the
+    1/|M_t| weights. All assignments share one batched pass: one stacked
+    solve per serving-set size.
     """
+    single = isinstance(assignments, PilotAssignment)
+    assignments = [assignments] if single else list(assignments)
     if weight_mode not in ("optimal", "equal"):
         raise ValueError(f"unknown weight mode {weight_mode!r}")
-    if not assignment.is_complete:
+    if not assignments:
+        raise ValueError("need at least one pilot assignment")
+    if not all(pa.is_complete for pa in assignments):
         raise ValueError("evaluation requires a complete assignment")
-    gamma = compute_gamma(real.beta, powers, config.pilot_length, assignment).gamma
-    grouped = group_strong_ues(real, assoc, config.strong_threshold, assignment,
-                               config.antennas_per_ap)
-    systems = _LsfdSystems(real.beta, gamma, powers, grouped, assignment,
-                           config.antennas_per_ap)
-    score = np.empty(real.num_ues)
+    schemes = []
+    for pa in assignments:
+        gamma = compute_gamma(real.beta, powers, config.pilot_length, pa).gamma
+        grouped = group_strong_ues(real, assoc, config.strong_threshold, pa,
+                                   config.antennas_per_ap)
+        schemes.append((gamma, grouped, pa))
+    systems = _LsfdSystems(real.beta, powers, schemes, config.antennas_per_ap)
+    score = np.empty((len(schemes), real.num_ues))
     for ues, q, b in systems.groups(np.arange(real.num_ues)):
         if weight_mode == "optimal":
-            score[ues] = np.sum(b * np.linalg.solve(q, b[:, :, None])[:, :, 0],
-                                axis=1)
+            score[:, ues] = np.sum(
+                b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
         else:
-            score[ues] = np.sum(b, axis=1) ** 2 / np.sum(q, axis=(1, 2))
-    sinr = powers.p_uplink * score
-    bad = np.flatnonzero(~(np.isfinite(sinr) & (sinr > 0.0)))
-    if bad.size:
-        raise ArithmeticError(f"non-finite or non-positive SINR for UE {bad[0]}")
-    se = se_uplink(sinr, config.coherence_block, config.pilot_length)
-    return SeReport(sinr=sinr, se=se, sum_se=float(se.sum()),
-                    per_user_cdf=np.sort(se))
+            score[:, ues] = np.sum(b, axis=-1) ** 2 / np.sum(q, axis=(-2, -1))
+    reports = []
+    for i, sinr in enumerate(powers.p_uplink * score):
+        bad = np.flatnonzero(~(np.isfinite(sinr) & (sinr > 0.0)))
+        if bad.size:
+            where = "" if single else f" under assignment {i}"
+            raise ArithmeticError(
+                f"non-finite or non-positive SINR for UE {bad[0]}{where}")
+        se = se_uplink(sinr, config.coherence_block, config.pilot_length)
+        reports.append(SeReport(sinr=sinr, se=se, sum_se=float(se.sum()),
+                                per_user_cdf=np.sort(se)))
+    return reports[0] if single else reports

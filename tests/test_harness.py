@@ -14,12 +14,13 @@ from pilotsim import (
     CellError,
     ExperimentSpec,
     NetworkConfig,
+    PilotAssignment,
     ResultRow,
     derive_seed,
     emit_cdf,
     run_experiment,
 )
-from pilotsim import cli, harness
+from pilotsim import cli, harness, performance
 from pilotsim.cli import main
 
 
@@ -157,23 +158,41 @@ class TestRunExperiment:
             assert np.all(np.diff(r.per_user) >= 0)
 
 
-def fail_second_evaluate(monkeypatch, exc):
-    """Make the second evaluate call, dpb on the first cell, raise `exc`."""
-    calls = []
+def record_schemes(monkeypatch):
+    """Return a lookup from each assignment the harness makes to its scheme."""
+    made = []
+    real_assign = harness.assign_all
+
+    def assign_all(scheme, *args, **kwargs):
+        assignment = real_assign(scheme, *args, **kwargs)
+        made.append((assignment, scheme.scheme_id))
+        return assignment
+
+    monkeypatch.setattr(harness, "assign_all", assign_all)
+    return lambda assignment: next(s for a, s in made if a is assignment)
+
+
+def fail_evaluations(monkeypatch, errors):
+    """Make evaluate raise errors[scheme] whenever it scores that scheme;
+    the first cell is where the failure surfaces."""
+    scheme_of = record_schemes(monkeypatch)
     real_evaluate = harness.evaluate
 
-    def evaluate(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise exc
-        return real_evaluate(*args, **kwargs)
+    def evaluate(real, assoc, assignments, *args, **kwargs):
+        batch = ([assignments] if isinstance(assignments, PilotAssignment)
+                 else assignments)
+        for scheme in map(scheme_of, batch):
+            if scheme in errors:
+                raise errors[scheme]
+        return real_evaluate(real, assoc, assignments, *args, **kwargs)
 
     monkeypatch.setattr(harness, "evaluate", evaluate)
 
 
 class TestCellFailures:
     def test_error_names_its_cell(self, tmp_path, monkeypatch):
-        fail_second_evaluate(monkeypatch, ArithmeticError("bad SINR for UE 3"))
+        fail_evaluations(monkeypatch,
+                         {"dpb": ArithmeticError("bad SINR for UE 3")})
         with pytest.raises(CellError) as info:
             run_experiment(tiny_spec(tmp_path))
         msg = str(info.value)
@@ -182,6 +201,52 @@ class TestCellFailures:
         assert isinstance(info.value.__cause__, ArithmeticError)
         again = pickle.loads(pickle.dumps(info.value))
         assert type(again) is CellError and str(again) == msg
+
+    @pytest.mark.parametrize("stage", ["evaluate", "assign"])
+    @pytest.mark.parametrize("schemes", [("eem", "dpb", "random"),
+                                         ("eem", "random", "dpb")])
+    def test_first_failing_scheme_in_spec_order(self, tmp_path, monkeypatch,
+                                                schemes, stage):
+        # dpb fails when evaluated, random when evaluated or assigned
+        errors = {"dpb": ArithmeticError("dpb failed"),
+                  "random": ValueError("random failed")}
+        if stage == "evaluate":
+            fail_evaluations(monkeypatch, errors)
+        else:
+            fail_evaluations(monkeypatch, {"dpb": errors["dpb"]})
+            recorded_assign = harness.assign_all
+
+            def assign_all(scheme, *args, **kwargs):
+                if scheme.scheme_id == "random":
+                    raise errors["random"]
+                return recorded_assign(scheme, *args, **kwargs)
+
+            monkeypatch.setattr(harness, "assign_all", assign_all)
+        with pytest.raises(CellError) as info:
+            run_experiment(tiny_spec(tmp_path, schemes=schemes))
+        first = next(s for s in schemes if s in errors)
+        exc = errors[first]
+        assert str(info.value) == (
+            f"ue_count=10, drop seed {derive_seed(3, 0, 0)}, scheme {first}: "
+            f"{type(exc).__name__}: {exc}")
+        assert info.value.__cause__ is exc
+
+    def test_grouping_error_names_its_scheme(self, tmp_path, monkeypatch):
+        scheme_of = record_schemes(monkeypatch)
+        real_group = performance.group_strong_ues
+
+        def group_strong_ues(real, assoc, threshold, assignment, antennas):
+            if scheme_of(assignment) == "random":
+                raise ValueError("AP 2 would zero-force 8 pilots with only "
+                                 "8 antennas")
+            return real_group(real, assoc, threshold, assignment, antennas)
+
+        monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
+        with pytest.raises(CellError) as info:
+            run_experiment(tiny_spec(tmp_path))
+        assert str(info.value) == (
+            f"ue_count=10, drop seed {derive_seed(3, 0, 0)}, scheme random: "
+            "ValueError: AP 2 would zero-force 8 pilots with only 8 antennas")
 
     def test_association_failure_names_its_cell(self, tmp_path, monkeypatch):
         def associate_aps(*args, **kwargs):
@@ -195,7 +260,8 @@ class TestCellFailures:
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_cli_reports_cell_failure(self, tmp_path, monkeypatch, capsys):
-        fail_second_evaluate(monkeypatch, np.linalg.LinAlgError("singular"))
+        fail_evaluations(monkeypatch,
+                         {"dpb": np.linalg.LinAlgError("singular")})
         code = main(["sweep-ues", "--desk-scale", "--values", "30",
                      "--drops", "1", "--scheme", "eem,dpb",
                      "--out", str(tmp_path)])

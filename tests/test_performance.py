@@ -332,6 +332,20 @@ EDGE_CONFIGS = {
 }
 
 
+def degenerate_drop():
+    """UE 1's only AP sees an overflowing interference sum, so its SINR is
+    NaN while UE 0 stays finite."""
+    cfg = NetworkConfig(num_aps=2, num_ues=2, antennas_per_ap=8,
+                        pilot_length=3)
+    beta = np.array([[1e-10, 1e-13], [1e-13, 1e10]])
+    real = NetworkRealization(np.zeros((2, 2)), np.zeros((2, 2)), beta, 0)
+    powers = PowerProfile(np.full(2, 1e12), np.full(2, 1e300))
+    assoc = AssociationMap((np.array([0]), np.array([1])),
+                           (np.array([0]), np.array([1])),
+                           np.eye(2, dtype=bool))
+    return cfg, real, powers, assoc
+
+
 class TestBatchedEvaluate:
     @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
@@ -367,6 +381,54 @@ class TestBatchedEvaluate:
         evaluate(real, assoc, pa, powers, cfg, weight_mode="optimal")
         assert sorted(shape[-1] for shape in calls) == sorted(sizes)
 
+    @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
+    def test_stacked_matches_one_scheme(self, desk_drop, edge):
+        # padding the co-pilot tables to the largest K adds exact zeros to
+        # C C^T, which may move the sum's round-off only
+        for seed in (3, 4):
+            cfg, real, powers, assoc = desk_drop(seed=seed,
+                                                 **EDGE_CONFIGS[edge])
+            pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
+                              powers, cfg.pilot_length)
+                   for scheme in SCHEME_IDS]
+            for mode in ("optimal", "equal"):
+                stacked = evaluate(real, assoc, pas, powers, cfg,
+                                   weight_mode=mode)
+                assert len(stacked) == len(pas)
+                for pa, got in zip(pas, stacked):
+                    want = evaluate(real, assoc, pa, powers, cfg,
+                                    weight_mode=mode)
+                    np.testing.assert_allclose(got.sinr, want.sinr, rtol=1e-12)
+                    np.testing.assert_allclose(got.se, want.se, rtol=1e-12)
+
+    def test_one_solve_per_size_for_all_schemes(self, desk_drop, monkeypatch):
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
+                          cfg.pilot_length) for scheme in SCHEME_IDS]
+        sizes = {aps.size for aps in assoc.serving_aps}
+        assert len(sizes) > 1
+        calls = []
+        solve = performance.np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
+        evaluate(real, assoc, pas, powers, cfg, weight_mode="optimal")
+        assert sorted(shape[-1] for shape in calls) == sorted(sizes)
+        assert {shape[0] for shape in calls} == {len(SCHEME_IDS)}
+
+    def test_stacked_degenerate_sinr_names_assignment(self):
+        cfg, real, powers, assoc = degenerate_drop()
+        good = PilotAssignment(np.array([0, 1]), 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError,
+                               match="for UE 1 under assignment 0$"):
+                evaluate(real, assoc, [good, good], powers, cfg)
+        with pytest.raises(ValueError, match="at least one"):
+            evaluate(real, assoc, [], powers, cfg)
+
     def test_unknown_weight_mode_rejected_before_work(self, desk_drop,
                                                       monkeypatch):
         cfg, real, powers, assoc = desk_drop(seed=2)
@@ -381,16 +443,7 @@ class TestBatchedEvaluate:
             evaluate(real, assoc, pa, powers, cfg, weight_mode="uniform")
 
     def test_degenerate_sinr_names_first_ue(self):
-        # UE 1's only AP sees an overflowing interference sum, so its SINR
-        # is NaN while UE 0 stays finite
-        cfg = NetworkConfig(num_aps=2, num_ues=2, antennas_per_ap=8,
-                            pilot_length=3)
-        beta = np.array([[1e-10, 1e-13], [1e-13, 1e10]])
-        real = NetworkRealization(np.zeros((2, 2)), np.zeros((2, 2)), beta, 0)
-        powers = PowerProfile(np.full(2, 1e12), np.full(2, 1e300))
-        assoc = AssociationMap((np.array([0]), np.array([1])),
-                               (np.array([0]), np.array([1])),
-                               np.eye(2, dtype=bool))
+        cfg, real, powers, assoc = degenerate_drop()
         pa = PilotAssignment(np.array([0, 1]), 3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 1$"):
