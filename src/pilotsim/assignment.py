@@ -8,10 +8,13 @@ sequential and never revisit an earlier UE's pilot, so assignments are
 prefix-stable under newly arriving UEs.
 
 Per-UE step cost, with the running sums of a ContaminationCache: `eem`
-reads |M_t| Lp sums; `dpb` evaluates S' Lp local errors and intersects at
-most 2^S' - S' - 1 pilot bitmasks; `random` makes one seeded draw;
-`scalable` takes the argmin of its master AP's Lp sums. Recording a pick
-adds one precomputed row to the sums; no step scans the other UEs.
+reads |M_t| Lp sums; `dpb` evaluates S' Lp local errors, takes each probed
+AP's `best_first` offer and resolves the offers with `priority_select`,
+which intersects at most 2^S' - S' - 1 pilot bitmasks; `random` makes one
+seeded draw; `scalable` takes the argmin of its master AP's Lp sums.
+Recording a pick adds one precomputed row to the sums; no step scans the
+other UEs. The message-passing protocol builds and resolves its offers
+with the same two functions.
 
 Pilot indices are 0-based throughout.
 """
@@ -20,26 +23,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import (ContaminationCache, PilotAssignment,
-                         estimation_error_local)
+from .estimation import ContaminationCache, PilotAssignment
 from .network import require_integer
 
 __all__ = [
     "SCHEME_IDS",
     "TIE_RULES",
     "SchemeConfig",
-    "CandidateSets",
     "OpCounter",
     "assign_all",
     "eem_step",
-    "dpb_candidates",
-    "candidate_set_from_profile",
-    "rank_from_order",
+    "best_first",
     "priority_select",
     "random_pa_step",
 ]
@@ -62,25 +62,10 @@ class SchemeConfig:
         require_integer("dpb_s", self.dpb_s)
         if self.dpb_s < 1:
             raise ValueError("dpb_s must be >= 1")
-        if self.dpb_delta < 0:
-            raise ValueError("dpb_delta must be >= 0")
+        if not (math.isfinite(self.dpb_delta) and self.dpb_delta >= 0):
+            raise ValueError("dpb_delta must be finite and >= 0")
         if self.tie_rule not in TIE_RULES:
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
-
-
-@dataclass(frozen=True)
-class CandidateSets:
-    """Candidate pilot sets from a UE's priority APs, strongest AP first.
-
-    `top_errors` ranks pilots from the strongest AP's point of view; any
-    monotone surrogate works, so selection only ever compares these values
-    for order. Both assignment drivers pass :func:`rank_from_order`
-    positions, which pins down the pick even when the winning common set
-    lies outside the strongest AP's own candidates.
-    """
-
-    sets: tuple
-    top_errors: np.ndarray
 
 
 @dataclass
@@ -123,60 +108,32 @@ def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int,
     return int(np.argmin(errors))
 
 
-def candidate_set_from_profile(errors: np.ndarray, delta: float):
-    """Pilots within (1 + delta) of the minimum error, ascending index.
+def best_first(errors: np.ndarray, delta: float) -> list:
+    """One AP's offer: the pilots within (1 + delta) of its least error,
+    best first, as a prefix of one stable argsort (ties by pilot index).
 
-    Errors are nonnegative, so the argmin always qualifies; delta = 0
-    degenerates to the exact argmin set. A stack of profiles gives a tuple
-    of sets, one per row.
+    Errors are nonnegative, so the best pilot always qualifies; delta = 0
+    keeps only the minimizers.
     """
-    within = errors <= (1.0 + delta) * errors.min(axis=-1, keepdims=True)
-    if within.ndim == 1:
-        return within.nonzero()[0]
-    return tuple(row.nonzero()[0] for row in within)
+    ranked = errors.argsort(kind="stable")
+    within = errors <= (1.0 + delta) * errors[ranked[0]]
+    return ranked[:np.count_nonzero(within)].tolist()
 
 
-def dpb_candidates(t: int, m: int, delta: float, beta, powers, lp: int,
-                   local_copilots) -> np.ndarray:
-    """Candidate set C_m offered by AP m to arriving UE t.
+def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
+                    ue: int = 0, counter: OpCounter | None = None) -> int:
+    """Resolve the offers of a UE's priority APs, strongest AP first, into
+    one pilot; each offer is a best-first list of pilot indices (Python ints).
 
-    `local_copilots[i]` holds the UEs served by AP m currently on pilot i.
+    Levels run from all S' offers down to pairs; within a level, AP groups
+    are tried in lexicographic order of priority rank (for S = 3: {1,2,3},
+    then {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot
+    bitmasks wins; a lone pilot is forced, several go to `tie_rule`:
+    `deterministic` takes the strongest AP's best common pilot, else the
+    lowest one. If every intersection is empty, the strongest AP's best
+    pilot wins.
     """
-    if len(local_copilots) != lp:
-        raise ValueError("need one co-pilot set per pilot")
-    errors = np.array([
-        estimation_error_local(t, m, beta, powers, lp, members)
-        for members in local_copilots
-    ])
-    return candidate_set_from_profile(errors, delta)
-
-
-def rank_from_order(order, num_pilots: int) -> np.ndarray:
-    """Preference surrogate: position within `order`, +inf for the rest.
-
-    A UE can reconstruct this from a best-first candidate offer alone, so
-    using it on the direct path too keeps both drivers working from exactly
-    the information that crosses the air.
-    """
-    order = np.asarray(order, dtype=int)
-    rank = np.full(num_pilots, np.inf)
-    rank[order] = np.arange(order.size)
-    return rank
-
-
-def priority_select(cands: CandidateSets, tie_rule: str = "seeded_random",
-                    seed: int = 0, ue: int = 0,
-                    counter: OpCounter | None = None) -> int:
-    """Resolve candidate sets into one pilot at the UE.
-
-    Levels run from all S' sets down to pairs; within a level, AP groups are
-    tried in lexicographic order of priority rank (for S = 3: {1,2,3}, then
-    {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot bitmasks
-    wins; a lone pilot is forced, several go to `tie_rule`. If every
-    intersection is empty, fall back to the best pilot of the strongest AP.
-    """
-    masks = [sum(1 << i for i in np.asarray(c, dtype=int).tolist())
-             for c in cands.sets]
+    masks = [sum(1 << i for i in offer) for offer in offers]
     common = 0
     for level in range(len(masks), 1, -1):
         for group in itertools.combinations(masks, level):
@@ -188,11 +145,12 @@ def priority_select(cands: CandidateSets, tie_rule: str = "seeded_random",
         if common:
             break
     if not common:
-        members = np.asarray(cands.sets[0], dtype=int)
-        return int(members[np.argmin(cands.top_errors[members])])
+        return offers[0][0]
     pilots = [i for i in range(common.bit_length()) if common >> i & 1]
-    if len(pilots) == 1 or tie_rule == "deterministic":
-        return min(pilots, key=cands.top_errors.__getitem__)
+    if len(pilots) == 1:
+        return pilots[0]
+    if tie_rule == "deterministic":
+        return next((i for i in offers[0] if common >> i & 1), pilots[0])
     rng = np.random.default_rng([seed, ue])
     return pilots[rng.integers(len(pilots))]
 
@@ -202,10 +160,8 @@ def _dpb_step(t: int, cache: ContaminationCache, serving, scheme: SchemeConfig,
     profiles = cache.local_errors(serving[:scheme.dpb_s], t)
     if counter is not None:
         counter.add_evals(profiles.size)
-    sets = candidate_set_from_profile(profiles, scheme.dpb_delta)
-    best_first = sets[0][np.argsort(profiles[0][sets[0]], kind="stable")]
-    cands = CandidateSets(sets, rank_from_order(best_first, cache.num_pilots))
-    return priority_select(cands, scheme.tie_rule, scheme.seed, ue=t,
+    offers = [best_first(row, scheme.dpb_delta) for row in profiles]
+    return priority_select(offers, scheme.tie_rule, scheme.seed, ue=t,
                            counter=counter)
 
 

@@ -45,18 +45,21 @@ def load_config_file(path) -> tuple:
             {k: v for k, v in data.items() if k in _SCHEME_KEYS})
 
 
-def _add_common(sub):
+def _add_common(sub, runs_schemes: bool):
     sub.add_argument("--config", help="flat JSON config file")
-    sub.add_argument("--scheme", default="eem,dpb,random,scalable",
-                     help="comma-separated scheme ids (default: all)")
+    if runs_schemes:
+        sub.add_argument("--scheme", default="eem,dpb,random,scalable",
+                         help="comma-separated scheme ids (default: all)")
     sub.add_argument("--drops", type=int, default=None,
-                     help="Monte-Carlo drops (default 200, desk 50)")
+                     help="Monte-Carlo drops (default 200, desk 50; "
+                          "protocol-audit 10)")
     sub.add_argument("--seed", type=int, default=1, help="master seed")
     sub.add_argument("--out", default="results", help="output directory")
     sub.add_argument("--desk-scale", action="store_true",
                      help="reduced preset: M=30, T=50, 50 drops")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel drop workers")
+    if runs_schemes:
+        sub.add_argument("--workers", type=int, default=1,
+                         help="parallel drop workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("cdf", "per-user SE distribution"),
                        ("protocol-audit", "message-passing overhead audit")):
         p = sub.add_parser(name, help=text)
-        _add_common(p)
+        _add_common(p, runs_schemes=name != "protocol-audit")
         if name.startswith("sweep"):
             p.add_argument("--values", default=None,
                            help="comma-separated sweep values")
@@ -96,12 +99,19 @@ def _resolve(args, command):
     if pl:
         kwargs["pathloss"] = PathLossParams(**pl)
     config = NetworkConfig(**kwargs)
+    drops = args.drops
+    if drops is None:
+        drops = (10 if command == "protocol-audit"
+                 else 50 if args.desk_scale else 200)
+    return config, scheme_opts, drops
+
+
+def _schemes(args) -> tuple:
     schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
     for s in schemes:
         if s not in SCHEME_IDS:
             raise ValueError(f"unknown scheme {s!r}")
-    drops = args.drops if args.drops is not None else (50 if args.desk_scale else 200)
-    return config, scheme_opts, schemes, drops
+    return schemes
 
 
 def _parse_values(text, command):
@@ -110,7 +120,8 @@ def _parse_values(text, command):
 
 
 def _run_sweep(args, command) -> int:
-    config, scheme_opts, schemes, drops = _resolve(args, command)
+    config, scheme_opts, drops = _resolve(args, command)
+    schemes = _schemes(args)
     if args.values:
         values = _parse_values(args.values, command)
     else:
@@ -127,7 +138,8 @@ def _run_sweep(args, command) -> int:
 
 
 def _run_cdf(args) -> int:
-    config, scheme_opts, schemes, drops = _resolve(args, "cdf")
+    config, scheme_opts, drops = _resolve(args, "cdf")
+    schemes = _schemes(args)
     spec = ExperimentSpec(config=config, sweep="none",
                           sweep_values=(config.num_ues,), schemes=schemes,
                           num_drops=drops, master_seed=args.seed,
@@ -145,8 +157,9 @@ def _run_cdf(args) -> int:
 
 
 def _run_protocol_audit(args) -> int:
-    config, scheme_opts, _, _ = _resolve(args, "protocol-audit")
-    drops = args.drops if args.drops is not None else 10
+    config, scheme_opts, drops = _resolve(args, "protocol-audit")
+    if drops < 1:
+        raise ValueError(f"drops must be >= 1, got {drops}")
     base = SchemeConfig("dpb", scheme_opts["dpb_s"], scheme_opts["dpb_delta"],
                         scheme_opts["tie_rule"])
     powers = normalize_powers(config)

@@ -2,9 +2,10 @@
 
 gamma_mt is the mean square of the MMSE channel estimate at AP m for UE t.
 Reusing a pilot inflates the estimator's interference denominator and drags
-gamma below its contamination-free ceiling; the error metrics below measure
-that loss summed over a UE's serving APs (global form) or seen from a single
-AP through the UEs it serves (local form).
+gamma below its contamination-free ceiling. `local_error_profile` measures
+that loss at one AP for every pilot at once; `ContaminationCache` keeps the
+running sums it reads and gives it summed over a UE's serving APs (global
+form) or seen from a single AP through the UEs it serves (local form).
 
 All arithmetic stays in linear scale and double precision: the errors are
 differences of near-equal ratios and would not survive dB-domain round trips.
@@ -18,12 +19,8 @@ import numpy as np
 
 __all__ = [
     "PilotAssignment",
-    "EstimationQuality",
     "ContaminationCache",
     "compute_gamma",
-    "gamma_bound",
-    "estimation_error_global",
-    "estimation_error_local",
     "local_error_profile",
 ]
 
@@ -63,34 +60,12 @@ class PilotAssignment:
         return tuple(self.copilot_set(i) for i in range(self.num_pilots))
 
 
-@dataclass(frozen=True)
-class EstimationQuality:
-    """M x T matrix of gamma_mt values for one complete assignment."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        if not np.all(np.isfinite(g)) or np.any(g <= 0):
-            raise ValueError("gamma must be positive and finite")
-        g = g.copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
-
-
-def gamma_bound(beta, powers, lp: int) -> np.ndarray:
-    """Contamination-free ceiling of gamma: w b^2 / (w b + 1), w = p_pilot Lp."""
-    w = powers.p_pilot * lp
-    weighted = w * np.asarray(beta, dtype=float)
-    return weighted * beta / (weighted + 1.0)
-
-
-def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> EstimationQuality:
+def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndarray:
     """Quality factor gamma_mt under a complete pilot assignment.
 
     gamma_mt = w_t b_mt^2 / (sum_{k in P_{i_t}} w_k b_mk + 1); the sum runs
     over every UE on t's pilot, t itself included, so the denominator is
-    always >= w_t b_mt + 1.
+    always >= w_t b_mt + 1. Returns the M x T matrix of gamma_mt.
     """
     if not assignment.is_complete:
         raise ValueError("gamma requires a complete assignment")
@@ -103,7 +78,9 @@ def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> Estimat
     gamma = weighted * beta / (denom_by_pilot[:, assignment.pilot_of] + 1.0)
     if np.any(gamma > beta):
         raise AssertionError("gamma exceeded beta; inputs are inconsistent")
-    return EstimationQuality(gamma)
+    if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0):
+        raise ValueError("gamma must be positive and finite")
+    return gamma
 
 
 def local_error_profile(weighted_own: float, own_beta: float,
@@ -111,50 +88,14 @@ def local_error_profile(weighted_own: float, own_beta: float,
     """Per-pilot estimation error at one AP for one prospective UE.
 
     `pilot_sums[i]` is the accumulated contamination sum_{k on pilot i}
-    w_k b_mk seen at this AP. Shared verbatim by the bookkeeping cache and by
-    the protocol AP agents so both paths produce bit-identical profiles.
+    w_k b_mk seen at this AP; column vectors of `weighted_own` and
+    `own_beta` against rows of sums give one profile per AP. The only copy
+    of the error formula: the bookkeeping cache and the protocol AP agents
+    both call it, so both paths produce bit-identical profiles.
     """
     num = weighted_own * own_beta
     bound = num / (weighted_own + 1.0)
     return bound - num / (weighted_own + pilot_sums + 1.0)
-
-
-def estimation_error_global(t: int, pilot: int, beta, powers, lp: int,
-                            partial_assignment: PilotAssignment,
-                            serving) -> float:
-    """Aggregate estimation error if UE t took `pilot`, summed over M_t.
-
-    Each serving AP contributes the gap between the contamination-free gamma
-    ceiling and the gamma obtained with the already-assigned co-pilot UEs
-    plus t itself in the denominator.
-    """
-    beta = np.asarray(beta, dtype=float)
-    serving = np.asarray(serving, dtype=int)
-    w = powers.p_pilot * lp
-    copilots = partial_assignment.copilot_set(pilot)
-    copilots = copilots[copilots != t]
-    weighted_own = w[t] * beta[serving, t]
-    num = weighted_own * beta[serving, t]
-    if copilots.size:
-        extra = beta[np.ix_(serving, copilots)] @ w[copilots]
-    else:
-        extra = 0.0
-    errors = num / (weighted_own + 1.0) - num / (weighted_own + extra + 1.0)
-    return float(np.sum(errors))
-
-
-def estimation_error_local(t: int, m: int, beta, powers, lp: int,
-                           served_copilots) -> float:
-    """Single-AP estimation error for UE t; contamination restricted to the
-    co-pilot UEs served by AP m."""
-    beta = np.asarray(beta, dtype=float)
-    ks = np.asarray(served_copilots, dtype=int)
-    ks = ks[ks != t]
-    w = powers.p_pilot * lp
-    weighted_own = w[t] * beta[m, t]
-    num = weighted_own * beta[m, t]
-    extra = float(beta[m, ks] @ w[ks]) if ks.size else 0.0
-    return float(num / (weighted_own + 1.0) - num / (weighted_own + extra + 1.0))
 
 
 class ContaminationCache:
@@ -191,13 +132,9 @@ class ContaminationCache:
 
     def global_error_profile(self, t: int, serving) -> np.ndarray:
         """Serving-set aggregate error for every pilot at once, length Lp."""
-        serving = np.asarray(serving, dtype=int)
-        weighted_own = self.w[t] * self.beta[serving, t]
-        num = weighted_own * self.beta[serving, t]
-        bound = num / (weighted_own + 1.0)
-        contaminated = num[:, None] / (
-            weighted_own[:, None] + self.global_sums[serving, :] + 1.0)
-        return np.sum(bound[:, None] - contaminated, axis=0)
+        own = self.beta[serving, t][:, None]
+        return local_error_profile(self.w[t] * own, own,
+                                   self.global_sums[serving]).sum(axis=0)
 
     def local_errors(self, m, t: int) -> np.ndarray:
         """Local error profile at AP m, one entry per pilot; an index array

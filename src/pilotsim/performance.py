@@ -1,4 +1,4 @@
-"""Closed-form uplink performance: LSFD weights, PFZF SINR, spectral efficiency.
+"""Closed-form uplink performance: optimal-LSFD PFZF SINR, spectral efficiency.
 
 The SINR is evaluated in closed form from large-scale quantities only. For a
 UE t served by the APs M_t it is a generalized Rayleigh quotient in the LSFD
@@ -27,29 +27,12 @@ from .estimation import PilotAssignment, compute_gamma
 from .network import group_strong_ues
 
 __all__ = [
-    "LsfdWeights",
     "SeReport",
     "prelog",
-    "compute_lsfd",
-    "collect_lsfd",
     "sinr_pfzf",
     "se_uplink",
     "evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class LsfdWeights:
-    """M x T weight matrix; zero wherever AP m does not serve UE t."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).copy()
-        if not np.all(np.isfinite(a)):
-            raise ValueError("weights must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
 
 
 @dataclass(frozen=True)
@@ -166,46 +149,6 @@ class _LsfdSystems:
             yield (ues[lo:hi], q,
                    np.ascontiguousarray(b[:, links].reshape(shape)))
 
-    def weights(self, t: int) -> np.ndarray:
-        """Optimal LSFD weights of UE t under the first assignment:
-        Q_t^{-1} b_t at unit norm."""
-        (_, q, b), = self.groups([t])
-        a = np.linalg.solve(q[0, 0], b[0, 0])
-        norm = np.linalg.norm(a)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ArithmeticError(f"degenerate LSFD solve for UE {t}")
-        return a / norm
-
-
-def compute_lsfd(t: int, beta, gamma, powers, assoc, assignment: PilotAssignment,
-                 antennas: int) -> np.ndarray:
-    """Optimal LSFD weight vector for UE t over its serving APs, unit norm.
-
-    Solves Q_t a = b_t (see `_LsfdSystems`) and normalizes the solution.
-    """
-    return _LsfdSystems(beta, powers, [(gamma, assoc, assignment)],
-                        antennas).weights(t)
-
-
-def collect_lsfd(beta, gamma, powers, assoc, assignment: PilotAssignment,
-                 antennas: int, weight_mode: str = "optimal") -> LsfdWeights:
-    """Weight matrix for all UEs; `equal` mode is the 1/|M_t| ablation."""
-    beta = np.asarray(beta, dtype=float)
-    num_aps, num_ues = beta.shape
-    a = np.zeros((num_aps, num_ues))
-    if weight_mode == "optimal":
-        systems = _LsfdSystems(beta, powers, [(gamma, assoc, assignment)],
-                               antennas)
-    for t in range(num_ues):
-        serving = assoc.serving_aps[t]
-        if weight_mode == "equal":
-            a[serving, t] = 1.0 / serving.size
-        elif weight_mode == "optimal":
-            a[serving, t] = systems.weights(t)
-        else:
-            raise ValueError(f"unknown weight mode {weight_mode!r}")
-    return LsfdWeights(a)
-
 
 def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
               assignment: PilotAssignment, antennas: int):
@@ -257,7 +200,7 @@ def evaluate(real, assoc, assignments, powers, config,
         raise ValueError("evaluation requires a complete assignment")
     schemes = []
     for pa in assignments:
-        gamma = compute_gamma(real.beta, powers, config.pilot_length, pa).gamma
+        gamma = compute_gamma(real.beta, powers, config.pilot_length, pa)
         grouped = group_strong_ues(real, assoc, config.strong_threshold, pa,
                                    config.antennas_per_ap)
         schemes.append((gamma, grouped, pa))

@@ -11,9 +11,8 @@ from collections import Counter
 
 import numpy as np
 
-from pilotsim import (AssociationMap, CandidateSets, Message,
-                      NetworkRealization, PilotAssignment, PowerProfile,
-                      group_strong_ues)
+from pilotsim import (AssociationMap, NetworkRealization, PilotAssignment,
+                      PowerProfile, group_strong_ues)
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
 
 
@@ -28,6 +27,15 @@ def oracle_gamma(beta, p_pilot, lp, pilot_of):
                 if pilot_of[k] == pilot_of[t]:
                     denom += p_pilot[k] * lp * beta[m, k]
             out[m, t] = p_pilot[t] * lp * beta[m, t] ** 2 / denom
+    return out
+
+
+def oracle_gamma_bound(beta, p_pilot, lp):
+    """Contamination-free ceiling of gamma, w b^2 / (w b + 1), entry by entry."""
+    out = np.empty(beta.shape)
+    for m, t in np.ndindex(*beta.shape):
+        own = p_pilot[t] * lp * beta[m, t]
+        out[m, t] = own * beta[m, t] / (own + 1.0)
     return out
 
 
@@ -83,11 +91,21 @@ def oracle_scalable_choice(t, beta, powers, lp, partial):
     return int(np.argmin(loads))
 
 
-def oracle_priority_select(cands, tie_rule="seeded_random", seed=0, ue=0,
+def oracle_offer(errors, delta):
+    """Candidate set (errors within (1 + delta) of the least), reordered
+    best-first by a stable argsort over its members."""
+    members = np.flatnonzero(errors <= (1.0 + delta) * errors.min())
+    return members[np.argsort(errors[members], kind="stable")]
+
+
+def oracle_priority_select(offers, tie_rule="seeded_random", seed=0, ue=0,
                            counter=None):
     """Priority intersection over sorted index arrays with np.intersect1d,
-    drawing from a fresh seeded generator whatever the common set's size."""
-    sets = [np.asarray(c, dtype=int) for c in cands.sets]
+    ranking pilots by their position in the strongest AP's offer and drawing
+    from a fresh seeded generator whatever the common set's size."""
+    rank = np.full(1 + max(max(o) for o in offers), np.inf)
+    rank[list(offers[0])] = np.arange(len(offers[0]))
+    sets = [np.sort(np.asarray(o, dtype=int)) for o in offers]
     s = len(sets)
     common = None
     for level in range(s, 1, -1):
@@ -106,9 +124,9 @@ def oracle_priority_select(cands, tie_rule="seeded_random", seed=0, ue=0,
             break
     if common is None:
         members = sets[0]
-        return int(members[np.argmin(cands.top_errors[members])])
+        return int(members[np.argmin(rank[members])])
     if tie_rule == "deterministic":
-        return int(common[np.argmin(cands.top_errors[common])])
+        return int(common[np.argmin(rank[common])])
     rng = np.random.default_rng([seed, ue])
     return int(common[rng.integers(common.size)])
 
@@ -139,6 +157,40 @@ def oracle_sinr(t, a_full, beta, gamma, p_uplink, pilot_of, strong_flag,
                             * (beta[m, k] - dt * dk * gamma[m, k]))
     noise = sum(a_full[m] ** 2 for m in range(num_aps))
     return numerator / (coherent + noncoherent + noise)
+
+
+def oracle_lsfd(t, beta, gamma, powers, assoc, assignment, antennas):
+    """Optimal LSFD weights Q_t^{-1} b_t over t's serving APs, unit norm.
+
+    b_mt = sqrt((A - delta_mt L_m) gamma_mt); Q_t adds p_k c_k c_k^T for each
+    co-pilot k, c_k being b_t with gamma_mk in place of gamma_mt, to the
+    diagonal of non-coherent interference plus noise. Every entry is built
+    in scalar loops.
+    """
+    serving = [int(m) for m in assoc.serving_aps[t]]
+    p = powers.p_uplink
+    num_ues = beta.shape[1]
+    gain = [antennas - (assoc.strong_pilot_count[m] if assoc.strong_flag[m, t]
+                        else 0) for m in serving]
+    n = len(serving)
+    b = np.array([math.sqrt(gain[i] * gamma[m, t])
+                  for i, m in enumerate(serving)])
+    q = np.zeros((n, n))
+    for i, m in enumerate(serving):
+        q[i, i] = 1.0
+        for k in range(num_ues):
+            q[i, i] += p[k] * beta[m, k]
+            if assoc.strong_flag[m, t] and assoc.strong_flag[m, k]:
+                q[i, i] -= p[k] * gamma[m, k]
+    for k in range(num_ues):
+        if k != t and assignment.pilot_of[k] == assignment.pilot_of[t]:
+            c = [math.sqrt(gain[i] * gamma[m, k])
+                 for i, m in enumerate(serving)]
+            for i in range(n):
+                for j in range(n):
+                    q[i, j] += p[k] * c[i] * c[j]
+    a = np.linalg.solve(q, b)
+    return a / np.linalg.norm(a)
 
 
 def brute_force_prefix(column, threshold):
@@ -183,14 +235,13 @@ def oracle_strong_groups(beta, served_ues, pilot_of, strong_threshold,
 
 
 def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
-    """The DPB negotiation with one validated Message per send.
+    """The DPB negotiation with one (idx, kind, src, dst, payload) tuple per
+    send.
 
-    Each AP keeps its own per-pilot sums; an offer is the candidate set
-    (errors within (1 + delta) of the least) reordered best-first by a stable
-    argsort over its members; the UE resolves sorted offers with
-    `oracle_priority_select`. The audit counts messages by parsing node ids
-    back out of the records. Returns a dict with `pilot_of`, `records`,
-    `lines`, `by_kind`, `by_edge` and `audit`.
+    Each AP keeps its own per-pilot sums and offers `oracle_offer` of its
+    errors; the UE resolves the offers with `oracle_priority_select`. The
+    audit counts messages by parsing node ids back out of the tuples.
+    Returns a dict with `pilot_of`, `lines`, `by_kind` and `audit`.
     """
     w = powers.p_pilot * lp
     sums = [np.zeros(lp) for _ in range(real.num_aps)]
@@ -202,35 +253,30 @@ def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
         offers = []
         for m in serving[:min(scheme.dpb_s, serving.size)]:
             m = int(m)
-            records.append((idx, Message(KIND_PROBE, f"ue{t}", f"ap{m}", 0)))
+            records.append((idx, KIND_PROBE, f"ue{t}", f"ap{m}", 0))
             weighted_own = float(w[t]) * float(real.beta[m, t])
             num = weighted_own * float(real.beta[m, t])
             errors = (num / (weighted_own + 1.0)
                       - num / (weighted_own + sums[m] + 1.0))
-            members = np.flatnonzero(
-                errors <= (1.0 + scheme.dpb_delta) * errors.min())
-            offer = members[np.argsort(errors[members], kind="stable")]
-            records.append((idx, Message(KIND_OFFER, f"ap{m}", f"ue{t}",
-                                         len(offer))))
-            offers.append(offer)
-        rank = np.full(lp, np.inf)
-        rank[offers[0]] = np.arange(offers[0].size)
-        cands = CandidateSets(tuple(np.sort(o) for o in offers), rank)
-        pilot = oracle_priority_select(cands, scheme.tie_rule, scheme.seed, ue=t)
+            offer = oracle_offer(errors, scheme.dpb_delta)
+            records.append((idx, KIND_OFFER, f"ap{m}", f"ue{t}", len(offer)))
+            offers.append(offer.tolist())
+        pilot = oracle_priority_select(offers, scheme.tie_rule, scheme.seed,
+                                       ue=t)
         for m in serving:
             m = int(m)
-            records.append((idx, Message(KIND_NOTIFY, f"ue{t}", f"ap{m}", 1)))
+            records.append((idx, KIND_NOTIFY, f"ue{t}", f"ap{m}", 1))
             sums[m][pilot] += float(w[t]) * float(real.beta[m, t])
         pilot_of[t] = pilot
 
     probes, offered, notifies = Counter(), Counter(), Counter()
-    for _, msg in records:
-        if msg.kind == KIND_PROBE:
-            probes[int(msg.src[2:])] += 1
-        elif msg.kind == KIND_OFFER:
-            offered[int(msg.dst[2:])] += 1
+    for _, kind, src, dst, _ in records:
+        if kind == KIND_PROBE:
+            probes[int(src[2:])] += 1
+        elif kind == KIND_OFFER:
+            offered[int(dst[2:])] += 1
         else:
-            notifies[int(msg.src[2:])] += 1
+            notifies[int(src[2:])] += 1
     per_ue = {}
     for t in sorted(set(probes) | set(offered) | set(notifies)):
         size = len(assoc.serving_aps[t])
@@ -240,17 +286,14 @@ def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
     audit = {
         "per_ue": per_ue,
         "total_messages": len(records),
-        "total_payload": sum(msg.payload_size for _, msg in records),
-        "ap_to_ap": sum(1 for _, msg in records
-                        if msg.src.startswith("ap") and msg.dst.startswith("ap")),
+        "total_payload": sum(rec[4] for rec in records),
+        "ap_to_ap": sum(1 for rec in records
+                        if rec[2].startswith("ap") and rec[3].startswith("ap")),
     }
     return {
         "pilot_of": pilot_of,
-        "records": records,
-        "lines": [f"{idx},{msg.kind},{msg.src},{msg.dst},{msg.payload_size}"
-                  for idx, msg in records],
-        "by_kind": Counter(msg.kind for _, msg in records),
-        "by_edge": Counter((msg.src, msg.dst) for _, msg in records),
+        "lines": [",".join(map(str, rec)) for rec in records],
+        "by_kind": Counter(rec[1] for rec in records),
         "audit": audit,
     }
 

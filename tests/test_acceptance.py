@@ -16,14 +16,9 @@ from pilotsim import (
     assign_all,
     associate_aps,
     audit_overhead,
-    candidate_set_from_profile,
-    collect_lsfd,
+    best_first,
     compute_gamma,
-    compute_lsfd,
     derive_seed,
-    dpb_candidates,
-    estimation_error_global,
-    gamma_bound,
     generate_drop,
     group_strong_ues,
     normalize_powers,
@@ -32,7 +27,9 @@ from pilotsim import (
     run_protocol,
     sinr_pfzf,
 )
-from oracles import micro_instance, oracle_eem_choice, oracle_sinr, random_unit_vector
+from oracles import (micro_instance, oracle_eem_choice, oracle_error_global,
+                     oracle_error_local, oracle_gamma_bound, oracle_lsfd,
+                     oracle_sinr, random_unit_vector)
 
 DESK = dict(num_aps=30, num_ues=50, antennas_per_ap=8, pilot_length=7)
 
@@ -62,12 +59,12 @@ def test_criterion_02_orthogonal_regime():
                         cfg.pilot_length)
         assert sorted(pa.pilot_of) == list(range(7))  # unique pilots
         for t in range(cfg.num_ues):
-            err = estimation_error_global(t, int(pa.pilot_of[t]), real.beta,
-                                          powers, cfg.pilot_length, pa,
-                                          assoc.serving_aps[t])
+            err = oracle_error_global(t, int(pa.pilot_of[t]), real.beta,
+                                      powers.p_pilot, cfg.pilot_length,
+                                      pa.pilot_of, assoc.serving_aps[t])
             assert err == 0.0
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
-        bound = gamma_bound(real.beta, powers, cfg.pilot_length)
+        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
+        bound = oracle_gamma_bound(real.beta, powers.p_pilot, cfg.pilot_length)
         np.testing.assert_allclose(gamma, bound, rtol=1e-12)
         worst = max(worst, float(np.max(np.abs(gamma / bound - 1.0))))
     print(f"\nPASS criterion 2: T <= Lp gives unique pilots, zero error, "
@@ -106,13 +103,15 @@ def test_criterion_04_sinr_oracle_equivalence():
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
         grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = compute_gamma(real.beta, powers, lp, pa).gamma
-        weights = collect_lsfd(real.beta, gamma, powers, grouped, pa, ants)
+        gamma = compute_gamma(real.beta, powers, lp, pa)
         for t in range(real.num_ues):
             serving = grouped.serving_aps[t]
-            got = sinr_pfzf(t, weights.a[serving, t], real.beta, gamma,
+            a = np.zeros(real.num_aps)
+            a[serving] = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa,
+                                     ants)
+            got = sinr_pfzf(t, a[serving], real.beta, gamma,
                             powers, grouped, pa, ants)
-            want = oracle_sinr(t, weights.a[:, t], real.beta, gamma,
+            want = oracle_sinr(t, a, real.beta, gamma,
                                powers.p_uplink, pa.pilot_of,
                                grouped.strong_flag,
                                grouped.strong_pilot_count, ants)
@@ -133,7 +132,7 @@ def test_criterion_05_lsfd_dominance():
         real, powers, assoc = drop_pieces(cfg, derive_seed(1000, 0, d))
         pa = assign_all(SchemeConfig("dpb", seed=d), real, assoc, powers,
                         cfg.pilot_length)
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
+        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
         grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
                                    cfg.antennas_per_ap)
         for t in range(0, cfg.num_ues, cfg.num_ues // 20):
@@ -141,7 +140,7 @@ def test_criterion_05_lsfd_dominance():
                 break
             serving = grouped.serving_aps[t]
             args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
-            best = sinr_pfzf(t, compute_lsfd(t, *args), *args)
+            best = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
             slack = best * (1.0 + 1e-12)
             probes = [np.full(serving.size, 1.0 / serving.size)]
             probes += [random_unit_vector(rng, serving.size)
@@ -244,8 +243,8 @@ def test_criterion_10_candidate_set_properties():
     for _ in range(5000):
         errors = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 10)))
         deltas = np.sort(rng.uniform(0.0, 2.0, size=2))
-        narrow = candidate_set_from_profile(errors, deltas[0])
-        wide = candidate_set_from_profile(errors, deltas[1])
+        narrow = best_first(errors, deltas[0])
+        wide = best_first(errors, deltas[1])
         assert int(np.argmin(errors)) in narrow
         assert set(narrow) <= set(wide)
         calls += 2
@@ -255,9 +254,11 @@ def test_criterion_10_candidate_set_properties():
         local = [rng.choice(cfg.num_ues, size=int(rng.integers(0, 4)),
                             replace=False) for _ in range(lp)]
         deltas = np.sort(rng.uniform(0.0, 2.0, size=2))
-        narrow = dpb_candidates(t, m, deltas[0], real.beta, powers, lp, local)
-        wide = dpb_candidates(t, m, deltas[1], real.beta, powers, lp, local)
-        assert narrow.size >= 1 and set(narrow) <= set(wide)
+        errors = np.array([oracle_error_local(t, m, real.beta, powers.p_pilot,
+                                              lp, ks) for ks in local])
+        narrow = best_first(errors, deltas[0])
+        wide = best_first(errors, deltas[1])
+        assert len(narrow) >= 1 and set(narrow) <= set(wide)
         calls += 2
     assert calls == 15000
     print(f"\nPASS criterion 10: argmin membership and delta-monotonicity "

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim import (
-    CandidateSets,
     ContaminationCache,
     NetworkRealization,
     OpCounter,
@@ -15,16 +14,14 @@ from pilotsim import (
     SchemeConfig,
     assign_all,
     associate_aps,
-    candidate_set_from_profile,
-    dpb_candidates,
+    best_first,
     eem_step,
     priority_select,
     random_pa_step,
-    rank_from_order,
 )
 from pilotsim.assignment import TIE_RULES
-from oracles import (oracle_eem_choice, oracle_priority_select,
-                     oracle_scalable_choice)
+from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
+                     oracle_priority_select, oracle_scalable_choice)
 
 
 def unit_powers(n):
@@ -50,6 +47,11 @@ class TestSchemeConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SchemeConfig(**kwargs)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="^dpb_delta must be finite and >= 0$"):
+            SchemeConfig("dpb", dpb_delta=delta)
 
     @pytest.mark.parametrize("value", [2.5, 3.0])
     def test_rejects_non_integral_s(self, value):
@@ -103,6 +105,14 @@ class TestEemStep:
                 assert reads == len(assoc.serving_aps[t]) * cfg.pilot_length
 
 
+def local_offer(t, m, delta, beta, powers, lp, local_copilots):
+    """best_first over AP m's local errors, `local_copilots[i]` holding the
+    UEs it serves on pilot i."""
+    errors = np.array([oracle_error_local(t, m, beta, powers.p_pilot, lp, ks)
+                       for ks in local_copilots])
+    return best_first(errors, delta)
+
+
 class TestCandidateSets:
     def test_zero_error_pilot_collapses_set(self):
         # instance A: an untouched pilot exists, so the minimum error is 0
@@ -116,10 +126,8 @@ class TestCandidateSets:
             0.05797101449275362,
             0.0,
         ]
-        got = dpb_candidates(3, 0, 0.1, beta, powers, lp, local)
-        assert list(got) == [2]
-        for delta in (0.0, 0.5, 100.0):
-            assert list(dpb_candidates(3, 0, delta, beta, powers, lp, local)) == [2]
+        for delta in (0.0, 0.1, 0.5, 100.0):
+            assert local_offer(3, 0, delta, beta, powers, lp, local) == [2]
         cache = ContaminationCache(beta, powers, lp, track_local=True)
         for t, p in enumerate([0, 1, 0]):
             cache.record(t, p, [0])
@@ -140,100 +148,82 @@ class TestCandidateSets:
         for t, p in enumerate([0, 1, 2, 2]):
             cache.record(t, p, [0])
         np.testing.assert_allclose(cache.local_errors(0, 4), errors, rtol=1e-13)
-        assert list(dpb_candidates(4, 0, 0.0, beta, powers, lp, local)) == [1]
-        assert list(dpb_candidates(4, 0, 0.1, beta, powers, lp, local)) == [0, 1]
-        assert list(dpb_candidates(4, 0, 5.0, beta, powers, lp, local)) == [0, 1, 2]
-
-    def test_requires_one_set_per_pilot(self):
-        with pytest.raises(ValueError):
-            dpb_candidates(0, 0, 0.1, np.ones((1, 1)), unit_powers(1), 2, [[]])
+        for delta, want in ((0.0, [1]), (0.1, [1, 0]), (5.0, [1, 0, 2])):
+            assert local_offer(4, 0, delta, beta, powers, lp, local) == want
+            assert best_first(cache.local_errors(0, 4), delta) == want
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 4.0))
     @settings(max_examples=80, deadline=None)
     def test_argmin_membership_and_monotonicity(self, seed, delta):
         r = np.random.default_rng(seed)
-        errors = r.uniform(0.0, 1.0, size=int(r.integers(1, 9)))
-        got = candidate_set_from_profile(errors, delta)
-        assert int(np.argmin(errors)) in got
-        wider = candidate_set_from_profile(errors, delta + 0.5)
-        assert set(got) <= set(wider)
+        # a few distinct values, so pilots tie often
+        errors = r.choice(r.uniform(0.0, 1.0, size=3),
+                          size=int(r.integers(1, 9)))
+        got = best_first(errors, delta)
+        assert got[0] == int(np.argmin(errors))
+        assert got == oracle_offer(errors, delta).tolist()
+        wider = best_first(errors, delta + 0.5)
+        assert got == wider[:len(got)]
         assert np.all(errors[got] <= (1.0 + delta) * errors.min())
 
 
 class TestPrioritySelect:
     def test_full_agreement(self):
-        cands = CandidateSets((np.array([3]), np.array([3]), np.array([3])),
-                              np.arange(5, dtype=float))
-        assert priority_select(cands) == 3
+        assert priority_select([[3], [3], [3]]) == 3
 
     def test_pairwise_disjoint_falls_back_to_top_ap(self):
-        cands = CandidateSets((np.array([0]), np.array([1]), np.array([2])),
-                              np.array([0.3, 0.2, 0.1]))
-        assert priority_select(cands) == 0
+        assert priority_select([[0], [1], [2]]) == 0
 
     def test_level_two_order_prefers_stronger_pair(self):
         # sets {0,1}, {2}, {1}: triple empty, (1,2) empty, (1,3) = {1}
-        cands = CandidateSets((np.array([0, 1]), np.array([2]), np.array([1])),
-                              np.array([0.1, 0.2, 0.3]))
-        assert priority_select(cands) == 1
+        assert priority_select([[0, 1], [2], [1]]) == 1
 
     def test_fallback_takes_lowest_error_member(self):
-        cands = CandidateSets((np.array([1, 2]), np.array([0]), np.array([3])),
-                              np.array([9.0, 4.0, 3.0, 9.0]))
-        assert priority_select(cands) == 2
+        assert priority_select([[2, 1], [0], [3]]) == 2
 
     def test_deterministic_rule_on_common_set(self):
-        cands = CandidateSets((np.array([0, 2]), np.array([0, 2])),
-                              np.array([0.5, 0.1, 0.2]))
-        assert priority_select(cands, tie_rule="deterministic") == 2
+        assert priority_select([[2, 0], [0, 2]], tie_rule="deterministic") == 2
 
     def test_seeded_rule_reproducible_and_in_set(self):
-        cands = CandidateSets((np.array([1, 4, 5]), np.array([1, 4, 5])),
-                              np.arange(6, dtype=float))
-        picks = {priority_select(cands, seed=9, ue=u) for u in range(40)}
+        offers = [[1, 4, 5], [1, 4, 5]]
+        picks = {priority_select(offers, seed=9, ue=u) for u in range(40)}
         assert picks <= {1, 4, 5}
         assert len(picks) > 1
-        again = [priority_select(cands, seed=9, ue=u) for u in range(40)]
-        assert again == [priority_select(cands, seed=9, ue=u) for u in range(40)]
+        again = [priority_select(offers, seed=9, ue=u) for u in range(40)]
+        assert again == [priority_select(offers, seed=9, ue=u) for u in range(40)]
 
     def test_intersection_check_budget(self):
         counter = OpCounter()
         counter.start_ue()
-        cands = CandidateSets((np.array([0]), np.array([1]), np.array([2])),
-                              np.array([1.0, 2.0, 3.0]))
-        priority_select(cands, counter=counter)
+        priority_select([[0], [1], [2]], counter=counter)
         # exhaustive search: one triple plus three pairs
         assert counter.intersection_checks[-1] == 4
 
     def test_single_set_goes_straight_to_tiebreak(self):
-        cands = CandidateSets((np.array([2, 4]),), np.array([0, 0, 5.0, 0, 1.0]))
-        assert priority_select(cands, tie_rule="deterministic") == 4
+        assert priority_select([[4, 2]], tie_rule="deterministic") == 4
 
     def test_pilots_beyond_64_bits(self):
-        cands = CandidateSets((np.array([3, 70, 199]), np.array([70, 199])),
-                              np.zeros(200))
-        assert priority_select(cands, tie_rule="deterministic") == 70
-        assert priority_select(cands, seed=4, ue=1) in (70, 199)
+        offers = [[3, 70, 199], [70, 199]]
+        assert priority_select(offers, tie_rule="deterministic") == 70
+        assert priority_select(offers, seed=4, ue=1) in (70, 199)
+        # a common set that the top AP never offered goes to its lowest pilot
+        offers = [[3], [199, 70], [70, 199]]
+        assert priority_select(offers, tie_rule="deterministic") == 70
 
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(TIE_RULES))
     @settings(max_examples=300, deadline=None)
     def test_matches_intersect1d_oracle(self, seed, tie_rule):
         r = np.random.default_rng(seed)
         s, lp = int(r.integers(1, 5)), int(r.integers(1, 9))
-        sets = tuple(np.sort(r.choice(lp, size=int(r.integers(1, lp + 1)),
-                                      replace=False)) for _ in range(s))
-        if r.random() < 0.5:
-            top = rank_from_order(r.permutation(lp)[:int(r.integers(1, lp + 1))], lp)
-        else:
-            top = r.choice([0.0, 1.0, 2.0, np.inf], size=lp)  # ties likely
-        cands = CandidateSets(sets, top)
+        offers = [r.choice(lp, size=int(r.integers(1, lp + 1)),
+                           replace=False).tolist() for _ in range(s)]
         for _ in range(8):
             run_seed, ue = int(r.integers(2 ** 31)), int(r.integers(1000))
             mine, ref = OpCounter(), OpCounter()
             mine.start_ue()
             ref.start_ue()
-            got = priority_select(cands, tie_rule, run_seed, ue, mine)
-            want = oracle_priority_select(cands, tie_rule, run_seed, ue, ref)
+            got = priority_select(offers, tie_rule, run_seed, ue, mine)
+            want = oracle_priority_select(offers, tie_rule, run_seed, ue, ref)
             assert got == want
             assert mine.intersection_checks == ref.intersection_checks
 

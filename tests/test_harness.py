@@ -1,9 +1,11 @@
 """Experiment harness: seeding discipline, file outputs, CLI plumbing."""
 
+import importlib
 import json
 import pickle
 import platform
 import subprocess
+import types
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,29 @@ class TestCellFailures:
         assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+class TestExports:
+    MODULES = ("assignment", "estimation", "harness", "network",
+               "performance", "protocol")
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_module_all_resolves(self, name):
+        module = importlib.import_module(f"pilotsim.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == []
+
+    def test_package_reexports_resolve(self):
+        exported = {}
+        for name in self.MODULES:
+            module = importlib.import_module(f"pilotsim.{name}")
+            exported.update((n, getattr(module, n)) for n in module.__all__)
+        public = {n: v for n, v in vars(pilotsim).items()
+                  if not n.startswith("_")
+                  and not isinstance(v, types.ModuleType)}
+        assert public
+        for name, value in public.items():
+            assert exported.get(name) is value, name
+
+
 class TestEmitCdf:
     def _row(self, scheme, values):
         return ResultRow(scheme, 0.0, 0, 1.0, 1.0, 1.0, 1.0,
@@ -360,6 +385,39 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: dpb_s must be an integer, got 2.5\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("drops", ["0", "-1"])
+    def test_audit_needs_a_drop(self, tmp_path, capsys, drops):
+        code = main(["protocol-audit", "--desk-scale", "--drops", drops,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: drops must be >= 1, got {drops}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--scheme", "dpb"], ["--workers", "2"]])
+    def test_audit_takes_no_scheme_or_workers(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["protocol-audit", "--desk-scale", "--drops", "1", *flag,
+                  "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-ues", "sweep-assoc", "cdf",
+                                         "protocol-audit"])
+    @pytest.mark.parametrize("delta", ["NaN", "Infinity"])
+    def test_non_finite_delta_exits_2(self, tmp_path, capsys, command, delta):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(f'{{"dpb_delta": {delta}}}')
+        code = main([command, "--desk-scale", "--config", str(cfg),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: dpb_delta must be finite and >= 0\n")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_scheme_exits_2(self, tmp_path, capsys):

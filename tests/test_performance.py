@@ -12,9 +12,7 @@ from pilotsim import (
     PowerProfile,
     SchemeConfig,
     assign_all,
-    collect_lsfd,
     compute_gamma,
-    compute_lsfd,
     evaluate,
     group_strong_ues,
     prelog,
@@ -22,7 +20,8 @@ from pilotsim import (
     sinr_pfzf,
 )
 from pilotsim import performance
-from oracles import micro_instance, oracle_sinr, random_unit_vector
+from oracles import (micro_instance, oracle_lsfd, oracle_sinr,
+                     random_unit_vector)
 
 
 def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
@@ -34,7 +33,7 @@ def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
     assoc = AssociationMap((np.array([0]),), (np.array([0]),),
                            np.array([[True]]))
     grouped = group_strong_ues(real, assoc, 1.0, pa, antennas)
-    gamma = compute_gamma(real.beta, powers, lp, pa).gamma
+    gamma = compute_gamma(real.beta, powers, lp, pa)
     return real, powers, pa, grouped, gamma, antennas
 
 
@@ -115,14 +114,16 @@ class TestSinrAgainstOracle:
             inst = micro_instance(rng)
             real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
             grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-            gamma = compute_gamma(real.beta, powers, lp, pa).gamma
-            weights = collect_lsfd(real.beta, gamma, powers, grouped, pa, ants)
+            gamma = compute_gamma(real.beta, powers, lp, pa)
             ls = grouped.strong_pilot_count
             for t in range(real.num_ues):
                 serving = grouped.serving_aps[t]
-                got = sinr_pfzf(t, weights.a[serving, t], real.beta, gamma,
+                a = np.zeros(real.num_aps)
+                a[serving] = oracle_lsfd(t, real.beta, gamma, powers, grouped,
+                                         pa, ants)
+                got = sinr_pfzf(t, a[serving], real.beta, gamma,
                                 powers, grouped, pa, ants)
-                want = oracle_sinr(t, weights.a[:, t], real.beta, gamma,
+                want = oracle_sinr(t, a, real.beta, gamma,
                                    powers.p_uplink, pa.pilot_of,
                                    grouped.strong_flag, ls, ants)
                 assert got == pytest.approx(want, rel=1e-10)
@@ -132,7 +133,7 @@ class TestSinrAgainstOracle:
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
         grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = compute_gamma(real.beta, powers, lp, pa).gamma
+        gamma = compute_gamma(real.beta, powers, lp, pa)
         for t in range(real.num_ues):
             serving = grouped.serving_aps[t]
             w = random_unit_vector(rng, serving.size)
@@ -144,7 +145,7 @@ class TestSinrAgainstOracle:
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
         grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = compute_gamma(real.beta, powers, lp, pa).gamma
+        gamma = compute_gamma(real.beta, powers, lp, pa)
         args = (real.beta, gamma, powers, grouped, pa, ants)
         for t in range(real.num_ues):
             probes = rng.normal(size=(6, grouped.serving_aps[t].size))
@@ -158,7 +159,7 @@ class TestSinrAgainstOracle:
 class TestLsfdWeights:
     def test_single_serving_ap_unit(self):
         real, powers, pa, grouped, gamma, antennas = single_link()
-        w = compute_lsfd(0, real.beta, gamma, powers, grouped, pa, antennas)
+        w = oracle_lsfd(0, real.beta, gamma, powers, grouped, pa, antennas)
         np.testing.assert_array_equal(w, [1.0])
 
     def test_no_copilot_closed_form(self, rng):
@@ -175,7 +176,7 @@ class TestLsfdWeights:
         grouped = group_strong_ues(real, AssociationMap(
             grouped.serving_aps, grouped.served_ues, grouped.serves),
             0.95, pa, ants)
-        gamma = compute_gamma(real.beta, powers, inst["lp"], pa).gamma
+        gamma = compute_gamma(real.beta, powers, inst["lp"], pa)
         for t in range(real.num_ues):
             serving = grouped.serving_aps[t]
             delta = grouped.strong_flag[serving, t].astype(float)
@@ -186,50 +187,19 @@ class TestLsfdWeights:
                             @ powers.p_uplink) + 1.0)
             want = b / d
             want = want / np.linalg.norm(want)
-            got = compute_lsfd(t, real.beta, gamma, powers, grouped, pa, ants)
+            got = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa, ants)
             np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_collect_zero_off_serving_and_equal_mode(self, desk_drop):
-        cfg, real, powers, assoc = desk_drop(seed=21)
-        pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
-                        cfg.pilot_length)
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
-                                   cfg.antennas_per_ap)
-        for mode in ("optimal", "equal"):
-            w = collect_lsfd(real.beta, gamma, powers, grouped, pa,
-                             cfg.antennas_per_ap, mode)
-            assert np.all(w.a[~grouped.serves] == 0.0)
-            for t in range(cfg.num_ues):
-                serving = grouped.serving_aps[t]
-                if mode == "equal":
-                    np.testing.assert_array_equal(w.a[serving, t],
-                                                  np.full(serving.size,
-                                                          1.0 / serving.size))
-                else:
-                    assert np.linalg.norm(w.a[serving, t]) == pytest.approx(1.0)
-
-    def test_collect_unknown_mode(self, desk_drop):
-        cfg, real, powers, assoc = desk_drop(seed=21)
-        pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
-                        cfg.pilot_length)
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
-                                   cfg.antennas_per_ap)
-        with pytest.raises(ValueError):
-            collect_lsfd(real.beta, gamma, powers, grouped, pa,
-                         cfg.antennas_per_ap, "uniform")
 
     def test_dominates_equal_and_random_probes(self, desk_drop, rng):
         cfg, real, powers, assoc = desk_drop(seed=5)
         pa = assign_all(SchemeConfig("dpb", seed=5), real, assoc, powers,
                         cfg.pilot_length)
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
+        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
         grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
                                    cfg.antennas_per_ap)
         for t in range(0, cfg.num_ues, 5):
             serving = grouped.serving_aps[t]
-            best = sinr_pfzf(t, compute_lsfd(t, real.beta, gamma, powers,
+            best = sinr_pfzf(t, oracle_lsfd(t, real.beta, gamma, powers,
                                              grouped, pa, cfg.antennas_per_ap),
                              real.beta, gamma, powers, grouped, pa,
                              cfg.antennas_per_ap)
@@ -254,11 +224,11 @@ class TestEvaluate:
         assert np.all(report.sinr > 0)
         # nobody shares a pilot, so each UE's SINR must not depend on any
         # co-pilot term at all; check one UE against the diagonal solve
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
+        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
         grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
                                    cfg.antennas_per_ap)
         t = 3
-        w = compute_lsfd(t, real.beta, gamma, powers, grouped, pa,
+        w = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa,
                          cfg.antennas_per_ap)
         want = sinr_pfzf(t, w, real.beta, gamma, powers, grouped, pa,
                          cfg.antennas_per_ap)
@@ -310,14 +280,14 @@ class TestEvaluate:
 
 def per_ue_sinr(real, assoc, pa, powers, cfg, weight_mode):
     """evaluate's SINR rebuilt one UE at a time from explicit weights."""
-    gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
+    gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
     grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
                                cfg.antennas_per_ap)
     args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
     out = []
     for t in range(real.num_ues):
         n = grouped.serving_aps[t].size
-        w = (compute_lsfd(t, *args) if weight_mode == "optimal"
+        w = (oracle_lsfd(t, *args) if weight_mode == "optimal"
              else np.full(n, 1.0 / n))
         out.append(sinr_pfzf(t, w, *args))
     return np.array(out)
@@ -458,12 +428,12 @@ class TestContaminationMonotonicity:
         cfg, real, powers, assoc = desk_drop(seed=17)
         pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
                         cfg.pilot_length)
-        gamma0 = compute_gamma(real.beta, powers, cfg.pilot_length, pa).gamma
+        gamma0 = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
         grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
                                    cfg.antennas_per_ap)
         t = 11
         pilot = int(pa.pilot_of[t])
-        w0 = compute_lsfd(t, real.beta, gamma0, powers, grouped, pa,
+        w0 = oracle_lsfd(t, real.beta, gamma0, powers, grouped, pa,
                           cfg.antennas_per_ap)
         base = sinr_pfzf(t, w0, real.beta, gamma0, powers, grouped, pa,
                          cfg.antennas_per_ap)
@@ -483,7 +453,7 @@ class TestContaminationMonotonicity:
             grouped.served_ues, serves_ext, flag_ext,
             grouped.strong_pilot_count)
         gamma1 = compute_gamma(beta_ext, powers_ext, cfg.pilot_length,
-                               pa_ext).gamma
+                               pa_ext)
         worse = sinr_pfzf(t, w0, beta_ext, gamma1, powers_ext, assoc_ext,
                           pa_ext, cfg.antennas_per_ap)
         assert worse < base

@@ -11,31 +11,26 @@ from pilotsim import (
     AccessPointAgent,
     AssociationMap,
     BudgetViolation,
-    Message,
     NetworkConfig,
     NetworkRealization,
     PowerProfile,
     SchemeConfig,
     TraceLog,
-    UserAgent,
     assign_all,
     associate_aps,
     audit_overhead,
-    candidate_set_from_profile,
     derive_seed,
     generate_drop,
     local_error_profile,
     normalize_powers,
     priority_select,
-    rank_from_order,
     run_protocol,
 )
 from pilotsim.assignment import TIE_RULES
 from pilotsim.cli import main
 from pilotsim.harness import SCHEME_CODE
-from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE, node_role
-from pilotsim import CandidateSets
-from oracles import oracle_protocol_log
+from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
+from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
 
 
 def all_serve_instance(num_aps=5, num_ues=10, lp=4, seed=0):
@@ -52,71 +47,89 @@ def all_serve_instance(num_aps=5, num_ues=10, lp=4, seed=0):
     return real, assoc, powers, lp
 
 
+def traced_messages():
+    """(kind, src role, dst role, payload) of every exported message of two
+    runs: all APs serving all UEs, and a desk drop with S' = 4."""
+    real, assoc, powers, lp = all_serve_instance()
+    _, log = run_protocol(real, assoc, SchemeConfig("dpb"), np.arange(10),
+                          powers, lp)
+    lines = list(log.export_lines())
+    cfg = NetworkConfig(num_aps=30, num_ues=50)
+    real = generate_drop(cfg, 3)
+    assoc = associate_aps(real, cfg.assoc_threshold)
+    _, log = run_protocol(real, assoc, SchemeConfig("dpb", dpb_s=4, seed=3),
+                          np.arange(cfg.num_ues), normalize_powers(cfg),
+                          cfg.pilot_length)
+    lines += log.export_lines()
+    out = []
+    for line in lines:
+        _, kind, src, dst, payload = line.split(",")
+        out.append((kind, src.rstrip("0123456789"), dst.rstrip("0123456789"),
+                    int(payload)))
+    return out
+
+
 class TestMessage:
+    """The exported trace obeys the message rules: each kind has one
+    direction between a UE and an AP, and no payload is negative."""
+
     def test_valid_kinds(self):
-        Message(KIND_PROBE, "ue3", "ap1", 0)
-        Message(KIND_OFFER, "ap1", "ue3", 2)
-        Message(KIND_NOTIFY, "ue3", "ap0", 1)
+        log = TraceLog()
+        log.record_arrival(0, 3, [1], [[2, 0]], [0])
+        assert list(log.export_lines()) == [
+            f"0,{KIND_PROBE},ue3,ap1,0",
+            f"0,{KIND_OFFER},ap1,ue3,2",
+            f"0,{KIND_NOTIFY},ue3,ap0,1",
+        ]
 
     @pytest.mark.parametrize("kind", [KIND_PROBE, KIND_OFFER, KIND_NOTIFY])
     def test_no_kind_permits_ap_to_ap(self, kind):
-        with pytest.raises(ValueError):
-            Message(kind, "ap0", "ap1", 1)
+        roles = {(src, dst) for k, src, dst, _ in traced_messages() if k == kind}
+        assert roles and ("ap", "ap") not in roles
 
     @pytest.mark.parametrize("kind", [KIND_PROBE, KIND_OFFER, KIND_NOTIFY])
     def test_no_kind_permits_ue_to_ue(self, kind):
-        with pytest.raises(ValueError):
-            Message(kind, "ue0", "ue1", 1)
+        roles = {(src, dst) for k, src, dst, _ in traced_messages() if k == kind}
+        assert roles and ("ue", "ue") not in roles
 
     def test_wrong_direction(self):
-        with pytest.raises(ValueError):
-            Message(KIND_OFFER, "ue0", "ap1", 1)
+        roles = {(k, src, dst) for k, src, dst, _ in traced_messages()}
+        assert roles == {(KIND_PROBE, "ue", "ap"), (KIND_OFFER, "ap", "ue"),
+                         (KIND_NOTIFY, "ue", "ap")}
 
     def test_self_addressed(self):
-        with pytest.raises(ValueError):
-            Message(KIND_PROBE, "ue0", "ue0", 0)
+        assert all(src != dst for _, src, dst, _ in traced_messages())
 
     def test_unknown_kind_and_role(self):
-        with pytest.raises(ValueError):
-            Message("Gossip", "ue0", "ap1", 0)
-        with pytest.raises(ValueError):
-            node_role("bs7")
+        for kind, src, dst, _ in traced_messages():
+            assert kind in (KIND_PROBE, KIND_OFFER, KIND_NOTIFY)
+            assert {src, dst} == {"ue", "ap"}
 
     def test_negative_payload(self):
-        with pytest.raises(ValueError):
-            Message(KIND_OFFER, "ap0", "ue1", -1)
+        payloads = {}
+        for kind, _, _, payload in traced_messages():
+            payloads.setdefault(kind, set()).add(payload)
+        assert payloads[KIND_PROBE] == {0} and payloads[KIND_NOTIFY] == {1}
+        assert min(payloads[KIND_OFFER]) >= 1
 
 
 class TestTraceLog:
     def test_counters_and_export(self):
         log = TraceLog()
-        log.record(0, Message(KIND_PROBE, "ue0", "ap2", 0))
-        log.record(0, Message(KIND_OFFER, "ap2", "ue0", 3))
-        log.record(1, Message(KIND_NOTIFY, "ue1", "ap2", 1))
+        log.record_arrival(0, 0, [2], [[4, 1, 0]], [])
+        log.record_arrival(1, 1, [], [], [2])
         assert log.by_kind[KIND_OFFER] == 1
-        assert log.by_edge[("ue0", "ap2")] == 1
         assert log.verify_counters()
         assert log.ap_to_ap_count() == 0
         assert log.total_payload() == 4
         lines = list(log.export_lines())
         assert lines[0] == f"0,{KIND_PROBE},ue0,ap2,0"
+        assert lines[1] == f"0,{KIND_OFFER},ap2,ue0,3"
         assert lines[2] == f"1,{KIND_NOTIFY},ue1,ap2,1"
-
-    def test_records_view_and_integer_ids(self):
-        log = TraceLog()
-        log.record(4, Message(KIND_OFFER, "ap2", "ue7", 3))
-        assert list(log.records) == [(4, Message(KIND_OFFER, "ap2", "ue7", 3))]
-        assert log.records[-1:] == [log.records[0]]
-        assert not hasattr(log.records, "append")
-        # a row stores integer indices, so ids must round-trip through them
-        for src in ("ue07", "ue7x"):
-            with pytest.raises(ValueError):
-                log.record(0, Message(KIND_PROBE, src, "ap0", 0))
-        assert len(log.records) == 1 and log.verify_counters()
 
     def test_counter_tamper_detected(self):
         log = TraceLog()
-        log.record(0, Message(KIND_PROBE, "ue0", "ap2", 0))
+        log.record_arrival(0, 0, [2], [[1]], [])
         log.by_kind[KIND_PROBE] += 1
         assert not log.verify_counters()
 
@@ -124,34 +137,29 @@ class TestTraceLog:
 class TestAgents:
     def test_offer_is_best_first(self):
         # contamination sums 0.30 / 0.29 / 1.40 at one AP for a unit UE:
-        # candidate set under delta=0.1 is {0, 1}, offered as (1, 0)
+        # candidate set under delta=0.1 is {0, 1}, offered as [1, 0]
         agent = AccessPointAgent(0, {4: 0.7}, {4: 1.0}, 3, 0.1)
         agent.pilot_sums[:] = [0.30, 0.29, 1.40]
-        assert agent.candidate_offer(4) == (1, 0)
+        assert agent.candidate_offer(4) == [1, 0]
 
     def test_learning_moves_offers(self):
         agent = AccessPointAgent(0, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, 2, 0.0)
-        assert agent.candidate_offer(1) == (0, 1)
+        assert agent.candidate_offer(1) == [0, 1]
         agent.learn_assignment(0, 0)
-        assert agent.candidate_offer(1) == (1,)
+        assert agent.candidate_offer(1) == [1]
 
     def test_user_agent_matches_direct_selection(self):
-        offers = ((2, 0), (0, 2), (2,))
-        ua = UserAgent(5, 4, "deterministic", 0)
-        sets = tuple(np.sort(np.asarray(o)) for o in offers)
-        cands = CandidateSets(sets, rank_from_order(np.array([2, 0]), 4))
-        assert ua.choose(offers) == priority_select(cands, "deterministic", 0, ue=5)
-        assert ua.choose(offers) == 2
+        # the UE's choice from its offers, against the reference selection
+        offers = [[2, 0], [0, 2], [2]]
+        want = oracle_priority_select(offers, "deterministic", 0, ue=5)
+        assert priority_select(offers, "deterministic", 0, ue=5) == want == 2
 
     def test_disjoint_corner_takes_lowest_index(self):
         # winning pair excludes the top AP, which therefore ranked none of
-        # the common pilots: both paths must fall to the lowest pilot index
-        offers = ((0,), (1, 2), (2, 1))
-        assert UserAgent(1, 4, "deterministic", 0).choose(offers) == 1
-        cands = CandidateSets(
-            (np.array([0]), np.array([1, 2]), np.array([1, 2])),
-            rank_from_order(np.array([0]), 4))
-        assert priority_select(cands, "deterministic") == 1
+        # the common pilots: selection falls to the lowest pilot index
+        offers = [[0], [1, 2], [2, 1]]
+        assert priority_select(offers, "deterministic") == 1
+        assert oracle_priority_select(offers, "deterministic") == 1
 
 
 class TestRunProtocol:
@@ -163,7 +171,7 @@ class TestRunProtocol:
         assert log.by_kind[KIND_PROBE] == 3
         assert log.by_kind[KIND_OFFER] == 3
         assert log.by_kind[KIND_NOTIFY] == 5
-        assert len(log.records) == 2 * 3 + 5
+        assert len(log.rows) == 2 * 3 + 5
 
     def test_structurally_no_ap_to_ap(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=4)
@@ -230,8 +238,8 @@ class TestAuditOverhead:
         for stats in audit["per_ue"].values():
             assert stats == {"probes": 3, "offers": 3, "notifies": 5}
         # payload: one pilot per notify plus the offered set sizes
-        offered = sum(m.payload_size for _, m in log.records
-                      if m.kind == KIND_OFFER)
+        offered = sum(int(line.split(",")[4]) for line in log.export_lines()
+                      if line.split(",")[1] == KIND_OFFER)
         assert audit["total_payload"] == offered + 10 * 5
 
     def test_budget_respects_small_serving_sets(self, desk_drop):
@@ -250,7 +258,7 @@ class TestAuditOverhead:
         sch = SchemeConfig("dpb", seed=2)
         pa, log = run_protocol(real, assoc, sch, np.arange(cfg.num_ues),
                                powers, cfg.pilot_length)
-        log.record(cfg.num_ues, Message(KIND_PROBE, "ue0", "ap1", 0))
+        log.record_arrival(cfg.num_ues, 0, [1], [[0]], [])
         with pytest.raises(BudgetViolation) as err:
             audit_overhead(log, assoc, 3)
         assert err.value.ue == 0
@@ -261,9 +269,7 @@ def assert_matches_oracle(real, assoc, scheme, order, powers, lp):
     pa, log = run_protocol(real, assoc, scheme, order, powers, lp)
     np.testing.assert_array_equal(pa.pilot_of, want["pilot_of"])
     assert list(log.export_lines()) == want["lines"]
-    assert list(log.records) == want["records"]
     assert log.by_kind == want["by_kind"]
-    assert log.by_edge == want["by_edge"]
     assert log.verify_counters()
     # json also pins plain Python ints and the ascending UE order
     audit = audit_overhead(log, assoc, scheme.dpb_s)
@@ -311,9 +317,7 @@ class TestOracleLog:
         agent.pilot_sums[:] = r.choice(
             np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)), size=lp)
         errors = local_error_profile(weight * own, own, agent.pilot_sums)
-        members = candidate_set_from_profile(errors, delta)
-        ranked = members[np.argsort(errors[members], kind="stable")]
-        assert agent.candidate_offer(3) == tuple(ranked.tolist())
+        assert agent.candidate_offer(3) == oracle_offer(errors, delta).tolist()
 
 
 def test_cli_trace_matches_oracle(tmp_path, capsys):
