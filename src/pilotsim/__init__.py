@@ -2,10 +2,8 @@
 distributed massive MIMO networks."""
 
 from .assignment import (OpCounter, SCHEME_IDS, SchemeConfig, assign_all,
-                         best_first, eem_step, priority_select,
-                         random_pa_step)
-from .estimation import (ContaminationCache, PilotAssignment, compute_gamma,
-                         local_error_profile)
+                         best_first, priority_select)
+from .estimation import PilotAssignment, compute_gamma
 from .harness import (CellError, ExperimentSpec, ResultRow, SCHEME_CODE,
                       derive_seed, emit_cdf, run_experiment)
 from .network import (AssociationMap, NetworkConfig, NetworkRealization,
@@ -13,7 +11,6 @@ from .network import (AssociationMap, NetworkConfig, NetworkRealization,
                       compute_lsfc, generate_drop, group_strong_ues,
                       noise_power_dbm, normalize_powers)
 from .performance import SeReport, evaluate, prelog, se_uplink, sinr_pfzf
-from .protocol import (AccessPointAgent, BudgetViolation, TraceLog,
-                       audit_overhead, run_protocol)
+from .protocol import BudgetViolation, audit_overhead, run_protocol
 
 __version__ = "0.1.0"

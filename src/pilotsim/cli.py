@@ -88,13 +88,10 @@ def _resolve(args, command):
         net.update(num_aps=30, num_ues=50)
     if command == "sweep-pilots":
         net.setdefault("antennas_per_ap", 16)
-    scheme_opts = {"dpb_s": 3, "dpb_delta": 0.1, "tie_rule": "seeded_random"}
-    pl = {}
+    pl, scheme_opts = {}, {}
     if args.config:
-        file_net, file_pl, file_sch = load_config_file(args.config)
+        file_net, pl, scheme_opts = load_config_file(args.config)
         net.update(file_net)
-        pl.update(file_pl)
-        scheme_opts.update(file_sch)
     kwargs = dict(net)
     if pl:
         kwargs["pathloss"] = PathLossParams(**pl)
@@ -160,8 +157,7 @@ def _run_protocol_audit(args) -> int:
     config, scheme_opts, drops = _resolve(args, "protocol-audit")
     if drops < 1:
         raise ValueError(f"drops must be >= 1, got {drops}")
-    base = SchemeConfig("dpb", scheme_opts["dpb_s"], scheme_opts["dpb_delta"],
-                        scheme_opts["tie_rule"])
+    base = SchemeConfig("dpb", **scheme_opts)
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
     for di in range(drops):

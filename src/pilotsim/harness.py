@@ -167,7 +167,7 @@ def _run_cell(args) -> list:
         rows.append(ResultRow(
             scheme_id, value, drop_seed, report.sum_se, p5, p10,
             float(report.se.mean()),
-            report.per_user_cdf.copy() if spec.store_per_user else None))
+            np.sort(report.se) if spec.store_per_user else None))
     return rows
 
 

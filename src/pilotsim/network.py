@@ -306,7 +306,7 @@ def _runs(flat: np.ndarray, lengths: np.ndarray) -> tuple:
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
                      strong_threshold: float, assignment,
-                     antennas_per_ap: int | None = None) -> AssociationMap:
+                     antennas_per_ap: int) -> AssociationMap:
     """Per-AP strong-UE grouping given a complete pilot assignment.
 
     At each AP the served UEs are ranked by LSFC and the smallest prefix
@@ -341,8 +341,7 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
     pilot_count = np.count_nonzero(on_pilot, axis=1)
     unassigned = np.bincount(link_aps[pilot_of[link_ues] < 0],
                              minlength=num_aps) > 0
-    too_many = (pilot_count >= antennas_per_ap if antennas_per_ap is not None
-                else np.zeros(num_aps, dtype=bool))
+    too_many = pilot_count >= antennas_per_ap
     # report the first offending AP, as a scan in AP order would; an AP with
     # unassigned UEs has a meaningless pilot count and fails on that first
     bad = np.flatnonzero(unassigned | too_many)

@@ -6,15 +6,15 @@ weight vector a: signal p_t (a.b)^2 over a.Q a, where Q collects coherent
 co-pilot interference plus a diagonal of non-coherent interference and noise.
 The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
-systems with MMSE and LSFD receivers", Asilomar 2016); equal weights give
-p_t (sum b)^2 / 1.Q 1. `evaluate` scores a drop from these closed forms
-without forming any weight vector, for one pilot assignment or for several
-(a cell's schemes) at once. The serving sets do not depend on the pilots, so
-it lays the serving links of all UEs out once, ordered by |M_t|, and
-computes every per-link term of every assignment over all links at once.
-Each serving-set size is then a contiguous run of links, from which the
-(Q_t, b_t) stack of all assignments is built and solved in one call: a
-cell's schemes share one stacked solve per serving-set size.
+systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate` scores a
+drop from this closed form without forming any weight vector, for one pilot
+assignment or for several (a cell's schemes) at once. The serving sets do
+not depend on the pilots, so `_lsfd_groups` lays the serving links of all
+UEs out once, ordered by |M_t|, and computes every per-link term of every
+assignment over all links at once. Each serving-set size is then a
+contiguous run of links, from which the (Q_t, b_t) stack of all assignments
+is built and solved in one call: a cell's schemes share one stacked solve
+per serving-set size.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class SeReport:
     sinr: np.ndarray
     se: np.ndarray
     sum_se: float
-    per_user_cdf: np.ndarray
 
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.se, q))
@@ -53,8 +52,10 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
     return (1.0 - pilot_length / coherence_block) / 2.0
 
 
-class _LsfdSystems:
-    """The LSFD systems (Q_t, b_t) of one drop under S pilot assignments.
+def _lsfd_groups(beta, powers, schemes, antennas: int, ues):
+    """Yield the LSFD systems (ues, Q, b) of one drop per serving-set size n,
+    ascending: the given UEs with |M_t| = n in ascending order, Q as
+    (S, N, n, n) and b as (S, N, n) for S pilot assignments.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
@@ -62,92 +63,80 @@ class _LsfdSystems:
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
     `schemes` holds one (gamma, grouped association, assignment) triple per
-    assignment; all share the drop's serving sets. `groups` lays the serving
-    links of the requested UEs out once, ordered by |M_t| and then by UE,
-    and computes every per-link scalar of all S assignments as (S, L) rows.
-    Each serving-set size is then one contiguous run of links that reshapes
-    to (S, N, n); only its co-pilot gather and Q = C C^T are formed per
-    group, which keeps the largest temporary at one group's (S, N, n, K)
-    stack.
+    assignment; all share the drop's serving sets. The serving links of the
+    given UEs are laid out once, ordered by |M_t| and then by UE, and every
+    per-link scalar of all S assignments is computed as (S, L) rows. Each
+    serving-set size is then one contiguous run of links that reshapes to
+    (S, N, n); only its co-pilot gather and Q = C C^T are formed per group,
+    which keeps the largest temporary at one group's (S, N, n, K) stack.
     """
+    beta = np.asarray(beta, dtype=float)
+    num_aps, num_ues = beta.shape
+    p = powers.p_uplink
+    num_schemes = len(schemes)
+    gammas, grouped, assignments = zip(*schemes)
+    flags = [g.strong_flag for g in grouped]
+    pilot_count = np.stack([g.strong_pilot_count for g in grouped])
+    # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
+    noncoh = beta @ p
+    zf = np.stack([(gamma * flag) @ p for gamma, flag in zip(gammas, flags)])
+    # sqrt(p_k gamma_mk) per co-pilot k; column T is zero and pads the table
+    table_w = np.empty((num_schemes, num_aps, num_ues + 1))
+    table_w[:, :, num_ues] = 0.0
+    for w, gamma in zip(table_w, gammas):
+        np.sqrt(gamma * p, out=w[:, :num_ues])
+    # one table row per (assignment, pilot) lists that pilot's UEs in
+    # ascending order, padded with T to the largest load of any assignment;
+    # key[s, t] is t's row and slot[s, t] its position there
+    pilot_of = np.stack([pa.pilot_of for pa in assignments])
+    num_pilots = max(pa.num_pilots for pa in assignments)
+    key = np.arange(num_schemes)[:, None] * num_pilots + pilot_of
+    flat = key.ravel()
+    load = np.bincount(flat, minlength=num_pilots * num_schemes)
+    order = np.argsort(flat, kind="stable")
+    first = np.cumsum(load) - load
+    slot = np.empty(flat.size, dtype=int)
+    slot[order] = np.arange(flat.size) - first[flat[order]]
+    table = np.full((load.size, load.max()), num_ues)
+    table[flat, slot] = np.tile(np.arange(num_ues), num_schemes)
+    slot = slot.reshape(key.shape)
 
-    def __init__(self, beta, powers, schemes, antennas: int):
-        beta = np.asarray(beta, dtype=float)
-        num_aps, num_ues = beta.shape
-        p = powers.p_uplink
-        self.gammas, grouped, assignments = zip(*schemes)
-        self.flags = [g.strong_flag for g in grouped]
-        self.pilot_count = np.stack([g.strong_pilot_count for g in grouped])
-        self.serving_aps = grouped[0].serving_aps
-        self.antennas = antennas
-        # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
-        self.noncoh = beta @ p
-        self.zf = np.stack([(gamma * flag) @ p
-                            for gamma, flag in zip(self.gammas, self.flags)])
-        # sqrt(p_k gamma_mk) per co-pilot k; column T is zero and pads the table
-        self.w = np.empty((len(schemes), num_aps, num_ues + 1))
-        self.w[:, :, num_ues] = 0.0
-        for w, gamma in zip(self.w, self.gammas):
-            np.sqrt(gamma * p, out=w[:, :num_ues])
-        # one table row per (assignment, pilot) lists that pilot's UEs in
-        # ascending order, padded with T to the largest load of any
-        # assignment; key[s, t] is t's row and slot[s, t] its position there
-        pilot_of = np.stack([pa.pilot_of for pa in assignments])
-        num_pilots = max(pa.num_pilots for pa in assignments)
-        key = np.arange(len(schemes))[:, None] * num_pilots + pilot_of
-        flat = key.ravel()
-        load = np.bincount(flat, minlength=num_pilots * len(schemes))
-        order = np.argsort(flat, kind="stable")
-        first = np.cumsum(load) - load
-        slot = np.empty(flat.size, dtype=int)
-        slot[order] = np.arange(flat.size) - first[flat[order]]
-        self.table = np.full((load.size, load.max()), num_ues)
-        self.table[flat, slot] = np.tile(np.arange(num_ues), len(schemes))
-        self.key, self.slot = key, slot.reshape(key.shape)
-
-    def groups(self, ues):
-        """Yield (ues, Q, b) per serving-set size n, ascending: the given UEs
-        with |M_t| = n in ascending order, Q as (S, N, n, n) and b as
-        (S, N, n)."""
-        ues = np.asarray(ues, dtype=int)
-        sets = [self.serving_aps[t] for t in ues.tolist()]
-        sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
-        order = np.argsort(sizes, kind="stable")
-        ues, sizes = ues[order], sizes[order]
-        serving = np.concatenate([sets[i] for i in order.tolist()])
-        link_ue = np.repeat(ues, sizes)
-        delta = np.stack([flag[serving, link_ue] for flag in self.flags])
-        # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
-        # strong pilot, but only from the viewpoint of strong UEs
-        gain = self.antennas - delta * self.pilot_count[:, serving]
-        root = np.sqrt(gain)
-        diag = self.noncoh[serving] - delta * self.zf[:, serving] + 1.0
-        b = np.sqrt(gain * np.stack([gamma[serving, link_ue]
-                                     for gamma in self.gammas]))
-        # each link's row of w, as a flat offset, and each UE's co-pilots:
-        # its pilot's row of the table minus its own slot
-        num_schemes, num_aps, width = self.w.shape
-        row = (np.arange(num_schemes)[:, None] * num_aps + serving) * width
-        key, slot = self.key[:, ues, None], self.slot[:, ues, None]
-        j = np.arange(self.table.shape[1] - 1)
-        copilots = self.table[key, j + (j >= slot)]
-        w = self.w.ravel()
-        cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
-        start = 0
-        for lo, hi in zip([0, *cuts], [*cuts, ues.size]):
-            n = int(sizes[lo])
-            shape = (num_schemes, hi - lo, n)
-            links = slice(start, start + (hi - lo) * n)
-            start = links.stop
-            c = (root[:, links].reshape(shape)[..., None]
-                 * w[row[:, links].reshape(shape)[..., None]
-                     + copilots[:, lo:hi, None, :]])
-            q = c @ c.swapaxes(-1, -2)
-            # the diagonal of each n x n block, as a strided view
-            q.reshape(-1, n * n)[:, ::n + 1] += diag[:, links].reshape(-1, n)
-            # contiguous, so that sums over each b_t run as for one assignment
-            yield (ues[lo:hi], q,
-                   np.ascontiguousarray(b[:, links].reshape(shape)))
+    ues = np.asarray(ues, dtype=int)
+    sets = [grouped[0].serving_aps[t] for t in ues.tolist()]
+    sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
+    order = np.argsort(sizes, kind="stable")
+    ues, sizes = ues[order], sizes[order]
+    serving = np.concatenate([sets[i] for i in order.tolist()])
+    link_ue = np.repeat(ues, sizes)
+    delta = np.stack([flag[serving, link_ue] for flag in flags])
+    # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
+    # strong pilot, but only from the viewpoint of strong UEs
+    gain = antennas - delta * pilot_count[:, serving]
+    root = np.sqrt(gain)
+    diag = noncoh[serving] - delta * zf[:, serving] + 1.0
+    b = np.sqrt(gain * np.stack([gamma[serving, link_ue] for gamma in gammas]))
+    # each link's row of w, as a flat offset, and each UE's co-pilots: its
+    # pilot's row of the table minus its own slot
+    row = (np.arange(num_schemes)[:, None] * num_aps + serving) * (num_ues + 1)
+    key, slot = key[:, ues, None], slot[:, ues, None]
+    j = np.arange(table.shape[1] - 1)
+    copilots = table[key, j + (j >= slot)]
+    w = table_w.ravel()
+    cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+    start = 0
+    for lo, hi in zip([0, *cuts], [*cuts, ues.size]):
+        n = int(sizes[lo])
+        shape = (num_schemes, hi - lo, n)
+        links = slice(start, start + (hi - lo) * n)
+        start = links.stop
+        c = (root[:, links].reshape(shape)[..., None]
+             * w[row[:, links].reshape(shape)[..., None]
+                 + copilots[:, lo:hi, None, :]])
+        q = c @ c.swapaxes(-1, -2)
+        # the diagonal of each n x n block, as a strided view
+        q.reshape(-1, n * n)[:, ::n + 1] += diag[:, links].reshape(-1, n)
+        # contiguous, so that sums over each b_t run as for one assignment
+        yield ues[lo:hi], q, np.ascontiguousarray(b[:, links].reshape(shape))
 
 
 def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
@@ -164,8 +153,8 @@ def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
         raise ValueError("weight vector must align with the serving set")
     if not np.all(np.any(a, axis=-1)):
         raise ValueError("all-zero weight vector")
-    (_, q, b), = _LsfdSystems(beta, powers, [(gamma, assoc, assignment)],
-                              antennas).groups([t])
+    (_, q, b), = _lsfd_groups(beta, powers, [(gamma, assoc, assignment)],
+                              antennas, [t])
     probes = np.atleast_2d(a)
     sinr = (powers.p_uplink[t] * (probes @ b[0, 0]) ** 2
             / np.sum((probes @ q[0, 0]) * probes, axis=1))
@@ -180,20 +169,17 @@ def se_uplink(sinr, coherence_block: int, pilot_length: int):
     return se
 
 
-def evaluate(real, assoc, assignments, powers, config,
-             weight_mode: str = "optimal"):
+def evaluate(real, assoc, assignments, powers, config):
     """Full pipeline for one drop: gamma, strong grouping, closed-form SINR, SE.
 
     `assignments` is one `PilotAssignment`, which gives one `SeReport`, or a
     sequence of them on this drop, which gives one `SeReport` per assignment
-    in order. `optimal` scores each UE at p_t b.Q^{-1} b, `equal` at the
-    1/|M_t| weights. All assignments share one batched pass: one stacked
-    solve per serving-set size.
+    in order. Each UE scores p_t b.Q^{-1} b, its optimal-LSFD SINR. All
+    assignments share one batched pass: one stacked solve per serving-set
+    size.
     """
     single = isinstance(assignments, PilotAssignment)
     assignments = [assignments] if single else list(assignments)
-    if weight_mode not in ("optimal", "equal"):
-        raise ValueError(f"unknown weight mode {weight_mode!r}")
     if not assignments:
         raise ValueError("need at least one pilot assignment")
     if not all(pa.is_complete for pa in assignments):
@@ -204,14 +190,12 @@ def evaluate(real, assoc, assignments, powers, config,
         grouped = group_strong_ues(real, assoc, config.strong_threshold, pa,
                                    config.antennas_per_ap)
         schemes.append((gamma, grouped, pa))
-    systems = _LsfdSystems(real.beta, powers, schemes, config.antennas_per_ap)
     score = np.empty((len(schemes), real.num_ues))
-    for ues, q, b in systems.groups(np.arange(real.num_ues)):
-        if weight_mode == "optimal":
-            score[:, ues] = np.sum(
-                b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
-        else:
-            score[:, ues] = np.sum(b, axis=-1) ** 2 / np.sum(q, axis=(-2, -1))
+    for ues, q, b in _lsfd_groups(real.beta, powers, schemes,
+                                  config.antennas_per_ap,
+                                  np.arange(real.num_ues)):
+        score[:, ues] = np.sum(
+            b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
     reports = []
     for i, sinr in enumerate(powers.p_uplink * score):
         bad = np.flatnonzero(~(np.isfinite(sinr) & (sinr > 0.0)))
@@ -220,6 +204,5 @@ def evaluate(real, assoc, assignments, powers, config,
             raise ArithmeticError(
                 f"non-finite or non-positive SINR for UE {bad[0]}{where}")
         se = se_uplink(sinr, config.coherence_block, config.pilot_length)
-        reports.append(SeReport(sinr=sinr, se=se, sum_se=float(se.sum()),
-                                per_user_cdf=np.sort(se)))
+        reports.append(SeReport(sinr=sinr, se=se, sum_se=float(se.sum())))
     return reports[0] if single else reports

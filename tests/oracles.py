@@ -72,22 +72,24 @@ def oracle_eem_choice(t, beta, p_pilot, lp, pilot_of, serving):
     return best
 
 
-def oracle_scalable_choice(t, beta, powers, lp, partial):
+def oracle_scalable_choice(t, beta, powers, lp, partial, order=None):
     """Least-loaded pilot as seen from the master (strongest) AP of UE t,
     rescanning every UE's pilot on every call.
 
-    Load of pilot i is the pilot-power-weighted LSFC sum of its current
-    holders at the master AP; ties go to the lowest pilot index.
+    Load of pilot i sums beta[m*, k] * (p_k * Lp) over its current holders k
+    at the master AP m*, one term at a time in arrival `order` (default: UE
+    index order). Exact ties then round as the package's running sums do,
+    and go to the lowest pilot index.
     """
     beta = np.asarray(beta, dtype=float)
     pilots = np.asarray(getattr(partial, "pilot_of", partial), dtype=int)
+    order = range(pilots.size) if order is None else order
     m_star = int(np.argmax(beta[:, t]))
-    loads = np.zeros(lp)
-    for i in range(lp):
-        members = np.flatnonzero(pilots == i)
-        members = members[members != t]
-        if members.size:
-            loads[i] = beta[m_star, members] @ powers.p_pilot[members]
+    loads = [0.0] * lp
+    for k in order:
+        k = int(k)
+        if k != t and pilots[k] >= 0:
+            loads[pilots[k]] += beta[m_star, k] * (powers.p_pilot[k] * lp)
     return int(np.argmin(loads))
 
 
@@ -205,7 +207,7 @@ def brute_force_prefix(column, threshold):
 
 
 def oracle_strong_groups(beta, served_ues, pilot_of, strong_threshold,
-                         antennas=None):
+                         antennas):
     """Per-AP strong grouping, one AP at a time in index order.
 
     Returns (strong sets, M x T strong flags, distinct strong pilots per AP)
@@ -227,7 +229,7 @@ def oracle_strong_groups(beta, served_ues, pilot_of, strong_threshold,
         strong_sets.append(chosen)
         strong_flag[m, chosen] = True
         pilot_count[m] = len({int(pilot_of[k]) for k in chosen})
-        if antennas is not None and pilot_count[m] >= antennas:
+        if pilot_count[m] >= antennas:
             raise ValueError(
                 f"AP {m} would zero-force {pilot_count[m]} pilots with only "
                 f"{antennas} antennas")

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim import (
-    ContaminationCache,
-    PilotAssignment,
-    PowerProfile,
-    compute_gamma,
-    local_error_profile,
-)
+from pilotsim import PilotAssignment, PowerProfile, compute_gamma
+from pilotsim.estimation import ContaminationCache, local_error_profile
 from oracles import (oracle_error_global, oracle_error_local, oracle_gamma,
                      oracle_gamma_bound)
 

@@ -13,13 +13,20 @@ import pytest
 
 import pilotsim
 from pilotsim import (
+    SCHEME_CODE,
     CellError,
     ExperimentSpec,
     NetworkConfig,
     PilotAssignment,
     ResultRow,
+    SchemeConfig,
+    assign_all,
+    associate_aps,
     derive_seed,
     emit_cdf,
+    evaluate,
+    generate_drop,
+    normalize_powers,
     run_experiment,
 )
 from pilotsim import cli, harness, performance
@@ -155,9 +162,26 @@ class TestRunExperiment:
         spec = tiny_spec(tmp_path, store_per_user=True, sweep="none",
                          sweep_values=(12,), num_drops=2)
         rows, _ = run_experiment(spec)
-        for r in rows:
-            assert r.per_user.shape == (12,)
-            assert np.all(np.diff(r.per_user) >= 0)
+        cfg = spec.config
+        powers = normalize_powers(cfg)
+        for drop_idx in range(spec.num_drops):
+            drop_seed = derive_seed(spec.master_seed, 0, drop_idx)
+            real = generate_drop(cfg, drop_seed)
+            assoc = associate_aps(real, cfg.assoc_threshold)
+            # the cell's schemes, scored together as the harness does
+            pas = []
+            for scheme in spec.schemes:
+                seed = derive_seed(spec.master_seed, 0, drop_idx,
+                                   100 + SCHEME_CODE[scheme])
+                pas.append(assign_all(SchemeConfig(scheme, seed=seed), real,
+                                      assoc, powers, cfg.pilot_length))
+            reports = evaluate(real, assoc, pas, powers, cfg)
+            for scheme, report in zip(spec.schemes, reports):
+                row, = [r for r in rows
+                        if (r.drop_seed, r.scheme) == (drop_seed, scheme)]
+                assert row.per_user.shape == (12,)
+                np.testing.assert_array_equal(row.per_user,
+                                              np.sort(report.se))
 
 
 def record_schemes(monkeypatch):

@@ -234,6 +234,8 @@ class TestAssociation:
 
 
 class TestStrongGrouping:
+    antennas = NetworkConfig().antennas_per_ap
+
     def _instance(self, beta_row, pilots, nu, lp=None):
         m = 1
         beta = np.asarray(beta_row, dtype=float)[None, :]
@@ -245,12 +247,12 @@ class TestStrongGrouping:
 
     def test_full_threshold_takes_everyone(self):
         real, assoc, asg = self._instance([0.4, 0.3, 0.2], [0, 1, 0], 1.0)
-        grouped = group_strong_ues(real, assoc, 1.0, asg)
+        grouped = group_strong_ues(real, assoc, 1.0, asg, self.antennas)
         assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0, 1, 2]
 
     def test_singleton_served_set(self):
         real, assoc, asg = self._instance([0.4], [0], 0.5)
-        grouped = group_strong_ues(real, assoc, 0.5, asg)
+        grouped = group_strong_ues(real, assoc, 0.5, asg, self.antennas)
         assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0]
         assert grouped.strong_pilot_count[0] == 1
 
@@ -258,7 +260,7 @@ class TestStrongGrouping:
         # five served UEs on three distinct pilots, all strong
         real, assoc, asg = self._instance([0.5, 0.4, 0.3, 0.2, 0.1],
                                           [0, 1, 2, 0, 1], 1.0)
-        grouped = group_strong_ues(real, assoc, 1.0, asg)
+        grouped = group_strong_ues(real, assoc, 1.0, asg, self.antennas)
         assert grouped.strong_pilot_count[0] == 3
         assert grouped.strong_flag[0].all()
 
@@ -279,7 +281,7 @@ class TestStrongGrouping:
         real, assoc, _ = self._instance([0.4, 0.3], [0, 1], 1.0)
         partial = PilotAssignment(np.array([0, -1]), 2)
         with pytest.raises(ValueError):
-            group_strong_ues(real, assoc, 0.9, partial)
+            group_strong_ues(real, assoc, 0.9, partial, self.antennas)
 
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from([1.0, 0.95, 0.5, 1e-12, 1e-300, None]))
@@ -294,7 +296,8 @@ class TestStrongGrouping:
         beta = r.choice(10.0 ** r.uniform(-12.0, -6.0, size=3), size=(m, t))
         serves = r.random((m, t)) < 0.6  # some APs serve nobody
         pilots = r.integers(-1 if r.random() < 0.3 else 0, lp, size=t)
-        antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else None
+        # lp + 1 antennas can zero-force any set of pilots
+        antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else lp + 1
         real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
         assoc = AssociationMap(
             tuple(np.flatnonzero(serves[:, k]) for k in range(t)),

@@ -240,7 +240,6 @@ class TestEvaluate:
                         cfg.pilot_length)
         report = evaluate(real, assoc, pa, powers, cfg)
         assert report.sum_se == pytest.approx(report.se.sum(), rel=1e-15)
-        np.testing.assert_array_equal(report.per_user_cdf, np.sort(report.se))
         np.testing.assert_allclose(
             report.se, prelog(cfg.coherence_block, cfg.pilot_length)
             * np.log2(1.0 + report.sinr), rtol=1e-15)
@@ -268,29 +267,15 @@ class TestEvaluate:
         assert report.se[0] == report.se[1]
         assert report.se[2] < report.se[0]
 
-    def test_equal_mode_never_beats_optimal(self, desk_drop):
-        cfg, real, powers, assoc = desk_drop(seed=6)
-        pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
-                        cfg.pilot_length)
-        opt = evaluate(real, assoc, pa, powers, cfg, weight_mode="optimal")
-        eq = evaluate(real, assoc, pa, powers, cfg, weight_mode="equal")
-        assert np.all(opt.sinr + 1e-12 * opt.sinr >= eq.sinr)
-        assert opt.sum_se >= eq.sum_se
 
-
-def per_ue_sinr(real, assoc, pa, powers, cfg, weight_mode):
-    """evaluate's SINR rebuilt one UE at a time from explicit weights."""
+def per_ue_sinr(real, assoc, pa, powers, cfg):
+    """evaluate's SINR rebuilt one UE at a time from the oracle's weights."""
     gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
     grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
                                cfg.antennas_per_ap)
     args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
-    out = []
-    for t in range(real.num_ues):
-        n = grouped.serving_aps[t].size
-        w = (oracle_lsfd(t, *args) if weight_mode == "optimal"
-             else np.full(n, 1.0 / n))
-        out.append(sinr_pfzf(t, w, *args))
-    return np.array(out)
+    return np.array([sinr_pfzf(t, oracle_lsfd(t, *args), *args)
+                     for t in range(real.num_ues)])
 
 
 EDGE_CONFIGS = {
@@ -329,10 +314,9 @@ class TestBatchedEvaluate:
                 assert sizes == {cfg.num_aps}
             pa = assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                             powers, cfg.pilot_length)
-            for mode in ("optimal", "equal"):
-                got = evaluate(real, assoc, pa, powers, cfg, weight_mode=mode)
-                want = per_ue_sinr(real, assoc, pa, powers, cfg, mode)
-                np.testing.assert_allclose(got.sinr, want, rtol=1e-10)
+            got = evaluate(real, assoc, pa, powers, cfg)
+            want = per_ue_sinr(real, assoc, pa, powers, cfg)
+            np.testing.assert_allclose(got.sinr, want, rtol=1e-10)
 
     def test_one_solve_per_serving_set_size(self, desk_drop, monkeypatch):
         cfg, real, powers, assoc = desk_drop(seed=3)
@@ -348,7 +332,7 @@ class TestBatchedEvaluate:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
-        evaluate(real, assoc, pa, powers, cfg, weight_mode="optimal")
+        evaluate(real, assoc, pa, powers, cfg)
         assert sorted(shape[-1] for shape in calls) == sorted(sizes)
 
     @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
@@ -361,15 +345,12 @@ class TestBatchedEvaluate:
             pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                               powers, cfg.pilot_length)
                    for scheme in SCHEME_IDS]
-            for mode in ("optimal", "equal"):
-                stacked = evaluate(real, assoc, pas, powers, cfg,
-                                   weight_mode=mode)
-                assert len(stacked) == len(pas)
-                for pa, got in zip(pas, stacked):
-                    want = evaluate(real, assoc, pa, powers, cfg,
-                                    weight_mode=mode)
-                    np.testing.assert_allclose(got.sinr, want.sinr, rtol=1e-12)
-                    np.testing.assert_allclose(got.se, want.se, rtol=1e-12)
+            stacked = evaluate(real, assoc, pas, powers, cfg)
+            assert len(stacked) == len(pas)
+            for pa, got in zip(pas, stacked):
+                want = evaluate(real, assoc, pa, powers, cfg)
+                np.testing.assert_allclose(got.sinr, want.sinr, rtol=1e-12)
+                np.testing.assert_allclose(got.se, want.se, rtol=1e-12)
 
     def test_one_solve_per_size_for_all_schemes(self, desk_drop, monkeypatch):
         cfg, real, powers, assoc = desk_drop(seed=3)
@@ -385,7 +366,7 @@ class TestBatchedEvaluate:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
-        evaluate(real, assoc, pas, powers, cfg, weight_mode="optimal")
+        evaluate(real, assoc, pas, powers, cfg)
         assert sorted(shape[-1] for shape in calls) == sorted(sizes)
         assert {shape[0] for shape in calls} == {len(SCHEME_IDS)}
 
@@ -398,19 +379,6 @@ class TestBatchedEvaluate:
                 evaluate(real, assoc, [good, good], powers, cfg)
         with pytest.raises(ValueError, match="at least one"):
             evaluate(real, assoc, [], powers, cfg)
-
-    def test_unknown_weight_mode_rejected_before_work(self, desk_drop,
-                                                      monkeypatch):
-        cfg, real, powers, assoc = desk_drop(seed=2)
-        pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
-                        cfg.pilot_length)
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("evaluate started work")
-
-        monkeypatch.setattr(performance, "compute_gamma", no_work)
-        with pytest.raises(ValueError, match="unknown weight mode"):
-            evaluate(real, assoc, pa, powers, cfg, weight_mode="uniform")
 
     def test_degenerate_sinr_names_first_ue(self):
         cfg, real, powers, assoc = degenerate_drop()

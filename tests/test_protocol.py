@@ -8,28 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim import (
-    AccessPointAgent,
     AssociationMap,
     BudgetViolation,
     NetworkConfig,
     NetworkRealization,
     PowerProfile,
     SchemeConfig,
-    TraceLog,
     assign_all,
     associate_aps,
     audit_overhead,
     derive_seed,
     generate_drop,
-    local_error_profile,
     normalize_powers,
     priority_select,
     run_protocol,
 )
 from pilotsim.assignment import TIE_RULES
 from pilotsim.cli import main
+from pilotsim.estimation import local_error_profile
 from pilotsim.harness import SCHEME_CODE
-from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
+from pilotsim.protocol import (KIND_NOTIFY, KIND_OFFER, KIND_PROBE,
+                               AccessPointAgent, TraceLog)
 from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
 
 
