@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import ContaminationCache, PilotAssignment
-from .network import require_integer
+from .network import require_integer, require_number
 
 __all__ = [
     "SCHEME_IDS",
@@ -62,6 +62,7 @@ class SchemeConfig:
         require_integer("dpb_s", self.dpb_s)
         if self.dpb_s < 1:
             raise ValueError("dpb_s must be >= 1")
+        require_number("dpb_delta", self.dpb_delta)
         if not (math.isfinite(self.dpb_delta) and self.dpb_delta >= 0):
             raise ValueError("dpb_delta must be finite and >= 0")
         if self.tie_rule not in TIE_RULES:

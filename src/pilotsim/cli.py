@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import SCHEME_IDS, SchemeConfig, assign_all
-from .harness import (SCHEME_CODE, CellError, ExperimentSpec, derive_seed,
+from .assignment import SchemeConfig, assign_all
+from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, cell_seeds,
                       emit_cdf, run_experiment)
 from .network import (NetworkConfig, PathLossParams, associate_aps,
                       generate_drop, normalize_powers)
@@ -19,17 +19,16 @@ from .protocol import BudgetViolation, audit_overhead, run_protocol
 
 _NETWORK_KEYS = {f.name for f in dataclasses.fields(NetworkConfig)} - {"pathloss"}
 _PATHLOSS_KEYS = {f.name for f in dataclasses.fields(PathLossParams)}
-_SCHEME_KEYS = {"dpb_s", "dpb_delta", "tie_rule"}
 
-# paper-style full-scale sweeps; desk scale shrinks the network and drop count
-_SWEEP_DEFAULTS = {
-    "sweep-ues": {"full": (20, 40, 60, 80, 100), "desk": (30, 40, 50, 60)},
-    "sweep-pilots": {"full": (5, 7, 9, 11, 13, 15), "desk": (5, 7, 9, 11)},
-    "sweep-assoc": {"full": (0.8, 0.85, 0.9, 0.95, 0.99),
-                    "desk": (0.8, 0.9, 0.95, 0.99)},
+# command -> (swept field, paper-style full-scale values, desk-scale values);
+# `--values` casts to the type of the defaults, and `cdf` sweeps nothing
+_SWEEPS = {
+    "sweep-ues": ("ue_count", (20, 40, 60, 80, 100), (30, 40, 50, 60)),
+    "sweep-pilots": ("pilot_length", (5, 7, 9, 11, 13, 15), (5, 7, 9, 11)),
+    "sweep-assoc": ("assoc_threshold", (0.8, 0.85, 0.9, 0.95, 0.99),
+                    (0.8, 0.9, 0.95, 0.99)),
+    "cdf": ("none", None, None),
 }
-_SWEEP_NAMES = {"sweep-ues": "ue_count", "sweep-pilots": "pilot_length",
-                "sweep-assoc": "assoc_threshold"}
 
 
 def load_config_file(path) -> tuple:
@@ -37,12 +36,12 @@ def load_config_file(path) -> tuple:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
-    unknown = sorted(set(data) - _NETWORK_KEYS - _PATHLOSS_KEYS - _SCHEME_KEYS)
+    unknown = sorted(set(data) - _NETWORK_KEYS - _PATHLOSS_KEYS - set(DPB_OPTIONS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return ({k: v for k, v in data.items() if k in _NETWORK_KEYS},
             {k: v for k, v in data.items() if k in _PATHLOSS_KEYS},
-            {k: v for k, v in data.items() if k in _SCHEME_KEYS})
+            {k: v for k, v in data.items() if k in DPB_OPTIONS})
 
 
 def _add_common(sub, runs_schemes: bool):
@@ -81,91 +80,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, command):
-    """Defaults < desk preset < subcommand preset < config file."""
-    net = {}
+def _resolve(args):
+    """Network config, DPB options and drop count. Precedence: defaults <
+    desk preset < subcommand preset < config file."""
+    net, pl, scheme_opts = {}, {}, {}
     if args.desk_scale:
         net.update(num_aps=30, num_ues=50)
-    if command == "sweep-pilots":
+    if args.command == "sweep-pilots":
         net.setdefault("antennas_per_ap", 16)
-    pl, scheme_opts = {}, {}
     if args.config:
         file_net, pl, scheme_opts = load_config_file(args.config)
         net.update(file_net)
-    kwargs = dict(net)
     if pl:
-        kwargs["pathloss"] = PathLossParams(**pl)
-    config = NetworkConfig(**kwargs)
+        net["pathloss"] = PathLossParams(**pl)
     drops = args.drops
     if drops is None:
-        drops = (10 if command == "protocol-audit"
+        drops = (10 if args.command == "protocol-audit"
                  else 50 if args.desk_scale else 200)
-    return config, scheme_opts, drops
+    return NetworkConfig(**net), SchemeConfig("dpb", **scheme_opts), drops
 
 
-def _schemes(args) -> tuple:
-    schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
-    for s in schemes:
-        if s not in SCHEME_IDS:
-            raise ValueError(f"unknown scheme {s!r}")
-    return schemes
-
-
-def _parse_values(text, command):
-    cast = float if command == "sweep-assoc" else int
-    return tuple(cast(v) for v in text.split(","))
-
-
-def _run_sweep(args, command) -> int:
-    config, scheme_opts, drops = _resolve(args, command)
-    schemes = _schemes(args)
-    if args.values:
-        values = _parse_values(args.values, command)
+def _run_sweep(args) -> int:
+    """The sweeps, and `cdf` as the `none` sweep with per-user detail."""
+    config, dpb, drops = _resolve(args)
+    sweep, full, desk = _SWEEPS[args.command]
+    if sweep == "none":
+        values = (config.num_ues,)
+    elif args.values:
+        values = tuple(map(type(full[0]), args.values.split(",")))
     else:
-        values = _SWEEP_DEFAULTS[command]["desk" if args.desk_scale else "full"]
-    spec = ExperimentSpec(config=config, sweep=_SWEEP_NAMES[command],
-                          sweep_values=values, schemes=schemes,
-                          num_drops=drops, master_seed=args.seed,
-                          output_dir=args.out, name=command.replace("-", "_"),
-                          workers=args.workers, **scheme_opts)
-    _, paths = run_experiment(spec)
-    for label, p in paths.items():
-        print(f"{label}: {p}")
-    return 0
-
-
-def _run_cdf(args) -> int:
-    config, scheme_opts, drops = _resolve(args, "cdf")
-    schemes = _schemes(args)
-    spec = ExperimentSpec(config=config, sweep="none",
-                          sweep_values=(config.num_ues,), schemes=schemes,
-                          num_drops=drops, master_seed=args.seed,
-                          output_dir=args.out, name="cdf",
-                          workers=args.workers, store_per_user=True,
-                          **scheme_opts)
+        values = desk if args.desk_scale else full
+    schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
+    spec = ExperimentSpec(config=config, sweep=sweep, sweep_values=values,
+                          schemes=schemes, num_drops=drops,
+                          master_seed=args.seed, output_dir=args.out,
+                          name=args.command.replace("-", "_"), dpb=dpb,
+                          workers=args.workers,
+                          store_per_user=sweep == "none")
     rows, paths = run_experiment(spec)
-    cdf_files = []
-    for scheme in schemes:
-        cdf_files.append(emit_cdf(rows, scheme,
-                                  Path(args.out) / f"cdf_cdf_{scheme}.csv"))
-    for p in [*paths.values(), *cdf_files]:
-        print(p)
+    if sweep != "none":
+        print("\n".join(f"{label}: {p}" for label, p in paths.items()))
+        return 0
+    cdfs = [emit_cdf(rows, s, Path(args.out) / f"cdf_cdf_{s}.csv") for s in schemes]
+    print("\n".join(map(str, [*paths.values(), *cdfs])))
     return 0
 
 
 def _run_protocol_audit(args) -> int:
-    config, scheme_opts, drops = _resolve(args, "protocol-audit")
+    """Audit drop d as sweep cell (0, d): the drop and dpb seed it gets there."""
+    config, dpb, drops = _resolve(args)
     if drops < 1:
         raise ValueError(f"drops must be >= 1, got {drops}")
-    base = SchemeConfig("dpb", **scheme_opts)
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
     for di in range(drops):
-        real = generate_drop(config, derive_seed(args.seed, 0, di))
+        drop_seed, (scheme,) = cell_seeds(args.seed, 0, di, dpb, ("dpb",))
+        real = generate_drop(config, drop_seed)
         assoc = associate_aps(real, config.assoc_threshold)
         order = np.random.default_rng([args.seed, di]).permutation(real.num_ues)
-        run_seed = derive_seed(args.seed, 0, di, 100 + SCHEME_CODE["dpb"])
-        scheme = dataclasses.replace(base, seed=run_seed)
         negotiated, log = run_protocol(real, assoc, scheme, order, powers,
                                        config.pilot_length)
         try:
@@ -201,10 +175,8 @@ def _run_protocol_audit(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _SWEEP_NAMES:
-            return _run_sweep(args, args.command)
-        if args.command == "cdf":
-            return _run_cdf(args)
+        if args.command in _SWEEPS:
+            return _run_sweep(args)
         return _run_protocol_audit(args)
     # np.linalg.LinAlgError is a ValueError
     except (ValueError, FileNotFoundError, ArithmeticError, CellError) as exc:

@@ -1,11 +1,11 @@
 """Experiment driver: sweeps, Monte-Carlo drops, CSV/JSON outputs.
 
-Seeding discipline: drop seeds depend only on (master_seed, sweep index,
-drop index), so every scheme scores the identical drop and adding schemes
-never perturbs the geometry. Scheme-level randomness gets its own derived
-seed per (sweep, drop, scheme). Rows are sorted deterministically and files
-are written via write-then-rename, so reruns are byte-identical regardless
-of worker count.
+Seeding discipline: `cell_seeds` is the one seeding rule. A cell's drop
+seed depends only on (master_seed, sweep index, drop index), so every scheme
+scores the identical drop and adding schemes never perturbs the geometry.
+Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
+Rows are sorted deterministically and files are written via
+write-then-rename, so reruns are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ __all__ = [
     "CellError",
     "SCHEME_CODE",
     "SWEEP_FIELDS",
+    "DPB_OPTIONS",
     "ExperimentSpec",
     "ResultRow",
     "derive_seed",
+    "cell_seeds",
     "run_experiment",
     "emit_cdf",
 ]
@@ -46,6 +48,10 @@ SWEEP_FIELDS = {
     "assoc_threshold": "assoc_threshold",
     "none": None,
 }
+
+# the run-wide scheme options; scheme_id and seed are set per cell
+DPB_OPTIONS = tuple(f.name for f in dataclasses.fields(SchemeConfig)
+                    if f.name not in ("scheme_id", "seed"))
 
 _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
 
@@ -76,26 +82,27 @@ class ExperimentSpec:
     master_seed: int
     output_dir: str
     name: str = "experiment"
-    dpb_s: int = 3
-    dpb_delta: float = 0.1
-    tie_rule: str = "seeded_random"
+    dpb: SchemeConfig = SchemeConfig("dpb")
     workers: int = 1
     store_per_user: bool = False
 
     def __post_init__(self):
         if self.sweep not in SWEEP_FIELDS:
             raise ValueError(f"unknown sweep {self.sweep!r}")
-        require_integer("num_drops", self.num_drops)
-        require_integer("workers", self.workers)
+        for name in ("num_drops", "workers", "master_seed"):
+            require_integer(name, getattr(self, name))
         if self.num_drops < 1 or self.workers < 1:
             raise ValueError("num_drops and workers must be >= 1")
-        # the per-cell scheme options, checked before any cell runs
-        SchemeConfig("dpb", self.dpb_s, self.dpb_delta, self.tie_rule)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         unknown = [s for s in self.schemes if s not in SCHEME_IDS]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}")
         if not self.schemes or not self.sweep_values:
             raise ValueError("need at least one scheme and one sweep value")
+        if len(set(self.sweep_values)) != len(self.sweep_values):
+            raise ValueError(f"sweep values must be distinct, got "
+                             f"{list(self.sweep_values)}")
         for v in self.sweep_values:
             self.config_for(v)  # NetworkConfig validates each swept value
 
@@ -122,6 +129,15 @@ class ResultRow:
                 f"{self.sum_se!r},{self.p5_se!r},{self.p10_se!r},{self.mean_se!r}")
 
 
+def cell_seeds(master_seed, sweep_idx, drop_idx, template: SchemeConfig,
+               scheme_ids) -> tuple:
+    """A cell's drop seed, and per scheme a copy of `template` seeded for it."""
+    cell = (master_seed, sweep_idx, drop_idx)
+    return derive_seed(*cell), [
+        replace(template, scheme_id=s, seed=derive_seed(*cell, 100 + SCHEME_CODE[s]))
+        for s in scheme_ids]
+
+
 def _run_cell(args) -> list:
     """All schemes on one (sweep value, drop) cell; shared geometry.
 
@@ -133,7 +149,8 @@ def _run_cell(args) -> list:
     spec, sweep_idx, drop_idx = args
     value = spec.sweep_values[sweep_idx]
     cfg = spec.config_for(value)
-    drop_seed = derive_seed(spec.master_seed, sweep_idx, drop_idx)
+    drop_seed, schemes = cell_seeds(spec.master_seed, sweep_idx, drop_idx,
+                                    spec.dpb, spec.schemes)
     cell = f"{spec.sweep}={value!r}, drop seed {drop_seed}"
     try:
         real = generate_drop(cfg, drop_seed)
@@ -141,11 +158,6 @@ def _run_cell(args) -> list:
         assoc = associate_aps(real, cfg.assoc_threshold)
     except Exception as exc:
         raise _cell_error(cell, exc) from exc
-    schemes = [SchemeConfig(scheme_id, spec.dpb_s, spec.dpb_delta,
-                            spec.tie_rule,
-                            derive_seed(spec.master_seed, sweep_idx, drop_idx,
-                                        100 + SCHEME_CODE[scheme_id]))
-               for scheme_id in spec.schemes]
     try:
         reports = evaluate(real, assoc,
                            [assign_all(scheme, real, assoc, powers,
@@ -245,9 +257,7 @@ def run_experiment(spec: ExperimentSpec):
         "schemes": list(spec.schemes),
         "num_drops": spec.num_drops,
         "master_seed": spec.master_seed,
-        "dpb_s": spec.dpb_s,
-        "dpb_delta": spec.dpb_delta,
-        "tie_rule": spec.tie_rule,
+        **{name: getattr(spec.dpb, name) for name in DPB_OPTIONS},
         "git": _git_describe(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -9,8 +9,8 @@ only this large-scale information; no small-scale fading is ever drawn.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def require_integer(name: str, value):
+    """Reject a count that is not an integer; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_number(name: str, value):
+    """Reject a value that is not a real number, such as a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PathLossParams:
     """Three-slope log-distance path loss constants.
@@ -52,19 +64,13 @@ class PathLossParams:
     exp_far: float = 3.5
 
     def __post_init__(self):
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name))
         if not (0.0 < self.d0_m < self.d1_m):
             raise ValueError("breakpoints must satisfy 0 < d0 < d1")
         for name in ("ref_loss_db", "exp_near", "exp_mid", "exp_far"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite path loss parameter {name}")
-
-
-def require_integer(name: str, value):
-    """Reject a count that is not integral; numpy integers pass."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,11 @@ class NetworkConfig:
         for name in ("area_side_m", "bandwidth_hz", "shadow_sigma_db",
                      "assoc_threshold", "strong_threshold", "tx_power_mw",
                      "noise_figure_db"):
-            if not math.isfinite(float(getattr(self, name))):
+            require_number(name, getattr(self, name))
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite config value {name}")
+        if not isinstance(self.wrap_around, bool):
+            raise ValueError(f"wrap_around must be a bool, got {self.wrap_around!r}")
         if self.num_aps < 1 or self.num_ues < 1:
             raise ValueError("need at least one AP and one UE")
         if not 0 < self.pilot_length <= self.coherence_block:

@@ -1,5 +1,7 @@
 """Sequential pilot assignment: greedy, priority-intersection, and baselines."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,7 +53,13 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match="^dpb_delta must be finite and >= 0$"):
             SchemeConfig("dpb", dpb_delta=delta)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0])
+    @pytest.mark.parametrize("delta", ["0.1", True, None])
+    def test_rejects_non_numeric_delta(self, delta):
+        with pytest.raises(ValueError, match=r"^dpb_delta must be a number, "
+                                             rf"got {re.escape(repr(delta))}$"):
+            SchemeConfig("dpb", dpb_delta=delta)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
     def test_rejects_non_integral_s(self, value):
         with pytest.raises(ValueError, match="^dpb_s must be an integer"):
             SchemeConfig("dpb", dpb_s=value)

@@ -4,6 +4,7 @@ import importlib
 import json
 import pickle
 import platform
+import re
 import subprocess
 import types
 from pathlib import Path
@@ -31,6 +32,7 @@ from pilotsim import (
 )
 from pilotsim import cli, harness, performance
 from pilotsim.cli import main
+from pilotsim.harness import cell_seeds
 
 
 def tiny_config(**over):
@@ -73,11 +75,21 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("name,value", [
         ("num_drops", 2.5), ("num_drops", 4.0), ("workers", 1.0),
-        ("dpb_s", 2.5)])
+        ("master_seed", 2.5)])
     def test_rejects_non_integral_counts(self, tmp_path, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             tiny_spec(tmp_path, **{name: value})
         assert tiny_spec(tmp_path, **{name: np.int64(2)}).config is not None
+
+    def test_rejects_negative_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1$"):
+            tiny_spec(tmp_path, master_seed=-1)
+        assert tiny_spec(tmp_path, master_seed=0).master_seed == 0
+
+    @pytest.mark.parametrize("values", [(10, 10), (10, 13, 10.0)])
+    def test_rejects_repeated_sweep_values(self, tmp_path, values):
+        with pytest.raises(ValueError, match="^sweep values must be distinct"):
+            tiny_spec(tmp_path, sweep_values=values)
 
     def test_swept_values_are_validated_eagerly(self, tmp_path):
         # pilot length 9 would exceed the 8 antennas: must fail at spec time
@@ -90,6 +102,18 @@ class TestExperimentSpec:
         assert spec.config_for(13).num_aps == spec.config.num_aps
         none_spec = tiny_spec(tmp_path, sweep="none", sweep_values=(0,))
         assert none_spec.config_for(0) is none_spec.config
+
+
+class TestCellSeeds:
+    def test_one_rule_for_drop_and_schemes(self):
+        template = SchemeConfig("dpb", dpb_s=2, dpb_delta=0.25,
+                                tie_rule="deterministic")
+        drop_seed, schemes = cell_seeds(4, 1, 3, template, ("eem", "dpb"))
+        assert drop_seed == derive_seed(4, 1, 3)
+        assert schemes == [
+            SchemeConfig(s, 2, 0.25, "deterministic",
+                         derive_seed(4, 1, 3, 100 + SCHEME_CODE[s]))
+            for s in ("eem", "dpb")]
 
 
 class TestRunExperiment:
@@ -443,6 +467,100 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: dpb_delta must be finite and >= 0\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-ues", "cdf", "protocol-audit"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        code = main([command, "--desk-scale", "--seed", "-1", "--drops", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: (master_)?seed must be >= 0, got -1\n",
+                            captured.err)
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-ues", "protocol-audit"])
+    @pytest.mark.parametrize("entry,message", [
+        ({"dpb_delta": "0.1"}, "dpb_delta must be a number, got '0.1'"),
+        ({"assoc_threshold": "0.9"},
+         "assoc_threshold must be a number, got '0.9'"),
+        ({"ref_loss_db": "140.7"}, "ref_loss_db must be a number, got '140.7'"),
+        ({"wrap_around": "false"}, "wrap_around must be a bool, got 'false'"),
+        ({"num_aps": True}, "num_aps must be an integer, got True")],
+        ids=["dpb_delta", "assoc_threshold", "ref_loss_db", "wrap_around",
+             "num_aps"])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command,
+                                           entry, message):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(entry))
+        code = main([command, "--desk-scale", "--config", str(cfg),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_sweep_values_exit_2(self, tmp_path, capsys):
+        code = main(["sweep-ues", "--desk-scale", "--values", "30,30",
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sweep values must be distinct, got [30, 30]\n")
+        assert not (tmp_path / "out").exists()
+
+    DPB_FILE = {"dpb_s": 2, "dpb_delta": 0.25, "tie_rule": "deterministic"}
+
+    def test_config_dpb_options_reach_every_sweep_cell(self, tmp_path,
+                                                        monkeypatch):
+        made = []
+        real_assign = harness.assign_all
+
+        def assign_all(scheme, *args, **kwargs):
+            made.append(scheme)
+            return real_assign(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "assign_all", assign_all)
+        cfg = tmp_path / "opts.json"
+        cfg.write_text(json.dumps(self.DPB_FILE))
+        code = main(["sweep-ues", "--desk-scale", "--config", str(cfg),
+                     "--values", "30,40", "--drops", "2", "--seed", "7",
+                     "--scheme", "eem,dpb", "--out", str(tmp_path / "out")])
+        assert code == 0
+        template = SchemeConfig("dpb", **self.DPB_FILE)
+        assert made == [s for si in range(2) for di in range(2)
+                        for s in cell_seeds(7, si, di, template,
+                                            ("eem", "dpb"))[1]]
+        assert sum(s.scheme_id == "dpb" for s in made) == 4
+        meta = json.loads(
+            (tmp_path / "out" / "sweep_ues_meta.json").read_text())
+        assert {k: meta[k] for k in self.DPB_FILE} == self.DPB_FILE
+
+    def test_config_dpb_options_reach_every_audited_drop(self, tmp_path,
+                                                          monkeypatch, capsys):
+        made = []
+        real_protocol, real_assign = cli.run_protocol, cli.assign_all
+
+        def run_protocol(real, assoc, scheme, *args, **kwargs):
+            made.append(scheme)
+            return real_protocol(real, assoc, scheme, *args, **kwargs)
+
+        def assign_all(scheme, *args, **kwargs):
+            made.append(scheme)
+            return real_assign(scheme, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", run_protocol)
+        monkeypatch.setattr(cli, "assign_all", assign_all)
+        cfg = tmp_path / "opts.json"
+        cfg.write_text(json.dumps(self.DPB_FILE))
+        code = main(["protocol-audit", "--desk-scale", "--config", str(cfg),
+                     "--drops", "3", "--seed", "7",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        template = SchemeConfig("dpb", **self.DPB_FILE)
+        # each drop runs the protocol, then the direct assignment
+        assert made == [s for di in range(3) for s in
+                        2 * cell_seeds(7, 0, di, template, ("dpb",))[1]]
 
     def test_unknown_scheme_exits_2(self, tmp_path, capsys):
         code = main(["sweep-ues", "--scheme", "psychic",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestPathLoss:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PathLossParams(d0_m=60.0, d1_m=50.0)
+
+    @pytest.mark.parametrize("name,value", [("ref_loss_db", "140.7"),
+                                            ("d1_m", "50"), ("exp_far", True)])
+    def test_params_reject_non_numbers(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, "
+                                             rf"got {re.escape(repr(value))}$"):
+            PathLossParams(**{name: value})
 
 
 class TestPowers:
@@ -140,9 +148,28 @@ class TestGenerateDrop:
             NetworkConfig(**{name: value})
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             NetworkConfig(**{name: value + 0.5})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            NetworkConfig(**{name: True})
         # numpy integers are integers
         cfg = NetworkConfig(**{name: np.int64(getattr(base, name))})
         assert getattr(cfg, name) == getattr(base, name)
+
+    @pytest.mark.parametrize("name,value", [
+        ("assoc_threshold", "0.9"), ("tx_power_mw", True),
+        ("noise_figure_db", None), ("shadow_sigma_db", [8.0])])
+    def test_rejects_non_numeric_values(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, "
+                                             rf"got {re.escape(repr(value))}$"):
+            NetworkConfig(**{name: value})
+        # numpy scalars and plain ints are numbers
+        assert NetworkConfig(**{name: np.float32(0.9)}) is not None
+        assert NetworkConfig(**{name: 1}) is not None
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_wrap_around_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match=r"^wrap_around must be a bool, "
+                                             rf"got {re.escape(repr(value))}$"):
+            NetworkConfig(wrap_around=value)
 
     def test_realization_validation(self):
         with pytest.raises(ValueError):
