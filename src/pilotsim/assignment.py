@@ -184,8 +184,9 @@ def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
             raise ValueError("order must be a permutation of all UEs")
     cache = None
     if scheme.scheme_id != "random":
-        cache = ContaminationCache(real.beta, powers, lp,
-                                   track_local=scheme.scheme_id == "dpb")
+        # a DPB AP hears only the UEs it serves
+        heard = real.beta * assoc.serves if scheme.scheme_id == "dpb" else real.beta
+        cache = ContaminationCache(heard, powers, lp)
     if scheme.scheme_id == "scalable":
         # master AP per UE: the first strongest, as np.argmax picks it
         master = np.argmax(real.beta, axis=0)
@@ -203,8 +204,8 @@ def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
             pilot = random_pa_step(t, lp, scheme.seed)
         else:
             # least-loaded pilot at the master AP, lowest index on ties
-            pilot = int(np.argmin(cache.global_sums[master[t]]))
+            pilot = int(np.argmin(cache.sums[master[t]]))
         pilot_of[t] = pilot
         if cache is not None:
-            cache.record(t, pilot, serving)
+            cache.record(t, pilot)
     return PilotAssignment(pilot_of, lp)

@@ -106,8 +106,13 @@ def _run_sweep(args) -> int:
     sweep, full, desk = _SWEEPS[args.command]
     if sweep == "none":
         values = (config.num_ues,)
-    elif args.values:
-        values = tuple(map(type(full[0]), args.values.split(",")))
+    elif args.values is not None:
+        cast = type(full[0])
+        try:
+            values = tuple(map(cast, args.values.split(",")))
+        except ValueError:
+            raise ValueError(f"--values takes comma-separated {cast.__name__}s, "
+                             f"got {args.values!r}") from None
     else:
         values = desk if args.desk_scale else full
     schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())

@@ -4,8 +4,10 @@ gamma_mt is the mean square of the MMSE channel estimate at AP m for UE t.
 Reusing a pilot inflates the estimator's interference denominator and drags
 gamma below its contamination-free ceiling. `local_error_profile` measures
 that loss at one AP for every pilot at once; `ContaminationCache` keeps the
-running sums it reads and gives it summed over a UE's serving APs (global
-form) or seen from a single AP through the UEs it serves (local form).
+one table of running sums it reads and gives it summed over a UE's serving
+APs (global form) or at a single AP (local form). Which UEs an AP hears is
+fixed by the LSFC matrix the cache is built from: the full one, or one
+masked to the links each AP serves.
 
 All arithmetic stays in linear scale and double precision: the errors are
 differences of near-equal ratios and would not survive dB-domain round trips.
@@ -103,43 +105,38 @@ class ContaminationCache:
 
     Holding the sums incrementally is what keeps a sequential step at
     O(|M_t| Lp): evaluating a pilot costs one cached read per serving AP
-    instead of a fresh pass over all co-pilot UEs. `global_sums[m, i]` sums
-    w_k b_mk over the UEs on pilot i, so it carries the factor Lp of
-    w = p_pilot Lp; `scalable` reads its master AP's row, whose argmin that
-    factor leaves unchanged. `local_sums` (with `track_local`) keeps the sums
-    over the UEs each AP serves. `record` must be called once per assignment,
-    in arrival order; sums then accumulate in the same order as the
-    message-passing agents see notifications, which keeps the two DPB code
-    paths bitwise identical.
+    instead of a fresh pass over all co-pilot UEs. `sums[m, i]` totals
+    w_k b_mk over the UEs on pilot i that AP m hears, so it carries the
+    factor Lp of w = p_pilot Lp; `scalable` reads its master AP's row, whose
+    argmin that factor leaves unchanged. AP m hears the UEs with nonzero
+    `beta[m]`: for `dpb` the cache is built from `beta * serves`, so row m
+    is AP m's local sum over the UEs it serves, every other UE adding an
+    exact 0.0. `record` must be called once per assignment, in arrival
+    order; sums then accumulate in the same order as the message-passing
+    agents see notifications, which keeps the two DPB code paths bitwise
+    identical.
     """
 
-    def __init__(self, beta, powers, lp: int, track_local: bool = False):
+    def __init__(self, beta, powers, lp: int):
         self.beta = np.asarray(beta, dtype=float)
         self.w = powers.p_pilot * lp
         self.num_pilots = int(lp)
-        num_aps = self.beta.shape[0]
         # row t is w_t b_mt over all APs: one contiguous read per record
         self.contrib = np.ascontiguousarray((self.beta * self.w).T)
-        self.global_sums = np.zeros((num_aps, lp))
-        self.local_sums = np.zeros((num_aps, lp)) if track_local else None
+        self.sums = np.zeros((self.beta.shape[0], lp))
 
-    def record(self, t: int, pilot: int, serving):
-        """Add UE t on `pilot`; local sums change at its `serving` APs."""
-        contrib = self.contrib[t]
-        self.global_sums[:, pilot] += contrib
-        if self.local_sums is not None:
-            self.local_sums[serving, pilot] += contrib[serving]
+    def record(self, t: int, pilot: int):
+        """Add UE t on `pilot` at every AP."""
+        self.sums[:, pilot] += self.contrib[t]
 
     def global_error_profile(self, t: int, serving) -> np.ndarray:
         """Serving-set aggregate error for every pilot at once, length Lp."""
         own = self.beta[serving, t][:, None]
         return local_error_profile(self.w[t] * own, own,
-                                   self.global_sums[serving]).sum(axis=0)
+                                   self.sums[serving]).sum(axis=0)
 
     def local_errors(self, m, t: int) -> np.ndarray:
         """Local error profile at AP m, one entry per pilot; an index array
         of APs gives one row per AP."""
-        if self.local_sums is None:
-            raise ValueError("cache was built without serving-set tracking")
         own = self.beta[m, t][..., None]
-        return local_error_profile(self.w[t] * own, own, self.local_sums[m])
+        return local_error_profile(self.w[t] * own, own, self.sums[m])

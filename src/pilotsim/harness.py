@@ -100,9 +100,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown schemes {unknown}")
         if not self.schemes or not self.sweep_values:
             raise ValueError("need at least one scheme and one sweep value")
-        if len(set(self.sweep_values)) != len(self.sweep_values):
-            raise ValueError(f"sweep values must be distinct, got "
-                             f"{list(self.sweep_values)}")
+        for name in ("schemes", "sweep_values"):
+            items = list(getattr(self, name))
+            if len(set(items)) != len(items):
+                raise ValueError(f"{name.replace('_', ' ')} must be distinct, "
+                                 f"got {items}")
         for v in self.sweep_values:
             self.config_for(v)  # NetworkConfig validates each swept value
 

@@ -180,15 +180,15 @@ class PowerProfile:
 class AssociationMap:
     """Serving structure between APs and UEs.
 
-    `serving_aps[t]` lists the APs serving UE t in descending LSFC order;
-    `served_ues[m]` is the (ascending) set of UEs served by AP m; the two are
-    transposes of each other through the boolean `serves` matrix. The strong
-    fields are None until :func:`group_strong_ues` has run; AP m's strong
-    set is `np.flatnonzero(strong_flag[m])`.
+    The boolean `serves[m, t]` is the one record of which AP serves (and
+    hears) which UE; AP m's served UEs are `np.flatnonzero(serves[m])`.
+    `serving_aps[t]` lists the APs serving UE t in descending LSFC order,
+    the priority order `serves` cannot hold. The strong fields are None
+    until :func:`group_strong_ues` has run; AP m's strong set is
+    `np.flatnonzero(strong_flag[m])`.
     """
 
     serving_aps: tuple
-    served_ues: tuple
     serves: np.ndarray
     strong_flag: np.ndarray | None = None
     strong_pilot_count: np.ndarray | None = None
@@ -301,16 +301,10 @@ def associate_aps(real: NetworkRealization, assoc_threshold: float) -> Associati
     serves = np.zeros((num_aps, num_ues), dtype=bool)
     np.put_along_axis(serves, order, chosen, axis=0)
     # transposed, each UE's chosen prefix is one contiguous run
-    aps, ues = np.nonzero(serves)
-    degree = np.bincount(aps, minlength=num_aps)
-    return AssociationMap(_runs(_readonly(order.T[chosen.T]), size),
-                          _runs(_readonly(ues), degree), serves)
-
-
-def _runs(flat: np.ndarray, lengths: np.ndarray) -> tuple:
-    """Consecutive slices of `flat` with the given lengths."""
-    ends = np.cumsum(lengths).tolist()
-    return tuple(flat[a:b] for a, b in zip([0, *ends[:-1]], ends))
+    ends = np.cumsum(size).tolist()
+    flat = _readonly(order.T[chosen.T])
+    return AssociationMap(
+        tuple(flat[a:b] for a, b in zip([0, *ends[:-1]], ends)), serves)
 
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,

@@ -106,9 +106,8 @@ class AccessPointAgent:
     notifications, in arrival order.
     """
 
-    def __init__(self, ap_id: int, served_beta: dict, served_weight: dict,
+    def __init__(self, served_beta: dict, served_weight: dict,
                  num_pilots: int, delta: float):
-        self.ap_id = int(ap_id)
         self._beta = dict(served_beta)
         self._weight = dict(served_weight)
         self.pilot_sums = np.zeros(num_pilots)
@@ -149,10 +148,10 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
     w = powers.p_pilot * lp
     agents = []
     for m in range(real.num_aps):
-        served = assoc.served_ues[m]
+        served = np.flatnonzero(assoc.serves[m])
         ues = served.tolist()
         agents.append(AccessPointAgent(
-            m, dict(zip(ues, real.beta[m, served].tolist())),
+            dict(zip(ues, real.beta[m, served].tolist())),
             dict(zip(ues, w[served].tolist())), lp, scheme.dpb_delta))
     log = TraceLog()
     pilot_of = np.full(num_ues, -1, dtype=int)

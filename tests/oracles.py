@@ -320,8 +320,7 @@ def micro_instance(rng):
     for t in range(num_ues):
         aps = np.flatnonzero(serves[:, t])
         serving.append(aps[np.argsort(-beta[aps, t], kind="stable")])
-    served = tuple(np.flatnonzero(serves[m]) for m in range(num_aps))
-    assoc = AssociationMap(tuple(serving), served, serves)
+    assoc = AssociationMap(tuple(serving), serves)
     grouped = group_strong_ues(real, assoc, float(rng.uniform(0.3, 1.0)),
                                assignment, antennas)
     return {"real": real, "powers": powers, "assignment": assignment,

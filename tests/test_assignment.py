@@ -82,7 +82,7 @@ class TestEemStep:
     def test_avoids_contaminated_pilot(self):
         beta = np.array([[1.0, 1.0]])
         cache = ContaminationCache(beta, unit_powers(2), 2)
-        cache.record(0, 0, [0])
+        cache.record(0, 0)
         assert eem_step(1, cache, [0], arrival_rank=2) == 1
 
     def test_full_trajectory_matches_naive_scan(self, desk_drop):
@@ -134,9 +134,9 @@ class TestCandidateSets:
         ]
         for delta in (0.0, 0.1, 0.5, 100.0):
             assert local_offer(3, 0, delta, beta, powers, lp, local) == [2]
-        cache = ContaminationCache(beta, powers, lp, track_local=True)
+        cache = ContaminationCache(beta, powers, lp)
         for t, p in enumerate([0, 1, 0]):
-            cache.record(t, p, [0])
+            cache.record(t, p)
         np.testing.assert_allclose(cache.local_errors(0, 3), errors, rtol=1e-13)
 
     def test_delta_widens_set(self):
@@ -150,9 +150,9 @@ class TestCandidateSets:
             0.042004138338752606,
             0.1301707779886148,
         ])
-        cache = ContaminationCache(beta, powers, lp, track_local=True)
+        cache = ContaminationCache(beta, powers, lp)
         for t, p in enumerate([0, 1, 2, 2]):
-            cache.record(t, p, [0])
+            cache.record(t, p)
         np.testing.assert_allclose(cache.local_errors(0, 4), errors, rtol=1e-13)
         for delta, want in ((0.0, [1]), (0.1, [1, 0]), (5.0, [1, 0, 2])):
             assert local_offer(4, 0, delta, beta, powers, lp, local) == want
@@ -257,8 +257,8 @@ def cache_choice(t, beta, powers, lp, prior):
     cache = ContaminationCache(beta, powers, lp)
     for k, pilot in enumerate(prior):
         if pilot >= 0 and k != t:
-            cache.record(k, pilot, [])
-    return int(np.argmin(cache.global_sums[np.argmax(beta[:, t])]))
+            cache.record(k, pilot)
+    return int(np.argmin(cache.sums[np.argmax(beta[:, t])]))
 
 
 def oracle_scalable_run(beta, powers, lp, order):

@@ -21,7 +21,7 @@ def cached_global_error(t, pilot, beta, powers, lp, assignment, serving):
     cache = ContaminationCache(beta, powers, lp)
     for k, i in enumerate(assignment.pilot_of.tolist()):
         if i >= 0 and k != t:
-            cache.record(k, i, [])
+            cache.record(k, i)
     return float(cache.global_error_profile(t, np.asarray(serving, dtype=int))[pilot])
 
 
@@ -35,10 +35,10 @@ def error_scale(t, serving, beta, powers, lp):
 
 def cached_local_error(t, m, beta, powers, lp, copilots):
     """Error of UE t at AP m with the given UEs as its local co-pilots."""
-    cache = ContaminationCache(beta, powers, lp, track_local=True)
+    cache = ContaminationCache(beta, powers, lp)
     for k in copilots:
         if k != t:
-            cache.record(int(k), 0, [m])
+            cache.record(int(k), 0)
     return float(cache.local_errors(m, t)[0])
 
 
@@ -281,7 +281,7 @@ class TestContaminationCache:
             lp = pa.num_pilots
             cache = ContaminationCache(beta, powers, lp)
             for k in range(pa.num_ues - 1):
-                cache.record(k, int(pa.pilot_of[k]), [])
+                cache.record(k, int(pa.pilot_of[k]))
             serving = [0, 2, 3]
             profile = cache.global_error_profile(pa.num_ues - 1, serving)
             direct = [oracle_error_global(pa.num_ues - 1, i, beta,
@@ -295,11 +295,14 @@ class TestContaminationCache:
     def test_local_profile_matches_free_function(self, rng):
         beta, powers, pa = self._random_state(rng)
         lp = pa.num_pilots
-        serves = rng.random(beta.shape) < 0.6
-        cache = ContaminationCache(beta, powers, lp, track_local=True)
-        for k in range(pa.num_ues - 1):
-            cache.record(k, int(pa.pilot_of[k]), np.flatnonzero(serves[:, k]))
         t = pa.num_ues - 1
+        # a DPB table: each AP hears the UEs it serves; every AP probed
+        # here serves t, as a probed AP always does
+        serves = rng.random(beta.shape) < 0.6
+        serves[:, t] = True
+        cache = ContaminationCache(beta * serves, powers, lp)
+        for k in range(t):
+            cache.record(k, int(pa.pilot_of[k]))
         for m in range(beta.shape[0]):
             got = cache.local_errors(m, t)
             for i in range(lp):
@@ -312,24 +315,17 @@ class TestContaminationCache:
     def test_multi_ap_rows_equal_per_ap_profiles(self, rng):
         for _ in range(20):
             beta, powers, pa = self._random_state(rng)
-            serves = rng.random(beta.shape) < 0.6
-            cache = ContaminationCache(beta, powers, pa.num_pilots,
-                                       track_local=True)
-            for k in range(pa.num_ues - 1):
-                cache.record(k, int(pa.pilot_of[k]),
-                             np.flatnonzero(serves[:, k]))
-            aps = rng.permutation(beta.shape[0])[:int(rng.integers(1, 4))]
             t = pa.num_ues - 1
+            serves = rng.random(beta.shape) < 0.6
+            serves[:, t] = True
+            cache = ContaminationCache(beta * serves, powers, pa.num_pilots)
+            for k in range(t):
+                cache.record(k, int(pa.pilot_of[k]))
+            aps = rng.permutation(beta.shape[0])[:int(rng.integers(1, 4))]
             rows = cache.local_errors(aps, t)
             assert rows.shape == (aps.size, pa.num_pilots)
             for row, m in zip(rows, aps):
                 assert np.array_equal(row, cache.local_errors(int(m), t))
-
-    def test_local_needs_serving_sets(self, rng):
-        beta, powers, pa = self._random_state(rng)
-        cache = ContaminationCache(beta, powers, pa.num_pilots)
-        with pytest.raises(ValueError):
-            cache.local_errors(0, 0)
 
     def test_profile_shared_helper_consistency(self):
         # the scalar helper and the cached profile agree entry by entry

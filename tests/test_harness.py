@@ -91,6 +91,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="^sweep values must be distinct"):
             tiny_spec(tmp_path, sweep_values=values)
 
+    @pytest.mark.parametrize("schemes", [("eem", "eem"),
+                                         ("dpb", "random", "dpb")])
+    def test_rejects_repeated_schemes(self, tmp_path, schemes):
+        with pytest.raises(ValueError, match=(
+                rf"^schemes must be distinct, got \{list(schemes)}$")):
+            tiny_spec(tmp_path, schemes=schemes)
+
     def test_swept_values_are_validated_eagerly(self, tmp_path):
         # pilot length 9 would exceed the 8 antennas: must fail at spec time
         with pytest.raises(ValueError):
@@ -507,6 +514,32 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: sweep values must be distinct, got [30, 30]\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,values,cast", [
+        ("sweep-ues", "", "ints"), ("sweep-ues", " ", "ints"),
+        ("sweep-ues", "30,", "ints"), ("sweep-ues", "30,,40", "ints"),
+        ("sweep-assoc", "", "floats"), ("sweep-assoc", "0.9,", "floats")])
+    def test_empty_values_entry_exits_2(self, tmp_path, capsys, command,
+                                        values, cast):
+        code = main([command, "--desk-scale", "--values", values,
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --values takes comma-separated "
+                                f"{cast}, got {values!r}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-ues", "cdf"])
+    def test_repeated_schemes_exit_2(self, tmp_path, capsys, command):
+        code = main([command, "--desk-scale", "--scheme", "eem,dpb,eem",
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: schemes must be distinct, got ['eem', 'dpb', 'eem']\n")
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     DPB_FILE = {"dpb_s": 2, "dpb_delta": 0.25, "tie_rule": "deterministic"}

@@ -227,10 +227,7 @@ class TestAssociation:
             assert not assoc.serving_aps[k].flags.writeable
             serves[want, k] = True
         assert np.array_equal(assoc.serves, serves)
-        assert len(assoc.served_ues) == m
-        for a, ues in enumerate(assoc.served_ues):
-            assert ues.tolist() == np.flatnonzero(serves[a]).tolist()
-            assert not ues.flags.writeable
+        assert not assoc.serves.flags.writeable
 
     def test_threshold_monotonicity(self, rng):
         for _ in range(50):
@@ -256,8 +253,6 @@ class TestAssociation:
         for t, aps in enumerate(assoc.serving_aps):
             rebuilt[aps, t] = True
         assert np.array_equal(rebuilt, assoc.serves)
-        for m, ues in enumerate(assoc.served_ues):
-            assert np.array_equal(np.flatnonzero(assoc.serves[m]), ues)
 
 
 class TestStrongGrouping:
@@ -302,7 +297,7 @@ class TestStrongGrouping:
             strong = np.flatnonzero(grouped.strong_flag[m])
             assert ls <= min(len(strong), cfg.pilot_length)
             assert ls < cfg.antennas_per_ap
-            assert set(strong) <= set(grouped.served_ues[m])
+            assert set(strong) <= set(np.flatnonzero(grouped.serves[m]))
 
     def test_rejects_unassigned(self):
         real, assoc, _ = self._instance([0.4, 0.3], [0, 1], 1.0)
@@ -327,12 +322,12 @@ class TestStrongGrouping:
         antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else lp + 1
         real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
         assoc = AssociationMap(
-            tuple(np.flatnonzero(serves[:, k]) for k in range(t)),
-            tuple(np.flatnonzero(serves[i]) for i in range(m)), serves)
+            tuple(np.flatnonzero(serves[:, k]) for k in range(t)), serves)
         asg = PilotAssignment(pilots, lp)
         try:
-            want = oracle_strong_groups(beta, assoc.served_ues, asg.pilot_of,
-                                        threshold, antennas)
+            want = oracle_strong_groups(
+                beta, [np.flatnonzero(serves[i]) for i in range(m)],
+                asg.pilot_of, threshold, antennas)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 group_strong_ues(real, assoc, threshold, asg, antennas)

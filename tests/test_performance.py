@@ -30,8 +30,7 @@ def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
                               np.array([[beta_val]]), 0)
     powers = PowerProfile(np.array([p_pilot]), np.array([p_uplink]))
     pa = PilotAssignment(np.array([0]), lp)
-    assoc = AssociationMap((np.array([0]),), (np.array([0]),),
-                           np.array([[True]]))
+    assoc = AssociationMap((np.array([0]),), np.array([[True]]))
     grouped = group_strong_ues(real, assoc, 1.0, pa, antennas)
     gamma = compute_gamma(real.beta, powers, lp, pa)
     return real, powers, pa, grouped, gamma, antennas
@@ -173,8 +172,8 @@ class TestLsfdWeights:
                 break
         real, powers, grouped, ants = (inst["real"], inst["powers"],
                                        inst["assoc"], inst["antennas"])
-        grouped = group_strong_ues(real, AssociationMap(
-            grouped.serving_aps, grouped.served_ues, grouped.serves),
+        grouped = group_strong_ues(
+            real, AssociationMap(grouped.serving_aps, grouped.serves),
             0.95, pa, ants)
         gamma = compute_gamma(real.beta, powers, inst["lp"], pa)
         for t in range(real.num_ues):
@@ -260,7 +259,7 @@ class TestEvaluate:
         real = NetworkRealization(np.zeros((1, 2)), np.zeros((3, 2)),
                                   np.array([[1.0, 1.0, 0.5]]), 0)
         powers = PowerProfile(np.full(3, 1.0 / 3.0), np.ones(3))
-        assoc = AssociationMap((np.array([0]),) * 3, (np.arange(3),),
+        assoc = AssociationMap((np.array([0]),) * 3,
                                np.ones((1, 3), dtype=bool))
         pa = PilotAssignment(np.array([0, 1, 2]), 3)
         report = evaluate(real, assoc, pa, powers, cfg)
@@ -296,7 +295,6 @@ def degenerate_drop():
     real = NetworkRealization(np.zeros((2, 2)), np.zeros((2, 2)), beta, 0)
     powers = PowerProfile(np.full(2, 1e12), np.full(2, 1e300))
     assoc = AssociationMap((np.array([0]), np.array([1])),
-                           (np.array([0]), np.array([1])),
                            np.eye(2, dtype=bool))
     return cfg, real, powers, assoc
 
@@ -418,8 +416,7 @@ class TestContaminationMonotonicity:
                               np.zeros((cfg.num_aps, 1), dtype=bool)])
         assoc_ext = AssociationMap(
             grouped.serving_aps + (np.array([], dtype=int),),
-            grouped.served_ues, serves_ext, flag_ext,
-            grouped.strong_pilot_count)
+            serves_ext, flag_ext, grouped.strong_pilot_count)
         gamma1 = compute_gamma(beta_ext, powers_ext, cfg.pilot_length,
                                pa_ext)
         worse = sinr_pfzf(t, w0, beta_ext, gamma1, powers_ext, assoc_ext,

@@ -23,9 +23,9 @@ from pilotsim import (
     priority_select,
     run_protocol,
 )
-from pilotsim.assignment import TIE_RULES
+from pilotsim.assignment import TIE_RULES, best_first
 from pilotsim.cli import main
-from pilotsim.estimation import local_error_profile
+from pilotsim.estimation import ContaminationCache, local_error_profile
 from pilotsim.harness import SCHEME_CODE
 from pilotsim.protocol import (KIND_NOTIFY, KIND_OFFER, KIND_PROBE,
                                AccessPointAgent, TraceLog)
@@ -40,8 +40,7 @@ def all_serve_instance(num_aps=5, num_ues=10, lp=4, seed=0):
                               r.uniform(0, 1000, (num_ues, 2)), beta, seed)
     serving = tuple(np.argsort(-beta[:, t], kind="stable")
                     for t in range(num_ues))
-    served = tuple(np.arange(num_ues) for _ in range(num_aps))
-    assoc = AssociationMap(serving, served, np.ones((num_aps, num_ues), bool))
+    assoc = AssociationMap(serving, np.ones((num_aps, num_ues), bool))
     powers = PowerProfile(10.0 ** r.uniform(0, 2, num_ues), np.ones(num_ues))
     return real, assoc, powers, lp
 
@@ -137,15 +136,44 @@ class TestAgents:
     def test_offer_is_best_first(self):
         # contamination sums 0.30 / 0.29 / 1.40 at one AP for a unit UE:
         # candidate set under delta=0.1 is {0, 1}, offered as [1, 0]
-        agent = AccessPointAgent(0, {4: 0.7}, {4: 1.0}, 3, 0.1)
+        agent = AccessPointAgent({4: 0.7}, {4: 1.0}, 3, 0.1)
         agent.pilot_sums[:] = [0.30, 0.29, 1.40]
         assert agent.candidate_offer(4) == [1, 0]
 
     def test_learning_moves_offers(self):
-        agent = AccessPointAgent(0, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, 2, 0.0)
+        agent = AccessPointAgent({0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, 2, 0.0)
         assert agent.candidate_offer(1) == [0, 1]
         agent.learn_assignment(0, 0)
         assert agent.candidate_offer(1) == [1]
+
+    @pytest.mark.parametrize("seed,over", [
+        (3, {}), (11, dict(pilot_length=3)), (19, dict(wrap_around=True))])
+    def test_agent_sums_are_the_cache_rows(self, desk_drop, seed, over):
+        # a DPB cache hears what each AP serves, so row m is AP m's agent
+        cfg, real, powers, assoc = desk_drop(seed=seed, **over)
+        lp = cfg.pilot_length
+        w = powers.p_pilot * lp
+        cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
+        agents = []
+        for m in range(cfg.num_aps):
+            ues = np.flatnonzero(assoc.serves[m]).tolist()
+            agents.append(AccessPointAgent(
+                {k: real.beta[m, k] for k in ues}, {k: w[k] for k in ues},
+                lp, 0.1))
+        r = np.random.default_rng(seed)
+        for t in r.permutation(cfg.num_ues).tolist():
+            for m in assoc.serving_aps[t].tolist():
+                own = real.beta[m, t]
+                profile = local_error_profile(w[t] * own, own,
+                                              agents[m].pilot_sums)
+                assert np.array_equal(cache.local_errors(m, t), profile)
+                assert agents[m].candidate_offer(t) == best_first(profile, 0.1)
+            pilot = int(r.integers(lp))
+            cache.record(t, pilot)
+            for m in assoc.serving_aps[t].tolist():
+                agents[m].learn_assignment(t, pilot)
+            for m, agent in enumerate(agents):
+                assert np.array_equal(cache.sums[m], agent.pilot_sums)
 
     def test_user_agent_matches_direct_selection(self):
         # the UE's choice from its offers, against the reference selection
@@ -311,7 +339,7 @@ class TestOracleLog:
         if delta is None:
             delta = float(r.uniform(0.0, 2.0))
         own, weight = 10.0 ** r.uniform(-9, -6), 10.0 ** r.uniform(0, 3)
-        agent = AccessPointAgent(0, {3: own}, {3: weight}, lp, delta)
+        agent = AccessPointAgent({3: own}, {3: weight}, lp, delta)
         # a few distinct sums, zero among them, so pilots tie often
         agent.pilot_sums[:] = r.choice(
             np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)), size=lp)
