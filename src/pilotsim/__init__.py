@@ -10,7 +10,7 @@ from .network import (AssociationMap, NetworkConfig, NetworkRealization,
                       PathLossParams, PowerProfile, associate_aps,
                       compute_lsfc, generate_drop, group_strong_ues,
                       noise_power_dbm, normalize_powers)
-from .performance import SeReport, evaluate, prelog, se_uplink, sinr_pfzf
+from .performance import SeReport, evaluate, prelog, se_uplink
 from .protocol import BudgetViolation, audit_overhead, run_protocol
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import SchemeConfig, assign_all
-from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, cell_seeds,
-                      emit_cdf, run_experiment)
+from .assignment import SCHEME_IDS, SchemeConfig, assign_all
+from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, _write_atomic,
+                      cell_seeds, emit_cdf, run_experiment)
 from .network import (NetworkConfig, PathLossParams, associate_aps,
                       generate_drop, normalize_powers)
 from .protocol import BudgetViolation, audit_overhead, run_protocol
@@ -47,7 +47,7 @@ def load_config_file(path) -> tuple:
 def _add_common(sub, runs_schemes: bool):
     sub.add_argument("--config", help="flat JSON config file")
     if runs_schemes:
-        sub.add_argument("--scheme", default="eem,dpb,random,scalable",
+        sub.add_argument("--scheme", default=",".join(SCHEME_IDS),
                          help="comma-separated scheme ids (default: all)")
     sub.add_argument("--drops", type=int, default=None,
                      help="Monte-Carlo drops (default 200, desk 50; "
@@ -115,7 +115,10 @@ def _run_sweep(args) -> int:
                              f"got {args.values!r}") from None
     else:
         values = desk if args.desk_scale else full
-    schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
+    schemes = tuple(s.strip() for s in args.scheme.split(","))
+    if not all(schemes):
+        raise ValueError(f"--scheme takes comma-separated scheme ids, "
+                         f"got {args.scheme!r}")
     spec = ExperimentSpec(config=config, sweep=sweep, sweep_values=values,
                           schemes=schemes, num_drops=drops,
                           master_seed=args.seed, output_dir=args.out,
@@ -165,8 +168,7 @@ def _run_protocol_audit(args) -> int:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             trace = out_dir / "protocol_trace.txt"
-            trace.write_text("\n".join(log.export_lines()) + "\n",
-                             encoding="utf-8")
+            _write_atomic(trace, "\n".join(log.export_lines()) + "\n")
             print(f"trace: {trace}")
     print(f"drops audited: {drops}")
     print(f"total messages: {totals['messages']}")

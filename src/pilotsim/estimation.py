@@ -53,14 +53,6 @@ class PilotAssignment:
     def is_complete(self) -> bool:
         return bool(np.all(self.pilot_of >= 0))
 
-    def copilot_set(self, pilot: int) -> np.ndarray:
-        """UEs currently holding `pilot`, ascending index."""
-        return np.flatnonzero(self.pilot_of == pilot)
-
-    @property
-    def copilot_sets(self) -> tuple:
-        return tuple(self.copilot_set(i) for i in range(self.num_pilots))
-
 
 def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndarray:
     """Quality factor gamma_mt under a complete pilot assignment.
@@ -73,11 +65,10 @@ def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndar
         raise ValueError("gamma requires a complete assignment")
     beta = np.asarray(beta, dtype=float)
     weighted = (powers.p_pilot * lp) * beta
-    denom_by_pilot = np.zeros((beta.shape[0], assignment.num_pilots))
-    for i, members in enumerate(assignment.copilot_sets):
-        if members.size:
-            denom_by_pilot[:, i] = weighted[:, members].sum(axis=1)
-    gamma = weighted * beta / (denom_by_pilot[:, assignment.pilot_of] + 1.0)
+    pilot_of = assignment.pilot_of
+    # sum_{k on pilot i} w_k b_mk for every (m, i), through a one-hot matrix
+    denom_by_pilot = weighted @ np.eye(assignment.num_pilots)[pilot_of]
+    gamma = weighted * beta / (denom_by_pilot[:, pilot_of] + 1.0)
     if np.any(gamma > beta):
         raise AssertionError("gamma exceeded beta; inputs are inconsistent")
     if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0):

@@ -40,7 +40,7 @@ __all__ = [
     "emit_cdf",
 ]
 
-SCHEME_CODE = {"eem": 0, "dpb": 1, "random": 2, "scalable": 3}
+SCHEME_CODE = {s: i for i, s in enumerate(SCHEME_IDS)}
 
 SWEEP_FIELDS = {
     "ue_count": "num_ues",

@@ -29,7 +29,6 @@ from .network import group_strong_ues
 __all__ = [
     "SeReport",
     "prelog",
-    "sinr_pfzf",
     "se_uplink",
     "evaluate",
 ]
@@ -52,10 +51,10 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
     return (1.0 - pilot_length / coherence_block) / 2.0
 
 
-def _lsfd_groups(beta, powers, schemes, antennas: int, ues):
+def _lsfd_groups(beta, powers, schemes, antennas: int):
     """Yield the LSFD systems (ues, Q, b) of one drop per serving-set size n,
-    ascending: the given UEs with |M_t| = n in ascending order, Q as
-    (S, N, n, n) and b as (S, N, n) for S pilot assignments.
+    ascending: all UEs with |M_t| = n in ascending order, Q as (S, N, n, n)
+    and b as (S, N, n) for S pilot assignments.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
@@ -63,8 +62,8 @@ def _lsfd_groups(beta, powers, schemes, antennas: int, ues):
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
     `schemes` holds one (gamma, grouped association, assignment) triple per
-    assignment; all share the drop's serving sets. The serving links of the
-    given UEs are laid out once, ordered by |M_t| and then by UE, and every
+    assignment; all share the drop's serving sets. The serving links of all
+    UEs are laid out once, ordered by |M_t| and then by UE, and every
     per-link scalar of all S assignments is computed as (S, L) rows. Each
     serving-set size is then one contiguous run of links that reshapes to
     (S, N, n); only its co-pilot gather and Q = C C^T are formed per group,
@@ -101,12 +100,11 @@ def _lsfd_groups(beta, powers, schemes, antennas: int, ues):
     table[flat, slot] = np.tile(np.arange(num_ues), num_schemes)
     slot = slot.reshape(key.shape)
 
-    ues = np.asarray(ues, dtype=int)
-    sets = [grouped[0].serving_aps[t] for t in ues.tolist()]
+    sets = grouped[0].serving_aps
     sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
-    order = np.argsort(sizes, kind="stable")
-    ues, sizes = ues[order], sizes[order]
-    serving = np.concatenate([sets[i] for i in order.tolist()])
+    ues = np.argsort(sizes, kind="stable")
+    sizes = sizes[ues]
+    serving = np.concatenate([sets[t] for t in ues.tolist()])
     link_ue = np.repeat(ues, sizes)
     delta = np.stack([flag[serving, link_ue] for flag in flags])
     # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
@@ -137,28 +135,6 @@ def _lsfd_groups(beta, powers, schemes, antennas: int, ues):
         q.reshape(-1, n * n)[:, ::n + 1] += diag[:, links].reshape(-1, n)
         # contiguous, so that sums over each b_t run as for one assignment
         yield ues[lo:hi], q, np.ascontiguousarray(b[:, links].reshape(shape))
-
-
-def sinr_pfzf(t: int, weights, beta, gamma, powers, assoc,
-              assignment: PilotAssignment, antennas: int):
-    """Closed-form PFZF SINR for UE t, p_t (a.b)^2 / a.Q a, per weight vector.
-
-    `weights` aligns with assoc.serving_aps[t]; APs outside the serving set
-    carry zero weight by definition and are omitted from every sum. A vector
-    gives a float; a (K, |M_t|) matrix of K weight vectors gives K SINRs
-    from one build of Q.
-    """
-    a = np.asarray(weights, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != assoc.serving_aps[t].size:
-        raise ValueError("weight vector must align with the serving set")
-    if not np.all(np.any(a, axis=-1)):
-        raise ValueError("all-zero weight vector")
-    (_, q, b), = _lsfd_groups(beta, powers, [(gamma, assoc, assignment)],
-                              antennas, [t])
-    probes = np.atleast_2d(a)
-    sinr = (powers.p_uplink[t] * (probes @ b[0, 0]) ** 2
-            / np.sum((probes @ q[0, 0]) * probes, axis=1))
-    return float(sinr[0]) if a.ndim == 1 else sinr
 
 
 def se_uplink(sinr, coherence_block: int, pilot_length: int):
@@ -192,8 +168,7 @@ def evaluate(real, assoc, assignments, powers, config):
         schemes.append((gamma, grouped, pa))
     score = np.empty((len(schemes), real.num_ues))
     for ues, q, b in _lsfd_groups(real.beta, powers, schemes,
-                                  config.antennas_per_ap,
-                                  np.arange(real.num_ues)):
+                                  config.antennas_per_ap):
         score[:, ues] = np.sum(
             b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
     reports = []

@@ -17,8 +17,6 @@ direct implementation, so the negotiated assignment is bit-identical to it.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .assignment import SchemeConfig, best_first, priority_select
@@ -55,17 +53,16 @@ _AP_TO_AP = frozenset(code for code, kind in enumerate(_KINDS)
 
 
 class TraceLog:
-    """Ordered message log: one integer row per message, kind counters.
+    """Ordered message log: one integer row per message.
 
     A row is (arrival_index, kind code, ue, ap, payload_size), payload
     counting the pilot indices carried. It names one UE and one AP and its
     kind fixes the direction, so the log cannot hold an AP-to-AP or
-    UE-to-UE message. `by_kind` is kept as messages arrive.
+    UE-to-UE message.
     """
 
     def __init__(self):
         self.rows = []
-        self.by_kind = Counter()
 
     def record_arrival(self, arrival_index: int, ue: int, probed: list,
                        offers: list, serving: list):
@@ -76,12 +73,6 @@ class TraceLog:
             rows.append((arrival_index, _PROBE, ue, ap, 0))
             rows.append((arrival_index, _OFFER, ue, ap, len(offer)))
         rows.extend([(arrival_index, _NOTIFY, ue, ap, 1) for ap in serving])
-        self.by_kind[KIND_PROBE] += len(probed)
-        self.by_kind[KIND_OFFER] += len(offers)
-        self.by_kind[KIND_NOTIFY] += len(serving)
-
-    def verify_counters(self) -> bool:
-        return Counter(_KINDS[row[1]] for row in self.rows) == self.by_kind
 
     def ap_to_ap_count(self) -> int:
         return sum(1 for row in self.rows if row[1] in _AP_TO_AP)

@@ -1,0 +1,29 @@
+"""SINR of UE t under arbitrary LSFD weights, from the package's own Q and b.
+
+`evaluate` scores only the optimal weights, so the tests that compare other
+weight vectors (the oracle's, equal ones, random probes) read UE t's system
+out of `performance._lsfd_groups` and evaluate the Rayleigh quotient here.
+"""
+
+import numpy as np
+
+from pilotsim import performance
+
+
+def sinr_pfzf(t, weights, beta, gamma, powers, assoc, assignment, antennas):
+    """Closed-form PFZF SINR for UE t, p_t (a.b)^2 / a.Q a, per weight vector.
+
+    `weights` aligns with assoc.serving_aps[t]. A vector gives a float; a
+    (K, |M_t|) matrix of K weight vectors gives K SINRs from one build of Q.
+    """
+    for ues, q, b in performance._lsfd_groups(
+            beta, powers, [(gamma, assoc, assignment)], antennas):
+        hit = np.flatnonzero(ues == t)
+        if hit.size:
+            q, b = q[0, hit[0]], b[0, hit[0]]
+            break
+    a = np.asarray(weights, dtype=float)
+    probes = np.atleast_2d(a)
+    sinr = (powers.p_uplink[t] * (probes @ b) ** 2
+            / np.sum((probes @ q) * probes, axis=1))
+    return float(sinr[0]) if a.ndim == 1 else sinr

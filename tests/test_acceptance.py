@@ -25,11 +25,11 @@ from pilotsim import (
     prelog,
     run_experiment,
     run_protocol,
-    sinr_pfzf,
 )
 from oracles import (micro_instance, oracle_eem_choice, oracle_error_global,
                      oracle_error_local, oracle_gamma_bound, oracle_lsfd,
                      oracle_sinr, random_unit_vector)
+from probes import sinr_pfzf
 
 DESK = dict(num_aps=30, num_ues=50, antennas_per_ap=8, pilot_length=7)
 

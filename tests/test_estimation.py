@@ -47,10 +47,6 @@ class TestPilotAssignment:
         pa = PilotAssignment(np.array([0, 1, 0, -1]), 2)
         assert pa.num_ues == 4
         assert not pa.is_complete
-        assert list(pa.copilot_set(0)) == [0, 2]
-        assert list(pa.copilot_set(1)) == [1]
-        sets = pa.copilot_sets
-        assert len(sets) == 2 and list(sets[1]) == [1]
 
     def test_complete_flag(self):
         assert PilotAssignment(np.array([1, 0]), 2).is_complete
@@ -219,7 +215,7 @@ class TestLocalError:
         pilots[0] = -1
         pa = PilotAssignment(pilots, lp)
         pilot = 0
-        copilots = pa.copilot_set(pilot)
+        copilots = np.flatnonzero(pa.pilot_of == pilot)
         total = sum(cached_local_error(0, ap, beta, powers, lp, copilots)
                     for ap in range(m))
         overall = cached_global_error(0, pilot, beta, powers, lp, pa, range(m))
@@ -306,7 +302,7 @@ class TestContaminationCache:
         for m in range(beta.shape[0]):
             got = cache.local_errors(m, t)
             for i in range(lp):
-                members = pa.copilot_set(i)
+                members = np.flatnonzero(pa.pilot_of == i)
                 local = members[serves[m, members]]
                 want = oracle_error_local(t, m, beta, powers.p_pilot, lp, local)
                 scale = error_scale(t, [m], beta, powers, lp)

@@ -542,6 +542,20 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,schemes", [
+        ("sweep-ues", "eem,,dpb,"), ("sweep-ues", "eem,"),
+        ("sweep-ues", " "), ("cdf", ",dpb")])
+    def test_empty_scheme_entry_exits_2(self, tmp_path, capsys, command,
+                                        schemes):
+        code = main([command, "--desk-scale", "--scheme", schemes,
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --scheme takes comma-separated "
+                                f"scheme ids, got {schemes!r}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     DPB_FILE = {"dpb_s": 2, "dpb_delta": 0.25, "tie_rule": "deterministic"}
 
     def test_config_dpb_options_reach_every_sweep_cell(self, tmp_path,

@@ -1,6 +1,7 @@
 """Message-level protocol: structural locality, budgets, and equivalence."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ from pilotsim.harness import SCHEME_CODE
 from pilotsim.protocol import (KIND_NOTIFY, KIND_OFFER, KIND_PROBE,
                                AccessPointAgent, TraceLog)
 from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
+
+
+def kind_counts(log):
+    """Messages per kind, counted from the exported trace."""
+    return Counter(line.split(",")[1] for line in log.export_lines())
 
 
 def all_serve_instance(num_aps=5, num_ues=10, lp=4, seed=0):
@@ -116,20 +122,14 @@ class TestTraceLog:
         log = TraceLog()
         log.record_arrival(0, 0, [2], [[4, 1, 0]], [])
         log.record_arrival(1, 1, [], [], [2])
-        assert log.by_kind[KIND_OFFER] == 1
-        assert log.verify_counters()
+        assert kind_counts(log) == {KIND_PROBE: 1, KIND_OFFER: 1,
+                                    KIND_NOTIFY: 1}
         assert log.ap_to_ap_count() == 0
         assert log.total_payload() == 4
         lines = list(log.export_lines())
         assert lines[0] == f"0,{KIND_PROBE},ue0,ap2,0"
         assert lines[1] == f"0,{KIND_OFFER},ap2,ue0,3"
         assert lines[2] == f"1,{KIND_NOTIFY},ue1,ap2,1"
-
-    def test_counter_tamper_detected(self):
-        log = TraceLog()
-        log.record_arrival(0, 0, [2], [[1]], [])
-        log.by_kind[KIND_PROBE] += 1
-        assert not log.verify_counters()
 
 
 class TestAgents:
@@ -195,9 +195,8 @@ class TestRunProtocol:
         sch = SchemeConfig("dpb", dpb_s=3)
         pa, log = run_protocol(real, assoc, sch, [0], powers, lp)
         assert pa.pilot_of[0] >= 0
-        assert log.by_kind[KIND_PROBE] == 3
-        assert log.by_kind[KIND_OFFER] == 3
-        assert log.by_kind[KIND_NOTIFY] == 5
+        assert kind_counts(log) == {KIND_PROBE: 3, KIND_OFFER: 3,
+                                    KIND_NOTIFY: 5}
         assert len(log.rows) == 2 * 3 + 5
 
     def test_structurally_no_ap_to_ap(self, desk_drop):
@@ -207,7 +206,6 @@ class TestRunProtocol:
                                cfg.pilot_length)
         assert pa.is_complete
         assert log.ap_to_ap_count() == 0
-        assert log.verify_counters()
 
     @pytest.mark.parametrize("rule", ["seeded_random", "deterministic"])
     def test_matches_direct_implementation(self, desk_drop, rule):
@@ -248,8 +246,8 @@ class TestRunProtocol:
         pa, log = run_protocol(real, assoc, SchemeConfig("dpb", dpb_s=1),
                                np.arange(cfg.num_ues), powers,
                                cfg.pilot_length)
-        assert log.by_kind[KIND_PROBE] == cfg.num_ues
-        assert log.by_kind[KIND_OFFER] == cfg.num_ues
+        counts = kind_counts(log)
+        assert counts[KIND_PROBE] == counts[KIND_OFFER] == cfg.num_ues
         assert pa.is_complete
 
 
@@ -296,8 +294,7 @@ def assert_matches_oracle(real, assoc, scheme, order, powers, lp):
     pa, log = run_protocol(real, assoc, scheme, order, powers, lp)
     np.testing.assert_array_equal(pa.pilot_of, want["pilot_of"])
     assert list(log.export_lines()) == want["lines"]
-    assert log.by_kind == want["by_kind"]
-    assert log.verify_counters()
+    assert kind_counts(log) == want["by_kind"]
     # json also pins plain Python ints and the ascending UE order
     audit = audit_overhead(log, assoc, scheme.dpb_s)
     assert json.dumps(audit) == json.dumps(want["audit"])
