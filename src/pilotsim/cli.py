@@ -12,7 +12,7 @@ import numpy as np
 
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all
 from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, _write_atomic,
-                      cell_seeds, emit_cdf, run_experiment)
+                      _write_meta, cell_seeds, emit_cdf, run_experiment)
 from .network import (NetworkConfig, PathLossParams, associate_aps,
                       generate_drop, normalize_powers)
 from .protocol import BudgetViolation, audit_overhead, run_protocol
@@ -135,12 +135,18 @@ def _run_sweep(args) -> int:
 
 
 def _run_protocol_audit(args) -> int:
-    """Audit drop d as sweep cell (0, d): the drop and dpb seed it gets there."""
+    """Audit drop d as sweep cell (0, d): the drop and dpb seed it gets there.
+    The output directory and its meta are made before the first drop."""
     config, dpb, drops = _resolve(args)
     if drops < 1:
         raise ValueError(f"drops must be >= 1, got {drops}")
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
+    out_dir = Path(args.out)
+    if args.out:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_meta(out_dir / "protocol_audit_meta.json", config, dpb, drops,
+                    args.seed)
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
     for di in range(drops):
@@ -165,8 +171,6 @@ def _run_protocol_audit(args) -> int:
         totals["payload"] += report["total_payload"]
         totals["ap_to_ap"] += report["ap_to_ap"]
         if di == 0 and args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
             trace = out_dir / "protocol_trace.txt"
             _write_atomic(trace, "\n".join(log.export_lines()) + "\n")
             print(f"trace: {trace}")
@@ -185,8 +189,8 @@ def main(argv=None) -> int:
         if args.command in _SWEEPS:
             return _run_sweep(args)
         return _run_protocol_audit(args)
-    # np.linalg.LinAlgError is a ValueError
-    except (ValueError, FileNotFoundError, ArithmeticError, CellError) as exc:
+    # np.linalg.LinAlgError is a ValueError; an unusable path is an OSError
+    except (ValueError, OSError, ArithmeticError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -175,14 +175,12 @@ def _run_cell(args) -> list:
             except Exception as exc:
                 raise _cell_error(f"{cell}, scheme {scheme.scheme_id}",
                                   exc) from exc
-    rows = []
-    for scheme_id, report in zip(spec.schemes, reports):
-        p5, p10 = np.percentile(report.se, (5.0, 10.0)).tolist()
-        rows.append(ResultRow(
-            scheme_id, value, drop_seed, report.sum_se, p5, p10,
-            float(report.se.mean()),
-            np.sort(report.se) if spec.store_per_user else None))
-    return rows
+    tails = np.percentile([r.se for r in reports], (5.0, 10.0), axis=1)
+    return [ResultRow(scheme_id, value, drop_seed, report.sum_se, p5, p10,
+                      float(report.se.mean()),
+                      np.sort(report.se) if spec.store_per_user else None)
+            for scheme_id, report, (p5, p10)
+            in zip(spec.schemes, reports, tails.T.tolist())]
 
 
 def _write_atomic(path: Path, text: str):
@@ -195,6 +193,24 @@ def _write_atomic(path: Path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_meta(path: Path, config: NetworkConfig, dpb: SchemeConfig,
+                num_drops: int, master_seed: int, **fields) -> Path:
+    """Write a run's `*_meta.json`: its inputs, the DPB options, the
+    checkout's git state and the Python and numpy versions."""
+    meta = {
+        "config": dataclasses.asdict(config),
+        "num_drops": num_drops,
+        "master_seed": master_seed,
+        **{name: getattr(dpb, name) for name in DPB_OPTIONS},
+        **fields,
+        "git": _git_describe(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    _write_atomic(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _git_describe() -> str:
@@ -252,20 +268,11 @@ def run_experiment(spec: ExperimentSpec):
     agg_path = out_dir / f"{spec.name}_aggregates.csv"
     _write_atomic(agg_path, _aggregate(rows))
 
-    meta = {
-        "config": dataclasses.asdict(spec.config),
-        "sweep": spec.sweep,
-        "sweep_values": list(spec.sweep_values),
-        "schemes": list(spec.schemes),
-        "num_drops": spec.num_drops,
-        "master_seed": spec.master_seed,
-        **{name: getattr(spec.dpb, name) for name in DPB_OPTIONS},
-        "git": _git_describe(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-    meta_path = out_dir / f"{spec.name}_meta.json"
-    _write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta_path = _write_meta(out_dir / f"{spec.name}_meta.json", spec.config,
+                            spec.dpb, spec.num_drops, spec.master_seed,
+                            sweep=spec.sweep,
+                            sweep_values=list(spec.sweep_values),
+                            schemes=list(spec.schemes))
 
     return rows, {"results": results_path, "aggregates": agg_path,
                   "metadata": meta_path}

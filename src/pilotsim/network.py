@@ -185,7 +185,8 @@ class AssociationMap:
     `serving_aps[t]` lists the APs serving UE t in descending LSFC order,
     the priority order `serves` cannot hold. The strong fields are None
     until :func:`group_strong_ues` has run; AP m's strong set is
-    `np.flatnonzero(strong_flag[m])`.
+    `np.flatnonzero(strong_flag[m])` under every assignment, and row s of
+    the (S, M) `strong_pilot_count` counts its strong pilots under the s-th.
     """
 
     serving_aps: tuple
@@ -281,79 +282,79 @@ def normalize_powers(config: NetworkConfig) -> PowerProfile:
     return PowerProfile(per_ue, per_ue.copy())
 
 
+def _top_share(values: np.ndarray, share: float) -> tuple:
+    """Each row's entries ranked largest first, ties in column order, and
+    the length of the smallest ranked prefix holding `share` of the row's
+    sum. Zero entries are never chosen, so their order does not matter;
+    any sort gives this order on rows without positive ties, and only those
+    rows need the stable one."""
+    order = np.argsort(-values, axis=1)
+    ranked = values[np.arange(len(values))[:, None], order]
+    tied = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] > 0)).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(-values[tied], axis=1, kind="stable")
+    csum = ranked.cumsum(axis=1)
+    return order, (csum < share * csum[:, -1:]).sum(axis=1) + 1
+
+
 def associate_aps(real: NetworkRealization, assoc_threshold: float) -> AssociationMap:
     """Serving sets per UE: smallest descending-LSFC prefix of APs capturing
     `assoc_threshold` of the UE's total LSFC mass across all APs."""
     if not 0.0 < assoc_threshold <= 1.0:
         raise ValueError("assoc_threshold must be in (0, 1]")
     num_aps, num_ues = real.beta.shape
-    # every column ranked descending, ties in AP index order; any sort gives
-    # that order on a column without ties, so only tied columns need the
-    # stable one
-    order = np.argsort(-real.beta, axis=0)
-    ranked = np.take_along_axis(real.beta, order, axis=0)
-    tied = np.flatnonzero(np.any(ranked[1:] == ranked[:-1], axis=0))
-    if tied.size:
-        order[:, tied] = np.argsort(-real.beta[:, tied], axis=0, kind="stable")
-    csum = np.cumsum(ranked, axis=0)
-    size = np.count_nonzero(csum < assoc_threshold * csum[-1], axis=0) + 1
-    chosen = np.arange(num_aps)[:, None] < size
+    order, size = _top_share(real.beta.T, assoc_threshold)
+    order = _readonly(order)
     serves = np.zeros((num_aps, num_ues), dtype=bool)
-    np.put_along_axis(serves, order, chosen, axis=0)
-    # transposed, each UE's chosen prefix is one contiguous run
-    ends = np.cumsum(size).tolist()
-    flat = _readonly(order.T[chosen.T])
+    serves[order[np.arange(num_aps) < size[:, None]],
+           np.repeat(np.arange(num_ues), size)] = True
     return AssociationMap(
-        tuple(flat[a:b] for a, b in zip([0, *ends[:-1]], ends)), serves)
+        tuple(row[:n] for row, n in zip(order, size.tolist())), serves)
 
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
-                     strong_threshold: float, assignment,
+                     strong_threshold: float, assignments,
                      antennas_per_ap: int) -> AssociationMap:
-    """Per-AP strong-UE grouping given a complete pilot assignment.
+    """Per-AP strong-UE grouping, ranked once for a drop's assignments.
 
     At each AP the served UEs are ranked by LSFC and the smallest prefix
     holding `strong_threshold` of the AP's served LSFC mass becomes the
-    strong set; its distinct-pilot count is the zero-forcing dimension spent
-    at that AP and must stay below the antenna count.
+    strong set, whatever the pilots. Its distinct-pilot count under each
+    complete assignment, one (S, M) row each, is the zero-forcing dimension
+    spent at that AP and must stay below the antenna count.
     """
     if not 0.0 < strong_threshold <= 1.0:
         raise ValueError("strong_threshold must be in (0, 1]")
+    pilot_of = np.stack([pa.pilot_of for pa in assignments])
+    if pilot_of.min() < 0:
+        raise ValueError("strong grouping requires a complete assignment")
     num_aps, num_ues = real.beta.shape
-    pilot_of = assignment.pilot_of
-    # each AP's served links ranked by LSFC, descending, ties in index order;
-    # rows are padded to the largest degree with zeros, which trail and leave
-    # the sums unchanged
+    # each AP's served links in one row, padded to the largest degree with
+    # zeros, which are never chosen and leave the sums unchanged
     link_aps, link_ues = np.nonzero(assoc.serves)
     degree = np.bincount(link_aps, minlength=num_aps)
     start = np.cumsum(degree) - degree
     slot = np.arange(link_aps.size) - start[link_aps]
     padded = np.zeros((num_aps, int(degree.max())))
     padded[link_aps, slot] = real.beta[link_aps, link_ues]
-    order = np.argsort(-padded, axis=1, kind="stable")
-    csum = np.cumsum(np.take_along_axis(padded, order, axis=1), axis=1)
-    need = strong_threshold * csum[:, -1:]
-    size = np.where(degree > 0, np.count_nonzero(csum < need, axis=1) + 1, 0)
-    ranked = start[:, None] + order
-    strong = ranked[np.arange(padded.shape[1]) < size[:, None]]
+    order, size = _top_share(padded, strong_threshold)
+    size[degree == 0] = 0
+    strong = (start[:, None] + order)[np.arange(padded.shape[1]) < size[:, None]]
     aps, ues = link_aps[strong], link_ues[strong]
     strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
     strong_flag[aps, ues] = True
-    on_pilot = np.zeros((num_aps, assignment.num_pilots), dtype=bool)
-    on_pilot[aps, pilot_of[ues]] = True
-    pilot_count = np.count_nonzero(on_pilot, axis=1)
-    unassigned = np.bincount(link_aps[pilot_of[link_ues] < 0],
-                             minlength=num_aps) > 0
-    too_many = pilot_count >= antennas_per_ap
-    # report the first offending AP, as a scan in AP order would; an AP with
-    # unassigned UEs has a meaningless pilot count and fails on that first
-    bad = np.flatnonzero(unassigned | too_many)
+    # one (assignment, AP, pilot) flag per strong link, as a flat index
+    width = pilot_of.max() + 1
+    on_pilot = np.zeros((len(pilot_of), num_aps, width), dtype=bool)
+    on_pilot.reshape(-1)[(np.arange(len(pilot_of))[:, None] * num_aps + aps)
+                         * width + pilot_of[:, ues]] = True
+    pilot_count = on_pilot.sum(axis=2)
+    # report the first offending AP of the first offending assignment
+    bad = np.flatnonzero(pilot_count >= antennas_per_ap)
     if bad.size:
-        m = bad[0]
-        if unassigned[m]:
-            raise ValueError(f"AP {m} serves unassigned UEs; assign pilots first")
+        s, m = divmod(int(bad[0]), num_aps)
         raise ValueError(
-            f"AP {m} would zero-force {pilot_count[m]} pilots with only "
+            f"AP {m} would zero-force {pilot_count[s, m]} pilots with only "
             f"{antennas_per_ap} antennas")
     return replace(assoc, strong_flag=strong_flag,
                    strong_pilot_count=pilot_count)

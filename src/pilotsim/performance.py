@@ -8,13 +8,13 @@ The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate` scores a
 drop from this closed form without forming any weight vector, for one pilot
-assignment or for several (a cell's schemes) at once. The serving sets do
-not depend on the pilots, so `_lsfd_groups` lays the serving links of all
-UEs out once, ordered by |M_t|, and computes every per-link term of every
-assignment over all links at once. Each serving-set size is then a
-contiguous run of links, from which the (Q_t, b_t) stack of all assignments
-is built and solved in one call: a cell's schemes share one stacked solve
-per serving-set size.
+assignment or for several (a cell's schemes) at once. Neither the serving
+nor the strong sets depend on the pilots, so the strong sets are ranked
+once per drop, and `_lsfd_groups` lays the serving links of all UEs out
+once, ordered by |M_t|, and computes every per-link term of all assignments
+at once. Each serving-set size is then a contiguous run of links, from
+which the (Q_t, b_t) stack of all assignments is built and solved in one
+call: a cell's schemes share one stacked solve per serving-set size.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
     return (1.0 - pilot_length / coherence_block) / 2.0
 
 
-def _lsfd_groups(beta, powers, schemes, antennas: int):
+def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
     """Yield the LSFD systems (ues, Q, b) of one drop per serving-set size n,
     ascending: all UEs with |M_t| = n in ascending order, Q as (S, N, n, n)
     and b as (S, N, n) for S pilot assignments.
@@ -61,24 +61,24 @@ def _lsfd_groups(beta, powers, schemes, antennas: int):
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
-    `schemes` holds one (gamma, grouped association, assignment) triple per
-    assignment; all share the drop's serving sets. The serving links of all
-    UEs are laid out once, ordered by |M_t| and then by UE, and every
-    per-link scalar of all S assignments is computed as (S, L) rows. Each
-    serving-set size is then one contiguous run of links that reshapes to
-    (S, N, n); only its co-pilot gather and Q = C C^T are formed per group,
-    which keeps the largest temporary at one group's (S, N, n, K) stack.
+    `gammas` holds one gamma per assignment, and `grouped` is the drop's
+    association after one `group_strong_ues` call for all of `assignments`:
+    one shared strong flag, and one row of strong-pilot counts per
+    assignment. The serving links of all UEs are laid out once, ordered by
+    |M_t| and then by UE, and every per-link scalar is computed as (S, L)
+    rows. Each serving-set size is then one contiguous run of links that
+    reshapes to (S, N, n); only its co-pilot gather and Q = C C^T are formed
+    per group, which keeps the largest temporary at one group's (S, N, n, K)
+    stack.
     """
     beta = np.asarray(beta, dtype=float)
     num_aps, num_ues = beta.shape
     p = powers.p_uplink
-    num_schemes = len(schemes)
-    gammas, grouped, assignments = zip(*schemes)
-    flags = [g.strong_flag for g in grouped]
-    pilot_count = np.stack([g.strong_pilot_count for g in grouped])
+    num_schemes = len(assignments)
+    flag = grouped.strong_flag
     # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
     noncoh = beta @ p
-    zf = np.stack([(gamma * flag) @ p for gamma, flag in zip(gammas, flags)])
+    zf = np.stack([(gamma * flag) @ p for gamma in gammas])
     # sqrt(p_k gamma_mk) per co-pilot k; column T is zero and pads the table
     table_w = np.empty((num_schemes, num_aps, num_ues + 1))
     table_w[:, :, num_ues] = 0.0
@@ -100,16 +100,16 @@ def _lsfd_groups(beta, powers, schemes, antennas: int):
     table[flat, slot] = np.tile(np.arange(num_ues), num_schemes)
     slot = slot.reshape(key.shape)
 
-    sets = grouped[0].serving_aps
+    sets = grouped.serving_aps
     sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
     ues = np.argsort(sizes, kind="stable")
     sizes = sizes[ues]
     serving = np.concatenate([sets[t] for t in ues.tolist()])
     link_ue = np.repeat(ues, sizes)
-    delta = np.stack([flag[serving, link_ue] for flag in flags])
+    delta = flag[serving, link_ue]
     # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
     # strong pilot, but only from the viewpoint of strong UEs
-    gain = antennas - delta * pilot_count[:, serving]
+    gain = antennas - delta * grouped.strong_pilot_count[:, serving]
     root = np.sqrt(gain)
     diag = noncoh[serving] - delta * zf[:, serving] + 1.0
     b = np.sqrt(gain * np.stack([gamma[serving, link_ue] for gamma in gammas]))
@@ -151,8 +151,8 @@ def evaluate(real, assoc, assignments, powers, config):
     `assignments` is one `PilotAssignment`, which gives one `SeReport`, or a
     sequence of them on this drop, which gives one `SeReport` per assignment
     in order. Each UE scores p_t b.Q^{-1} b, its optimal-LSFD SINR. All
-    assignments share one batched pass: one stacked solve per serving-set
-    size.
+    assignments share one strong-set ranking and one batched pass: one
+    stacked solve per serving-set size.
     """
     single = isinstance(assignments, PilotAssignment)
     assignments = [assignments] if single else list(assignments)
@@ -160,15 +160,13 @@ def evaluate(real, assoc, assignments, powers, config):
         raise ValueError("need at least one pilot assignment")
     if not all(pa.is_complete for pa in assignments):
         raise ValueError("evaluation requires a complete assignment")
-    schemes = []
-    for pa in assignments:
-        gamma = compute_gamma(real.beta, powers, config.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, config.strong_threshold, pa,
-                                   config.antennas_per_ap)
-        schemes.append((gamma, grouped, pa))
-    score = np.empty((len(schemes), real.num_ues))
-    for ues, q, b in _lsfd_groups(real.beta, powers, schemes,
-                                  config.antennas_per_ap):
+    gammas = [compute_gamma(real.beta, powers, config.pilot_length, pa)
+              for pa in assignments]
+    grouped = group_strong_ues(real, assoc, config.strong_threshold,
+                               assignments, config.antennas_per_ap)
+    score = np.empty((len(assignments), real.num_ues))
+    for ues, q, b in _lsfd_groups(real.beta, powers, gammas, grouped,
+                                  assignments, config.antennas_per_ap):
         score[:, ues] = np.sum(
             b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
     reports = []

@@ -167,13 +167,14 @@ def oracle_lsfd(t, beta, gamma, powers, assoc, assignment, antennas):
     b_mt = sqrt((A - delta_mt L_m) gamma_mt); Q_t adds p_k c_k c_k^T for each
     co-pilot k, c_k being b_t with gamma_mk in place of gamma_mt, to the
     diagonal of non-coherent interference plus noise. Every entry is built
-    in scalar loops.
+    in scalar loops. `assoc` is grouped for `assignment` alone, so L_m is
+    row 0 of its strong-pilot counts.
     """
     serving = [int(m) for m in assoc.serving_aps[t]]
     p = powers.p_uplink
     num_ues = beta.shape[1]
-    gain = [antennas - (assoc.strong_pilot_count[m] if assoc.strong_flag[m, t]
-                        else 0) for m in serving]
+    gain = [antennas - (assoc.strong_pilot_count[0, m]
+                        if assoc.strong_flag[m, t] else 0) for m in serving]
     n = len(serving)
     b = np.array([math.sqrt(gain[i] * gamma[m, t])
                   for i, m in enumerate(serving)])
@@ -322,7 +323,7 @@ def micro_instance(rng):
         serving.append(aps[np.argsort(-beta[aps, t], kind="stable")])
     assoc = AssociationMap(tuple(serving), serves)
     grouped = group_strong_ues(real, assoc, float(rng.uniform(0.3, 1.0)),
-                               assignment, antennas)
+                               [assignment], antennas)
     return {"real": real, "powers": powers, "assignment": assignment,
             "assoc": grouped, "lp": lp, "antennas": antennas}
 

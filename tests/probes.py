@@ -13,11 +13,12 @@ from pilotsim import performance
 def sinr_pfzf(t, weights, beta, gamma, powers, assoc, assignment, antennas):
     """Closed-form PFZF SINR for UE t, p_t (a.b)^2 / a.Q a, per weight vector.
 
-    `weights` aligns with assoc.serving_aps[t]. A vector gives a float; a
-    (K, |M_t|) matrix of K weight vectors gives K SINRs from one build of Q.
+    `weights` aligns with assoc.serving_aps[t], and `assoc` is grouped for
+    `assignment` alone. A vector gives a float; a (K, |M_t|) matrix of K
+    weight vectors gives K SINRs from one build of Q.
     """
     for ues, q, b in performance._lsfd_groups(
-            beta, powers, [(gamma, assoc, assignment)], antennas):
+            beta, powers, [gamma], assoc, [assignment], antennas):
         hit = np.flatnonzero(ues == t)
         if hit.size:
             q, b = q[0, hit[0]], b[0, hit[0]]

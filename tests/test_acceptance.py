@@ -114,7 +114,7 @@ def test_criterion_04_sinr_oracle_equivalence():
             want = oracle_sinr(t, a, real.beta, gamma,
                                powers.p_uplink, pa.pilot_of,
                                grouped.strong_flag,
-                               grouped.strong_pilot_count, ants)
+                               grouped.strong_pilot_count[0], ants)
             rel = abs(got - want) / want
             worst = max(worst, rel)
             assert rel <= 1e-10
@@ -133,7 +133,7 @@ def test_criterion_05_lsfd_dominance():
         pa = assign_all(SchemeConfig("dpb", seed=d), real, assoc, powers,
                         cfg.pilot_length)
         gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
         for t in range(0, cfg.num_ues, cfg.num_ues // 20):
             if instances == 200:

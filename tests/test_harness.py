@@ -1,5 +1,6 @@
 """Experiment harness: seeding discipline, file outputs, CLI plumbing."""
 
+import dataclasses
 import importlib
 import json
 import pickle
@@ -292,11 +293,11 @@ class TestCellFailures:
         scheme_of = record_schemes(monkeypatch)
         real_group = performance.group_strong_ues
 
-        def group_strong_ues(real, assoc, threshold, assignment, antennas):
-            if scheme_of(assignment) == "random":
+        def group_strong_ues(real, assoc, threshold, assignments, antennas):
+            if "random" in map(scheme_of, assignments):
                 raise ValueError("AP 2 would zero-force 8 pilots with only "
                                  "8 antennas")
-            return real_group(real, assoc, threshold, assignment, antennas)
+            return real_group(real, assoc, threshold, assignments, antennas)
 
         monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
         with pytest.raises(CellError) as info:
@@ -617,6 +618,57 @@ class TestCli:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["cdf", "--config", str(tmp_path / "absent.json")])
         assert code == 2
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        code = main(["sweep-ues", "--desk-scale", "--config", str(tmp_path),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-ues", "protocol-audit"])
+    @pytest.mark.parametrize("below", ["", "x"], ids=["file", "under_file"])
+    def test_unusable_out_exits_2_before_any_drop(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  below):
+        drops = []
+        for module in (cli, harness):
+            def generate_drop(*args, real=module.generate_drop):
+                drops.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "generate_drop", generate_drop)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        code = main([command, "--desk-scale", "--drops", "1",
+                     "--out", str(taken / below)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert drops == []
+        assert taken.read_text() == "keep\n"
+
+    def test_audit_meta_records_its_run(self, tmp_path, capsys):
+        cfg = tmp_path / "opts.json"
+        cfg.write_text(json.dumps(self.DPB_FILE))
+        code = main(["protocol-audit", "--desk-scale", "--config", str(cfg),
+                     "--drops", "2", "--seed", "7",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        meta = json.loads(
+            (tmp_path / "out" / "protocol_audit_meta.json").read_text())
+        want = {"config": dataclasses.asdict(NetworkConfig(num_aps=30,
+                                                           num_ues=50)),
+                "num_drops": 2, "master_seed": 7, **self.DPB_FILE,
+                "python": platform.python_version(),
+                "numpy": np.__version__}
+        assert set(self.DPB_FILE) == set(harness.DPB_OPTIONS)
+        assert set(meta) == set(want) | {"git"}
+        assert {k: meta[k] for k in want} == want
+        assert meta["git"] == harness._git_describe()
 
     def test_cdf_and_audit(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"

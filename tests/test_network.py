@@ -269,31 +269,31 @@ class TestStrongGrouping:
 
     def test_full_threshold_takes_everyone(self):
         real, assoc, asg = self._instance([0.4, 0.3, 0.2], [0, 1, 0], 1.0)
-        grouped = group_strong_ues(real, assoc, 1.0, asg, self.antennas)
+        grouped = group_strong_ues(real, assoc, 1.0, [asg], self.antennas)
         assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0, 1, 2]
 
     def test_singleton_served_set(self):
         real, assoc, asg = self._instance([0.4], [0], 0.5)
-        grouped = group_strong_ues(real, assoc, 0.5, asg, self.antennas)
+        grouped = group_strong_ues(real, assoc, 0.5, [asg], self.antennas)
         assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0]
-        assert grouped.strong_pilot_count[0] == 1
+        assert grouped.strong_pilot_count.tolist() == [[1]]
 
     def test_distinct_pilot_count(self):
         # five served UEs on three distinct pilots, all strong
         real, assoc, asg = self._instance([0.5, 0.4, 0.3, 0.2, 0.1],
                                           [0, 1, 2, 0, 1], 1.0)
-        grouped = group_strong_ues(real, assoc, 1.0, asg, self.antennas)
-        assert grouped.strong_pilot_count[0] == 3
+        grouped = group_strong_ues(real, assoc, 1.0, [asg], self.antennas)
+        assert grouped.strong_pilot_count.tolist() == [[3]]
         assert grouped.strong_flag[0].all()
 
     def test_bounds_on_random_drops(self, desk_drop, rng):
         cfg, real, _, assoc = desk_drop()
         asg = PilotAssignment(rng.integers(0, cfg.pilot_length, cfg.num_ues),
                               cfg.pilot_length)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, asg,
+        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [asg],
                                    cfg.antennas_per_ap)
         for m in range(cfg.num_aps):
-            ls = grouped.strong_pilot_count[m]
+            ls = grouped.strong_pilot_count[0, m]
             strong = np.flatnonzero(grouped.strong_flag[m])
             assert ls <= min(len(strong), cfg.pilot_length)
             assert ls < cfg.antennas_per_ap
@@ -302,8 +302,25 @@ class TestStrongGrouping:
     def test_rejects_unassigned(self):
         real, assoc, _ = self._instance([0.4, 0.3], [0, 1], 1.0)
         partial = PilotAssignment(np.array([0, -1]), 2)
-        with pytest.raises(ValueError):
-            group_strong_ues(real, assoc, 0.9, partial, self.antennas)
+        with pytest.raises(ValueError, match="^strong grouping requires a "
+                                             "complete assignment$"):
+            group_strong_ues(real, assoc, 0.9, [partial], self.antennas)
+
+    def test_error_names_first_offending_assignment(self):
+        # everyone strong; AP 0 serves UEs 0-2 and AP 1 serves UEs 0-3
+        serves = np.array([[True, True, True, False], [True] * 4])
+        real = NetworkRealization(np.zeros((2, 2)), np.zeros((4, 2)),
+                                  np.full((2, 4), 1e-9), 0)
+        assoc = AssociationMap(
+            tuple(np.flatnonzero(serves[:, k]) for k in range(4)), serves)
+        fine, at_ap1, at_ap0 = (PilotAssignment(np.array(p), 3) for p in
+                                ([0, 0, 0, 0], [0, 1, 0, 2], [0, 1, 2, 0]))
+        grouped = group_strong_ues(real, assoc, 1.0, [fine, at_ap1, at_ap0],
+                                   4)
+        assert grouped.strong_pilot_count.tolist() == [[1, 1], [2, 3], [3, 3]]
+        with pytest.raises(ValueError, match="^AP 1 would zero-force 3 "
+                                             "pilots with only 3 antennas$"):
+            group_strong_ues(real, assoc, 1.0, [fine, at_ap1, at_ap0], 3)
 
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from([1.0, 0.95, 0.5, 1e-12, 1e-300, None]))
@@ -317,28 +334,40 @@ class TestStrongGrouping:
         # three LSFC levels per instance, so ties are common
         beta = r.choice(10.0 ** r.uniform(-12.0, -6.0, size=3), size=(m, t))
         serves = r.random((m, t)) < 0.6  # some APs serve nobody
-        pilots = r.integers(-1 if r.random() < 0.3 else 0, lp, size=t)
+        # one to three assignments ranked together, some with unassigned UEs
+        asgs = [PilotAssignment(
+            r.integers(-1 if r.random() < 0.1 else 0, lp, size=t), lp)
+            for _ in range(int(r.integers(1, 4)))]
         # lp + 1 antennas can zero-force any set of pilots
         antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else lp + 1
         real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
         assoc = AssociationMap(
             tuple(np.flatnonzero(serves[:, k]) for k in range(t)), serves)
-        asg = PilotAssignment(pilots, lp)
-        try:
-            want = oracle_strong_groups(
-                beta, [np.flatnonzero(serves[i]) for i in range(m)],
-                asg.pilot_of, threshold, antennas)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                group_strong_ues(real, assoc, threshold, asg, antennas)
-            assert str(got.value) == str(exc)
+        if not all(asg.is_complete for asg in asgs):
+            with pytest.raises(ValueError, match="^strong grouping requires "
+                                                 "a complete assignment$"):
+                group_strong_ues(real, assoc, threshold, asgs, antennas)
             return
-        grouped = group_strong_ues(real, assoc, threshold, asg, antennas)
-        assert len(grouped.strong_flag) == m
-        for mine, ref in zip(grouped.strong_flag, want[0]):
-            np.testing.assert_array_equal(np.flatnonzero(mine), ref)
-        np.testing.assert_array_equal(grouped.strong_flag, want[1])
-        np.testing.assert_array_equal(grouped.strong_pilot_count, want[2])
+        wants, first_error = [], None
+        for asg in asgs:
+            try:
+                wants.append(oracle_strong_groups(
+                    beta, [np.flatnonzero(serves[i]) for i in range(m)],
+                    asg.pilot_of, threshold, antennas))
+            except ValueError as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            with pytest.raises(ValueError) as got:
+                group_strong_ues(real, assoc, threshold, asgs, antennas)
+            assert str(got.value) == str(first_error)
+            return
+        grouped = group_strong_ues(real, assoc, threshold, asgs, antennas)
+        assert grouped.strong_pilot_count.shape == (len(asgs), m)
+        for want, count in zip(wants, grouped.strong_pilot_count):
+            for mine, ref in zip(grouped.strong_flag, want[0]):
+                np.testing.assert_array_equal(np.flatnonzero(mine), ref)
+            np.testing.assert_array_equal(grouped.strong_flag, want[1])
+            np.testing.assert_array_equal(count, want[2])
 
 
 def test_config_is_frozen():

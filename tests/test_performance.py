@@ -36,7 +36,7 @@ def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
     powers = PowerProfile(np.array([p_pilot]), np.array([p_uplink]))
     pa = PilotAssignment(np.array([0]), lp)
     assoc = AssociationMap((np.array([0]),), np.array([[True]]))
-    grouped = group_strong_ues(real, assoc, 1.0, pa, antennas)
+    grouped = group_strong_ues(real, assoc, 1.0, [pa], antennas)
     gamma = compute_gamma(real.beta, powers, lp, pa)
     return real, powers, pa, grouped, gamma, antennas
 
@@ -104,7 +104,7 @@ class TestSinrAgainstOracle:
             real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
             grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
             gamma = compute_gamma(real.beta, powers, lp, pa)
-            ls = grouped.strong_pilot_count
+            ls = grouped.strong_pilot_count[0]
             for t in range(real.num_ues):
                 serving = grouped.serving_aps[t]
                 a = np.zeros(real.num_aps)
@@ -164,12 +164,12 @@ class TestLsfdWeights:
                                        inst["assoc"], inst["antennas"])
         grouped = group_strong_ues(
             real, AssociationMap(grouped.serving_aps, grouped.serves),
-            0.95, pa, ants)
+            0.95, [pa], ants)
         gamma = compute_gamma(real.beta, powers, inst["lp"], pa)
         for t in range(real.num_ues):
             serving = grouped.serving_aps[t]
             delta = grouped.strong_flag[serving, t].astype(float)
-            gain = ants - delta * grouped.strong_pilot_count[serving]
+            gain = ants - delta * grouped.strong_pilot_count[0, serving]
             b = np.sqrt(gain * gamma[serving, t])
             d = (real.beta[serving] @ powers.p_uplink
                  - delta * ((gamma[serving] * grouped.strong_flag[serving])
@@ -184,7 +184,7 @@ class TestLsfdWeights:
         pa = assign_all(SchemeConfig("dpb", seed=5), real, assoc, powers,
                         cfg.pilot_length)
         gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
         for t in range(0, cfg.num_ues, 5):
             serving = grouped.serving_aps[t]
@@ -204,6 +204,23 @@ class TestLsfdWeights:
 
 
 class TestEvaluate:
+    def test_ranks_strong_sets_once_per_drop(self, desk_drop, monkeypatch):
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        pas = [assign_all(SchemeConfig(s, seed=3), real, assoc, powers,
+                          cfg.pilot_length) for s in SCHEME_IDS]
+        calls = []
+        real_group = performance.group_strong_ues
+
+        def group_strong_ues(*args):
+            calls.append(args[3])
+            return real_group(*args)
+
+        monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
+        reports = evaluate(real, assoc, pas, powers, cfg)
+        assert len(pas) == len(reports) == 4
+        assert len(calls) == 1
+        assert all(a is b for a, b in zip(calls[0], pas, strict=True))
+
     def test_orthogonal_pilots_match_no_copilot_formula(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=13, num_ues=7)
         pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
@@ -214,7 +231,7 @@ class TestEvaluate:
         # nobody shares a pilot, so each UE's SINR must not depend on any
         # co-pilot term at all; check one UE against the diagonal solve
         gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
         t = 3
         w = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa,
@@ -260,7 +277,7 @@ class TestEvaluate:
 def per_ue_sinr(real, assoc, pa, powers, cfg):
     """evaluate's SINR rebuilt one UE at a time from the oracle's weights."""
     gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-    grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+    grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
                                cfg.antennas_per_ap)
     args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
     return np.array([sinr_pfzf(t, oracle_lsfd(t, *args), *args)
@@ -386,7 +403,7 @@ class TestContaminationMonotonicity:
         pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
                         cfg.pilot_length)
         gamma0 = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
         t = 11
         pilot = int(pa.pilot_of[t])
@@ -446,7 +463,7 @@ class TestPipelineFuzz:
             want_gamma = oracle_gamma(real.beta, powers.p_pilot, lp,
                                       pa.pilot_of)
             np.testing.assert_allclose(gamma, want_gamma, rtol=1e-12, atol=0)
-            grouped = group_strong_ues(real, assoc, cfg.strong_threshold, pa,
+            grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
                                        cfg.antennas_per_ap)
             for t in range(num_ues):
                 a = np.zeros(num_aps)
@@ -456,6 +473,6 @@ class TestPipelineFuzz:
                 want = oracle_sinr(t, a, real.beta, want_gamma,
                                    powers.p_uplink, pa.pilot_of,
                                    grouped.strong_flag,
-                                   grouped.strong_pilot_count,
+                                   grouped.strong_pilot_count[0],
                                    cfg.antennas_per_ap)
                 assert abs(report.sinr[t] - want) <= 1e-10 * want
