@@ -103,7 +103,7 @@ def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int,
     if arrival_rank < cache.num_pilots:
         return int(arrival_rank)
     serving = np.asarray(serving, dtype=int)
-    errors = cache.global_error_profile(t, serving)
+    errors = cache.local_errors(serving, t).sum(axis=0)
     if counter is not None:
         counter.add_reads(serving.size * cache.num_pilots)
     return int(np.argmin(errors))

@@ -123,8 +123,7 @@ def _run_sweep(args) -> int:
                           schemes=schemes, num_drops=drops,
                           master_seed=args.seed, output_dir=args.out,
                           name=args.command.replace("-", "_"), dpb=dpb,
-                          workers=args.workers,
-                          store_per_user=sweep == "none")
+                          workers=args.workers)
     rows, paths = run_experiment(spec)
     if sweep != "none":
         print("\n".join(f"{label}: {p}" for label, p in paths.items()))
@@ -143,10 +142,9 @@ def _run_protocol_audit(args) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     out_dir = Path(args.out)
-    if args.out:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_meta(out_dir / "protocol_audit_meta.json", config, dpb, drops,
-                    args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_meta(out_dir / "protocol_audit_meta.json", config, dpb, drops,
+                args.seed)
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
     for di in range(drops):
@@ -170,7 +168,7 @@ def _run_protocol_audit(args) -> int:
         totals["messages"] += report["total_messages"]
         totals["payload"] += report["total_payload"]
         totals["ap_to_ap"] += report["ap_to_ap"]
-        if di == 0 and args.out:
+        if di == 0:
             trace = out_dir / "protocol_trace.txt"
             _write_atomic(trace, "\n".join(log.export_lines()) + "\n")
             print(f"trace: {trace}")

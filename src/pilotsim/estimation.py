@@ -4,10 +4,10 @@ gamma_mt is the mean square of the MMSE channel estimate at AP m for UE t.
 Reusing a pilot inflates the estimator's interference denominator and drags
 gamma below its contamination-free ceiling. `local_error_profile` measures
 that loss at one AP for every pilot at once; `ContaminationCache` keeps the
-one table of running sums it reads and gives it summed over a UE's serving
-APs (global form) or at a single AP (local form). Which UEs an AP hears is
-fixed by the LSFC matrix the cache is built from: the full one, or one
-masked to the links each AP serves.
+one table of running sums it reads and gives it one row per requested AP,
+which eem sums over a UE's serving APs (global form) and DPB reads per AP
+(local form). Which UEs an AP hears is fixed by the LSFC matrix the cache
+is built from: the full one, or one masked to the links each AP serves.
 
 All arithmetic stays in linear scale and double precision: the errors are
 differences of near-equal ratios and would not survive dB-domain round trips.
@@ -105,7 +105,8 @@ class ContaminationCache:
     exact 0.0. `record` must be called once per assignment, in arrival
     order; sums then accumulate in the same order as the message-passing
     agents see notifications, which keeps the two DPB code paths bitwise
-    identical.
+    identical. `local_errors` is the one read of the errors: `eem` sums its
+    rows over a UE's serving APs, and `dpb` takes one offer per row.
     """
 
     def __init__(self, beta, powers, lp: int):
@@ -119,12 +120,6 @@ class ContaminationCache:
     def record(self, t: int, pilot: int):
         """Add UE t on `pilot` at every AP."""
         self.sums[:, pilot] += self.contrib[t]
-
-    def global_error_profile(self, t: int, serving) -> np.ndarray:
-        """Serving-set aggregate error for every pilot at once, length Lp."""
-        own = self.beta[serving, t][:, None]
-        return local_error_profile(self.w[t] * own, own,
-                                   self.sums[serving]).sum(axis=0)
 
     def local_errors(self, m, t: int) -> np.ndarray:
         """Local error profile at AP m, one entry per pilot; an index array

@@ -84,7 +84,6 @@ class ExperimentSpec:
     name: str = "experiment"
     dpb: SchemeConfig = SchemeConfig("dpb")
     workers: int = 1
-    store_per_user: bool = False
 
     def __post_init__(self):
         if self.sweep not in SWEEP_FIELDS:
@@ -178,7 +177,7 @@ def _run_cell(args) -> list:
     tails = np.percentile([r.se for r in reports], (5.0, 10.0), axis=1)
     return [ResultRow(scheme_id, value, drop_seed, report.sum_se, p5, p10,
                       float(report.se.mean()),
-                      np.sort(report.se) if spec.store_per_user else None)
+                      np.sort(report.se) if spec.sweep == "none" else None)
             for scheme_id, report, (p5, p10)
             in zip(spec.schemes, reports, tails.T.tolist())]
 
@@ -281,14 +280,14 @@ def run_experiment(spec: ExperimentSpec):
 def emit_cdf(rows, scheme: str, out_path) -> Path:
     """Pool per-user SE across drops for one scheme and write the CDF.
 
-    Ordinates follow the midpoint convention (k - 0.5)/n over the sorted
-    pooled sample.
+    Only rows of the `none` sweep carry per-user SE. Ordinates follow the
+    midpoint convention (k - 0.5)/n over the sorted pooled sample.
     """
     detail = [r.per_user for r in rows if r.scheme == scheme]
     if not detail:
         raise ValueError(f"no rows for scheme {scheme!r}")
     if any(d is None for d in detail):
-        raise ValueError("rows lack per-user detail; rerun with store_per_user")
+        raise ValueError("rows lack per-user detail; only the none sweep keeps it")
     pooled = np.sort(np.concatenate(detail))
     n = pooled.size
     ordinates = (np.arange(1, n + 1) - 0.5) / n

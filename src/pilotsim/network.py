@@ -321,7 +321,8 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
     holding `strong_threshold` of the AP's served LSFC mass becomes the
     strong set, whatever the pilots. Its distinct-pilot count under each
     complete assignment, one (S, M) row each, is the zero-forcing dimension
-    spent at that AP and must stay below the antenna count.
+    spent at that AP and must stay below the antenna count. A one-hot pilot
+    matrix counts it, as `compute_gamma` groups UEs by pilot.
     """
     if not 0.0 < strong_threshold <= 1.0:
         raise ValueError("strong_threshold must be in (0, 1]")
@@ -340,15 +341,12 @@ def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
     order, size = _top_share(padded, strong_threshold)
     size[degree == 0] = 0
     strong = (start[:, None] + order)[np.arange(padded.shape[1]) < size[:, None]]
-    aps, ues = link_aps[strong], link_ues[strong]
     strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
-    strong_flag[aps, ues] = True
-    # one (assignment, AP, pilot) flag per strong link, as a flat index
+    strong_flag[link_aps[strong], link_ues[strong]] = True
+    # strong UEs per (assignment, AP, pilot); each nonzero is a distinct pilot
     width = pilot_of.max() + 1
-    on_pilot = np.zeros((len(pilot_of), num_aps, width), dtype=bool)
-    on_pilot.reshape(-1)[(np.arange(len(pilot_of))[:, None] * num_aps + aps)
-                         * width + pilot_of[:, ues]] = True
-    pilot_count = on_pilot.sum(axis=2)
+    pilot_count = np.count_nonzero(strong_flag @ np.eye(width)[pilot_of],
+                                   axis=2)
     # report the first offending AP of the first offending assignment
     bad = np.flatnonzero(pilot_count >= antennas_per_ap)
     if bad.size:

@@ -61,29 +61,28 @@ def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
-    `gammas` holds one gamma per assignment, and `grouped` is the drop's
-    association after one `group_strong_ues` call for all of `assignments`:
-    one shared strong flag, and one row of strong-pilot counts per
-    assignment. The serving links of all UEs are laid out once, ordered by
-    |M_t| and then by UE, and every per-link scalar is computed as (S, L)
-    rows. Each serving-set size is then one contiguous run of links that
-    reshapes to (S, N, n); only its co-pilot gather and Q = C C^T are formed
-    per group, which keeps the largest temporary at one group's (S, N, n, K)
-    stack.
+    `gammas` is the (S, M, T) stack of one gamma per assignment, and
+    `grouped` is the drop's association after one `group_strong_ues` call
+    for all of `assignments`: one shared strong flag, and one row of
+    strong-pilot counts per assignment. The per-AP sums and the co-pilot
+    weight table are each one product over the stack. The serving links of
+    all UEs are laid out once, ordered by |M_t| and then by UE, and every
+    per-link scalar is computed as (S, L) rows. Each serving-set size is
+    then one contiguous run of links that reshapes to (S, N, n); only its
+    co-pilot gather and Q = C C^T are formed per group, which keeps the
+    largest temporary at one group's (S, N, n, K) stack.
     """
     beta = np.asarray(beta, dtype=float)
     num_aps, num_ues = beta.shape
     p = powers.p_uplink
-    num_schemes = len(assignments)
+    num_schemes = len(gammas)
     flag = grouped.strong_flag
     # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
     noncoh = beta @ p
-    zf = np.stack([(gamma * flag) @ p for gamma in gammas])
+    zf = (gammas * flag) @ p
     # sqrt(p_k gamma_mk) per co-pilot k; column T is zero and pads the table
-    table_w = np.empty((num_schemes, num_aps, num_ues + 1))
-    table_w[:, :, num_ues] = 0.0
-    for w, gamma in zip(table_w, gammas):
-        np.sqrt(gamma * p, out=w[:, :num_ues])
+    table_w = np.zeros((num_schemes, num_aps, num_ues + 1))
+    np.sqrt(gammas * p, out=table_w[:, :, :num_ues])
     # one table row per (assignment, pilot) lists that pilot's UEs in
     # ascending order, padded with T to the largest load of any assignment;
     # key[s, t] is t's row and slot[s, t] its position there
@@ -112,7 +111,7 @@ def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
     gain = antennas - delta * grouped.strong_pilot_count[:, serving]
     root = np.sqrt(gain)
     diag = noncoh[serving] - delta * zf[:, serving] + 1.0
-    b = np.sqrt(gain * np.stack([gamma[serving, link_ue] for gamma in gammas]))
+    b = np.sqrt(gain * gammas[:, serving, link_ue])
     # each link's row of w, as a flat offset, and each UE's co-pilots: its
     # pilot's row of the table minus its own slot
     row = (np.arange(num_schemes)[:, None] * num_aps + serving) * (num_ues + 1)
@@ -160,8 +159,8 @@ def evaluate(real, assoc, assignments, powers, config):
         raise ValueError("need at least one pilot assignment")
     if not all(pa.is_complete for pa in assignments):
         raise ValueError("evaluation requires a complete assignment")
-    gammas = [compute_gamma(real.beta, powers, config.pilot_length, pa)
-              for pa in assignments]
+    gammas = np.stack([compute_gamma(real.beta, powers, config.pilot_length,
+                                     pa) for pa in assignments])
     grouped = group_strong_ues(real, assoc, config.strong_threshold,
                                assignments, config.antennas_per_ap)
     score = np.empty((len(assignments), real.num_ues))

@@ -18,7 +18,7 @@ def sinr_pfzf(t, weights, beta, gamma, powers, assoc, assignment, antennas):
     weight vectors gives K SINRs from one build of Q.
     """
     for ues, q, b in performance._lsfd_groups(
-            beta, powers, [gamma], assoc, [assignment], antennas):
+            beta, powers, gamma[None], assoc, [assignment], antennas):
         hit = np.flatnonzero(ues == t)
         if hit.size:
             q, b = q[0, hit[0]], b[0, hit[0]]

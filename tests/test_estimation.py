@@ -22,7 +22,8 @@ def cached_global_error(t, pilot, beta, powers, lp, assignment, serving):
     for k, i in enumerate(assignment.pilot_of.tolist()):
         if i >= 0 and k != t:
             cache.record(k, i)
-    return float(cache.global_error_profile(t, np.asarray(serving, dtype=int))[pilot])
+    serving = np.asarray(serving, dtype=int)
+    return float(cache.local_errors(serving, t).sum(axis=0)[pilot])
 
 
 def error_scale(t, serving, beta, powers, lp):
@@ -279,7 +280,7 @@ class TestContaminationCache:
             for k in range(pa.num_ues - 1):
                 cache.record(k, int(pa.pilot_of[k]))
             serving = [0, 2, 3]
-            profile = cache.global_error_profile(pa.num_ues - 1, serving)
+            profile = cache.local_errors(serving, pa.num_ues - 1).sum(axis=0)
             direct = [oracle_error_global(pa.num_ues - 1, i, beta,
                                           powers.p_pilot, lp, pa.pilot_of,
                                           serving)

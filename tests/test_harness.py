@@ -191,7 +191,7 @@ class TestRunExperiment:
         assert meta["numpy"] == np.__version__
 
     def test_per_user_detail(self, tmp_path):
-        spec = tiny_spec(tmp_path, store_per_user=True, sweep="none",
+        spec = tiny_spec(tmp_path, sweep="none",
                          sweep_values=(12,), num_drops=2)
         rows, _ = run_experiment(spec)
         cfg = spec.config
@@ -411,6 +411,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "results:" in out
         assert (tmp_path / "out" / "sweep_ues_results.csv").is_file()
+
+    def test_small_sweep_matches_recorded_rows(self, tmp_path, capsys):
+        """A desk sweep's rows against rows recorded from an earlier run:
+        the cells exactly, the SE columns at perfbench's rtol 1e-9."""
+        code = main(["sweep-ues", "--desk-scale", "--values", "30,60",
+                     "--drops", "2", "--seed", "5", "--out", str(tmp_path)])
+        assert code == 0
+
+        def read(path):
+            header, *lines = Path(path).read_text().strip().split("\n")
+            rows = [line.split(",") for line in lines]
+            return (header, [r[:3] for r in rows],
+                    np.array([r[3:] for r in rows], dtype=float))
+
+        want = read(Path(__file__).parent / "data" / "sweep_ues_desk_seed5.csv")
+        got = read(tmp_path / "sweep_ues_results.csv")
+        assert got[:2] == want[:2]
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"
@@ -669,6 +687,16 @@ class TestCli:
         assert set(meta) == set(want) | {"git"}
         assert {k: meta[k] for k in want} == want
         assert meta["git"] == harness._git_describe()
+
+    def test_audit_writes_into_the_working_directory(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """`--out ""` is the working directory, for the audit as for a sweep."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["protocol-audit", "--desk-scale", "--drops", "1",
+                     "--out", ""])
+        assert code == 0
+        assert (tmp_path / "protocol_audit_meta.json").is_file()
+        assert (tmp_path / "protocol_trace.txt").is_file()
 
     def test_cdf_and_audit(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"
