@@ -7,14 +7,21 @@ at the UE; `random` and `scalable` are baselines. All schemes are strictly
 sequential and never revisit an earlier UE's pilot, so assignments are
 prefix-stable under newly arriving UEs.
 
-Per-UE step cost, with the running sums of a ContaminationCache: `eem`
-reads |M_t| Lp sums; `dpb` evaluates S' Lp local errors, takes each probed
-AP's `best_first` offer and resolves the offers with `priority_select`,
-which intersects at most 2^S' - S' - 1 pilot bitmasks; `random` makes one
-seeded draw; `scalable` takes the argmin of its master AP's Lp sums.
-Recording a pick adds one precomputed row to the sums; no step scans the
-other UEs. The message-passing protocol builds and resolves its offers
-with the same two functions.
+`assign_drops` runs one scheme over a stack of D drops that share M, T
+and Lp: one loop over arrival order steps every drop at once, the stack's
+serving sets padded with a dummy AP that hears no UE. `assign_all` is its
+one-drop call, which steps unstacked on the drop's own serving sets.
+
+Per batched step, with the running sums of a ContaminationCache: `eem`
+reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
+turns each probed AP's offer into a pilot bitmask of Python ints (exact
+for any Lp) in one product, and resolves each drop's masks by priority
+intersection, at most 2^S' - S' - 1 of them; `random` makes one seeded
+draw per drop; `scalable` takes the argmin of each drop's master-AP sums.
+Recording the picks adds one precomputed row per drop to the sums; no step
+scans the other UEs. The message-passing protocol builds its offers with
+`best_first` and resolves them with `priority_select`, which share the
+offer rule and the resolution with the batched step.
 
 Pilot indices are 0-based throughout.
 """
@@ -38,6 +45,7 @@ __all__ = [
     "SchemeConfig",
     "OpCounter",
     "assign_all",
+    "assign_drops",
     "eem_step",
     "best_first",
     "priority_select",
@@ -92,21 +100,23 @@ class OpCounter:
         self.intersection_checks[-1] += n
 
 
-def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int,
-             counter: OpCounter | None = None) -> int:
+def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int):
     """Greedy minimum-aggregate-error pilot for one arriving UE.
 
     The first Lp arrivals take the unused pilot matching their arrival rank;
     afterwards the choice is the argmin over all pilots (first minimizer on
-    ties, i.e. the lowest pilot index).
+    ties, i.e. the lowest pilot index). A stacked cache takes a (D, S) array
+    of serving APs and gives one pilot per drop.
     """
     if arrival_rank < cache.num_pilots:
-        return int(arrival_rank)
-    serving = np.asarray(serving, dtype=int)
-    errors = cache.local_errors(serving, t).sum(axis=0)
-    if counter is not None:
-        counter.add_reads(serving.size * cache.num_pilots)
-    return int(np.argmin(errors))
+        return arrival_rank
+    return cache.local_errors(serving, t).sum(axis=-2).argmin(axis=-1)
+
+
+def _offered(errors: np.ndarray, least, delta: float) -> np.ndarray:
+    """Which pilots an AP offers: those within (1 + delta) of its least
+    error `least`; rows of errors take a column of least errors."""
+    return errors <= (1.0 + delta) * least
 
 
 def best_first(errors: np.ndarray, delta: float) -> list:
@@ -117,7 +127,7 @@ def best_first(errors: np.ndarray, delta: float) -> list:
     keeps only the minimizers.
     """
     ranked = errors.argsort(kind="stable")
-    within = errors <= (1.0 + delta) * errors[ranked[0]]
+    within = _offered(errors, errors[ranked[0]], delta)
     return ranked[:np.count_nonzero(within)].tolist()
 
 
@@ -134,7 +144,15 @@ def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
     lowest one. If every intersection is empty, the strongest AP's best
     pilot wins.
     """
-    masks = [sum(1 << i for i in offer) for offer in offers]
+    return _resolve([sum(1 << i for i in offer) for offer in offers],
+                    offers[0], tie_rule, seed, ue, counter)
+
+
+def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
+             counter: OpCounter | None) -> int:
+    """`priority_select` on the offers' pilot bitmasks (Python ints, so any
+    Lp fits). `top` ranks the strongest AP's pilots best first: its offer,
+    or any longer ranking that starts with it."""
     common = 0
     for level in range(len(masks), 1, -1):
         for group in itertools.combinations(masks, level):
@@ -146,24 +164,34 @@ def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
         if common:
             break
     if not common:
-        return offers[0][0]
+        return top[0]
     pilots = [i for i in range(common.bit_length()) if common >> i & 1]
     if len(pilots) == 1:
         return pilots[0]
     if tie_rule == "deterministic":
-        return next((i for i in offers[0] if common >> i & 1), pilots[0])
+        first = common & masks[0]
+        return next(i for i in top if first >> i & 1) if first else pilots[0]
     rng = np.random.default_rng([seed, ue])
     return pilots[rng.integers(len(pilots))]
 
 
-def _dpb_step(t: int, cache: ContaminationCache, serving, scheme: SchemeConfig,
-              counter: OpCounter | None) -> int:
-    profiles = cache.local_errors(serving[:scheme.dpb_s], t)
+def _dpb_step(t: int, cache: ContaminationCache, probed, s_prime: list,
+              scheme: SchemeConfig, seeds, bits, counter: OpCounter | None) -> list:
+    """Each drop's DPB pick for UE t. `probed` holds S APs per drop, padded
+    past drop d's first s_prime[d]; only those offer. `bits` holds 1 << i
+    for each pilot i as Python ints, so the offers' masks are exact for any
+    Lp."""
+    profiles = cache.local_errors(probed, t)
     if counter is not None:
-        counter.add_evals(profiles.size)
-    offers = [best_first(row, scheme.dpb_delta) for row in profiles]
-    return priority_select(offers, scheme.tie_rule, scheme.seed, ue=t,
-                           counter=counter)
+        counter.add_evals(sum(s_prime) * cache.num_pilots)
+    within = _offered(profiles, profiles.min(axis=-1, keepdims=True),
+                      scheme.dpb_delta)
+    masks = (within @ bits).reshape(len(seeds), -1)
+    tops = profiles[..., 0, :].argsort(kind="stable").reshape(len(seeds), -1)
+    picks = [_resolve(m[:s], top, scheme.tie_rule, seed, t, counter)
+             for m, s, top, seed in zip(masks.tolist(), s_prime, tops.tolist(),
+                                        seeds)]
+    return picks if profiles.ndim == 3 else picks[0]
 
 
 def random_pa_step(t: int, lp: int, seed: int) -> int:
@@ -174,38 +202,92 @@ def random_pa_step(t: int, lp: int, seed: int) -> int:
 
 def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
                order=None, counter: OpCounter | None = None) -> PilotAssignment:
-    """Run one scheme over all UEs in arrival order; earlier picks are final."""
-    num_ues = real.num_ues
+    """Run one scheme over all UEs in arrival order; earlier picks are final.
+
+    The one-drop stack of `assign_drops`, seeded by `scheme.seed`.
+    """
+    return assign_drops(scheme, [scheme.seed], [real], [assoc], powers, lp,
+                        order, counter)[0]
+
+
+def _serving_table(assocs, num_aps: int) -> tuple:
+    """Serving sets and their sizes, UE-major so step t reads row t. One
+    drop keeps its own sets; a stack pads them to one width with AP index
+    M, a dummy AP that hears no UE."""
+    sets = [assoc.serving_aps for assoc in assocs]
+    sizes = np.array([[len(aps) for aps in drop] for drop in sets]).T
+    if len(sets) == 1:
+        return sets[0], sizes[:, 0]
+    width = int(sizes.max())
+    padded = np.full(sizes.shape + (width,), num_aps)
+    padded[np.arange(width) < sizes[..., None]] = np.concatenate(
+        [aps for row in zip(*sets) for aps in row])
+    return padded, sizes
+
+
+def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
+                 order=None, counter: OpCounter | None = None) -> list:
+    """Run one scheme over a stack of drops, one PilotAssignment per drop.
+
+    The drops share M, T, the UE powers, `order` and `scheme`'s options;
+    drop d draws its ties from seeds[d], and `scheme.seed` is not read. One
+    loop over arrival order steps every drop at once, so each drop's
+    assignment equals `assign_all` on that drop alone; a single drop steps
+    unstacked. Counter tallies are per UE, summed over the drops.
+    """
+    if not len(seeds) == len(reals) == len(assocs):
+        raise ValueError("need one seed and one association per drop")
+    num_drops = len(reals)
+    num_aps, num_ues = reals[0].beta.shape
+    if any(real.beta.shape != (num_aps, num_ues) for real in reals):
+        raise ValueError("the drops of a stack must share M and T")
     if order is None:
         order = np.arange(num_ues)
     else:
         order = np.asarray(order, dtype=int)
         if not np.array_equal(np.sort(order), np.arange(num_ues)):
             raise ValueError("order must be a permutation of all UEs")
+    stacked = num_drops > 1
+    # pilots and per-UE tables are UE-major, so step t reads row t
+    shape = (num_ues, num_drops) if stacked else (num_ues,)
     cache = None
     if scheme.scheme_id != "random":
-        # a DPB AP hears only the UEs it serves
-        heard = real.beta * assoc.serves if scheme.scheme_id == "dpb" else real.beta
-        cache = ContaminationCache(heard, powers, lp)
-    if scheme.scheme_id == "scalable":
+        # a stack's AP index M hears no UE: the padding of its serving sets
+        heard = np.zeros((num_drops, num_aps + stacked, num_ues))
+        for rows, real, assoc in zip(heard, reals, assocs):
+            # a DPB AP hears only the UEs it serves
+            rows[:num_aps] = (real.beta * assoc.serves
+                              if scheme.scheme_id == "dpb" else real.beta)
+        cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
+    if scheme.scheme_id in ("eem", "dpb"):
+        serving, sizes = _serving_table(assocs, num_aps)
+    if scheme.scheme_id == "dpb":
+        s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
+        bits = np.array([1 << i for i in range(lp)], dtype=object)
+    elif scheme.scheme_id == "random":
+        draws = np.reshape([random_pa_step(t, lp, seed)
+                            for t in range(num_ues) for seed in seeds], shape)
+    elif scheme.scheme_id == "scalable":
         # master AP per UE: the first strongest, as np.argmax picks it
-        master = np.argmax(real.beta, axis=0)
-    pilot_of = np.full(num_ues, -1, dtype=int)
-    for rank, t in enumerate(order):
-        t = int(t)
-        serving = assoc.serving_aps[t]
+        master = np.argmax(heard[:, :num_aps], axis=1).T.reshape(shape)
+    pilot_of = np.full(shape, -1, dtype=int)
+    for rank, t in enumerate(order.tolist()):
         if counter is not None:
             counter.start_ue()
         if scheme.scheme_id == "eem":
-            pilot = eem_step(t, cache, serving, rank, counter)
+            pilots = eem_step(t, cache, serving[t], rank)
+            if counter is not None and rank >= lp:
+                counter.add_reads(int(sizes[t].sum()) * lp)
         elif scheme.scheme_id == "dpb":
-            pilot = _dpb_step(t, cache, serving, scheme, counter)
+            pilots = _dpb_step(t, cache, serving[t][..., :scheme.dpb_s],
+                               s_prime[t], scheme, seeds, bits, counter)
         elif scheme.scheme_id == "random":
-            pilot = random_pa_step(t, lp, scheme.seed)
+            pilots = draws[t]
         else:
             # least-loaded pilot at the master AP, lowest index on ties
-            pilot = int(np.argmin(cache.sums[master[t]]))
-        pilot_of[t] = pilot
+            pilots = cache.loads(master[t]).argmin(axis=-1)
+        pilot_of[t] = pilots
         if cache is not None:
-            cache.record(t, pilot)
-    return PilotAssignment(pilot_of, lp)
+            cache.record(t, pilots)
+    return [PilotAssignment(row, lp)
+            for row in pilot_of.reshape(num_ues, num_drops).T]

@@ -148,7 +148,8 @@ def _run_protocol_audit(args) -> int:
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
     for di in range(drops):
-        drop_seed, (scheme,) = cell_seeds(args.seed, 0, di, dpb, ("dpb",))
+        drop_seed, (seed,) = cell_seeds(args.seed, 0, di, ("dpb",))
+        scheme = dataclasses.replace(dpb, seed=seed)
         real = generate_drop(config, drop_seed)
         assoc = associate_aps(real, config.assoc_threshold)
         order = np.random.default_rng([args.seed, di]).permutation(real.num_ues)

@@ -107,22 +107,39 @@ class ContaminationCache:
     agents see notifications, which keeps the two DPB code paths bitwise
     identical. `local_errors` is the one read of the errors: `eem` sums its
     rows over a UE's serving APs, and `dpb` takes one offer per row.
+
+    `beta` is one drop's (M, T) matrix or a (D, M, T) stack of drops that
+    share the UE powers. A stack's sums are (D, M, Lp); `record` then takes
+    one pilot per drop, `loads` one AP per drop, and `local_errors` a
+    (D, S) array of S APs per drop.
     """
 
     def __init__(self, beta, powers, lp: int):
         self.beta = np.asarray(beta, dtype=float)
         self.w = powers.p_pilot * lp
         self.num_pilots = int(lp)
-        # row t is w_t b_mt over all APs: one contiguous read per record
-        self.contrib = np.ascontiguousarray((self.beta * self.w).T)
-        self.sums = np.zeros((self.beta.shape[0], lp))
+        # row t is w_t b_mt over all APs (of every drop): one read per record
+        by_ue = np.moveaxis(self.beta, -1, 0)
+        self.contrib = np.multiply(
+            by_ue, self.w.reshape((-1,) + (1,) * (by_ue.ndim - 1)), order="C")
+        self.sums = np.zeros(self.beta.shape[:-1] + (lp,))
+        # a stack's leading index, pairing each drop with its own pilot or
+        # AP (`_each`) or its own row of APs (`_each_row`); none for one drop
+        drops = [np.arange(len(self.beta))] if self.beta.ndim == 3 else []
+        self._each = tuple(drops)
+        self._each_row = tuple(d[:, None] for d in drops)
 
-    def record(self, t: int, pilot: int):
+    def record(self, t: int, pilot):
         """Add UE t on `pilot` at every AP."""
-        self.sums[:, pilot] += self.contrib[t]
+        self.sums[self._each + (slice(None), pilot)] += self.contrib[t]
+
+    def loads(self, m) -> np.ndarray:
+        """The running sums at AP m, one entry per pilot."""
+        return self.sums[self._each + (m,)]
 
     def local_errors(self, m, t: int) -> np.ndarray:
         """Local error profile at AP m, one entry per pilot; an index array
         of APs gives one row per AP."""
-        own = self.beta[m, t][..., None]
-        return local_error_profile(self.w[t] * own, own, self.sums[m])
+        at = self._each_row + (m,)
+        own = self.beta[at + (t,)][..., None]
+        return local_error_profile(self.w[t] * own, own, self.sums[at])

@@ -4,8 +4,14 @@ Seeding discipline: `cell_seeds` is the one seeding rule. A cell's drop
 seed depends only on (master_seed, sweep index, drop index), so every scheme
 scores the identical drop and adding schemes never perturbs the geometry.
 Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
-Rows are sorted deterministically and files are written via
-write-then-rename, so reruns are byte-identical regardless of worker count.
+
+The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
+value, at most `_CHUNK_DROPS` of them: each scheme assigns pilots on the
+whole chunk in one batched loop, and rows stay per drop. A chunk that
+fails reruns drop by drop, so the error names its (sweep value, drop
+seed, scheme). Rows are sorted deterministically and files are written
+via write-then-rename, so reruns are byte-identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import SCHEME_IDS, SchemeConfig, assign_all
+from .assignment import SCHEME_IDS, SchemeConfig, assign_all, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
 from .performance import evaluate
@@ -54,6 +60,11 @@ DPB_OPTIONS = tuple(f.name for f in dataclasses.fields(SchemeConfig)
                     if f.name not in ("scheme_id", "seed"))
 
 _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
+
+# most drops in one work unit: a chunk holds all its drops, their serving
+# sets and their stacked assignment tables at once (about 90 kB a drop at
+# desk scale), so larger chunks raise peak memory for little more speed
+_CHUNK_DROPS = 6
 
 
 class CellError(RuntimeError):
@@ -130,13 +141,53 @@ class ResultRow:
                 f"{self.sum_se!r},{self.p5_se!r},{self.p10_se!r},{self.mean_se!r}")
 
 
-def cell_seeds(master_seed, sweep_idx, drop_idx, template: SchemeConfig,
-               scheme_ids) -> tuple:
-    """A cell's drop seed, and per scheme a copy of `template` seeded for it."""
+def cell_seeds(master_seed, sweep_idx, drop_idx, scheme_ids) -> tuple:
+    """A cell's drop seed, and one seed per scheme."""
     cell = (master_seed, sweep_idx, drop_idx)
-    return derive_seed(*cell), [
-        replace(template, scheme_id=s, seed=derive_seed(*cell, 100 + SCHEME_CODE[s]))
-        for s in scheme_ids]
+    return derive_seed(*cell), [derive_seed(*cell, 100 + SCHEME_CODE[s])
+                                for s in scheme_ids]
+
+
+def _rows(spec: ExperimentSpec, value, drop_seeds, reports) -> list:
+    """Result rows of drops scored on one sweep value; reports[d] holds drop
+    d's reports in spec order. One percentile call covers every drop."""
+    tails = np.percentile([[r.se for r in cell] for cell in reports],
+                          (5.0, 10.0), axis=2).tolist()
+    return [ResultRow(scheme_id, value, drop_seed, report.sum_se, p5, p10,
+                      float(report.se.mean()),
+                      np.sort(report.se) if spec.sweep == "none" else None)
+            for drop_seed, cell, p5s, p10s in zip(drop_seeds, reports, *tails)
+            for scheme_id, report, p5, p10 in zip(spec.schemes, cell, p5s, p10s)]
+
+
+def _run_chunk(args) -> list:
+    """All schemes on a chunk of drops of one sweep value.
+
+    Each scheme assigns its pilots on every drop of the chunk in one
+    `assign_drops` call, then one `evaluate` call per drop scores that
+    drop's schemes together. If anything fails, the chunk reruns drop by
+    drop through `_run_cell`, so the error names its cell.
+    """
+    spec, sweep_idx, drop_idxs = args
+    try:
+        value = spec.sweep_values[sweep_idx]
+        cfg = spec.config_for(value)
+        drop_seeds, scheme_seeds = zip(*(
+            cell_seeds(spec.master_seed, sweep_idx, di, spec.schemes)
+            for di in drop_idxs))
+        reals = [generate_drop(cfg, seed) for seed in drop_seeds]
+        powers = normalize_powers(cfg)
+        assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
+        by_scheme = [assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
+                                  reals, assocs, powers, cfg.pilot_length)
+                     for scheme_id, seeds in zip(spec.schemes,
+                                                 zip(*scheme_seeds))]
+        reports = [evaluate(real, assoc, list(cell), powers, cfg)
+                   for real, assoc, cell in zip(reals, assocs, zip(*by_scheme))]
+    except Exception:
+        return [row for di in drop_idxs
+                for row in _run_cell((spec, sweep_idx, di))]
+    return _rows(spec, value, drop_seeds, reports)
 
 
 def _run_cell(args) -> list:
@@ -150,8 +201,10 @@ def _run_cell(args) -> list:
     spec, sweep_idx, drop_idx = args
     value = spec.sweep_values[sweep_idx]
     cfg = spec.config_for(value)
-    drop_seed, schemes = cell_seeds(spec.master_seed, sweep_idx, drop_idx,
-                                    spec.dpb, spec.schemes)
+    drop_seed, seeds = cell_seeds(spec.master_seed, sweep_idx, drop_idx,
+                                  spec.schemes)
+    schemes = [replace(spec.dpb, scheme_id=s, seed=seed)
+               for s, seed in zip(spec.schemes, seeds)]
     cell = f"{spec.sweep}={value!r}, drop seed {drop_seed}"
     try:
         real = generate_drop(cfg, drop_seed)
@@ -174,12 +227,7 @@ def _run_cell(args) -> list:
             except Exception as exc:
                 raise _cell_error(f"{cell}, scheme {scheme.scheme_id}",
                                   exc) from exc
-    tails = np.percentile([r.se for r in reports], (5.0, 10.0), axis=1)
-    return [ResultRow(scheme_id, value, drop_seed, report.sum_se, p5, p10,
-                      float(report.se.mean()),
-                      np.sort(report.se) if spec.sweep == "none" else None)
-            for scheme_id, report, (p5, p10)
-            in zip(spec.schemes, reports, tails.T.tolist())]
+    return _rows(spec, value, [drop_seed], [reports])
 
 
 def _write_atomic(path: Path, text: str):
@@ -249,14 +297,15 @@ def run_experiment(spec: ExperimentSpec):
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(spec, si, di)
-             for si in range(len(spec.sweep_values))
-             for di in range(spec.num_drops)]
+    size = min(-(-spec.num_drops // spec.workers), _CHUNK_DROPS)
+    chunks = [(spec, si, range(lo, min(lo + size, spec.num_drops)))
+              for si in range(len(spec.sweep_values))
+              for lo in range(0, spec.num_drops, size)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            nested = list(pool.map(_run_cell, cells))
+            nested = list(pool.map(_run_chunk, chunks))
     else:
-        nested = [_run_cell(c) for c in cells]
+        nested = [_run_chunk(c) for c in chunks]
     rows = sorted((r for cell in nested for r in cell),
                   key=lambda r: (r.sweep_value, r.drop_seed, r.scheme))
 

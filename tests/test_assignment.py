@@ -1,6 +1,7 @@
 """Sequential pilot assignment: greedy, priority-intersection, and baselines."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from pilotsim import (
     best_first,
     priority_select,
 )
-from pilotsim.assignment import TIE_RULES, eem_step, random_pa_step
+from pilotsim.assignment import (SCHEME_IDS, TIE_RULES, assign_drops, eem_step,
+                                 random_pa_step)
 from pilotsim.estimation import ContaminationCache
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
@@ -419,3 +421,77 @@ class TestAssignAll:
         want = [random_pa_step(t, cfg.pilot_length, 77)
                 for t in range(cfg.num_ues)]
         assert list(pa.pilot_of) == want
+
+
+def tallies(counter):
+    return np.array([counter.contamination_reads, counter.error_evals,
+                     counter.intersection_checks])
+
+
+class TestAssignDrops:
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(SCHEME_IDS),
+           st.sampled_from(TIE_RULES), st.integers(1, 4),
+           st.sampled_from([1, 3, 7, 70]), st.sampled_from([0.0, 0.1, 1.0]),
+           st.integers(1, 5), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    # a stack with one-AP serving sets, dpb_s above |M_t|, delta = 0 and
+    # masks past 64 bits
+    @example(5, "dpb", "deterministic", 3, 70, 0.0, 5, True)
+    @example(5, "dpb", "seeded_random", 3, 70, 0.0, 5, False)
+    @example(11, "eem", "seeded_random", 4, 3, 0.1, 3, True)
+    def test_each_drop_matches_its_own_run(self, seed, scheme_id, tie_rule,
+                                           num_drops, lp, delta, s, shuffled):
+        r = np.random.default_rng(seed)
+        m, t = int(r.integers(1, 7)), int(r.integers(1, 13))
+        reals = [NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)),
+                                    10.0 ** r.uniform(-12.0, -6.0, size=(m, t)), 0)
+                 for _ in range(num_drops)]
+        # a threshold per drop, so serving-set sizes differ across the stack
+        assocs = [associate_aps(real, float(r.choice([0.3, 0.8, 0.95, 1.0])))
+                  for real in reals]
+        powers = PowerProfile(10.0 ** r.uniform(0.0, 3.0, t), np.ones(t))
+        order = r.permutation(t) if shuffled else None
+        seeds = r.integers(2 ** 31, size=num_drops).tolist()
+        scheme = SchemeConfig(scheme_id, s, delta, tie_rule)
+        counter = OpCounter()
+        got = assign_drops(scheme, seeds, reals, assocs, powers, lp, order,
+                           counter)
+        assert len(got) == num_drops
+        want_tallies = 0
+        for drop_seed, real, assoc, pa in zip(seeds, reals, assocs, got):
+            alone = OpCounter()
+            want = assign_all(replace(scheme, seed=drop_seed), real, assoc,
+                              powers, lp, order, alone)
+            np.testing.assert_array_equal(pa.pilot_of, want.pilot_of)
+            want_tallies = want_tallies + tallies(alone)
+        # padded APs add no reads, evaluations or intersection checks
+        np.testing.assert_array_equal(tallies(counter), want_tallies)
+
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    def test_one_drop_checks_match_oracle(self, desk_drop, tie_rule):
+        cfg, real, powers, assoc = desk_drop(seed=8)
+        lp = cfg.pilot_length
+        scheme = SchemeConfig("dpb", dpb_s=3, tie_rule=tie_rule, seed=1)
+        counter = OpCounter()
+        pa = assign_all(scheme, real, assoc, powers, lp, counter=counter)
+        cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
+        for t in range(cfg.num_ues):
+            offers = [oracle_offer(cache.local_errors(int(m), t),
+                                   scheme.dpb_delta).tolist()
+                      for m in assoc.serving_aps[t][:scheme.dpb_s]]
+            ref = OpCounter()
+            ref.start_ue()
+            assert oracle_priority_select(offers, scheme.tie_rule, scheme.seed,
+                                          t, ref) == pa.pilot_of[t]
+            assert counter.intersection_checks[t] == ref.intersection_checks[0]
+            cache.record(t, int(pa.pilot_of[t]))
+
+    def test_rejects_mismatched_stacks(self, desk_drop):
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        with pytest.raises(ValueError, match="one seed and one association"):
+            assign_drops(SchemeConfig("eem"), [1, 2], [real, real], [assoc],
+                         powers, cfg.pilot_length)
+        _, fewer, _, fewer_assoc = desk_drop(seed=3, num_ues=cfg.num_ues - 1)
+        with pytest.raises(ValueError, match="must share M and T"):
+            assign_drops(SchemeConfig("eem"), [1, 2], [real, fewer],
+                         [assoc, fewer_assoc], powers, cfg.pilot_length)

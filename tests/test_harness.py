@@ -114,14 +114,10 @@ class TestExperimentSpec:
 
 class TestCellSeeds:
     def test_one_rule_for_drop_and_schemes(self):
-        template = SchemeConfig("dpb", dpb_s=2, dpb_delta=0.25,
-                                tie_rule="deterministic")
-        drop_seed, schemes = cell_seeds(4, 1, 3, template, ("eem", "dpb"))
+        drop_seed, seeds = cell_seeds(4, 1, 3, ("eem", "dpb"))
         assert drop_seed == derive_seed(4, 1, 3)
-        assert schemes == [
-            SchemeConfig(s, 2, 0.25, "deterministic",
-                         derive_seed(4, 1, 3, 100 + SCHEME_CODE[s]))
-            for s in ("eem", "dpb")]
+        assert seeds == [derive_seed(4, 1, 3, 100 + SCHEME_CODE[s])
+                         for s in ("eem", "dpb")]
 
 
 class TestRunExperiment:
@@ -173,6 +169,25 @@ class TestRunExperiment:
             assert b[kind].read_bytes() == ref
             assert c[kind].read_bytes() == ref
 
+    def test_uneven_chunks_byte_identical(self, tmp_path):
+        # five drops: chunks of 5, of 3 + 2 and of 2 + 2 + 1
+        paths = [run_experiment(tiny_spec(tmp_path / f"w{workers}", num_drops=5,
+                                          workers=workers))[1]
+                 for workers in (1, 2, 3)]
+        for kind in ("results", "aggregates"):
+            ref = paths[0][kind].read_bytes()
+            assert [p[kind].read_bytes() for p in paths[1:]] == [ref, ref]
+
+    def test_chunk_rows_equal_cell_rows(self, tmp_path):
+        spec = tiny_spec(tmp_path, num_drops=3)
+        rows, _ = run_experiment(spec)
+        cells = [row for si in range(len(spec.sweep_values))
+                 for di in range(spec.num_drops)
+                 for row in harness._run_cell((spec, si, di))]
+        key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
+        assert ([r.csv_line() for r in rows]
+                == [r.csv_line() for r in sorted(cells, key=key)])
+
     def test_meta_names_the_package_checkout(self, tmp_path, monkeypatch):
         want = subprocess.run(["git", "describe", "--always", "--dirty"],
                               cwd=Path(pilotsim.__file__).resolve().parent,
@@ -217,16 +232,23 @@ class TestRunExperiment:
 
 
 def record_schemes(monkeypatch):
-    """Return a lookup from each assignment the harness makes to its scheme."""
+    """Return a lookup from each assignment the harness makes to its scheme,
+    for a chunk of drops as for one cell."""
     made = []
-    real_assign = harness.assign_all
+    real_assign, real_drops = harness.assign_all, harness.assign_drops
 
     def assign_all(scheme, *args, **kwargs):
         assignment = real_assign(scheme, *args, **kwargs)
         made.append((assignment, scheme.scheme_id))
         return assignment
 
+    def assign_drops(scheme, *args, **kwargs):
+        assignments = real_drops(scheme, *args, **kwargs)
+        made.extend((a, scheme.scheme_id) for a in assignments)
+        return assignments
+
     monkeypatch.setattr(harness, "assign_all", assign_all)
+    monkeypatch.setattr(harness, "assign_drops", assign_drops)
     return lambda assignment: next(s for a, s in made if a is assignment)
 
 
@@ -305,6 +327,28 @@ class TestCellFailures:
         assert str(info.value) == (
             f"ue_count=10, drop seed {derive_seed(3, 0, 0)}, scheme random: "
             "ValueError: AP 2 would zero-force 8 pilots with only 8 antennas")
+
+    def test_failure_inside_a_chunk_names_its_drop(self, tmp_path, monkeypatch):
+        # one worker: the five drops of a sweep value form one chunk, and
+        # only its third drop fails, when its random assignment is scored
+        spec = tiny_spec(tmp_path, num_drops=5)
+        bad_seed = derive_seed(spec.master_seed, 0, 2)
+        scheme_of = record_schemes(monkeypatch)
+        real_evaluate = harness.evaluate
+
+        def evaluate(real, assoc, assignments, *args, **kwargs):
+            batch = ([assignments] if isinstance(assignments, PilotAssignment)
+                     else assignments)
+            if real.seed == bad_seed and "random" in map(scheme_of, batch):
+                raise ArithmeticError("bad SINR for UE 4")
+            return real_evaluate(real, assoc, assignments, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", evaluate)
+        with pytest.raises(CellError) as info:
+            run_experiment(spec)
+        assert str(info.value) == (f"ue_count=10, drop seed {bad_seed}, "
+                                   "scheme random: ArithmeticError: "
+                                   "bad SINR for UE 4")
 
     def test_association_failure_names_its_cell(self, tmp_path, monkeypatch):
         def associate_aps(*args, **kwargs):
@@ -580,13 +624,13 @@ class TestCli:
     def test_config_dpb_options_reach_every_sweep_cell(self, tmp_path,
                                                         monkeypatch):
         made = []
-        real_assign = harness.assign_all
+        real_assign = harness.assign_drops
 
-        def assign_all(scheme, *args, **kwargs):
-            made.append(scheme)
-            return real_assign(scheme, *args, **kwargs)
+        def assign_drops(scheme, seeds, *args, **kwargs):
+            made.append((scheme, list(seeds)))
+            return real_assign(scheme, seeds, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "assign_all", assign_all)
+        monkeypatch.setattr(harness, "assign_drops", assign_drops)
         cfg = tmp_path / "opts.json"
         cfg.write_text(json.dumps(self.DPB_FILE))
         code = main(["sweep-ues", "--desk-scale", "--config", str(cfg),
@@ -594,10 +638,12 @@ class TestCli:
                      "--scheme", "eem,dpb", "--out", str(tmp_path / "out")])
         assert code == 0
         template = SchemeConfig("dpb", **self.DPB_FILE)
-        assert made == [s for si in range(2) for di in range(2)
-                        for s in cell_seeds(7, si, di, template,
-                                            ("eem", "dpb"))[1]]
-        assert sum(s.scheme_id == "dpb" for s in made) == 4
+        # one call per sweep value and scheme covers both drops
+        assert made == [
+            (dataclasses.replace(template, scheme_id=s),
+             [cell_seeds(7, si, di, ("eem", "dpb"))[1][k] for di in range(2)])
+            for si in range(2) for k, s in enumerate(("eem", "dpb"))]
+        assert sum(s.scheme_id == "dpb" for s, _ in made) == 2
         meta = json.loads(
             (tmp_path / "out" / "sweep_ues_meta.json").read_text())
         assert {k: meta[k] for k in self.DPB_FILE} == self.DPB_FILE
@@ -626,7 +672,8 @@ class TestCli:
         template = SchemeConfig("dpb", **self.DPB_FILE)
         # each drop runs the protocol, then the direct assignment
         assert made == [s for di in range(3) for s in
-                        2 * cell_seeds(7, 0, di, template, ("dpb",))[1]]
+                        2 * [dataclasses.replace(
+                            template, seed=cell_seeds(7, 0, di, ("dpb",))[1][0])]]
 
     def test_unknown_scheme_exits_2(self, tmp_path, capsys):
         code = main(["sweep-ues", "--scheme", "psychic",
