@@ -16,12 +16,18 @@ Per batched step, with the running sums of a ContaminationCache: `eem`
 reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
 turns each probed AP's offer into a pilot bitmask of Python ints (exact
 for any Lp) in one product, and resolves each drop's masks by priority
-intersection, at most 2^S' - S' - 1 of them; `random` makes one seeded
-draw per drop; `scalable` takes the argmin of each drop's master-AP sums.
-Recording the picks adds one precomputed row per drop to the sums; no step
-scans the other UEs. The message-passing protocol builds its offers with
-`best_first` and resolves them with `priority_select`, which share the
-offer rule and the resolution with the batched step.
+intersection, at most 2^S' - S' - 1 of them; `random` reads a
+precomputed draw per drop; `scalable` takes the argmin of each drop's
+master-AP sums. Recording the picks adds one precomputed row per drop to
+the sums; no step scans the other UEs. The message-passing protocol builds
+its offers with `best_first` and resolves them with `priority_select`,
+which share the offer rule and the resolution with the batched step.
+
+Every seeded pick, `random`'s and a DPB tie's, is the pick that
+`np.random.default_rng([seed, ue]).integers(n)` makes, but no generator is
+built for it: one `_stream_words` call per `assign_drops` or
+`run_protocol` call computes the first output word of every (seed, UE)
+stream of its drops at once, and `_bounded` turns a word into the pick.
 
 Pilot indices are 0-based throughout.
 """
@@ -49,11 +55,18 @@ __all__ = [
     "eem_step",
     "best_first",
     "priority_select",
-    "random_pa_step",
 ]
 
 SCHEME_IDS = ("eem", "dpb", "random", "scalable")
 TIE_RULES = ("seeded_random", "deterministic")
+
+
+def _require_seed(seed):
+    """A scheme seed is an integer in [0, 2^64), the range of
+    `harness.derive_seed` and of the stream words' entropy layout."""
+    require_integer("seed", seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,7 @@ class SchemeConfig:
             raise ValueError("dpb_delta must be finite and >= 0")
         if self.tie_rule not in TIE_RULES:
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
+        _require_seed(self.seed)
 
 
 @dataclass
@@ -98,6 +112,90 @@ class OpCounter:
 
     def add_checks(self, n: int):
         self.intersection_checks[-1] += n
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(start: int, mult: int, n: int) -> tuple:
+    """SeedSequence's running hash constant: the value each of n hashes
+    XORs in, and the value it multiplies by (the next one), as columns."""
+    xors = [start]
+    for _ in range(n):
+        xors.append(xors[-1] * mult & _MASK32)
+    return (np.array(xors[:-1], dtype=np.uint32)[:, None],
+            np.array(xors[1:], dtype=np.uint32)[:, None])
+
+
+# a 4-word pool hashes its entropy with 4 constants, then mixes each word
+# into the other 3 with 12 more; the state takes 8 words of a second series
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
+# PCG64 seeding sets the state to initstate + inc and steps once; the first
+# output steps again, to initstate * M^2 + inc * (M^2 + M + 1)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT2 = _PCG_MULT * _PCG_MULT & _MASK128
+_PCG_INC_MULT = (_PCG_MULT2 + _PCG_MULT + 1) & _MASK128
+
+
+def _hashmix(words, consts):
+    xor, mult = consts
+    words = (words ^ xor) * mult
+    return words ^ words >> 16
+
+
+def _stream_words(seeds, ues) -> np.ndarray:
+    """First 32-bit output word of `np.random.default_rng([seed, ue])` for
+    each (seed, ue) pair of the broadcast arrays, as uint64.
+
+    Seeds lie in [0, 2^64) and UEs in [0, 2^32). SeedSequence's entropy is
+    seed's one or two 32-bit words, then ue's, zero-padded to its pool of
+    4; its hashing runs on uint32 arrays, since its constants do not depend
+    on the data. PCG64's 128-bit seeding, first step and XSL-RR output run
+    on Python ints; the word is the output's low half.
+    """
+    seeds, ues = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64),
+                                     np.asarray(ues, dtype=np.uint64))
+    shape = seeds.shape
+    seeds, ues = seeds.ravel(), ues.ravel().astype(np.uint32)
+    high = (seeds >> 32).astype(np.uint32)
+    wide = high != 0
+    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
+    entropy[0] = seeds.astype(np.uint32)
+    entropy[1] = np.where(wide, high, ues)
+    entropy[2] = np.where(wide, ues, 0)
+    xor, mult = _POOL_HASH
+    pool = _hashmix(entropy, (xor[:4], mult[:4]))
+    for src, dst in enumerate(_OTHERS):
+        at = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hashmix(pool[src], (xor[at], mult[at]))
+        mixed = pool[dst] * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
+        pool[dst] = mixed ^ mixed >> 16
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
+    # little-endian pairs: initstate's high and low words, then inc's
+    init_high, init_low, inc_high, inc_low = (
+        words[0::2] | words[1::2] << 32).astype(object)
+    inc = inc_high << 65 | inc_low << 1 | 1
+    state = ((init_high << 64 | init_low) * _PCG_MULT2
+             + inc * _PCG_INC_MULT) & _MASK128
+    xored = (state >> 64 ^ state) & _MASK64
+    rot = state >> 122
+    words = (xored >> rot | xored << (64 - rot)) & _MASK32
+    return words.astype(np.uint64).reshape(shape)
+
+
+def _bounded(word: int, n: int, seed: int, ue: int) -> int:
+    """`np.random.default_rng([seed, ue]).integers(n)` from the stream's
+    first word: Lemire's multiply-shift, as `Generator.integers` takes it.
+    Where Lemire's method may reject the word (the product's low half is
+    below n), or n is past its 32-bit form, the generator draws instead."""
+    product = word * n
+    if product & _MASK32 < n or n > 1 << 32:
+        return int(np.random.default_rng([seed, ue]).integers(n))
+    return product >> 32
 
 
 def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int):
@@ -132,7 +230,8 @@ def best_first(errors: np.ndarray, delta: float) -> list:
 
 
 def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
-                    ue: int = 0, counter: OpCounter | None = None) -> int:
+                    ue: int = 0, counter: OpCounter | None = None,
+                    word: int | None = None) -> int:
     """Resolve the offers of a UE's priority APs, strongest AP first, into
     one pilot; each offer is a best-first list of pilot indices (Python ints).
 
@@ -141,18 +240,22 @@ def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
     then {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot
     bitmasks wins; a lone pilot is forced, several go to `tie_rule`:
     `deterministic` takes the strongest AP's best common pilot, else the
-    lowest one. If every intersection is empty, the strongest AP's best
-    pilot wins.
+    lowest one; `seeded_random` draws from UE ue's stream under `seed`,
+    whose first word (`_stream_words`) a caller may pass as `word`. If
+    every intersection is empty, the strongest AP's best pilot wins.
     """
+    if word is None:
+        word = int(_stream_words(seed, ue))
     return _resolve([sum(1 << i for i in offer) for offer in offers],
-                    offers[0], tie_rule, seed, ue, counter)
+                    offers[0], tie_rule, seed, ue, word, counter)
 
 
 def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
-             counter: OpCounter | None) -> int:
+             word: int, counter: OpCounter | None) -> int:
     """`priority_select` on the offers' pilot bitmasks (Python ints, so any
     Lp fits). `top` ranks the strongest AP's pilots best first: its offer,
-    or any longer ranking that starts with it."""
+    or any longer ranking that starts with it. `word` is the first word of
+    UE ue's stream under `seed`."""
     common = 0
     for level in range(len(masks), 1, -1):
         for group in itertools.combinations(masks, level):
@@ -171,15 +274,16 @@ def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
     if tie_rule == "deterministic":
         first = common & masks[0]
         return next(i for i in top if first >> i & 1) if first else pilots[0]
-    rng = np.random.default_rng([seed, ue])
-    return pilots[rng.integers(len(pilots))]
+    return pilots[_bounded(word, len(pilots), seed, ue)]
 
 
 def _dpb_step(t: int, cache: ContaminationCache, probed, s_prime: list,
-              scheme: SchemeConfig, seeds, bits, counter: OpCounter | None) -> list:
+              scheme: SchemeConfig, seeds, words: list, bits,
+              counter: OpCounter | None) -> list:
     """Each drop's DPB pick for UE t. `probed` holds S APs per drop, padded
-    past drop d's first s_prime[d]; only those offer. `bits` holds 1 << i
-    for each pilot i as Python ints, so the offers' masks are exact for any
+    past drop d's first s_prime[d]; only those offer. `words[d]` is the
+    first word of UE t's stream under seeds[d]. `bits` holds 1 << i for
+    each pilot i as Python ints, so the offers' masks are exact for any
     Lp."""
     profiles = cache.local_errors(probed, t)
     if counter is not None:
@@ -188,16 +292,10 @@ def _dpb_step(t: int, cache: ContaminationCache, probed, s_prime: list,
                       scheme.dpb_delta)
     masks = (within @ bits).reshape(len(seeds), -1)
     tops = profiles[..., 0, :].argsort(kind="stable").reshape(len(seeds), -1)
-    picks = [_resolve(m[:s], top, scheme.tie_rule, seed, t, counter)
-             for m, s, top, seed in zip(masks.tolist(), s_prime, tops.tolist(),
-                                        seeds)]
+    picks = [_resolve(m[:s], top, scheme.tie_rule, seed, t, word, counter)
+             for m, s, top, seed, word in zip(masks.tolist(), s_prime,
+                                              tops.tolist(), seeds, words)]
     return picks if profiles.ndim == 3 else picks[0]
-
-
-def random_pa_step(t: int, lp: int, seed: int) -> int:
-    """Uniform pilot from UE t's own seeded stream."""
-    rng = np.random.default_rng([seed, t])
-    return int(rng.integers(lp))
 
 
 def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
@@ -237,6 +335,8 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     """
     if not len(seeds) == len(reals) == len(assocs):
         raise ValueError("need one seed and one association per drop")
+    for seed in seeds:
+        _require_seed(seed)
     num_drops = len(reals)
     num_aps, num_ues = reals[0].beta.shape
     if any(real.beta.shape != (num_aps, num_ues) for real in reals):
@@ -261,12 +361,16 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
         cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
     if scheme.scheme_id in ("eem", "dpb"):
         serving, sizes = _serving_table(assocs, num_aps)
+    if scheme.scheme_id in ("dpb", "random"):
+        # row t: the first word of UE t's stream under each drop's seed
+        words = _stream_words(seeds, np.arange(num_ues)[:, None]).tolist()
     if scheme.scheme_id == "dpb":
         s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
         bits = np.array([1 << i for i in range(lp)], dtype=object)
     elif scheme.scheme_id == "random":
-        draws = np.reshape([random_pa_step(t, lp, seed)
-                            for t in range(num_ues) for seed in seeds], shape)
+        draws = np.reshape([_bounded(word, lp, seed, t)
+                            for t, row in enumerate(words)
+                            for word, seed in zip(row, seeds)], shape)
     elif scheme.scheme_id == "scalable":
         # master AP per UE: the first strongest, as np.argmax picks it
         master = np.argmax(heard[:, :num_aps], axis=1).T.reshape(shape)
@@ -280,7 +384,8 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
                 counter.add_reads(int(sizes[t].sum()) * lp)
         elif scheme.scheme_id == "dpb":
             pilots = _dpb_step(t, cache, serving[t][..., :scheme.dpb_s],
-                               s_prime[t], scheme, seeds, bits, counter)
+                               s_prime[t], scheme, seeds, words[t], bits,
+                               counter)
         elif scheme.scheme_id == "random":
             pilots = draws[t]
         else:

@@ -13,13 +13,15 @@ the UEs they serve; locality is enforced by what the handlers can reach, not
 by convention. The error arithmetic (`local_error_profile`), the offer
 (`best_first`) and the UE's choice (`priority_select`) are shared with the
 direct implementation, so the negotiated assignment is bit-identical to it.
+A UE's seeded tie draws from its own stream, whose first word
+(`_stream_words`) one call per run precomputes for all arriving UEs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assignment import SchemeConfig, best_first, priority_select
+from .assignment import SchemeConfig, _stream_words, best_first, priority_select
 from .estimation import PilotAssignment, local_error_profile
 
 __all__ = [
@@ -146,11 +148,13 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
             dict(zip(ues, w[served].tolist())), lp, scheme.dpb_delta))
     log = TraceLog()
     pilot_of = np.full(num_ues, -1, dtype=int)
-    for arrival_index, t in enumerate(order.tolist()):
+    words = _stream_words(scheme.seed, order).tolist()
+    for arrival_index, (t, word) in enumerate(zip(order.tolist(), words)):
         serving = assoc.serving_aps[t].tolist()
         probed = serving[:scheme.dpb_s]
         offers = [agents[m].candidate_offer(t) for m in probed]
-        pilot = priority_select(offers, scheme.tie_rule, scheme.seed, ue=t)
+        pilot = priority_select(offers, scheme.tie_rule, scheme.seed, ue=t,
+                                word=word)
         for m in serving:
             agents[m].learn_assignment(t, pilot)
         log.record_arrival(arrival_index, t, probed, offers, serving)

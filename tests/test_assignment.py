@@ -19,8 +19,9 @@ from pilotsim import (
     best_first,
     priority_select,
 )
-from pilotsim.assignment import (SCHEME_IDS, TIE_RULES, assign_drops, eem_step,
-                                 random_pa_step)
+from pilotsim import assignment
+from pilotsim.assignment import (SCHEME_IDS, TIE_RULES, _bounded, _stream_words,
+                                 assign_drops, eem_step)
 from pilotsim.estimation import ContaminationCache
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
@@ -66,6 +67,20 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match="^dpb_s must be an integer"):
             SchemeConfig("dpb", dpb_s=value)
         assert SchemeConfig("dpb", dpb_s=np.int64(2)).dpb_s == 2
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            SchemeConfig("random", seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\)"):
+            SchemeConfig("random", seed=seed)
+
+    def test_accepts_every_64_bit_seed(self):
+        for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 63), np.int64(7)):
+            assert SchemeConfig("dpb", seed=seed).seed == seed
 
 
 class TestEemStep:
@@ -236,22 +251,92 @@ class TestPrioritySelect:
             assert mine.intersection_checks == ref.intersection_checks
 
 
+def random_pilots(num_ues, lp, seed):
+    """The `random` scheme's pilots on a one-AP drop of num_ues UEs."""
+    real = NetworkRealization(np.zeros((1, 2)), np.zeros((num_ues, 2)),
+                              np.ones((1, num_ues)), 0)
+    return assign_all(SchemeConfig("random", seed=seed), real,
+                      associate_aps(real, 0.95), unit_powers(num_ues),
+                      lp).pilot_of.tolist()
+
+
 class TestRandomPa:
     def test_single_pilot(self):
-        assert random_pa_step(11, 1, 3) == 0
+        assert random_pilots(12, 1, 3) == [0] * 12
 
     def test_reproducible_per_ue(self):
-        a = [random_pa_step(t, 7, 42) for t in range(50)]
-        b = [random_pa_step(t, 7, 42) for t in range(50)]
-        assert a == b
-        assert any(x != random_pa_step(t, 7, 43) for t, x in enumerate(a))
+        a = random_pilots(50, 7, 42)
+        assert a == random_pilots(50, 7, 42)
+        assert a != random_pilots(50, 7, 43)
+        # each UE draws from its own stream: fewer UEs keep the prefix
+        assert random_pilots(20, 7, 42) == a[:20]
 
     def test_roughly_uniform(self):
         n = 30000
-        counts = np.bincount([random_pa_step(t, 7, 0) for t in range(n)],
-                             minlength=7)
+        counts = np.bincount(random_pilots(n, 7, 0), minlength=7)
         sigma = np.sqrt(n * (1 / 7) * (6 / 7))
         assert np.all(np.abs(counts - n / 7) <= 3 * sigma)
+
+
+def generator_pick(seed, ue, n):
+    return int(np.random.default_rng([seed, ue]).integers(n))
+
+
+class TestStreamKernel:
+    """`_stream_words` and `_bounded` against the generator they stand for."""
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 10 ** 6 - 1),
+           st.integers(1, 2 ** 16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_default_rng(self, seed, ue, n):
+        word = int(_stream_words(seed, ue))
+        raw = np.random.default_rng([seed, ue]).bit_generator.random_raw()
+        assert word == int(raw) & 0xFFFFFFFF
+        assert _bounded(word, n, seed, ue) == generator_pick(seed, ue, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
+                                      2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 200])
+    def test_edge_seeds(self, seed, n):
+        word = int(_stream_words(seed, 0))
+        assert _bounded(word, n, seed, 0) == generator_pick(seed, 0, n)
+
+    def test_broadcast_matches_pairwise(self):
+        seeds = [0, 2 ** 32 + 5, 2 ** 64 - 1]
+        ues = np.arange(4)[:, None]
+        words = _stream_words(seeds, ues)
+        assert words.shape == (4, 3)
+        for t in range(4):
+            for d, seed in enumerate(seeds):
+                assert words[t, d] == _stream_words(seed, t)
+
+    @pytest.mark.parametrize("n", [2, 7, 200, 2 ** 16])
+    def test_rejectable_word_falls_back(self, n):
+        # word 0 leaves the product's low half 0 < n, so Lemire's method may
+        # reject it; the pick must then be the generator's own, not 0
+        picks = [_bounded(0, n, 9, ue) for ue in range(8)]
+        assert picks == [generator_pick(9, ue, n) for ue in range(8)]
+        assert any(picks)
+
+    def test_past_32_bits_falls_back(self):
+        n = 2 ** 32 + 5
+        for ue in range(4):
+            word = int(_stream_words(11, ue))
+            assert _bounded(word, n, 11, ue) == generator_pick(11, ue, n)
+
+    @pytest.mark.parametrize("scheme_id", ["random", "dpb"])
+    def test_one_kernel_call_per_stack(self, desk_drop, monkeypatch, scheme_id):
+        cfg, real, powers, assoc = desk_drop(seed=4)
+        calls = []
+
+        def counted(seeds, ues):
+            calls.append(np.broadcast(seeds, ues).size)
+            return _stream_words(seeds, ues)
+
+        monkeypatch.setattr(assignment, "_stream_words", counted)
+        assign_drops(SchemeConfig(scheme_id), [1, 2, 3], [real] * 3,
+                     [assoc] * 3, powers, cfg.pilot_length)
+        assert calls == [3 * cfg.num_ues]
 
 
 def cache_choice(t, beta, powers, lp, prior):
@@ -418,7 +503,7 @@ class TestAssignAll:
         cfg, real, powers, assoc = desk_drop(seed=3)
         pa = assign_all(SchemeConfig("random", seed=77), real, assoc, powers,
                         cfg.pilot_length)
-        want = [random_pa_step(t, cfg.pilot_length, 77)
+        want = [generator_pick(77, t, cfg.pilot_length)
                 for t in range(cfg.num_ues)]
         assert list(pa.pilot_of) == want
 
@@ -495,3 +580,10 @@ class TestAssignDrops:
         with pytest.raises(ValueError, match="must share M and T"):
             assign_drops(SchemeConfig("eem"), [1, 2], [real, fewer],
                          [assoc, fewer_assoc], powers, cfg.pilot_length)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2.0])
+    def test_rejects_bad_drop_seeds(self, desk_drop, seed):
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        with pytest.raises(ValueError, match="^seed must"):
+            assign_drops(SchemeConfig("random"), [1, seed], [real, real],
+                         [assoc, assoc], powers, cfg.pilot_length)

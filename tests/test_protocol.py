@@ -24,7 +24,8 @@ from pilotsim import (
     priority_select,
     run_protocol,
 )
-from pilotsim.assignment import TIE_RULES, best_first
+from pilotsim import assignment, protocol
+from pilotsim.assignment import TIE_RULES, _stream_words, best_first
 from pilotsim.cli import main
 from pilotsim.estimation import ContaminationCache, local_error_profile
 from pilotsim.harness import SCHEME_CODE
@@ -230,6 +231,25 @@ class TestRunProtocol:
         np.testing.assert_array_equal(part.pilot_of[order[:k]],
                                       full.pilot_of[order[:k]])
         assert np.all(part.pilot_of[order[k:]] == -1)
+
+    def test_one_kernel_call_per_run(self, desk_drop, monkeypatch):
+        cfg, real, powers, assoc = desk_drop(seed=6)
+        calls = []
+
+        def counted(seeds, ues):
+            calls.append(np.broadcast(seeds, ues).size)
+            return _stream_words(seeds, ues)
+
+        # priority_select falls back to its own call when given no word
+        monkeypatch.setattr(protocol, "_stream_words", counted)
+        monkeypatch.setattr(assignment, "_stream_words", counted)
+        order = np.random.default_rng(2).permutation(cfg.num_ues)
+        pa, _ = run_protocol(real, assoc, SchemeConfig("dpb", seed=3), order,
+                             powers, cfg.pilot_length)
+        assert calls == [cfg.num_ues]
+        direct = assign_all(SchemeConfig("dpb", seed=3), real, assoc, powers,
+                            cfg.pilot_length, order)
+        np.testing.assert_array_equal(pa.pilot_of, direct.pilot_of)
 
     def test_rejects_other_schemes_and_bad_orders(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=4)
