@@ -187,15 +187,15 @@ def _stream_words(seeds, ues) -> np.ndarray:
     return words.astype(np.uint64).reshape(shape)
 
 
-def _bounded(word: int, n: int, seed: int, ue: int) -> int:
+def _bounded(word: int | None, n: int, seed: int, ue: int) -> int:
     """`np.random.default_rng([seed, ue]).integers(n)` from the stream's
     first word: Lemire's multiply-shift, as `Generator.integers` takes it.
-    Where Lemire's method may reject the word (the product's low half is
-    below n), or n is past its 32-bit form, the generator draws instead."""
-    product = word * n
-    if product & _MASK32 < n or n > 1 << 32:
-        return int(np.random.default_rng([seed, ue]).integers(n))
-    return product >> 32
+    Without a word, where Lemire's method may reject it (the product's low
+    half is below n), or where n is past its 32-bit form, the generator
+    draws instead."""
+    if word is not None and n <= 1 << 32 and word * n & _MASK32 >= n:
+        return word * n >> 32
+    return int(np.random.default_rng([seed, ue]).integers(n))
 
 
 def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int):
@@ -241,21 +241,20 @@ def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
     bitmasks wins; a lone pilot is forced, several go to `tie_rule`:
     `deterministic` takes the strongest AP's best common pilot, else the
     lowest one; `seeded_random` draws from UE ue's stream under `seed`,
-    whose first word (`_stream_words`) a caller may pass as `word`. If
+    whose first word (`_stream_words`) a caller may pass as `word`; without
+    it, only a tie that needs a draw builds the stream's generator. If
     every intersection is empty, the strongest AP's best pilot wins.
     """
-    if word is None:
-        word = int(_stream_words(seed, ue))
     return _resolve([sum(1 << i for i in offer) for offer in offers],
                     offers[0], tie_rule, seed, ue, word, counter)
 
 
 def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
-             word: int, counter: OpCounter | None) -> int:
+             word: int | None, counter: OpCounter | None) -> int:
     """`priority_select` on the offers' pilot bitmasks (Python ints, so any
     Lp fits). `top` ranks the strongest AP's pilots best first: its offer,
     or any longer ranking that starts with it. `word` is the first word of
-    UE ue's stream under `seed`."""
+    UE ue's stream under `seed`, or None."""
     common = 0
     for level in range(len(masks), 1, -1):
         for group in itertools.combinations(masks, level):

@@ -8,10 +8,10 @@ Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
 value, at most `_CHUNK_DROPS` of them: each scheme assigns pilots on the
 whole chunk in one batched loop, and rows stay per drop. A chunk that
-fails reruns drop by drop, so the error names its (sweep value, drop
-seed, scheme). Rows are sorted deterministically and files are written
-via write-then-rename, so reruns are byte-identical regardless of worker
-count.
+fails reruns cell by cell only to name its (sweep value, drop seed,
+scheme), or names the chunk if every cell passes. Rows are sorted
+deterministically and files are written via write-then-rename, so reruns
+are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ _CHUNK_DROPS = 6
 
 
 class CellError(RuntimeError):
-    """One cell failed: its drop, its association or one of its schemes.
+    """One cell failed: its drop, its association or one of its schemes;
+    or a chunk failed where each of its cells passes alone.
 
-    The message names the cell; the original error is the cause.
+    The message names the cell or chunk; the original error is the cause.
     """
 
 
@@ -165,16 +166,16 @@ def _run_chunk(args) -> list:
 
     Each scheme assigns its pilots on every drop of the chunk in one
     `assign_drops` call, then one `evaluate` call per drop scores that
-    drop's schemes together. If anything fails, the chunk reruns drop by
-    drop through `_run_cell`, so the error names its cell.
+    drop's schemes together; these calls make every row. If one fails,
+    `_name_failing_cell` names the cell, or else the error names the chunk.
     """
     spec, sweep_idx, drop_idxs = args
+    value = spec.sweep_values[sweep_idx]
+    cfg = spec.config_for(value)
+    drop_seeds, scheme_seeds = zip(*(
+        cell_seeds(spec.master_seed, sweep_idx, di, spec.schemes)
+        for di in drop_idxs))
     try:
-        value = spec.sweep_values[sweep_idx]
-        cfg = spec.config_for(value)
-        drop_seeds, scheme_seeds = zip(*(
-            cell_seeds(spec.master_seed, sweep_idx, di, spec.schemes)
-            for di in drop_idxs))
         reals = [generate_drop(cfg, seed) for seed in drop_seeds]
         powers = normalize_powers(cfg)
         assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
@@ -184,50 +185,34 @@ def _run_chunk(args) -> list:
                                                  zip(*scheme_seeds))]
         reports = [evaluate(real, assoc, list(cell), powers, cfg)
                    for real, assoc, cell in zip(reals, assocs, zip(*by_scheme))]
-    except Exception:
-        return [row for di in drop_idxs
-                for row in _run_cell((spec, sweep_idx, di))]
+    except Exception as exc:
+        where = f"{spec.sweep}={value!r}"
+        _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds)
+        raise _cell_error(f"{where}, drop seeds {list(drop_seeds)}",
+                          exc) from exc
     return _rows(spec, value, drop_seeds, reports)
 
 
-def _run_cell(args) -> list:
-    """All schemes on one (sweep value, drop) cell; shared geometry.
-
-    Each scheme assigns its pilots on the shared drop, then one `evaluate`
-    call scores them all, with one stacked LSFD solve per serving-set size.
-    If that fails, the schemes run again one at a time, so the error names
-    the first scheme, in spec order, whose assignment or evaluation fails.
-    """
-    spec, sweep_idx, drop_idx = args
-    value = spec.sweep_values[sweep_idx]
-    cfg = spec.config_for(value)
-    drop_seed, seeds = cell_seeds(spec.master_seed, sweep_idx, drop_idx,
-                                  spec.schemes)
-    schemes = [replace(spec.dpb, scheme_id=s, seed=seed)
-               for s, seed in zip(spec.schemes, seeds)]
-    cell = f"{spec.sweep}={value!r}, drop seed {drop_seed}"
-    try:
-        real = generate_drop(cfg, drop_seed)
-        powers = normalize_powers(cfg)
-        assoc = associate_aps(real, cfg.assoc_threshold)
-    except Exception as exc:
-        raise _cell_error(cell, exc) from exc
-    try:
-        reports = evaluate(real, assoc,
-                           [assign_all(scheme, real, assoc, powers,
-                                       cfg.pilot_length) for scheme in schemes],
-                           powers, cfg)
-    except Exception:
-        reports = []
-        for scheme in schemes:
+def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):
+    """Rerun a failed chunk drop by drop, each drop's schemes one at a
+    time in spec order, and raise the first failure as a `CellError`
+    naming its (sweep value, drop seed, scheme). Builds no rows."""
+    for drop_seed, seeds in zip(drop_seeds, scheme_seeds):
+        cell = f"{where}, drop seed {drop_seed}"
+        try:
+            real = generate_drop(cfg, drop_seed)
+            powers = normalize_powers(cfg)
+            assoc = associate_aps(real, cfg.assoc_threshold)
+        except Exception as exc:
+            raise _cell_error(cell, exc) from exc
+        for scheme_id, seed in zip(spec.schemes, seeds):
+            scheme = replace(spec.dpb, scheme_id=scheme_id, seed=seed)
             try:
-                assignment = assign_all(scheme, real, assoc, powers,
-                                        cfg.pilot_length)
-                reports.append(evaluate(real, assoc, assignment, powers, cfg))
+                evaluate(real, assoc, assign_all(scheme, real, assoc, powers,
+                                                 cfg.pilot_length),
+                         powers, cfg)
             except Exception as exc:
-                raise _cell_error(f"{cell}, scheme {scheme.scheme_id}",
-                                  exc) from exc
-    return _rows(spec, value, [drop_seed], [reports])
+                raise _cell_error(f"{cell}, scheme {scheme_id}", exc) from exc
 
 
 def _write_atomic(path: Path, text: str):

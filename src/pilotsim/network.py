@@ -126,6 +126,7 @@ class NetworkConfig:
             raise ValueError("area, bandwidth and transmit power must be positive")
         if self.shadow_sigma_db < 0:
             raise ValueError("shadow sigma must be nonnegative")
+        _normalized_power(self)
 
 
 @dataclass(frozen=True)
@@ -273,12 +274,24 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def normalize_powers(config: NetworkConfig) -> PowerProfile:
-    """Noise-normalized SNR per UE; pilots and data share one power budget."""
+def _normalized_power(config: NetworkConfig) -> float:
+    """Transmit over noise power, linear; rejected unless a positive float."""
     tx_dbm = 10.0 * math.log10(config.tx_power_mw)
     snr_db = tx_dbm - noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)
-    p = 10.0 ** (snr_db / 10.0)
-    per_ue = np.full(config.num_ues, p)
+    try:
+        p = 10.0 ** (snr_db / 10.0)
+        if p > 0.0:
+            return p
+    except OverflowError:
+        pass
+    raise ValueError(f"tx_power_mw, bandwidth_hz and noise_figure_db give a "
+                     f"noise-normalized power of {snr_db:.6g} dB, outside the "
+                     f"float range")
+
+
+def normalize_powers(config: NetworkConfig) -> PowerProfile:
+    """Noise-normalized SNR per UE; pilots and data share one power budget."""
+    per_ue = np.full(config.num_ues, _normalized_power(config))
     return PowerProfile(per_ue, per_ue.copy())
 
 

@@ -151,7 +151,8 @@ def evaluate(real, assoc, assignments, powers, config):
     sequence of them on this drop, which gives one `SeReport` per assignment
     in order. Each UE scores p_t b.Q^{-1} b, its optimal-LSFD SINR. All
     assignments share one strong-set ranking and one batched pass: one
-    stacked solve per serving-set size.
+    stacked solve per serving-set size. Co-pilot products are padded to the
+    largest pilot load, so a score can differ at round-off from a lone call.
     """
     single = isinstance(assignments, PilotAssignment)
     assignments = [assignments] if single else list(assignments)

@@ -233,6 +233,25 @@ class TestPrioritySelect:
         offers = [[3], [199, 70], [70, 199]]
         assert priority_select(offers, tie_rule="deterministic") == 70
 
+    @pytest.mark.parametrize("offers", [[[1, 4, 5], [4, 1, 5]],
+                                        [[2, 0], [0, 2], [3]],
+                                        [[0, 1], [2], [1]], [[0], [1], [2]]],
+                             ids=["tie3", "tie2", "forced", "fallback"])
+    def test_no_word_makes_no_kernel_call(self, monkeypatch, offers):
+        pairs = [(seed, ue) for seed in (0, 9, 2 ** 32 + 5, 2 ** 64 - 1)
+                 for ue in range(25)]
+        words = [int(w) for w in _stream_words(*zip(*pairs))]
+
+        def refuse(*args):
+            raise AssertionError("priority_select called the stream kernel")
+
+        monkeypatch.setattr(assignment, "_stream_words", refuse)
+        for tie_rule in TIE_RULES:
+            for (seed, ue), word in zip(pairs, words):
+                assert (priority_select(offers, tie_rule, seed, ue)
+                        == priority_select(offers, tie_rule, seed, ue,
+                                           word=word))
+
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(TIE_RULES))
     @settings(max_examples=300, deadline=None)
     def test_matches_intersect1d_oracle(self, seed, tie_rule):

@@ -179,11 +179,25 @@ class TestRunExperiment:
             assert [p[kind].read_bytes() for p in paths[1:]] == [ref, ref]
 
     def test_chunk_rows_equal_cell_rows(self, tmp_path):
+        # each cell alone: its schemes assigned one at a time, then scored
+        # in one joint evaluate, as the chunk scores a drop's schemes
         spec = tiny_spec(tmp_path, num_drops=3)
         rows, _ = run_experiment(spec)
-        cells = [row for si in range(len(spec.sweep_values))
-                 for di in range(spec.num_drops)
-                 for row in harness._run_cell((spec, si, di))]
+        cells = []
+        for si, value in enumerate(spec.sweep_values):
+            cfg = spec.config_for(value)
+            powers = normalize_powers(cfg)
+            for di in range(spec.num_drops):
+                drop_seed, seeds = cell_seeds(spec.master_seed, si, di,
+                                              spec.schemes)
+                real = generate_drop(cfg, drop_seed)
+                assoc = associate_aps(real, cfg.assoc_threshold)
+                pas = [assign_all(dataclasses.replace(spec.dpb, scheme_id=s,
+                                                      seed=seed),
+                                  real, assoc, powers, cfg.pilot_length)
+                       for s, seed in zip(spec.schemes, seeds)]
+                reports = evaluate(real, assoc, pas, powers, cfg)
+                cells += harness._rows(spec, value, [drop_seed], [reports])
         key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
         assert ([r.csv_line() for r in rows]
                 == [r.csv_line() for r in sorted(cells, key=key)])
@@ -349,6 +363,27 @@ class TestCellFailures:
         assert str(info.value) == (f"ue_count=10, drop seed {bad_seed}, "
                                    "scheme random: ArithmeticError: "
                                    "bad SINR for UE 4")
+
+    def test_batched_only_failure_names_its_chunk(self, tmp_path,
+                                                 monkeypatch):
+        # stacks of two or more drops fail, so every cell passes on its
+        # own: the defect is in the batched path, and the error names the
+        # chunk rather than returning rows made some other way
+        error = RuntimeError("stacked step went wrong")
+        real_drops = harness.assign_drops
+
+        def assign_drops(scheme, seeds, *args, **kwargs):
+            if len(seeds) > 1:
+                raise error
+            return real_drops(scheme, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "assign_drops", assign_drops)
+        with pytest.raises(CellError) as info:
+            run_experiment(tiny_spec(tmp_path, num_drops=3))
+        seeds = [derive_seed(3, 0, di) for di in range(3)]
+        assert str(info.value) == (f"ue_count=10, drop seeds {seeds}: "
+                                   "RuntimeError: stacked step went wrong")
+        assert info.value.__cause__ is error
 
     def test_association_failure_names_its_cell(self, tmp_path, monkeypatch):
         def associate_aps(*args, **kwargs):
@@ -536,6 +571,26 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: dpb_delta must be finite and >= 0\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-ues", "protocol-audit"])
+    @pytest.mark.parametrize("entry", [{"tx_power_mw": 1e300},
+                                       {"noise_figure_db": 4000},
+                                       {"bandwidth_hz": 1e-300}],
+                             ids=["tx_power", "noise_figure", "bandwidth"])
+    def test_unusable_power_exits_2_before_any_output(self, tmp_path, capsys,
+                                                      command, entry):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(entry))
+        code = main([command, "--desk-scale", "--config", str(cfg),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: tx_power_mw, bandwidth_hz and "
+                            r"noise_figure_db give a noise-normalized power "
+                            r"of \S+ dB, outside the float range\n",
+                            captured.err)
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep-ues", "cdf", "protocol-audit"])

@@ -93,6 +93,18 @@ class TestPowers:
         quad = normalize_powers(NetworkConfig(bandwidth_hz=80e6)).p_pilot[0]
         assert quad == pytest.approx(base / 4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("field,value", [("tx_power_mw", 1e300),
+                                             ("noise_figure_db", 4000.0),
+                                             ("bandwidth_hz", 1e-300)])
+    def test_unusable_power_rejected_when_built(self, field, value):
+        # the power overflows a float, or rounds to zero
+        with pytest.raises(ValueError, match="noise-normalized power"):
+            NetworkConfig(**{field: value})
+
+    def test_tiny_power_builds(self):
+        cfg = NetworkConfig(tx_power_mw=1e-300)
+        assert normalize_powers(cfg).p_pilot[0] > 0.0
+
 
 class TestGenerateDrop:
     def test_minimal_instance(self):

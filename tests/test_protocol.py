@@ -240,7 +240,7 @@ class TestRunProtocol:
             calls.append(np.broadcast(seeds, ues).size)
             return _stream_words(seeds, ues)
 
-        # priority_select falls back to its own call when given no word
+        # run_protocol passes its words on, so priority_select makes none
         monkeypatch.setattr(protocol, "_stream_words", counted)
         monkeypatch.setattr(assignment, "_stream_words", counted)
         order = np.random.default_rng(2).permutation(cfg.num_ues)
