@@ -230,10 +230,7 @@ def compute_lsfc(distance_m, shadow_db=0.0, params: PathLossParams | None = None
         ),
     )
     shadowed = np.where(d_km > d1, shadow_db, 0.0)
-    beta = 10.0 ** ((-pl_db + shadowed) / 10.0)
-    if np.ndim(distance_m) == 0 and np.ndim(shadow_db) == 0:
-        return float(beta)
-    return beta
+    return 10.0 ** ((-pl_db + shadowed) / 10.0)
 
 
 def _pairwise_distances(ap_pos: np.ndarray, ue_pos: np.ndarray,
@@ -255,7 +252,6 @@ def generate_drop(config: NetworkConfig, seed: int) -> NetworkRealization:
     and the per-UE quantities are drawn UE-major, so rerunning the same seed
     with extra UEs appended leaves the first T columns of beta unchanged.
     """
-    config.validate()
     ap_rng, ue_rng, sh_rng = (np.random.default_rng(s) for s in
                               np.random.SeedSequence(seed).spawn(3))
     side = config.area_side_m

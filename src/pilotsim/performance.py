@@ -64,8 +64,9 @@ def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
     `gammas` is the (S, M, T) stack of one gamma per assignment, and
     `grouped` is the drop's association after one `group_strong_ues` call
     for all of `assignments`: one shared strong flag, and one row of
-    strong-pilot counts per assignment. The per-AP sums and the co-pilot
-    weight table are each one product over the stack. The serving links of
+    strong-pilot counts per assignment. The per-AP sums, the co-pilot
+    weight table and its member table (a cumulative one-hot count of each
+    pilot over the UEs) are each one pass over the stack. The serving links of
     all UEs are laid out once, ordered by |M_t| and then by UE, and every
     per-link scalar is computed as (S, L) rows. Each serving-set size is
     then one contiguous run of links that reshapes to (S, N, n); only its
@@ -84,20 +85,16 @@ def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
     table_w = np.zeros((num_schemes, num_aps, num_ues + 1))
     np.sqrt(gammas * p, out=table_w[:, :, :num_ues])
     # one table row per (assignment, pilot) lists that pilot's UEs in
-    # ascending order, padded with T to the largest load of any assignment;
-    # key[s, t] is t's row and slot[s, t] its position there
-    pilot_of = np.stack([pa.pilot_of for pa in assignments])
+    # ascending order, padded with T to the largest load of any assignment.
+    # rank[s, t, i] counts the UEs up to t on pilot i, so t's slot in its
+    # pilot's row is its own count less one, and rank[:, -1] holds the loads
+    pilot_of = np.stack([pa.pilot_of for pa in assignments])[..., None]
     num_pilots = max(pa.num_pilots for pa in assignments)
-    key = np.arange(num_schemes)[:, None] * num_pilots + pilot_of
-    flat = key.ravel()
-    load = np.bincount(flat, minlength=num_pilots * num_schemes)
-    order = np.argsort(flat, kind="stable")
-    first = np.cumsum(load) - load
-    slot = np.empty(flat.size, dtype=int)
-    slot[order] = np.arange(flat.size) - first[flat[order]]
-    table = np.full((load.size, load.max()), num_ues)
-    table[flat, slot] = np.tile(np.arange(num_ues), num_schemes)
-    slot = slot.reshape(key.shape)
+    rank = (pilot_of == np.arange(num_pilots)).cumsum(axis=1)
+    slot = np.take_along_axis(rank, pilot_of, 2) - 1
+    stack = np.arange(num_schemes)[:, None, None]
+    table = np.full((num_schemes, num_pilots, rank[:, -1].max()), num_ues)
+    table[stack, pilot_of, slot] = np.arange(num_ues)[:, None]
 
     sets = grouped.serving_aps
     sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
@@ -115,17 +112,15 @@ def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
     # each link's row of w, as a flat offset, and each UE's co-pilots: its
     # pilot's row of the table minus its own slot
     row = (np.arange(num_schemes)[:, None] * num_aps + serving) * (num_ues + 1)
-    key, slot = key[:, ues, None], slot[:, ues, None]
-    j = np.arange(table.shape[1] - 1)
-    copilots = table[key, j + (j >= slot)]
+    j = np.arange(table.shape[2] - 1)
+    copilots = table[stack, pilot_of[:, ues], j + (j >= slot[:, ues])]
     w = table_w.ravel()
+    start = [0, *np.cumsum(sizes).tolist()]
     cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
-    start = 0
     for lo, hi in zip([0, *cuts], [*cuts, ues.size]):
         n = int(sizes[lo])
         shape = (num_schemes, hi - lo, n)
-        links = slice(start, start + (hi - lo) * n)
-        start = links.stop
+        links = slice(start[lo], start[hi])
         c = (root[:, links].reshape(shape)[..., None]
              * w[row[:, links].reshape(shape)[..., None]
                  + copilots[:, lo:hi, None, :]])
@@ -138,10 +133,7 @@ def _lsfd_groups(beta, powers, gammas, grouped, assignments, antennas: int):
 
 def se_uplink(sinr, coherence_block: int, pilot_length: int):
     """Ergodic uplink SE in bits/s/Hz; accepts scalars or arrays."""
-    se = prelog(coherence_block, pilot_length) * np.log2(1.0 + np.asarray(sinr))
-    if np.ndim(sinr) == 0:
-        return float(se)
-    return se
+    return prelog(coherence_block, pilot_length) * np.log2(1.0 + np.asarray(sinr))
 
 
 def evaluate(real, assoc, assignments, powers, config):
@@ -158,8 +150,6 @@ def evaluate(real, assoc, assignments, powers, config):
     assignments = [assignments] if single else list(assignments)
     if not assignments:
         raise ValueError("need at least one pilot assignment")
-    if not all(pa.is_complete for pa in assignments):
-        raise ValueError("evaluation requires a complete assignment")
     gammas = np.stack([compute_gamma(real.beta, powers, config.pilot_length,
                                      pa) for pa in assignments])
     grouped = group_strong_ues(real, assoc, config.strong_threshold,
@@ -169,13 +159,15 @@ def evaluate(real, assoc, assignments, powers, config):
                                   assignments, config.antennas_per_ap):
         score[:, ues] = np.sum(
             b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
-    reports = []
-    for i, sinr in enumerate(powers.p_uplink * score):
-        bad = np.flatnonzero(~(np.isfinite(sinr) & (sinr > 0.0)))
-        if bad.size:
-            where = "" if single else f" under assignment {i}"
-            raise ArithmeticError(
-                f"non-finite or non-positive SINR for UE {bad[0]}{where}")
-        se = se_uplink(sinr, config.coherence_block, config.pilot_length)
-        reports.append(SeReport(sinr=sinr, se=se, sum_se=float(se.sum())))
+    # one pass over the (S, T) stack; argwhere meets failures row-major
+    sinr = powers.p_uplink * score
+    bad = np.argwhere(~(np.isfinite(sinr) & (sinr > 0.0)))
+    if bad.size:
+        i, t = bad[0]
+        where = "" if single else f" under assignment {i}"
+        raise ArithmeticError(
+            f"non-finite or non-positive SINR for UE {t}{where}")
+    se = se_uplink(sinr, config.coherence_block, config.pilot_length)
+    reports = [SeReport(sinr=r, se=e, sum_se=float(total))
+               for r, e, total in zip(sinr, se, se.sum(axis=1))]
     return reports[0] if single else reports

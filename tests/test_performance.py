@@ -385,6 +385,26 @@ class TestBatchedEvaluate:
         with pytest.raises(ValueError, match="at least one"):
             evaluate(real, assoc, [], powers, cfg)
 
+    def test_first_failure_is_row_major(self, desk_drop, monkeypatch):
+        # UE 1 fails under assignment 0 and UE 0 under assignment 1: the
+        # first (assignment, UE) in row-major order is named, not the lower UE
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
+                          cfg.pilot_length) for scheme in ("eem", "dpb")]
+
+        def one_group(beta, powers, gammas, grouped, assignments, antennas):
+            num_ues = beta.shape[1]
+            b = np.ones((len(assignments), num_ues, 1))
+            b[0, 1] = b[1, 0] = np.nan
+            yield (np.arange(num_ues),
+                   np.ones((len(assignments), num_ues, 1, 1)), b)
+
+        monkeypatch.setattr(performance, "_lsfd_groups", one_group)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ArithmeticError,
+                               match="for UE 1 under assignment 0$"):
+                evaluate(real, assoc, pas, powers, cfg)
+
     def test_degenerate_sinr_names_first_ue(self):
         cfg, real, powers, assoc = degenerate_drop()
         pa = PilotAssignment(np.array([0, 1]), 3)
