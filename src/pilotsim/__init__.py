@@ -7,9 +7,8 @@ from .estimation import PilotAssignment, compute_gamma
 from .harness import (CellError, ExperimentSpec, ResultRow, SCHEME_CODE,
                       derive_seed, emit_cdf, run_experiment)
 from .network import (AssociationMap, NetworkConfig, NetworkRealization,
-                      PathLossParams, PowerProfile, associate_aps,
-                      compute_lsfc, generate_drop, group_strong_ues,
-                      noise_power_dbm, normalize_powers)
+                      PowerProfile, associate_aps, compute_lsfc, generate_drop,
+                      group_strong_ues, noise_power_dbm, normalize_powers)
 from .performance import SeReport, evaluate, prelog, se_uplink
 from .protocol import BudgetViolation, audit_overhead, run_protocol
 

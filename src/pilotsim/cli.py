@@ -13,12 +13,11 @@ import numpy as np
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all
 from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, _write_atomic,
                       _write_meta, cell_seeds, emit_cdf, run_experiment)
-from .network import (NetworkConfig, PathLossParams, associate_aps,
-                      generate_drop, normalize_powers)
+from .network import (NetworkConfig, associate_aps, generate_drop,
+                      normalize_powers)
 from .protocol import BudgetViolation, audit_overhead, run_protocol
 
-_NETWORK_KEYS = {f.name for f in dataclasses.fields(NetworkConfig)} - {"pathloss"}
-_PATHLOSS_KEYS = {f.name for f in dataclasses.fields(PathLossParams)}
+_NETWORK_KEYS = {f.name for f in dataclasses.fields(NetworkConfig)}
 
 # command -> (swept field, paper-style full-scale values, desk-scale values);
 # `--values` casts to the type of the defaults, and `cdf` sweeps nothing
@@ -36,11 +35,10 @@ def load_config_file(path) -> tuple:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
-    unknown = sorted(set(data) - _NETWORK_KEYS - _PATHLOSS_KEYS - set(DPB_OPTIONS))
+    unknown = sorted(set(data) - _NETWORK_KEYS - set(DPB_OPTIONS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return ({k: v for k, v in data.items() if k in _NETWORK_KEYS},
-            {k: v for k, v in data.items() if k in _PATHLOSS_KEYS},
             {k: v for k, v in data.items() if k in DPB_OPTIONS})
 
 
@@ -83,16 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args):
     """Network config, DPB options and drop count. Precedence: defaults <
     desk preset < subcommand preset < config file."""
-    net, pl, scheme_opts = {}, {}, {}
+    net, scheme_opts = {}, {}
     if args.desk_scale:
         net.update(num_aps=30, num_ues=50)
     if args.command == "sweep-pilots":
         net.setdefault("antennas_per_ap", 16)
     if args.config:
-        file_net, pl, scheme_opts = load_config_file(args.config)
+        file_net, scheme_opts = load_config_file(args.config)
         net.update(file_net)
-    if pl:
-        net["pathloss"] = PathLossParams(**pl)
     drops = args.drops
     if drops is None:
         drops = (10 if args.command == "protocol-audit"

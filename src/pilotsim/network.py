@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "PathLossParams",
     "NetworkConfig",
     "NetworkRealization",
     "PowerProfile",
@@ -47,39 +46,19 @@ def require_number(name: str, value):
 
 
 @dataclass(frozen=True)
-class PathLossParams:
-    """Three-slope log-distance path loss constants.
-
-    Defaults follow the common 1.9 GHz parameterization (15 m AP and 1.65 m
-    UE antenna heights): fixed loss 140.7 dB at 1 km, breakpoints at 10 m and
-    50 m, and exponents 0 / 2 / 3.5 on the three segments. The profile is
-    continuous at both breakpoints by construction.
-    """
-
-    ref_loss_db: float = 140.7
-    d0_m: float = 10.0
-    d1_m: float = 50.0
-    exp_near: float = 0.0
-    exp_mid: float = 2.0
-    exp_far: float = 3.5
-
-    def __post_init__(self):
-        for f in fields(self):
-            require_number(f.name, getattr(self, f.name))
-        if not (0.0 < self.d0_m < self.d1_m):
-            raise ValueError("breakpoints must satisfy 0 < d0 < d1")
-        for name in ("ref_loss_db", "exp_near", "exp_mid", "exp_far"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite path loss parameter {name}")
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
     """Static system parameters for one simulation scenario.
 
     `assoc_threshold` is the fraction of a UE's total LSFC mass its serving
     APs must capture; `strong_threshold` plays the same role per AP when
     splitting served UEs into the strong (zero-forced) group.
+
+    The last six fields are the three-slope log-distance path loss of
+    :func:`compute_lsfc`. Defaults follow the common 1.9 GHz
+    parameterization (15 m AP and 1.65 m UE antenna heights): fixed loss
+    140.7 dB at 1 km, breakpoints at 10 m and 50 m, and exponents 0 / 2 / 3.5
+    on the three segments. The profile is continuous at both breakpoints by
+    construction.
     """
 
     area_side_m: float = 1000.0
@@ -94,19 +73,22 @@ class NetworkConfig:
     strong_threshold: float = 0.95
     tx_power_mw: float = 100.0
     noise_figure_db: float = 9.0
-    pathloss: PathLossParams = field(default_factory=PathLossParams)
     wrap_around: bool = False
+    ref_loss_db: float = 140.7
+    d0_m: float = 10.0
+    d1_m: float = 50.0
+    exp_near: float = 0.0
+    exp_mid: float = 2.0
+    exp_far: float = 3.5
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in ("num_aps", "num_ues", "antennas_per_ap", "coherence_block",
                      "pilot_length"):
             require_integer(name, getattr(self, name))
         for name in ("area_side_m", "bandwidth_hz", "shadow_sigma_db",
                      "assoc_threshold", "strong_threshold", "tx_power_mw",
-                     "noise_figure_db"):
+                     "noise_figure_db", "ref_loss_db", "d0_m", "d1_m",
+                     "exp_near", "exp_mid", "exp_far"):
             require_number(name, getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite config value {name}")
@@ -126,6 +108,8 @@ class NetworkConfig:
             raise ValueError("area, bandwidth and transmit power must be positive")
         if self.shadow_sigma_db < 0:
             raise ValueError("shadow sigma must be nonnegative")
+        if not 0.0 < self.d0_m < self.d1_m:
+            raise ValueError("breakpoints must satisfy 0 < d0 < d1")
         _normalized_power(self)
 
 
@@ -205,15 +189,15 @@ class AssociationMap:
                                _readonly(np.asarray(self.strong_pilot_count, dtype=int)))
 
 
-def compute_lsfc(distance_m, shadow_db=0.0, params: PathLossParams | None = None):
+def compute_lsfc(distance_m, shadow_db=0.0, config: NetworkConfig | None = None):
     """Linear-scale LSFC for one distance or an array of distances.
 
-    Path loss follows the three-slope profile of `params`; the lognormal
-    shadowing term `shadow_db` is applied only beyond the outer breakpoint,
-    where the environment actually decorrelates. Distances are clamped to
-    1 m to avoid the log singularity.
+    Path loss follows the three-slope profile of `config` (default
+    `NetworkConfig()`); the lognormal shadowing term `shadow_db` is applied
+    only beyond the outer breakpoint, where the environment actually
+    decorrelates. Distances are clamped to 1 m to avoid the log singularity.
     """
-    p = params if params is not None else PathLossParams()
+    p = config if config is not None else NetworkConfig()
     d_km = np.maximum(np.asarray(distance_m, dtype=float), 1.0) / 1000.0
     d0, d1 = p.d0_m / 1000.0, p.d1_m / 1000.0
     # offsets chain the segments together so the profile stays continuous
@@ -261,7 +245,7 @@ def generate_drop(config: NetworkConfig, seed: int) -> NetworkRealization:
                            size=(config.num_ues, config.num_aps)).T
     dist = _pairwise_distances(ap_pos, ue_pos,
                                side if config.wrap_around else None)
-    beta = compute_lsfc(dist, shadow, config.pathloss)
+    beta = compute_lsfc(dist, shadow, config)
     return NetworkRealization(ap_pos, ue_pos, beta, int(seed))
 
 

@@ -16,6 +16,7 @@ import pytest
 import pilotsim
 from pilotsim import (
     SCHEME_CODE,
+    BudgetViolation,
     CellError,
     ExperimentSpec,
     NetworkConfig,
@@ -218,6 +219,17 @@ class TestRunExperiment:
         meta = json.loads(paths["metadata"].read_text())
         assert meta["python"] == platform.python_version()
         assert meta["numpy"] == np.__version__
+
+    @pytest.mark.parametrize("target,text,error", [
+        ("out.txt", "\ud800", UnicodeEncodeError),  # unencodable text
+        ("taken", "fine\n", IsADirectoryError)],  # replace onto a directory
+        ids=["write", "replace"])
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, target,
+                                                   text, error):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(error):
+            harness._write_atomic(tmp_path / target, text)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_per_user_detail(self, tmp_path):
         spec = tiny_spec(tmp_path, sweep="none",
@@ -611,9 +623,12 @@ class TestCli:
          "assoc_threshold must be a number, got '0.9'"),
         ({"ref_loss_db": "140.7"}, "ref_loss_db must be a number, got '140.7'"),
         ({"wrap_around": "false"}, "wrap_around must be a bool, got 'false'"),
-        ({"num_aps": True}, "num_aps must be an integer, got True")],
+        ({"num_aps": True}, "num_aps must be an integer, got True"),
+        ({"d0_m": float("inf")}, "non-finite config value d0_m"),
+        ({"d1_m": float("inf")}, "non-finite config value d1_m"),
+        ([{"num_aps": 8}], "config file must hold a flat JSON object")],
         ids=["dpb_delta", "assoc_threshold", "ref_loss_db", "wrap_around",
-             "num_aps"])
+             "num_aps", "d0_m_infinite", "d1_m_infinite", "list"])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command,
                                            entry, message):
         cfg = tmp_path / "net.json"
@@ -730,6 +745,75 @@ class TestCli:
                         2 * [dataclasses.replace(
                             template, seed=cell_seeds(7, 0, di, ("dpb",))[1][0])]]
 
+    def test_sweep_meta_rebuilds_its_config(self, tmp_path, monkeypatch,
+                                            capsys):
+        specs = []
+        real_run = cli.run_experiment
+
+        def run_experiment(spec):
+            specs.append(spec)
+            return real_run(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps({"exp_far": 3.7, **self.DPB_FILE}))
+        code = main(["sweep-ues", "--desk-scale", "--config", str(cfg),
+                     "--values", "30", "--drops", "1", "--scheme", "eem",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        meta = json.loads(
+            (tmp_path / "out" / "sweep_ues_meta.json").read_text())
+        (spec,) = specs
+        assert spec.config == NetworkConfig(num_aps=30, num_ues=50,
+                                            exp_far=3.7)
+        assert NetworkConfig(**meta["config"]) == spec.config
+
+    # sweep-pilots presets A=16 over the desk preset; a config file wins
+    @pytest.mark.parametrize("entry,antennas", [({}, 16),
+                                                ({"antennas_per_ap": 12}, 12)])
+    def test_pilot_sweep_antenna_precedence(self, tmp_path, capsys, entry,
+                                            antennas):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(entry))
+        code = main(["sweep-pilots", "--desk-scale", "--config", str(cfg),
+                     "--values", "7", "--drops", "1", "--scheme", "eem",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        meta = json.loads(
+            (tmp_path / "out" / "sweep_pilots_meta.json").read_text())
+        assert meta["config"]["antennas_per_ap"] == antennas
+        assert (meta["config"]["num_aps"], meta["config"]["num_ues"]) == (30, 50)
+
+    def test_audit_reports_a_budget_violation(self, tmp_path, monkeypatch,
+                                              capsys):
+        def audit_overhead(*args):
+            raise BudgetViolation(4, "too many messages")
+
+        monkeypatch.setattr(cli, "audit_overhead", audit_overhead)
+        code = main(["protocol-audit", "--desk-scale", "--drops", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("drop 0: BUDGET VIOLATION: UE 4: too many "
+                                "messages\n")
+        assert captured.out == ""
+
+    def test_audit_reports_a_mismatch(self, tmp_path, monkeypatch, capsys):
+        real_assign = cli.assign_all
+
+        def assign_all(*args, **kwargs):
+            pa = real_assign(*args, **kwargs)
+            return PilotAssignment((pa.pilot_of + 1) % pa.num_pilots,
+                                   pa.num_pilots)
+
+        monkeypatch.setattr(cli, "assign_all", assign_all)
+        code = main(["protocol-audit", "--desk-scale", "--drops", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "drop 0: protocol/direct assignment mismatch\n"
+        assert captured.out == ""
+
     def test_unknown_scheme_exits_2(self, tmp_path, capsys):
         code = main(["sweep-ues", "--scheme", "psychic",
                      "--out", str(tmp_path)])
@@ -773,22 +857,23 @@ class TestCli:
 
     def test_audit_meta_records_its_run(self, tmp_path, capsys):
         cfg = tmp_path / "opts.json"
-        cfg.write_text(json.dumps(self.DPB_FILE))
+        cfg.write_text(json.dumps({"exp_far": 3.7, **self.DPB_FILE}))
         code = main(["protocol-audit", "--desk-scale", "--config", str(cfg),
                      "--drops", "2", "--seed", "7",
                      "--out", str(tmp_path / "out")])
         assert code == 0
         meta = json.loads(
             (tmp_path / "out" / "protocol_audit_meta.json").read_text())
-        want = {"config": dataclasses.asdict(NetworkConfig(num_aps=30,
-                                                           num_ues=50)),
-                "num_drops": 2, "master_seed": 7, **self.DPB_FILE,
+        config = NetworkConfig(num_aps=30, num_ues=50, exp_far=3.7)
+        want = {"config": dataclasses.asdict(config), "num_drops": 2,
+                "master_seed": 7, **self.DPB_FILE,
                 "python": platform.python_version(),
                 "numpy": np.__version__}
         assert set(self.DPB_FILE) == set(harness.DPB_OPTIONS)
         assert set(meta) == set(want) | {"git"}
         assert {k: meta[k] for k in want} == want
         assert meta["git"] == harness._git_describe()
+        assert NetworkConfig(**meta["config"]) == config
 
     def test_audit_writes_into_the_working_directory(self, tmp_path,
                                                      monkeypatch, capsys):

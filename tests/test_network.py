@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_prefix, oracle_strong_groups
 from pilotsim import (AssociationMap, NetworkConfig, NetworkRealization,
-                      PathLossParams, PilotAssignment, associate_aps,
-                      compute_lsfc,
-                      generate_drop, group_strong_ues, noise_power_dbm,
-                      normalize_powers)
+                      PilotAssignment, PowerProfile, associate_aps,
+                      compute_lsfc, generate_drop, group_strong_ues,
+                      noise_power_dbm, normalize_powers)
 
 # hand-computed three-slope values (defaults: 140.7 dB, d0=10 m, d1=50 m,
 # exponents 0 / 2 / 3.5), shadow 0
@@ -61,15 +60,27 @@ class TestPathLoss:
         assert out[2] == pytest.approx(FROZEN_LSFC[500.0], rel=1e-12)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            PathLossParams(d0_m=60.0, d1_m=50.0)
+        with pytest.raises(ValueError, match="^breakpoints must satisfy "
+                                             "0 < d0 < d1$"):
+            NetworkConfig(d0_m=60.0, d1_m=50.0)
 
     @pytest.mark.parametrize("name,value", [("ref_loss_db", "140.7"),
                                             ("d1_m", "50"), ("exp_far", True)])
     def test_params_reject_non_numbers(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be a number, "
                                              rf"got {re.escape(repr(value))}$"):
-            PathLossParams(**{name: value})
+            NetworkConfig(**{name: value})
+
+    def test_constants_come_from_the_config(self):
+        steeper = NetworkConfig(exp_far=3.7)
+        assert compute_lsfc(200.0, config=steeper) / compute_lsfc(
+            400.0, config=steeper) == pytest.approx(2.0 ** 3.7, rel=1e-12)
+        # generate_drop scores its drop with its own config's constants
+        louder = NetworkConfig(num_aps=5, num_ues=4, ref_loss_db=130.7)
+        base = dataclasses.replace(louder, ref_loss_db=140.7)
+        np.testing.assert_allclose(generate_drop(louder, 3).beta,
+                                   10.0 * generate_drop(base, 3).beta,
+                                   rtol=1e-12)
 
 
 class TestPowers:
@@ -104,6 +115,15 @@ class TestPowers:
     def test_tiny_power_builds(self):
         cfg = NetworkConfig(tx_power_mw=1e-300)
         assert normalize_powers(cfg).p_pilot[0] > 0.0
+
+    @pytest.mark.parametrize("pilot,uplink,message", [
+        ([1.0, 2.0], [1.0], "pilot and uplink power vectors must have equal "
+                            "length"),
+        ([1.0, 0.0], [1.0, 1.0], "normalized powers must be positive"),
+        ([1.0, 1.0], [1.0, -2.0], "normalized powers must be positive")])
+    def test_profile_validation(self, pilot, uplink, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PowerProfile(np.array(pilot), np.array(uplink))
 
 
 class TestGenerateDrop:
@@ -150,6 +170,28 @@ class TestGenerateDrop:
             NetworkConfig(assoc_threshold=0.0)
         with pytest.raises(ValueError):
             NetworkConfig(area_side_m=float("nan"))
+        for name in ("d0_m", "d1_m"):
+            with pytest.raises(ValueError,
+                               match=f"^non-finite config value {name}$"):
+                NetworkConfig(**{name: float("inf")})
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"num_aps": 0}, "need at least one AP and one UE"),
+        ({"num_ues": 0}, "need at least one AP and one UE"),
+        ({"strong_threshold": 0.0}, r"strong_threshold must be in \(0, 1\]"),
+        ({"strong_threshold": 1.5}, r"strong_threshold must be in \(0, 1\]"),
+        ({"area_side_m": 0.0}, "area, bandwidth and transmit power must be "
+                               "positive"),
+        ({"bandwidth_hz": -20e6}, "area, bandwidth and transmit power must "
+                                  "be positive"),
+        ({"tx_power_mw": 0.0}, "area, bandwidth and transmit power must be "
+                               "positive"),
+        ({"shadow_sigma_db": -1.0}, "shadow sigma must be nonnegative"),
+        ({"d0_m": 0.0}, "breakpoints must satisfy 0 < d0 < d1"),
+        ({"d0_m": 50.0}, "breakpoints must satisfy 0 < d0 < d1")])
+    def test_rejects_out_of_range_values(self, entry, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NetworkConfig(**entry)
 
     @pytest.mark.parametrize("name", ["num_aps", "num_ues", "antennas_per_ap",
                                       "coherence_block", "pilot_length"])
@@ -241,6 +283,12 @@ class TestAssociation:
         assert np.array_equal(assoc.serves, serves)
         assert not assoc.serves.flags.writeable
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError,
+                           match=r"^assoc_threshold must be in \(0, 1\]$"):
+            associate_aps(_column_real([0.5, 0.3, 0.2]), threshold)
+
     def test_threshold_monotonicity(self, rng):
         for _ in range(50):
             column = 10.0 ** rng.uniform(-14.0, -8.0, size=12)
@@ -317,6 +365,13 @@ class TestStrongGrouping:
         with pytest.raises(ValueError, match="^strong grouping requires a "
                                              "complete assignment$"):
             group_strong_ues(real, assoc, 0.9, [partial], self.antennas)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        real, assoc, asg = self._instance([0.4, 0.3], [0, 1], 1.0)
+        with pytest.raises(ValueError,
+                           match=r"^strong_threshold must be in \(0, 1\]$"):
+            group_strong_ues(real, assoc, threshold, [asg], self.antennas)
 
     def test_error_names_first_offending_assignment(self):
         # everyone strong; AP 0 serves UEs 0-2 and AP 1 serves UEs 0-3
