@@ -11,17 +11,18 @@ prefix-stable under newly arriving UEs.
 and Lp: one loop over arrival order steps every drop at once, the stack's
 serving sets padded with a dummy AP that hears no UE. `assign_all` is its
 one-drop call, which steps unstacked on the drop's own serving sets.
+`random` reads no earlier pick: it draws every UE at once, with no loop.
 
 Per batched step, with the running sums of a ContaminationCache: `eem`
 reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
 turns each probed AP's offer into a pilot bitmask of Python ints (exact
 for any Lp) in one product, and resolves each drop's masks by priority
-intersection, at most 2^S' - S' - 1 of them; `random` reads a
-precomputed draw per drop; `scalable` takes the argmin of each drop's
-master-AP sums. Recording the picks adds one precomputed row per drop to
-the sums; no step scans the other UEs. The message-passing protocol builds
-its offers with `best_first` and resolves them with `priority_select`,
-which share the offer rule and the resolution with the batched step.
+intersection, at most 2^S' - S' - 1 of them; `scalable` takes the argmin
+of the sums at each drop's master AP, its first serving AP. Recording the
+picks adds one precomputed row per drop to the sums; no step scans the
+other UEs. The message-passing protocol's `best_first` and
+`priority_select` wrap the offer rule (`_offered`) and the resolution
+(`_resolve`) that the batched step calls directly.
 
 Every seeded pick, `random`'s and a DPB tie's, is the pick that
 `np.random.default_rng([seed, ue]).integers(n)` makes, but no generator is
@@ -93,7 +94,7 @@ class SchemeConfig:
 
 @dataclass
 class OpCounter:
-    """Per-UE operation tallies backing the complexity assertions."""
+    """Per-UE tallies for the complexity assertions; `random` steps no UE."""
 
     contamination_reads: list = field(default_factory=list)
     error_evals: list = field(default_factory=list)
@@ -276,27 +277,6 @@ def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
     return pilots[_bounded(word, len(pilots), seed, ue)]
 
 
-def _dpb_step(t: int, cache: ContaminationCache, probed, s_prime: list,
-              scheme: SchemeConfig, seeds, words: list, bits,
-              counter: OpCounter | None) -> list:
-    """Each drop's DPB pick for UE t. `probed` holds S APs per drop, padded
-    past drop d's first s_prime[d]; only those offer. `words[d]` is the
-    first word of UE t's stream under seeds[d]. `bits` holds 1 << i for
-    each pilot i as Python ints, so the offers' masks are exact for any
-    Lp."""
-    profiles = cache.local_errors(probed, t)
-    if counter is not None:
-        counter.add_evals(sum(s_prime) * cache.num_pilots)
-    within = _offered(profiles, profiles.min(axis=-1, keepdims=True),
-                      scheme.dpb_delta)
-    masks = (within @ bits).reshape(len(seeds), -1)
-    tops = profiles[..., 0, :].argsort(kind="stable").reshape(len(seeds), -1)
-    picks = [_resolve(m[:s], top, scheme.tie_rule, seed, t, word, counter)
-             for m, s, top, seed, word in zip(masks.tolist(), s_prime,
-                                              tops.tolist(), seeds, words)]
-    return picks if profiles.ndim == 3 else picks[0]
-
-
 def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
                order=None, counter: OpCounter | None = None) -> PilotAssignment:
     """Run one scheme over all UEs in arrival order; earlier picks are final.
@@ -346,34 +326,30 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
         order = np.asarray(order, dtype=int)
         if not np.array_equal(np.sort(order), np.arange(num_ues)):
             raise ValueError("order must be a permutation of all UEs")
-    stacked = num_drops > 1
-    # pilots and per-UE tables are UE-major, so step t reads row t
-    shape = (num_ues, num_drops) if stacked else (num_ues,)
-    cache = None
-    if scheme.scheme_id != "random":
-        # a stack's AP index M hears no UE: the padding of its serving sets
-        heard = np.zeros((num_drops, num_aps + stacked, num_ues))
-        for rows, real, assoc in zip(heard, reals, assocs):
-            # a DPB AP hears only the UEs it serves
-            rows[:num_aps] = (real.beta * assoc.serves
-                              if scheme.scheme_id == "dpb" else real.beta)
-        cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
-    if scheme.scheme_id in ("eem", "dpb"):
-        serving, sizes = _serving_table(assocs, num_aps)
     if scheme.scheme_id in ("dpb", "random"):
         # row t: the first word of UE t's stream under each drop's seed
         words = _stream_words(seeds, np.arange(num_ues)[:, None]).tolist()
-    if scheme.scheme_id == "dpb":
-        s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
-        bits = np.array([1 << i for i in range(lp)], dtype=object)
-    elif scheme.scheme_id == "random":
-        draws = np.reshape([_bounded(word, lp, seed, t)
-                            for t, row in enumerate(words)
-                            for word, seed in zip(row, seeds)], shape)
-    elif scheme.scheme_id == "scalable":
-        # master AP per UE: the first strongest, as np.argmax picks it
-        master = np.argmax(heard[:, :num_aps], axis=1).T.reshape(shape)
-    pilot_of = np.full(shape, -1, dtype=int)
+    if scheme.scheme_id == "random":
+        # each UE draws from its own stream, whatever the picks before it
+        return [PilotAssignment([_bounded(row[d], lp, seed, t)
+                                 for t, row in enumerate(words)], lp)
+                for d, seed in enumerate(seeds)]
+    stacked = num_drops > 1
+    # a stack's AP index M hears no UE: the padding of its serving sets
+    heard = np.zeros((num_drops, num_aps + stacked, num_ues))
+    for rows, real, assoc in zip(heard, reals, assocs):
+        # a DPB AP hears only the UEs it serves
+        rows[:num_aps] = (real.beta * assoc.serves
+                          if scheme.scheme_id == "dpb" else real.beta)
+    cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
+    serving, sizes = _serving_table(assocs, num_aps)
+    # DPB probes S APs per drop, padded past its first S' = min(S, |M_t|),
+    # and only those offer; `bits` holds 1 << i for each pilot i as Python
+    # ints, so the offers' masks are exact for any Lp
+    s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
+    bits = np.array([1 << i for i in range(lp)], dtype=object)
+    # pilots are UE-major, so step t writes row t
+    pilot_of = np.full((num_ues, num_drops) if stacked else num_ues, -1)
     for rank, t in enumerate(order.tolist()):
         if counter is not None:
             counter.start_ue()
@@ -382,16 +358,22 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
             if counter is not None and rank >= lp:
                 counter.add_reads(int(sizes[t].sum()) * lp)
         elif scheme.scheme_id == "dpb":
-            pilots = _dpb_step(t, cache, serving[t][..., :scheme.dpb_s],
-                               s_prime[t], scheme, seeds, words[t], bits,
-                               counter)
-        elif scheme.scheme_id == "random":
-            pilots = draws[t]
+            profiles = cache.local_errors(serving[t][..., :scheme.dpb_s], t)
+            if counter is not None:
+                counter.add_evals(sum(s_prime[t]) * lp)
+            within = _offered(profiles, profiles.min(axis=-1, keepdims=True),
+                              scheme.dpb_delta)
+            masks = (within @ bits).reshape(num_drops, -1)
+            tops = profiles[..., 0, :].argsort(kind="stable").reshape(num_drops, -1)
+            pilots = [_resolve(m[:s], top, scheme.tie_rule, seed, t, word, counter)
+                      for m, s, top, seed, word in zip(masks.tolist(), s_prime[t],
+                                                       tops.tolist(), seeds, words[t])]
+            if not stacked:
+                pilots = pilots[0]
         else:
-            # least-loaded pilot at the master AP, lowest index on ties
-            pilots = cache.loads(master[t]).argmin(axis=-1)
+            # least-loaded pilot at the master (first serving) AP, lowest on ties
+            pilots = cache.loads(serving[t][..., 0]).argmin(axis=-1)
         pilot_of[t] = pilots
-        if cache is not None:
-            cache.record(t, pilots)
+        cache.record(t, pilots)
     return [PilotAssignment(row, lp)
             for row in pilot_of.reshape(num_ues, num_drops).T]

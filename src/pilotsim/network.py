@@ -111,6 +111,16 @@ class NetworkConfig:
         if not 0.0 < self.d0_m < self.d1_m:
             raise ValueError("breakpoints must satisfy 0 < d0 < d1")
         _normalized_power(self)
+        # the loss is linear in log-distance between 1 m, the breakpoints and
+        # the area's largest distance, so those points hold its extremes
+        far = self.area_side_m * math.sqrt(2.0) / (2.0 if self.wrap_around else 1.0)
+        probes = np.clip([1.0, self.d0_m, self.d1_m, far], 1.0, far)
+        with np.errstate(all="ignore"):
+            for d_m, loss_db, g in zip(probes, _path_loss_db(probes / 1000.0, self),
+                                       compute_lsfc(probes, config=self)):
+                if not 0.0 < g < math.inf:
+                    raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
+                                     f"gives an LSFC outside the float range")
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,24 @@ class AssociationMap:
                                _readonly(np.asarray(self.strong_pilot_count, dtype=int)))
 
 
+def _path_loss_db(d_km, p: NetworkConfig) -> np.ndarray:
+    """The three-slope path loss of `p` in dB at distances in km."""
+    d0, d1 = p.d0_m / 1000.0, p.d1_m / 1000.0
+    # offsets chain the segments together so the profile stays continuous
+    mid_off = 10.0 * (p.exp_far - p.exp_mid) * math.log10(d1)
+    near_off = mid_off + 10.0 * (p.exp_mid - p.exp_near) * math.log10(d0)
+    log_d = np.log10(d_km)
+    return np.where(
+        d_km > d1,
+        p.ref_loss_db + 10.0 * p.exp_far * log_d,
+        np.where(
+            d_km > d0,
+            p.ref_loss_db + mid_off + 10.0 * p.exp_mid * log_d,
+            p.ref_loss_db + near_off + 10.0 * p.exp_near * log_d,
+        ),
+    )
+
+
 def compute_lsfc(distance_m, shadow_db=0.0, config: NetworkConfig | None = None):
     """Linear-scale LSFC for one distance or an array of distances.
 
@@ -199,22 +227,8 @@ def compute_lsfc(distance_m, shadow_db=0.0, config: NetworkConfig | None = None)
     """
     p = config if config is not None else NetworkConfig()
     d_km = np.maximum(np.asarray(distance_m, dtype=float), 1.0) / 1000.0
-    d0, d1 = p.d0_m / 1000.0, p.d1_m / 1000.0
-    # offsets chain the segments together so the profile stays continuous
-    mid_off = 10.0 * (p.exp_far - p.exp_mid) * math.log10(d1)
-    near_off = mid_off + 10.0 * (p.exp_mid - p.exp_near) * math.log10(d0)
-    log_d = np.log10(d_km)
-    pl_db = np.where(
-        d_km > d1,
-        p.ref_loss_db + 10.0 * p.exp_far * log_d,
-        np.where(
-            d_km > d0,
-            p.ref_loss_db + mid_off + 10.0 * p.exp_mid * log_d,
-            p.ref_loss_db + near_off + 10.0 * p.exp_near * log_d,
-        ),
-    )
-    shadowed = np.where(d_km > d1, shadow_db, 0.0)
-    return 10.0 ** ((-pl_db + shadowed) / 10.0)
+    shadowed = np.where(d_km > p.d1_m / 1000.0, shadow_db, 0.0)
+    return 10.0 ** ((-_path_loss_db(d_km, p) + shadowed) / 10.0)
 
 
 def _pairwise_distances(ap_pos: np.ndarray, ue_pos: np.ndarray,

@@ -150,6 +150,10 @@ def evaluate(real, assoc, assignments, powers, config):
     assignments = [assignments] if single else list(assignments)
     if not assignments:
         raise ValueError("need at least one pilot assignment")
+    for i, pa in enumerate(assignments):
+        if pa.num_pilots > config.pilot_length:
+            raise ValueError(f"assignment {i} has {pa.num_pilots} pilots, more "
+                             f"than the pilot length {config.pilot_length}")
     gammas = np.stack([compute_gamma(real.beta, powers, config.pilot_length,
                                      pa) for pa in assignments])
     grouped = group_strong_ues(real, assoc, config.strong_threshold,

@@ -10,10 +10,10 @@ written down at all.
 
 AP agents are constructed with nothing but their own LSFC row restricted to
 the UEs they serve; locality is enforced by what the handlers can reach, not
-by convention. The error arithmetic (`local_error_profile`), the offer
-(`best_first`) and the UE's choice (`priority_select`) are shared with the
-direct implementation, so the negotiated assignment is bit-identical to it.
-A UE's seeded tie draws from its own stream, whose first word
+by convention. The direct implementation shares the error arithmetic
+(`local_error_profile`), and `best_first` and `priority_select` wrap its
+offer rule and resolution, so the negotiated assignment is bit-identical
+to it. A UE's seeded tie draws from its own stream, whose first word
 (`_stream_words`) one call per run precomputes for all arriving UEs.
 """
 

@@ -526,6 +526,20 @@ class TestAssignAll:
                 for t in range(cfg.num_ues)]
         assert list(pa.pilot_of) == want
 
+    def test_random_reads_no_earlier_pick(self, desk_drop, monkeypatch):
+        # each UE draws from its own stream, so the arrival order moves no
+        # pilot, and no UE is stepped through a contamination cache
+        cfg, real, powers, assoc = desk_drop(seed=3)
+        scheme = SchemeConfig("random", seed=77)
+        plain = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
+        monkeypatch.setattr(assignment, "ContaminationCache", None)
+        counter = OpCounter()
+        order = np.random.default_rng(0).permutation(cfg.num_ues)
+        shuffled = assign_all(scheme, real, assoc, powers, cfg.pilot_length,
+                              order, counter)
+        np.testing.assert_array_equal(shuffled.pilot_of, plain.pilot_of)
+        assert tallies(counter).size == 0
+
 
 def tallies(counter):
     return np.array([counter.contamination_reads, counter.error_evals,

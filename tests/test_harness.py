@@ -214,6 +214,17 @@ class TestRunExperiment:
         meta = json.loads(paths["metadata"].read_text())
         assert meta["git"] == want.stdout.strip()
 
+    @pytest.mark.parametrize("failure", [OSError("no git"), 128])
+    def test_git_state_unknown_without_git(self, monkeypatch, failure):
+        # git missing from the path, or git failing outside a checkout
+        def run(args, **kwargs):
+            if isinstance(failure, Exception):
+                raise failure
+            return subprocess.CompletedProcess(args, failure, "", "fatal\n")
+
+        monkeypatch.setattr(harness.subprocess, "run", run)
+        assert harness._git_describe() == "unknown"
+
     def test_meta_records_versions(self, tmp_path):
         _, paths = run_experiment(tiny_spec(tmp_path, num_drops=1))
         meta = json.loads(paths["metadata"].read_text())
@@ -626,9 +637,14 @@ class TestCli:
         ({"num_aps": True}, "num_aps must be an integer, got True"),
         ({"d0_m": float("inf")}, "non-finite config value d0_m"),
         ({"d1_m": float("inf")}, "non-finite config value d1_m"),
-        ([{"num_aps": 8}], "config file must hold a flat JSON object")],
+        ([{"num_aps": 8}], "config file must hold a flat JSON object"),
+        ({"ref_loss_db": 4000}, "a path loss of 3940.48 dB at 1 m gives an "
+                                "LSFC outside the float range"),
+        ({"exp_far": 5000}, "a path loss of -64924.8 dB at 1 m gives an "
+                            "LSFC outside the float range")],
         ids=["dpb_delta", "assoc_threshold", "ref_loss_db", "wrap_around",
-             "num_aps", "d0_m_infinite", "d1_m_infinite", "list"])
+             "num_aps", "d0_m_infinite", "d1_m_infinite", "list",
+             "ref_loss_db_underflow", "exp_far_overflow"])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command,
                                            entry, message):
         cfg = tmp_path / "net.json"

@@ -188,10 +188,27 @@ class TestGenerateDrop:
                                "positive"),
         ({"shadow_sigma_db": -1.0}, "shadow sigma must be nonnegative"),
         ({"d0_m": 0.0}, "breakpoints must satisfy 0 < d0 < d1"),
-        ({"d0_m": 50.0}, "breakpoints must satisfy 0 < d0 < d1")])
+        ({"d0_m": 50.0}, "breakpoints must satisfy 0 < d0 < d1"),
+        # every LSFC underflows to 0, or overflows to inf inside d1
+        ({"ref_loss_db": 4000.0}, r"a path loss of 3940\.48 dB at 1 m gives an "
+                                  "LSFC outside the float range"),
+        ({"exp_far": 5000.0}, r"a path loss of -64924\.8 dB at 1 m gives an "
+                              "LSFC outside the float range"),
+        # only the area's far corner underflows
+        ({"area_side_m": 1e6, "exp_far": 100.0},
+         r"a path loss of 3291\.21 dB at 1\.41421e\+06 m gives an LSFC "
+         "outside the float range")])
     def test_rejects_out_of_range_values(self, entry, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NetworkConfig(**entry)
+
+    def test_wrap_around_probes_half_the_diagonal(self):
+        # the far corner that rejects the plain area lies past the longest
+        # wrapped distance, side / sqrt(2), whose LSFC is a positive float
+        cfg = NetworkConfig(area_side_m=1e6, exp_far=100.0, wrap_around=True,
+                            shadow_sigma_db=0.0)
+        beta = generate_drop(cfg, seed=1).beta
+        assert np.all(beta > 0) and np.all(np.isfinite(beta))
 
     @pytest.mark.parametrize("name", ["num_aps", "num_ues", "antennas_per_ap",
                                       "coherence_block", "pilot_length"])

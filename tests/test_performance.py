@@ -259,6 +259,17 @@ class TestEvaluate:
             evaluate(real, assoc, PilotAssignment(pilots, cfg.pilot_length),
                      powers, cfg)
 
+    def test_rejects_more_pilots_than_the_pilot_length(self, desk_drop):
+        # nine orthogonal pilots cannot be scored on length-7 sequences
+        cfg, real, powers, assoc = desk_drop(seed=2)
+        fits, wide = (assign_all(SchemeConfig("eem"), real, assoc, powers, lp)
+                      for lp in (cfg.pilot_length, 9))
+        with pytest.raises(ValueError, match="^assignment 1 has 9 pilots, more "
+                                             "than the pilot length 7$"):
+            evaluate(real, assoc, [fits, wide], powers, cfg)
+        with pytest.raises(ValueError, match="^assignment 0 has 9 pilots"):
+            evaluate(real, assoc, wide, powers, cfg)
+
     def test_duplicate_ues_symmetric(self):
         # two indistinguishable UEs on distinct pilots get identical SE
         cfg = NetworkConfig(num_aps=1, num_ues=3, antennas_per_ap=8,
