@@ -48,7 +48,6 @@ from .network import require_integer, require_number
 
 __all__ = [
     "SCHEME_IDS",
-    "TIE_RULES",
     "SchemeConfig",
     "OpCounter",
     "assign_all",
@@ -59,7 +58,6 @@ __all__ = [
 ]
 
 SCHEME_IDS = ("eem", "dpb", "random", "scalable")
-TIE_RULES = ("seeded_random", "deterministic")
 
 
 def _require_seed(seed):
@@ -75,7 +73,6 @@ class SchemeConfig:
     scheme_id: str
     dpb_s: int = 3
     dpb_delta: float = 0.1
-    tie_rule: str = "seeded_random"
     seed: int = 0
 
     def __post_init__(self):
@@ -87,8 +84,6 @@ class SchemeConfig:
         require_number("dpb_delta", self.dpb_delta)
         if not (math.isfinite(self.dpb_delta) and self.dpb_delta >= 0):
             raise ValueError("dpb_delta must be finite and >= 0")
-        if self.tie_rule not in TIE_RULES:
-            raise ValueError(f"unknown tie rule {self.tie_rule!r}")
         _require_seed(self.seed)
 
 
@@ -230,8 +225,8 @@ def best_first(errors: np.ndarray, delta: float) -> list:
     return ranked[:np.count_nonzero(within)].tolist()
 
 
-def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
-                    ue: int = 0, counter: OpCounter | None = None,
+def priority_select(offers, seed: int = 0, ue: int = 0,
+                    counter: OpCounter | None = None,
                     word: int | None = None) -> int:
     """Resolve the offers of a UE's priority APs, strongest AP first, into
     one pilot; each offer is a best-first list of pilot indices (Python ints).
@@ -239,23 +234,21 @@ def priority_select(offers, tie_rule: str = "seeded_random", seed: int = 0,
     Levels run from all S' offers down to pairs; within a level, AP groups
     are tried in lexicographic order of priority rank (for S = 3: {1,2,3},
     then {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot
-    bitmasks wins; a lone pilot is forced, several go to `tie_rule`:
-    `deterministic` takes the strongest AP's best common pilot, else the
-    lowest one; `seeded_random` draws from UE ue's stream under `seed`,
-    whose first word (`_stream_words`) a caller may pass as `word`; without
-    it, only a tie that needs a draw builds the stream's generator. If
-    every intersection is empty, the strongest AP's best pilot wins.
+    bitmasks wins; a lone pilot is forced, and several are a tie drawn
+    from UE ue's stream under `seed`, whose first word (`_stream_words`) a
+    caller may pass as `word`; without it, only a tie builds the stream's
+    generator. If every intersection is empty, the strongest AP's best
+    pilot wins.
     """
     return _resolve([sum(1 << i for i in offer) for offer in offers],
-                    offers[0], tie_rule, seed, ue, word, counter)
+                    offers[0][0], seed, ue, word, counter)
 
 
-def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
-             word: int | None, counter: OpCounter | None) -> int:
+def _resolve(masks: list, best: int, seed: int, ue: int, word: int | None,
+             counter: OpCounter | None) -> int:
     """`priority_select` on the offers' pilot bitmasks (Python ints, so any
-    Lp fits). `top` ranks the strongest AP's pilots best first: its offer,
-    or any longer ranking that starts with it. `word` is the first word of
-    UE ue's stream under `seed`, or None."""
+    Lp fits). `best` is the strongest AP's least-error pilot, the fallback.
+    `word` is the first word of UE ue's stream under `seed`, or None."""
     common = 0
     for level in range(len(masks), 1, -1):
         for group in itertools.combinations(masks, level):
@@ -267,13 +260,10 @@ def _resolve(masks: list, top: list, tie_rule: str, seed: int, ue: int,
         if common:
             break
     if not common:
-        return top[0]
+        return best
     pilots = [i for i in range(common.bit_length()) if common >> i & 1]
     if len(pilots) == 1:
         return pilots[0]
-    if tie_rule == "deterministic":
-        first = common & masks[0]
-        return next(i for i in top if first >> i & 1) if first else pilots[0]
     return pilots[_bounded(word, len(pilots), seed, ue)]
 
 
@@ -364,10 +354,11 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
             within = _offered(profiles, profiles.min(axis=-1, keepdims=True),
                               scheme.dpb_delta)
             masks = (within @ bits).reshape(num_drops, -1)
-            tops = profiles[..., 0, :].argsort(kind="stable").reshape(num_drops, -1)
-            pilots = [_resolve(m[:s], top, scheme.tie_rule, seed, t, word, counter)
-                      for m, s, top, seed, word in zip(masks.tolist(), s_prime[t],
-                                                       tops.tolist(), seeds, words[t])]
+            # the strongest AP's least-error pilot, lowest on ties
+            best = profiles[..., 0, :].argmin(axis=-1).reshape(num_drops)
+            pilots = [_resolve(m[:s], b, seed, t, word, counter)
+                      for m, s, b, seed, word in zip(masks.tolist(), s_prime[t],
+                                                     best.tolist(), seeds, words[t])]
             if not stacked:
                 pilots = pilots[0]
         else:

@@ -286,8 +286,10 @@ def run_experiment(spec: ExperimentSpec):
     chunks = [(spec, si, range(lo, min(lo + size, spec.num_drops)))
               for si in range(len(spec.sweep_values))
               for lo in range(0, spec.num_drops, size)]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    # a pool forks all its workers at once, so none beyond the chunks
+    workers = min(spec.workers, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_chunk, chunks))
     else:
         nested = [_run_chunk(c) for c in chunks]

@@ -110,7 +110,7 @@ class NetworkConfig:
             raise ValueError("shadow sigma must be nonnegative")
         if not 0.0 < self.d0_m < self.d1_m:
             raise ValueError("breakpoints must satisfy 0 < d0 < d1")
-        _normalized_power(self)
+        w = _normalized_power(self) * self.pilot_length
         # the loss is linear in log-distance between 1 m, the breakpoints and
         # the area's largest distance, so those points hold its extremes
         far = self.area_side_m * math.sqrt(2.0) / (2.0 if self.wrap_around else 1.0)
@@ -121,6 +121,11 @@ class NetworkConfig:
                 if not 0.0 < g < math.inf:
                     raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
                                      f"gives an LSFC outside the float range")
+                # gamma's numerator, (w b) b in compute_gamma's order; it
+                # grows with b, so this holds at every probe iff at the weakest
+                if not (w * g) * g > 0.0:
+                    raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
+                                     f"gives a gamma that underflows to 0")
 
 
 @dataclass(frozen=True)

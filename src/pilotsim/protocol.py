@@ -153,8 +153,7 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
         serving = assoc.serving_aps[t].tolist()
         probed = serving[:scheme.dpb_s]
         offers = [agents[m].candidate_offer(t) for m in probed]
-        pilot = priority_select(offers, scheme.tie_rule, scheme.seed, ue=t,
-                                word=word)
+        pilot = priority_select(offers, scheme.seed, ue=t, word=word)
         for m in serving:
             agents[m].learn_assignment(t, pilot)
         log.record_arrival(arrival_index, t, probed, offers, serving)

@@ -100,13 +100,10 @@ def oracle_offer(errors, delta):
     return members[np.argsort(errors[members], kind="stable")]
 
 
-def oracle_priority_select(offers, tie_rule="seeded_random", seed=0, ue=0,
-                           counter=None):
+def oracle_priority_select(offers, seed=0, ue=0, counter=None):
     """Priority intersection over sorted index arrays with np.intersect1d,
-    ranking pilots by their position in the strongest AP's offer and drawing
-    from a fresh seeded generator whatever the common set's size."""
-    rank = np.full(1 + max(max(o) for o in offers), np.inf)
-    rank[list(offers[0])] = np.arange(len(offers[0]))
+    drawing from a fresh seeded generator whatever the common set's size,
+    and falling back to the first pilot of the strongest AP's offer."""
     sets = [np.sort(np.asarray(o, dtype=int)) for o in offers]
     s = len(sets)
     common = None
@@ -125,10 +122,7 @@ def oracle_priority_select(offers, tie_rule="seeded_random", seed=0, ue=0,
         if common is not None:
             break
     if common is None:
-        members = sets[0]
-        return int(members[np.argmin(rank[members])])
-    if tie_rule == "deterministic":
-        return int(common[np.argmin(rank[common])])
+        return int(offers[0][0])
     rng = np.random.default_rng([seed, ue])
     return int(common[rng.integers(common.size)])
 
@@ -264,8 +258,7 @@ def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
             offer = oracle_offer(errors, scheme.dpb_delta)
             records.append((idx, KIND_OFFER, f"ap{m}", f"ue{t}", len(offer)))
             offers.append(offer.tolist())
-        pilot = oracle_priority_select(offers, scheme.tie_rule, scheme.seed,
-                                       ue=t)
+        pilot = oracle_priority_select(offers, scheme.seed, ue=t)
         for m in serving:
             m = int(m)
             records.append((idx, KIND_NOTIFY, f"ue{t}", f"ap{m}", 1))

@@ -20,7 +20,7 @@ from pilotsim import (
     priority_select,
 )
 from pilotsim import assignment
-from pilotsim.assignment import (SCHEME_IDS, TIE_RULES, _bounded, _stream_words,
+from pilotsim.assignment import (SCHEME_IDS, _bounded, _stream_words,
                                  assign_drops, eem_step)
 from pilotsim.estimation import ContaminationCache
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
@@ -38,14 +38,13 @@ def w_one_powers(n, lp):
 
 class TestSchemeConfig:
     def test_valid(self):
-        cfg = SchemeConfig("dpb", dpb_s=2, dpb_delta=0.0, tie_rule="deterministic")
+        cfg = SchemeConfig("dpb", dpb_s=2, dpb_delta=0.0)
         assert cfg.dpb_s == 2
 
     @pytest.mark.parametrize("kwargs", [
         dict(scheme_id="greedy"),
         dict(scheme_id="dpb", dpb_s=0),
         dict(scheme_id="dpb", dpb_delta=-0.1),
-        dict(scheme_id="dpb", tie_rule="coin"),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -204,9 +203,6 @@ class TestPrioritySelect:
     def test_fallback_takes_lowest_error_member(self):
         assert priority_select([[2, 1], [0], [3]]) == 2
 
-    def test_deterministic_rule_on_common_set(self):
-        assert priority_select([[2, 0], [0, 2]], tie_rule="deterministic") == 2
-
     def test_seeded_rule_reproducible_and_in_set(self):
         offers = [[1, 4, 5], [1, 4, 5]]
         picks = {priority_select(offers, seed=9, ue=u) for u in range(40)}
@@ -223,15 +219,18 @@ class TestPrioritySelect:
         assert counter.intersection_checks[-1] == 4
 
     def test_single_set_goes_straight_to_tiebreak(self):
-        assert priority_select([[4, 2]], tie_rule="deterministic") == 4
+        # one offer tries no intersection: its best pilot wins, draws or not
+        for ue in range(20):
+            assert priority_select([[4, 2]], seed=9, ue=ue) == 4
 
     def test_pilots_beyond_64_bits(self):
         offers = [[3, 70, 199], [70, 199]]
-        assert priority_select(offers, tie_rule="deterministic") == 70
         assert priority_select(offers, seed=4, ue=1) in (70, 199)
-        # a common set that the top AP never offered goes to its lowest pilot
+        # a common set that the top AP never offered
         offers = [[3], [199, 70], [70, 199]]
-        assert priority_select(offers, tie_rule="deterministic") == 70
+        for ue in range(20):
+            assert (priority_select(offers, seed=4, ue=ue)
+                    == [70, 199][generator_pick(4, ue, 2)])
 
     @pytest.mark.parametrize("offers", [[[1, 4, 5], [4, 1, 5]],
                                         [[2, 0], [0, 2], [3]],
@@ -246,15 +245,13 @@ class TestPrioritySelect:
             raise AssertionError("priority_select called the stream kernel")
 
         monkeypatch.setattr(assignment, "_stream_words", refuse)
-        for tie_rule in TIE_RULES:
-            for (seed, ue), word in zip(pairs, words):
-                assert (priority_select(offers, tie_rule, seed, ue)
-                        == priority_select(offers, tie_rule, seed, ue,
-                                           word=word))
+        for (seed, ue), word in zip(pairs, words):
+            assert (priority_select(offers, seed, ue)
+                    == priority_select(offers, seed, ue, word=word))
 
-    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(TIE_RULES))
+    @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=300, deadline=None)
-    def test_matches_intersect1d_oracle(self, seed, tie_rule):
+    def test_matches_intersect1d_oracle(self, seed):
         r = np.random.default_rng(seed)
         s, lp = int(r.integers(1, 5)), int(r.integers(1, 9))
         offers = [r.choice(lp, size=int(r.integers(1, lp + 1)),
@@ -264,8 +261,8 @@ class TestPrioritySelect:
             mine, ref = OpCounter(), OpCounter()
             mine.start_ue()
             ref.start_ue()
-            got = priority_select(offers, tie_rule, run_seed, ue, mine)
-            want = oracle_priority_select(offers, tie_rule, run_seed, ue, ref)
+            got = priority_select(offers, run_seed, ue, mine)
+            want = oracle_priority_select(offers, run_seed, ue, ref)
             assert got == want
             assert mine.intersection_checks == ref.intersection_checks
 
@@ -511,13 +508,6 @@ class TestAssignAll:
             assert evals == s_prime * cfg.pilot_length
             assert counter.intersection_checks[t] <= 2 ** s - s - 1
 
-    def test_dpb_tie_rules_both_complete(self, desk_drop):
-        cfg, real, powers, assoc = desk_drop(seed=9)
-        for rule in ("seeded_random", "deterministic"):
-            pa = assign_all(SchemeConfig("dpb", tie_rule=rule, seed=2), real,
-                            assoc, powers, cfg.pilot_length)
-            assert pa.is_complete
-
     def test_random_scheme_matches_per_ue_stream(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=3)
         pa = assign_all(SchemeConfig("random", seed=77), real, assoc, powers,
@@ -548,17 +538,17 @@ def tallies(counter):
 
 class TestAssignDrops:
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(SCHEME_IDS),
-           st.sampled_from(TIE_RULES), st.integers(1, 4),
+           st.integers(1, 4),
            st.sampled_from([1, 3, 7, 70]), st.sampled_from([0.0, 0.1, 1.0]),
            st.integers(1, 5), st.booleans())
     @settings(max_examples=200, deadline=None)
     # a stack with one-AP serving sets, dpb_s above |M_t|, delta = 0 and
     # masks past 64 bits
-    @example(5, "dpb", "deterministic", 3, 70, 0.0, 5, True)
-    @example(5, "dpb", "seeded_random", 3, 70, 0.0, 5, False)
-    @example(11, "eem", "seeded_random", 4, 3, 0.1, 3, True)
-    def test_each_drop_matches_its_own_run(self, seed, scheme_id, tie_rule,
-                                           num_drops, lp, delta, s, shuffled):
+    @example(5, "dpb", 3, 70, 0.0, 5, True)
+    @example(5, "dpb", 3, 70, 0.0, 5, False)
+    @example(11, "eem", 4, 3, 0.1, 3, True)
+    def test_each_drop_matches_its_own_run(self, seed, scheme_id, num_drops,
+                                           lp, delta, s, shuffled):
         r = np.random.default_rng(seed)
         m, t = int(r.integers(1, 7)), int(r.integers(1, 13))
         reals = [NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)),
@@ -570,7 +560,7 @@ class TestAssignDrops:
         powers = PowerProfile(10.0 ** r.uniform(0.0, 3.0, t), np.ones(t))
         order = r.permutation(t) if shuffled else None
         seeds = r.integers(2 ** 31, size=num_drops).tolist()
-        scheme = SchemeConfig(scheme_id, s, delta, tie_rule)
+        scheme = SchemeConfig(scheme_id, s, delta)
         counter = OpCounter()
         got = assign_drops(scheme, seeds, reals, assocs, powers, lp, order,
                            counter)
@@ -585,11 +575,10 @@ class TestAssignDrops:
         # padded APs add no reads, evaluations or intersection checks
         np.testing.assert_array_equal(tallies(counter), want_tallies)
 
-    @pytest.mark.parametrize("tie_rule", TIE_RULES)
-    def test_one_drop_checks_match_oracle(self, desk_drop, tie_rule):
+    def test_one_drop_checks_match_oracle(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=8)
         lp = cfg.pilot_length
-        scheme = SchemeConfig("dpb", dpb_s=3, tie_rule=tie_rule, seed=1)
+        scheme = SchemeConfig("dpb", dpb_s=3, seed=1)
         counter = OpCounter()
         pa = assign_all(scheme, real, assoc, powers, lp, counter=counter)
         cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
@@ -599,8 +588,8 @@ class TestAssignDrops:
                       for m in assoc.serving_aps[t][:scheme.dpb_s]]
             ref = OpCounter()
             ref.start_ue()
-            assert oracle_priority_select(offers, scheme.tie_rule, scheme.seed,
-                                          t, ref) == pa.pilot_of[t]
+            assert oracle_priority_select(offers, scheme.seed, t,
+                                          ref) == pa.pilot_of[t]
             assert counter.intersection_checks[t] == ref.intersection_checks[0]
             cache.record(t, int(pa.pilot_of[t]))
 

@@ -179,6 +179,34 @@ class TestRunExperiment:
             ref = paths[0][kind].read_bytes()
             assert [p[kind].read_bytes() for p in paths[1:]] == [ref, ref]
 
+    @pytest.mark.parametrize("workers,num_drops,pools", [
+        (6, 2, [2]), (3, 1, []), (2, 4, [2])])
+    def test_pool_has_no_more_workers_than_chunks(self, tmp_path, monkeypatch,
+                                                   workers, num_drops, pools):
+        # a pool forks all its workers at its first submit; this one maps
+        # in-process and records the size it was asked for
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        rows, _ = run_experiment(tiny_spec(tmp_path, sweep_values=(10,),
+                                           num_drops=num_drops,
+                                           workers=workers))
+        assert made == pools
+        assert len(rows) == 3 * num_drops
+
     def test_chunk_rows_equal_cell_rows(self, tmp_path):
         # each cell alone: its schemes assigned one at a time, then scored
         # in one joint evaluate, as the chunk scores a drop's schemes
@@ -539,6 +567,19 @@ class TestCli:
         assert code == 2
         assert "unknown config keys: num_apps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep-ues", "protocol-audit"])
+    def test_tie_rule_key_exits_2(self, tmp_path, capsys, command):
+        # DPB has one tie rule, the seeded draw, and no option names it
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps({"tie_rule": "seeded_random"}))
+        code = main([command, "--desk-scale", "--config", str(cfg),
+                     "--drops", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config keys: tie_rule\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("entry", [{"num_aps": 30.5}, {"pilot_length": 7.0},
                                        {"dpb_s": 2.5}])
     def test_non_integral_count_exits_2(self, tmp_path, capsys, entry):
@@ -641,10 +682,13 @@ class TestCli:
         ({"ref_loss_db": 4000}, "a path loss of 3940.48 dB at 1 m gives an "
                                 "LSFC outside the float range"),
         ({"exp_far": 5000}, "a path loss of -64924.8 dB at 1 m gives an "
-                            "LSFC outside the float range")],
+                            "LSFC outside the float range"),
+        ({"ref_loss_db": 2000}, "a path loss of 1940.48 dB at 1 m gives a "
+                                "gamma that underflows to 0")],
         ids=["dpb_delta", "assoc_threshold", "ref_loss_db", "wrap_around",
              "num_aps", "d0_m_infinite", "d1_m_infinite", "list",
-             "ref_loss_db_underflow", "exp_far_overflow"])
+             "ref_loss_db_underflow", "exp_far_overflow",
+             "gamma_underflow"])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command,
                                            entry, message):
         cfg = tmp_path / "net.json"
@@ -705,7 +749,7 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    DPB_FILE = {"dpb_s": 2, "dpb_delta": 0.25, "tie_rule": "deterministic"}
+    DPB_FILE = {"dpb_s": 2, "dpb_delta": 0.25}
 
     def test_config_dpb_options_reach_every_sweep_cell(self, tmp_path,
                                                         monkeypatch):

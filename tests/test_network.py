@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oracles import brute_force_prefix, oracle_strong_groups
 from pilotsim import (AssociationMap, NetworkConfig, NetworkRealization,
                       PilotAssignment, PowerProfile, associate_aps,
-                      compute_lsfc, generate_drop, group_strong_ues,
-                      noise_power_dbm, normalize_powers)
+                      compute_gamma, compute_lsfc, generate_drop,
+                      group_strong_ues, noise_power_dbm, normalize_powers)
 
 # hand-computed three-slope values (defaults: 140.7 dB, d0=10 m, d1=50 m,
 # exponents 0 / 2 / 3.5), shadow 0
@@ -197,15 +197,30 @@ class TestGenerateDrop:
         # only the area's far corner underflows
         ({"area_side_m": 1e6, "exp_far": 100.0},
          r"a path loss of 3291\.21 dB at 1\.41421e\+06 m gives an LSFC "
-         "outside the float range")])
+         "outside the float range"),
+        # every LSFC is a positive float, but gamma's (w b) b underflows
+        ({"ref_loss_db": 2000.0}, r"a path loss of 1940\.48 dB at 1 m gives a "
+                                  "gamma that underflows to 0")])
     def test_rejects_out_of_range_values(self, entry, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NetworkConfig(**entry)
 
+    def test_gamma_probe_keeps_small_positive_gammas(self):
+        # at 1500 dB the weakest probe's (w b) b is still a positive float
+        cfg = NetworkConfig(num_aps=4, num_ues=6, ref_loss_db=1500.0,
+                            shadow_sigma_db=0.0)
+        powers = normalize_powers(cfg)
+        real = generate_drop(cfg, seed=1)
+        pa = PilotAssignment(np.arange(6) % cfg.pilot_length, cfg.pilot_length)
+        assert np.all(compute_gamma(real.beta, powers, cfg.pilot_length, pa) > 0)
+
     def test_wrap_around_probes_half_the_diagonal(self):
         # the far corner that rejects the plain area lies past the longest
-        # wrapped distance, side / sqrt(2), whose LSFC is a positive float
-        cfg = NetworkConfig(area_side_m=1e6, exp_far=100.0, wrap_around=True,
+        # wrapped distance, side / sqrt(2), whose LSFC and gamma are
+        # positive floats
+        with pytest.raises(ValueError, match="at 1.41421e.06 m gives a gamma"):
+            NetworkConfig(area_side_m=1e6, exp_far=50.0, shadow_sigma_db=0.0)
+        cfg = NetworkConfig(area_side_m=1e6, exp_far=50.0, wrap_around=True,
                             shadow_sigma_db=0.0)
         beta = generate_drop(cfg, seed=1).beta
         assert np.all(beta > 0) and np.all(np.isfinite(beta))

@@ -25,7 +25,7 @@ from pilotsim import (
     run_protocol,
 )
 from pilotsim import assignment, protocol
-from pilotsim.assignment import TIE_RULES, _stream_words, best_first
+from pilotsim.assignment import _stream_words, best_first
 from pilotsim.cli import main
 from pilotsim.estimation import ContaminationCache, local_error_profile
 from pilotsim.harness import SCHEME_CODE
@@ -177,17 +177,15 @@ class TestAgents:
                 assert np.array_equal(cache.sums[m], agent.pilot_sums)
 
     def test_user_agent_matches_direct_selection(self):
-        # the UE's choice from its offers, against the reference selection
-        offers = [[2, 0], [0, 2], [2]]
-        want = oracle_priority_select(offers, "deterministic", 0, ue=5)
-        assert priority_select(offers, "deterministic", 0, ue=5) == want == 2
-
-    def test_disjoint_corner_takes_lowest_index(self):
-        # winning pair excludes the top AP, which therefore ranked none of
-        # the common pilots: selection falls to the lowest pilot index
-        offers = [[0], [1, 2], [2, 1]]
-        assert priority_select(offers, "deterministic") == 1
-        assert oracle_priority_select(offers, "deterministic") == 1
+        # the UE's choice from its offers, against the reference selection:
+        # all three offers share pilots 0 and 2, a tie each UE draws
+        offers = [[2, 0, 5], [0, 2], [5, 2, 0]]
+        picks = set()
+        for ue in range(40):
+            want = oracle_priority_select(offers, 3, ue=ue)
+            assert priority_select(offers, 3, ue=ue) == want
+            picks.add(want)
+        assert picks == {0, 2}
 
 
 class TestRunProtocol:
@@ -208,16 +206,41 @@ class TestRunProtocol:
         assert pa.is_complete
         assert log.ap_to_ap_count() == 0
 
-    @pytest.mark.parametrize("rule", ["seeded_random", "deterministic"])
-    def test_matches_direct_implementation(self, desk_drop, rule):
+    def test_matches_direct_implementation(self, desk_drop):
         for seed in range(5):
             cfg, real, powers, assoc = desk_drop(seed=40 + seed)
-            sch = SchemeConfig("dpb", tie_rule=rule, seed=seed)
+            sch = SchemeConfig("dpb", seed=seed)
             direct = assign_all(sch, real, assoc, powers, cfg.pilot_length)
             proto, _ = run_protocol(real, assoc, sch,
                                     np.arange(cfg.num_ues), powers,
                                     cfg.pilot_length)
             np.testing.assert_array_equal(direct.pilot_of, proto.pilot_of)
+
+    def test_tied_zero_errors_take_lowest_pilot(self):
+        # Lp = 4, delta = 0: an AP's unused pilots tie at exactly 0.0 error.
+        # UEs 0-1 hear AP 0 alone and UEs 2-5 AP 1 alone (S' = 1, so no
+        # intersection is tried), each taking its AP's lowest unused pilot;
+        # UE 2, the weakest at AP 1, leaves pilot 0 its least contaminated.
+        # UE 6 hears both: AP 0 offers {2, 3}, AP 1 offers {0}, the pair is
+        # empty, and the fallback takes AP 0's lowest tied pilot.
+        beta = np.full((2, 7), 1e-9)
+        beta[1, 2] = 1e-10
+        beta[0, 6] = 2e-9
+        serves = np.zeros((2, 7), bool)
+        serves[0, [0, 1, 6]] = serves[1, 2:] = True
+        serving = tuple(np.flatnonzero(serves[:, t]) for t in range(7))
+        real = NetworkRealization(np.zeros((2, 2)), np.zeros((7, 2)), beta, 0)
+        assoc = AssociationMap(serving, serves)
+        powers = PowerProfile(np.full(7, 1e9), np.ones(7))
+        sch = SchemeConfig("dpb", dpb_delta=0.0, seed=1)
+        order = np.arange(7)
+        want = [0, 1, 0, 1, 2, 3, 2]
+        direct = assign_all(sch, real, assoc, powers, 4)
+        proto, _ = run_protocol(real, assoc, sch, order, powers, 4)
+        oracle = oracle_protocol_log(real, assoc, sch, order, powers, 4)
+        assert direct.pilot_of.tolist() == want
+        assert proto.pilot_of.tolist() == want
+        assert oracle["pilot_of"].tolist() == want
 
     def test_prefix_replay(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=15)
@@ -324,9 +347,9 @@ class TestOracleLog:
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from(["drop", "all_serve", "one_ap"]),
            st.integers(1, 4), st.sampled_from([0.0, 0.1, 5.0]),
-           st.sampled_from(TIE_RULES), st.floats(0.0, 1.0))
+           st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
-    def test_matches_message_per_send_oracle(self, seed, kind, s, delta, rule,
+    def test_matches_message_per_send_oracle(self, seed, kind, s, delta,
                                              prefix):
         r = np.random.default_rng(seed)
         if kind == "all_serve":
@@ -345,7 +368,7 @@ class TestOracleLog:
             powers = normalize_powers(cfg)
         order = r.permutation(real.num_ues)
         order = order[:int(round(prefix * order.size))]
-        scheme = SchemeConfig("dpb", s, delta, rule, seed)
+        scheme = SchemeConfig("dpb", s, delta, seed)
         assert_matches_oracle(real, assoc, scheme, order, powers, lp)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 70),
