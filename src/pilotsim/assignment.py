@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import ContaminationCache, PilotAssignment
-from .network import require_integer, require_number
+from .network import require_integer, require_number, serving_links
 
 __all__ = [
     "SCHEME_IDS",
@@ -281,15 +281,15 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     """Serving sets and their sizes, UE-major so step t reads row t. One
     drop keeps its own sets; a stack pads them to one width with AP index
     M, a dummy AP that hears no UE."""
-    sets = [assoc.serving_aps for assoc in assocs]
-    sizes = np.array([[len(aps) for aps in drop] for drop in sets]).T
-    if len(sets) == 1:
-        return sets[0], sizes[:, 0]
+    if len(assocs) == 1:
+        sets = assocs[0].serving_aps
+        return sets, np.fromiter(map(len, sets), int)
+    aps, sizes = serving_links(assocs)
     width = int(sizes.max())
-    padded = np.full(sizes.shape + (width,), num_aps)
-    padded[np.arange(width) < sizes[..., None]] = np.concatenate(
-        [aps for row in zip(*sets) for aps in row])
-    return padded, sizes
+    # filled through a drop-major view, in the order of `aps`
+    padded = np.full((sizes.shape[1], sizes.shape[0], width), num_aps)
+    padded.swapaxes(0, 1)[np.arange(width) < sizes[..., None]] = aps
+    return padded, sizes.T
 
 
 def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,

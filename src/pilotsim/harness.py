@@ -7,11 +7,14 @@ Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
 
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
 value, at most `_CHUNK_DROPS` of them: each scheme assigns pilots on the
-whole chunk in one batched loop, and rows stay per drop. A chunk that
-fails reruns cell by cell only to name its (sweep value, drop seed,
-scheme), or names the chunk if every cell passes. Rows are sorted
-deterministically and files are written via write-then-rename, so reruns
-are byte-identical regardless of worker count.
+whole chunk in one batched loop, one evaluation pass scores every drop's
+schemes, and rows stay per drop. A chunk that fails reruns cell by cell
+only to name its (sweep value, drop seed, scheme), or names the chunk if
+every cell passes. Each drop scores the same bits whatever drops share its
+chunk, since the evaluation pads each drop's co-pilot products to its own
+largest pilot load. Rows are sorted deterministically and files are written
+via write-then-rename, so reruns are byte-identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
-from .performance import evaluate
+from .performance import evaluate_drops
 
 __all__ = [
     "CellError",
@@ -63,7 +66,8 @@ _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
 
 # most drops in one work unit: a chunk holds all its drops, their serving
 # sets and their stacked assignment tables at once (about 90 kB a drop at
-# desk scale), so larger chunks raise peak memory for little more speed
+# desk scale), and its evaluation pass about 0.17 MB a drop more, so larger
+# chunks raise peak memory for little more speed
 _CHUNK_DROPS = 6
 
 
@@ -149,24 +153,26 @@ def cell_seeds(master_seed, sweep_idx, drop_idx, scheme_ids) -> tuple:
                                 for s in scheme_ids]
 
 
-def _rows(spec: ExperimentSpec, value, drop_seeds, reports) -> list:
-    """Result rows of drops scored on one sweep value; reports[d] holds drop
-    d's reports in spec order. One percentile call covers every drop."""
-    tails = np.percentile([[r.se for r in cell] for cell in reports],
-                          (5.0, 10.0), axis=2).tolist()
-    return [ResultRow(scheme_id, value, drop_seed, report.sum_se, p5, p10,
-                      float(report.se.mean()),
-                      np.sort(report.se) if spec.sweep == "none" else None)
-            for drop_seed, cell, p5s, p10s in zip(drop_seeds, reports, *tails)
-            for scheme_id, report, p5, p10 in zip(spec.schemes, cell, p5s, p10s)]
+def _rows(spec: ExperimentSpec, value, drop_seeds, se) -> list:
+    """Result rows of drops scored on one sweep value, from their (D, S, T)
+    stack of per-UE SE, schemes in spec order. One call per statistic
+    covers every drop."""
+    sums, means = se.sum(axis=2).tolist(), se.mean(axis=2).tolist()
+    tails = np.percentile(se, (5.0, 10.0), axis=2).tolist()
+    return [ResultRow(scheme_id, value, drop_seed, total, p5, p10, mean,
+                      np.sort(ues) if spec.sweep == "none" else None)
+            for drop_seed, drop_se, drop_sums, drop_means, p5s, p10s
+            in zip(drop_seeds, se, sums, means, *tails)
+            for scheme_id, ues, total, mean, p5, p10
+            in zip(spec.schemes, drop_se, drop_sums, drop_means, p5s, p10s)]
 
 
 def _run_chunk(args) -> list:
     """All schemes on a chunk of drops of one sweep value.
 
     Each scheme assigns its pilots on every drop of the chunk in one
-    `assign_drops` call, then one `evaluate` call per drop scores that
-    drop's schemes together; these calls make every row. If one fails,
+    `assign_drops` call, then one `evaluate_drops` call scores every drop's
+    schemes together; these calls make every row. If one fails,
     `_name_failing_cell` names the cell, or else the error names the chunk.
     """
     spec, sweep_idx, drop_idxs = args
@@ -183,14 +189,14 @@ def _run_chunk(args) -> list:
                                   reals, assocs, powers, cfg.pilot_length)
                      for scheme_id, seeds in zip(spec.schemes,
                                                  zip(*scheme_seeds))]
-        reports = [evaluate(real, assoc, list(cell), powers, cfg)
-                   for real, assoc, cell in zip(reals, assocs, zip(*by_scheme))]
+        reports = evaluate_drops(reals, assocs, zip(*by_scheme), powers, cfg)
     except Exception as exc:
         where = f"{spec.sweep}={value!r}"
         _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds)
         raise _cell_error(f"{where}, drop seeds {list(drop_seeds)}",
                           exc) from exc
-    return _rows(spec, value, drop_seeds, reports)
+    return _rows(spec, value, drop_seeds,
+                 np.array([[r.se for r in cell] for cell in reports]))
 
 
 def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):
@@ -208,9 +214,8 @@ def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):
         for scheme_id, seed in zip(spec.schemes, seeds):
             scheme = replace(spec.dpb, scheme_id=scheme_id, seed=seed)
             try:
-                evaluate(real, assoc, assign_all(scheme, real, assoc, powers,
-                                                 cfg.pilot_length),
-                         powers, cfg)
+                pa = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
+                evaluate_drops([real], [assoc], [[pa]], powers, cfg)
             except Exception as exc:
                 raise _cell_error(f"{cell}, scheme {scheme_id}", exc) from exc
 

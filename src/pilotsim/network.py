@@ -24,6 +24,7 @@ __all__ = [
     "noise_power_dbm",
     "normalize_powers",
     "associate_aps",
+    "serving_links",
     "group_strong_ues",
 ]
 
@@ -322,6 +323,16 @@ def associate_aps(real: NetworkRealization, assoc_threshold: float) -> Associati
            np.repeat(np.arange(num_ues), size)] = True
     return AssociationMap(
         tuple(row[:n] for row, n in zip(order, size.tolist())), serves)
+
+
+def serving_links(assocs) -> tuple:
+    """The serving sets of a stack of D associations as one flat array,
+    drop by drop and UE by UE, each set in its priority order; and their
+    (D, T) sizes."""
+    sizes = np.array([np.fromiter(map(len, assoc.serving_aps), int)
+                      for assoc in assocs])
+    return (np.concatenate([np.concatenate(assoc.serving_aps)
+                            for assoc in assocs]), sizes)
 
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,

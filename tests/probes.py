@@ -17,8 +17,10 @@ def sinr_pfzf(t, weights, beta, gamma, powers, assoc, assignment, antennas):
     `assignment` alone. A vector gives a float; a (K, |M_t|) matrix of K
     weight vectors gives K SINRs from one build of Q.
     """
+    # a stack of one drop, whose pair indices are its UE indices
     for ues, q, b in performance._lsfd_groups(
-            beta, powers, gamma[None], assoc, [assignment], antennas):
+            [beta], powers, [gamma], [assoc],
+            [[assignment]], antennas):
         hit = np.flatnonzero(ues == t)
         if hit.size:
             q, b = q[0, hit[0]], b[0, hit[0]]

@@ -183,29 +183,31 @@ class TestRunExperiment:
         (6, 2, [2]), (3, 1, []), (2, 4, [2])])
     def test_pool_has_no_more_workers_than_chunks(self, tmp_path, monkeypatch,
                                                    workers, num_drops, pools):
-        # a pool forks all its workers at its first submit; this one maps
-        # in-process and records the size it was asked for
-        made = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        # a pool forks all its workers at its first submit
+        made = in_process_pool(monkeypatch)
         rows, _ = run_experiment(tiny_spec(tmp_path, sweep_values=(10,),
                                            num_drops=num_drops,
                                            workers=workers))
         assert made == pools
         assert len(rows) == 3 * num_drops
+
+    @pytest.mark.parametrize("workers,chunks", [
+        (1, [5]), (2, [3, 2]), (3, [2, 2, 1])])
+    def test_one_evaluation_call_per_chunk(self, tmp_path, monkeypatch,
+                                           workers, chunks):
+        # the chunk's drops and all their schemes in one call
+        in_process_pool(monkeypatch)
+        calls = []
+        real_evaluate = harness.evaluate_drops
+
+        def evaluate_drops(reals, assocs, by_drop, *args, **kwargs):
+            by_drop = [list(cell) for cell in by_drop]
+            calls.append((len(reals), {len(cell) for cell in by_drop}))
+            return real_evaluate(reals, assocs, by_drop, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+        run_experiment(tiny_spec(tmp_path, num_drops=5, workers=workers))
+        assert calls == [(size, {3}) for size in chunks] * 2
 
     def test_chunk_rows_equal_cell_rows(self, tmp_path):
         # each cell alone: its schemes assigned one at a time, then scored
@@ -226,7 +228,8 @@ class TestRunExperiment:
                                   real, assoc, powers, cfg.pilot_length)
                        for s, seed in zip(spec.schemes, seeds)]
                 reports = evaluate(real, assoc, pas, powers, cfg)
-                cells += harness._rows(spec, value, [drop_seed], [reports])
+                cells += harness._rows(spec, value, [drop_seed],
+                                       np.array([[r.se for r in reports]]))
         key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
         assert ([r.csv_line() for r in rows]
                 == [r.csv_line() for r in sorted(cells, key=key)])
@@ -296,6 +299,28 @@ class TestRunExperiment:
                                               np.sort(report.se))
 
 
+def in_process_pool(monkeypatch):
+    """Make run_experiment's pool map in this process; returns the list of
+    pool sizes it is asked for."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    return made
+
+
 def record_schemes(monkeypatch):
     """Return a lookup from each assignment the harness makes to its scheme,
     for a chunk of drops as for one cell."""
@@ -318,20 +343,20 @@ def record_schemes(monkeypatch):
 
 
 def fail_evaluations(monkeypatch, errors):
-    """Make evaluate raise errors[scheme] whenever it scores that scheme;
-    the first cell is where the failure surfaces."""
+    """Make evaluate_drops raise errors[scheme] whenever it scores that
+    scheme on any drop; the first cell is where the failure surfaces."""
     scheme_of = record_schemes(monkeypatch)
-    real_evaluate = harness.evaluate
+    real_evaluate = harness.evaluate_drops
 
-    def evaluate(real, assoc, assignments, *args, **kwargs):
-        batch = ([assignments] if isinstance(assignments, PilotAssignment)
-                 else assignments)
-        for scheme in map(scheme_of, batch):
-            if scheme in errors:
-                raise errors[scheme]
-        return real_evaluate(real, assoc, assignments, *args, **kwargs)
+    def evaluate_drops(reals, assocs, by_drop, *args, **kwargs):
+        by_drop = [list(cell) for cell in by_drop]
+        for cell in by_drop:
+            for scheme in map(scheme_of, cell):
+                if scheme in errors:
+                    raise errors[scheme]
+        return real_evaluate(reals, assocs, by_drop, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "evaluate", evaluate)
+    monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
 
 
 class TestCellFailures:
@@ -399,16 +424,16 @@ class TestCellFailures:
         spec = tiny_spec(tmp_path, num_drops=5)
         bad_seed = derive_seed(spec.master_seed, 0, 2)
         scheme_of = record_schemes(monkeypatch)
-        real_evaluate = harness.evaluate
+        real_evaluate = harness.evaluate_drops
 
-        def evaluate(real, assoc, assignments, *args, **kwargs):
-            batch = ([assignments] if isinstance(assignments, PilotAssignment)
-                     else assignments)
-            if real.seed == bad_seed and "random" in map(scheme_of, batch):
-                raise ArithmeticError("bad SINR for UE 4")
-            return real_evaluate(real, assoc, assignments, *args, **kwargs)
+        def evaluate_drops(reals, assocs, by_drop, *args, **kwargs):
+            by_drop = [list(cell) for cell in by_drop]
+            for real, cell in zip(reals, by_drop):
+                if real.seed == bad_seed and "random" in map(scheme_of, cell):
+                    raise ArithmeticError("bad SINR for UE 4")
+            return real_evaluate(reals, assocs, by_drop, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "evaluate", evaluate)
+        monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
         with pytest.raises(CellError) as info:
             run_experiment(spec)
         assert str(info.value) == (f"ue_count=10, drop seed {bad_seed}, "

@@ -11,6 +11,7 @@ from pilotsim import (AssociationMap, NetworkConfig, NetworkRealization,
                       PilotAssignment, PowerProfile, associate_aps,
                       compute_gamma, compute_lsfc, generate_drop,
                       group_strong_ues, noise_power_dbm, normalize_powers)
+from pilotsim.network import serving_links
 
 # hand-computed three-slope values (defaults: 140.7 dB, d0=10 m, d1=50 m,
 # exponents 0 / 2 / 3.5), shadow 0
@@ -345,6 +346,20 @@ class TestAssociation:
         for t, aps in enumerate(assoc.serving_aps):
             rebuilt[aps, t] = True
         assert np.array_equal(rebuilt, assoc.serves)
+
+
+class TestServingLinks:
+    @pytest.mark.parametrize("threshold", [0.95, 1.0])
+    def test_flattens_a_stack_drop_by_drop(self, threshold):
+        # each set in priority order, drop by drop and UE by UE
+        cfg = NetworkConfig(num_aps=12, num_ues=9, assoc_threshold=threshold)
+        assocs = [associate_aps(generate_drop(cfg, seed), threshold)
+                  for seed in (1, 2, 3)]
+        aps, sizes = serving_links(assocs)
+        sets = [row for assoc in assocs for row in assoc.serving_aps]
+        assert sizes.shape == (3, 9)
+        assert sizes.ravel().tolist() == [row.size for row in sets]
+        np.testing.assert_array_equal(aps, np.concatenate(sets))
 
 
 class TestStrongGrouping:

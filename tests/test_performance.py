@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotsim import (
@@ -24,6 +24,7 @@ from pilotsim import (
     se_uplink,
 )
 from pilotsim import performance
+from pilotsim.performance import evaluate_drops
 from oracles import (micro_instance, oracle_gamma, oracle_lsfd, oracle_sinr,
                      random_unit_vector)
 from probes import sinr_pfzf
@@ -403,12 +404,12 @@ class TestBatchedEvaluate:
         pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
                           cfg.pilot_length) for scheme in ("eem", "dpb")]
 
-        def one_group(beta, powers, gammas, grouped, assignments, antennas):
-            num_ues = beta.shape[1]
-            b = np.ones((len(assignments), num_ues, 1))
+        def one_group(betas, powers, gammas, groupeds, by_drop, antennas):
+            num_ues = betas[0].shape[1]
+            b = np.ones((len(by_drop[0]), num_ues, 1))
             b[0, 1] = b[1, 0] = np.nan
             yield (np.arange(num_ues),
-                   np.ones((len(assignments), num_ues, 1, 1)), b)
+                   np.ones((len(by_drop[0]), num_ues, 1, 1)), b)
 
         monkeypatch.setattr(performance, "_lsfd_groups", one_group)
         with np.errstate(invalid="ignore"):
@@ -422,6 +423,162 @@ class TestBatchedEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 1$"):
                 evaluate(real, assoc, pa, powers, cfg)
+
+
+def desk_stack(desk_config, num_drops, schemes=SCHEME_IDS, seed=14, **over):
+    """num_drops drops of one desk config, each with its association and
+    its assignments under `schemes`, drawn from per-drop seeds."""
+    cfg = desk_config(**over)
+    powers = normalize_powers(cfg)
+    reals = [generate_drop(cfg, seed + d) for d in range(num_drops)]
+    assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
+    by_drop = [[assign_all(SchemeConfig(scheme, seed=seed + d), real, assoc,
+                           powers, cfg.pilot_length) for scheme in schemes]
+               for d, (real, assoc) in enumerate(zip(reals, assocs))]
+    return cfg, powers, reals, assocs, by_drop
+
+
+def nan_systems(spots):
+    """An `_lsfd_groups` stand-in: one system of unit Q per (drop, UE),
+    with b = 1 but NaN at each (drop, assignment, UE) of `spots`."""
+    def systems(betas, powers, gammas, groupeds, by_drop, antennas):
+        num_ues = betas[0].shape[1]
+        b = np.ones((len(by_drop[0]), len(betas) * num_ues, 1))
+        for d, i, t in spots:
+            b[i, d * num_ues + t] = np.nan
+        yield np.arange(b.shape[1]), np.ones(b.shape + (1,)), b
+    return systems
+
+
+class TestEvaluateDrops:
+    @pytest.mark.parametrize("schemes", [("eem",), ("dpb", "random"),
+                                         ("eem", "dpb", "scalable"),
+                                         SCHEME_IDS], ids=len)
+    def test_a_drop_scores_alike_in_any_chunk(self, desk_config, schemes):
+        # each drop's co-pilot products keep its own width, so its SINRs do
+        # not depend on the drops beside it, at any chunk size or position.
+        # Drop seeds 14-20 hold drops whose SINRs would move at round-off if
+        # padded to a wider chunk's width, so the check can fail
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 7,
+                                                         schemes)
+        alone = [evaluate(real, assoc, cell, powers, cfg)
+                 for real, assoc, cell in zip(reals, assocs, by_drop)]
+        for size in range(2, 8):
+            for lo in range(8 - size):
+                chunk = slice(lo, lo + size)
+                got = evaluate_drops(reals[chunk], assocs[chunk],
+                                     by_drop[chunk], powers, cfg)
+                assert len(got) == size
+                for want, reports in zip(alone[chunk], got):
+                    assert len(reports) == len(schemes)
+                    for w, r in zip(want, reports):
+                        np.testing.assert_array_equal(r.sinr, w.sinr)
+                        np.testing.assert_array_equal(r.se, w.se)
+                        assert r.sum_se == w.sum_se
+
+    @given(num_aps=st.integers(1, 6), num_ues=st.integers(1, 10),
+           lp=st.integers(1, 5), extra=st.integers(1, 4),
+           threshold=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+           num_drops=st.integers(2, 4),
+           schemes=st.lists(st.sampled_from(SCHEME_IDS), min_size=1,
+                            max_size=4, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(num_aps=1, num_ues=3, lp=5, extra=1, threshold=1.0,
+             num_drops=3, schemes=list(SCHEME_IDS), seed=0)
+    @example(num_aps=5, num_ues=10, lp=2, extra=1, threshold=1.0,
+             num_drops=4, schemes=["dpb", "eem"], seed=1)
+    def test_stack_matches_lone_drops(self, num_aps, num_ues, lp, extra,
+                                      threshold, num_drops, schemes, seed):
+        # tiny configs reach T <= Lp, one AP and assoc_threshold = 1; the
+        # examples pin all three, and threshold 1 with several APs
+        cfg = NetworkConfig(area_side_m=200.0, num_aps=num_aps,
+                            num_ues=num_ues, antennas_per_ap=lp + extra,
+                            pilot_length=lp, assoc_threshold=threshold)
+        powers = normalize_powers(cfg)
+        reals = [generate_drop(cfg, seed + d) for d in range(num_drops)]
+        assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
+        by_drop = [[assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
+                               powers, lp) for scheme in schemes]
+                   for real, assoc in zip(reals, assocs)]
+        got = evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        for real, assoc, cell, reports in zip(reals, assocs, by_drop, got):
+            for want, report in zip(evaluate(real, assoc, cell, powers, cfg),
+                                    reports):
+                np.testing.assert_array_equal(report.sinr, want.sinr)
+
+    def test_one_solve_per_serving_set_size_of_the_stack(self, desk_config,
+                                                         monkeypatch):
+        # drops of different largest pilot loads still share each solve
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 6)
+        sizes = {aps.size for assoc in assocs for aps in assoc.serving_aps}
+        loads = {max(np.bincount(pa.pilot_of).max() for pa in cell)
+                 for cell in by_drop}
+        assert len(loads) > 1
+        calls = []
+        solve = performance.np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
+        evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        assert sorted(shape[-1] for shape in calls) == sorted(sizes)
+        assert {shape[0] for shape in calls} == {len(SCHEME_IDS)}
+
+    @pytest.mark.parametrize("schemes,spots,named", [
+        # the first failure in (drop, assignment, UE) order is named, not
+        # the lowest drop, assignment or UE
+        (("eem", "dpb"), [(2, 0, 0), (1, 1, 3), (1, 0, 7)],
+         "for UE 7 under assignment 0 of drop 1"),
+        (("eem", "dpb"), [(0, 1, 2), (1, 0, 0)],
+         "for UE 2 under assignment 1 of drop 0"),
+        (("dpb",), [(2, 0, 4), (1, 0, 9)], "for UE 9 of drop 1")],
+        ids=["row-major", "assignment-before-drop", "one-assignment"])
+    def test_first_failure_names_its_drop(self, desk_config, monkeypatch,
+                                          schemes, spots, named):
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3,
+                                                         schemes)
+        monkeypatch.setattr(performance, "_lsfd_groups", nan_systems(spots))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ArithmeticError, match=f"{named}$"):
+                evaluate_drops(reals, assocs, by_drop, powers, cfg)
+
+    def test_one_drop_keeps_its_messages(self, desk_config, monkeypatch):
+        # a stack of one drop names no drop, as evaluate never did
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 1,
+                                                         ("eem", "dpb"))
+        monkeypatch.setattr(performance, "_lsfd_groups",
+                            nan_systems([(0, 1, 5)]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ArithmeticError,
+                               match="for UE 5 under assignment 1$"):
+                evaluate_drops(reals, assocs, by_drop, powers, cfg)
+
+    def test_rejects_malformed_stacks(self, desk_config):
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3)
+        with pytest.raises(ValueError, match="at least one drop"):
+            evaluate_drops([], [], [], powers, cfg)
+        with pytest.raises(ValueError, match="at least one drop"):
+            evaluate_drops(reals, assocs[:2], by_drop, powers, cfg)
+        with pytest.raises(ValueError, match="same number for every drop"):
+            evaluate_drops(reals, assocs, [by_drop[0], by_drop[1][:2],
+                                           by_drop[2]], powers, cfg)
+        with pytest.raises(ValueError, match="at least one pilot assignment"):
+            evaluate_drops(reals, assocs, [[], [], []], powers, cfg)
+        other = generate_drop(desk_config(num_ues=40), 5)
+        with pytest.raises(ValueError, match="must share M and T"):
+            evaluate_drops([reals[0], other], assocs[:2], by_drop[:2],
+                           powers, cfg)
+        wide = assign_all(SchemeConfig("eem"), reals[2], assocs[2], powers, 9)
+        with pytest.raises(ValueError, match="^assignment 1 of drop 2 has 9 "
+                                             "pilots, more than the pilot "
+                                             "length 7$"):
+            evaluate_drops(reals, assocs,
+                           [by_drop[0], by_drop[1],
+                            [by_drop[2][0], wide, *by_drop[2][2:]]],
+                           powers, cfg)
 
 
 class TestContaminationMonotonicity:
