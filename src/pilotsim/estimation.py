@@ -69,9 +69,13 @@ def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndar
     # sum_{k on pilot i} w_k b_mk for every (m, i), through a one-hot matrix
     denom_by_pilot = weighted @ np.eye(assignment.num_pilots)[pilot_of]
     gamma = weighted * beta / (denom_by_pilot[:, pilot_of] + 1.0)
-    if np.any(gamma > beta):
-        raise AssertionError("gamma exceeded beta; inputs are inconsistent")
-    if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0):
+    # both checks in one pass, which a NaN gamma fails too; which check
+    # failed is asked only then, to pick the message
+    ok = gamma <= beta
+    ok &= gamma > 0
+    if not ok.all():
+        if np.any(gamma > beta):
+            raise AssertionError("gamma exceeded beta; inputs are inconsistent")
         raise ValueError("gamma must be positive and finite")
     return gamma
 

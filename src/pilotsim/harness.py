@@ -10,11 +10,11 @@ value, at most `_CHUNK_DROPS` of them: each scheme assigns pilots on the
 whole chunk in one batched loop, one evaluation pass scores every drop's
 schemes, and rows stay per drop. A chunk that fails reruns cell by cell
 only to name its (sweep value, drop seed, scheme), or names the chunk if
-every cell passes. Each drop scores the same bits whatever drops share its
-chunk, since the evaluation pads each drop's co-pilot products to its own
-largest pilot load. Rows are sorted deterministically and files are written
-via write-then-rename, so reruns are byte-identical regardless of worker
-count.
+every cell passes. Each (drop, scheme) cell's co-pilot products take its
+own largest pilot load, so neither the worker count, which sets the chunks,
+nor the scheme list moves a row. Rows are sorted deterministically and
+files are written via write-then-rename, so reruns are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations

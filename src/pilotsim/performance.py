@@ -9,19 +9,19 @@ is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate_drops`
 scores a stack of drops from this closed form without forming any weight
 vector, with several pilot assignments per drop (a chunk's cells) at once;
-`evaluate` is its one-drop call. Neither the serving nor the strong sets
+`evaluate` is its call for one cell. Neither the serving nor the strong sets
 depend on the pilots, so the strong sets are ranked once per drop.
-`_lsfd_groups` lays the serving links of every (drop, UE) pair of the stack
-out once, ordered by |M_t| and then by the drop's largest pilot load K, and
-computes every per-link term of all assignments at once. Each serving-set
-size is then a contiguous run of links, whose (Q_t, b_t) stack over all
-drops and assignments is solved in one call.
+`_lsfd_groups` lays the serving links of every unit out once, a UE under
+one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
+pilot load K_c, and computes every per-link term of all cells at once. Each
+serving-set size is then a contiguous run of links, whose (Q_t, b_t) stack
+over all cells is solved in one call.
 
-Each Q_t is built with the co-pilot slots of its own drop's K, and a solve
-treats each matrix of its stack on its own, so a drop's SINRs do not depend
-on the drops stacked with it: the worker count, which sets the stacks, never
-moves a result. The assignments scored together on one drop share its K, so
-the scheme list can still move a result at round-off.
+Each Q_t is built with the co-pilot slots of its own cell's K_c, and a solve
+treats each matrix of its stack on its own, so a cell's SINRs depend on
+that cell alone: neither the drops stacked with it, which the worker count
+sets, nor the other assignments scored on its drop, which the scheme list
+sets, moves a result.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import PilotAssignment, compute_gamma
+from .estimation import compute_gamma
 from .network import group_strong_ues, serving_links
 
 __all__ = [
@@ -62,11 +62,12 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 
 
 def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
-    """The LSFD systems (pairs, Q, b) of a stack of D drops, one per
-    serving-set size n in ascending order: `pairs` holds p = d T + t for
-    each UE t of drop d with |M_t| = n, ordered by its drop's K and then by
-    p; Q is (S, N, n, n) and b is (S, N, n) over the S assignments of each
-    drop. The set-up runs at the call, and an iterator is returned.
+    """The LSFD systems (units, Q, b) of a stack of D drops, one per
+    serving-set size n in ascending order. Cell c = d S + s is drop d under
+    its s-th assignment, and unit u = c T + t is UE t of cell c: `units`
+    holds the units with |M_t| = n, ordered by their cell's largest pilot
+    load K_c and then by u; Q is (N, n, n) and b is (N, n). The set-up runs
+    at the call, and an iterator is returned.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
@@ -74,98 +75,102 @@ def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
     betas[d] is drop d's (M, T) LSFC matrix; `gammas` lists the (M, T)
-    gammas, drop by drop and within a drop assignment by assignment, and is
-    emptied as they are copied into the co-pilot weight table;
-    groupeds[d] is drop d's association after one `group_strong_ues` call
-    for all of by_drop[d]: one shared strong flag, and one row of
-    strong-pilot counts per assignment. The per-AP sums, the co-pilot
-    weight table and its member table (a cumulative one-hot count of each
-    pilot over the UEs) are each one pass over the stack. The serving links
-    of all pairs are laid out once, and every per-link scalar is computed
-    as C-ordered (S, L) rows. The pairs of one key (n, K) are then one
-    contiguous run of links that reshapes to (S, N, n); only its co-pilot
-    gather and Q = C C^T are formed per run, over the K - 1 co-pilot slots
-    of its drops. Memory is kept to what the systems read: each gamma is
-    freed once copied, arrays are built in place and freed once read, and
-    the rest of the set-up is freed at return.
+    gammas cell by cell, and is emptied as they are copied into the
+    co-pilot weight table; groupeds[d] is drop d's association after one
+    `group_strong_ues` call for all of by_drop[d]: one shared strong flag,
+    and one row of strong-pilot counts per assignment. The per-AP sums, the
+    co-pilot weight table and its member table (a cumulative one-hot count
+    of each pilot over the UEs) are each one pass over the stack. The
+    serving links of all units are laid out once, and every per-link scalar
+    is computed as one flat row. The units of one key (n, K_c) are then one
+    contiguous run of links that reshapes to (N, n); only its co-pilot
+    gather and Q = C C^T are formed per run, over the K_c - 1 co-pilot
+    slots of its cells. Memory is kept to what the systems read: each gamma
+    is freed once copied, arrays are built in place and freed once read,
+    and the rest of the set-up is freed at return.
     """
     num_drops, num_schemes = len(by_drop), len(by_drop[0])
+    num_cells = num_drops * num_schemes
     num_aps, num_ues = groupeds[0].strong_flag.shape
     p = powers.p_uplink
     flags = np.stack([grouped.strong_flag for grouped in groupeds])
     counts = np.stack([grouped.strong_pilot_count for grouped in groupeds])
     # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs.
-    # Row i of the table holds gamma_mk for AP m and UE k under the i-th
-    # (drop, assignment); its column T is zero. Each gamma is popped from
-    # the list as it is copied, so that it is freed at once
+    # Row c of the table holds gamma_mk for AP m and UE k in cell c; its
+    # column T is zero. Each gamma is popped from the list as it is copied,
+    # so that it is freed at once
     noncoh = np.stack([beta @ p for beta in betas])
-    zf = np.empty((num_drops * num_schemes, num_aps))
-    table_w = np.zeros((num_drops * num_schemes, num_aps, num_ues + 1))
-    for i in range(len(table_w)):
+    zf = np.empty((num_cells, num_aps))
+    table_w = np.zeros((num_cells, num_aps, num_ues + 1))
+    for c in range(num_cells):
         gamma = gammas.pop(0)
-        zf[i] = (gamma * flags[i // num_schemes]) @ p
-        table_w[i, :, :num_ues] = gamma
+        zf[c] = (gamma * flags[c // num_schemes]) @ p
+        table_w[c, :, :num_ues] = gamma
     del gamma
-    # one table row per (drop, assignment, pilot) lists that pilot's UEs in
-    # ascending order, padded with T to the largest load in the stack.
-    # rank[d, s, t, i] counts the UEs up to t on pilot i, so t's slot in
-    # its pilot's row is its own count less one, and rank[..., -1, :]
-    # holds the loads, whose largest per drop is its K
-    pilot_of = np.array([[pa.pilot_of for pa in cell]
-                         for cell in by_drop])[..., None]
+    # one table row per (cell, pilot) lists that pilot's UEs in ascending
+    # order, padded with T to the largest load in the stack. rank[c, t, i]
+    # counts the UEs up to t on pilot i, so t's slot in its pilot's row is
+    # its own count less one, and rank[c, -1] holds the loads, whose
+    # largest is K_c
+    pilot_of = np.array([pa.pilot_of for cell in by_drop
+                         for pa in cell])[..., None]
     num_pilots = max(pa.num_pilots for cell in by_drop for pa in cell)
-    rank = (pilot_of == np.arange(num_pilots)).cumsum(axis=2)
-    slot = np.take_along_axis(rank, pilot_of, 3) - 1
-    loads = rank[:, :, -1].reshape(num_drops, -1).max(axis=1)
+    rank = (pilot_of == np.arange(num_pilots)).cumsum(axis=1)
+    slot = np.take_along_axis(rank, pilot_of, 2) - 1
+    loads = rank[:, -1].max(axis=1)
     del rank
-    table_row = (np.arange(num_drops * num_schemes).reshape(
-        num_drops, num_schemes, 1, 1) * num_pilots + pilot_of)
+    width = int(loads.max())
+    table_row = np.arange(num_cells)[:, None, None] * num_pilots + pilot_of
     # (its UE indices as int32, which halves the co-pilot gather)
-    table = np.full((num_drops * num_schemes * num_pilots, int(loads.max())),
-                    num_ues, dtype=np.int32)
+    table = np.full((num_cells * num_pilots, width), num_ues, dtype=np.int32)
     table[table_row, slot] = np.arange(num_ues)[:, None]
 
-    # pairs by key (n, K), and each pair's co-pilots: its pilot's row of
-    # the table minus its own slot, gathered by flat offsets built in place
+    # units by key (n, K_c), each with its (drop, UE) pair, and each unit's
+    # co-pilots: its pilot's row of the table minus its own slot, gathered
+    # by flat offsets built in place
     aps, sizes = serving_links(groupeds)
-    key = (sizes * (int(loads.max()) + 1) + loads[:, None]).ravel()
-    pairs = np.argsort(key, kind="stable")
-    key, n = key[pairs], sizes.ravel()[pairs]
-    pair_drop, pair_ue = np.divmod(pairs, num_ues)
-    stack = np.arange(num_schemes)[:, None]
-    j = np.arange(table.shape[1] - 1)
-    at = j >= slot[pair_drop, stack, pair_ue]
+    key = (sizes[:, None] * (width + 1)
+           + loads.reshape(num_drops, num_schemes, 1)).ravel()
+    units = np.argsort(key, kind="stable")
+    unit_cell, unit_ue = np.divmod(units, num_ues)
+    pair = unit_cell // num_schemes * num_ues + unit_ue
+    key, n = key[units], sizes.ravel()[pair]
+    j = np.arange(width - 1)
+    at = j >= slot[unit_cell, unit_ue]
     at = at + j
-    at += table_row[pair_drop, stack, pair_ue] * table.shape[1]
+    at += table_row[unit_cell, unit_ue] * width
     copilots = table.ravel()[at]
     del at
-    # each pair's links, in its priority order, and their flat offsets in
-    # a (D, M) and a (D, S, M) array, the latter as C-ordered (S, L) rows
+    # each unit's links, in its priority order, and their flat offsets in
+    # a (D, M) and a (D S, M) array
     first = np.cumsum(sizes.ravel()) - sizes.ravel()
     end = np.cumsum(n)
-    serving = aps[np.repeat(first[pairs] - end + n, n) + np.arange(end[-1])]
-    link_drop = np.repeat(pair_drop, n)
-    link_ue = np.repeat(pair_ue, n)
-    at_ap = link_drop * num_aps + serving
-    at_scheme = (np.arange(num_schemes)[:, None] * num_aps
-                 + (link_drop * num_schemes * num_aps + serving))
+    serving = aps[np.repeat(first[pair] - end + n, n) + np.arange(end[-1])]
+    link_cell = np.repeat(unit_cell, n)
+    link_ue = np.repeat(unit_ue, n)
+    at_ap = link_cell // num_schemes * num_aps + serving
+    at_cell = link_cell * num_aps + serving
+    del link_cell, serving
     delta = flags.ravel()[at_ap * num_ues + link_ue]
-    # the (S, L) rows are built in place, and freed once read, so that few
-    # are alive at once
-    diag = zf.ravel()[at_scheme]
+    # the rows are built in place, and freed once read, so that few are
+    # alive at once
+    diag = zf.ravel()[at_cell]
     diag *= delta
     np.subtract(noncoh.ravel()[at_ap], diag, out=diag)
+    del at_ap
     diag += 1.0
     # A - delta_mt L_{S_m}: zero-forcing spends one dimension per distinct
     # strong pilot, but only from the viewpoint of strong UEs
-    gain = counts.ravel()[at_scheme]
+    gain = counts.ravel()[at_cell]
     gain *= delta
+    del delta
     np.subtract(antennas, gain, out=gain)
     root = np.sqrt(gain)
     # each link's row of the table, as a flat offset
-    row = at_scheme * (num_ues + 1)
-    del at_scheme
+    row = at_cell * (num_ues + 1)
+    del at_cell
     b = table_w.ravel()[row + link_ue]
+    del link_ue
     b *= gain
     np.sqrt(b, out=b)
     del gain
@@ -174,38 +179,35 @@ def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
     # on a column slice numpy would buffer the strided rows
     table_w *= np.append(p, 0.0)
     np.sqrt(table_w, out=table_w)
-    # runs of one key: each run's first and end pair, its n and its K - 1
+    # runs of one key: each run's first and end unit, its n and its K_c - 1
     heads = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist()]
-    runs = list(zip(heads, [*heads[1:], pairs.size], n[heads].tolist(),
-                    (loads[pair_drop[heads]] - 1).tolist()))
-    return _systems(table_w.ravel(), row, root, diag, b, copilots, pairs,
+    runs = list(zip(heads, [*heads[1:], units.size], n[heads].tolist(),
+                    (loads[unit_cell[heads]] - 1).tolist()))
+    return _systems(table_w.ravel(), row, root, diag, b, copilots, units,
                     [0, *end.tolist()], runs)
 
 
-def _systems(w, row, root, diag, b, copilots, pairs, start, runs):
+def _systems(w, row, root, diag, b, copilots, units, start, runs):
     """Yield `_lsfd_groups`' systems from its flat weight table `w` and its
-    per-link rows. start[i] is pair i's first link, and `runs` lists each
-    run of pairs of one key as (first pair, end pair, n, K - 1), in order."""
-    num_schemes = len(row)
-    # one system stack per n, its Q built one run of equal K at a time
+    per-link rows. start[i] is unit i's first link, and `runs` lists each
+    run of units of one key as (first unit, end unit, n, K_c - 1), in
+    order."""
+    # one system stack per n, its Q built one run of equal K_c at a time
     for size, group in itertools.groupby(runs, operator.itemgetter(2)):
         group = list(group)
         lo, hi = group[0][0], group[-1][1]
-        q = np.empty((num_schemes, hi - lo, size, size))
+        q = np.empty((hi - lo, size, size))
         for a, z, _, width in group:
-            shape = (num_schemes, z - a, size)
+            shape = (z - a, size, 1)
             links = slice(start[a], start[z])
-            c = w[row[:, links].reshape(shape)[..., None]
-                  + copilots[:, a:z, None, :width]]
-            c *= root[:, links].reshape(shape)[..., None]
-            np.matmul(c, c.swapaxes(-1, -2), out=q[:, a - lo:z - lo])
+            c = w[row[links].reshape(shape) + copilots[a:z, None, :width]]
+            c *= root[links].reshape(shape)
+            np.matmul(c, c.swapaxes(-1, -2), out=q[a - lo:z - lo])
         links = slice(start[lo], start[hi])
         # the diagonal of each n x n block, as a strided view
-        q.reshape(-1, size * size)[:, ::size + 1] += diag[:, links].reshape(
+        q.reshape(-1, size * size)[:, ::size + 1] += diag[links].reshape(
             -1, size)
-        # contiguous, so that sums over each b_t run as for one assignment
-        yield pairs[lo:hi], q, np.ascontiguousarray(
-            b[:, links].reshape(num_schemes, hi - lo, size))
+        yield units[lo:hi], q, b[links].reshape(hi - lo, size)
 
 
 def se_uplink(sinr, coherence_block: int, pilot_length: int):
@@ -222,13 +224,12 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> list:
     of `SeReport`s per drop, in assignment order. Each UE scores
     p_t b.Q^{-1} b, its optimal-LSFD SINR. A drop's assignments share one
     strong-set ranking, and the whole stack one batched pass with one
-    stacked solve per serving-set size. Co-pilot products are padded to the
-    drop's own largest pilot load K, so a drop scores the same bits in any
-    stack; the assignments scored beside it set K, so they can move its
-    scores at round-off. SINRs are checked on the (D, S, T) stack and the
-    first failure in (drop, assignment, UE) order is raised; its message
-    names the assignment if a drop has several, and the drop if the stack
-    has several.
+    stacked solve per serving-set size. Each (drop, assignment) cell takes
+    co-pilot products of its own largest pilot load, so a cell scores the
+    same bits in any stack and beside any assignments. SINRs are checked on
+    the (D, S, T) stack and the first failure in (drop, assignment, UE)
+    order is raised; its message names the assignment if a drop has
+    several, and the drop if the stack has several.
     """
     by_drop = [list(cell) for cell in by_drop]
     if not reals or not len(reals) == len(assocs) == len(by_drop):
@@ -258,15 +259,14 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> list:
     # compute_gamma's temporaries never overlap it
     gammas = [compute_gamma(real.beta, powers, config.pilot_length, pa)
               for real, cell in zip(reals, by_drop) for pa in cell]
-    score = np.empty((num_schemes, num_drops * reals[0].num_ues))
-    for pairs, q, b in _lsfd_groups([real.beta for real in reals], powers,
+    score = np.empty(num_drops * num_schemes * reals[0].num_ues)
+    for units, q, b in _lsfd_groups([real.beta for real in reals], powers,
                                     gammas, groupeds, by_drop,
                                     config.antennas_per_ap):
-        score[:, pairs] = np.sum(
-            b * np.linalg.solve(q, b[..., None])[..., 0], axis=-1)
+        score[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],
+                              axis=-1)
     # one pass over the (D, S, T) stack; argwhere meets failures row-major
-    sinr = np.multiply(powers.p_uplink, score.reshape(
-        num_schemes, num_drops, -1).swapaxes(0, 1), order="C")
+    sinr = powers.p_uplink * score.reshape(num_drops, num_schemes, -1)
     bad = np.argwhere(~(np.isfinite(sinr) & (sinr > 0.0)))
     if bad.size:
         d, i, t = bad[0]
@@ -280,15 +280,8 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> list:
             for cell in zip(sinr, se, se.sum(axis=2))]
 
 
-def evaluate(real, assoc, assignments, powers, config):
-    """`evaluate_drops` on one drop.
-
-    `assignments` is one `PilotAssignment`, which gives one `SeReport`, or a
-    sequence of them on this drop, which gives one `SeReport` per assignment
-    in order.
-    """
-    single = isinstance(assignments, PilotAssignment)
-    reports, = evaluate_drops([real], [assoc],
-                              [[assignments] if single else assignments],
-                              powers, config)
-    return reports[0] if single else reports
+def evaluate(real, assoc, assignment, powers, config) -> SeReport:
+    """`evaluate_drops` on one drop under one `PilotAssignment`: the same
+    bits as that cell in any stack."""
+    return evaluate_drops([real], [assoc], [[assignment]], powers,
+                          config)[0][0]

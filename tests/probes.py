@@ -17,13 +17,13 @@ def sinr_pfzf(t, weights, beta, gamma, powers, assoc, assignment, antennas):
     `assignment` alone. A vector gives a float; a (K, |M_t|) matrix of K
     weight vectors gives K SINRs from one build of Q.
     """
-    # a stack of one drop, whose pair indices are its UE indices
-    for ues, q, b in performance._lsfd_groups(
+    # a stack of one cell, whose unit indices are its UE indices
+    for units, q, b in performance._lsfd_groups(
             [beta], powers, [gamma], [assoc],
             [[assignment]], antennas):
-        hit = np.flatnonzero(ues == t)
+        hit = np.flatnonzero(units == t)
         if hit.size:
-            q, b = q[0, hit[0]], b[0, hit[0]]
+            q, b = q[hit[0]], b[hit[0]]
             break
     a = np.asarray(weights, dtype=float)
     probes = np.atleast_2d(a)

@@ -127,6 +127,14 @@ class TestGamma:
                 with pytest.raises(ValueError, match="positive and finite"):
                     compute_gamma(np.array([[beta]]), unit_powers(1), 1, pa)
 
+    def test_gamma_above_beta_is_an_inconsistency(self):
+        # a negative LSFC shrinks the shared denominator below UE 0's own
+        # term, so UE 0's gamma exceeds its beta; that check comes first
+        powers = PowerProfile(np.full(2, 10.0), np.ones(2))
+        pa = PilotAssignment(np.array([0, 0]), 1)
+        with pytest.raises(AssertionError, match="gamma exceeded beta"):
+            compute_gamma(np.array([[1.0, -0.2]]), powers, 1, pa)
+
 
 class TestGlobalError:
     def test_unused_pilot_is_exactly_zero(self):

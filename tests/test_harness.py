@@ -27,7 +27,6 @@ from pilotsim import (
     associate_aps,
     derive_seed,
     emit_cdf,
-    evaluate,
     generate_drop,
     normalize_powers,
     run_experiment,
@@ -35,6 +34,7 @@ from pilotsim import (
 from pilotsim import cli, harness, performance
 from pilotsim.cli import main
 from pilotsim.harness import cell_seeds
+from pilotsim.performance import evaluate_drops
 
 
 def tiny_config(**over):
@@ -210,8 +210,8 @@ class TestRunExperiment:
         assert calls == [(size, {3}) for size in chunks] * 2
 
     def test_chunk_rows_equal_cell_rows(self, tmp_path):
-        # each cell alone: its schemes assigned one at a time, then scored
-        # in one joint evaluate, as the chunk scores a drop's schemes
+        # each drop alone: its schemes assigned one at a time, then scored
+        # in one evaluation pass of that drop
         spec = tiny_spec(tmp_path, num_drops=3)
         rows, _ = run_experiment(spec)
         cells = []
@@ -227,7 +227,8 @@ class TestRunExperiment:
                                                       seed=seed),
                                   real, assoc, powers, cfg.pilot_length)
                        for s, seed in zip(spec.schemes, seeds)]
-                reports = evaluate(real, assoc, pas, powers, cfg)
+                reports = evaluate_drops([real], [assoc], [pas], powers,
+                                         cfg)[0]
                 cells += harness._rows(spec, value, [drop_seed],
                                        np.array([[r.se for r in reports]]))
         key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
@@ -283,14 +284,14 @@ class TestRunExperiment:
             drop_seed = derive_seed(spec.master_seed, 0, drop_idx)
             real = generate_drop(cfg, drop_seed)
             assoc = associate_aps(real, cfg.assoc_threshold)
-            # the cell's schemes, scored together as the harness does
+            # the drop's schemes, scored in one pass as the harness does
             pas = []
             for scheme in spec.schemes:
                 seed = derive_seed(spec.master_seed, 0, drop_idx,
                                    100 + SCHEME_CODE[scheme])
                 pas.append(assign_all(SchemeConfig(scheme, seed=seed), real,
                                       assoc, powers, cfg.pilot_length))
-            reports = evaluate(real, assoc, pas, powers, cfg)
+            reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
             for scheme, report in zip(spec.schemes, reports):
                 row, = [r for r in rows
                         if (r.drop_seed, r.scheme) == (drop_seed, scheme)]

@@ -1,5 +1,7 @@
 """Closed-form SINR, LSFD weighting, and spectral-efficiency reporting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -217,7 +219,7 @@ class TestEvaluate:
             return real_group(*args)
 
         monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
-        reports = evaluate(real, assoc, pas, powers, cfg)
+        reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
         assert len(pas) == len(reports) == 4
         assert len(calls) == 1
         assert all(a is b for a, b in zip(calls[0], pas, strict=True))
@@ -267,7 +269,7 @@ class TestEvaluate:
                       for lp in (cfg.pilot_length, 9))
         with pytest.raises(ValueError, match="^assignment 1 has 9 pilots, more "
                                              "than the pilot length 7$"):
-            evaluate(real, assoc, [fits, wide], powers, cfg)
+            evaluate_drops([real], [assoc], [[fits, wide]], powers, cfg)[0]
         with pytest.raises(ValueError, match="^assignment 0 has 9 pilots"):
             evaluate(real, assoc, wide, powers, cfg)
 
@@ -354,26 +356,26 @@ class TestBatchedEvaluate:
 
     @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
     def test_stacked_matches_one_scheme(self, desk_drop, edge):
-        # padding the co-pilot tables to the largest K adds exact zeros to
-        # C C^T, which may move the sum's round-off only
+        # each assignment's co-pilot products take its own largest load, so
+        # the assignments scored beside it move none of its bits
         for seed in (3, 4):
             cfg, real, powers, assoc = desk_drop(seed=seed,
                                                  **EDGE_CONFIGS[edge])
             pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                               powers, cfg.pilot_length)
                    for scheme in SCHEME_IDS]
-            stacked = evaluate(real, assoc, pas, powers, cfg)
+            stacked = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
             assert len(stacked) == len(pas)
             for pa, got in zip(pas, stacked):
                 want = evaluate(real, assoc, pa, powers, cfg)
-                np.testing.assert_allclose(got.sinr, want.sinr, rtol=1e-12)
-                np.testing.assert_allclose(got.se, want.se, rtol=1e-12)
+                np.testing.assert_array_equal(got.sinr, want.sinr)
+                np.testing.assert_array_equal(got.se, want.se)
 
     def test_one_solve_per_size_for_all_schemes(self, desk_drop, monkeypatch):
         cfg, real, powers, assoc = desk_drop(seed=3)
         pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
                           cfg.pilot_length) for scheme in SCHEME_IDS]
-        sizes = {aps.size for aps in assoc.serving_aps}
+        sizes = Counter(aps.size for aps in assoc.serving_aps)
         assert len(sizes) > 1
         calls = []
         solve = performance.np.linalg.solve
@@ -383,9 +385,10 @@ class TestBatchedEvaluate:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
-        evaluate(real, assoc, pas, powers, cfg)
-        assert sorted(shape[-1] for shape in calls) == sorted(sizes)
-        assert {shape[0] for shape in calls} == {len(SCHEME_IDS)}
+        evaluate_drops([real], [assoc], [pas], powers, cfg)
+        # one solve per size, holding that size's UEs under every assignment
+        assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
+                                       for size, count in sizes.items())
 
     def test_stacked_degenerate_sinr_names_assignment(self):
         cfg, real, powers, assoc = degenerate_drop()
@@ -393,9 +396,10 @@ class TestBatchedEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError,
                                match="for UE 1 under assignment 0$"):
-                evaluate(real, assoc, [good, good], powers, cfg)
+                evaluate_drops([real], [assoc], [[good, good]], powers,
+                               cfg)[0]
         with pytest.raises(ValueError, match="at least one"):
-            evaluate(real, assoc, [], powers, cfg)
+            evaluate_drops([real], [assoc], [[]], powers, cfg)[0]
 
     def test_first_failure_is_row_major(self, desk_drop, monkeypatch):
         # UE 1 fails under assignment 0 and UE 0 under assignment 1: the
@@ -406,16 +410,15 @@ class TestBatchedEvaluate:
 
         def one_group(betas, powers, gammas, groupeds, by_drop, antennas):
             num_ues = betas[0].shape[1]
-            b = np.ones((len(by_drop[0]), num_ues, 1))
-            b[0, 1] = b[1, 0] = np.nan
-            yield (np.arange(num_ues),
-                   np.ones((len(by_drop[0]), num_ues, 1, 1)), b)
+            b = np.ones((len(by_drop[0]) * num_ues, 1))
+            b[1] = b[num_ues] = np.nan
+            yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
 
         monkeypatch.setattr(performance, "_lsfd_groups", one_group)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ArithmeticError,
                                match="for UE 1 under assignment 0$"):
-                evaluate(real, assoc, pas, powers, cfg)
+                evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
 
     def test_degenerate_sinr_names_first_ue(self):
         cfg, real, powers, assoc = degenerate_drop()
@@ -439,14 +442,15 @@ def desk_stack(desk_config, num_drops, schemes=SCHEME_IDS, seed=14, **over):
 
 
 def nan_systems(spots):
-    """An `_lsfd_groups` stand-in: one system of unit Q per (drop, UE),
-    with b = 1 but NaN at each (drop, assignment, UE) of `spots`."""
+    """An `_lsfd_groups` stand-in: one system of unit Q per unit, a UE
+    under one (drop, assignment) cell, with b = 1 but NaN at each
+    (drop, assignment, UE) of `spots`."""
     def systems(betas, powers, gammas, groupeds, by_drop, antennas):
-        num_ues = betas[0].shape[1]
-        b = np.ones((len(by_drop[0]), len(betas) * num_ues, 1))
+        num_schemes, num_ues = len(by_drop[0]), betas[0].shape[1]
+        b = np.ones((len(betas) * num_schemes * num_ues, 1))
         for d, i, t in spots:
-            b[i, d * num_ues + t] = np.nan
-        yield np.arange(b.shape[1]), np.ones(b.shape + (1,)), b
+            b[(d * num_schemes + i) * num_ues + t] = np.nan
+        yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
     return systems
 
 
@@ -461,7 +465,7 @@ class TestEvaluateDrops:
         # padded to a wider chunk's width, so the check can fail
         cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 7,
                                                          schemes)
-        alone = [evaluate(real, assoc, cell, powers, cfg)
+        alone = [evaluate_drops([real], [assoc], [cell], powers, cfg)[0]
                  for real, assoc, cell in zip(reals, assocs, by_drop)]
         for size in range(2, 8):
             for lo in range(8 - size):
@@ -490,8 +494,10 @@ class TestEvaluateDrops:
              num_drops=4, schemes=["dpb", "eem"], seed=1)
     def test_stack_matches_lone_drops(self, num_aps, num_ues, lp, extra,
                                       threshold, num_drops, schemes, seed):
-        # tiny configs reach T <= Lp, one AP and assoc_threshold = 1; the
-        # examples pin all three, and threshold 1 with several APs
+        # each cell scores as its assignment does alone, whatever drops
+        # and assignments share its stack. Tiny configs reach T <= Lp, one
+        # AP and assoc_threshold = 1; the examples pin all three, and
+        # threshold 1 with several APs
         cfg = NetworkConfig(area_side_m=200.0, num_aps=num_aps,
                             num_ues=num_ues, antennas_per_ap=lp + extra,
                             pilot_length=lp, assoc_threshold=threshold)
@@ -503,17 +509,19 @@ class TestEvaluateDrops:
                    for real, assoc in zip(reals, assocs)]
         got = evaluate_drops(reals, assocs, by_drop, powers, cfg)
         for real, assoc, cell, reports in zip(reals, assocs, by_drop, got):
-            for want, report in zip(evaluate(real, assoc, cell, powers, cfg),
-                                    reports):
+            assert len(reports) == len(cell)
+            for pa, report in zip(cell, reports):
+                want = evaluate(real, assoc, pa, powers, cfg)
                 np.testing.assert_array_equal(report.sinr, want.sinr)
 
     def test_one_solve_per_serving_set_size_of_the_stack(self, desk_config,
                                                          monkeypatch):
-        # drops of different largest pilot loads still share each solve
+        # cells of different largest pilot loads still share each solve
         cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 6)
-        sizes = {aps.size for assoc in assocs for aps in assoc.serving_aps}
-        loads = {max(np.bincount(pa.pilot_of).max() for pa in cell)
-                 for cell in by_drop}
+        sizes = Counter(aps.size for assoc in assocs
+                        for aps in assoc.serving_aps)
+        loads = {np.bincount(pa.pilot_of).max() for cell in by_drop
+                 for pa in cell}
         assert len(loads) > 1
         calls = []
         solve = performance.np.linalg.solve
@@ -524,8 +532,9 @@ class TestEvaluateDrops:
 
         monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
         evaluate_drops(reals, assocs, by_drop, powers, cfg)
-        assert sorted(shape[-1] for shape in calls) == sorted(sizes)
-        assert {shape[0] for shape in calls} == {len(SCHEME_IDS)}
+        # one solve per size, holding that size's units of every cell
+        assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
+                                       for size, count in sizes.items())
 
     @pytest.mark.parametrize("schemes,spots,named", [
         # the first failure in (drop, assignment, UE) order is named, not
@@ -579,6 +588,57 @@ class TestEvaluateDrops:
                            [by_drop[0], by_drop[1],
                             [by_drop[2][0], wide, *by_drop[2][2:]]],
                            powers, cfg)
+
+
+class TestRelabeling:
+    # naming the pilots or the APs otherwise changes no physics. These
+    # checks are structurally different from the oracles, which share the
+    # package's formulas
+
+    # not at one AP: there compute_gamma's one-hot product is a
+    # vector-matrix product, whose per-pilot sums may take an order that
+    # depends on the pilot's column
+    @pytest.mark.parametrize("edge", sorted(set(EDGE_CONFIGS) - {"one_ap"}))
+    def test_pilot_permutation_keeps_every_bit(self, desk_drop, edge):
+        # each pilot's members stay in UE order, so every sum keeps its order
+        rng = np.random.default_rng(22)
+        for seed in (3, 4):
+            cfg, real, powers, assoc = desk_drop(seed=seed,
+                                                 **EDGE_CONFIGS[edge])
+            pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
+                              powers, cfg.pilot_length)
+                   for scheme in SCHEME_IDS]
+            renamed = [PilotAssignment(rng.permutation(pa.num_pilots)[
+                pa.pilot_of], pa.num_pilots) for pa in pas]
+            want, got = (evaluate_drops([real], [assoc], [cell], powers,
+                                        cfg)[0] for cell in (pas, renamed))
+            for w, r in zip(want, got, strict=True):
+                np.testing.assert_array_equal(r.sinr, w.sinr)
+
+    @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
+    def test_ap_permutation_moves_only_round_off(self, desk_drop, edge):
+        # the per-AP sums change their order, so only round-off may move
+        for seed in (3, 4):
+            cfg, real, powers, assoc = desk_drop(seed=seed,
+                                                 **EDGE_CONFIGS[edge])
+            pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
+                              powers, cfg.pilot_length)
+                   for scheme in SCHEME_IDS]
+            perm = np.random.default_rng(seed).permutation(cfg.num_aps)
+            moved = NetworkRealization(real.ap_positions[perm],
+                                       real.ue_positions, real.beta[perm],
+                                       real.seed)
+            moved_assoc = associate_aps(moved, cfg.assoc_threshold)
+            # the same serving sets in the same order, under the new names
+            for aps, renamed in zip(assoc.serving_aps,
+                                    moved_assoc.serving_aps, strict=True):
+                np.testing.assert_array_equal(perm[renamed], aps)
+            want = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
+            got = evaluate_drops([moved], [moved_assoc], [pas], powers,
+                                 cfg)[0]
+            for w, r in zip(want, got, strict=True):
+                np.testing.assert_allclose(r.sinr, w.sinr, rtol=1e-12,
+                                           atol=0)
 
 
 class TestContaminationMonotonicity:
@@ -645,7 +705,7 @@ class TestPipelineFuzz:
         assoc = associate_aps(real, cfg.assoc_threshold)
         pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                           powers, lp) for scheme in SCHEME_IDS]
-        reports = evaluate(real, assoc, pas, powers, cfg)
+        reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
         for pa, report in zip(pas, reports):
             gamma = compute_gamma(real.beta, powers, lp, pa)
             want_gamma = oracle_gamma(real.beta, powers.p_pilot, lp,
