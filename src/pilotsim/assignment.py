@@ -282,14 +282,13 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     drop keeps its own sets; a stack pads them to one width with AP index
     M, a dummy AP that hears no UE."""
     if len(assocs) == 1:
-        sets = assocs[0].serving_aps
-        return sets, np.fromiter(map(len, sets), int)
+        return assocs[0].serving_aps, assocs[0].sizes
     aps, sizes = serving_links(assocs)
     width = int(sizes.max())
-    # filled through a drop-major view, in the order of `aps`
-    padded = np.full((sizes.shape[1], sizes.shape[0], width), num_aps)
-    padded.swapaxes(0, 1)[np.arange(width) < sizes[..., None]] = aps
-    return padded, sizes.T
+    # filled drop-major, in the order of `aps`; read through a UE-major view
+    padded = np.full(sizes.shape + (width,), num_aps)
+    padded[np.arange(width) < sizes[..., None]] = aps
+    return padded.swapaxes(0, 1), sizes.T
 
 
 def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,

@@ -6,12 +6,13 @@ scores the identical drop and adding schemes never perturbs the geometry.
 Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
 
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
-value, at most `_CHUNK_DROPS` of them: each scheme assigns pilots on the
-whole chunk in one batched loop, one evaluation pass scores every drop's
-schemes, and rows stay per drop. A chunk that fails reruns cell by cell
-only to name its (sweep value, drop seed, scheme), or names the chunk if
-every cell passes. Each (drop, scheme) cell's co-pilot products take its
-own largest pilot load, so neither the worker count, which sets the chunks,
+value, at most `_CHUNK_DROPS` (25) of them: each scheme assigns pilots on
+the whole chunk as one stack in one batched loop, evaluation passes score
+every drop's schemes in slices of at most `_EVAL_DROPS` (6) drops, and rows
+stay per drop. A chunk that fails reruns cell by cell only to name its
+(sweep value, drop seed, scheme), or names the chunk if every cell passes.
+Each (drop, scheme) cell's co-pilot products take its own largest pilot
+load, so neither the worker count, which sets the chunks and their slices,
 nor the scheme list moves a row. Rows are sorted deterministically and
 files are written via write-then-rename, so reruns are byte-identical
 regardless of worker count.
@@ -64,11 +65,17 @@ DPB_OPTIONS = tuple(f.name for f in dataclasses.fields(SchemeConfig)
 
 _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
 
-# most drops in one work unit: a chunk holds all its drops, their serving
-# sets and their stacked assignment tables at once (about 90 kB a drop at
-# desk scale), and its evaluation pass about 0.17 MB a drop more, so larger
-# chunks raise peak memory for little more speed
-_CHUNK_DROPS = 6
+# most drops in one work unit, which each scheme assigns as one stack. A
+# sequential scheme's loop over UEs costs about as much per step for 25
+# drops as for 6: at desk scale (M=30, T=60) the four schemes take about
+# 0.6 of a 6-drop stack's time per drop at 25 drops, and 50 drops save
+# about 5% more. The chunk's drops are held throughout, about 23 kB a drop
+# at desk scale, and its assignment stack adds about 52 kB a drop
+_CHUNK_DROPS = 25
+# most drops in one evaluation pass, whose peak memory grows with the drops
+# it scores, about 0.18 MB a drop at desk scale, while its speed hardly
+# does: one 25-drop pass took a chunk's peak from 1.9 to 5.2 MB
+_EVAL_DROPS = 6
 
 
 class CellError(RuntimeError):
@@ -171,8 +178,10 @@ def _run_chunk(args) -> list:
     """All schemes on a chunk of drops of one sweep value.
 
     Each scheme assigns its pilots on every drop of the chunk in one
-    `assign_drops` call, then one `evaluate_drops` call scores every drop's
-    schemes together; these calls make every row. If one fails,
+    `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops. Then
+    `evaluate_drops` scores the drops in consecutive slices of at most
+    `_EVAL_DROPS`, every drop's schemes together, and keeps only their
+    per-UE SE; these calls make every row. If one fails,
     `_name_failing_cell` names the cell, or else the error names the chunk.
     """
     spec, sweep_idx, drop_idxs = args
@@ -185,18 +194,21 @@ def _run_chunk(args) -> list:
         reals = [generate_drop(cfg, seed) for seed in drop_seeds]
         powers = normalize_powers(cfg)
         assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
-        by_scheme = [assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
-                                  reals, assocs, powers, cfg.pilot_length)
-                     for scheme_id, seeds in zip(spec.schemes,
-                                                 zip(*scheme_seeds))]
-        reports = evaluate_drops(reals, assocs, zip(*by_scheme), powers, cfg)
+        by_drop = list(zip(*(
+            assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
+                         reals, assocs, powers, cfg.pilot_length)
+            for scheme_id, seeds in zip(spec.schemes, zip(*scheme_seeds)))))
+        se = [[report.se for report in cell]
+              for lo in range(0, len(reals), _EVAL_DROPS)
+              for cell in evaluate_drops(
+                  reals[lo:lo + _EVAL_DROPS], assocs[lo:lo + _EVAL_DROPS],
+                  by_drop[lo:lo + _EVAL_DROPS], powers, cfg)]
     except Exception as exc:
         where = f"{spec.sweep}={value!r}"
         _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds)
         raise _cell_error(f"{where}, drop seeds {list(drop_seeds)}",
                           exc) from exc
-    return _rows(spec, value, drop_seeds,
-                 np.array([[r.se for r in cell] for cell in reports]))
+    return _rows(spec, value, drop_seeds, np.array(se))
 
 
 def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):

@@ -8,6 +8,8 @@ only this large-scale information; no small-scale fading is ever drawn.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -183,26 +185,45 @@ class AssociationMap:
 
     The boolean `serves[m, t]` is the one record of which AP serves (and
     hears) which UE; AP m's served UEs are `np.flatnonzero(serves[m])`.
-    `serving_aps[t]` lists the APs serving UE t in descending LSFC order,
-    the priority order `serves` cannot hold. The strong fields are None
-    until :func:`group_strong_ues` has run; AP m's strong set is
-    `np.flatnonzero(strong_flag[m])` under every assignment, and row s of
-    the (S, M) `strong_pilot_count` counts its strong pilots under the s-th.
+    `links` lists the APs serving each UE, UE by UE, each UE's in
+    descending LSFC order, the priority order `serves` cannot hold, and
+    `sizes` counts them per UE: this flat form is what the batched schemes
+    and evaluation read. `serving_aps[t]`, UE t's run of `links`, is built
+    on first read; `from_sets` builds a map from those per-UE runs. The
+    strong fields are None until :func:`group_strong_ues` has run; AP m's
+    strong set is `np.flatnonzero(strong_flag[m])` under every assignment,
+    and row s of the (S, M) `strong_pilot_count` counts its strong pilots
+    under the s-th.
     """
 
-    serving_aps: tuple
+    links: np.ndarray
+    sizes: np.ndarray
     serves: np.ndarray
     strong_flag: np.ndarray | None = None
     strong_pilot_count: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "serves", _readonly(np.asarray(self.serves, dtype=bool)))
-        if self.strong_flag is not None:
-            object.__setattr__(self, "strong_flag",
-                               _readonly(np.asarray(self.strong_flag, dtype=bool)))
-        if self.strong_pilot_count is not None:
-            object.__setattr__(self, "strong_pilot_count",
-                               _readonly(np.asarray(self.strong_pilot_count, dtype=int)))
+        for name, dtype in (("links", int), ("sizes", int),
+                            ("serves", bool), ("strong_flag", bool),
+                            ("strong_pilot_count", int)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _readonly(
+                    np.asarray(getattr(self, name), dtype=dtype)))
+
+    @classmethod
+    def from_sets(cls, serving_aps, serves, **fields) -> AssociationMap:
+        """The map whose UE t is served by serving_aps[t], a sequence of AP
+        indices in priority order; other fields go by keyword."""
+        sizes = np.fromiter(map(len, serving_aps), int)
+        links = np.fromiter(itertools.chain.from_iterable(serving_aps), int,
+                            count=int(sizes.sum()))
+        return cls(links, sizes, serves, **fields)
+
+    @functools.cached_property
+    def serving_aps(self) -> tuple:
+        """Each UE's serving APs in priority order, as views of `links`."""
+        end = np.cumsum(self.sizes).tolist()
+        return tuple(self.links[a:b] for a, b in zip([0, *end], end))
 
 
 def _path_loss_db(d_km, p: NetworkConfig) -> np.ndarray:
@@ -317,22 +338,19 @@ def associate_aps(real: NetworkRealization, assoc_threshold: float) -> Associati
         raise ValueError("assoc_threshold must be in (0, 1]")
     num_aps, num_ues = real.beta.shape
     order, size = _top_share(real.beta.T, assoc_threshold)
-    order = _readonly(order)
+    # each UE's ranking cut to its serving prefix, UE by UE
+    links = order[np.arange(num_aps) < size[:, None]]
     serves = np.zeros((num_aps, num_ues), dtype=bool)
-    serves[order[np.arange(num_aps) < size[:, None]],
-           np.repeat(np.arange(num_ues), size)] = True
-    return AssociationMap(
-        tuple(row[:n] for row, n in zip(order, size.tolist())), serves)
+    serves[links, np.repeat(np.arange(num_ues), size)] = True
+    return AssociationMap(links, size, serves)
 
 
 def serving_links(assocs) -> tuple:
     """The serving sets of a stack of D associations as one flat array,
     drop by drop and UE by UE, each set in its priority order; and their
     (D, T) sizes."""
-    sizes = np.array([np.fromiter(map(len, assoc.serving_aps), int)
-                      for assoc in assocs])
-    return (np.concatenate([np.concatenate(assoc.serving_aps)
-                            for assoc in assocs]), sizes)
+    return (np.concatenate([assoc.links for assoc in assocs]),
+            np.stack([assoc.sizes for assoc in assocs]))
 
 
 def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,

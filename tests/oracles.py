@@ -314,7 +314,7 @@ def micro_instance(rng):
     for t in range(num_ues):
         aps = np.flatnonzero(serves[:, t])
         serving.append(aps[np.argsort(-beta[aps, t], kind="stable")])
-    assoc = AssociationMap(tuple(serving), serves)
+    assoc = AssociationMap.from_sets(tuple(serving), serves)
     grouped = group_strong_ues(real, assoc, float(rng.uniform(0.3, 1.0)),
                                [assignment], antennas)
     return {"real": real, "powers": powers, "assignment": assignment,

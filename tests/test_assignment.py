@@ -17,6 +17,7 @@ from pilotsim import (
     assign_all,
     associate_aps,
     best_first,
+    derive_seed,
     priority_select,
 )
 from pilotsim import assignment
@@ -573,6 +574,29 @@ class TestAssignDrops:
             np.testing.assert_array_equal(pa.pilot_of, want.pilot_of)
             want_tallies = want_tallies + tallies(alone)
         # padded APs add no reads, evaluations or intersection checks
+        np.testing.assert_array_equal(tallies(counter), want_tallies)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_desk_stack_matches_each_drop(self, desk_drop, scheme_id):
+        # the harness's stack: 25 desk drops at M=30, T=60 in one call, in
+        # a shuffled arrival order, each drawing from a 64-bit seed
+        drops = [desk_drop(seed=seed, num_ues=60) for seed in range(25)]
+        cfg, _, powers, _ = drops[0]
+        _, reals, _, assocs = zip(*drops)
+        order = np.random.default_rng(4).permutation(cfg.num_ues)
+        seeds = [derive_seed(9, d) for d in range(25)]
+        scheme = SchemeConfig(scheme_id)
+        counter = OpCounter()
+        got = assign_drops(scheme, seeds, reals, assocs, powers,
+                           cfg.pilot_length, order, counter)
+        want_tallies = 0
+        for seed, real, assoc, pa in zip(seeds, reals, assocs, got,
+                                         strict=True):
+            alone = OpCounter()
+            want = assign_all(replace(scheme, seed=seed), real, assoc, powers,
+                              cfg.pilot_length, order, alone)
+            np.testing.assert_array_equal(pa.pilot_of, want.pilot_of)
+            want_tallies = want_tallies + tallies(alone)
         np.testing.assert_array_equal(tallies(counter), want_tallies)
 
     def test_one_drop_checks_match_oracle(self, desk_drop):

@@ -210,30 +210,33 @@ class TestRunExperiment:
         assert calls == [(size, {3}) for size in chunks] * 2
 
     def test_chunk_rows_equal_cell_rows(self, tmp_path):
-        # each drop alone: its schemes assigned one at a time, then scored
-        # in one evaluation pass of that drop
         spec = tiny_spec(tmp_path, num_drops=3)
         rows, _ = run_experiment(spec)
-        cells = []
-        for si, value in enumerate(spec.sweep_values):
-            cfg = spec.config_for(value)
-            powers = normalize_powers(cfg)
-            for di in range(spec.num_drops):
-                drop_seed, seeds = cell_seeds(spec.master_seed, si, di,
-                                              spec.schemes)
-                real = generate_drop(cfg, drop_seed)
-                assoc = associate_aps(real, cfg.assoc_threshold)
-                pas = [assign_all(dataclasses.replace(spec.dpb, scheme_id=s,
-                                                      seed=seed),
-                                  real, assoc, powers, cfg.pilot_length)
-                       for s, seed in zip(spec.schemes, seeds)]
-                reports = evaluate_drops([real], [assoc], [pas], powers,
-                                         cfg)[0]
-                cells += harness._rows(spec, value, [drop_seed],
-                                       np.array([[r.se for r in reports]]))
-        key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
-        assert ([r.csv_line() for r in rows]
-                == [r.csv_line() for r in sorted(cells, key=key)])
+        assert [r.csv_line() for r in rows] == cell_lines(spec)
+
+    def test_stack_assigned_whole_and_scored_in_slices(self, tmp_path,
+                                                      monkeypatch):
+        # one worker: thirteen drops are one chunk, which each scheme
+        # assigns as one stack and evaluation scores as 6 + 6 + 1 drops
+        spec = tiny_spec(tmp_path, sweep_values=(10,), num_drops=13)
+        stacks, slices = [], []
+        real_drops = harness.assign_drops
+        real_evaluate = harness.evaluate_drops
+
+        def assign_drops(scheme, seeds, *args, **kwargs):
+            stacks.append((scheme.scheme_id, len(seeds)))
+            return real_drops(scheme, seeds, *args, **kwargs)
+
+        def evaluate_drops(reals, *args, **kwargs):
+            slices.append(len(reals))
+            return real_evaluate(reals, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "assign_drops", assign_drops)
+        monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+        rows, _ = run_experiment(spec)
+        assert stacks == [(s, 13) for s in spec.schemes]
+        assert slices == [6, 6, 1]
+        assert [r.csv_line() for r in rows] == cell_lines(spec)
 
     def test_meta_names_the_package_checkout(self, tmp_path, monkeypatch):
         want = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -298,6 +301,30 @@ class TestRunExperiment:
                 assert row.per_user.shape == (12,)
                 np.testing.assert_array_equal(row.per_user,
                                               np.sort(report.se))
+
+
+def cell_lines(spec):
+    """The CSV lines of `spec`'s rows, made cell by cell: each drop alone,
+    its schemes assigned one at a time, then scored in one evaluation pass
+    of that drop."""
+    cells = []
+    for si, value in enumerate(spec.sweep_values):
+        cfg = spec.config_for(value)
+        powers = normalize_powers(cfg)
+        for di in range(spec.num_drops):
+            drop_seed, seeds = cell_seeds(spec.master_seed, si, di,
+                                          spec.schemes)
+            real = generate_drop(cfg, drop_seed)
+            assoc = associate_aps(real, cfg.assoc_threshold)
+            pas = [assign_all(dataclasses.replace(spec.dpb, scheme_id=s,
+                                                  seed=seed),
+                              real, assoc, powers, cfg.pilot_length)
+                   for s, seed in zip(spec.schemes, seeds)]
+            reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
+            cells += harness._rows(spec, value, [drop_seed],
+                                   np.array([[r.se for r in reports]]))
+    key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
+    return [r.csv_line() for r in sorted(cells, key=key)]
 
 
 def in_process_pool(monkeypatch):

@@ -361,6 +361,30 @@ class TestServingLinks:
         assert sizes.ravel().tolist() == [row.size for row in sets]
         np.testing.assert_array_equal(aps, np.concatenate(sets))
 
+    def test_map_from_sets_equals_associated_map(self, desk_drop):
+        # a map built from its per-UE serving sets holds the flat links and
+        # sizes of associate_aps's, and grouping carries them over
+        cfg, real, _, assoc = desk_drop()
+        built = AssociationMap.from_sets(assoc.serving_aps, assoc.serves)
+        pa = PilotAssignment(np.arange(cfg.num_ues) % cfg.pilot_length,
+                             cfg.pilot_length)
+        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
+                                   cfg.antennas_per_ap)
+        for other in (built, grouped):
+            np.testing.assert_array_equal(other.links, assoc.links)
+            np.testing.assert_array_equal(other.sizes, assoc.sizes)
+            assert not (other.links.flags.writeable
+                        or other.sizes.flags.writeable)
+            for mine, theirs in zip(other.serving_aps, assoc.serving_aps,
+                                    strict=True):
+                np.testing.assert_array_equal(mine, theirs)
+        assert grouped.links is assoc.links
+        # an empty serving set is a size of 0 and adds no link
+        lone = AssociationMap.from_sets(((), (2, 0)), np.ones((3, 2), bool))
+        assert lone.sizes.tolist() == [0, 2]
+        assert lone.links.tolist() == [2, 0]
+        assert [aps.tolist() for aps in lone.serving_aps] == [[], [2, 0]]
+
 
 class TestStrongGrouping:
     antennas = NetworkConfig().antennas_per_ap
@@ -425,7 +449,7 @@ class TestStrongGrouping:
         serves = np.array([[True, True, True, False], [True] * 4])
         real = NetworkRealization(np.zeros((2, 2)), np.zeros((4, 2)),
                                   np.full((2, 4), 1e-9), 0)
-        assoc = AssociationMap(
+        assoc = AssociationMap.from_sets(
             tuple(np.flatnonzero(serves[:, k]) for k in range(4)), serves)
         fine, at_ap1, at_ap0 = (PilotAssignment(np.array(p), 3) for p in
                                 ([0, 0, 0, 0], [0, 1, 0, 2], [0, 1, 2, 0]))
@@ -455,7 +479,7 @@ class TestStrongGrouping:
         # lp + 1 antennas can zero-force any set of pilots
         antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else lp + 1
         real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
-        assoc = AssociationMap(
+        assoc = AssociationMap.from_sets(
             tuple(np.flatnonzero(serves[:, k]) for k in range(t)), serves)
         if not all(asg.is_complete for asg in asgs):
             with pytest.raises(ValueError, match="^strong grouping requires "

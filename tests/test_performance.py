@@ -38,7 +38,7 @@ def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
                               np.array([[beta_val]]), 0)
     powers = PowerProfile(np.array([p_pilot]), np.array([p_uplink]))
     pa = PilotAssignment(np.array([0]), lp)
-    assoc = AssociationMap((np.array([0]),), np.array([[True]]))
+    assoc = AssociationMap.from_sets((np.array([0]),), np.array([[True]]))
     grouped = group_strong_ues(real, assoc, 1.0, [pa], antennas)
     gamma = compute_gamma(real.beta, powers, lp, pa)
     return real, powers, pa, grouped, gamma, antennas
@@ -166,7 +166,8 @@ class TestLsfdWeights:
         real, powers, grouped, ants = (inst["real"], inst["powers"],
                                        inst["assoc"], inst["antennas"])
         grouped = group_strong_ues(
-            real, AssociationMap(grouped.serving_aps, grouped.serves),
+            real,
+            AssociationMap.from_sets(grouped.serving_aps, grouped.serves),
             0.95, [pa], ants)
         gamma = compute_gamma(real.beta, powers, inst["lp"], pa)
         for t in range(real.num_ues):
@@ -280,7 +281,7 @@ class TestEvaluate:
         real = NetworkRealization(np.zeros((1, 2)), np.zeros((3, 2)),
                                   np.array([[1.0, 1.0, 0.5]]), 0)
         powers = PowerProfile(np.full(3, 1.0 / 3.0), np.ones(3))
-        assoc = AssociationMap((np.array([0]),) * 3,
+        assoc = AssociationMap.from_sets((np.array([0]),) * 3,
                                np.ones((1, 3), dtype=bool))
         pa = PilotAssignment(np.array([0, 1, 2]), 3)
         report = evaluate(real, assoc, pa, powers, cfg)
@@ -315,7 +316,7 @@ def degenerate_drop():
     beta = np.array([[1e-10, 1e-13], [1e-13, 1e10]])
     real = NetworkRealization(np.zeros((2, 2)), np.zeros((2, 2)), beta, 0)
     powers = PowerProfile(np.full(2, 1e12), np.full(2, 1e300))
-    assoc = AssociationMap((np.array([0]), np.array([1])),
+    assoc = AssociationMap.from_sets((np.array([0]), np.array([1])),
                            np.eye(2, dtype=bool))
     return cfg, real, powers, assoc
 
@@ -671,9 +672,10 @@ class TestContaminationMonotonicity:
         serves_ext = np.hstack([grouped.serves, new_serves])
         flag_ext = np.hstack([grouped.strong_flag,
                               np.zeros((cfg.num_aps, 1), dtype=bool)])
-        assoc_ext = AssociationMap(
-            grouped.serving_aps + (np.array([0]),),
-            serves_ext, flag_ext, grouped.strong_pilot_count)
+        assoc_ext = AssociationMap.from_sets(
+            grouped.serving_aps + (np.array([0]),), serves_ext,
+            strong_flag=flag_ext,
+            strong_pilot_count=grouped.strong_pilot_count)
         gamma1 = compute_gamma(beta_ext, powers_ext, cfg.pilot_length,
                                pa_ext)
         worse = sinr_pfzf(t, w0, beta_ext, gamma1, powers_ext, assoc_ext,

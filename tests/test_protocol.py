@@ -47,7 +47,8 @@ def all_serve_instance(num_aps=5, num_ues=10, lp=4, seed=0):
                               r.uniform(0, 1000, (num_ues, 2)), beta, seed)
     serving = tuple(np.argsort(-beta[:, t], kind="stable")
                     for t in range(num_ues))
-    assoc = AssociationMap(serving, np.ones((num_aps, num_ues), bool))
+    assoc = AssociationMap.from_sets(serving,
+                                     np.ones((num_aps, num_ues), bool))
     powers = PowerProfile(10.0 ** r.uniform(0, 2, num_ues), np.ones(num_ues))
     return real, assoc, powers, lp
 
@@ -230,7 +231,7 @@ class TestRunProtocol:
         serves[0, [0, 1, 6]] = serves[1, 2:] = True
         serving = tuple(np.flatnonzero(serves[:, t]) for t in range(7))
         real = NetworkRealization(np.zeros((2, 2)), np.zeros((7, 2)), beta, 0)
-        assoc = AssociationMap(serving, serves)
+        assoc = AssociationMap.from_sets(serving, serves)
         powers = PowerProfile(np.full(7, 1e9), np.ones(7))
         sch = SchemeConfig("dpb", dpb_delta=0.0, seed=1)
         order = np.arange(7)
