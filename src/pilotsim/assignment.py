@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import ContaminationCache, PilotAssignment
-from .network import require_integer, require_number, serving_links
+from .network import (require_integer, require_integers, require_number,
+                      serving_links)
 
 __all__ = [
     "SCHEME_IDS",
@@ -312,7 +313,7 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     if order is None:
         order = np.arange(num_ues)
     else:
-        order = np.asarray(order, dtype=int)
+        order = require_integers("order", order)
         if not np.array_equal(np.sort(order), np.arange(num_ues)):
             raise ValueError("order must be a permutation of all UEs")
     if scheme.scheme_id in ("dpb", "random"):

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import require_integer, require_integers
+
 __all__ = [
     "PilotAssignment",
     "ContaminationCache",
@@ -35,7 +37,8 @@ class PilotAssignment:
     num_pilots: int
 
     def __post_init__(self):
-        pilots = np.asarray(self.pilot_of, dtype=int).copy()
+        require_integer("num_pilots", self.num_pilots)
+        pilots = require_integers("pilot_of", self.pilot_of)
         if pilots.ndim != 1:
             raise ValueError("pilot_of must be a flat vector")
         if self.num_pilots < 1:

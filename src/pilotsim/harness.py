@@ -7,15 +7,15 @@ Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
 
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
 value, at most `_CHUNK_DROPS` (25) of them: each scheme assigns pilots on
-the whole chunk as one stack in one batched loop, evaluation passes score
-every drop's schemes in slices of at most `_EVAL_DROPS` (6) drops, and rows
-stay per drop. A chunk that fails reruns cell by cell only to name its
+the whole chunk as one stack in one batched loop, one `evaluate_drops` call
+scores every drop's schemes (in passes whose size performance sets), and
+rows stay per drop. A chunk that fails reruns cell by cell only to name its
 (sweep value, drop seed, scheme), or names the chunk if every cell passes.
 Each (drop, scheme) cell's co-pilot products take its own largest pilot
-load, so neither the worker count, which sets the chunks and their slices,
-nor the scheme list moves a row. Rows are sorted deterministically and
-files are written via write-then-rename, so reruns are byte-identical
-regardless of worker count.
+load, so neither the worker count, which sets the chunks, nor the scheme
+list moves a row. Rows are sorted deterministically and files are written
+via write-then-rename, so reruns are byte-identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
-from .performance import evaluate_drops
+from .performance import evaluate_drops, se_uplink
 
 __all__ = [
     "CellError",
@@ -72,10 +72,6 @@ _CSV_HEADER = "scheme,sweep_value,drop_seed,sum_se,p5_se,p10_se,mean_se"
 # about 5% more. The chunk's drops are held throughout, about 23 kB a drop
 # at desk scale, and its assignment stack adds about 52 kB a drop
 _CHUNK_DROPS = 25
-# most drops in one evaluation pass, whose peak memory grows with the drops
-# it scores, about 0.18 MB a drop at desk scale, while its speed hardly
-# does: one 25-drop pass took a chunk's peak from 1.9 to 5.2 MB
-_EVAL_DROPS = 6
 
 
 class CellError(RuntimeError):
@@ -178,11 +174,11 @@ def _run_chunk(args) -> list:
     """All schemes on a chunk of drops of one sweep value.
 
     Each scheme assigns its pilots on every drop of the chunk in one
-    `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops. Then
-    `evaluate_drops` scores the drops in consecutive slices of at most
-    `_EVAL_DROPS`, every drop's schemes together, and keeps only their
-    per-UE SE; these calls make every row. If one fails,
-    `_name_failing_cell` names the cell, or else the error names the chunk.
+    `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops. Then one
+    `evaluate_drops` call scores every drop's schemes, and one `se_uplink`
+    call maps the SINRs to the per-UE SE that makes every row. If one
+    fails, `_name_failing_cell` names the cell, or else the error names the
+    chunk.
     """
     spec, sweep_idx, drop_idxs = args
     value = spec.sweep_values[sweep_idx]
@@ -198,17 +194,14 @@ def _run_chunk(args) -> list:
             assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
                          reals, assocs, powers, cfg.pilot_length)
             for scheme_id, seeds in zip(spec.schemes, zip(*scheme_seeds)))))
-        se = [[report.se for report in cell]
-              for lo in range(0, len(reals), _EVAL_DROPS)
-              for cell in evaluate_drops(
-                  reals[lo:lo + _EVAL_DROPS], assocs[lo:lo + _EVAL_DROPS],
-                  by_drop[lo:lo + _EVAL_DROPS], powers, cfg)]
+        se = se_uplink(evaluate_drops(reals, assocs, by_drop, powers, cfg),
+                       cfg.coherence_block, cfg.pilot_length)
     except Exception as exc:
         where = f"{spec.sweep}={value!r}"
         _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds)
         raise _cell_error(f"{where}, drop seeds {list(drop_seeds)}",
                           exc) from exc
-    return _rows(spec, value, drop_seeds, np.array(se))
+    return _rows(spec, value, drop_seeds, se)
 
 
 def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):

@@ -42,6 +42,17 @@ def require_integer(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_integers(name: str, values) -> np.ndarray:
+    """`values` as an int array. Float and bool entries are rejected, which
+    a cast would truncate or read as 0 and 1; an empty sequence passes."""
+    array = np.asarray(values)
+    if array.size and (not np.issubdtype(array.dtype, np.integer)
+                       or isinstance(values, (list, tuple))
+                       and {bool, np.bool_} & set(map(type, values))):
+        raise ValueError(f"{name} must hold integers, not floats or bools")
+    return array.astype(int)
+
+
 def require_number(name: str, value):
     """Reject a value that is not a real number, such as a string or a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -8,9 +8,10 @@ The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate_drops`
 scores a stack of drops from this closed form without forming any weight
-vector, with several pilot assignments per drop (a chunk's cells) at once;
-`evaluate` is its call for one cell. Neither the serving nor the strong sets
-depend on the pilots, so the strong sets are ranked once per drop.
+vector, with several pilot assignments per drop (a chunk's cells) at once,
+in passes of at most `_PASS_DROPS` drops; `evaluate` scores one cell and
+adds its SE. Strong sets do not depend on the pilots, so each drop ranks
+them once.
 `_lsfd_groups` lays the serving links of every unit out once, a UE under
 one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
 pilot load K_c, and computes every per-link term of all cells at once. Each
@@ -59,6 +60,12 @@ class SeReport:
 def prelog(coherence_block: int, pilot_length: int) -> float:
     """SE prefactor: half the fraction of the block left after pilots."""
     return (1.0 - pilot_length / coherence_block) / 2.0
+
+
+# most drops in one `_lsfd_groups` pass, whose peak memory grows with the
+# drops it scores, about 0.18 MB a drop at desk scale, while its speed hardly
+# does: one 25-drop pass took a 25-drop stack's peak from 1.9 to 5.2 MB
+_PASS_DROPS = 6
 
 
 def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
@@ -215,21 +222,19 @@ def se_uplink(sinr, coherence_block: int, pilot_length: int):
     return prelog(coherence_block, pilot_length) * np.log2(1.0 + np.asarray(sinr))
 
 
-def evaluate_drops(reals, assocs, by_drop, powers, config) -> list:
-    """Full pipeline for a stack of drops: gamma, strong grouping,
-    closed-form SINR, SE.
+def evaluate_drops(reals, assocs, by_drop, powers, config) -> np.ndarray:
+    """Closed-form SINR of a stack of drops: gamma, strong grouping, then
+    each UE's optimal-LSFD SINR p_t b.Q^{-1} b.
 
     by_drop[d] is a sequence of drop d's pilot assignments, the same number
-    for every drop; the drops share M, T and the UE powers. Returns one list
-    of `SeReport`s per drop, in assignment order. Each UE scores
-    p_t b.Q^{-1} b, its optimal-LSFD SINR. A drop's assignments share one
-    strong-set ranking, and the whole stack one batched pass with one
-    stacked solve per serving-set size. Each (drop, assignment) cell takes
-    co-pilot products of its own largest pilot load, so a cell scores the
-    same bits in any stack and beside any assignments. SINRs are checked on
-    the (D, S, T) stack and the first failure in (drop, assignment, UE)
-    order is raised; its message names the assignment if a drop has
-    several, and the drop if the stack has several.
+    for every drop; the drops share M, T and the UE powers. Returns the
+    checked (D, S, T) SINRs, assignments in order. The drops are scored in
+    passes of at most `_PASS_DROPS`; in a pass, a drop's assignments share
+    one strong-set ranking, and all its cells one stacked solve per
+    serving-set size. Each (drop, assignment) cell takes co-pilot products
+    of its own largest pilot load, so a cell scores the same bits in any
+    stack or pass and beside any assignments. The first SINR failure in
+    (drop, assignment, UE) order is raised, naming its UE.
     """
     by_drop = [list(cell) for cell in by_drop]
     if not reals or not len(reals) == len(assocs) == len(by_drop):
@@ -241,47 +246,47 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> list:
                          "same number for every drop")
     if len({real.beta.shape for real in reals}) > 1:
         raise ValueError("the drops of a stack must share M and T")
-    num_drops = len(reals)
-
-    def named(d, i):
-        return f"assignment {i}" + (f" of drop {d}" if num_drops > 1 else "")
-
-    for d, cell in enumerate(by_drop):
-        for i, pa in enumerate(cell):
-            if pa.num_pilots > config.pilot_length:
-                raise ValueError(f"{named(d, i)} has {pa.num_pilots} pilots, "
-                                 f"more than the pilot length "
-                                 f"{config.pilot_length}")
-    groupeds = [group_strong_ues(real, assoc, config.strong_threshold, cell,
-                                 config.antennas_per_ap)
-                for real, assoc, cell in zip(reals, assocs, by_drop)]
-    # the gammas, before the set-up allocates its weight table, so that
-    # compute_gamma's temporaries never overlap it
-    gammas = [compute_gamma(real.beta, powers, config.pilot_length, pa)
-              for real, cell in zip(reals, by_drop) for pa in cell]
-    score = np.empty(num_drops * num_schemes * reals[0].num_ues)
-    for units, q, b in _lsfd_groups([real.beta for real in reals], powers,
-                                    gammas, groupeds, by_drop,
-                                    config.antennas_per_ap):
-        score[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],
-                              axis=-1)
-    # one pass over the (D, S, T) stack; argwhere meets failures row-major
-    sinr = powers.p_uplink * score.reshape(num_drops, num_schemes, -1)
+    for pa in itertools.chain.from_iterable(by_drop):
+        if pa.num_pilots > config.pilot_length:
+            raise ValueError(f"an assignment has {pa.num_pilots} pilots, "
+                             f"more than the pilot length "
+                             f"{config.pilot_length}")
+    num_drops, num_ues = len(reals), reals[0].num_ues
+    per_drop = num_schemes * num_ues
+    score = np.empty(num_drops * per_drop)
+    for lo in range(0, num_drops, _PASS_DROPS):
+        part = slice(lo, lo + _PASS_DROPS)
+        groupeds = [group_strong_ues(real, assoc, config.strong_threshold,
+                                     cell, config.antennas_per_ap)
+                    for real, assoc, cell
+                    in zip(reals[part], assocs[part], by_drop[part])]
+        # the gammas, before the set-up allocates its weight table, so that
+        # compute_gamma's temporaries never overlap it
+        gammas = [compute_gamma(real.beta, powers, config.pilot_length, pa)
+                  for real, cell in zip(reals[part], by_drop[part])
+                  for pa in cell]
+        out = score[lo * per_drop:(lo + _PASS_DROPS) * per_drop]
+        for units, q, b in _lsfd_groups([real.beta for real in reals[part]],
+                                        powers, gammas, groupeds,
+                                        by_drop[part],
+                                        config.antennas_per_ap):
+            out[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],
+                                axis=-1)
+        # the last system stack is not held through the next pass's set-up
+        del q, b
+    # argwhere meets the (D, S, T) stack's failures row-major
+    sinr = powers.p_uplink * score.reshape(num_drops, num_schemes, num_ues)
     bad = np.argwhere(~(np.isfinite(sinr) & (sinr > 0.0)))
     if bad.size:
-        d, i, t = bad[0]
-        where = (f" under {named(d, i)}" if num_schemes > 1
-                 else f" of drop {d}" if num_drops > 1 else "")
         raise ArithmeticError(
-            f"non-finite or non-positive SINR for UE {t}{where}")
-    se = se_uplink(sinr, config.coherence_block, config.pilot_length)
-    return [[SeReport(sinr=r, se=e, sum_se=float(total))
-             for r, e, total in zip(*cell)]
-            for cell in zip(sinr, se, se.sum(axis=2))]
+            f"non-finite or non-positive SINR for UE {bad[0, 2]}")
+    return sinr
 
 
 def evaluate(real, assoc, assignment, powers, config) -> SeReport:
-    """`evaluate_drops` on one drop under one `PilotAssignment`: the same
-    bits as that cell in any stack."""
-    return evaluate_drops([real], [assoc], [[assignment]], powers,
-                          config)[0][0]
+    """One drop under one `PilotAssignment`: its SINRs, the same bits as
+    that cell's in any `evaluate_drops` stack, and their SE."""
+    sinr = evaluate_drops([real], [assoc], [[assignment]], powers,
+                          config)[0, 0]
+    se = se_uplink(sinr, config.coherence_block, config.pilot_length)
+    return SeReport(sinr=sinr, se=se, sum_se=float(se.sum()))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .assignment import SchemeConfig, _stream_words, best_first, priority_select
 from .estimation import PilotAssignment, local_error_profile
+from .network import require_integers
 
 __all__ = [
     "KIND_PROBE",
@@ -133,7 +134,7 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
     if scheme.scheme_id != "dpb":
         raise ValueError("the message protocol enacts the distributed scheme only")
     num_ues = real.num_ues
-    order = np.asarray(arrival_order, dtype=int)
+    order = require_integers("arrival order", arrival_order)
     if order.size != np.unique(order).size:
         raise ValueError("arrival order must not repeat UEs")
     if order.size and (order.min() < 0 or order.max() >= num_ues):
@@ -182,8 +183,7 @@ def audit_overhead(log: TraceLog, assoc, s: int) -> dict:
                     for code in (_PROBE, _OFFER, _NOTIFY)], axis=1)
     ues = np.flatnonzero(got.any(axis=1))
     got = got[ues]
-    serving = np.array([len(assoc.serving_aps[t]) for t in ues.tolist()],
-                       dtype=np.int64)
+    serving = assoc.sizes[ues]
     s_prime = np.minimum(s, serving)
     want = np.stack([s_prime, s_prime, serving], axis=1)
     bad = np.flatnonzero((got != want).any(axis=1))

@@ -479,6 +479,17 @@ class TestAssignAll:
             assign_all(SchemeConfig("random"), real, assoc, powers,
                        cfg.pilot_length, order=np.array(bad))
 
+    @pytest.mark.parametrize("bad", [[0.9, 1.2, 2.5, 3.1, 4.7],
+                                     [True, False, 2, 3, 4],
+                                     np.arange(5.0)])
+    def test_rejects_non_integer_orders(self, desk_drop, bad):
+        # a cast would run the first as the identity and the second as
+        # [1, 0, 2, 3, 4]
+        cfg, real, powers, assoc = desk_drop(seed=3, num_ues=5)
+        with pytest.raises(ValueError, match="^order must hold integers"):
+            assign_all(SchemeConfig("eem"), real, assoc, powers,
+                       cfg.pilot_length, order=bad)
+
     @pytest.mark.parametrize("scheme_id", ["eem", "dpb"])
     def test_prefix_stable_under_truncation(self, desk_drop, scheme_id):
         # dropping the last UEs must not disturb the earlier assignments:

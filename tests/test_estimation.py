@@ -62,6 +62,15 @@ class TestPilotAssignment:
         with pytest.raises(ValueError):
             PilotAssignment(np.array([0]), 0)
 
+    @pytest.mark.parametrize("pilots,num_pilots", [
+        ([0.5, 1.7], 3), (np.array([0.0, 1.0]), 3), ([True, 1], 3),
+        (np.array([True, False]), 3), ([0, 1], 2.5), ([0, 1], True)])
+    def test_rejects_non_integer_entries(self, pilots, num_pilots):
+        # a cast would truncate 0.5 and 1.7 to pilots 0 and 1
+        with pytest.raises(ValueError, match="must (be an integer|hold "
+                                             "integers)"):
+            PilotAssignment(pilots, num_pilots)
+
     def test_array_is_frozen(self):
         pa = PilotAssignment(np.array([0, 1]), 2)
         with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from pilotsim import (
     generate_drop,
     normalize_powers,
     run_experiment,
+    se_uplink,
 )
 from pilotsim import cli, harness, performance
 from pilotsim.cli import main
@@ -217,7 +218,8 @@ class TestRunExperiment:
     def test_stack_assigned_whole_and_scored_in_slices(self, tmp_path,
                                                       monkeypatch):
         # one worker: thirteen drops are one chunk, which each scheme
-        # assigns as one stack and evaluation scores as 6 + 6 + 1 drops
+        # assigns as one stack and one evaluate_drops call scores, in
+        # slices that it sizes itself
         spec = tiny_spec(tmp_path, sweep_values=(10,), num_drops=13)
         stacks, slices = [], []
         real_drops = harness.assign_drops
@@ -235,7 +237,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
         rows, _ = run_experiment(spec)
         assert stacks == [(s, 13) for s in spec.schemes]
-        assert slices == [6, 6, 1]
+        assert slices == [13]
         assert [r.csv_line() for r in rows] == cell_lines(spec)
 
     def test_meta_names_the_package_checkout(self, tmp_path, monkeypatch):
@@ -294,13 +296,13 @@ class TestRunExperiment:
                                    100 + SCHEME_CODE[scheme])
                 pas.append(assign_all(SchemeConfig(scheme, seed=seed), real,
                                       assoc, powers, cfg.pilot_length))
-            reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
-            for scheme, report in zip(spec.schemes, reports):
+            sinrs, = evaluate_drops([real], [assoc], [pas], powers, cfg)
+            for scheme, sinr in zip(spec.schemes, sinrs, strict=True):
                 row, = [r for r in rows
                         if (r.drop_seed, r.scheme) == (drop_seed, scheme)]
                 assert row.per_user.shape == (12,)
-                np.testing.assert_array_equal(row.per_user,
-                                              np.sort(report.se))
+                np.testing.assert_array_equal(row.per_user, np.sort(
+                    se_uplink(sinr, cfg.coherence_block, cfg.pilot_length)))
 
 
 def cell_lines(spec):
@@ -320,9 +322,10 @@ def cell_lines(spec):
                                                   seed=seed),
                               real, assoc, powers, cfg.pilot_length)
                    for s, seed in zip(spec.schemes, seeds)]
-            reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
-            cells += harness._rows(spec, value, [drop_seed],
-                                   np.array([[r.se for r in reports]]))
+            se = se_uplink(evaluate_drops([real], [assoc], [pas], powers,
+                                          cfg),
+                           cfg.coherence_block, cfg.pilot_length)
+            cells += harness._rows(spec, value, [drop_seed], se)
     key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
     return [r.csv_line() for r in sorted(cells, key=key)]
 

@@ -220,8 +220,8 @@ class TestEvaluate:
             return real_group(*args)
 
         monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
-        reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
-        assert len(pas) == len(reports) == 4
+        sinr = evaluate_drops([real], [assoc], [pas], powers, cfg)
+        assert sinr.shape == (1, len(pas), cfg.num_ues) == (1, 4, 50)
         assert len(calls) == 1
         assert all(a is b for a, b in zip(calls[0], pas, strict=True))
 
@@ -268,11 +268,13 @@ class TestEvaluate:
         cfg, real, powers, assoc = desk_drop(seed=2)
         fits, wide = (assign_all(SchemeConfig("eem"), real, assoc, powers, lp)
                       for lp in (cfg.pilot_length, 9))
-        with pytest.raises(ValueError, match="^assignment 1 has 9 pilots, more "
-                                             "than the pilot length 7$"):
-            evaluate_drops([real], [assoc], [[fits, wide]], powers, cfg)[0]
-        with pytest.raises(ValueError, match="^assignment 0 has 9 pilots"):
-            evaluate(real, assoc, wide, powers, cfg)
+        for call in (lambda: evaluate_drops([real], [assoc], [[fits, wide]],
+                                            powers, cfg),
+                     lambda: evaluate(real, assoc, wide, powers, cfg)):
+            with pytest.raises(ValueError, match="^an assignment has 9 "
+                                                 "pilots, more than the "
+                                                 "pilot length 7$"):
+                call()
 
     def test_duplicate_ues_symmetric(self):
         # two indistinguishable UEs on distinct pilots get identical SE
@@ -365,12 +367,11 @@ class TestBatchedEvaluate:
             pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                               powers, cfg.pilot_length)
                    for scheme in SCHEME_IDS]
-            stacked = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
+            stacked, = evaluate_drops([real], [assoc], [pas], powers, cfg)
             assert len(stacked) == len(pas)
             for pa, got in zip(pas, stacked):
                 want = evaluate(real, assoc, pa, powers, cfg)
-                np.testing.assert_array_equal(got.sinr, want.sinr)
-                np.testing.assert_array_equal(got.se, want.se)
+                np.testing.assert_array_equal(got, want.sinr)
 
     def test_one_solve_per_size_for_all_schemes(self, desk_drop, monkeypatch):
         cfg, real, powers, assoc = desk_drop(seed=3)
@@ -391,16 +392,14 @@ class TestBatchedEvaluate:
         assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
                                        for size, count in sizes.items())
 
-    def test_stacked_degenerate_sinr_names_assignment(self):
+    def test_stacked_degenerate_sinr_names_its_ue(self):
         cfg, real, powers, assoc = degenerate_drop()
         good = PilotAssignment(np.array([0, 1]), 3)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ArithmeticError,
-                               match="for UE 1 under assignment 0$"):
-                evaluate_drops([real], [assoc], [[good, good]], powers,
-                               cfg)[0]
+            with pytest.raises(ArithmeticError, match="for UE 1$"):
+                evaluate_drops([real], [assoc], [[good, good]], powers, cfg)
         with pytest.raises(ValueError, match="at least one"):
-            evaluate_drops([real], [assoc], [[]], powers, cfg)[0]
+            evaluate_drops([real], [assoc], [[]], powers, cfg)
 
     def test_first_failure_is_row_major(self, desk_drop, monkeypatch):
         # UE 1 fails under assignment 0 and UE 0 under assignment 1: the
@@ -417,9 +416,8 @@ class TestBatchedEvaluate:
 
         monkeypatch.setattr(performance, "_lsfd_groups", one_group)
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ArithmeticError,
-                               match="for UE 1 under assignment 0$"):
-                evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
+            with pytest.raises(ArithmeticError, match="for UE 1$"):
+                evaluate_drops([real], [assoc], [pas], powers, cfg)
 
     def test_degenerate_sinr_names_first_ue(self):
         cfg, real, powers, assoc = degenerate_drop()
@@ -466,20 +464,16 @@ class TestEvaluateDrops:
         # padded to a wider chunk's width, so the check can fail
         cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 7,
                                                          schemes)
-        alone = [evaluate_drops([real], [assoc], [cell], powers, cfg)[0]
-                 for real, assoc, cell in zip(reals, assocs, by_drop)]
+        alone = np.concatenate([
+            evaluate_drops([real], [assoc], [cell], powers, cfg)
+            for real, assoc, cell in zip(reals, assocs, by_drop)])
         for size in range(2, 8):
             for lo in range(8 - size):
                 chunk = slice(lo, lo + size)
                 got = evaluate_drops(reals[chunk], assocs[chunk],
                                      by_drop[chunk], powers, cfg)
-                assert len(got) == size
-                for want, reports in zip(alone[chunk], got):
-                    assert len(reports) == len(schemes)
-                    for w, r in zip(want, reports):
-                        np.testing.assert_array_equal(r.sinr, w.sinr)
-                        np.testing.assert_array_equal(r.se, w.se)
-                        assert r.sum_se == w.sum_se
+                assert got.shape == (size, len(schemes), cfg.num_ues)
+                np.testing.assert_array_equal(got, alone[chunk])
 
     @given(num_aps=st.integers(1, 6), num_ues=st.integers(1, 10),
            lp=st.integers(1, 5), extra=st.integers(1, 4),
@@ -509,11 +503,11 @@ class TestEvaluateDrops:
                                powers, lp) for scheme in schemes]
                    for real, assoc in zip(reals, assocs)]
         got = evaluate_drops(reals, assocs, by_drop, powers, cfg)
-        for real, assoc, cell, reports in zip(reals, assocs, by_drop, got):
-            assert len(reports) == len(cell)
-            for pa, report in zip(cell, reports):
+        assert got.shape == (num_drops, len(schemes), num_ues)
+        for real, assoc, cell, sinrs in zip(reals, assocs, by_drop, got):
+            for pa, sinr in zip(cell, sinrs):
                 want = evaluate(real, assoc, pa, powers, cfg)
-                np.testing.assert_array_equal(report.sinr, want.sinr)
+                np.testing.assert_array_equal(sinr, want.sinr)
 
     def test_one_solve_per_serving_set_size_of_the_stack(self, desk_config,
                                                          monkeypatch):
@@ -537,34 +531,39 @@ class TestEvaluateDrops:
         assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
                                        for size, count in sizes.items())
 
-    @pytest.mark.parametrize("schemes,spots,named", [
-        # the first failure in (drop, assignment, UE) order is named, not
-        # the lowest drop, assignment or UE
-        (("eem", "dpb"), [(2, 0, 0), (1, 1, 3), (1, 0, 7)],
-         "for UE 7 under assignment 0 of drop 1"),
-        (("eem", "dpb"), [(0, 1, 2), (1, 0, 0)],
-         "for UE 2 under assignment 1 of drop 0"),
-        (("dpb",), [(2, 0, 4), (1, 0, 9)], "for UE 9 of drop 1")],
-        ids=["row-major", "assignment-before-drop", "one-assignment"])
-    def test_first_failure_names_its_drop(self, desk_config, monkeypatch,
-                                          schemes, spots, named):
+    def test_first_failure_names_its_ue(self, desk_config, monkeypatch):
+        # the first failure in (drop, assignment, UE) order names its UE,
+        # not the lowest failing UE
         cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3,
-                                                         schemes)
-        monkeypatch.setattr(performance, "_lsfd_groups", nan_systems(spots))
+                                                         ("eem", "dpb"))
+        monkeypatch.setattr(performance, "_lsfd_groups", nan_systems(
+            [(2, 0, 0), (1, 1, 3), (1, 0, 7)]))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ArithmeticError, match=f"{named}$"):
+            with pytest.raises(ArithmeticError, match="for UE 7$"):
                 evaluate_drops(reals, assocs, by_drop, powers, cfg)
 
-    def test_one_drop_keeps_its_messages(self, desk_config, monkeypatch):
-        # a stack of one drop names no drop, as evaluate never did
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 1,
-                                                         ("eem", "dpb"))
-        monkeypatch.setattr(performance, "_lsfd_groups",
-                            nan_systems([(0, 1, 5)]))
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ArithmeticError,
-                               match="for UE 5 under assignment 1$"):
-                evaluate_drops(reals, assocs, by_drop, powers, cfg)
+    def test_passes_of_six_drops_score_as_lone_cells(self, desk_config,
+                                                     monkeypatch):
+        # thirteen drops are three passes, 6 + 6 + 1, each cell the same
+        # bits as its lone evaluate
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 13,
+                                                         ("eem", "random"))
+        passes = []
+        real_groups = performance._lsfd_groups
+
+        def lsfd_groups(betas, *args):
+            passes.append(len(betas))
+            return real_groups(betas, *args)
+
+        monkeypatch.setattr(performance, "_lsfd_groups", lsfd_groups)
+        got = evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        assert passes == [6, 6, 1]
+        assert got.shape == (13, 2, cfg.num_ues)
+        for real, assoc, cell, sinrs in zip(reals, assocs, by_drop, got,
+                                            strict=True):
+            for pa, sinr in zip(cell, sinrs, strict=True):
+                np.testing.assert_array_equal(
+                    sinr, evaluate(real, assoc, pa, powers, cfg).sinr)
 
     def test_rejects_malformed_stacks(self, desk_config):
         cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3)
@@ -582,9 +581,9 @@ class TestEvaluateDrops:
             evaluate_drops([reals[0], other], assocs[:2], by_drop[:2],
                            powers, cfg)
         wide = assign_all(SchemeConfig("eem"), reals[2], assocs[2], powers, 9)
-        with pytest.raises(ValueError, match="^assignment 1 of drop 2 has 9 "
-                                             "pilots, more than the pilot "
-                                             "length 7$"):
+        with pytest.raises(ValueError, match="^an assignment has 9 pilots, "
+                                             "more than the pilot length "
+                                             "7$"):
             evaluate_drops(reals, assocs,
                            [by_drop[0], by_drop[1],
                             [by_drop[2][0], wide, *by_drop[2][2:]]],
@@ -611,10 +610,9 @@ class TestRelabeling:
                    for scheme in SCHEME_IDS]
             renamed = [PilotAssignment(rng.permutation(pa.num_pilots)[
                 pa.pilot_of], pa.num_pilots) for pa in pas]
-            want, got = (evaluate_drops([real], [assoc], [cell], powers,
-                                        cfg)[0] for cell in (pas, renamed))
-            for w, r in zip(want, got, strict=True):
-                np.testing.assert_array_equal(r.sinr, w.sinr)
+            want, got = (evaluate_drops([real], [assoc], [cell], powers, cfg)
+                         for cell in (pas, renamed))
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
     def test_ap_permutation_moves_only_round_off(self, desk_drop, edge):
@@ -634,12 +632,9 @@ class TestRelabeling:
             for aps, renamed in zip(assoc.serving_aps,
                                     moved_assoc.serving_aps, strict=True):
                 np.testing.assert_array_equal(perm[renamed], aps)
-            want = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
-            got = evaluate_drops([moved], [moved_assoc], [pas], powers,
-                                 cfg)[0]
-            for w, r in zip(want, got, strict=True):
-                np.testing.assert_allclose(r.sinr, w.sinr, rtol=1e-12,
-                                           atol=0)
+            want = evaluate_drops([real], [assoc], [pas], powers, cfg)
+            got = evaluate_drops([moved], [moved_assoc], [pas], powers, cfg)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestContaminationMonotonicity:
@@ -707,8 +702,8 @@ class TestPipelineFuzz:
         assoc = associate_aps(real, cfg.assoc_threshold)
         pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                           powers, lp) for scheme in SCHEME_IDS]
-        reports = evaluate_drops([real], [assoc], [pas], powers, cfg)[0]
-        for pa, report in zip(pas, reports):
+        sinrs, = evaluate_drops([real], [assoc], [pas], powers, cfg)
+        for pa, sinr in zip(pas, sinrs, strict=True):
             gamma = compute_gamma(real.beta, powers, lp, pa)
             want_gamma = oracle_gamma(real.beta, powers.p_pilot, lp,
                                       pa.pilot_of)
@@ -725,4 +720,4 @@ class TestPipelineFuzz:
                                    grouped.strong_flag,
                                    grouped.strong_pilot_count[0],
                                    cfg.antennas_per_ap)
-                assert abs(report.sinr[t] - want) <= 1e-10 * want
+                assert abs(sinr[t] - want) <= 1e-10 * want

@@ -285,6 +285,21 @@ class TestRunProtocol:
                 run_protocol(real, assoc, SchemeConfig("dpb"), bad, powers,
                              cfg.pilot_length)
 
+    def test_rejects_non_integer_orders(self, desk_drop):
+        # a cast would negotiate UEs 0, 1 and 2 for the first
+        cfg, real, powers, assoc = desk_drop(seed=4)
+        for bad in ([0.9, 1.2, 2.5], [True, 2], np.array([3.0])):
+            with pytest.raises(ValueError,
+                               match="^arrival order must hold integers"):
+                run_protocol(real, assoc, SchemeConfig("dpb"), bad, powers,
+                             cfg.pilot_length)
+        # no arrivals is still an arrival order, though numpy reads [] as
+        # floats
+        pa, log = run_protocol(real, assoc, SchemeConfig("dpb"), [], powers,
+                               cfg.pilot_length)
+        np.testing.assert_array_equal(pa.pilot_of, -1)
+        assert log.rows == []
+
     def test_s_one_offers_match_probes(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=4)
         pa, log = run_protocol(real, assoc, SchemeConfig("dpb", dpb_s=1),

@@ -1,0 +1,40 @@
+"""The README's library quick start runs as written."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def quick_start() -> str:
+    """The README's "Quick start (library)" code, cut as the CI step's awk
+    cuts it: from that heading on, the lines after the first ```python
+    fence, up to the first bare ``` fence."""
+    lines, started, inside = [], False, False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("## Quick start (library)"):
+            started = True
+        if started and line == "```":
+            break
+        if started and inside:
+            lines.append(line)
+        if started and line == "```python":
+            inside = True
+    return "".join(line + "\n" for line in lines)
+
+
+def test_library_quick_start_runs(tmp_path):
+    code = quick_start()
+    assert "evaluate(" in code
+    script = tmp_path / "quickstart.py"
+    script.write_text(code, encoding="utf-8")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    # it prints the drop's sum SE and its 10th-percentile SE
+    sum_se, p10 = map(float, out.stdout.split())
+    assert 0.0 < p10 < sum_se
