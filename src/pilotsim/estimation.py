@@ -24,6 +24,7 @@ from .network import require_integer, require_integers
 __all__ = [
     "PilotAssignment",
     "ContaminationCache",
+    "gamma_stack",
     "compute_gamma",
     "local_error_profile",
 ]
@@ -57,30 +58,48 @@ class PilotAssignment:
         return bool(np.all(self.pilot_of >= 0))
 
 
-def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndarray:
-    """Quality factor gamma_mt under a complete pilot assignment.
-
-    gamma_mt = w_t b_mt^2 / (sum_{k in P_{i_t}} w_k b_mk + 1); the sum runs
-    over every UE on t's pilot, t itself included, so the denominator is
-    always >= w_t b_mt + 1. Returns the M x T matrix of gamma_mt.
+def gamma_stack(betas, powers, lp: int, pilot_of, out=None) -> np.ndarray:
+    """gamma_mt = w_t b_mt^2 / (sum_{k in P_{i_t}} w_k b_mk + 1) of D drops,
+    each under S complete pilot assignments; the sum runs over every UE on
+    t's pilot, t itself included, so the denominator is >= w_t b_mt + 1.
+    betas is (D, M, T) and pilot_of (D, S, T); the (D, S, M, T) gammas are
+    written into `out` if given, and returned. The first failing (drop,
+    assignment) raises.
     """
-    if not assignment.is_complete:
+    if pilot_of.min() < 0:
         raise ValueError("gamma requires a complete assignment")
-    beta = np.asarray(beta, dtype=float)
-    weighted = (powers.p_pilot * lp) * beta
-    pilot_of = assignment.pilot_of
-    # sum_{k on pilot i} w_k b_mk for every (m, i), through a one-hot matrix
-    denom_by_pilot = weighted @ np.eye(assignment.num_pilots)[pilot_of]
-    gamma = weighted * beta / (denom_by_pilot[:, pilot_of] + 1.0)
+    weighted = (powers.p_pilot * lp) * betas
+    # sum_{k on pilot i} w_k b_mk per (drop, assignment, m, i), through a
+    # one-hot matrix as wide as the pilot length whatever the pilots, so a
+    # cell's sums take one order in any stack; as rows of their transpose
+    width = max(lp, pilot_of.max() + 1)
+    sums = (weighted[:, None] @ np.eye(width)[pilot_of]).swapaxes(
+        -1, -2).reshape(-1, betas.shape[1])
+    out = np.empty(pilot_of.shape[:2] + betas.shape[1:]) if out is None else out
+    # each UE's row of its cell's sums, written into out's transpose; then
+    # gamma, in place, over the numerators w_t b_mt^2
+    pilots = pilot_of.reshape(-1, pilot_of.shape[-1])
+    rows = np.arange(len(pilots))[:, None] * width + pilots
+    out.swapaxes(-1, -2)[...] = sums[rows].reshape(*pilot_of.shape, -1)
+    del sums, rows
+    out += 1.0
+    weighted *= betas
+    np.divide(weighted[:, None], out, out=out)
     # both checks in one pass, which a NaN gamma fails too; which check
-    # failed is asked only then, to pick the message
-    ok = gamma <= beta
-    ok &= gamma > 0
-    if not ok.all():
-        if np.any(gamma > beta):
+    # failed is asked only of the first failing cell, to pick the message
+    ok = out <= betas[:, None]
+    ok &= out > 0
+    for d, s in np.argwhere(~ok.all(axis=(2, 3)))[:1]:
+        if np.any(out[d, s] > betas[d]):
             raise AssertionError("gamma exceeded beta; inputs are inconsistent")
         raise ValueError("gamma must be positive and finite")
-    return gamma
+    return out
+
+
+def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndarray:
+    """The M x T gamma_mt of one drop under one complete assignment."""
+    return gamma_stack(np.asarray(beta, dtype=float)[None], powers, lp,
+                       assignment.pilot_of[None, None])[0, 0]
 
 
 def local_error_profile(weighted_own: float, own_beta: float,

@@ -27,6 +27,7 @@ __all__ = [
     "normalize_powers",
     "associate_aps",
     "serving_links",
+    "strong_stack",
     "group_strong_ues",
 ]
 
@@ -271,12 +272,11 @@ def compute_lsfc(distance_m, shadow_db=0.0, config: NetworkConfig | None = None)
 
 def _pairwise_distances(ap_pos: np.ndarray, ue_pos: np.ndarray,
                         wrap_side: float | None) -> np.ndarray:
-    diff = ap_pos[:, None, :] - ue_pos[None, :, :]
+    dx, dy = (ap_pos[:, i, None] - ue_pos[:, i] for i in (0, 1))
     if wrap_side is not None:
-        # shortest distance over the 3x3 torus images
-        diff = np.abs(diff)
-        diff = np.minimum(diff, wrap_side - diff)
-    return np.sqrt(np.sum(diff * diff, axis=2))
+        # shortest distance over the 3x3 torus images, axis by axis
+        dx, dy = (np.minimum(d, wrap_side - d) for d in map(np.abs, (dx, dy)))
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def generate_drop(config: NetworkConfig, seed: int) -> NetworkRealization:
@@ -364,47 +364,62 @@ def serving_links(assocs) -> tuple:
             np.stack([assoc.sizes for assoc in assocs]))
 
 
-def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
-                     strong_threshold: float, assignments,
-                     antennas_per_ap: int) -> AssociationMap:
-    """Per-AP strong-UE grouping, ranked once for a drop's assignments.
+def strong_stack(betas, serves, strong_threshold: float, pilot_of,
+                 antennas_per_ap: int) -> tuple:
+    """Per-AP strong-UE grouping of D drops, each ranked once for its S
+    assignments: betas and serves are (D, M, T) and pilot_of (D, S, T).
 
-    At each AP the served UEs are ranked by LSFC and the smallest prefix
-    holding `strong_threshold` of the AP's served LSFC mass becomes the
-    strong set, whatever the pilots. Its distinct-pilot count under each
-    complete assignment, one (S, M) row each, is the zero-forcing dimension
-    spent at that AP and must stay below the antenna count. A one-hot pilot
-    matrix counts it, as `compute_gamma` groups UEs by pilot.
+    At each AP the served UEs are ranked by LSFC, and the smallest prefix holding
+    `strong_threshold` of the AP's served LSFC mass is the strong set, whatever
+    the pilots. Its distinct-pilot count under each assignment is the zero-forcing
+    dimension spent at the AP and must stay below the antenna count. Returns the
+    (D, M, T) strong flags and (D, S, M) counts, or raises the first failing drop's
+    error: an incomplete assignment, or else its first offending (assignment, AP).
     """
     if not 0.0 < strong_threshold <= 1.0:
         raise ValueError("strong_threshold must be in (0, 1]")
-    pilot_of = np.stack([pa.pilot_of for pa in assignments])
-    if pilot_of.min() < 0:
-        raise ValueError("strong grouping requires a complete assignment")
-    num_aps, num_ues = real.beta.shape
-    # each AP's served links in one row, padded to the largest degree with
-    # zeros, which are never chosen and leave the sums unchanged
-    link_aps, link_ues = np.nonzero(assoc.serves)
-    degree = np.bincount(link_aps, minlength=num_aps)
+    num_drops, num_aps, num_ues = serves.shape
+    # each (drop, AP)'s served links in one row, padded to the largest
+    # degree with zeros, which are never chosen and leave the sums unchanged
+    link_rows, link_ues = np.nonzero(serves.reshape(-1, num_ues))
+    degree = np.bincount(link_rows, minlength=num_drops * num_aps)
     start = np.cumsum(degree) - degree
-    slot = np.arange(link_aps.size) - start[link_aps]
-    padded = np.zeros((num_aps, int(degree.max())))
-    padded[link_aps, slot] = real.beta[link_aps, link_ues]
+    slot = np.arange(link_rows.size) - start[link_rows]
+    padded = np.zeros((degree.size, int(degree.max())))
+    padded[link_rows, slot] = betas.reshape(-1, num_ues)[link_rows, link_ues]
     order, size = _top_share(padded, strong_threshold)
     size[degree == 0] = 0
     strong = (start[:, None] + order)[np.arange(padded.shape[1]) < size[:, None]]
-    strong_flag = np.zeros((num_aps, num_ues), dtype=bool)
-    strong_flag[link_aps[strong], link_ues[strong]] = True
-    # strong UEs per (assignment, AP, pilot); each nonzero is a distinct pilot
-    width = pilot_of.max() + 1
-    pilot_count = np.count_nonzero(strong_flag @ np.eye(width)[pilot_of],
-                                   axis=2)
-    # report the first offending AP of the first offending assignment
-    bad = np.flatnonzero(pilot_count >= antennas_per_ap)
-    if bad.size:
-        s, m = divmod(int(bad[0]), num_aps)
-        raise ValueError(
-            f"AP {m} would zero-force {pilot_count[s, m]} pilots with only "
-            f"{antennas_per_ap} antennas")
-    return replace(assoc, strong_flag=strong_flag,
-                   strong_pilot_count=pilot_count)
+    rows, ues = link_rows[strong], link_ues[strong]
+    flags = np.zeros(serves.shape, dtype=bool)
+    flags.reshape(-1, num_ues)[rows, ues] = True
+    # a hit per strong link and assignment at its (drop, assignment, AP, pilot),
+    # each a distinct pilot, over the drops before the first incomplete one
+    counted = int((pilot_of >= 0).all(axis=(1, 2)).cumprod().sum())
+    keep = rows < counted * num_aps
+    rows, ues, drop = rows[keep], ues[keep], rows[keep] // num_aps
+    num_schemes, width = pilot_of.shape[1], pilot_of.max(initial=0) + 1
+    at = pilot_of[drop, :, ues]
+    at += ((rows + drop * (num_schemes - 1) * num_aps)[:, None]
+           + np.arange(num_schemes) * num_aps) * width
+    hit = np.zeros((counted, num_schemes, num_aps, width), dtype=bool)
+    hit.ravel()[at] = True
+    counts = np.count_nonzero(hit, axis=-1)
+    # the first offending AP of the first offending (drop, assignment)
+    for d, s, m in np.argwhere(counts >= antennas_per_ap)[:1]:
+        raise ValueError(f"AP {m} would zero-force {counts[d, s, m]} pilots with only "
+                         f"{antennas_per_ap} antennas")
+    if counted < num_drops:
+        raise ValueError("strong grouping requires a complete assignment")
+    return flags, counts
+
+
+def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
+                     strong_threshold: float, assignments,
+                     antennas_per_ap: int) -> AssociationMap:
+    """`strong_stack` on one drop: its (M, T) strong flag, and row s of its
+    (S, M) strong-pilot count for the s-th of its assignments."""
+    flags, counts = strong_stack(real.beta[None], assoc.serves[None], strong_threshold,
+                                 np.stack([pa.pilot_of for pa in assignments])[None],
+                                 antennas_per_ap)
+    return replace(assoc, strong_flag=flags[0], strong_pilot_count=counts[0])

@@ -10,8 +10,8 @@ systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate_drops`
 scores a stack of drops from this closed form without forming any weight
 vector, with several pilot assignments per drop (a chunk's cells) at once,
 in passes of at most `_PASS_DROPS` drops; `evaluate` scores one cell and
-adds its SE. Strong sets do not depend on the pilots, so each drop ranks
-them once.
+adds its SE. A pass ranks its drops' strong sets, which do not depend on
+the pilots, in one call, and computes its cells' gammas in another.
 `_lsfd_groups` lays the serving links of every unit out once, a UE under
 one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
 pilot load K_c, and computes every per-link term of all cells at once. Each
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import compute_gamma
-from .network import group_strong_ues, serving_links
+from .estimation import gamma_stack
+from .network import serving_links, strong_stack
 
 __all__ = [
     "SeReport",
@@ -63,12 +63,13 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 
 
 # most drops in one `_lsfd_groups` pass, whose peak memory grows with the
-# drops it scores, about 0.18 MB a drop at desk scale, while its speed hardly
-# does: one 25-drop pass took a 25-drop stack's peak from 1.9 to 5.2 MB
+# drops it scores, about 0.16 MB a drop at desk scale, while its speed hardly
+# does: one 25-drop pass takes a 25-drop stack's peak from 1.9 to 5.3 MB
 _PASS_DROPS = 6
 
 
-def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
+def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, pilot_of,
+                 antennas: int):
     """The LSFD systems (units, Q, b) of a stack of D drops, one per
     serving-set size n in ascending order. Cell c = d S + s is drop d under
     its s-th assignment, and unit u = c T + t is UE t of cell c: `units`
@@ -81,47 +82,27 @@ def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
-    betas[d] is drop d's (M, T) LSFC matrix; `gammas` lists the (M, T)
-    gammas cell by cell, and is emptied as they are copied into the
-    co-pilot weight table; groupeds[d] is drop d's association after one
-    `group_strong_ues` call for all of by_drop[d]: one shared strong flag,
-    and one row of strong-pilot counts per assignment. The per-AP sums, the
-    co-pilot weight table and its member table (a cumulative one-hot count
-    of each pilot over the UEs) are each one pass over the stack. The
-    serving links of all units are laid out once, and every per-link scalar
-    is computed as one flat row. The units of one key (n, K_c) are then one
-    contiguous run of links that reshapes to (N, n); only its co-pilot
-    gather and Q = C C^T are formed per run, over the K_c - 1 co-pilot
-    slots of its cells. Memory is kept to what the systems read: each gamma
-    is freed once copied, arrays are built in place and freed once read,
-    and the rest of the set-up is freed at return.
+    betas is the (D, M, T) LSFC stack, pilot_of the (D, S, T) pilots and
+    `assocs` the drops' associations; flags and counts are `strong_stack`'s
+    for them. table_w is the (D, S, M, T + 1) co-pilot weight table, gamma_mk
+    of cell d S + s at [d, s, m, k] and zero in column T; it is rewritten in
+    place. Every per-link scalar is one flat row over the links of all
+    units, and the units of one key (n, K_c) are a contiguous run of links
+    that reshapes to (N, n). Arrays are built in place and freed once read.
     """
-    num_drops, num_schemes = len(by_drop), len(by_drop[0])
-    num_cells = num_drops * num_schemes
-    num_aps, num_ues = groupeds[0].strong_flag.shape
+    num_drops, num_schemes, num_ues = pilot_of.shape
+    num_cells, num_aps = num_drops * num_schemes, betas.shape[1]
     p = powers.p_uplink
-    flags = np.stack([grouped.strong_flag for grouped in groupeds])
-    counts = np.stack([grouped.strong_pilot_count for grouped in groupeds])
-    # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs.
-    # Row c of the table holds gamma_mk for AP m and UE k in cell c; its
-    # column T is zero. Each gamma is popped from the list as it is copied,
-    # so that it is freed at once
-    noncoh = np.stack([beta @ p for beta in betas])
-    zf = np.empty((num_cells, num_aps))
-    table_w = np.zeros((num_cells, num_aps, num_ues + 1))
-    for c in range(num_cells):
-        gamma = gammas.pop(0)
-        zf[c] = (gamma * flags[c // num_schemes]) @ p
-        table_w[c, :, :num_ues] = gamma
-    del gamma
+    # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
+    noncoh = betas @ p
+    zf = ((table_w[..., :num_ues] * flags[:, None]) @ p).ravel()
     # one table row per (cell, pilot) lists that pilot's UEs in ascending
     # order, padded with T to the largest load in the stack. rank[c, t, i]
     # counts the UEs up to t on pilot i, so t's slot in its pilot's row is
     # its own count less one, and rank[c, -1] holds the loads, whose
     # largest is K_c
-    pilot_of = np.array([pa.pilot_of for cell in by_drop
-                         for pa in cell])[..., None]
-    num_pilots = max(pa.num_pilots for cell in by_drop for pa in cell)
+    pilot_of = pilot_of.reshape(num_cells, num_ues, 1)
+    num_pilots = pilot_of.max() + 1
     rank = (pilot_of == np.arange(num_pilots)).cumsum(axis=1)
     slot = np.take_along_axis(rank, pilot_of, 2) - 1
     loads = rank[:, -1].max(axis=1)
@@ -135,7 +116,7 @@ def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
     # units by key (n, K_c), each with its (drop, UE) pair, and each unit's
     # co-pilots: its pilot's row of the table minus its own slot, gathered
     # by flat offsets built in place
-    aps, sizes = serving_links(groupeds)
+    aps, sizes = serving_links(assocs)
     key = (sizes[:, None] * (width + 1)
            + loads.reshape(num_drops, num_schemes, 1)).ravel()
     units = np.argsort(key, kind="stable")
@@ -161,7 +142,7 @@ def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
     delta = flags.ravel()[at_ap * num_ues + link_ue]
     # the rows are built in place, and freed once read, so that few are
     # alive at once
-    diag = zf.ravel()[at_cell]
+    diag = zf[at_cell]
     diag *= delta
     np.subtract(noncoh.ravel()[at_ap], diag, out=diag)
     del at_ap
@@ -173,11 +154,12 @@ def _lsfd_groups(betas, powers, gammas, groupeds, by_drop, antennas: int):
     del delta
     np.subtract(antennas, gain, out=gain)
     root = np.sqrt(gain)
-    # each link's row of the table, as a flat offset
-    row = at_cell * (num_ues + 1)
-    del at_cell
-    b = table_w.ravel()[row + link_ue]
-    del link_ue
+    # each link's row of the table and its own entry, as flat offsets
+    row = at_cell
+    row *= num_ues + 1
+    link_ue += row
+    b = table_w.ravel()[link_ue]
+    del at_cell, link_ue
     b *= gain
     np.sqrt(b, out=b)
     del gain
@@ -199,18 +181,20 @@ def _systems(w, row, root, diag, b, copilots, units, start, runs):
     per-link rows. start[i] is unit i's first link, and `runs` lists each
     run of units of one key as (first unit, end unit, n, K_c - 1), in
     order."""
-    # one system stack per n, its Q built one run of equal K_c at a time
+    # one system stack per n, its co-pilots gathered once over the widest
+    # run's K_c - 1 slots, and its Q built one run of equal K_c at a time
     for size, group in itertools.groupby(runs, operator.itemgetter(2)):
         group = list(group)
         lo, hi = group[0][0], group[-1][1]
+        links = slice(start[lo], start[hi])
+        shape = (hi - lo, size, 1)
+        c = w[row[links].reshape(shape) + copilots[lo:hi, None, :group[-1][3]]]
+        c *= root[links].reshape(shape)
         q = np.empty((hi - lo, size, size))
         for a, z, _, width in group:
-            shape = (z - a, size, 1)
-            links = slice(start[a], start[z])
-            c = w[row[links].reshape(shape) + copilots[a:z, None, :width]]
-            c *= root[links].reshape(shape)
-            np.matmul(c, c.swapaxes(-1, -2), out=q[a - lo:z - lo])
-        links = slice(start[lo], start[hi])
+            run = c[a - lo:z - lo, :, :width]
+            np.matmul(run, run.swapaxes(-1, -2), out=q[a - lo:z - lo])
+        del c, run
         # the diagonal of each n x n block, as a strided view
         q.reshape(-1, size * size)[:, ::size + 1] += diag[links].reshape(
             -1, size)
@@ -229,12 +213,12 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> np.ndarray:
     by_drop[d] is a sequence of drop d's pilot assignments, the same number
     for every drop; the drops share M, T and the UE powers. Returns the
     checked (D, S, T) SINRs, assignments in order. The drops are scored in
-    passes of at most `_PASS_DROPS`; in a pass, a drop's assignments share
-    one strong-set ranking, and all its cells one stacked solve per
-    serving-set size. Each (drop, assignment) cell takes co-pilot products
-    of its own largest pilot load, so a cell scores the same bits in any
-    stack or pass and beside any assignments. The first SINR failure in
-    (drop, assignment, UE) order is raised, naming its UE.
+    passes of at most `_PASS_DROPS`; a pass ranks its drops' strong sets in
+    one call and computes its cells' gammas in another, and its cells share
+    one stacked solve per serving-set size. Each (drop, assignment) cell
+    takes co-pilot products of its own largest pilot load, so a cell scores
+    the same bits in any stack or pass and beside any assignments. The
+    first failing SINR in (drop, assignment, UE) order names its UE.
     """
     by_drop = [list(cell) for cell in by_drop]
     if not reals or not len(reals) == len(assocs) == len(by_drop):
@@ -251,25 +235,27 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> np.ndarray:
             raise ValueError(f"an assignment has {pa.num_pilots} pilots, "
                              f"more than the pilot length "
                              f"{config.pilot_length}")
-    num_drops, num_ues = len(reals), reals[0].num_ues
+    num_drops, (num_aps, num_ues) = len(reals), reals[0].beta.shape
     per_drop = num_schemes * num_ues
     score = np.empty(num_drops * per_drop)
     for lo in range(0, num_drops, _PASS_DROPS):
         part = slice(lo, lo + _PASS_DROPS)
-        groupeds = [group_strong_ues(real, assoc, config.strong_threshold,
-                                     cell, config.antennas_per_ap)
-                    for real, assoc, cell
-                    in zip(reals[part], assocs[part], by_drop[part])]
-        # the gammas, before the set-up allocates its weight table, so that
-        # compute_gamma's temporaries never overlap it
-        gammas = [compute_gamma(real.beta, powers, config.pilot_length, pa)
-                  for real, cell in zip(reals[part], by_drop[part])
-                  for pa in cell]
+        betas = np.stack([real.beta for real in reals[part]])
+        pilot_of = np.array([[pa.pilot_of for pa in cell]
+                             for cell in by_drop[part]])
+        flags, counts = strong_stack(
+            betas, np.stack([assoc.serves for assoc in assocs[part]]),
+            config.strong_threshold, pilot_of, config.antennas_per_ap)
+        # the gammas go straight into the co-pilot weight table, and the
+        # set-up's inputs are not held while its systems are solved
+        table = np.zeros(pilot_of.shape[:2] + (num_aps, num_ues + 1))
+        gamma_stack(betas, powers, config.pilot_length, pilot_of,
+                    out=table[..., :num_ues])
+        systems = _lsfd_groups(betas, powers, table, flags, counts,
+                               assocs[part], pilot_of, config.antennas_per_ap)
+        del betas, pilot_of, flags, counts, table
         out = score[lo * per_drop:(lo + _PASS_DROPS) * per_drop]
-        for units, q, b in _lsfd_groups([real.beta for real in reals[part]],
-                                        powers, gammas, groupeds,
-                                        by_drop[part],
-                                        config.antennas_per_ap):
+        for units, q, b in systems:
             out[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],
                                 axis=-1)
         # the last system stack is not held through the next pass's set-up

@@ -190,6 +190,16 @@ def oracle_lsfd(t, beta, gamma, powers, assoc, assignment, antennas):
     return a / np.linalg.norm(a)
 
 
+def oracle_pairwise_distances(ap_pos, ue_pos, wrap_side):
+    """The (M, T) AP-UE distances from one (M, T, 2) difference, folded over
+    the 3x3 torus images if `wrap_side` is given, summed over its last axis."""
+    diff = ap_pos[:, None, :] - ue_pos[None, :, :]
+    if wrap_side is not None:
+        diff = np.abs(diff)
+        diff = np.minimum(diff, wrap_side - diff)
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def brute_force_prefix(column, threshold):
     """Smallest descending prefix reaching threshold * total, linear scan."""
     order = np.argsort(-column, kind="stable")

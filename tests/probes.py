@@ -17,10 +17,14 @@ def sinr_pfzf(t, weights, beta, gamma, powers, assoc, assignment, antennas):
     `assignment` alone. A vector gives a float; a (K, |M_t|) matrix of K
     weight vectors gives K SINRs from one build of Q.
     """
-    # a stack of one cell, whose unit indices are its UE indices
+    # a stack of one cell, whose unit indices are its UE indices, and its
+    # weight table: the gammas and a zero column
+    table = np.zeros((1, 1) + beta.shape[:1] + (beta.shape[1] + 1,))
+    table[0, 0, :, :-1] = gamma
     for units, q, b in performance._lsfd_groups(
-            [beta], powers, [gamma], [assoc],
-            [[assignment]], antennas):
+            np.asarray(beta)[None], powers, table, assoc.strong_flag[None],
+            assoc.strong_pilot_count[None], [assoc],
+            assignment.pilot_of[None, None], antennas):
         hit = np.flatnonzero(units == t)
         if hit.size:
             q, b = q[hit[0]], b[hit[0]]

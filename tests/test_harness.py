@@ -354,7 +354,8 @@ def in_process_pool(monkeypatch):
 
 def record_schemes(monkeypatch):
     """Return a lookup from each assignment the harness makes to its scheme,
-    for a chunk of drops as for one cell."""
+    for a chunk of drops as for one cell; a pilot vector is looked up by
+    value, as the first assignment made with those pilots."""
     made = []
     real_assign, real_drops = harness.assign_all, harness.assign_drops
 
@@ -370,7 +371,13 @@ def record_schemes(monkeypatch):
 
     monkeypatch.setattr(harness, "assign_all", assign_all)
     monkeypatch.setattr(harness, "assign_drops", assign_drops)
-    return lambda assignment: next(s for a, s in made if a is assignment)
+
+    def scheme_of(assignment):
+        if isinstance(assignment, np.ndarray):
+            return next(s for a, s in made
+                        if np.array_equal(a.pilot_of, assignment))
+        return next(s for a, s in made if a is assignment)
+    return scheme_of
 
 
 def fail_evaluations(monkeypatch, errors):
@@ -433,16 +440,18 @@ class TestCellFailures:
         assert info.value.__cause__ is exc
 
     def test_grouping_error_names_its_scheme(self, tmp_path, monkeypatch):
+        # the stacked grouping sees each assignment as its pilot vector
         scheme_of = record_schemes(monkeypatch)
-        real_group = performance.group_strong_ues
+        real_stack = performance.strong_stack
 
-        def group_strong_ues(real, assoc, threshold, assignments, antennas):
-            if "random" in map(scheme_of, assignments):
+        def strong_stack(betas, serves, threshold, pilot_of, antennas):
+            rows = pilot_of.reshape(-1, pilot_of.shape[-1])
+            if "random" in map(scheme_of, rows):
                 raise ValueError("AP 2 would zero-force 8 pilots with only "
                                  "8 antennas")
-            return real_group(real, assoc, threshold, assignments, antennas)
+            return real_stack(betas, serves, threshold, pilot_of, antennas)
 
-        monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
+        monkeypatch.setattr(performance, "strong_stack", strong_stack)
         with pytest.raises(CellError) as info:
             run_experiment(tiny_spec(tmp_path))
         assert str(info.value) == (

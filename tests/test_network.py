@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_prefix, oracle_strong_groups
+from oracles import (brute_force_prefix, oracle_pairwise_distances,
+                     oracle_strong_groups)
 from pilotsim import (AssociationMap, NetworkConfig, NetworkRealization,
                       PilotAssignment, PowerProfile, associate_aps,
                       compute_gamma, compute_lsfc, generate_drop,
                       group_strong_ues, noise_power_dbm, normalize_powers)
-from pilotsim.network import serving_links
+from pilotsim.network import _pairwise_distances, serving_links
 
 # hand-computed three-slope values (defaults: 140.7 dB, d0=10 m, d1=50 m,
 # exponents 0 / 2 / 3.5), shadow 0
@@ -161,6 +162,21 @@ class TestGenerateDrop:
         wrapped = generate_drop(NetworkConfig(num_aps=8, num_ues=6,
                                               wrap_around=True), 1)
         assert np.all(wrapped.beta >= plain.beta)
+
+    @given(num_aps=st.integers(1, 40), num_ues=st.integers(1, 40),
+           side=st.floats(1.0, 1e5), wrap=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_distances_match_summed_differences(self, num_aps, num_ues, side,
+                                                wrap, seed):
+        # one array per axis gives the bits of summing the (M, T, 2)
+        # difference over its last axis, with and without the torus fold
+        rng = np.random.default_rng(seed)
+        ap, ue = (rng.uniform(0.0, side, (n, 2)) for n in (num_aps, num_ues))
+        wrap_side = side if wrap else None
+        np.testing.assert_array_equal(
+            _pairwise_distances(ap, ue, wrap_side),
+            oracle_pairwise_distances(ap, ue, wrap_side))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

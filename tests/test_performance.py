@@ -1,5 +1,6 @@
 """Closed-form SINR, LSFD weighting, and spectral-efficiency reporting."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,7 @@ from pilotsim import (
     prelog,
     se_uplink,
 )
-from pilotsim import performance
+from pilotsim import estimation, network, performance
 from pilotsim.performance import evaluate_drops
 from oracles import (micro_instance, oracle_gamma, oracle_lsfd, oracle_sinr,
                      random_unit_vector)
@@ -208,22 +209,31 @@ class TestLsfdWeights:
 
 
 class TestEvaluate:
-    def test_ranks_strong_sets_once_per_drop(self, desk_drop, monkeypatch):
-        cfg, real, powers, assoc = desk_drop(seed=3)
-        pas = [assign_all(SchemeConfig(s, seed=3), real, assoc, powers,
-                          cfg.pilot_length) for s in SCHEME_IDS]
+    def test_ranks_strong_sets_once_per_pass(self, desk_config, monkeypatch):
+        # thirteen drops are passes of 6, 6 and 1: each pass ranks its
+        # drops' strong sets in one call and computes its cells' gammas in
+        # another. The one-drop forms call the same stacked functions, so
+        # any one-drop call would be recorded too
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 13,
+                                                         ("eem", "random"))
         calls = []
-        real_group = performance.group_strong_ues
 
-        def group_strong_ues(*args):
-            calls.append(args[3])
-            return real_group(*args)
+        def recording(name, real):
+            # both take the (D, M, T) betas first and the pilots fourth
+            def call(*args, **kwargs):
+                calls.append((name, args[0].shape, args[3].shape))
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(performance, "group_strong_ues", group_strong_ues)
-        sinr = evaluate_drops([real], [assoc], [pas], powers, cfg)
-        assert sinr.shape == (1, len(pas), cfg.num_ues) == (1, 4, 50)
-        assert len(calls) == 1
-        assert all(a is b for a, b in zip(calls[0], pas, strict=True))
+        for module, name in ((network, "strong_stack"),
+                             (estimation, "gamma_stack")):
+            stand_in = recording(name, getattr(module, name))
+            monkeypatch.setattr(module, name, stand_in)
+            monkeypatch.setattr(performance, name, stand_in)
+        evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        shapes = [((d, 30, 50), (d, 2, 50)) for d in (6, 6, 1)]
+        assert calls == [(name, *shape) for shape in shapes
+                         for name in ("strong_stack", "gamma_stack")]
 
     def test_orthogonal_pilots_match_no_copilot_formula(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=13, num_ues=7)
@@ -408,9 +418,10 @@ class TestBatchedEvaluate:
         pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
                           cfg.pilot_length) for scheme in ("eem", "dpb")]
 
-        def one_group(betas, powers, gammas, groupeds, by_drop, antennas):
-            num_ues = betas[0].shape[1]
-            b = np.ones((len(by_drop[0]) * num_ues, 1))
+        def one_group(betas, powers, table, flags, counts, assocs, pilot_of,
+                      antennas):
+            num_ues = pilot_of.shape[-1]
+            b = np.ones((pilot_of.shape[1] * num_ues, 1))
             b[1] = b[num_ues] = np.nan
             yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
 
@@ -444,9 +455,10 @@ def nan_systems(spots):
     """An `_lsfd_groups` stand-in: one system of unit Q per unit, a UE
     under one (drop, assignment) cell, with b = 1 but NaN at each
     (drop, assignment, UE) of `spots`."""
-    def systems(betas, powers, gammas, groupeds, by_drop, antennas):
-        num_schemes, num_ues = len(by_drop[0]), betas[0].shape[1]
-        b = np.ones((len(betas) * num_schemes * num_ues, 1))
+    def systems(betas, powers, table, flags, counts, assocs, pilot_of,
+                antennas):
+        num_drops, num_schemes, num_ues = pilot_of.shape
+        b = np.ones((num_drops * num_schemes * num_ues, 1))
         for d, i, t in spots:
             b[(d * num_schemes + i) * num_ues + t] = np.nan
         yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
@@ -564,6 +576,25 @@ class TestEvaluateDrops:
             for pa, sinr in zip(cell, sinrs, strict=True):
                 np.testing.assert_array_equal(
                     sinr, evaluate(real, assoc, pa, powers, cfg).sinr)
+
+    def test_passes_bound_the_peak_memory(self, desk_config):
+        # thirteen drops peak no higher than six, up to a fixed margin for
+        # the larger score array: evaluation sets up at most six drops at
+        # a time, where one thirteen-drop pass would double the peak
+        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 13)
+
+        def peak(num_drops):
+            args = (reals[:num_drops], assocs[:num_drops],
+                    by_drop[:num_drops], powers, cfg)
+            evaluate_drops(*args)
+            tracemalloc.start()
+            try:
+                evaluate_drops(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(13) <= peak(6) + 64_000
 
     def test_rejects_malformed_stacks(self, desk_config):
         cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3)
