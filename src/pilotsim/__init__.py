@@ -3,12 +3,12 @@ distributed massive MIMO networks."""
 
 from .assignment import (OpCounter, SCHEME_IDS, SchemeConfig, assign_all,
                          best_first, priority_select)
-from .estimation import PilotAssignment, compute_gamma
+from .estimation import PilotAssignment
 from .harness import (CellError, ExperimentSpec, ResultRow, SCHEME_CODE,
                       derive_seed, emit_cdf, run_experiment)
 from .network import (AssociationMap, NetworkConfig, NetworkRealization,
                       PowerProfile, associate_aps, compute_lsfc, generate_drop,
-                      group_strong_ues, noise_power_dbm, normalize_powers)
+                      noise_power_dbm, normalize_powers)
 from .performance import SeReport, evaluate, prelog, se_uplink
 from .protocol import BudgetViolation, audit_overhead, run_protocol
 

@@ -25,7 +25,6 @@ __all__ = [
     "PilotAssignment",
     "ContaminationCache",
     "gamma_stack",
-    "compute_gamma",
     "local_error_profile",
 ]
 
@@ -53,10 +52,6 @@ class PilotAssignment:
     def num_ues(self) -> int:
         return self.pilot_of.size
 
-    @property
-    def is_complete(self) -> bool:
-        return bool(np.all(self.pilot_of >= 0))
-
 
 def gamma_stack(betas, powers, lp: int, pilot_of, out=None) -> np.ndarray:
     """gamma_mt = w_t b_mt^2 / (sum_{k in P_{i_t}} w_k b_mk + 1) of D drops,
@@ -68,18 +63,19 @@ def gamma_stack(betas, powers, lp: int, pilot_of, out=None) -> np.ndarray:
     """
     if pilot_of.min() < 0:
         raise ValueError("gamma requires a complete assignment")
+    if pilot_of.max() >= lp:
+        raise ValueError(f"gamma requires pilots below the pilot length {lp}")
     weighted = (powers.p_pilot * lp) * betas
     # sum_{k on pilot i} w_k b_mk per (drop, assignment, m, i), through a
     # one-hot matrix as wide as the pilot length whatever the pilots, so a
     # cell's sums take one order in any stack; as rows of their transpose
-    width = max(lp, pilot_of.max() + 1)
-    sums = (weighted[:, None] @ np.eye(width)[pilot_of]).swapaxes(
+    sums = (weighted[:, None] @ np.eye(lp)[pilot_of]).swapaxes(
         -1, -2).reshape(-1, betas.shape[1])
     out = np.empty(pilot_of.shape[:2] + betas.shape[1:]) if out is None else out
     # each UE's row of its cell's sums, written into out's transpose; then
     # gamma, in place, over the numerators w_t b_mt^2
     pilots = pilot_of.reshape(-1, pilot_of.shape[-1])
-    rows = np.arange(len(pilots))[:, None] * width + pilots
+    rows = np.arange(len(pilots))[:, None] * lp + pilots
     out.swapaxes(-1, -2)[...] = sums[rows].reshape(*pilot_of.shape, -1)
     del sums, rows
     out += 1.0
@@ -94,12 +90,6 @@ def gamma_stack(betas, powers, lp: int, pilot_of, out=None) -> np.ndarray:
             raise AssertionError("gamma exceeded beta; inputs are inconsistent")
         raise ValueError("gamma must be positive and finite")
     return out
-
-
-def compute_gamma(beta, powers, lp: int, assignment: PilotAssignment) -> np.ndarray:
-    """The M x T gamma_mt of one drop under one complete assignment."""
-    return gamma_stack(np.asarray(beta, dtype=float)[None], powers, lp,
-                       assignment.pilot_of[None, None])[0, 0]
 
 
 def local_error_profile(weighted_own: float, own_beta: float,

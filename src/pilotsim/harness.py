@@ -7,10 +7,11 @@ Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
 
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
 value, at most `_CHUNK_DROPS` (25) of them: each scheme assigns pilots on
-the whole chunk as one stack in one batched loop, one `evaluate_drops` call
-scores every drop's schemes (in passes whose size performance sets), and
-rows stay per drop. A chunk that fails reruns cell by cell only to name its
-(sweep value, drop seed, scheme), or names the chunk if every cell passes.
+the whole chunk as one stack in one batched loop, the schemes' (D, T) pilot
+arrays make one (D, S, T) array, one `evaluate_drops` call scores it (in
+passes whose size performance sets), and rows stay per drop. A chunk that
+fails reruns cell by cell only to name its (sweep value, drop seed,
+scheme), or names the chunk if every cell passes.
 Each (drop, scheme) cell's co-pilot products take its own largest pilot
 load, so neither the worker count, which sets the chunks, nor the scheme
 list moves a row. Rows are sorted deterministically and files are written
@@ -35,7 +36,7 @@ import numpy as np
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
-from .performance import evaluate_drops, se_uplink
+from .performance import evaluate, evaluate_drops, se_uplink
 
 __all__ = [
     "CellError",
@@ -174,7 +175,8 @@ def _run_chunk(args) -> list:
     """All schemes on a chunk of drops of one sweep value.
 
     Each scheme assigns its pilots on every drop of the chunk in one
-    `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops. Then one
+    `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops, and the
+    schemes' (D, T) pilot arrays make one (D, S, T) array. Then one
     `evaluate_drops` call scores every drop's schemes, and one `se_uplink`
     call maps the SINRs to the per-UE SE that makes every row. If one
     fails, `_name_failing_cell` names the cell, or else the error names the
@@ -190,11 +192,12 @@ def _run_chunk(args) -> list:
         reals = [generate_drop(cfg, seed) for seed in drop_seeds]
         powers = normalize_powers(cfg)
         assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
-        by_drop = list(zip(*(
+        pilot_of = np.stack([
             assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
                          reals, assocs, powers, cfg.pilot_length)
-            for scheme_id, seeds in zip(spec.schemes, zip(*scheme_seeds)))))
-        se = se_uplink(evaluate_drops(reals, assocs, by_drop, powers, cfg),
+            for scheme_id, seeds in zip(spec.schemes, zip(*scheme_seeds))],
+            axis=1)
+        se = se_uplink(evaluate_drops(reals, assocs, pilot_of, powers, cfg),
                        cfg.coherence_block, cfg.pilot_length)
     except Exception as exc:
         where = f"{spec.sweep}={value!r}"
@@ -219,8 +222,8 @@ def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):
         for scheme_id, seed in zip(spec.schemes, seeds):
             scheme = replace(spec.dpb, scheme_id=scheme_id, seed=seed)
             try:
-                pa = assign_all(scheme, real, assoc, powers, cfg.pilot_length)
-                evaluate_drops([real], [assoc], [[pa]], powers, cfg)
+                evaluate(real, assoc, assign_all(scheme, real, assoc, powers,
+                                                 cfg.pilot_length), powers, cfg)
             except Exception as exc:
                 raise _cell_error(f"{cell}, scheme {scheme_id}", exc) from exc
 

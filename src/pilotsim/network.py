@@ -9,10 +9,9 @@ only this large-scale information; no small-scale fading is ever drawn.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "associate_aps",
     "serving_links",
     "strong_stack",
-    "group_strong_ues",
 ]
 
 
@@ -136,7 +134,7 @@ class NetworkConfig:
                 if not 0.0 < g < math.inf:
                     raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
                                      f"gives an LSFC outside the float range")
-                # gamma's numerator, (w b) b in compute_gamma's order; it
+                # gamma's numerator, (w b) b in gamma_stack's order; it
                 # grows with b, so this holds at every probe iff at the weakest
                 if not (w * g) * g > 0.0:
                     raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
@@ -201,35 +199,18 @@ class AssociationMap:
     descending LSFC order, the priority order `serves` cannot hold, and
     `sizes` counts them per UE: this flat form is what the batched schemes
     and evaluation read. `serving_aps[t]`, UE t's run of `links`, is built
-    on first read; `from_sets` builds a map from those per-UE runs. The
-    strong fields are None until :func:`group_strong_ues` has run; AP m's
-    strong set is `np.flatnonzero(strong_flag[m])` under every assignment,
-    and row s of the (S, M) `strong_pilot_count` counts its strong pilots
-    under the s-th.
+    on first read. Strong sets depend on the pilots, so the map holds none:
+    `strong_stack` ranks them for a stack of drops and assignments.
     """
 
     links: np.ndarray
     sizes: np.ndarray
     serves: np.ndarray
-    strong_flag: np.ndarray | None = None
-    strong_pilot_count: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in (("links", int), ("sizes", int),
-                            ("serves", bool), ("strong_flag", bool),
-                            ("strong_pilot_count", int)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _readonly(
-                    np.asarray(getattr(self, name), dtype=dtype)))
-
-    @classmethod
-    def from_sets(cls, serving_aps, serves, **fields) -> AssociationMap:
-        """The map whose UE t is served by serving_aps[t], a sequence of AP
-        indices in priority order; other fields go by keyword."""
-        sizes = np.fromiter(map(len, serving_aps), int)
-        links = np.fromiter(itertools.chain.from_iterable(serving_aps), int,
-                            count=int(sizes.sum()))
-        return cls(links, sizes, serves, **fields)
+        for name, dtype in (("links", int), ("sizes", int), ("serves", bool)):
+            object.__setattr__(self, name, _readonly(
+                np.asarray(getattr(self, name), dtype=dtype)))
 
     @functools.cached_property
     def serving_aps(self) -> tuple:
@@ -413,13 +394,3 @@ def strong_stack(betas, serves, strong_threshold: float, pilot_of,
         raise ValueError("strong grouping requires a complete assignment")
     return flags, counts
 
-
-def group_strong_ues(real: NetworkRealization, assoc: AssociationMap,
-                     strong_threshold: float, assignments,
-                     antennas_per_ap: int) -> AssociationMap:
-    """`strong_stack` on one drop: its (M, T) strong flag, and row s of its
-    (S, M) strong-pilot count for the s-th of its assignments."""
-    flags, counts = strong_stack(real.beta[None], assoc.serves[None], strong_threshold,
-                                 np.stack([pa.pilot_of for pa in assignments])[None],
-                                 antennas_per_ap)
-    return replace(assoc, strong_flag=flags[0], strong_pilot_count=counts[0])

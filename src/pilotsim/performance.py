@@ -8,9 +8,10 @@ The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate_drops`
 scores a stack of drops from this closed form without forming any weight
-vector, with several pilot assignments per drop (a chunk's cells) at once,
-in passes of at most `_PASS_DROPS` drops; `evaluate` scores one cell and
-adds its SE. A pass ranks its drops' strong sets, which do not depend on
+vector, with several pilot assignments per drop (a chunk's cells) at once:
+their pilots are one (D, S, T) int array, checked once and sliced into
+passes of at most `_PASS_DROPS` drops. `evaluate` scores one
+`PilotAssignment`, a (1, 1, T) stack, and adds its SE. A pass ranks its drops' strong sets, which do not depend on
 the pilots, in one call, and computes its cells' gammas in another.
 `_lsfd_groups` lays the serving links of every unit out once, a UE under
 one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
@@ -206,54 +207,55 @@ def se_uplink(sinr, coherence_block: int, pilot_length: int):
     return prelog(coherence_block, pilot_length) * np.log2(1.0 + np.asarray(sinr))
 
 
-def evaluate_drops(reals, assocs, by_drop, powers, config) -> np.ndarray:
+def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
     """Closed-form SINR of a stack of drops: gamma, strong grouping, then
     each UE's optimal-LSFD SINR p_t b.Q^{-1} b.
 
-    by_drop[d] is a sequence of drop d's pilot assignments, the same number
-    for every drop; the drops share M, T and the UE powers. Returns the
-    checked (D, S, T) SINRs, assignments in order. The drops are scored in
-    passes of at most `_PASS_DROPS`; a pass ranks its drops' strong sets in
-    one call and computes its cells' gammas in another, and its cells share
-    one stacked solve per serving-set size. Each (drop, assignment) cell
-    takes co-pilot products of its own largest pilot load, so a cell scores
-    the same bits in any stack or pass and beside any assignments. The
-    first failing SINR in (drop, assignment, UE) order names its UE.
+    pilot_of is the (D, S, T) int array of S complete pilot assignments per
+    drop, pilot_of[d, s] the s-th of drop d; the drops share M, T and the UE
+    powers. Returns the checked (D, S, T) SINRs, assignments in order. The
+    drops are scored in passes of at most `_PASS_DROPS`; a pass ranks its
+    drops' strong sets in one call and computes its cells' gammas in
+    another, and its cells share one stacked solve per serving-set size.
+    Each (drop, assignment) cell takes co-pilot products of its own largest
+    pilot load, so a cell scores the same bits in any stack or pass and
+    beside any assignments. The first failing SINR in (drop, assignment,
+    UE) order names its UE.
     """
-    by_drop = [list(cell) for cell in by_drop]
-    if not reals or not len(reals) == len(assocs) == len(by_drop):
+    if not reals or not len(reals) == len(assocs) == len(pilot_of):
         raise ValueError("need at least one drop, each with its association "
                          "and its assignments")
-    num_schemes = len(by_drop[0])
-    if not num_schemes or any(len(cell) != num_schemes for cell in by_drop):
-        raise ValueError("need at least one pilot assignment per drop, the "
-                         "same number for every drop")
     if len({real.beta.shape for real in reals}) > 1:
         raise ValueError("the drops of a stack must share M and T")
-    for pa in itertools.chain.from_iterable(by_drop):
-        if pa.num_pilots > config.pilot_length:
-            raise ValueError(f"an assignment has {pa.num_pilots} pilots, "
-                             f"more than the pilot length "
-                             f"{config.pilot_length}")
-    num_drops, (num_aps, num_ues) = len(reals), reals[0].beta.shape
-    per_drop = num_schemes * num_ues
+    pilot_of = np.asarray(pilot_of)
+    if (pilot_of.ndim != 3 or not pilot_of.shape[1]
+            or pilot_of.shape[2] != reals[0].num_ues):
+        raise ValueError("pilot_of must be (D, S, T): at least one pilot "
+                         "assignment per drop, one pilot per UE")
+    if not np.issubdtype(pilot_of.dtype, np.integer):
+        raise ValueError("pilot_of must hold integers, not floats or bools")
+    pilot_of = pilot_of.astype(int, copy=False)
+    if pilot_of.max() >= config.pilot_length:
+        raise ValueError(f"pilot index {pilot_of.max()} is not below the "
+                         f"pilot length {config.pilot_length}")
+    num_drops, num_schemes, num_ues = pilot_of.shape
+    num_aps, per_drop = reals[0].num_aps, num_schemes * num_ues
     score = np.empty(num_drops * per_drop)
     for lo in range(0, num_drops, _PASS_DROPS):
         part = slice(lo, lo + _PASS_DROPS)
         betas = np.stack([real.beta for real in reals[part]])
-        pilot_of = np.array([[pa.pilot_of for pa in cell]
-                             for cell in by_drop[part]])
+        pilots = pilot_of[part]
         flags, counts = strong_stack(
             betas, np.stack([assoc.serves for assoc in assocs[part]]),
-            config.strong_threshold, pilot_of, config.antennas_per_ap)
+            config.strong_threshold, pilots, config.antennas_per_ap)
         # the gammas go straight into the co-pilot weight table, and the
         # set-up's inputs are not held while its systems are solved
-        table = np.zeros(pilot_of.shape[:2] + (num_aps, num_ues + 1))
-        gamma_stack(betas, powers, config.pilot_length, pilot_of,
+        table = np.zeros(pilots.shape[:2] + (num_aps, num_ues + 1))
+        gamma_stack(betas, powers, config.pilot_length, pilots,
                     out=table[..., :num_ues])
         systems = _lsfd_groups(betas, powers, table, flags, counts,
-                               assocs[part], pilot_of, config.antennas_per_ap)
-        del betas, pilot_of, flags, counts, table
+                               assocs[part], pilots, config.antennas_per_ap)
+        del betas, pilots, flags, counts, table
         out = score[lo * per_drop:(lo + _PASS_DROPS) * per_drop]
         for units, q, b in systems:
             out[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],
@@ -272,7 +274,10 @@ def evaluate_drops(reals, assocs, by_drop, powers, config) -> np.ndarray:
 def evaluate(real, assoc, assignment, powers, config) -> SeReport:
     """One drop under one `PilotAssignment`: its SINRs, the same bits as
     that cell's in any `evaluate_drops` stack, and their SE."""
-    sinr = evaluate_drops([real], [assoc], [[assignment]], powers,
-                          config)[0, 0]
+    if assignment.num_pilots > config.pilot_length:
+        raise ValueError(f"an assignment has {assignment.num_pilots} pilots, "
+                         f"more than the pilot length {config.pilot_length}")
+    sinr = evaluate_drops([real], [assoc], assignment.pilot_of[None, None],
+                          powers, config)[0, 0]
     se = se_uplink(sinr, config.coherence_block, config.pilot_length)
     return SeReport(sinr=sinr, se=se, sum_se=float(se.sum()))

@@ -12,7 +12,8 @@ from collections import Counter
 import numpy as np
 
 from pilotsim import (AssociationMap, NetworkRealization, PilotAssignment,
-                      PowerProfile, group_strong_ues)
+                      PowerProfile)
+from pilotsim.network import strong_stack
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
 
 
@@ -155,20 +156,21 @@ def oracle_sinr(t, a_full, beta, gamma, p_uplink, pilot_of, strong_flag,
     return numerator / (coherent + noncoherent + noise)
 
 
-def oracle_lsfd(t, beta, gamma, powers, assoc, assignment, antennas):
+def oracle_lsfd(t, beta, gamma, powers, assoc, strong_flag, ls_count,
+                assignment, antennas):
     """Optimal LSFD weights Q_t^{-1} b_t over t's serving APs, unit norm.
 
     b_mt = sqrt((A - delta_mt L_m) gamma_mt); Q_t adds p_k c_k c_k^T for each
     co-pilot k, c_k being b_t with gamma_mk in place of gamma_mt, to the
     diagonal of non-coherent interference plus noise. Every entry is built
-    in scalar loops. `assoc` is grouped for `assignment` alone, so L_m is
-    row 0 of its strong-pilot counts.
+    in scalar loops. `strong_flag` is the drop's (M, T) strong flags and
+    L_m = ls_count[m] its strong-pilot count under `assignment`.
     """
     serving = [int(m) for m in assoc.serving_aps[t]]
     p = powers.p_uplink
     num_ues = beta.shape[1]
-    gain = [antennas - (assoc.strong_pilot_count[0, m]
-                        if assoc.strong_flag[m, t] else 0) for m in serving]
+    gain = [antennas - (ls_count[m] if strong_flag[m, t] else 0)
+            for m in serving]
     n = len(serving)
     b = np.array([math.sqrt(gain[i] * gamma[m, t])
                   for i, m in enumerate(serving)])
@@ -177,7 +179,7 @@ def oracle_lsfd(t, beta, gamma, powers, assoc, assignment, antennas):
         q[i, i] = 1.0
         for k in range(num_ues):
             q[i, i] += p[k] * beta[m, k]
-            if assoc.strong_flag[m, t] and assoc.strong_flag[m, k]:
+            if strong_flag[m, t] and strong_flag[m, k]:
                 q[i, i] -= p[k] * gamma[m, k]
     for k in range(num_ues):
         if k != t and assignment.pilot_of[k] == assignment.pilot_of[t]:
@@ -305,7 +307,8 @@ def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
 
 
 def micro_instance(rng):
-    """Tiny random system (M <= 3, T <= 4, Lp <= 2) with full structures."""
+    """Tiny random system (M <= 3, T <= 4, Lp <= 2) with full structures:
+    its association, and its assignment's strong flags and counts."""
     num_aps = int(rng.integers(1, 4))
     num_ues = int(rng.integers(1, 5))
     lp = int(rng.integers(1, 3))
@@ -324,11 +327,14 @@ def micro_instance(rng):
     for t in range(num_ues):
         aps = np.flatnonzero(serves[:, t])
         serving.append(aps[np.argsort(-beta[aps, t], kind="stable")])
-    assoc = AssociationMap.from_sets(tuple(serving), serves)
-    grouped = group_strong_ues(real, assoc, float(rng.uniform(0.3, 1.0)),
-                               [assignment], antennas)
+    assoc = AssociationMap(np.concatenate(serving), [a.size for a in serving],
+                           serves)
+    flags, counts = strong_stack(beta[None], serves[None],
+                                 float(rng.uniform(0.3, 1.0)),
+                                 assignment.pilot_of[None, None], antennas)
     return {"real": real, "powers": powers, "assignment": assignment,
-            "assoc": grouped, "lp": lp, "antennas": antennas}
+            "assoc": assoc, "flags": flags[0], "counts": counts[0, 0],
+            "lp": lp, "antennas": antennas}
 
 
 def random_unit_vector(rng, n):

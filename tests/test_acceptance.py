@@ -17,10 +17,8 @@ from pilotsim import (
     associate_aps,
     audit_overhead,
     best_first,
-    compute_gamma,
     derive_seed,
     generate_drop,
-    group_strong_ues,
     normalize_powers,
     prelog,
     run_experiment,
@@ -29,7 +27,7 @@ from pilotsim import (
 from oracles import (micro_instance, oracle_eem_choice, oracle_error_global,
                      oracle_error_local, oracle_gamma_bound, oracle_lsfd,
                      oracle_sinr, random_unit_vector)
-from probes import sinr_pfzf
+from probes import gamma_one, sinr_pfzf, strong_one
 
 DESK = dict(num_aps=30, num_ues=50, antennas_per_ap=8, pilot_length=7)
 
@@ -63,7 +61,7 @@ def test_criterion_02_orthogonal_regime():
                                       powers.p_pilot, cfg.pilot_length,
                                       pa.pilot_of, assoc.serving_aps[t])
             assert err == 0.0
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
+        gamma = gamma_one(real.beta, powers, cfg.pilot_length, pa)
         bound = oracle_gamma_bound(real.beta, powers.p_pilot, cfg.pilot_length)
         np.testing.assert_allclose(gamma, bound, rtol=1e-12)
         worst = max(worst, float(np.max(np.abs(gamma / bound - 1.0))))
@@ -102,19 +100,19 @@ def test_criterion_04_sinr_oracle_equivalence():
     for _ in range(1000):
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-        grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = compute_gamma(real.beta, powers, lp, pa)
+        assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+        flags, ls = inst["flags"], inst["counts"]
+        gamma = gamma_one(real.beta, powers, lp, pa)
         for t in range(real.num_ues):
-            serving = grouped.serving_aps[t]
+            serving = assoc.serving_aps[t]
             a = np.zeros(real.num_aps)
-            a[serving] = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa,
-                                     ants)
+            a[serving] = oracle_lsfd(t, real.beta, gamma, powers, assoc, flags,
+                                     ls, pa, ants)
             got = sinr_pfzf(t, a[serving], real.beta, gamma,
-                            powers, grouped, pa, ants)
+                            powers, assoc, flags, ls, pa, ants)
             want = oracle_sinr(t, a, real.beta, gamma,
                                powers.p_uplink, pa.pilot_of,
-                               grouped.strong_flag,
-                               grouped.strong_pilot_count[0], ants)
+                               flags, ls, ants)
             rel = abs(got - want) / want
             worst = max(worst, rel)
             assert rel <= 1e-10
@@ -132,14 +130,15 @@ def test_criterion_05_lsfd_dominance():
         real, powers, assoc = drop_pieces(cfg, derive_seed(1000, 0, d))
         pa = assign_all(SchemeConfig("dpb", seed=d), real, assoc, powers,
                         cfg.pilot_length)
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
+        gamma = gamma_one(real.beta, powers, cfg.pilot_length, pa)
+        flags, counts = strong_one(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
         for t in range(0, cfg.num_ues, cfg.num_ues // 20):
             if instances == 200:
                 break
-            serving = grouped.serving_aps[t]
-            args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
+            serving = assoc.serving_aps[t]
+            args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
+                    cfg.antennas_per_ap)
             best = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
             slack = best * (1.0 + 1e-12)
             probes = [np.full(serving.size, 1.0 / serving.size)]

@@ -456,7 +456,7 @@ class TestAssignAll:
         cfg, real, powers, assoc = desk_drop(seed=3)
         pa = assign_all(SchemeConfig(scheme_id, seed=5), real, assoc, powers,
                         cfg.pilot_length)
-        assert pa.is_complete
+        assert (pa.pilot_of >= 0).all()
         assert pa.num_ues == cfg.num_ues
         assert np.all(pa.pilot_of >= 0) and np.all(pa.pilot_of < cfg.pilot_length)
 
@@ -576,13 +576,13 @@ class TestAssignDrops:
         counter = OpCounter()
         got = assign_drops(scheme, seeds, reals, assocs, powers, lp, order,
                            counter)
-        assert len(got) == num_drops
+        assert got.shape == (num_drops, t)
         want_tallies = 0
-        for drop_seed, real, assoc, pa in zip(seeds, reals, assocs, got):
+        for drop_seed, real, assoc, pilots in zip(seeds, reals, assocs, got):
             alone = OpCounter()
             want = assign_all(replace(scheme, seed=drop_seed), real, assoc,
                               powers, lp, order, alone)
-            np.testing.assert_array_equal(pa.pilot_of, want.pilot_of)
+            np.testing.assert_array_equal(pilots, want.pilot_of)
             want_tallies = want_tallies + tallies(alone)
         # padded APs add no reads, evaluations or intersection checks
         np.testing.assert_array_equal(tallies(counter), want_tallies)
@@ -601,12 +601,13 @@ class TestAssignDrops:
         got = assign_drops(scheme, seeds, reals, assocs, powers,
                            cfg.pilot_length, order, counter)
         want_tallies = 0
-        for seed, real, assoc, pa in zip(seeds, reals, assocs, got,
-                                         strict=True):
+        assert got.dtype.kind == "i"
+        for seed, real, assoc, pilots in zip(seeds, reals, assocs, got,
+                                             strict=True):
             alone = OpCounter()
             want = assign_all(replace(scheme, seed=seed), real, assoc, powers,
                               cfg.pilot_length, order, alone)
-            np.testing.assert_array_equal(pa.pilot_of, want.pilot_of)
+            np.testing.assert_array_equal(pilots, want.pilot_of)
             want_tallies = want_tallies + tallies(alone)
         np.testing.assert_array_equal(tallies(counter), want_tallies)
 
@@ -627,6 +628,13 @@ class TestAssignDrops:
                                           ref) == pa.pilot_of[t]
             assert counter.intersection_checks[t] == ref.intersection_checks[0]
             cache.record(t, int(pa.pilot_of[t]))
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_rejects_an_empty_stack(self, desk_drop, scheme_id):
+        cfg, _, powers, _ = desk_drop(seed=3)
+        with pytest.raises(ValueError, match="^need at least one drop"):
+            assign_drops(SchemeConfig(scheme_id), [], [], [], powers,
+                         cfg.pilot_length)
 
     def test_rejects_mismatched_stacks(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=3)

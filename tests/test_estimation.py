@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim import PilotAssignment, PowerProfile, compute_gamma
-from pilotsim.estimation import ContaminationCache, local_error_profile
+from pilotsim import PilotAssignment, PowerProfile
+from pilotsim.estimation import (ContaminationCache, gamma_stack,
+                                 local_error_profile)
 from oracles import (oracle_error_global, oracle_error_local, oracle_gamma,
                      oracle_gamma_bound)
+from probes import gamma_one
 
 
 def unit_powers(n):
@@ -47,10 +49,10 @@ class TestPilotAssignment:
     def test_basic_fields(self):
         pa = PilotAssignment(np.array([0, 1, 0, -1]), 2)
         assert pa.num_ues == 4
-        assert not pa.is_complete
+        assert not (pa.pilot_of >= 0).all()
 
     def test_complete_flag(self):
-        assert PilotAssignment(np.array([1, 0]), 2).is_complete
+        assert (PilotAssignment(np.array([1, 0]), 2).pilot_of >= 0).all()
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -81,14 +83,14 @@ class TestGamma:
     def test_single_ue_unit_everything(self):
         # w = p_pilot * Lp = 1, beta = 1: gamma = 1/(1+1)
         beta = np.array([[1.0]])
-        q = compute_gamma(beta, unit_powers(1), 1, PilotAssignment(np.array([0]), 1))
+        q = gamma_one(beta, unit_powers(1), 1, PilotAssignment(np.array([0]), 1))
         assert q[0, 0] == 0.5
         assert oracle_gamma_bound(beta, np.ones(1), 1)[0, 0] == 0.5
 
     def test_two_copilot_ues(self):
         # two unit-strength UEs on one pilot: denominator 1+1+1
         beta = np.ones((1, 2))
-        q = compute_gamma(beta, unit_powers(2), 1, PilotAssignment(np.array([0, 0]), 1))
+        q = gamma_one(beta, unit_powers(2), 1, PilotAssignment(np.array([0, 0]), 1))
         np.testing.assert_allclose(q, 1.0 / 3.0, rtol=0, atol=0)
 
     def test_matches_oracle_random(self, rng):
@@ -98,7 +100,7 @@ class TestGamma:
             powers = PowerProfile(10.0 ** rng.uniform(0, 3, t),
                                   10.0 ** rng.uniform(0, 3, t))
             pa = PilotAssignment(rng.integers(0, lp, t), lp)
-            got = compute_gamma(beta, powers, lp, pa)
+            got = gamma_one(beta, powers, lp, pa)
             want = oracle_gamma(beta, powers.p_pilot, lp, pa.pilot_of)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -106,7 +108,7 @@ class TestGamma:
         beta = 10.0 ** rng.uniform(-10, -7, size=(2, 3))
         powers = unit_powers(3)
         pa = PilotAssignment(np.array([0, 1, 0]), 2)
-        g = compute_gamma(beta, powers, 3, pa)
+        g = gamma_one(beta, powers, 3, pa)
         bound = oracle_gamma_bound(beta, powers.p_pilot, 3)
         # UE 1 is alone on its pilot, UEs 0 and 2 share
         np.testing.assert_array_equal(g[:, 1], bound[:, 1])
@@ -118,7 +120,7 @@ class TestGamma:
         pa = PilotAssignment(np.array([0]), 1)
         prev = 0.0
         for p in (1e2, 1e4, 1e6, 1e12):
-            g = compute_gamma(beta, PowerProfile(np.array([p]), np.array([p])),
+            g = gamma_one(beta, PowerProfile(np.array([p]), np.array([p])),
                               7, pa)[0, 0]
             assert prev < g < beta[0, 0]
             prev = g
@@ -126,7 +128,7 @@ class TestGamma:
 
     def test_incomplete_assignment_rejected(self):
         with pytest.raises(ValueError):
-            compute_gamma(np.ones((1, 1)), unit_powers(1), 1,
+            gamma_one(np.ones((1, 1)), unit_powers(1), 1,
                           PilotAssignment(np.array([-1]), 1))
 
     def test_quality_container_validates(self):
@@ -134,7 +136,7 @@ class TestGamma:
         for beta in (0.0, np.inf):
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError, match="positive and finite"):
-                    compute_gamma(np.array([[beta]]), unit_powers(1), 1, pa)
+                    gamma_one(np.array([[beta]]), unit_powers(1), 1, pa)
 
     def test_gamma_above_beta_is_an_inconsistency(self):
         # a negative LSFC shrinks the shared denominator below UE 0's own
@@ -142,7 +144,16 @@ class TestGamma:
         powers = PowerProfile(np.full(2, 10.0), np.ones(2))
         pa = PilotAssignment(np.array([0, 0]), 1)
         with pytest.raises(AssertionError, match="gamma exceeded beta"):
-            compute_gamma(np.array([[1.0, -0.2]]), powers, 1, pa)
+            gamma_one(np.array([[1.0, -0.2]]), powers, 1, pa)
+
+    @pytest.mark.parametrize("pilot", [2, 3])
+    def test_pilot_at_or_past_the_pilot_length_rejected(self, pilot):
+        # a stack's one-hot is as wide as the pilot length, so a pilot at
+        # or past it has no column
+        pilots = np.array([[[0, 1, pilot]], [[1, 1, 0]]])
+        with pytest.raises(ValueError, match="^gamma requires pilots below "
+                                             "the pilot length 2$"):
+            gamma_stack(np.ones((2, 1, 3)), unit_powers(3), 2, pilots)
 
 
 class TestGlobalError:

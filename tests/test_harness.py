@@ -16,6 +16,7 @@ import pytest
 import pilotsim
 from pilotsim import (
     SCHEME_CODE,
+    SCHEME_IDS,
     BudgetViolation,
     CellError,
     ExperimentSpec,
@@ -36,6 +37,7 @@ from pilotsim import cli, harness, performance
 from pilotsim.cli import main
 from pilotsim.harness import cell_seeds
 from pilotsim.performance import evaluate_drops
+from probes import pilot_stack
 
 
 def tiny_config(**over):
@@ -201,10 +203,9 @@ class TestRunExperiment:
         calls = []
         real_evaluate = harness.evaluate_drops
 
-        def evaluate_drops(reals, assocs, by_drop, *args, **kwargs):
-            by_drop = [list(cell) for cell in by_drop]
-            calls.append((len(reals), {len(cell) for cell in by_drop}))
-            return real_evaluate(reals, assocs, by_drop, *args, **kwargs)
+        def evaluate_drops(reals, assocs, pilot_of, *args, **kwargs):
+            calls.append((len(reals), {len(cell) for cell in pilot_of}))
+            return real_evaluate(reals, assocs, pilot_of, *args, **kwargs)
 
         monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
         run_experiment(tiny_spec(tmp_path, num_drops=5, workers=workers))
@@ -296,7 +297,8 @@ class TestRunExperiment:
                                    100 + SCHEME_CODE[scheme])
                 pas.append(assign_all(SchemeConfig(scheme, seed=seed), real,
                                       assoc, powers, cfg.pilot_length))
-            sinrs, = evaluate_drops([real], [assoc], [pas], powers, cfg)
+            sinrs, = evaluate_drops([real], [assoc], pilot_stack([pas]),
+                                    powers, cfg)
             for scheme, sinr in zip(spec.schemes, sinrs, strict=True):
                 row, = [r for r in rows
                         if (r.drop_seed, r.scheme) == (drop_seed, scheme)]
@@ -322,8 +324,8 @@ def cell_lines(spec):
                                                   seed=seed),
                               real, assoc, powers, cfg.pilot_length)
                    for s, seed in zip(spec.schemes, seeds)]
-            se = se_uplink(evaluate_drops([real], [assoc], [pas], powers,
-                                          cfg),
+            se = se_uplink(evaluate_drops([real], [assoc], pilot_stack([pas]),
+                                          powers, cfg),
                            cfg.coherence_block, cfg.pilot_length)
             cells += harness._rows(spec, value, [drop_seed], se)
     key = lambda r: (r.sweep_value, r.drop_seed, r.scheme)
@@ -353,31 +355,35 @@ def in_process_pool(monkeypatch):
 
 
 def record_schemes(monkeypatch):
-    """Return a lookup from each assignment the harness makes to its scheme,
-    for a chunk of drops as for one cell; a pilot vector is looked up by
+    """Return a lookup from each pilot vector the harness makes to its
+    scheme, for a chunk of drops as for one cell; a vector is looked up by
     value, as the first assignment made with those pilots."""
     made = []
     real_assign, real_drops = harness.assign_all, harness.assign_drops
 
     def assign_all(scheme, *args, **kwargs):
         assignment = real_assign(scheme, *args, **kwargs)
-        made.append((assignment, scheme.scheme_id))
+        made.append((assignment.pilot_of, scheme.scheme_id))
         return assignment
 
     def assign_drops(scheme, *args, **kwargs):
-        assignments = real_drops(scheme, *args, **kwargs)
-        made.extend((a, scheme.scheme_id) for a in assignments)
-        return assignments
+        pilot_of = real_drops(scheme, *args, **kwargs)
+        made.extend((pilots, scheme.scheme_id) for pilots in pilot_of)
+        return pilot_of
 
     monkeypatch.setattr(harness, "assign_all", assign_all)
     monkeypatch.setattr(harness, "assign_drops", assign_drops)
 
-    def scheme_of(assignment):
-        if isinstance(assignment, np.ndarray):
-            return next(s for a, s in made
-                        if np.array_equal(a.pilot_of, assignment))
-        return next(s for a, s in made if a is assignment)
+    def scheme_of(pilots):
+        return next(s for a, s in made if np.array_equal(a, pilots))
     return scheme_of
+
+
+def scored_by(monkeypatch, evaluate_drops):
+    """Put `evaluate_drops` in place for the chunk's call and for the
+    one-cell `evaluate` calls that name a failing cell."""
+    monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+    monkeypatch.setattr(performance, "evaluate_drops", evaluate_drops)
 
 
 def fail_evaluations(monkeypatch, errors):
@@ -386,15 +392,14 @@ def fail_evaluations(monkeypatch, errors):
     scheme_of = record_schemes(monkeypatch)
     real_evaluate = harness.evaluate_drops
 
-    def evaluate_drops(reals, assocs, by_drop, *args, **kwargs):
-        by_drop = [list(cell) for cell in by_drop]
-        for cell in by_drop:
+    def evaluate_drops(reals, assocs, pilot_of, *args, **kwargs):
+        for cell in pilot_of:
             for scheme in map(scheme_of, cell):
                 if scheme in errors:
                     raise errors[scheme]
-        return real_evaluate(reals, assocs, by_drop, *args, **kwargs)
+        return real_evaluate(reals, assocs, pilot_of, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+    scored_by(monkeypatch, evaluate_drops)
 
 
 class TestCellFailures:
@@ -466,14 +471,13 @@ class TestCellFailures:
         scheme_of = record_schemes(monkeypatch)
         real_evaluate = harness.evaluate_drops
 
-        def evaluate_drops(reals, assocs, by_drop, *args, **kwargs):
-            by_drop = [list(cell) for cell in by_drop]
-            for real, cell in zip(reals, by_drop):
+        def evaluate_drops(reals, assocs, pilot_of, *args, **kwargs):
+            for real, cell in zip(reals, pilot_of):
                 if real.seed == bad_seed and "random" in map(scheme_of, cell):
                     raise ArithmeticError("bad SINR for UE 4")
-            return real_evaluate(reals, assocs, by_drop, *args, **kwargs)
+            return real_evaluate(reals, assocs, pilot_of, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+        scored_by(monkeypatch, evaluate_drops)
         with pytest.raises(CellError) as info:
             run_experiment(spec)
         assert str(info.value) == (f"ue_count=10, drop seed {bad_seed}, "
@@ -1025,3 +1029,45 @@ class TestCli:
         assert "ap-to-ap messages: 0" in out
         assert "protocol matches direct assignment: OK" in out
         assert (tmp_path / "p" / "protocol_trace.txt").is_file()
+
+
+class TestCliReruns:
+    """Reruns through `cli.main` in this process whose CSVs must match byte
+    for byte; a worker count above 1 starts a real pool."""
+
+    @pytest.mark.parametrize("drops", [7, 27])
+    def test_sweeps_rerun_across_chunk_layouts(self, tmp_path, capsys, drops):
+        # each scheme assigns a chunk of up to 25 drops as one stack, and
+        # evaluation scores it in slices of up to 6, so each drop must score
+        # alike beside any neighbours: seven drops make chunks of 7, 4 + 3
+        # and 3 + 3 + 1 at one, two and three workers, and 27 drops make
+        # chunks of 25 + 2, 14 + 13 and 9 + 9 + 9, which cross both
+        # boundaries
+        for workers in (1, 2, 3):
+            assert main(["sweep-ues", "--desk-scale", "--drops", str(drops),
+                         "--workers", str(workers),
+                         "--out", str(tmp_path / f"w{workers}")]) == 0
+        for workers in (2, 3):
+            for kind in ("results", "aggregates"):
+                name = f"sweep_ues_{kind}.csv"
+                assert ((tmp_path / f"w{workers}" / name).read_bytes()
+                        == (tmp_path / "w1" / name).read_bytes())
+
+    def test_rows_do_not_depend_on_the_scheme_list(self, tmp_path, capsys):
+        # each (drop, scheme) cell is scored as its own system, so a
+        # scheme's rows must not depend on the schemes run beside it. Seed 5
+        # at T=30 holds dpb and random rows that moved at round-off when the
+        # schemes of a drop shared one co-pilot width
+        sweep = ["sweep-ues", "--desk-scale", "--seed", "5", "--values", "30"]
+
+        def lines(out):
+            path = out / "sweep_ues_results.csv"
+            return path.read_bytes().splitlines(keepends=True)
+
+        assert main([*sweep, "--out", str(tmp_path / "every")]) == 0
+        every = lines(tmp_path / "every")
+        for scheme in SCHEME_IDS:
+            out = tmp_path / f"only_{scheme}"
+            assert main([*sweep, "--scheme", scheme, "--out", str(out)]) == 0
+            assert lines(out)[1:] == [line for line in every if line.startswith(
+                f"{scheme},".encode())]

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from oracles import (brute_force_prefix, oracle_pairwise_distances,
                      oracle_strong_groups)
-from pilotsim import (AssociationMap, NetworkConfig, NetworkRealization,
-                      PilotAssignment, PowerProfile, associate_aps,
-                      compute_gamma, compute_lsfc, generate_drop,
-                      group_strong_ues, noise_power_dbm, normalize_powers)
+from pilotsim import (NetworkConfig, NetworkRealization, PilotAssignment,
+                      PowerProfile, associate_aps, compute_lsfc, generate_drop,
+                      noise_power_dbm, normalize_powers)
 from pilotsim.network import _pairwise_distances, serving_links
+from probes import gamma_one, map_from_sets, strong_one
 
 # hand-computed three-slope values (defaults: 140.7 dB, d0=10 m, d1=50 m,
 # exponents 0 / 2 / 3.5), shadow 0
@@ -229,7 +229,7 @@ class TestGenerateDrop:
         powers = normalize_powers(cfg)
         real = generate_drop(cfg, seed=1)
         pa = PilotAssignment(np.arange(6) % cfg.pilot_length, cfg.pilot_length)
-        assert np.all(compute_gamma(real.beta, powers, cfg.pilot_length, pa) > 0)
+        assert np.all(gamma_one(real.beta, powers, cfg.pilot_length, pa) > 0)
 
     def test_wrap_around_probes_half_the_diagonal(self):
         # the far corner that rejects the plain area lies past the longest
@@ -379,24 +379,17 @@ class TestServingLinks:
 
     def test_map_from_sets_equals_associated_map(self, desk_drop):
         # a map built from its per-UE serving sets holds the flat links and
-        # sizes of associate_aps's, and grouping carries them over
-        cfg, real, _, assoc = desk_drop()
-        built = AssociationMap.from_sets(assoc.serving_aps, assoc.serves)
-        pa = PilotAssignment(np.arange(cfg.num_ues) % cfg.pilot_length,
-                             cfg.pilot_length)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
-                                   cfg.antennas_per_ap)
-        for other in (built, grouped):
-            np.testing.assert_array_equal(other.links, assoc.links)
-            np.testing.assert_array_equal(other.sizes, assoc.sizes)
-            assert not (other.links.flags.writeable
-                        or other.sizes.flags.writeable)
-            for mine, theirs in zip(other.serving_aps, assoc.serving_aps,
-                                    strict=True):
-                np.testing.assert_array_equal(mine, theirs)
-        assert grouped.links is assoc.links
+        # sizes of associate_aps's, read-only
+        _, _, _, assoc = desk_drop()
+        built = map_from_sets(assoc.serving_aps, assoc.serves)
+        np.testing.assert_array_equal(built.links, assoc.links)
+        np.testing.assert_array_equal(built.sizes, assoc.sizes)
+        assert not (built.links.flags.writeable or built.sizes.flags.writeable)
+        for mine, theirs in zip(built.serving_aps, assoc.serving_aps,
+                                strict=True):
+            np.testing.assert_array_equal(mine, theirs)
         # an empty serving set is a size of 0 and adds no link
-        lone = AssociationMap.from_sets(((), (2, 0)), np.ones((3, 2), bool))
+        lone = map_from_sets(((), (2, 0)), np.ones((3, 2), bool))
         assert lone.sizes.tolist() == [0, 2]
         assert lone.links.tolist() == [2, 0]
         assert [aps.tolist() for aps in lone.serving_aps] == [[], [2, 0]]
@@ -416,65 +409,64 @@ class TestStrongGrouping:
 
     def test_full_threshold_takes_everyone(self):
         real, assoc, asg = self._instance([0.4, 0.3, 0.2], [0, 1, 0], 1.0)
-        grouped = group_strong_ues(real, assoc, 1.0, [asg], self.antennas)
-        assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0, 1, 2]
+        flags, _ = strong_one(real, assoc, 1.0, [asg], self.antennas)
+        assert np.flatnonzero(flags[0]).tolist() == [0, 1, 2]
 
     def test_singleton_served_set(self):
         real, assoc, asg = self._instance([0.4], [0], 0.5)
-        grouped = group_strong_ues(real, assoc, 0.5, [asg], self.antennas)
-        assert np.flatnonzero(grouped.strong_flag[0]).tolist() == [0]
-        assert grouped.strong_pilot_count.tolist() == [[1]]
+        flags, counts = strong_one(real, assoc, 0.5, [asg], self.antennas)
+        assert np.flatnonzero(flags[0]).tolist() == [0]
+        assert counts.tolist() == [[1]]
 
     def test_distinct_pilot_count(self):
         # five served UEs on three distinct pilots, all strong
         real, assoc, asg = self._instance([0.5, 0.4, 0.3, 0.2, 0.1],
                                           [0, 1, 2, 0, 1], 1.0)
-        grouped = group_strong_ues(real, assoc, 1.0, [asg], self.antennas)
-        assert grouped.strong_pilot_count.tolist() == [[3]]
-        assert grouped.strong_flag[0].all()
+        flags, counts = strong_one(real, assoc, 1.0, [asg], self.antennas)
+        assert counts.tolist() == [[3]]
+        assert flags[0].all()
 
     def test_bounds_on_random_drops(self, desk_drop, rng):
         cfg, real, _, assoc = desk_drop()
         asg = PilotAssignment(rng.integers(0, cfg.pilot_length, cfg.num_ues),
                               cfg.pilot_length)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [asg],
+        flags, counts = strong_one(real, assoc, cfg.strong_threshold, [asg],
                                    cfg.antennas_per_ap)
         for m in range(cfg.num_aps):
-            ls = grouped.strong_pilot_count[0, m]
-            strong = np.flatnonzero(grouped.strong_flag[m])
+            ls = counts[0, m]
+            strong = np.flatnonzero(flags[m])
             assert ls <= min(len(strong), cfg.pilot_length)
             assert ls < cfg.antennas_per_ap
-            assert set(strong) <= set(np.flatnonzero(grouped.serves[m]))
+            assert set(strong) <= set(np.flatnonzero(assoc.serves[m]))
 
     def test_rejects_unassigned(self):
         real, assoc, _ = self._instance([0.4, 0.3], [0, 1], 1.0)
         partial = PilotAssignment(np.array([0, -1]), 2)
         with pytest.raises(ValueError, match="^strong grouping requires a "
                                              "complete assignment$"):
-            group_strong_ues(real, assoc, 0.9, [partial], self.antennas)
+            strong_one(real, assoc, 0.9, [partial], self.antennas)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
     def test_rejects_threshold_outside_unit_interval(self, threshold):
         real, assoc, asg = self._instance([0.4, 0.3], [0, 1], 1.0)
         with pytest.raises(ValueError,
                            match=r"^strong_threshold must be in \(0, 1\]$"):
-            group_strong_ues(real, assoc, threshold, [asg], self.antennas)
+            strong_one(real, assoc, threshold, [asg], self.antennas)
 
     def test_error_names_first_offending_assignment(self):
         # everyone strong; AP 0 serves UEs 0-2 and AP 1 serves UEs 0-3
         serves = np.array([[True, True, True, False], [True] * 4])
         real = NetworkRealization(np.zeros((2, 2)), np.zeros((4, 2)),
                                   np.full((2, 4), 1e-9), 0)
-        assoc = AssociationMap.from_sets(
+        assoc = map_from_sets(
             tuple(np.flatnonzero(serves[:, k]) for k in range(4)), serves)
         fine, at_ap1, at_ap0 = (PilotAssignment(np.array(p), 3) for p in
                                 ([0, 0, 0, 0], [0, 1, 0, 2], [0, 1, 2, 0]))
-        grouped = group_strong_ues(real, assoc, 1.0, [fine, at_ap1, at_ap0],
-                                   4)
-        assert grouped.strong_pilot_count.tolist() == [[1, 1], [2, 3], [3, 3]]
+        _, counts = strong_one(real, assoc, 1.0, [fine, at_ap1, at_ap0], 4)
+        assert counts.tolist() == [[1, 1], [2, 3], [3, 3]]
         with pytest.raises(ValueError, match="^AP 1 would zero-force 3 "
                                              "pilots with only 3 antennas$"):
-            group_strong_ues(real, assoc, 1.0, [fine, at_ap1, at_ap0], 3)
+            strong_one(real, assoc, 1.0, [fine, at_ap1, at_ap0], 3)
 
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from([1.0, 0.95, 0.5, 1e-12, 1e-300, None]))
@@ -495,12 +487,12 @@ class TestStrongGrouping:
         # lp + 1 antennas can zero-force any set of pilots
         antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else lp + 1
         real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
-        assoc = AssociationMap.from_sets(
+        assoc = map_from_sets(
             tuple(np.flatnonzero(serves[:, k]) for k in range(t)), serves)
-        if not all(asg.is_complete for asg in asgs):
+        if not all((asg.pilot_of >= 0).all() for asg in asgs):
             with pytest.raises(ValueError, match="^strong grouping requires "
                                                  "a complete assignment$"):
-                group_strong_ues(real, assoc, threshold, asgs, antennas)
+                strong_one(real, assoc, threshold, asgs, antennas)
             return
         wants, first_error = [], None
         for asg in asgs:
@@ -512,15 +504,15 @@ class TestStrongGrouping:
                 first_error = first_error or exc
         if first_error is not None:
             with pytest.raises(ValueError) as got:
-                group_strong_ues(real, assoc, threshold, asgs, antennas)
+                strong_one(real, assoc, threshold, asgs, antennas)
             assert str(got.value) == str(first_error)
             return
-        grouped = group_strong_ues(real, assoc, threshold, asgs, antennas)
-        assert grouped.strong_pilot_count.shape == (len(asgs), m)
-        for want, count in zip(wants, grouped.strong_pilot_count):
-            for mine, ref in zip(grouped.strong_flag, want[0]):
+        flags, counts = strong_one(real, assoc, threshold, asgs, antennas)
+        assert counts.shape == (len(asgs), m)
+        for want, count in zip(wants, counts):
+            for mine, ref in zip(flags, want[0]):
                 np.testing.assert_array_equal(np.flatnonzero(mine), ref)
-            np.testing.assert_array_equal(grouped.strong_flag, want[1])
+            np.testing.assert_array_equal(flags, want[1])
             np.testing.assert_array_equal(count, want[2])
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pilotsim import (
     SCHEME_IDS,
-    AssociationMap,
     NetworkConfig,
     NetworkRealization,
     PilotAssignment,
@@ -18,10 +17,8 @@ from pilotsim import (
     SchemeConfig,
     assign_all,
     associate_aps,
-    compute_gamma,
     evaluate,
     generate_drop,
-    group_strong_ues,
     normalize_powers,
     prelog,
     se_uplink,
@@ -30,7 +27,8 @@ from pilotsim import estimation, network, performance
 from pilotsim.performance import evaluate_drops
 from oracles import (micro_instance, oracle_gamma, oracle_lsfd, oracle_sinr,
                      random_unit_vector)
-from probes import sinr_pfzf
+from probes import (gamma_one, map_from_sets, pilot_stack, sinr_pfzf,
+                    strong_one)
 
 
 def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
@@ -39,10 +37,10 @@ def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
                               np.array([[beta_val]]), 0)
     powers = PowerProfile(np.array([p_pilot]), np.array([p_uplink]))
     pa = PilotAssignment(np.array([0]), lp)
-    assoc = AssociationMap.from_sets((np.array([0]),), np.array([[True]]))
-    grouped = group_strong_ues(real, assoc, 1.0, [pa], antennas)
-    gamma = compute_gamma(real.beta, powers, lp, pa)
-    return real, powers, pa, grouped, gamma, antennas
+    assoc = map_from_sets((np.array([0]),), np.array([[True]]))
+    flags, counts = strong_one(real, assoc, 1.0, [pa], antennas)
+    gamma = gamma_one(real.beta, powers, lp, pa)
+    return real, powers, pa, (assoc, flags, counts[0]), gamma, antennas
 
 
 class TestPrelog:
@@ -76,7 +74,7 @@ class TestSinrSingleLink:
         # gamma = 6*0.25/4 = 0.375; gain = 8-1; leak = 0.125
         # SINR = 4*7*0.375 / (4*0.125 + 1) = 10.5/1.5
         real, powers, pa, grouped, gamma, antennas = single_link()
-        got = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers, grouped,
+        got = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers, *grouped,
                         pa, antennas)
         assert got == pytest.approx(7.0, rel=1e-14)
 
@@ -87,16 +85,16 @@ class TestSinrSingleLink:
             g = gamma[0, 0]
             want = pu * (antennas - 1) * g / (pu * (beta_val - g) + 1.0)
             got = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers,
-                            grouped, pa, antennas)
+                            *grouped, pa, antennas)
             assert got == pytest.approx(want, rel=1e-13)
 
     def test_weight_scale_invariance(self):
         real, powers, pa, grouped, gamma, antennas = single_link()
-        base = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers, grouped,
-                         pa, antennas)
+        base = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers,
+                         *grouped, pa, antennas)
         for c in (-1.0, 0.5, 10.0):
             scaled = sinr_pfzf(0, np.array([c]), real.beta, gamma, powers,
-                               grouped, pa, antennas)
+                               *grouped, pa, antennas)
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -106,42 +104,45 @@ class TestSinrAgainstOracle:
         while hits < 40:
             inst = micro_instance(rng)
             real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-            grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-            gamma = compute_gamma(real.beta, powers, lp, pa)
-            ls = grouped.strong_pilot_count[0]
+            assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+            flags, ls = inst["flags"], inst["counts"]
+            gamma = gamma_one(real.beta, powers, lp, pa)
             for t in range(real.num_ues):
-                serving = grouped.serving_aps[t]
+                serving = assoc.serving_aps[t]
                 a = np.zeros(real.num_aps)
-                a[serving] = oracle_lsfd(t, real.beta, gamma, powers, grouped,
-                                         pa, ants)
+                a[serving] = oracle_lsfd(t, real.beta, gamma, powers, assoc,
+                                         flags, ls, pa, ants)
                 got = sinr_pfzf(t, a[serving], real.beta, gamma,
-                                powers, grouped, pa, ants)
+                                powers, assoc, flags, ls, pa, ants)
                 want = oracle_sinr(t, a, real.beta, gamma,
                                    powers.p_uplink, pa.pilot_of,
-                                   grouped.strong_flag, ls, ants)
+                                   flags, ls, ants)
                 assert got == pytest.approx(want, rel=1e-10)
                 hits += 1
 
     def test_scale_invariance_random(self, rng):
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-        grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = compute_gamma(real.beta, powers, lp, pa)
+        assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+        gamma = gamma_one(real.beta, powers, lp, pa)
+        args = (real.beta, gamma, powers, assoc, inst["flags"], inst["counts"],
+                pa, ants)
         for t in range(real.num_ues):
-            serving = grouped.serving_aps[t]
+            serving = assoc.serving_aps[t]
             w = random_unit_vector(rng, serving.size)
-            a = sinr_pfzf(t, w, real.beta, gamma, powers, grouped, pa, ants)
-            b = sinr_pfzf(t, 7.5 * w, real.beta, gamma, powers, grouped, pa, ants)
+            a = sinr_pfzf(t, w, *args)
+            b = sinr_pfzf(t, 7.5 * w, *args)
             assert b == pytest.approx(a, rel=1e-12)
 
     def test_weight_matrix_matches_vectors(self, rng):
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-        grouped, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = compute_gamma(real.beta, powers, lp, pa)
-        args = (real.beta, gamma, powers, grouped, pa, ants)
+        assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+        gamma = gamma_one(real.beta, powers, lp, pa)
+        args = (real.beta, gamma, powers, assoc, inst["flags"], inst["counts"],
+                pa, ants)
         for t in range(real.num_ues):
-            probes = rng.normal(size=(6, grouped.serving_aps[t].size))
+            probes = rng.normal(size=(6, assoc.serving_aps[t].size))
             got = sinr_pfzf(t, probes, *args)
             assert got.shape == (6,)
             singles = [sinr_pfzf(t, w, *args) for w in probes]
@@ -152,7 +153,7 @@ class TestSinrAgainstOracle:
 class TestLsfdWeights:
     def test_single_serving_ap_unit(self):
         real, powers, pa, grouped, gamma, antennas = single_link()
-        w = oracle_lsfd(0, real.beta, gamma, powers, grouped, pa, antennas)
+        w = oracle_lsfd(0, real.beta, gamma, powers, *grouped, pa, antennas)
         np.testing.assert_array_equal(w, [1.0])
 
     def test_no_copilot_closed_form(self, rng):
@@ -164,47 +165,42 @@ class TestLsfdWeights:
                 pilots = np.arange(inst["real"].num_ues)
                 pa = PilotAssignment(pilots, inst["lp"])
                 break
-        real, powers, grouped, ants = (inst["real"], inst["powers"],
-                                       inst["assoc"], inst["antennas"])
-        grouped = group_strong_ues(
-            real,
-            AssociationMap.from_sets(grouped.serving_aps, grouped.serves),
-            0.95, [pa], ants)
-        gamma = compute_gamma(real.beta, powers, inst["lp"], pa)
+        real, powers, assoc, ants = (inst["real"], inst["powers"],
+                                     inst["assoc"], inst["antennas"])
+        flags, counts = strong_one(real, assoc, 0.95, [pa], ants)
+        gamma = gamma_one(real.beta, powers, inst["lp"], pa)
         for t in range(real.num_ues):
-            serving = grouped.serving_aps[t]
-            delta = grouped.strong_flag[serving, t].astype(float)
-            gain = ants - delta * grouped.strong_pilot_count[0, serving]
+            serving = assoc.serving_aps[t]
+            delta = flags[serving, t].astype(float)
+            gain = ants - delta * counts[0, serving]
             b = np.sqrt(gain * gamma[serving, t])
             d = (real.beta[serving] @ powers.p_uplink
-                 - delta * ((gamma[serving] * grouped.strong_flag[serving])
+                 - delta * ((gamma[serving] * flags[serving])
                             @ powers.p_uplink) + 1.0)
             want = b / d
             want = want / np.linalg.norm(want)
-            got = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa, ants)
+            got = oracle_lsfd(t, real.beta, gamma, powers, assoc, flags,
+                              counts[0], pa, ants)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_dominates_equal_and_random_probes(self, desk_drop, rng):
         cfg, real, powers, assoc = desk_drop(seed=5)
         pa = assign_all(SchemeConfig("dpb", seed=5), real, assoc, powers,
                         cfg.pilot_length)
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
+        gamma = gamma_one(real.beta, powers, cfg.pilot_length, pa)
+        flags, counts = strong_one(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
+        args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
+                cfg.antennas_per_ap)
         for t in range(0, cfg.num_ues, 5):
-            serving = grouped.serving_aps[t]
-            best = sinr_pfzf(t, oracle_lsfd(t, real.beta, gamma, powers,
-                                             grouped, pa, cfg.antennas_per_ap),
-                             real.beta, gamma, powers, grouped, pa,
-                             cfg.antennas_per_ap)
+            serving = assoc.serving_aps[t]
+            best = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
             equal = sinr_pfzf(t, np.full(serving.size, 1.0 / serving.size),
-                              real.beta, gamma, powers, grouped, pa,
-                              cfg.antennas_per_ap)
+                              *args)
             assert best + 1e-12 * best >= equal
             probes = np.array([random_unit_vector(rng, serving.size)
                                for _ in range(100)])
-            probe = sinr_pfzf(t, probes, real.beta, gamma, powers, grouped,
-                              pa, cfg.antennas_per_ap)
+            probe = sinr_pfzf(t, probes, *args)
             assert np.all(best + 1e-12 * best >= probe)
 
 
@@ -214,8 +210,8 @@ class TestEvaluate:
         # drops' strong sets in one call and computes its cells' gammas in
         # another. The one-drop forms call the same stacked functions, so
         # any one-drop call would be recorded too
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 13,
-                                                         ("eem", "random"))
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 13,
+                                                          ("eem", "random"))
         calls = []
 
         def recording(name, real):
@@ -230,7 +226,7 @@ class TestEvaluate:
             stand_in = recording(name, getattr(module, name))
             monkeypatch.setattr(module, name, stand_in)
             monkeypatch.setattr(performance, name, stand_in)
-        evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        evaluate_drops(reals, assocs, pilot_of, powers, cfg)
         shapes = [((d, 30, 50), (d, 2, 50)) for d in (6, 6, 1)]
         assert calls == [(name, *shape) for shape in shapes
                          for name in ("strong_stack", "gamma_stack")]
@@ -244,14 +240,13 @@ class TestEvaluate:
         assert np.all(report.sinr > 0)
         # nobody shares a pilot, so each UE's SINR must not depend on any
         # co-pilot term at all; check one UE against the diagonal solve
-        gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
+        gamma = gamma_one(real.beta, powers, cfg.pilot_length, pa)
+        flags, counts = strong_one(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
+        args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
+                cfg.antennas_per_ap)
         t = 3
-        w = oracle_lsfd(t, real.beta, gamma, powers, grouped, pa,
-                         cfg.antennas_per_ap)
-        want = sinr_pfzf(t, w, real.beta, gamma, powers, grouped, pa,
-                         cfg.antennas_per_ap)
+        want = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
         assert report.sinr[t] == pytest.approx(want, rel=1e-13)
 
     def test_report_consistency(self, desk_drop):
@@ -274,17 +269,19 @@ class TestEvaluate:
                      powers, cfg)
 
     def test_rejects_more_pilots_than_the_pilot_length(self, desk_drop):
-        # nine orthogonal pilots cannot be scored on length-7 sequences
+        # nine orthogonal pilots cannot be scored on length-7 sequences: a
+        # PilotAssignment names its pilot count, a bare stack its entry
         cfg, real, powers, assoc = desk_drop(seed=2)
         fits, wide = (assign_all(SchemeConfig("eem"), real, assoc, powers, lp)
                       for lp in (cfg.pilot_length, 9))
-        for call in (lambda: evaluate_drops([real], [assoc], [[fits, wide]],
-                                            powers, cfg),
-                     lambda: evaluate(real, assoc, wide, powers, cfg)):
-            with pytest.raises(ValueError, match="^an assignment has 9 "
-                                                 "pilots, more than the "
-                                                 "pilot length 7$"):
-                call()
+        with pytest.raises(ValueError, match="^pilot index 8 is not below "
+                                             "the pilot length 7$"):
+            evaluate_drops([real], [assoc], pilot_stack([[fits, wide]]),
+                           powers, cfg)
+        with pytest.raises(ValueError, match="^an assignment has 9 pilots, "
+                                             "more than the pilot length "
+                                             "7$"):
+            evaluate(real, assoc, wide, powers, cfg)
 
     def test_duplicate_ues_symmetric(self):
         # two indistinguishable UEs on distinct pilots get identical SE
@@ -293,8 +290,7 @@ class TestEvaluate:
         real = NetworkRealization(np.zeros((1, 2)), np.zeros((3, 2)),
                                   np.array([[1.0, 1.0, 0.5]]), 0)
         powers = PowerProfile(np.full(3, 1.0 / 3.0), np.ones(3))
-        assoc = AssociationMap.from_sets((np.array([0]),) * 3,
-                               np.ones((1, 3), dtype=bool))
+        assoc = map_from_sets((np.array([0]),) * 3, np.ones((1, 3), dtype=bool))
         pa = PilotAssignment(np.array([0, 1, 2]), 3)
         report = evaluate(real, assoc, pa, powers, cfg)
         assert report.se[0] == report.se[1]
@@ -303,10 +299,11 @@ class TestEvaluate:
 
 def per_ue_sinr(real, assoc, pa, powers, cfg):
     """evaluate's SINR rebuilt one UE at a time from the oracle's weights."""
-    gamma = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-    grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
+    gamma = gamma_one(real.beta, powers, cfg.pilot_length, pa)
+    flags, counts = strong_one(real, assoc, cfg.strong_threshold, [pa],
                                cfg.antennas_per_ap)
-    args = (real.beta, gamma, powers, grouped, pa, cfg.antennas_per_ap)
+    args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
+            cfg.antennas_per_ap)
     return np.array([sinr_pfzf(t, oracle_lsfd(t, *args), *args)
                      for t in range(real.num_ues)])
 
@@ -328,8 +325,7 @@ def degenerate_drop():
     beta = np.array([[1e-10, 1e-13], [1e-13, 1e10]])
     real = NetworkRealization(np.zeros((2, 2)), np.zeros((2, 2)), beta, 0)
     powers = PowerProfile(np.full(2, 1e12), np.full(2, 1e300))
-    assoc = AssociationMap.from_sets((np.array([0]), np.array([1])),
-                           np.eye(2, dtype=bool))
+    assoc = map_from_sets((np.array([0]), np.array([1])), np.eye(2, dtype=bool))
     return cfg, real, powers, assoc
 
 
@@ -377,7 +373,8 @@ class TestBatchedEvaluate:
             pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                               powers, cfg.pilot_length)
                    for scheme in SCHEME_IDS]
-            stacked, = evaluate_drops([real], [assoc], [pas], powers, cfg)
+            stacked, = evaluate_drops([real], [assoc], pilot_stack([pas]),
+                                      powers, cfg)
             assert len(stacked) == len(pas)
             for pa, got in zip(pas, stacked):
                 want = evaluate(real, assoc, pa, powers, cfg)
@@ -397,7 +394,7 @@ class TestBatchedEvaluate:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
-        evaluate_drops([real], [assoc], [pas], powers, cfg)
+        evaluate_drops([real], [assoc], pilot_stack([pas]), powers, cfg)
         # one solve per size, holding that size's UEs under every assignment
         assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
                                        for size, count in sizes.items())
@@ -407,9 +404,10 @@ class TestBatchedEvaluate:
         good = PilotAssignment(np.array([0, 1]), 3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 1$"):
-                evaluate_drops([real], [assoc], [[good, good]], powers, cfg)
+                evaluate_drops([real], [assoc], pilot_stack([[good, good]]),
+                               powers, cfg)
         with pytest.raises(ValueError, match="at least one"):
-            evaluate_drops([real], [assoc], [[]], powers, cfg)
+            evaluate_drops([real], [assoc], pilot_stack([[]]), powers, cfg)
 
     def test_first_failure_is_row_major(self, desk_drop, monkeypatch):
         # UE 1 fails under assignment 0 and UE 0 under assignment 1: the
@@ -428,7 +426,8 @@ class TestBatchedEvaluate:
         monkeypatch.setattr(performance, "_lsfd_groups", one_group)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 1$"):
-                evaluate_drops([real], [assoc], [pas], powers, cfg)
+                evaluate_drops([real], [assoc], pilot_stack([pas]), powers,
+                               cfg)
 
     def test_degenerate_sinr_names_first_ue(self):
         cfg, real, powers, assoc = degenerate_drop()
@@ -439,16 +438,18 @@ class TestBatchedEvaluate:
 
 
 def desk_stack(desk_config, num_drops, schemes=SCHEME_IDS, seed=14, **over):
-    """num_drops drops of one desk config, each with its association and
-    its assignments under `schemes`, drawn from per-drop seeds."""
+    """num_drops drops of one desk config, each with its association, and
+    the (D, S, T) pilots of their assignments under `schemes`, drawn from
+    per-drop seeds."""
     cfg = desk_config(**over)
     powers = normalize_powers(cfg)
     reals = [generate_drop(cfg, seed + d) for d in range(num_drops)]
     assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
-    by_drop = [[assign_all(SchemeConfig(scheme, seed=seed + d), real, assoc,
-                           powers, cfg.pilot_length) for scheme in schemes]
-               for d, (real, assoc) in enumerate(zip(reals, assocs))]
-    return cfg, powers, reals, assocs, by_drop
+    pilot_of = pilot_stack(
+        [[assign_all(SchemeConfig(scheme, seed=seed + d), real, assoc,
+                     powers, cfg.pilot_length) for scheme in schemes]
+         for d, (real, assoc) in enumerate(zip(reals, assocs))])
+    return cfg, powers, reals, assocs, pilot_of
 
 
 def nan_systems(spots):
@@ -474,16 +475,16 @@ class TestEvaluateDrops:
         # not depend on the drops beside it, at any chunk size or position.
         # Drop seeds 14-20 hold drops whose SINRs would move at round-off if
         # padded to a wider chunk's width, so the check can fail
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 7,
-                                                         schemes)
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 7,
+                                                          schemes)
         alone = np.concatenate([
-            evaluate_drops([real], [assoc], [cell], powers, cfg)
-            for real, assoc, cell in zip(reals, assocs, by_drop)])
+            evaluate_drops([real], [assoc], cell[None], powers, cfg)
+            for real, assoc, cell in zip(reals, assocs, pilot_of)])
         for size in range(2, 8):
             for lo in range(8 - size):
                 chunk = slice(lo, lo + size)
                 got = evaluate_drops(reals[chunk], assocs[chunk],
-                                     by_drop[chunk], powers, cfg)
+                                     pilot_of[chunk], powers, cfg)
                 assert got.shape == (size, len(schemes), cfg.num_ues)
                 np.testing.assert_array_equal(got, alone[chunk])
 
@@ -514,7 +515,7 @@ class TestEvaluateDrops:
         by_drop = [[assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                                powers, lp) for scheme in schemes]
                    for real, assoc in zip(reals, assocs)]
-        got = evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        got = evaluate_drops(reals, assocs, pilot_stack(by_drop), powers, cfg)
         assert got.shape == (num_drops, len(schemes), num_ues)
         for real, assoc, cell, sinrs in zip(reals, assocs, by_drop, got):
             for pa, sinr in zip(cell, sinrs):
@@ -524,11 +525,11 @@ class TestEvaluateDrops:
     def test_one_solve_per_serving_set_size_of_the_stack(self, desk_config,
                                                          monkeypatch):
         # cells of different largest pilot loads still share each solve
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 6)
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 6)
         sizes = Counter(aps.size for assoc in assocs
                         for aps in assoc.serving_aps)
-        loads = {np.bincount(pa.pilot_of).max() for cell in by_drop
-                 for pa in cell}
+        loads = {np.bincount(pilots).max() for cell in pilot_of
+                 for pilots in cell}
         assert len(loads) > 1
         calls = []
         solve = performance.np.linalg.solve
@@ -538,7 +539,7 @@ class TestEvaluateDrops:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
-        evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        evaluate_drops(reals, assocs, pilot_of, powers, cfg)
         # one solve per size, holding that size's units of every cell
         assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
                                        for size, count in sizes.items())
@@ -546,20 +547,20 @@ class TestEvaluateDrops:
     def test_first_failure_names_its_ue(self, desk_config, monkeypatch):
         # the first failure in (drop, assignment, UE) order names its UE,
         # not the lowest failing UE
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3,
-                                                         ("eem", "dpb"))
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 3,
+                                                          ("eem", "dpb"))
         monkeypatch.setattr(performance, "_lsfd_groups", nan_systems(
             [(2, 0, 0), (1, 1, 3), (1, 0, 7)]))
         with np.errstate(invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 7$"):
-                evaluate_drops(reals, assocs, by_drop, powers, cfg)
+                evaluate_drops(reals, assocs, pilot_of, powers, cfg)
 
     def test_passes_of_six_drops_score_as_lone_cells(self, desk_config,
                                                      monkeypatch):
         # thirteen drops are three passes, 6 + 6 + 1, each cell the same
         # bits as its lone evaluate
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 13,
-                                                         ("eem", "random"))
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 13,
+                                                          ("eem", "random"))
         passes = []
         real_groups = performance._lsfd_groups
 
@@ -568,12 +569,13 @@ class TestEvaluateDrops:
             return real_groups(betas, *args)
 
         monkeypatch.setattr(performance, "_lsfd_groups", lsfd_groups)
-        got = evaluate_drops(reals, assocs, by_drop, powers, cfg)
+        got = evaluate_drops(reals, assocs, pilot_of, powers, cfg)
         assert passes == [6, 6, 1]
         assert got.shape == (13, 2, cfg.num_ues)
-        for real, assoc, cell, sinrs in zip(reals, assocs, by_drop, got,
+        for real, assoc, cell, sinrs in zip(reals, assocs, pilot_of, got,
                                             strict=True):
-            for pa, sinr in zip(cell, sinrs, strict=True):
+            for pilots, sinr in zip(cell, sinrs, strict=True):
+                pa = PilotAssignment(pilots, cfg.pilot_length)
                 np.testing.assert_array_equal(
                     sinr, evaluate(real, assoc, pa, powers, cfg).sinr)
 
@@ -581,11 +583,11 @@ class TestEvaluateDrops:
         # thirteen drops peak no higher than six, up to a fixed margin for
         # the larger score array: evaluation sets up at most six drops at
         # a time, where one thirteen-drop pass would double the peak
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 13)
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 13)
 
         def peak(num_drops):
             args = (reals[:num_drops], assocs[:num_drops],
-                    by_drop[:num_drops], powers, cfg)
+                    pilot_of[:num_drops], powers, cfg)
             evaluate_drops(*args)
             tracemalloc.start()
             try:
@@ -597,28 +599,49 @@ class TestEvaluateDrops:
         assert peak(13) <= peak(6) + 64_000
 
     def test_rejects_malformed_stacks(self, desk_config):
-        cfg, powers, reals, assocs, by_drop = desk_stack(desk_config, 3)
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 3)
         with pytest.raises(ValueError, match="at least one drop"):
-            evaluate_drops([], [], [], powers, cfg)
+            evaluate_drops([], [], pilot_of[:0], powers, cfg)
         with pytest.raises(ValueError, match="at least one drop"):
-            evaluate_drops(reals, assocs[:2], by_drop, powers, cfg)
-        with pytest.raises(ValueError, match="same number for every drop"):
-            evaluate_drops(reals, assocs, [by_drop[0], by_drop[1][:2],
-                                           by_drop[2]], powers, cfg)
+            evaluate_drops(reals, assocs[:2], pilot_of, powers, cfg)
+        with pytest.raises(ValueError, match="at least one drop"):
+            evaluate_drops(reals, assocs, pilot_of[:2], powers, cfg)
         with pytest.raises(ValueError, match="at least one pilot assignment"):
-            evaluate_drops(reals, assocs, [[], [], []], powers, cfg)
+            evaluate_drops(reals, assocs, pilot_of[:, :0], powers, cfg)
+        with pytest.raises(ValueError, match="one pilot per UE"):
+            evaluate_drops(reals, assocs, pilot_of[..., :-1], powers, cfg)
+        with pytest.raises(ValueError, match="one pilot per UE"):
+            evaluate_drops(reals, assocs, pilot_of[:, 0], powers, cfg)
         other = generate_drop(desk_config(num_ues=40), 5)
         with pytest.raises(ValueError, match="must share M and T"):
-            evaluate_drops([reals[0], other], assocs[:2], by_drop[:2],
+            evaluate_drops([reals[0], other], assocs[:2], pilot_of[:2],
                            powers, cfg)
         wide = assign_all(SchemeConfig("eem"), reals[2], assocs[2], powers, 9)
-        with pytest.raises(ValueError, match="^an assignment has 9 pilots, "
-                                             "more than the pilot length "
-                                             "7$"):
-            evaluate_drops(reals, assocs,
-                           [by_drop[0], by_drop[1],
-                            [by_drop[2][0], wide, *by_drop[2][2:]]],
-                           powers, cfg)
+        stack = pilot_of.copy()
+        stack[2, 1] = wide.pilot_of
+        with pytest.raises(ValueError, match="^pilot index 8 is not below "
+                                             "the pilot length 7$"):
+            evaluate_drops(reals, assocs, stack, powers, cfg)
+        # the pilot length itself is the first index out of range
+        stack[2, 1] = np.minimum(wide.pilot_of, cfg.pilot_length)
+        with pytest.raises(ValueError, match="^pilot index 7 is not below "
+                                             "the pilot length 7$"):
+            evaluate_drops(reals, assocs, stack, powers, cfg)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_any_integer_stack_scores_alike(self, desk_config, dtype):
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 2)
+        np.testing.assert_array_equal(
+            evaluate_drops(reals, assocs, pilot_of.astype(dtype), powers, cfg),
+            evaluate_drops(reals, assocs, pilot_of, powers, cfg))
+
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_rejects_a_stack_of_non_integers(self, desk_config, dtype):
+        # a cast would truncate float pilots, and read bools as 0 and 1
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 2)
+        with pytest.raises(ValueError, match="^pilot_of must hold integers, "
+                                             "not floats or bools$"):
+            evaluate_drops(reals, assocs, pilot_of.astype(dtype), powers, cfg)
 
 
 class TestRelabeling:
@@ -626,7 +649,7 @@ class TestRelabeling:
     # checks are structurally different from the oracles, which share the
     # package's formulas
 
-    # not at one AP: there compute_gamma's one-hot product is a
+    # not at one AP: there gamma_stack's one-hot product is a
     # vector-matrix product, whose per-pilot sums may take an order that
     # depends on the pilot's column
     @pytest.mark.parametrize("edge", sorted(set(EDGE_CONFIGS) - {"one_ap"}))
@@ -641,7 +664,8 @@ class TestRelabeling:
                    for scheme in SCHEME_IDS]
             renamed = [PilotAssignment(rng.permutation(pa.num_pilots)[
                 pa.pilot_of], pa.num_pilots) for pa in pas]
-            want, got = (evaluate_drops([real], [assoc], [cell], powers, cfg)
+            want, got = (evaluate_drops([real], [assoc], pilot_stack([cell]),
+                                        powers, cfg)
                          for cell in (pas, renamed))
             np.testing.assert_array_equal(got, want)
 
@@ -663,8 +687,10 @@ class TestRelabeling:
             for aps, renamed in zip(assoc.serving_aps,
                                     moved_assoc.serving_aps, strict=True):
                 np.testing.assert_array_equal(perm[renamed], aps)
-            want = evaluate_drops([real], [assoc], [pas], powers, cfg)
-            got = evaluate_drops([moved], [moved_assoc], [pas], powers, cfg)
+            want = evaluate_drops([real], [assoc], pilot_stack([pas]), powers,
+                                  cfg)
+            got = evaluate_drops([moved], [moved_assoc], pilot_stack([pas]),
+                                 powers, cfg)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -677,15 +703,15 @@ class TestContaminationMonotonicity:
         cfg, real, powers, assoc = desk_drop(seed=17)
         pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
                         cfg.pilot_length)
-        gamma0 = compute_gamma(real.beta, powers, cfg.pilot_length, pa)
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
+        gamma0 = gamma_one(real.beta, powers, cfg.pilot_length, pa)
+        flags, counts = strong_one(real, assoc, cfg.strong_threshold, [pa],
                                    cfg.antennas_per_ap)
         t = 11
         pilot = int(pa.pilot_of[t])
-        w0 = oracle_lsfd(t, real.beta, gamma0, powers, grouped, pa,
-                          cfg.antennas_per_ap)
-        base = sinr_pfzf(t, w0, real.beta, gamma0, powers, grouped, pa,
-                         cfg.antennas_per_ap)
+        w0 = oracle_lsfd(t, real.beta, gamma0, powers, assoc, flags, counts[0],
+                         pa, cfg.antennas_per_ap)
+        base = sinr_pfzf(t, w0, real.beta, gamma0, powers, assoc, flags,
+                         counts[0], pa, cfg.antennas_per_ap)
 
         new_col = real.beta.max(axis=1, keepdims=True)
         beta_ext = np.hstack([real.beta, new_col])
@@ -695,17 +721,13 @@ class TestContaminationMonotonicity:
                                  cfg.pilot_length)
         new_serves = np.zeros((cfg.num_aps, 1), dtype=bool)
         new_serves[0] = True
-        serves_ext = np.hstack([grouped.serves, new_serves])
-        flag_ext = np.hstack([grouped.strong_flag,
-                              np.zeros((cfg.num_aps, 1), dtype=bool)])
-        assoc_ext = AssociationMap.from_sets(
-            grouped.serving_aps + (np.array([0]),), serves_ext,
-            strong_flag=flag_ext,
-            strong_pilot_count=grouped.strong_pilot_count)
-        gamma1 = compute_gamma(beta_ext, powers_ext, cfg.pilot_length,
-                               pa_ext)
+        serves_ext = np.hstack([assoc.serves, new_serves])
+        flag_ext = np.hstack([flags, np.zeros((cfg.num_aps, 1), dtype=bool)])
+        assoc_ext = map_from_sets(assoc.serving_aps + (np.array([0]),),
+                                  serves_ext)
+        gamma1 = gamma_one(beta_ext, powers_ext, cfg.pilot_length, pa_ext)
         worse = sinr_pfzf(t, w0, beta_ext, gamma1, powers_ext, assoc_ext,
-                          pa_ext, cfg.antennas_per_ap)
+                          flag_ext, counts[0], pa_ext, cfg.antennas_per_ap)
         assert worse < base
         assert np.all(gamma1[:, :cfg.num_ues] <= gamma0 + 1e-18)
 
@@ -733,22 +755,21 @@ class TestPipelineFuzz:
         assoc = associate_aps(real, cfg.assoc_threshold)
         pas = [assign_all(SchemeConfig(scheme, seed=seed), real, assoc,
                           powers, lp) for scheme in SCHEME_IDS]
-        sinrs, = evaluate_drops([real], [assoc], [pas], powers, cfg)
+        sinrs, = evaluate_drops([real], [assoc], pilot_stack([pas]), powers,
+                                cfg)
         for pa, sinr in zip(pas, sinrs, strict=True):
-            gamma = compute_gamma(real.beta, powers, lp, pa)
+            gamma = gamma_one(real.beta, powers, lp, pa)
             want_gamma = oracle_gamma(real.beta, powers.p_pilot, lp,
                                       pa.pilot_of)
             np.testing.assert_allclose(gamma, want_gamma, rtol=1e-12, atol=0)
-            grouped = group_strong_ues(real, assoc, cfg.strong_threshold, [pa],
-                                       cfg.antennas_per_ap)
+            flags, counts = strong_one(real, assoc, cfg.strong_threshold,
+                                       [pa], cfg.antennas_per_ap)
             for t in range(num_ues):
                 a = np.zeros(num_aps)
-                a[grouped.serving_aps[t]] = oracle_lsfd(
-                    t, real.beta, want_gamma, powers, grouped, pa,
-                    cfg.antennas_per_ap)
+                a[assoc.serving_aps[t]] = oracle_lsfd(
+                    t, real.beta, want_gamma, powers, assoc, flags, counts[0],
+                    pa, cfg.antennas_per_ap)
                 want = oracle_sinr(t, a, real.beta, want_gamma,
                                    powers.p_uplink, pa.pilot_of,
-                                   grouped.strong_flag,
-                                   grouped.strong_pilot_count[0],
-                                   cfg.antennas_per_ap)
+                                   flags, counts[0], cfg.antennas_per_ap)
                 assert abs(sinr[t] - want) <= 1e-10 * want

@@ -2,7 +2,7 @@
 
 `evaluate_drops` ranks the strong sets of a pass's drops in one
 `strong_stack` call and computes the gammas of all its cells in one
-`gamma_stack` call. `group_strong_ues` and `compute_gamma` are those
+`gamma_stack` call. `strong_one` and `gamma_one` of `probes` are those
 functions on a stack of one, so each drop or cell of a stack must give the
 same bits as its one-drop call, and a failing stack must raise what its
 first failing drop or cell raises alone.
@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from pilotsim import (SCHEME_IDS, NetworkConfig, PilotAssignment,
                       PowerProfile, SchemeConfig, assign_all, associate_aps,
-                      compute_gamma, generate_drop, group_strong_ues,
-                      normalize_powers)
+                      generate_drop, normalize_powers)
 from pilotsim.estimation import gamma_stack
 from pilotsim.network import strong_stack
 from pilotsim.performance import evaluate_drops
+from probes import gamma_one, pilot_stack, strong_one
 
 
 def drop_stack(cfg, num_drops, schemes, seed, narrow=False):
@@ -46,7 +46,7 @@ def stacked(reals, assocs, by_drop):
     """The (D, M, T) LSFCs and serving flags and the (D, S, T) pilots."""
     return (np.stack([real.beta for real in reals]),
             np.stack([assoc.serves for assoc in assocs]),
-            np.array([[pa.pilot_of for pa in cell] for cell in by_drop]))
+            pilot_stack(by_drop))
 
 
 def assert_matches_one_drop_calls(cfg, powers, reals, assocs, by_drop):
@@ -63,14 +63,14 @@ def assert_matches_one_drop_calls(cfg, powers, reals, assocs, by_drop):
         gamma_stack(betas, powers, cfg.pilot_length, pilot_of), gammas)
     for d, (real, assoc, cell) in enumerate(zip(reals, assocs, by_drop,
                                                 strict=True)):
-        grouped = group_strong_ues(real, assoc, cfg.strong_threshold, cell,
-                                   cfg.antennas_per_ap)
-        np.testing.assert_array_equal(flags[d], grouped.strong_flag)
-        np.testing.assert_array_equal(counts[d], grouped.strong_pilot_count)
+        alone = strong_one(real, assoc, cfg.strong_threshold, cell,
+                           cfg.antennas_per_ap)
+        np.testing.assert_array_equal(flags[d], alone[0])
+        np.testing.assert_array_equal(counts[d], alone[1])
         for s, pa in enumerate(cell):
             np.testing.assert_array_equal(
-                gammas[d, s], compute_gamma(real.beta, powers,
-                                            cfg.pilot_length, pa))
+                gammas[d, s], gamma_one(real.beta, powers, cfg.pilot_length,
+                                        pa))
 
 
 class TestStacksMatchOneDropCalls:
@@ -152,7 +152,7 @@ class TestStackErrors:
         by_drop[1][1] = PilotAssignment(pilots, cfg.pilot_length)
         with pytest.raises(ValueError, match="^strong grouping requires a "
                                              "complete assignment$"):
-            evaluate_drops(reals, assocs, by_drop, powers, cfg)
+            evaluate_drops(reals, assocs, pilot_stack(by_drop), powers, cfg)
 
     @pytest.mark.parametrize("pilots, error", [
         ([[[0, 1], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]]], ValueError),
@@ -174,7 +174,6 @@ class TestStackErrors:
             gamma_stack(betas, powers, 2, pilot_of)
         # alone, drop 0's cells pass and drop 1's first cell fails alike
         for pilots in pilot_of[0]:
-            compute_gamma(betas[0], powers, 2, PilotAssignment(pilots, 2))
+            gamma_one(betas[0], powers, 2, PilotAssignment(pilots, 2))
         with pytest.raises(error, match=message):
-            compute_gamma(betas[1], powers, 2,
-                          PilotAssignment(pilot_of[1, 0], 2))
+            gamma_one(betas[1], powers, 2, PilotAssignment(pilot_of[1, 0], 2))
