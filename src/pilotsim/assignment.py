@@ -45,7 +45,7 @@ import numpy as np
 
 from .estimation import ContaminationCache, PilotAssignment
 from .network import (require_integer, require_integers, require_number,
-                      serving_links)
+                      require_powers, serving_links)
 
 __all__ = [
     "SCHEME_IDS",
@@ -315,6 +315,7 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     num_aps, num_ues = reals[0].beta.shape
     if any(real.beta.shape != (num_aps, num_ues) for real in reals):
         raise ValueError("the drops of a stack must share M and T")
+    require_powers(powers, num_ues)
     if order is None:
         order = np.arange(num_ues)
     else:

@@ -48,10 +48,6 @@ class PilotAssignment:
         pilots.flags.writeable = False
         object.__setattr__(self, "pilot_of", pilots)
 
-    @property
-    def num_ues(self) -> int:
-        return self.pilot_of.size
-
 
 def gamma_stack(betas, powers, lp: int, pilot_of, out=None) -> np.ndarray:
     """gamma_mt = w_t b_mt^2 / (sum_{k in P_{i_t}} w_k b_mk + 1) of D drops,

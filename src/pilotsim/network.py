@@ -189,6 +189,13 @@ class PowerProfile:
         object.__setattr__(self, "p_uplink", _readonly(pu))
 
 
+def require_powers(powers: PowerProfile, num_ues: int):
+    """Reject a power profile that is not one entry per UE of the drop."""
+    if powers.p_pilot.shape != (num_ues,):
+        raise ValueError(f"the power profile has length {powers.p_pilot.size}"
+                         f", but the drop has {num_ues} UEs")
+
+
 @dataclass(frozen=True)
 class AssociationMap:
     """Serving structure between APs and UEs.

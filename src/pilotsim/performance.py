@@ -11,8 +11,9 @@ scores a stack of drops from this closed form without forming any weight
 vector, with several pilot assignments per drop (a chunk's cells) at once:
 their pilots are one (D, S, T) int array, checked once and sliced into
 passes of at most `_PASS_DROPS` drops. `evaluate` scores one
-`PilotAssignment`, a (1, 1, T) stack, and adds its SE. A pass ranks its drops' strong sets, which do not depend on
-the pilots, in one call, and computes its cells' gammas in another.
+`PilotAssignment`, a (1, 1, T) stack, and adds its SE. A pass ranks its
+drops' strong sets, which do not depend on the pilots, in one call, and
+computes its cells' gammas in another.
 `_lsfd_groups` lays the serving links of every unit out once, a UE under
 one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
 pilot load K_c, and computes every per-link term of all cells at once. Each
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import gamma_stack
-from .network import serving_links, strong_stack
+from .network import require_powers, serving_links, strong_stack
 
 __all__ = [
     "SeReport",
@@ -232,6 +233,7 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
             or pilot_of.shape[2] != reals[0].num_ues):
         raise ValueError("pilot_of must be (D, S, T): at least one pilot "
                          "assignment per drop, one pilot per UE")
+    require_powers(powers, pilot_of.shape[2])
     if not np.issubdtype(pilot_of.dtype, np.integer):
         raise ValueError("pilot_of must hold integers, not floats or bools")
     pilot_of = pilot_of.astype(int, copy=False)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import SchemeConfig, _stream_words, best_first, priority_select
 from .estimation import PilotAssignment, local_error_profile
-from .network import require_integers
+from .network import require_integers, require_powers
 
 __all__ = [
     "KIND_PROBE",
@@ -134,6 +134,7 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
     if scheme.scheme_id != "dpb":
         raise ValueError("the message protocol enacts the distributed scheme only")
     num_ues = real.num_ues
+    require_powers(powers, num_ues)
     order = require_integers("arrival order", arrival_order)
     if order.size != np.unique(order).size:
         raise ValueError("arrival order must not repeat UEs")

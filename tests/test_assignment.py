@@ -457,7 +457,7 @@ class TestAssignAll:
         pa = assign_all(SchemeConfig(scheme_id, seed=5), real, assoc, powers,
                         cfg.pilot_length)
         assert (pa.pilot_of >= 0).all()
-        assert pa.num_ues == cfg.num_ues
+        assert pa.pilot_of.size == cfg.num_ues
         assert np.all(pa.pilot_of >= 0) and np.all(pa.pilot_of < cfg.pilot_length)
 
     def test_eem_unique_when_ues_fit(self, desk_drop):

@@ -48,7 +48,7 @@ def cached_local_error(t, m, beta, powers, lp, copilots):
 class TestPilotAssignment:
     def test_basic_fields(self):
         pa = PilotAssignment(np.array([0, 1, 0, -1]), 2)
-        assert pa.num_ues == 4
+        assert pa.pilot_of.size == 4
         assert not (pa.pilot_of >= 0).all()
 
     def test_complete_flag(self):
@@ -303,24 +303,23 @@ class TestContaminationCache:
     def test_profile_matches_free_function(self, rng):
         for _ in range(20):
             beta, powers, pa = self._random_state(rng)
-            lp = pa.num_pilots
+            lp, t = pa.num_pilots, pa.pilot_of.size - 1
             cache = ContaminationCache(beta, powers, lp)
-            for k in range(pa.num_ues - 1):
+            for k in range(t):
                 cache.record(k, int(pa.pilot_of[k]))
             serving = [0, 2, 3]
-            profile = cache.local_errors(serving, pa.num_ues - 1).sum(axis=0)
-            direct = [oracle_error_global(pa.num_ues - 1, i, beta,
-                                          powers.p_pilot, lp, pa.pilot_of,
-                                          serving)
+            profile = cache.local_errors(serving, t).sum(axis=0)
+            direct = [oracle_error_global(t, i, beta, powers.p_pilot, lp,
+                                          pa.pilot_of, serving)
                       for i in range(lp)]
-            scale = error_scale(pa.num_ues - 1, serving, beta, powers, lp)
+            scale = error_scale(t, serving, beta, powers, lp)
             np.testing.assert_allclose(profile, direct, rtol=0,
                                        atol=1e-12 * scale)
 
     def test_local_profile_matches_free_function(self, rng):
         beta, powers, pa = self._random_state(rng)
         lp = pa.num_pilots
-        t = pa.num_ues - 1
+        t = pa.pilot_of.size - 1
         # a DPB table: each AP hears the UEs it serves; every AP probed
         # here serves t, as a probed AP always does
         serves = rng.random(beta.shape) < 0.6
@@ -340,7 +339,7 @@ class TestContaminationCache:
     def test_multi_ap_rows_equal_per_ap_profiles(self, rng):
         for _ in range(20):
             beta, powers, pa = self._random_state(rng)
-            t = pa.num_ues - 1
+            t = pa.pilot_of.size - 1
             serves = rng.random(beta.shape) < 0.6
             serves[:, t] = True
             cache = ContaminationCache(beta * serves, powers, pa.num_pilots)

@@ -793,20 +793,23 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["sweep-ues", "cdf"])
-    def test_repeated_schemes_exit_2(self, tmp_path, capsys, command):
-        code = main([command, "--desk-scale", "--scheme", "eem,dpb,eem",
+    @pytest.mark.parametrize("command,schemes", [
+        ("sweep-ues", "eem,dpb,eem"), ("cdf", "eem,dpb,eem"),
+        ("sweep-ues", "eem,eem")], ids=["sweep-ues", "cdf", "sweep-ues-twice"])
+    def test_repeated_schemes_exit_2(self, tmp_path, capsys, command,
+                                     schemes):
+        code = main([command, "--desk-scale", "--scheme", schemes,
                      "--drops", "1", "--out", str(tmp_path / "out")])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            "error: schemes must be distinct, got ['eem', 'dpb', 'eem']\n")
+        assert captured.err == (f"error: schemes must be distinct, "
+                                f"got {schemes.split(',')}\n")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,schemes", [
-        ("sweep-ues", "eem,,dpb,"), ("sweep-ues", "eem,"),
-        ("sweep-ues", " "), ("cdf", ",dpb")])
+        ("sweep-ues", "eem,,dpb"), ("sweep-ues", "eem,,dpb,"),
+        ("sweep-ues", "eem,"), ("sweep-ues", " "), ("cdf", ",dpb")])
     def test_empty_scheme_entry_exits_2(self, tmp_path, capsys, command,
                                         schemes):
         code = main([command, "--desk-scale", "--scheme", schemes,
@@ -896,6 +899,23 @@ class TestCli:
         assert spec.config == NetworkConfig(num_aps=30, num_ues=50,
                                             exp_far=3.7)
         assert NetworkConfig(**meta["config"]) == spec.config
+
+    @pytest.mark.parametrize("command,extra", [
+        ("sweep-ues", ["--values", "30"]), ("protocol-audit", [])],
+        ids=["sweep-ues", "protocol-audit"])
+    def test_config_file_options_reach_the_meta(self, tmp_path, capsys,
+                                                command, extra):
+        # the file's DPB options apply to the sweeps and the audit alike,
+        # and the meta records its path-loss key in the flat config
+        cfg = tmp_path / "dpb.json"
+        cfg.write_text(json.dumps({"dpb_s": 2, "dpb_delta": 0.3,
+                                   "exp_far": 3.7}))
+        assert main([command, "--desk-scale", "--drops", "2", *extra,
+                     "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        name = command.replace("-", "_")
+        meta = json.loads((tmp_path / "out" / f"{name}_meta.json").read_text())
+        assert (meta["dpb_s"], meta["dpb_delta"]) == (2, 0.3)
+        assert meta["config"]["exp_far"] == 3.7
 
     # sweep-pilots presets A=16 over the desk preset; a config file wins
     @pytest.mark.parametrize("entry,antennas", [({}, 16),
@@ -1052,6 +1072,32 @@ class TestCliReruns:
                 name = f"sweep_ues_{kind}.csv"
                 assert ((tmp_path / f"w{workers}" / name).read_bytes()
                         == (tmp_path / "w1" / name).read_bytes())
+
+    @pytest.mark.parametrize("argv,workers", [
+        (["sweep-ues", "--drops", "2"], 2),
+        # five drops over three workers: uneven chunks of 2, 2 and 1 drops
+        (["sweep-ues", "--drops", "5"], 3),
+        (["sweep-pilots", "--drops", "2", "--values", "7"], 2),
+        (["sweep-assoc", "--drops", "2", "--values", "0.95"], 2),
+        (["sweep-ues", "--drops", "3", "--config", "wrap.json"], 2),
+        # the per-user CDFs carry every UE's SE
+        (["cdf", "--drops", "2"], 2)],
+        ids=["ues", "ues-uneven", "pilots", "assoc", "wrap-around", "cdf"])
+    def test_runs_rerun_across_worker_counts(self, tmp_path, monkeypatch,
+                                             capsys, argv, workers):
+        monkeypatch.chdir(tmp_path)
+        # the wrap-around case's config file
+        Path("wrap.json").write_text(json.dumps({"wrap_around": True}))
+        for count in (1, workers):
+            assert main([*argv, "--desk-scale", "--workers", str(count),
+                         "--out", f"w{count}"]) == 0
+        name = argv[0].replace("-", "_")
+        csvs = [f"{name}_results.csv", f"{name}_aggregates.csv"]
+        if name == "cdf":
+            csvs += [f"cdf_cdf_{scheme}.csv" for scheme in SCHEME_IDS]
+        for csv in csvs:
+            assert (Path(f"w{workers}", csv).read_bytes()
+                    == Path("w1", csv).read_bytes())
 
     def test_rows_do_not_depend_on_the_scheme_list(self, tmp_path, capsys):
         # each (drop, scheme) cell is scored as its own system, so a

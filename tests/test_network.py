@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import (brute_force_prefix, oracle_pairwise_distances,
                      oracle_strong_groups)
-from pilotsim import (NetworkConfig, NetworkRealization, PilotAssignment,
-                      PowerProfile, associate_aps, compute_lsfc, generate_drop,
-                      noise_power_dbm, normalize_powers)
+from pilotsim import (SCHEME_IDS, NetworkConfig, NetworkRealization,
+                      PilotAssignment, PowerProfile, SchemeConfig, assign_all,
+                      associate_aps, compute_lsfc, evaluate, generate_drop,
+                      noise_power_dbm, normalize_powers, run_protocol)
 from pilotsim.network import _pairwise_distances, serving_links
 from probes import gamma_one, map_from_sets, strong_one
 
@@ -126,6 +127,28 @@ class TestPowers:
     def test_profile_validation(self, pilot, uplink, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             PowerProfile(np.array(pilot), np.array(uplink))
+
+    @pytest.mark.parametrize("call", [*SCHEME_IDS, "protocol", "evaluate"])
+    @pytest.mark.parametrize("offset", [None, -1, 1], ids=["1", "T-1", "T+1"])
+    def test_profile_of_another_length_rejected(self, desk_drop, call,
+                                                offset):
+        # a 1-entry profile would broadcast and a longer one be read in part,
+        # so each entry point checks the length before any work
+        cfg, real, _, assoc = desk_drop(num_aps=10, num_ues=12)
+        length = 1 if offset is None else 12 + offset
+        powers = PowerProfile(np.full(length, 1e3), np.full(length, 1e3))
+        with pytest.raises(ValueError, match=f"^the power profile has length "
+                                             f"{length}, but the drop has 12 "
+                                             f"UEs$"):
+            if call == "protocol":
+                run_protocol(real, assoc, SchemeConfig("dpb"), np.arange(12),
+                             powers, cfg.pilot_length)
+            elif call == "evaluate":
+                evaluate(real, assoc, PilotAssignment(np.arange(12) % 7, 7),
+                         powers, cfg)
+            else:
+                assign_all(SchemeConfig(call), real, assoc, powers,
+                           cfg.pilot_length)
 
 
 class TestGenerateDrop:
