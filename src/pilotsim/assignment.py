@@ -20,9 +20,9 @@ for any Lp) in one product, and resolves each drop's masks by priority
 intersection, at most 2^S' - S' - 1 of them; `scalable` takes the argmin
 of the sums at each drop's master AP, its first serving AP. Recording the
 picks adds one precomputed row per drop to the sums; no step scans the
-other UEs. The message-passing protocol's `best_first` and
-`priority_select` wrap the offer rule (`_offered`) and the resolution
-(`_resolve`) that the batched step calls directly.
+other UEs. The protocol's `best_first`, a stable sort of an AP agent's
+float errors, and `priority_select` wrap the offer rule (`_offered`) and
+the resolution (`_resolve`) that the batched step calls directly.
 
 Every seeded pick, `random`'s and a DPB tie's, is the pick that
 `np.random.default_rng([seed, ue]).integers(n)` makes, but no generator is
@@ -208,22 +208,25 @@ def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int):
     return cache.local_errors(serving, t).sum(axis=-2).argmin(axis=-1)
 
 
-def _offered(errors: np.ndarray, least, delta: float) -> np.ndarray:
+def _offered(errors, least, delta: float):
     """Which pilots an AP offers: those within (1 + delta) of its least
-    error `least`; rows of errors take a column of least errors."""
+    error `least`; one float error, or rows of errors against a column."""
     return errors <= (1.0 + delta) * least
 
 
-def best_first(errors: np.ndarray, delta: float) -> list:
+def best_first(errors, delta: float) -> list:
     """One AP's offer: the pilots within (1 + delta) of its least error,
-    best first, as a prefix of one stable argsort (ties by pilot index).
+    best first, as the prefix that `_offered` admits of one stable sort of
+    the pilot indices (ties by pilot index); Python ints for a list of
+    floats or a 1-D array.
 
     Errors are nonnegative, so the best pilot always qualifies; delta = 0
     keeps only the minimizers.
     """
-    ranked = errors.argsort(kind="stable")
-    within = _offered(errors, errors[ranked[0]], delta)
-    return ranked[:np.count_nonzero(within)].tolist()
+    ranked = sorted(range(len(errors)), key=errors.__getitem__)
+    least = errors[ranked[0]]
+    return list(itertools.takewhile(
+        lambda i: _offered(errors[i], least, delta), ranked))
 
 
 def priority_select(offers, seed: int = 0, ue: int = 0,

@@ -94,9 +94,10 @@ def local_error_profile(weighted_own: float, own_beta: float,
 
     `pilot_sums[i]` is the accumulated contamination sum_{k on pilot i}
     w_k b_mk seen at this AP; column vectors of `weighted_own` and
-    `own_beta` against rows of sums give one profile per AP. The only copy
-    of the error formula: the bookkeeping cache and the protocol AP agents
-    both call it, so both paths produce bit-identical profiles.
+    `own_beta` against rows of sums give one profile per AP, and a float
+    sum gives one pilot's error. The only copy of the error formula: the
+    bookkeeping cache calls it on arrays and the protocol AP agents on
+    floats, pilot by pilot, so both paths produce bit-identical errors.
     """
     num = weighted_own * own_beta
     bound = num / (weighted_own + 1.0)

@@ -10,11 +10,13 @@ written down at all.
 
 AP agents are constructed with nothing but their own LSFC row restricted to
 the UEs they serve; locality is enforced by what the handlers can reach, not
-by convention. The direct implementation shares the error arithmetic
-(`local_error_profile`), and `best_first` and `priority_select` wrap its
-offer rule and resolution, so the negotiated assignment is bit-identical
-to it. A UE's seeded tie draws from its own stream, whose first word
-(`_stream_words`) one call per run precomputes for all arriving UEs.
+by convention. Agents apply the direct implementation's error formula
+(`local_error_profile`) pilot by pilot to sums kept as Python floats, the
+same IEEE operations in the same order, and `best_first` and
+`priority_select` wrap its offer rule and resolution, so the negotiated
+assignment is bit-identical to it. A UE's seeded tie draws from its own
+stream, whose first word (`_stream_words`) one call per run precomputes
+for all arriving UEs.
 """
 
 from __future__ import annotations
@@ -97,14 +99,14 @@ class AccessPointAgent:
 
     State is the LSFC (and pilot power) of each served UE, known from
     association, plus per-pilot contamination sums accumulated from
-    notifications, in arrival order.
+    notifications, in arrival order, as a list of Python floats.
     """
 
     def __init__(self, served_beta: dict, served_weight: dict,
                  num_pilots: int, delta: float):
         self._beta = dict(served_beta)
         self._weight = dict(served_weight)
-        self.pilot_sums = np.zeros(num_pilots)
+        self.pilot_sums = [0.0] * num_pilots
         self.delta = float(delta)
 
     def candidate_offer(self, ue: int) -> list:
@@ -114,9 +116,9 @@ class AccessPointAgent:
         the UE apply the lowest-error fallback without extra payload.
         """
         own = self._beta[ue]
-        return best_first(
-            local_error_profile(self._weight[ue] * own, own, self.pilot_sums),
-            self.delta)
+        weighted = self._weight[ue] * own
+        return best_first([local_error_profile(weighted, own, s)
+                           for s in self.pilot_sums], self.delta)
 
     def learn_assignment(self, ue: int, pilot: int):
         self.pilot_sums[pilot] += self._weight[ue] * self._beta[ue]
@@ -140,14 +142,15 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
         raise ValueError("arrival order must not repeat UEs")
     if order.size and (order.min() < 0 or order.max() >= num_ues):
         raise ValueError("arrival order names unknown UEs")
-    w = powers.p_pilot * lp
-    agents = []
-    for m in range(real.num_aps):
-        served = np.flatnonzero(assoc.serves[m])
-        ues = served.tolist()
-        agents.append(AccessPointAgent(
-            dict(zip(ues, real.beta[m, served].tolist())),
-            dict(zip(ues, w[served].tolist())), lp, scheme.dpb_delta))
+    # each AP's served UEs from one pass over the serving links, UE by UE
+    owners = np.repeat(np.arange(num_ues), assoc.sizes)
+    beta, weight = ([{} for _ in range(real.num_aps)] for _ in range(2))
+    for m, t, b, w in zip(assoc.links.tolist(), owners.tolist(),
+                          real.beta[assoc.links, owners].tolist(),
+                          (powers.p_pilot[owners] * lp).tolist()):
+        beta[m][t], weight[m][t] = b, w
+    agents = [AccessPointAgent(b, w, lp, scheme.dpb_delta)
+              for b, w in zip(beta, weight)]
     log = TraceLog()
     pilot_of = np.full(num_ues, -1, dtype=int)
     words = _stream_words(scheme.seed, order).tolist()
@@ -176,8 +179,11 @@ def audit_overhead(log: TraceLog, assoc, s: int) -> dict:
     S'_t = min(S, |M_t|). Raises BudgetViolation naming the first offender.
     """
     rows = log.rows
-    kind = np.fromiter((row[1] for row in rows), dtype=np.int64, count=len(rows))
-    ue = np.fromiter((row[2] for row in rows), dtype=np.int64, count=len(rows))
+    # one comprehension per column: zip(*rows) keeps an iterator per row
+    # alive, and the garbage collections those set off cost more
+    kinds = [row[1] for row in rows]
+    kind = np.fromiter(kinds, dtype=np.int64, count=len(rows))
+    ue = np.fromiter([row[2] for row in rows], dtype=np.int64, count=len(rows))
     size = int(ue.max()) + 1 if ue.size else 0
     # one column per kind: probes, offers, notifies
     got = np.stack([np.bincount(ue[kind == code], minlength=size)
@@ -198,6 +204,6 @@ def audit_overhead(log: TraceLog, assoc, s: int) -> dict:
     return {
         "per_ue": per_ue,
         "total_messages": len(rows),
-        "total_payload": log.total_payload(),
-        "ap_to_ap": log.ap_to_ap_count(),
+        "total_payload": sum([row[4] for row in rows]),
+        "ap_to_ap": sum(map(kinds.count, _AP_TO_AP)),
     }

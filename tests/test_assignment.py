@@ -23,7 +23,7 @@ from pilotsim import (
 from pilotsim import assignment
 from pilotsim.assignment import (SCHEME_IDS, _bounded, _stream_words,
                                  assign_drops, eem_step)
-from pilotsim.estimation import ContaminationCache
+from pilotsim.estimation import ContaminationCache, local_error_profile
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
 
@@ -188,6 +188,26 @@ class TestCandidateSets:
         wider = best_first(errors, delta + 0.5)
         assert got == wider[:len(got)]
         assert np.all(errors[got] <= (1.0 + delta) * errors.min())
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 70),
+           st.sampled_from([0.0, 0.1, 5.0, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_list_and_array_offers_agree(self, seed, lp, delta):
+        # the protocol's agents pass lists of floats, other callers
+        # arrays: both give the oracle's offer as Python ints
+        r = np.random.default_rng(seed)
+        if delta is None:
+            delta = float(r.uniform(0.0, 2.0))
+        own, weight = 10.0 ** r.uniform(-9, -6), 10.0 ** r.uniform(0, 3)
+        # a few distinct sums, zero among them, so pilots tie often
+        sums = r.choice(np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)),
+                        size=lp).tolist()
+        errors = [local_error_profile(weight * own, own, s) for s in sums]
+        got = best_first(errors, delta)
+        from_array = best_first(np.array(errors), delta)
+        assert got == from_array
+        assert got == oracle_offer(np.array(errors), delta).tolist()
+        assert all(type(i) is int for i in got + from_array)
 
 
 class TestPrioritySelect:

@@ -298,6 +298,9 @@ class TestRunProtocol:
                                cfg.pilot_length)
         np.testing.assert_array_equal(pa.pilot_of, -1)
         assert log.rows == []
+        assert audit_overhead(log, assoc, 3) == {
+            "per_ue": {}, "total_messages": 0, "total_payload": 0,
+            "ap_to_ap": 0}
 
     def test_s_one_offers_match_probes(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=4)
@@ -362,22 +365,29 @@ class TestOracleLog:
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from(["drop", "all_serve", "one_ap"]),
            st.integers(1, 4), st.sampled_from([0.0, 0.1, 5.0]),
-           st.floats(0.0, 1.0))
-    @settings(max_examples=150, deadline=None)
+           st.floats(0.0, 1.0), st.one_of(st.none(), st.floats(-3.0, 9.0)))
+    @settings(max_examples=200, deadline=None)
     def test_matches_message_per_send_oracle(self, seed, kind, s, delta,
-                                             prefix):
+                                             prefix, log_power):
+        # log_power, when drawn, sets tx_power_mw = 10**log_power, far from
+        # the default 100 mW either way
         r = np.random.default_rng(seed)
+        tx_power_mw = 100.0 if log_power is None else 10.0 ** log_power
         if kind == "all_serve":
             real, assoc, powers, lp = all_serve_instance(
                 int(r.integers(1, 6)), int(r.integers(1, 13)),
                 int(r.integers(1, 6)), seed)
+            scale = tx_power_mw / 100.0
+            powers = PowerProfile(powers.p_pilot * scale,
+                                  powers.p_uplink * scale)
         else:
             lp = int(r.integers(1, 6))
             cfg = NetworkConfig(
                 num_aps=1 if kind == "one_ap" else int(r.integers(2, 12)),
                 num_ues=int(r.integers(1, 25)), pilot_length=lp,
                 antennas_per_ap=lp + 1,
-                assoc_threshold=float(r.choice([0.9, 0.95, 1.0])))
+                assoc_threshold=float(r.choice([0.9, 0.95, 1.0])),
+                tx_power_mw=tx_power_mw)
             real = generate_drop(cfg, seed)
             assoc = associate_aps(real, cfg.assoc_threshold)
             powers = normalize_powers(cfg)
@@ -398,7 +408,8 @@ class TestOracleLog:
         # a few distinct sums, zero among them, so pilots tie often
         agent.pilot_sums[:] = r.choice(
             np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)), size=lp)
-        errors = local_error_profile(weight * own, own, agent.pilot_sums)
+        errors = local_error_profile(weight * own, own,
+                                     np.asarray(agent.pilot_sums))
         assert agent.candidate_offer(3) == oracle_offer(errors, delta).tolist()
 
 
