@@ -49,31 +49,22 @@ class PilotAssignment:
         object.__setattr__(self, "pilot_of", pilots)
 
 
-def gamma_stack(betas, powers, lp: int, pilot_of, out=None) -> np.ndarray:
+def gamma_stack(betas, powers, onehot, out=None) -> np.ndarray:
     """gamma_mt = w_t b_mt^2 / (sum_{k in P_{i_t}} w_k b_mk + 1) of D drops,
     each under S complete pilot assignments; the sum runs over every UE on
     t's pilot, t itself included, so the denominator is >= w_t b_mt + 1.
-    betas is (D, M, T) and pilot_of (D, S, T); the (D, S, M, T) gammas are
-    written into `out` if given, and returned. The first failing (drop,
-    assignment) raises.
+    betas is (D, M, T) and onehot the (D, S, T, Lp) one-hot of the pilots,
+    as wide as the pilot length whatever the pilots, so a cell's sums take
+    one order in any stack. The (D, S, M, T) gammas are written into `out`
+    if given, and returned. The first failing (drop, assignment) raises.
     """
-    if pilot_of.min() < 0:
-        raise ValueError("gamma requires a complete assignment")
-    if pilot_of.max() >= lp:
-        raise ValueError(f"gamma requires pilots below the pilot length {lp}")
-    weighted = (powers.p_pilot * lp) * betas
-    # sum_{k on pilot i} w_k b_mk per (drop, assignment, m, i), through a
-    # one-hot matrix as wide as the pilot length whatever the pilots, so a
-    # cell's sums take one order in any stack; as rows of their transpose
-    sums = (weighted[:, None] @ np.eye(lp)[pilot_of]).swapaxes(
-        -1, -2).reshape(-1, betas.shape[1])
-    out = np.empty(pilot_of.shape[:2] + betas.shape[1:]) if out is None else out
-    # each UE's row of its cell's sums, written into out's transpose; then
-    # gamma, in place, over the numerators w_t b_mt^2
-    pilots = pilot_of.reshape(-1, pilot_of.shape[-1])
-    rows = np.arange(len(pilots))[:, None] * lp + pilots
-    out.swapaxes(-1, -2)[...] = sums[rows].reshape(*pilot_of.shape, -1)
-    del sums, rows
+    weighted = (powers.p_pilot * onehot.shape[-1]) * betas
+    # sum_{k on pilot i} w_k b_mk per (drop, assignment, m, i), then each
+    # UE's own pilot's sum through the one-hot again, exact as its other
+    # terms are exact zeros; then gamma, in place, over the numerators
+    # w_t b_mt^2
+    out = np.matmul(weighted[:, None] @ onehot, onehot.swapaxes(-1, -2),
+                    out=out)
     out += 1.0
     weighted *= betas
     np.divide(weighted[:, None], out, out=out)

@@ -352,17 +352,18 @@ def serving_links(assocs) -> tuple:
             np.stack([assoc.sizes for assoc in assocs]))
 
 
-def strong_stack(betas, serves, strong_threshold: float, pilot_of,
+def strong_stack(betas, serves, strong_threshold: float, onehot,
                  antennas_per_ap: int) -> tuple:
     """Per-AP strong-UE grouping of D drops, each ranked once for its S
-    assignments: betas and serves are (D, M, T) and pilot_of (D, S, T).
+    assignments: betas and serves are (D, M, T), and onehot is the
+    (D, S, T, Lp) one-hot of their complete pilots.
 
     At each AP the served UEs are ranked by LSFC, and the smallest prefix holding
     `strong_threshold` of the AP's served LSFC mass is the strong set, whatever
     the pilots. Its distinct-pilot count under each assignment is the zero-forcing
     dimension spent at the AP and must stay below the antenna count. Returns the
-    (D, M, T) strong flags and (D, S, M) counts, or raises the first failing drop's
-    error: an incomplete assignment, or else its first offending (assignment, AP).
+    (D, M, T) strong flags and (D, S, M) counts, or raises for the first
+    offending (drop, assignment, AP).
     """
     if not 0.0 < strong_threshold <= 1.0:
         raise ValueError("strong_threshold must be in (0, 1]")
@@ -378,26 +379,14 @@ def strong_stack(betas, serves, strong_threshold: float, pilot_of,
     order, size = _top_share(padded, strong_threshold)
     size[degree == 0] = 0
     strong = (start[:, None] + order)[np.arange(padded.shape[1]) < size[:, None]]
-    rows, ues = link_rows[strong], link_ues[strong]
-    flags = np.zeros(serves.shape, dtype=bool)
-    flags.reshape(-1, num_ues)[rows, ues] = True
-    # a hit per strong link and assignment at its (drop, assignment, AP, pilot),
-    # each a distinct pilot, over the drops before the first incomplete one
-    counted = int((pilot_of >= 0).all(axis=(1, 2)).cumprod().sum())
-    keep = rows < counted * num_aps
-    rows, ues, drop = rows[keep], ues[keep], rows[keep] // num_aps
-    num_schemes, width = pilot_of.shape[1], pilot_of.max(initial=0) + 1
-    at = pilot_of[drop, :, ues]
-    at += ((rows + drop * (num_schemes - 1) * num_aps)[:, None]
-           + np.arange(num_schemes) * num_aps) * width
-    hit = np.zeros((counted, num_schemes, num_aps, width), dtype=bool)
-    hit.ravel()[at] = True
-    counts = np.count_nonzero(hit, axis=-1)
+    # the strong flags as 0/1 floats, which the one-hot product reads as is
+    weights = np.zeros(serves.shape)
+    weights.reshape(-1, num_ues)[link_rows[strong], link_ues[strong]] = 1.0
+    # an AP's strong UEs per pilot under each assignment, and so the
+    # distinct pilots among them
+    counts = np.count_nonzero(weights[:, None] @ onehot, axis=-1)
     # the first offending AP of the first offending (drop, assignment)
     for d, s, m in np.argwhere(counts >= antennas_per_ap)[:1]:
         raise ValueError(f"AP {m} would zero-force {counts[d, s, m]} pilots with only "
                          f"{antennas_per_ap} antennas")
-    if counted < num_drops:
-        raise ValueError("strong grouping requires a complete assignment")
-    return flags, counts
-
+    return weights > 0.0, counts

@@ -9,9 +9,11 @@ is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate_drops`
 scores a stack of drops from this closed form without forming any weight
 vector, with several pilot assignments per drop (a chunk's cells) at once:
-their pilots are one (D, S, T) int array, checked once and sliced into
-passes of at most `_PASS_DROPS` drops. `evaluate` scores one
-`PilotAssignment`, a (1, 1, T) stack, and adds its SE. A pass ranks its
+their pilots are one (D, S, T) int array, checked once, every entry in
+[0, Lp), and sliced into passes of at most `_PASS_DROPS` drops. `evaluate`
+scores one `PilotAssignment`, a (1, 1, T) stack, and adds its SE. A pass
+encodes its pilots once, as a one-hot as wide as the pilot length, which
+the grouping, the gammas and the co-pilot ranks all read: it ranks its
 drops' strong sets, which do not depend on the pilots, in one call, and
 computes its cells' gammas in another.
 `_lsfd_groups` lays the serving links of every unit out once, a UE under
@@ -70,7 +72,7 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 _PASS_DROPS = 6
 
 
-def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, pilot_of,
+def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
                  antennas: int):
     """The LSFD systems (units, Q, b) of a stack of D drops, one per
     serving-set size n in ascending order. Cell c = d S + s is drop d under
@@ -84,15 +86,16 @@ def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, pilot_of,
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
-    betas is the (D, M, T) LSFC stack, pilot_of the (D, S, T) pilots and
-    `assocs` the drops' associations; flags and counts are `strong_stack`'s
-    for them. table_w is the (D, S, M, T + 1) co-pilot weight table, gamma_mk
-    of cell d S + s at [d, s, m, k] and zero in column T; it is rewritten in
-    place. Every per-link scalar is one flat row over the links of all
-    units, and the units of one key (n, K_c) are a contiguous run of links
-    that reshapes to (N, n). Arrays are built in place and freed once read.
+    betas is the (D, M, T) LSFC stack, onehot the (D, S, T, Lp) one-hot of
+    its pilots and `assocs` the drops' associations; flags and counts are
+    `strong_stack`'s for them. table_w is the (D, S, M, T + 1) co-pilot
+    weight table, gamma_mk of cell d S + s at [d, s, m, k] and zero in
+    column T; it is rewritten in place. Every per-link scalar is one flat
+    row over the links of all units, and the units of one key (n, K_c) are
+    a contiguous run of links that reshapes to (N, n). Arrays are built in
+    place and freed once read.
     """
-    num_drops, num_schemes, num_ues = pilot_of.shape
+    num_drops, num_schemes, num_ues, num_pilots = onehot.shape
     num_cells, num_aps = num_drops * num_schemes, betas.shape[1]
     p = powers.p_uplink
     # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
@@ -103,9 +106,9 @@ def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, pilot_of,
     # counts the UEs up to t on pilot i, so t's slot in its pilot's row is
     # its own count less one, and rank[c, -1] holds the loads, whose
     # largest is K_c
-    pilot_of = pilot_of.reshape(num_cells, num_ues, 1)
-    num_pilots = pilot_of.max() + 1
-    rank = (pilot_of == np.arange(num_pilots)).cumsum(axis=1)
+    onehot = onehot.reshape(num_cells, num_ues, num_pilots)
+    pilot_of = onehot.argmax(axis=2)[..., None]
+    rank = onehot.cumsum(axis=1, dtype=np.intp)
     slot = np.take_along_axis(rank, pilot_of, 2) - 1
     loads = rank[:, -1].max(axis=1)
     del rank
@@ -214,10 +217,12 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
 
     pilot_of is the (D, S, T) int array of S complete pilot assignments per
     drop, pilot_of[d, s] the s-th of drop d; the drops share M, T and the UE
-    powers. Returns the checked (D, S, T) SINRs, assignments in order. The
-    drops are scored in passes of at most `_PASS_DROPS`; a pass ranks its
-    drops' strong sets in one call and computes its cells' gammas in
-    another, and its cells share one stacked solve per serving-set size.
+    powers. Returns the checked (D, S, T) SINRs, assignments in order. Every
+    entry must lie in [0, Lp), which is checked here, once, before any drop
+    is scored. The drops are scored in passes of at most `_PASS_DROPS`; a
+    pass builds one one-hot of its pilots, ranks its drops' strong sets in
+    one call and computes its cells' gammas in another, and its cells share
+    one stacked solve per serving-set size.
     Each (drop, assignment) cell takes co-pilot products of its own largest
     pilot load, so a cell scores the same bits in any stack or pass and
     beside any assignments. The first failing SINR in (drop, assignment,
@@ -237,6 +242,9 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
     if not np.issubdtype(pilot_of.dtype, np.integer):
         raise ValueError("pilot_of must hold integers, not floats or bools")
     pilot_of = pilot_of.astype(int, copy=False)
+    if pilot_of.min() < 0:
+        raise ValueError(f"pilot index {pilot_of.min()} is negative: "
+                         "evaluation requires a complete assignment")
     if pilot_of.max() >= config.pilot_length:
         raise ValueError(f"pilot index {pilot_of.max()} is not below the "
                          f"pilot length {config.pilot_length}")
@@ -246,18 +254,19 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
     for lo in range(0, num_drops, _PASS_DROPS):
         part = slice(lo, lo + _PASS_DROPS)
         betas = np.stack([real.beta for real in reals[part]])
-        pilots = pilot_of[part]
+        # the pass's one pilot encoding, which grouping, gammas and
+        # co-pilot ranks all read
+        onehot = np.eye(config.pilot_length)[pilot_of[part]]
         flags, counts = strong_stack(
             betas, np.stack([assoc.serves for assoc in assocs[part]]),
-            config.strong_threshold, pilots, config.antennas_per_ap)
+            config.strong_threshold, onehot, config.antennas_per_ap)
         # the gammas go straight into the co-pilot weight table, and the
         # set-up's inputs are not held while its systems are solved
-        table = np.zeros(pilots.shape[:2] + (num_aps, num_ues + 1))
-        gamma_stack(betas, powers, config.pilot_length, pilots,
-                    out=table[..., :num_ues])
+        table = np.zeros(onehot.shape[:2] + (num_aps, num_ues + 1))
+        gamma_stack(betas, powers, onehot, out=table[..., :num_ues])
         systems = _lsfd_groups(betas, powers, table, flags, counts,
-                               assocs[part], pilots, config.antennas_per_ap)
-        del betas, pilots, flags, counts, table
+                               assocs[part], onehot, config.antennas_per_ap)
+        del betas, onehot, flags, counts, table
         out = score[lo * per_drop:(lo + _PASS_DROPS) * per_drop]
         for units, q, b in systems:
             out[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],

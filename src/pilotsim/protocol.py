@@ -79,12 +79,6 @@ class TraceLog:
             rows.append((arrival_index, _OFFER, ue, ap, len(offer)))
         rows.extend([(arrival_index, _NOTIFY, ue, ap, 1) for ap in serving])
 
-    def ap_to_ap_count(self) -> int:
-        return sum(1 for row in self.rows if row[1] in _AP_TO_AP)
-
-    def total_payload(self) -> int:
-        return sum(row[4] for row in self.rows)
-
     def export_lines(self):
         """Line-delimited trace: arrival_index,kind,src,dst,payload_size."""
         for idx, code, ue, ap, payload in self.rows:

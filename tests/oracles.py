@@ -15,6 +15,7 @@ from pilotsim import (AssociationMap, NetworkRealization, PilotAssignment,
                       PowerProfile)
 from pilotsim.network import strong_stack
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
+from probes import one_hot
 
 
 def oracle_gamma(beta, p_pilot, lp, pilot_of):
@@ -331,7 +332,8 @@ def micro_instance(rng):
                            serves)
     flags, counts = strong_stack(beta[None], serves[None],
                                  float(rng.uniform(0.3, 1.0)),
-                                 assignment.pilot_of[None, None], antennas)
+                                 one_hot(lp, assignment.pilot_of[None, None]),
+                                 antennas)
     return {"real": real, "powers": powers, "assignment": assignment,
             "assoc": assoc, "flags": flags[0], "counts": counts[0, 0],
             "lp": lp, "antennas": antennas}

@@ -3,10 +3,11 @@
 `evaluate` scores only the optimal weights, so the tests that compare other
 weight vectors (the oracle's, equal ones, random probes) read UE t's system
 out of `performance._lsfd_groups` and evaluate the Rayleigh quotient here.
-The package ranks strong sets and computes gammas only for stacks of drops;
-`strong_one` and `gamma_one` are those calls on one drop. `map_from_sets`
-builds an association from per-UE serving sets, and `pilot_stack` the
-(D, S, T) pilot array of `PilotAssignment`s.
+The package ranks strong sets and computes gammas only for stacks of drops,
+each reading the one-hot of the pilots that `one_hot` builds as an
+evaluation pass does; `strong_one` and `gamma_one` are those calls on one
+drop. `map_from_sets` builds an association from per-UE serving sets, and
+`pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s.
 """
 
 import numpy as np
@@ -22,12 +23,19 @@ def map_from_sets(serving_aps, serves):
     return AssociationMap(links, sizes, serves)
 
 
+def one_hot(lp, pilot_of):
+    """The one-hot of a complete pilot array over `lp` pilots: a last axis
+    of width lp, one 1.0 per UE in its pilot's column."""
+    return np.eye(lp)[pilot_of]
+
+
 def strong_one(real, assoc, threshold, assignments, antennas):
     """`strong_stack` on one drop: its (M, T) strong flags, and row s of its
     (S, M) strong-pilot counts for the s-th of its assignments."""
+    lp = max(pa.num_pilots for pa in assignments)
     flags, counts = network.strong_stack(
         real.beta[None], assoc.serves[None], threshold,
-        np.stack([pa.pilot_of for pa in assignments])[None], antennas)
+        one_hot(lp, pilot_stack([assignments])), antennas)
     return flags[0], counts[0]
 
 
@@ -39,7 +47,8 @@ def pilot_stack(by_drop):
 def gamma_one(beta, powers, lp, assignment):
     """`gamma_stack` on one drop: the (M, T) gammas of one assignment."""
     return estimation.gamma_stack(np.asarray(beta, dtype=float)[None], powers,
-                                  lp, assignment.pilot_of[None, None])[0, 0]
+                                  one_hot(lp, assignment.pilot_of[None, None])
+                                  )[0, 0]
 
 
 def sinr_pfzf(t, weights, beta, gamma, powers, assoc, flags, counts,
@@ -58,7 +67,8 @@ def sinr_pfzf(t, weights, beta, gamma, powers, assoc, flags, counts,
     for units, q, b in performance._lsfd_groups(
             np.asarray(beta)[None], powers, table, flags[None],
             counts[None, None], [assoc],
-            assignment.pilot_of[None, None], antennas):
+            one_hot(assignment.num_pilots, assignment.pilot_of[None, None]),
+            antennas):
         hit = np.flatnonzero(units == t)
         if hit.size:
             q, b = q[hit[0]], b[hit[0]]

@@ -5,16 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim import PilotAssignment, PowerProfile
-from pilotsim.estimation import (ContaminationCache, gamma_stack,
-                                 local_error_profile)
+from pilotsim import (NetworkConfig, NetworkRealization, PilotAssignment,
+                      PowerProfile)
+from pilotsim.estimation import ContaminationCache, local_error_profile
+from pilotsim.performance import evaluate_drops
 from oracles import (oracle_error_global, oracle_error_local, oracle_gamma,
                      oracle_gamma_bound)
-from probes import gamma_one
+from probes import gamma_one, map_from_sets
 
 
 def unit_powers(n):
     return PowerProfile(np.ones(n), np.ones(n))
+
+
+def evaluate_on_one_ap(pilots, lp):
+    """Evaluate a (D, S, T) pilot stack on D drops of one AP that serves
+    every UE at unit LSFC, under pilot length lp: the gammas' one caller."""
+    num_drops, _, num_ues = np.shape(pilots)
+    cfg = NetworkConfig(num_aps=1, num_ues=num_ues, pilot_length=lp)
+    real = NetworkRealization(np.zeros((1, 2)), np.zeros((num_ues, 2)),
+                              np.ones((1, num_ues)), 0)
+    assoc = map_from_sets([[0]] * num_ues, np.ones((1, num_ues), bool))
+    return evaluate_drops([real] * num_drops, [assoc] * num_drops,
+                          np.array(pilots), unit_powers(num_ues), cfg)
 
 
 def cached_global_error(t, pilot, beta, powers, lp, assignment, serving):
@@ -127,9 +140,12 @@ class TestGamma:
         assert g == pytest.approx(beta[0, 0], rel=1e-3)
 
     def test_incomplete_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_one(np.ones((1, 1)), unit_powers(1), 1,
-                          PilotAssignment(np.array([-1]), 1))
+        # gamma reads the one-hot of a complete assignment: evaluation
+        # rejects an unassigned UE before it computes any gamma
+        with pytest.raises(ValueError, match="^pilot index -1 is negative: "
+                                             "evaluation requires a complete "
+                                             "assignment$"):
+            evaluate_on_one_ap([[[-1]]], 1)
 
     def test_quality_container_validates(self):
         pa = PilotAssignment(np.array([0]), 1)
@@ -149,11 +165,10 @@ class TestGamma:
     @pytest.mark.parametrize("pilot", [2, 3])
     def test_pilot_at_or_past_the_pilot_length_rejected(self, pilot):
         # a stack's one-hot is as wide as the pilot length, so a pilot at
-        # or past it has no column
-        pilots = np.array([[[0, 1, pilot]], [[1, 1, 0]]])
-        with pytest.raises(ValueError, match="^gamma requires pilots below "
-                                             "the pilot length 2$"):
-            gamma_stack(np.ones((2, 1, 3)), unit_powers(3), 2, pilots)
+        # or past it has no column: evaluation rejects it at entry
+        with pytest.raises(ValueError, match=f"^pilot index {pilot} is not "
+                                             "below the pilot length 2$"):
+            evaluate_on_one_ap([[[0, 1, pilot]], [[1, 1, 0]]], 2)
 
 
 class TestGlobalError:

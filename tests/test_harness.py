@@ -445,16 +445,17 @@ class TestCellFailures:
         assert info.value.__cause__ is exc
 
     def test_grouping_error_names_its_scheme(self, tmp_path, monkeypatch):
-        # the stacked grouping sees each assignment as its pilot vector
+        # the stacked grouping sees each assignment as the one-hot of its
+        # pilot vector
         scheme_of = record_schemes(monkeypatch)
         real_stack = performance.strong_stack
 
-        def strong_stack(betas, serves, threshold, pilot_of, antennas):
-            rows = pilot_of.reshape(-1, pilot_of.shape[-1])
+        def strong_stack(betas, serves, threshold, onehot, antennas):
+            rows = onehot.argmax(axis=-1).reshape(-1, onehot.shape[2])
             if "random" in map(scheme_of, rows):
                 raise ValueError("AP 2 would zero-force 8 pilots with only "
                                  "8 antennas")
-            return real_stack(betas, serves, threshold, pilot_of, antennas)
+            return real_stack(betas, serves, threshold, onehot, antennas)
 
         monkeypatch.setattr(performance, "strong_stack", strong_stack)
         with pytest.raises(CellError) as info:

@@ -463,11 +463,16 @@ class TestStrongGrouping:
             assert set(strong) <= set(np.flatnonzero(assoc.serves[m]))
 
     def test_rejects_unassigned(self):
+        # grouping reads the one-hot of a complete assignment: evaluation
+        # rejects an unassigned UE before it ranks any strong set
         real, assoc, _ = self._instance([0.4, 0.3], [0, 1], 1.0)
         partial = PilotAssignment(np.array([0, -1]), 2)
-        with pytest.raises(ValueError, match="^strong grouping requires a "
-                                             "complete assignment$"):
-            strong_one(real, assoc, 0.9, [partial], self.antennas)
+        cfg = NetworkConfig(num_aps=1, num_ues=2, pilot_length=2,
+                            strong_threshold=0.9)
+        with pytest.raises(ValueError, match="^pilot index -1 is negative: "
+                                             "evaluation requires a complete "
+                                             "assignment$"):
+            evaluate(real, assoc, partial, normalize_powers(cfg), cfg)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
     def test_rejects_threshold_outside_unit_interval(self, threshold):
@@ -503,20 +508,14 @@ class TestStrongGrouping:
         # three LSFC levels per instance, so ties are common
         beta = r.choice(10.0 ** r.uniform(-12.0, -6.0, size=3), size=(m, t))
         serves = r.random((m, t)) < 0.6  # some APs serve nobody
-        # one to three assignments ranked together, some with unassigned UEs
-        asgs = [PilotAssignment(
-            r.integers(-1 if r.random() < 0.1 else 0, lp, size=t), lp)
-            for _ in range(int(r.integers(1, 4)))]
+        # one to three complete assignments ranked together
+        asgs = [PilotAssignment(r.integers(0, lp, size=t), lp)
+                for _ in range(int(r.integers(1, 4)))]
         # lp + 1 antennas can zero-force any set of pilots
         antennas = int(r.integers(1, lp + 2)) if r.random() < 0.5 else lp + 1
         real = NetworkRealization(np.zeros((m, 2)), np.zeros((t, 2)), beta, 0)
         assoc = map_from_sets(
             tuple(np.flatnonzero(serves[:, k]) for k in range(t)), serves)
-        if not all((asg.pilot_of >= 0).all() for asg in asgs):
-            with pytest.raises(ValueError, match="^strong grouping requires "
-                                                 "a complete assignment$"):
-                strong_one(real, assoc, threshold, asgs, antennas)
-            return
         wants, first_error = [], None
         for asg in asgs:
             try:

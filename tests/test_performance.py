@@ -214,22 +214,27 @@ class TestEvaluate:
                                                           ("eem", "random"))
         calls = []
 
-        def recording(name, real):
-            # both take the (D, M, T) betas first and the pilots fourth
-            def call(*args, **kwargs):
-                calls.append((name, args[0].shape, args[3].shape))
-                return real(*args, **kwargs)
-            return call
-
-        for module, name in ((network, "strong_stack"),
-                             (estimation, "gamma_stack")):
-            stand_in = recording(name, getattr(module, name))
-            monkeypatch.setattr(module, name, stand_in)
-            monkeypatch.setattr(performance, name, stand_in)
+        record_stacked_calls(monkeypatch, calls)
         evaluate_drops(reals, assocs, pilot_of, powers, cfg)
-        shapes = [((d, 30, 50), (d, 2, 50)) for d in (6, 6, 1)]
+        shapes = [((d, 30, 50), (d, 2, 50, cfg.pilot_length))
+                  for d in (6, 6, 1)]
         assert calls == [(name, *shape) for shape in shapes
                          for name in ("strong_stack", "gamma_stack")]
+
+    @pytest.mark.parametrize("pilot", [-1, 7])
+    def test_rejects_out_of_range_pilots_before_any_pass(
+            self, desk_config, monkeypatch, pilot):
+        # thirteen drops are passes of 6, 6 and 1: an entry out of [0, Lp),
+        # Lp = 7 here, in the last drop, the third pass, is rejected before
+        # the first pass ranks a strong set or computes a gamma
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 13,
+                                                          ("eem", "random"))
+        calls = []
+        record_stacked_calls(monkeypatch, calls)
+        pilot_of[12, 1, 9] = pilot
+        with pytest.raises(ValueError, match=f"^pilot index {pilot} is "):
+            evaluate_drops(reals, assocs, pilot_of, powers, cfg)
+        assert calls == []
 
     def test_orthogonal_pilots_match_no_copilot_formula(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=13, num_ues=7)
@@ -416,10 +421,10 @@ class TestBatchedEvaluate:
         pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
                           cfg.pilot_length) for scheme in ("eem", "dpb")]
 
-        def one_group(betas, powers, table, flags, counts, assocs, pilot_of,
+        def one_group(betas, powers, table, flags, counts, assocs, onehot,
                       antennas):
-            num_ues = pilot_of.shape[-1]
-            b = np.ones((pilot_of.shape[1] * num_ues, 1))
+            num_ues = onehot.shape[2]
+            b = np.ones((onehot.shape[1] * num_ues, 1))
             b[1] = b[num_ues] = np.nan
             yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
 
@@ -435,6 +440,20 @@ class TestBatchedEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 1$"):
                 evaluate(real, assoc, pa, powers, cfg)
+
+
+def record_stacked_calls(monkeypatch, calls):
+    """Record each `strong_stack` and `gamma_stack` call of evaluation in
+    `calls`: its name and the shapes of its (D, M, T) betas, which both
+    take first, and of its pilots' one-hot, the fourth and third argument."""
+    for module, name, at in ((network, "strong_stack", 3),
+                             (estimation, "gamma_stack", 2)):
+        def call(*args, name=name, at=at, real=getattr(module, name),
+                 **kwargs):
+            calls.append((name, args[0].shape, args[at].shape))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+        monkeypatch.setattr(performance, name, call)
 
 
 def desk_stack(desk_config, num_drops, schemes=SCHEME_IDS, seed=14, **over):
@@ -456,9 +475,9 @@ def nan_systems(spots):
     """An `_lsfd_groups` stand-in: one system of unit Q per unit, a UE
     under one (drop, assignment) cell, with b = 1 but NaN at each
     (drop, assignment, UE) of `spots`."""
-    def systems(betas, powers, table, flags, counts, assocs, pilot_of,
+    def systems(betas, powers, table, flags, counts, assocs, onehot,
                 antennas):
-        num_drops, num_schemes, num_ues = pilot_of.shape
+        num_drops, num_schemes, num_ues = onehot.shape[:3]
         b = np.ones((num_drops * num_schemes * num_ues, 1))
         for d, i, t in spots:
             b[(d * num_schemes + i) * num_ues + t] = np.nan

@@ -125,12 +125,19 @@ class TestTraceLog:
         log.record_arrival(1, 1, [], [], [2])
         assert kind_counts(log) == {KIND_PROBE: 1, KIND_OFFER: 1,
                                     KIND_NOTIFY: 1}
-        assert log.ap_to_ap_count() == 0
-        assert log.total_payload() == 4
         lines = list(log.export_lines())
         assert lines[0] == f"0,{KIND_PROBE},ue0,ap2,0"
         assert lines[1] == f"0,{KIND_OFFER},ap2,ue0,3"
         assert lines[2] == f"1,{KIND_NOTIFY},ue1,ap2,1"
+        # the audit of a real run counts its AP-to-AP messages, none, and
+        # sums the payload column of its export
+        real, assoc, powers, lp = all_serve_instance(num_aps=5, num_ues=4)
+        _, log = run_protocol(real, assoc, SchemeConfig("dpb", dpb_s=3),
+                              np.arange(4), powers, lp)
+        audit = audit_overhead(log, assoc, 3)
+        assert audit["ap_to_ap"] == 0
+        assert audit["total_payload"] == sum(
+            int(line.split(",")[4]) for line in log.export_lines())
 
 
 class TestAgents:
@@ -200,11 +207,11 @@ class TestRunProtocol:
 
     def test_structurally_no_ap_to_ap(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=4)
-        pa, log = run_protocol(real, assoc, SchemeConfig("dpb", seed=1),
-                               np.arange(cfg.num_ues), powers,
-                               cfg.pilot_length)
+        scheme = SchemeConfig("dpb", seed=1)
+        pa, log = run_protocol(real, assoc, scheme, np.arange(cfg.num_ues),
+                               powers, cfg.pilot_length)
         assert (pa.pilot_of >= 0).all()
-        assert log.ap_to_ap_count() == 0
+        assert audit_overhead(log, assoc, scheme.dpb_s)["ap_to_ap"] == 0
 
     def test_matches_direct_implementation(self, desk_drop):
         for seed in range(5):

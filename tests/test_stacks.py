@@ -13,13 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pilotsim import (SCHEME_IDS, NetworkConfig, PilotAssignment,
-                      PowerProfile, SchemeConfig, assign_all, associate_aps,
-                      generate_drop, normalize_powers)
+from pilotsim import (SCHEME_IDS, NetworkConfig, NetworkRealization,
+                      PilotAssignment, PowerProfile, SchemeConfig, assign_all,
+                      associate_aps, generate_drop, normalize_powers)
 from pilotsim.estimation import gamma_stack
 from pilotsim.network import strong_stack
 from pilotsim.performance import evaluate_drops
-from probes import gamma_one, pilot_stack, strong_one
+from probes import gamma_one, map_from_sets, one_hot, pilot_stack, strong_one
 
 
 def drop_stack(cfg, num_drops, schemes, seed, narrow=False):
@@ -51,16 +51,15 @@ def stacked(reals, assocs, by_drop):
 
 def assert_matches_one_drop_calls(cfg, powers, reals, assocs, by_drop):
     betas, serves, pilot_of = stacked(reals, assocs, by_drop)
+    onehot = one_hot(cfg.pilot_length, pilot_of)
     flags, counts = strong_stack(betas, serves, cfg.strong_threshold,
-                                 pilot_of, cfg.antennas_per_ap)
+                                 onehot, cfg.antennas_per_ap)
     # written into a table's view, as evaluation does, and returned alike
     table = np.zeros(pilot_of.shape[:2] + betas.shape[1:2]
                      + (cfg.num_ues + 1,))
-    gammas = gamma_stack(betas, powers, cfg.pilot_length, pilot_of,
-                         out=table[..., :-1])
+    gammas = gamma_stack(betas, powers, onehot, out=table[..., :-1])
     assert not table[..., -1].any()
-    np.testing.assert_array_equal(
-        gamma_stack(betas, powers, cfg.pilot_length, pilot_of), gammas)
+    np.testing.assert_array_equal(gamma_stack(betas, powers, onehot), gammas)
     for d, (real, assoc, cell) in enumerate(zip(reals, assocs, by_drop,
                                                 strict=True)):
         alone = strong_one(real, assoc, cfg.strong_threshold, cell,
@@ -117,31 +116,49 @@ def grouping_instance():
 
 
 class TestStackErrors:
-    @pytest.mark.parametrize("pilots, message", [
+    @pytest.mark.parametrize("pilots, drop, message", [
         # the first offending (drop, assignment) is named, not the lowest AP
         # or the largest count
-        ([[[0, 0, 0], [0, 0, 1]], [[0, 1, 2], [0, 0, 0]]],
+        ([[[0, 0, 0], [0, 0, 1]], [[0, 1, 2], [0, 0, 0]]], 0,
          "^AP 1 would zero-force 2 pilots with only 2 antennas$"),
-        # an earlier drop's zero-forcing error before a later incomplete one
-        ([[[0, 0, 0], [0, 0, 1]], [[0, -1, 0], [0, 0, 0]]],
-         "^AP 1 would zero-force 2 pilots with only 2 antennas$"),
-        # an incomplete drop before a later drop's zero-forcing error
-        ([[[0, -1, 0], [0, 0, 0]], [[0, 1, 1], [0, 0, 0]]],
-         "^strong grouping requires a complete assignment$"),
-        # and before its own, as a one-drop call checks
-        ([[[0, 1, 1], [0, -1, 0]], [[0, 0, 0], [0, 0, 0]]],
-         "^strong grouping requires a complete assignment$"),
-    ], ids=["first-cell", "zero-forcing-first", "incomplete-first",
-            "incomplete-in-drop"])
-    def test_first_failing_drop_names_its_grouping_error(self, pilots,
+        # a sound first drop raises nothing, so the later drop's error is
+        # named
+        ([[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 1]]], 1,
+         "^AP 0 would zero-force 2 pilots with only 2 antennas$"),
+    ], ids=["first-cell", "later-drop"])
+    def test_first_failing_drop_names_its_grouping_error(self, pilots, drop,
                                                          message):
         betas, serves = grouping_instance()
-        pilot_of = np.array(pilots)
+        onehot = one_hot(3, np.array(pilots))
         with pytest.raises(ValueError, match=message):
-            strong_stack(betas, serves, 1.0, pilot_of, 2)
-        # the first failing drop, drop 0, raises the same alone
+            strong_stack(betas, serves, 1.0, onehot, 2)
+        # the first failing drop raises the same alone
+        alone = slice(drop, drop + 1)
         with pytest.raises(ValueError, match=message):
-            strong_stack(betas[:1], serves[:1], 1.0, pilot_of[:1], 2)
+            strong_stack(betas[alone], serves[alone], 1.0, onehot[alone], 2)
+
+    @pytest.mark.parametrize("pilots", [
+        [[[0, 0, 0], [0, 0, 1]], [[0, -1, 0], [0, 0, 0]]],
+        [[[0, -1, 0], [0, 0, 0]], [[0, 1, 1], [0, 0, 0]]],
+        [[[0, 1, 1], [0, -1, 0]], [[0, 0, 0], [0, 0, 0]]],
+    ], ids=["second-drop", "first-drop", "second-assignment"])
+    def test_incomplete_stack_is_rejected_first(self, pilots):
+        # grouping's drops with an unassigned UE in the second drop, the
+        # first, or a drop's second assignment: evaluation rejects each at
+        # entry, before it ranks any strong set; grouping reads only
+        # complete assignments
+        betas, serves = grouping_instance()
+        cfg = NetworkConfig(num_aps=2, num_ues=3, antennas_per_ap=4,
+                            pilot_length=3, strong_threshold=1.0)
+        reals = [NetworkRealization(np.zeros((2, 2)), np.zeros((3, 2)), beta,
+                                    0) for beta in betas]
+        assocs = [map_from_sets(tuple(np.flatnonzero(s[:, k])
+                                      for k in range(3)), s) for s in serves]
+        with pytest.raises(ValueError, match="^pilot index -1 is negative: "
+                                             "evaluation requires a complete "
+                                             "assignment$"):
+            evaluate_drops(reals, assocs, np.array(pilots),
+                           normalize_powers(cfg), cfg)
 
     def test_evaluation_rejects_an_incomplete_assignment(self, desk_config):
         cfg = desk_config()
@@ -150,8 +167,9 @@ class TestStackErrors:
         pilots = by_drop[1][1].pilot_of.copy()
         pilots[5] = -1
         by_drop[1][1] = PilotAssignment(pilots, cfg.pilot_length)
-        with pytest.raises(ValueError, match="^strong grouping requires a "
-                                             "complete assignment$"):
+        with pytest.raises(ValueError, match="^pilot index -1 is negative: "
+                                             "evaluation requires a complete "
+                                             "assignment$"):
             evaluate_drops(reals, assocs, pilot_stack(by_drop), powers, cfg)
 
     @pytest.mark.parametrize("pilots, error", [
@@ -171,7 +189,7 @@ class TestStackErrors:
                    AssertionError: "^gamma exceeded beta; inputs are "
                                    "inconsistent$"}[error]
         with pytest.raises(error, match=message):
-            gamma_stack(betas, powers, 2, pilot_of)
+            gamma_stack(betas, powers, one_hot(2, pilot_of))
         # alone, drop 0's cells pass and drop 1's first cell fails alike
         for pilots in pilot_of[0]:
             gamma_one(betas[0], powers, 2, PilotAssignment(pilots, 2))
