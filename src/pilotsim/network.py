@@ -206,8 +206,9 @@ class AssociationMap:
     descending LSFC order, the priority order `serves` cannot hold, and
     `sizes` counts them per UE: this flat form is what the batched schemes
     and evaluation read. `serving_aps[t]`, UE t's run of `links`, is built
-    on first read. Strong sets depend on the pilots, so the map holds none:
-    `strong_stack` ranks them for a stack of drops and assignments.
+    on first read. The map holds no strong sets: they do not depend on the
+    pilots, but their distinct-pilot counts do, and `strong_stack` ranks the
+    sets and counts their pilots for a stack of drops and assignments.
     """
 
     links: np.ndarray
@@ -370,7 +371,7 @@ def strong_stack(betas, serves, strong_threshold: float, onehot,
     num_drops, num_aps, num_ues = serves.shape
     # each (drop, AP)'s served links in one row, padded to the largest
     # degree with zeros, which are never chosen and leave the sums unchanged
-    link_rows, link_ues = np.nonzero(serves.reshape(-1, num_ues))
+    link_rows, link_ues = np.divmod(np.flatnonzero(serves), num_ues)
     degree = np.bincount(link_rows, minlength=num_drops * num_aps)
     start = np.cumsum(degree) - degree
     slot = np.arange(link_rows.size) - start[link_rows]

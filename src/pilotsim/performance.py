@@ -19,14 +19,17 @@ computes its cells' gammas in another.
 `_lsfd_groups` lays the serving links of every unit out once, a UE under
 one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
 pilot load K_c, and computes every per-link term of all cells at once. Each
-serving-set size is then a contiguous run of links, whose (Q_t, b_t) stack
-over all cells is solved in one call.
+serving-set size is then a contiguous run of links, whose systems over all
+cells are built as one stack of bordered matrices [[Q_t, b_t], [b_t, s_t]]
+and factored in one Cholesky call: every Q_t is symmetric positive definite,
+and the last row of the factor is L^{-1} b_t, whose squared norm is
+b_t.Q_t^{-1} b_t.
 
-Each Q_t is built with the co-pilot slots of its own cell's K_c, and a solve
-treats each matrix of its stack on its own, so a cell's SINRs depend on
-that cell alone: neither the drops stacked with it, which the worker count
-sets, nor the other assignments scored on its drop, which the scheme list
-sets, moves a result.
+Each Q_t is built with the co-pilot slots of its own cell's K_c, and the
+factorization treats each matrix of its stack on its own, so a cell's SINRs
+depend on that cell alone: neither the drops stacked with it, which the
+worker count sets, nor the other assignments scored on its drop, which the
+scheme list sets, moves a result.
 """
 
 from __future__ import annotations
@@ -74,12 +77,14 @@ _PASS_DROPS = 6
 
 def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
                  antennas: int):
-    """The LSFD systems (units, Q, b) of a stack of D drops, one per
+    """The LSFD systems (units, bordered) of a stack of D drops, one per
     serving-set size n in ascending order. Cell c = d S + s is drop d under
     its s-th assignment, and unit u = c T + t is UE t of cell c: `units`
     holds the units with |M_t| = n, ordered by their cell's largest pilot
-    load K_c and then by u; Q is (N, n, n) and b is (N, n). The set-up runs
-    at the call, and an iterator is returned.
+    load K_c and then by u, and `bordered` is (N, n + 1, n + 1), unit i's
+    system [[Q, b], [b, s]] at [i]: Q in the leading n x n block, b in the
+    last row and column, and in the corner s = 1 + b.b / min(D_t). The
+    set-up runs at the call, and an iterator is returned.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
@@ -168,6 +173,13 @@ def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
     b *= gain
     np.sqrt(b, out=b)
     del gain
+    # each unit's corner s = 1 + b.b / min(D_t): Q >= min(D_t) I, so the
+    # Schur complement s - b.Q^{-1} b is at least 1, and the bordered
+    # matrix is positive definite whenever Q is
+    unit_start = end - n
+    corner = np.add.reduceat(b * b, unit_start)
+    corner /= np.minimum.reduceat(diag, unit_start)
+    corner += 1.0
     # the table becomes sqrt(p_k gamma_mk) per co-pilot k, its zero
     # column times any power staying zero; in place on the whole table, as
     # on a column slice numpy would buffer the strided rows
@@ -177,17 +189,18 @@ def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
     heads = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist()]
     runs = list(zip(heads, [*heads[1:], units.size], n[heads].tolist(),
                     (loads[unit_cell[heads]] - 1).tolist()))
-    return _systems(table_w.ravel(), row, root, diag, b, copilots, units,
-                    [0, *end.tolist()], runs)
+    return _systems(table_w.ravel(), row, root, diag, b, corner, copilots,
+                    units, [0, *end.tolist()], runs)
 
 
-def _systems(w, row, root, diag, b, copilots, units, start, runs):
-    """Yield `_lsfd_groups`' systems from its flat weight table `w` and its
-    per-link rows. start[i] is unit i's first link, and `runs` lists each
-    run of units of one key as (first unit, end unit, n, K_c - 1), in
-    order."""
-    # one system stack per n, its co-pilots gathered once over the widest
-    # run's K_c - 1 slots, and its Q built one run of equal K_c at a time
+def _systems(w, row, root, diag, b, corner, copilots, units, start, runs):
+    """Yield `_lsfd_groups`' bordered systems from its flat weight table `w`,
+    its per-link rows and its per-unit corners. start[i] is unit i's first
+    link, and `runs` lists each run of units of one key as (first unit, end
+    unit, n, K_c - 1), in order."""
+    # one bordered stack per n, its co-pilots gathered once over the widest
+    # run's K_c - 1 slots, and its Q block built one run of equal K_c at a
+    # time
     for size, group in itertools.groupby(runs, operator.itemgetter(2)):
         group = list(group)
         lo, hi = group[0][0], group[-1][1]
@@ -195,15 +208,38 @@ def _systems(w, row, root, diag, b, copilots, units, start, runs):
         shape = (hi - lo, size, 1)
         c = w[row[links].reshape(shape) + copilots[lo:hi, None, :group[-1][3]]]
         c *= root[links].reshape(shape)
-        q = np.empty((hi - lo, size, size))
+        bordered = np.empty((hi - lo, size + 1, size + 1))
+        q = bordered[:, :size, :size]
         for a, z, _, width in group:
             run = c[a - lo:z - lo, :, :width]
             np.matmul(run, run.swapaxes(-1, -2), out=q[a - lo:z - lo])
         del c, run
-        # the diagonal of each n x n block, as a strided view
-        q.reshape(-1, size * size)[:, ::size + 1] += diag[links].reshape(
-            -1, size)
-        yield units[lo:hi], q, b[links].reshape(hi - lo, size)
+        # the diagonal of each n x n block, every (n + 2)-th entry of its
+        # matrix, as a strided view
+        flat = bordered.reshape(-1, (size + 1) ** 2)
+        flat[:, :size * (size + 2):size + 2] += diag[links].reshape(-1, size)
+        border = b[links].reshape(-1, size)
+        bordered[:, size, :size] = bordered[:, :size, size] = border
+        bordered[:, size, size] = corner[lo:hi]
+        yield units[lo:hi], bordered
+
+
+def _scores(bordered):
+    """b.Q^{-1} b of each bordered system [[Q, b], [b, s]] of a stack. With
+    Q = L L^T, the last row of its Cholesky factor is (L^{-1} b,
+    sqrt(s - b.Q^{-1} b)), so the score is that row's squared norm without
+    its corner, which s never enters. If a system is not positive definite,
+    the stack is factored one system at a time, and each failing one scores
+    NaN."""
+    size = bordered.shape[-1] - 1
+    try:
+        factor = np.linalg.cholesky(bordered)
+    except np.linalg.LinAlgError:
+        if len(bordered) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate([_scores(one) for one in bordered[:, None]])
+    last = factor[:, size, :size]
+    return np.einsum("ij,ij->i", last, last)
 
 
 def se_uplink(sinr, coherence_block: int, pilot_length: int):
@@ -222,11 +258,12 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
     is scored. The drops are scored in passes of at most `_PASS_DROPS`; a
     pass builds one one-hot of its pilots, ranks its drops' strong sets in
     one call and computes its cells' gammas in another, and its cells share
-    one stacked solve per serving-set size.
+    one stacked Cholesky factorization per serving-set size, each matrix
+    bordered by its b, which scores b.Q^{-1} b without a solve.
     Each (drop, assignment) cell takes co-pilot products of its own largest
     pilot load, so a cell scores the same bits in any stack or pass and
-    beside any assignments. The first failing SINR in (drop, assignment,
-    UE) order names its UE.
+    beside any assignments. A system that does not factor scores NaN, and
+    the first failing SINR in (drop, assignment, UE) order names its UE.
     """
     if not reals or not len(reals) == len(assocs) == len(pilot_of):
         raise ValueError("need at least one drop, each with its association "
@@ -261,18 +298,17 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
             betas, np.stack([assoc.serves for assoc in assocs[part]]),
             config.strong_threshold, onehot, config.antennas_per_ap)
         # the gammas go straight into the co-pilot weight table, and the
-        # set-up's inputs are not held while its systems are solved
+        # set-up's inputs are not held while its systems are factored
         table = np.zeros(onehot.shape[:2] + (num_aps, num_ues + 1))
         gamma_stack(betas, powers, onehot, out=table[..., :num_ues])
         systems = _lsfd_groups(betas, powers, table, flags, counts,
                                assocs[part], onehot, config.antennas_per_ap)
         del betas, onehot, flags, counts, table
         out = score[lo * per_drop:(lo + _PASS_DROPS) * per_drop]
-        for units, q, b in systems:
-            out[units] = np.sum(b * np.linalg.solve(q, b[..., None])[..., 0],
-                                axis=-1)
+        for units, bordered in systems:
+            out[units] = _scores(bordered)
         # the last system stack is not held through the next pass's set-up
-        del q, b
+        del bordered
     # argwhere meets the (D, S, T) stack's failures row-major
     sinr = powers.p_uplink * score.reshape(num_drops, num_schemes, num_ues)
     bad = np.argwhere(~(np.isfinite(sinr) & (sinr > 0.0)))

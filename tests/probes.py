@@ -1,8 +1,9 @@
 """One-drop forms of the package's stacked calls, for the tests.
 
 `evaluate` scores only the optimal weights, so the tests that compare other
-weight vectors (the oracle's, equal ones, random probes) read UE t's system
-out of `performance._lsfd_groups` and evaluate the Rayleigh quotient here.
+weight vectors (the oracle's, equal ones, random probes) read UE t's Q and b
+out of its bordered system from `performance._lsfd_groups` and evaluate the
+Rayleigh quotient here.
 The package ranks strong sets and computes gammas only for stacks of drops,
 each reading the one-hot of the pilots that `one_hot` builds as an
 evaluation pass does; `strong_one` and `gamma_one` are those calls on one
@@ -64,14 +65,15 @@ def sinr_pfzf(t, weights, beta, gamma, powers, assoc, flags, counts,
     # weight table: the gammas and a zero column
     table = np.zeros((1, 1) + beta.shape[:1] + (beta.shape[1] + 1,))
     table[0, 0, :, :-1] = gamma
-    for units, q, b in performance._lsfd_groups(
+    for units, bordered in performance._lsfd_groups(
             np.asarray(beta)[None], powers, table, flags[None],
             counts[None, None], [assoc],
             one_hot(assignment.num_pilots, assignment.pilot_of[None, None]),
             antennas):
         hit = np.flatnonzero(units == t)
         if hit.size:
-            q, b = q[hit[0]], b[hit[0]]
+            # t's system [[Q, b], [b, s]]
+            q, b = bordered[hit[0], :-1, :-1], bordered[hit[0], -1, :-1]
             break
     a = np.asarray(weights, dtype=float)
     probes = np.atleast_2d(a)

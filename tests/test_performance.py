@@ -204,6 +204,34 @@ class TestLsfdWeights:
             assert np.all(best + 1e-12 * best >= probe)
 
 
+class TestFactorScore:
+    @given(n=st.integers(1, 60), num_copilots=st.integers(0, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    @example(n=1, num_copilots=0, seed=0)
+    @example(n=60, num_copilots=8, seed=1)
+    def test_matches_a_solve_and_ignores_the_corner(self, n, num_copilots,
+                                                    seed):
+        # Q = sum_k c_k c_k^T + diag(D) as an LSFD system builds it: D >= 1
+        # up to 1e6, each co-pilot's square at most D on every link, and b
+        # of magnitudes 1e-6 to 1e6
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(0.0, 6.0, n)
+        c = np.sqrt(d[:, None] * rng.random((n, num_copilots)))
+        b = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        bordered = np.empty((2, n + 1, n + 1))
+        bordered[:, :n, :n] = c @ c.T + np.diag(d)
+        bordered[:, n, :n] = bordered[:, :n, n] = b
+        corner = 1.0 + b @ b / d.min()
+        bordered[:, n, n] = corner, 4.0 * corner
+        score = performance._scores(bordered)
+        want = b @ np.linalg.solve(bordered[0, :n, :n], b)
+        np.testing.assert_allclose(score, want, rtol=1e-13)
+        assert np.all(score > 0.0)
+        last = np.linalg.cholesky(bordered)[:, n, :n]
+        np.testing.assert_array_equal(last[0], last[1])
+
+
 class TestEvaluate:
     def test_ranks_strong_sets_once_per_pass(self, desk_config, monkeypatch):
         # thirteen drops are passes of 6, 6 and 1: each pass ranks its
@@ -334,6 +362,20 @@ def degenerate_drop():
     return cfg, real, powers, assoc
 
 
+def record_factor_shapes(monkeypatch):
+    """The shape of each stack that evaluation factors, recorded in the
+    returned list as `np.linalg.cholesky` is called."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(performance.np.linalg, "cholesky", counting_cholesky)
+    return calls
+
+
 class TestBatchedEvaluate:
     @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
@@ -357,16 +399,11 @@ class TestBatchedEvaluate:
                         cfg.pilot_length)
         sizes = {aps.size for aps in assoc.serving_aps}
         assert len(sizes) > 1
-        calls = []
-        solve = performance.np.linalg.solve
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
+        calls = record_factor_shapes(monkeypatch)
         evaluate(real, assoc, pa, powers, cfg)
-        assert sorted(shape[-1] for shape in calls) == sorted(sizes)
+        # each of size n's systems is bordered by its b, to n + 1
+        assert sorted(shape[-1] for shape in calls) == sorted(
+            size + 1 for size in sizes)
 
     @pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
     def test_stacked_matches_one_scheme(self, desk_drop, edge):
@@ -391,18 +428,12 @@ class TestBatchedEvaluate:
                           cfg.pilot_length) for scheme in SCHEME_IDS]
         sizes = Counter(aps.size for aps in assoc.serving_aps)
         assert len(sizes) > 1
-        calls = []
-        solve = performance.np.linalg.solve
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
+        calls = record_factor_shapes(monkeypatch)
         evaluate_drops([real], [assoc], pilot_stack([pas]), powers, cfg)
         # one solve per size, holding that size's UEs under every assignment
-        assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
-                                       for size, count in sizes.items())
+        assert sorted(calls) == sorted(
+            (len(SCHEME_IDS) * count, size + 1, size + 1)
+            for size, count in sizes.items())
 
     def test_stacked_degenerate_sinr_names_its_ue(self):
         cfg, real, powers, assoc = degenerate_drop()
@@ -420,15 +451,8 @@ class TestBatchedEvaluate:
         cfg, real, powers, assoc = desk_drop(seed=3)
         pas = [assign_all(SchemeConfig(scheme, seed=3), real, assoc, powers,
                           cfg.pilot_length) for scheme in ("eem", "dpb")]
-
-        def one_group(betas, powers, table, flags, counts, assocs, onehot,
-                      antennas):
-            num_ues = onehot.shape[2]
-            b = np.ones((onehot.shape[1] * num_ues, 1))
-            b[1] = b[num_ues] = np.nan
-            yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
-
-        monkeypatch.setattr(performance, "_lsfd_groups", one_group)
+        monkeypatch.setattr(performance, "_lsfd_groups", bad_systems(
+            [(0, 0, 1), (0, 1, 0)], b=np.nan))
         with np.errstate(invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 1$"):
                 evaluate_drops([real], [assoc], pilot_stack([pas]), powers,
@@ -471,17 +495,25 @@ def desk_stack(desk_config, num_drops, schemes=SCHEME_IDS, seed=14, **over):
     return cfg, powers, reals, assocs, pilot_of
 
 
-def nan_systems(spots):
-    """An `_lsfd_groups` stand-in: one system of unit Q per unit, a UE
-    under one (drop, assignment) cell, with b = 1 but NaN at each
+def unit_systems(num_units):
+    """num_units bordered systems [[Q, b], [b, s]] of n = 1 with Q = b = 1
+    and s = 2, each scoring 1."""
+    return np.tile([[1.0, 1.0], [1.0, 2.0]], (num_units, 1, 1))
+
+
+def bad_systems(spots, q=1.0, b=1.0):
+    """An `_lsfd_groups` stand-in: one `unit_systems` system per unit, a UE
+    under one (drop, assignment) cell, but with Q = q and b = b at each
     (drop, assignment, UE) of `spots`."""
     def systems(betas, powers, table, flags, counts, assocs, onehot,
                 antennas):
         num_drops, num_schemes, num_ues = onehot.shape[:3]
-        b = np.ones((num_drops * num_schemes * num_ues, 1))
+        bordered = unit_systems(num_drops * num_schemes * num_ues)
         for d, i, t in spots:
-            b[(d * num_schemes + i) * num_ues + t] = np.nan
-        yield np.arange(b.shape[0]), np.ones(b.shape + (1,)), b
+            at = (d * num_schemes + i) * num_ues + t
+            bordered[at, 0, 0] = q
+            bordered[at, 0, 1] = bordered[at, 1, 0] = b
+        yield np.arange(len(bordered)), bordered
     return systems
 
 
@@ -550,29 +582,38 @@ class TestEvaluateDrops:
         loads = {np.bincount(pilots).max() for cell in pilot_of
                  for pilots in cell}
         assert len(loads) > 1
-        calls = []
-        solve = performance.np.linalg.solve
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(performance.np.linalg, "solve", counting_solve)
+        calls = record_factor_shapes(monkeypatch)
         evaluate_drops(reals, assocs, pilot_of, powers, cfg)
         # one solve per size, holding that size's units of every cell
-        assert sorted(calls) == sorted((len(SCHEME_IDS) * count, size, size)
-                                       for size, count in sizes.items())
+        assert sorted(calls) == sorted(
+            (len(SCHEME_IDS) * count, size + 1, size + 1)
+            for size, count in sizes.items())
 
     def test_first_failure_names_its_ue(self, desk_config, monkeypatch):
         # the first failure in (drop, assignment, UE) order names its UE,
         # not the lowest failing UE
         cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 3,
                                                           ("eem", "dpb"))
-        monkeypatch.setattr(performance, "_lsfd_groups", nan_systems(
-            [(2, 0, 0), (1, 1, 3), (1, 0, 7)]))
+        monkeypatch.setattr(performance, "_lsfd_groups", bad_systems(
+            [(2, 0, 0), (1, 1, 3), (1, 0, 7)], b=np.nan))
         with np.errstate(invalid="ignore"):
             with pytest.raises(ArithmeticError, match="for UE 7$"):
                 evaluate_drops(reals, assocs, pilot_of, powers, cfg)
+
+    def test_a_system_that_is_not_positive_definite_names_its_ue(
+            self, desk_config, monkeypatch):
+        # its size's stack fails to factor, so its systems are factored one
+        # at a time: the valid ones still score, and it scores NaN
+        stack = unit_systems(4)
+        stack[2, 0, 0] = -1.0
+        np.testing.assert_array_equal(performance._scores(stack),
+                                      [1.0, 1.0, np.nan, 1.0])
+        cfg, powers, reals, assocs, pilot_of = desk_stack(desk_config, 3,
+                                                          ("eem", "dpb"))
+        monkeypatch.setattr(performance, "_lsfd_groups", bad_systems(
+            [(1, 1, 4)], q=-1.0))
+        with pytest.raises(ArithmeticError, match="for UE 4$"):
+            evaluate_drops(reals, assocs, pilot_of, powers, cfg)
 
     def test_passes_of_six_drops_score_as_lone_cells(self, desk_config,
                                                      monkeypatch):
