@@ -10,8 +10,9 @@ value, at most `_CHUNK_DROPS` (25) of them: each scheme assigns pilots on
 the whole chunk as one stack in one batched loop, the schemes' (D, T) pilot
 arrays make one (D, S, T) array, one `evaluate_drops` call scores it (in
 passes whose size performance sets), and rows stay per drop. A chunk that
-fails reruns cell by cell only to name its (sweep value, drop seed,
-scheme), or names the chunk if every cell passes.
+fails reruns each of its cells through `_run_chunk`, the path that makes
+the rows, to name its (sweep value, drop seed, scheme), or names the chunk
+if every cell passes.
 Each (drop, scheme) cell's co-pilot products take its own largest pilot
 load, so neither the worker count, which sets the chunks, nor the scheme
 list moves a row. Rows are sorted deterministically and files are written
@@ -33,10 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import SCHEME_IDS, SchemeConfig, assign_all, assign_drops
+from .assignment import SCHEME_IDS, SchemeConfig, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
-from .performance import evaluate, evaluate_drops, se_uplink
+from .performance import evaluate_drops, se_uplink
 
 __all__ = [
     "CellError",
@@ -174,24 +175,33 @@ def _rows(spec: ExperimentSpec, value, drop_seeds, se) -> list:
 def _run_chunk(args) -> list:
     """All schemes on a chunk of drops of one sweep value.
 
-    Each scheme assigns its pilots on every drop of the chunk in one
-    `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops, and the
-    schemes' (D, T) pilot arrays make one (D, S, T) array. Then one
+    Each drop is built and associated on its own, and a failure there names
+    its drop seed. Each scheme assigns its pilots on every drop of the chunk
+    in one `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops, and
+    the schemes' (D, T) pilot arrays make one (D, S, T) array. Then one
     `evaluate_drops` call scores every drop's schemes, and one `se_uplink`
-    call maps the SINRs to the per-UE SE that makes every row. If one
-    fails, `_name_failing_cell` names the cell, or else the error names the
-    chunk.
+    call maps the SINRs to the per-UE SE that makes every row. If either
+    fails, each (drop, scheme) cell reruns alone through `_run_chunk`, in
+    that order, and the first to fail names its drop seed and scheme; if
+    none fails, the error names the chunk. A cell's seeds do not depend on
+    its chunk, so a one-cell run makes the cell's row.
     """
     spec, sweep_idx, drop_idxs = args
     value = spec.sweep_values[sweep_idx]
     cfg = spec.config_for(value)
+    where = f"{spec.sweep}={value!r}"
     drop_seeds, scheme_seeds = zip(*(
         cell_seeds(spec.master_seed, sweep_idx, di, spec.schemes)
         for di in drop_idxs))
+    reals, assocs = [], []
+    for seed in drop_seeds:
+        try:
+            reals.append(generate_drop(cfg, seed))
+            assocs.append(associate_aps(reals[-1], cfg.assoc_threshold))
+        except Exception as exc:
+            raise _cell_error(f"{where}, drop seed {seed}", exc) from exc
+    powers = normalize_powers(cfg)
     try:
-        reals = [generate_drop(cfg, seed) for seed in drop_seeds]
-        powers = normalize_powers(cfg)
-        assocs = [associate_aps(real, cfg.assoc_threshold) for real in reals]
         pilot_of = np.stack([
             assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
                          reals, assocs, powers, cfg.pilot_length)
@@ -200,32 +210,16 @@ def _run_chunk(args) -> list:
         se = se_uplink(evaluate_drops(reals, assocs, pilot_of, powers, cfg),
                        cfg.coherence_block, cfg.pilot_length)
     except Exception as exc:
-        where = f"{spec.sweep}={value!r}"
-        _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds)
+        if len(drop_seeds) == len(spec.schemes) == 1:
+            raise _cell_error(f"{where}, drop seed {drop_seeds[0]}, "
+                              f"scheme {spec.schemes[0]}", exc) from exc
+        for di in drop_idxs:
+            for scheme_id in spec.schemes:
+                _run_chunk((replace(spec, schemes=(scheme_id,)), sweep_idx,
+                            range(di, di + 1)))
         raise _cell_error(f"{where}, drop seeds {list(drop_seeds)}",
                           exc) from exc
     return _rows(spec, value, drop_seeds, se)
-
-
-def _name_failing_cell(spec, cfg, where, drop_seeds, scheme_seeds):
-    """Rerun a failed chunk drop by drop, each drop's schemes one at a
-    time in spec order, and raise the first failure as a `CellError`
-    naming its (sweep value, drop seed, scheme). Builds no rows."""
-    for drop_seed, seeds in zip(drop_seeds, scheme_seeds):
-        cell = f"{where}, drop seed {drop_seed}"
-        try:
-            real = generate_drop(cfg, drop_seed)
-            powers = normalize_powers(cfg)
-            assoc = associate_aps(real, cfg.assoc_threshold)
-        except Exception as exc:
-            raise _cell_error(cell, exc) from exc
-        for scheme_id, seed in zip(spec.schemes, seeds):
-            scheme = replace(spec.dpb, scheme_id=scheme_id, seed=seed)
-            try:
-                evaluate(real, assoc, assign_all(scheme, real, assoc, powers,
-                                                 cfg.pilot_length), powers, cfg)
-            except Exception as exc:
-                raise _cell_error(f"{cell}, scheme {scheme_id}", exc) from exc
 
 
 def _write_atomic(path: Path, text: str):

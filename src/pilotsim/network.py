@@ -364,7 +364,9 @@ def strong_stack(betas, serves, strong_threshold: float, onehot,
     the pilots. Its distinct-pilot count under each assignment is the zero-forcing
     dimension spent at the AP and must stay below the antenna count. Returns the
     (D, M, T) strong flags and (D, S, M) counts, or raises for the first
-    offending (drop, assignment, AP).
+    offending (drop, assignment, AP). The count is at most the pilot length,
+    which `NetworkConfig` keeps below `antennas_per_ap`, so this check cannot
+    fire through `evaluate_drops`; it guards direct calls.
     """
     if not 0.0 < strong_threshold <= 1.0:
         raise ValueError("strong_threshold must be in (0, 1]")

@@ -359,31 +359,18 @@ def record_schemes(monkeypatch):
     scheme, for a chunk of drops as for one cell; a vector is looked up by
     value, as the first assignment made with those pilots."""
     made = []
-    real_assign, real_drops = harness.assign_all, harness.assign_drops
-
-    def assign_all(scheme, *args, **kwargs):
-        assignment = real_assign(scheme, *args, **kwargs)
-        made.append((assignment.pilot_of, scheme.scheme_id))
-        return assignment
+    real_drops = harness.assign_drops
 
     def assign_drops(scheme, *args, **kwargs):
         pilot_of = real_drops(scheme, *args, **kwargs)
         made.extend((pilots, scheme.scheme_id) for pilots in pilot_of)
         return pilot_of
 
-    monkeypatch.setattr(harness, "assign_all", assign_all)
     monkeypatch.setattr(harness, "assign_drops", assign_drops)
 
     def scheme_of(pilots):
         return next(s for a, s in made if np.array_equal(a, pilots))
     return scheme_of
-
-
-def scored_by(monkeypatch, evaluate_drops):
-    """Put `evaluate_drops` in place for the chunk's call and for the
-    one-cell `evaluate` calls that name a failing cell."""
-    monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
-    monkeypatch.setattr(performance, "evaluate_drops", evaluate_drops)
 
 
 def fail_evaluations(monkeypatch, errors):
@@ -399,7 +386,24 @@ def fail_evaluations(monkeypatch, errors):
                     raise errors[scheme]
         return real_evaluate(reals, assocs, pilot_of, *args, **kwargs)
 
-    scored_by(monkeypatch, evaluate_drops)
+    monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+
+
+def fail_random_on_third_drop(monkeypatch, spec):
+    """Make evaluate_drops raise whenever it scores the random scheme on the
+    third drop of the first sweep value; returns that drop's seed."""
+    bad_seed = derive_seed(spec.master_seed, 0, 2)
+    scheme_of = record_schemes(monkeypatch)
+    real_evaluate = harness.evaluate_drops
+
+    def evaluate_drops(reals, assocs, pilot_of, *args, **kwargs):
+        for real, cell in zip(reals, pilot_of):
+            if real.seed == bad_seed and "random" in map(scheme_of, cell):
+                raise ArithmeticError("bad SINR for UE 4")
+        return real_evaluate(reals, assocs, pilot_of, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_drops", evaluate_drops)
+    return bad_seed
 
 
 class TestCellFailures:
@@ -427,14 +431,14 @@ class TestCellFailures:
             fail_evaluations(monkeypatch, errors)
         else:
             fail_evaluations(monkeypatch, {"dpb": errors["dpb"]})
-            recorded_assign = harness.assign_all
+            recorded_drops = harness.assign_drops
 
-            def assign_all(scheme, *args, **kwargs):
+            def assign_drops(scheme, *args, **kwargs):
                 if scheme.scheme_id == "random":
                     raise errors["random"]
-                return recorded_assign(scheme, *args, **kwargs)
+                return recorded_drops(scheme, *args, **kwargs)
 
-            monkeypatch.setattr(harness, "assign_all", assign_all)
+            monkeypatch.setattr(harness, "assign_drops", assign_drops)
         with pytest.raises(CellError) as info:
             run_experiment(tiny_spec(tmp_path, schemes=schemes))
         first = next(s for s in schemes if s in errors)
@@ -468,22 +472,58 @@ class TestCellFailures:
         # one worker: the five drops of a sweep value form one chunk, and
         # only its third drop fails, when its random assignment is scored
         spec = tiny_spec(tmp_path, num_drops=5)
-        bad_seed = derive_seed(spec.master_seed, 0, 2)
-        scheme_of = record_schemes(monkeypatch)
-        real_evaluate = harness.evaluate_drops
-
-        def evaluate_drops(reals, assocs, pilot_of, *args, **kwargs):
-            for real, cell in zip(reals, pilot_of):
-                if real.seed == bad_seed and "random" in map(scheme_of, cell):
-                    raise ArithmeticError("bad SINR for UE 4")
-            return real_evaluate(reals, assocs, pilot_of, *args, **kwargs)
-
-        scored_by(monkeypatch, evaluate_drops)
+        bad_seed = fail_random_on_third_drop(monkeypatch, spec)
         with pytest.raises(CellError) as info:
             run_experiment(spec)
         assert str(info.value) == (f"ue_count=10, drop seed {bad_seed}, "
                                    "scheme random: ArithmeticError: "
                                    "bad SINR for UE 4")
+
+    def test_named_cell_replays_alone(self, tmp_path, monkeypatch):
+        # a one-cell cut of a chunk makes that cell's sweep row, and a
+        # failing cell named by its chunk fails the same way alone
+        spec = tiny_spec(tmp_path, num_drops=4)
+        rows, _ = run_experiment(spec)
+        lines = {(r.sweep_value, r.drop_seed, r.scheme): r.csv_line()
+                 for r in rows}
+        for sweep_idx, value in enumerate(spec.sweep_values):
+            drop_seed = derive_seed(spec.master_seed, sweep_idx, 2)
+            for scheme_id in spec.schemes:
+                cut = dataclasses.replace(spec, schemes=(scheme_id,))
+                [row] = harness._run_chunk((cut, sweep_idx, range(2, 3)))
+                assert row.csv_line() == lines[value, drop_seed, scheme_id]
+        spec = tiny_spec(tmp_path, num_drops=5)
+        fail_random_on_third_drop(monkeypatch, spec)
+        with pytest.raises(CellError) as chunk:
+            run_experiment(spec)
+        cell = dataclasses.replace(spec, schemes=("random",))
+        with pytest.raises(CellError) as alone:
+            harness._run_chunk((cell, 0, range(2, 3)))
+        assert str(alone.value) == str(chunk.value)
+
+    def test_drop_failure_names_its_drop_before_any_assignment(
+            self, tmp_path, monkeypatch):
+        # only the third of five drops fails to build, so the chunk stops
+        # there, names no scheme and assigns nothing
+        spec = tiny_spec(tmp_path, num_drops=5)
+        bad_seed = derive_seed(spec.master_seed, 0, 2)
+        real_generate, assigned = harness.generate_drop, []
+
+        def generate_drop(cfg, seed):
+            if seed == bad_seed:
+                raise ValueError("UE 3 outside the area")
+            return real_generate(cfg, seed)
+
+        def assign_drops(scheme, *args, **kwargs):
+            assigned.append(scheme.scheme_id)
+
+        monkeypatch.setattr(harness, "generate_drop", generate_drop)
+        monkeypatch.setattr(harness, "assign_drops", assign_drops)
+        with pytest.raises(CellError) as info:
+            run_experiment(spec)
+        assert str(info.value) == (f"ue_count=10, drop seed {bad_seed}: "
+                                   "ValueError: UE 3 outside the area")
+        assert assigned == []
 
     def test_batched_only_failure_names_its_chunk(self, tmp_path,
                                                  monkeypatch):
