@@ -48,12 +48,14 @@ def _add_common(sub, runs_schemes: bool):
         sub.add_argument("--scheme", default=",".join(SCHEME_IDS),
                          help="comma-separated scheme ids (default: all)")
     sub.add_argument("--drops", type=int, default=None,
-                     help="Monte-Carlo drops (default 200, desk 50; "
-                          "protocol-audit 10)")
+                     help="Monte-Carlo drops (default 200, desk 50)"
+                     if runs_schemes
+                     else "drops audited (default 10, also with --desk-scale)")
     sub.add_argument("--seed", type=int, default=1, help="master seed")
     sub.add_argument("--out", default="results", help="output directory")
     sub.add_argument("--desk-scale", action="store_true",
-                     help="reduced preset: M=30, T=50, 50 drops")
+                     help="reduced preset: M=30, T=50"
+                     + (", 50 drops" if runs_schemes else ""))
     if runs_schemes:
         sub.add_argument("--workers", type=int, default=1,
                          help="parallel drop workers")

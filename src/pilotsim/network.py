@@ -128,9 +128,10 @@ class NetworkConfig:
         # the area's largest distance, so those points hold its extremes
         far = self.area_side_m * math.sqrt(2.0) / (2.0 if self.wrap_around else 1.0)
         probes = np.clip([1.0, self.d0_m, self.d1_m, far], 1.0, far)
+        losses = _path_loss_db(probes / 1000.0, self)
         with np.errstate(all="ignore"):
-            for d_m, loss_db, g in zip(probes, _path_loss_db(probes / 1000.0, self),
-                                       compute_lsfc(probes, config=self)):
+            gains = compute_lsfc(probes, config=self)
+            for d_m, loss_db, g in zip(probes, losses, gains):
                 if not 0.0 < g < math.inf:
                     raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
                                      f"gives an LSFC outside the float range")
@@ -139,6 +140,12 @@ class NetworkConfig:
                 if not (w * g) * g > 0.0:
                     raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
                                      f"gives a gamma that underflows to 0")
+        # from 2^53 on, gamma's denominator w b + 1 may round to w b, and a
+        # UE alone on its pilot then gets gamma = b (1 + eps); w b <= w max(g)
+        at = int(np.argmax(gains))
+        if w * gains[at] >= 2.0 ** 53:
+            raise ValueError(f"a path loss of {losses[at]:.6g} dB at {probes[at]:.6g} m "
+                             f"gives a gamma whose noise term is lost to round-off")
 
 
 @dataclass(frozen=True)

@@ -8,22 +8,20 @@ The optimal weights are therefore Q^{-1} b up to scale, and the optimal SINR
 is p_t b.Q^{-1} b (Nayebi et al., "Performance of cell-free massive MIMO
 systems with MMSE and LSFD receivers", Asilomar 2016). `evaluate_drops`
 scores a stack of drops from this closed form without forming any weight
-vector, with several pilot assignments per drop (a chunk's cells) at once:
-their pilots are one (D, S, T) int array, checked once, every entry in
-[0, Lp), and sliced into passes of at most `_PASS_DROPS` drops. `evaluate`
-scores one `PilotAssignment`, a (1, 1, T) stack, and adds its SE. A pass
-encodes its pilots once, as a one-hot as wide as the pilot length, which
-the grouping, the gammas and the co-pilot ranks all read: it ranks its
-drops' strong sets, which do not depend on the pilots, in one call, and
-computes its cells' gammas in another.
-`_lsfd_groups` lays the serving links of every unit out once, a UE under
-one (drop, assignment) cell, ordered by |M_t| and then by the cell's largest
-pilot load K_c, and computes every per-link term of all cells at once. Each
-serving-set size is then a contiguous run of links, whose systems over all
-cells are built as one stack of bordered matrices [[Q_t, b_t], [b_t, s_t]]
-and factored in one Cholesky call: every Q_t is symmetric positive definite,
-and the last row of the factor is L^{-1} b_t, whose squared norm is
-b_t.Q_t^{-1} b_t.
+vector, several pilot assignments per drop (a chunk's cells) at once, in
+passes of at most `_PASS_DROPS` drops; `evaluate` scores one
+`PilotAssignment`, a (1, 1, T) stack, and adds its SE. `_lsfd_groups`
+builds a whole pass from its drops and (D, S, T) int pilots. Its one
+one-hot of the pilots, as wide as the pilot length, is read by one
+`strong_stack` call, which ranks the drops' strong sets, one `gamma_stack`
+call and the co-pilot ranks. It lays the serving links of every unit out
+once, a UE under one (drop, assignment) cell, ordered by |M_t| and then by
+the cell's largest pilot load K_c, and computes every per-link term of all
+cells at once. Each serving-set size is then a contiguous run of links,
+whose systems over all cells are built as one stack of bordered matrices
+[[Q_t, b_t], [b_t, s_t]] and factored in one Cholesky call: every Q_t is
+symmetric positive definite, and the last row of the factor is L^{-1} b_t,
+whose squared norm is b_t.Q_t^{-1} b_t.
 
 Each Q_t is built with the co-pilot slots of its own cell's K_c, and the
 factorization treats each matrix of its stack on its own, so a cell's SINRs
@@ -75,34 +73,41 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 _PASS_DROPS = 6
 
 
-def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
-                 antennas: int):
-    """The LSFD systems (units, bordered) of a stack of D drops, one per
-    serving-set size n in ascending order. Cell c = d S + s is drop d under
-    its s-th assignment, and unit u = c T + t is UE t of cell c: `units`
-    holds the units with |M_t| = n, ordered by their cell's largest pilot
-    load K_c and then by u, and `bordered` is (N, n + 1, n + 1), unit i's
-    system [[Q, b], [b, s]] at [i]: Q in the leading n x n block, b in the
-    last row and column, and in the corner s = 1 + b.b / min(D_t). The
-    set-up runs at the call, and an iterator is returned.
+def _lsfd_groups(reals, assocs, pilot_of, powers, config):
+    """The LSFD systems (units, bordered) of one evaluation pass, one per
+    serving-set size n in ascending order: `reals` and `assocs` are its D
+    drops and their associations, and pilot_of the (D, S, T) int array of
+    S complete assignments per drop, each entry in [0, Lp). Cell c = d S + s
+    is drop d under its s-th assignment, and unit u = c T + t is UE t of
+    cell c: `units` holds the units with |M_t| = n, ordered by their cell's
+    largest pilot load K_c and then by u, and `bordered` is
+    (N, n + 1, n + 1), unit i's system [[Q, b], [b, s]] at [i]: Q in the
+    leading n x n block, b in the last row and column, and in the corner
+    s = 1 + b.b / min(D_t). The set-up runs at the call, and an iterator is
+    returned.
 
     b_mt = sqrt((A - delta_mt L_{S_m}) gamma_mt) over m in M_t, and
     Q_t = sum_{k != t on t's pilot} p_k c_k c_k^T + diag(D_t), where c_k is
     b_t with gamma_mk in place of gamma_mt and D_t the non-coherent-plus-noise
     diagonal. D_t >= 1, so every Q_t is symmetric positive definite.
 
-    betas is the (D, M, T) LSFC stack, onehot the (D, S, T, Lp) one-hot of
-    its pilots and `assocs` the drops' associations; flags and counts are
-    `strong_stack`'s for them. table_w is the (D, S, M, T + 1) co-pilot
-    weight table, gamma_mk of cell d S + s at [d, s, m, k] and zero in
-    column T; it is rewritten in place. Every per-link scalar is one flat
-    row over the links of all units, and the units of one key (n, K_c) are
-    a contiguous run of links that reshapes to (N, n). Arrays are built in
+    The set-up writes the gammas into the (D, S, M, T + 1) co-pilot weight
+    table, gamma_mk of cell d S + s at [d, s, m, k] and zero in column T,
+    and later rewrites it in place. Every per-link scalar is one flat row
+    over the links of all units, and the units of one key (n, K_c) are a
+    contiguous run of links that reshapes to (N, n). Arrays are built in
     place and freed once read.
     """
-    num_drops, num_schemes, num_ues, num_pilots = onehot.shape
-    num_cells, num_aps = num_drops * num_schemes, betas.shape[1]
-    p = powers.p_uplink
+    num_drops, num_schemes, num_ues = pilot_of.shape
+    num_cells, num_aps = num_drops * num_schemes, reals[0].num_aps
+    num_pilots, p = config.pilot_length, powers.p_uplink
+    betas = np.stack([real.beta for real in reals])
+    onehot = np.eye(num_pilots)[pilot_of]
+    flags, counts = strong_stack(
+        betas, np.stack([assoc.serves for assoc in assocs]),
+        config.strong_threshold, onehot, config.antennas_per_ap)
+    table_w = np.zeros((num_drops, num_schemes, num_aps, num_ues + 1))
+    gamma_stack(betas, powers, onehot, out=table_w[..., :num_ues])
     # per AP: sum_k p_k beta_mk, and sum_k p_k gamma_mk over its strong UEs
     noncoh = betas @ p
     zf = ((table_w[..., :num_ues] * flags[:, None]) @ p).ravel()
@@ -111,9 +116,8 @@ def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
     # counts the UEs up to t on pilot i, so t's slot in its pilot's row is
     # its own count less one, and rank[c, -1] holds the loads, whose
     # largest is K_c
-    onehot = onehot.reshape(num_cells, num_ues, num_pilots)
-    pilot_of = onehot.argmax(axis=2)[..., None]
-    rank = onehot.cumsum(axis=1, dtype=np.intp)
+    pilot_of = pilot_of.reshape(num_cells, num_ues, 1)
+    rank = onehot.reshape(num_cells, num_ues, -1).cumsum(1, dtype=np.intp)
     slot = np.take_along_axis(rank, pilot_of, 2) - 1
     loads = rank[:, -1].max(axis=1)
     del rank
@@ -162,7 +166,7 @@ def _lsfd_groups(betas, powers, table_w, flags, counts, assocs, onehot,
     gain = counts.ravel()[at_cell]
     gain *= delta
     del delta
-    np.subtract(antennas, gain, out=gain)
+    np.subtract(config.antennas_per_ap, gain, out=gain)
     root = np.sqrt(gain)
     # each link's row of the table and its own entry, as flat offsets
     row = at_cell
@@ -255,15 +259,14 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
     drop, pilot_of[d, s] the s-th of drop d; the drops share M, T and the UE
     powers. Returns the checked (D, S, T) SINRs, assignments in order. Every
     entry must lie in [0, Lp), which is checked here, once, before any drop
-    is scored. The drops are scored in passes of at most `_PASS_DROPS`; a
-    pass builds one one-hot of its pilots, ranks its drops' strong sets in
-    one call and computes its cells' gammas in another, and its cells share
-    one stacked Cholesky factorization per serving-set size, each matrix
-    bordered by its b, which scores b.Q^{-1} b without a solve.
-    Each (drop, assignment) cell takes co-pilot products of its own largest
-    pilot load, so a cell scores the same bits in any stack or pass and
-    beside any assignments. A system that does not factor scores NaN, and
-    the first failing SINR in (drop, assignment, UE) order names its UE.
+    is scored. The drops are scored in passes of at most `_PASS_DROPS`,
+    each built by `_lsfd_groups` from its slice of the drops and pilots; a
+    pass's cells share one stacked Cholesky factorization per serving-set
+    size, each matrix bordered by its b, which scores b.Q^{-1} b without a
+    solve. Each (drop, assignment) cell takes co-pilot products of its own
+    largest pilot load, so a cell scores the same bits in any stack or pass
+    and beside any assignments. A system that does not factor scores NaN,
+    and the first failing SINR in (drop, assignment, UE) order names its UE.
     """
     if not reals or not len(reals) == len(assocs) == len(pilot_of):
         raise ValueError("need at least one drop, each with its association "
@@ -285,32 +288,18 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
     if pilot_of.max() >= config.pilot_length:
         raise ValueError(f"pilot index {pilot_of.max()} is not below the "
                          f"pilot length {config.pilot_length}")
-    num_drops, num_schemes, num_ues = pilot_of.shape
-    num_aps, per_drop = reals[0].num_aps, num_schemes * num_ues
-    score = np.empty(num_drops * per_drop)
-    for lo in range(0, num_drops, _PASS_DROPS):
+    per_drop = pilot_of[0].size
+    score = np.empty(pilot_of.size)
+    for lo in range(0, len(pilot_of), _PASS_DROPS):
         part = slice(lo, lo + _PASS_DROPS)
-        betas = np.stack([real.beta for real in reals[part]])
-        # the pass's one pilot encoding, which grouping, gammas and
-        # co-pilot ranks all read
-        onehot = np.eye(config.pilot_length)[pilot_of[part]]
-        flags, counts = strong_stack(
-            betas, np.stack([assoc.serves for assoc in assocs[part]]),
-            config.strong_threshold, onehot, config.antennas_per_ap)
-        # the gammas go straight into the co-pilot weight table, and the
-        # set-up's inputs are not held while its systems are factored
-        table = np.zeros(onehot.shape[:2] + (num_aps, num_ues + 1))
-        gamma_stack(betas, powers, onehot, out=table[..., :num_ues])
-        systems = _lsfd_groups(betas, powers, table, flags, counts,
-                               assocs[part], onehot, config.antennas_per_ap)
-        del betas, onehot, flags, counts, table
         out = score[lo * per_drop:(lo + _PASS_DROPS) * per_drop]
-        for units, bordered in systems:
+        for units, bordered in _lsfd_groups(reals[part], assocs[part],
+                                            pilot_of[part], powers, config):
             out[units] = _scores(bordered)
         # the last system stack is not held through the next pass's set-up
         del bordered
     # argwhere meets the (D, S, T) stack's failures row-major
-    sinr = powers.p_uplink * score.reshape(num_drops, num_schemes, num_ues)
+    sinr = powers.p_uplink * score.reshape(pilot_of.shape)
     bad = np.argwhere(~(np.isfinite(sinr) & (sinr > 0.0)))
     if bad.size:
         raise ArithmeticError(

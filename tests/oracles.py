@@ -13,9 +13,7 @@ import numpy as np
 
 from pilotsim import (AssociationMap, NetworkRealization, PilotAssignment,
                       PowerProfile)
-from pilotsim.network import strong_stack
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE
-from probes import one_hot
 
 
 def oracle_gamma(beta, p_pilot, lp, pilot_of):
@@ -309,7 +307,9 @@ def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
 
 def micro_instance(rng):
     """Tiny random system (M <= 3, T <= 4, Lp <= 2) with full structures:
-    its association, and its assignment's strong flags and counts."""
+    its association, its strong threshold, and its assignment's gammas,
+    strong flags and counts, from `oracle_gamma` and
+    `oracle_strong_groups`."""
     num_aps = int(rng.integers(1, 4))
     num_ues = int(rng.integers(1, 5))
     lp = int(rng.integers(1, 3))
@@ -330,13 +330,15 @@ def micro_instance(rng):
         serving.append(aps[np.argsort(-beta[aps, t], kind="stable")])
     assoc = AssociationMap(np.concatenate(serving), [a.size for a in serving],
                            serves)
-    flags, counts = strong_stack(beta[None], serves[None],
-                                 float(rng.uniform(0.3, 1.0)),
-                                 one_hot(lp, assignment.pilot_of[None, None]),
-                                 antennas)
+    threshold = float(rng.uniform(0.3, 1.0))
+    _, flags, counts = oracle_strong_groups(
+        beta, [np.flatnonzero(row) for row in serves], assignment.pilot_of,
+        threshold, antennas)
     return {"real": real, "powers": powers, "assignment": assignment,
-            "assoc": assoc, "flags": flags[0], "counts": counts[0, 0],
-            "lp": lp, "antennas": antennas}
+            "assoc": assoc, "threshold": threshold,
+            "gamma": oracle_gamma(beta, powers.p_pilot, lp,
+                                  assignment.pilot_of),
+            "flags": flags, "counts": counts, "lp": lp, "antennas": antennas}
 
 
 def random_unit_vector(rng, n):

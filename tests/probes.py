@@ -2,8 +2,9 @@
 
 `evaluate` scores only the optimal weights, so the tests that compare other
 weight vectors (the oracle's, equal ones, random probes) read UE t's Q and b
-out of its bordered system from `performance._lsfd_groups` and evaluate the
-Rayleigh quotient here.
+out of its bordered system from `performance._lsfd_groups`, which builds
+the one-drop pass, its grouping and gammas included, from the drop and its
+int pilots as evaluation does, and evaluate the Rayleigh quotient here.
 The package ranks strong sets and computes gammas only for stacks of drops,
 each reading the one-hot of the pilots that `one_hot` builds as an
 evaluation pass does; `strong_one` and `gamma_one` are those calls on one
@@ -52,24 +53,18 @@ def gamma_one(beta, powers, lp, assignment):
                                   )[0, 0]
 
 
-def sinr_pfzf(t, weights, beta, gamma, powers, assoc, flags, counts,
-              assignment, antennas):
+def sinr_pfzf(t, weights, real, assoc, pilot_of, powers, config):
     """Closed-form PFZF SINR for UE t, p_t (a.b)^2 / a.Q a, per weight vector.
 
-    `weights` aligns with assoc.serving_aps[t]; flags are the drop's (M, T)
-    strong flags and counts its (M,) strong-pilot counts under `assignment`.
-    A vector gives a float; a (K, |M_t|) matrix of K weight vectors gives K
-    SINRs from one build of Q.
+    `weights` aligns with assoc.serving_aps[t], and pilot_of is the drop's
+    (T,) complete pilots; `config` gives the pilot length, the strong
+    threshold and the antenna count. A vector gives a float; a (K, |M_t|)
+    matrix of K weight vectors gives K SINRs from one build of Q.
     """
-    # a stack of one cell, whose unit indices are its UE indices, and its
-    # weight table: the gammas and a zero column
-    table = np.zeros((1, 1) + beta.shape[:1] + (beta.shape[1] + 1,))
-    table[0, 0, :, :-1] = gamma
+    # a pass of one cell, whose unit indices are its UE indices
     for units, bordered in performance._lsfd_groups(
-            np.asarray(beta)[None], powers, table, flags[None],
-            counts[None, None], [assoc],
-            one_hot(assignment.num_pilots, assignment.pilot_of[None, None]),
-            antennas):
+            [real], [assoc], np.asarray(pilot_of)[None, None], powers,
+            config):
         hit = np.flatnonzero(units == t)
         if hit.size:
             # t's system [[Q, b], [b, s]]

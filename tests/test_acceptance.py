@@ -98,18 +98,21 @@ def test_criterion_04_sinr_oracle_equivalence():
     worst = 0.0
     compared = 0
     for _ in range(1000):
+        # the oracles take the oracle's gammas and strong sets, the probe
+        # the package's own, built from the config
         inst = micro_instance(rng)
         real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-        assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+        assoc, ants, gamma = inst["assoc"], inst["antennas"], inst["gamma"]
         flags, ls = inst["flags"], inst["counts"]
-        gamma = gamma_one(real.beta, powers, lp, pa)
+        cfg = NetworkConfig(antennas_per_ap=ants, pilot_length=inst["lp"],
+                            strong_threshold=inst["threshold"])
         for t in range(real.num_ues):
             serving = assoc.serving_aps[t]
             a = np.zeros(real.num_aps)
             a[serving] = oracle_lsfd(t, real.beta, gamma, powers, assoc, flags,
                                      ls, pa, ants)
-            got = sinr_pfzf(t, a[serving], real.beta, gamma,
-                            powers, assoc, flags, ls, pa, ants)
+            got = sinr_pfzf(t, a[serving], real, assoc, pa.pilot_of, powers,
+                            cfg)
             want = oracle_sinr(t, a, real.beta, gamma,
                                powers.p_uplink, pa.pilot_of,
                                flags, ls, ants)
@@ -139,13 +142,14 @@ def test_criterion_05_lsfd_dominance():
             serving = assoc.serving_aps[t]
             args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
                     cfg.antennas_per_ap)
-            best = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
+            probe = (real, assoc, pa.pilot_of, powers, cfg)
+            best = sinr_pfzf(t, oracle_lsfd(t, *args), *probe)
             slack = best * (1.0 + 1e-12)
             probes = [np.full(serving.size, 1.0 / serving.size)]
             probes += [random_unit_vector(rng, serving.size)
                        for _ in range(1000)]
             violations += int(np.count_nonzero(
-                sinr_pfzf(t, np.array(probes), *args) > slack))
+                sinr_pfzf(t, np.array(probes), *probe) > slack))
             instances += 1
     assert instances == 200
     assert violations == 0

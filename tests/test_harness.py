@@ -670,6 +670,28 @@ class TestCli:
         assert got[:2] == want[:2]
         np.testing.assert_allclose(got[2], want[2], rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("command,drops,desk,defaults", [
+        ("protocol-audit",
+         "drops audited (default 10, also with --desk-scale)",
+         "reduced preset: M=30, T=50", (10, 10)),
+        ("sweep-ues", "Monte-Carlo drops (default 200, desk 50)",
+         "reduced preset: M=30, T=50, 50 drops", (200, 50))])
+    def test_help_states_the_drop_defaults(self, capsys, command, drops, desk,
+                                           defaults):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        # each option's help, its wrapped lines joined, runs up to the next
+        # option or the end
+        text = " ".join(capsys.readouterr().out.split())
+        for option, help_text in (("--drops DROPS", drops),
+                                  ("--desk-scale", desk)):
+            assert re.search(f"{option} {re.escape(help_text)}( -|$)", text)
+        # and the drop counts the command then runs
+        for flags, want in zip(([], ["--desk-scale"]), defaults):
+            args = cli.build_parser().parse_args([command, *flags])
+            assert cli._resolve(args)[2] == want
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"
         cfg.write_text(json.dumps({"num_apps": 8}))
@@ -794,11 +816,14 @@ class TestCli:
         ({"exp_far": 5000}, "a path loss of -64924.8 dB at 1 m gives an "
                             "LSFC outside the float range"),
         ({"ref_loss_db": 2000}, "a path loss of 1940.48 dB at 1 m gives a "
-                                "gamma that underflows to 0")],
+                                "gamma that underflows to 0"),
+        ({"tx_power_mw": 1e18}, "a path loss of 81.1846 dB at 1 m gives a "
+                                "gamma whose noise term is lost to "
+                                "round-off")],
         ids=["dpb_delta", "assoc_threshold", "ref_loss_db", "wrap_around",
              "num_aps", "d0_m_infinite", "d1_m_infinite", "list",
              "ref_loss_db_underflow", "exp_far_overflow",
-             "gamma_underflow"])
+             "gamma_underflow", "gamma_round_off"])
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, command,
                                            entry, message):
         cfg = tmp_path / "net.json"

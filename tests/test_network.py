@@ -240,7 +240,12 @@ class TestGenerateDrop:
          "outside the float range"),
         # every LSFC is a positive float, but gamma's (w b) b underflows
         ({"ref_loss_db": 2000.0}, r"a path loss of 1940\.48 dB at 1 m gives a "
-                                  "gamma that underflows to 0")])
+                                  "gamma that underflows to 0"),
+        # w g(1 m) is about 84 tx_power_mw, past 2^53, where gamma's
+        # denominator w b + 1 may round to w b
+        ({"tx_power_mw": 1e18}, r"a path loss of 81\.1846 dB at 1 m gives a "
+                                "gamma whose noise term is lost to "
+                                "round-off")])
     def test_rejects_out_of_range_values(self, entry, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NetworkConfig(**entry)
@@ -254,14 +259,29 @@ class TestGenerateDrop:
         pa = PilotAssignment(np.arange(6) % cfg.pilot_length, cfg.pilot_length)
         assert np.all(gamma_one(real.beta, powers, cfg.pilot_length, pa) > 0)
 
+    def test_round_off_probe_keeps_high_powers(self):
+        # at 1e13 mW, w g(1 m) is about 8.4e14, below 2^53: a UE alone on
+        # its pilot (T <= Lp) keeps the noise term of its gammas' denominator
+        cfg = NetworkConfig(num_aps=30, num_ues=6, tx_power_mw=1e13)
+        powers = normalize_powers(cfg)
+        for seed in range(10):
+            real = generate_drop(cfg, seed)
+            assoc = associate_aps(real, cfg.assoc_threshold)
+            pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
+                            cfg.pilot_length)
+            assert np.all(evaluate(real, assoc, pa, powers, cfg).sinr > 0)
+
     def test_wrap_around_probes_half_the_diagonal(self):
         # the far corner that rejects the plain area lies past the longest
         # wrapped distance, side / sqrt(2), whose LSFC and gamma are
-        # positive floats
+        # positive floats. The outer breakpoint sits at 1 km, so that the
+        # steep far slope does not carry the gain inside it past the
+        # round-off probe
+        far = dict(area_side_m=1e6, exp_far=50.0, d1_m=1000.0,
+                   shadow_sigma_db=0.0)
         with pytest.raises(ValueError, match="at 1.41421e.06 m gives a gamma"):
-            NetworkConfig(area_side_m=1e6, exp_far=50.0, shadow_sigma_db=0.0)
-        cfg = NetworkConfig(area_side_m=1e6, exp_far=50.0, wrap_around=True,
-                            shadow_sigma_db=0.0)
+            NetworkConfig(**far)
+        cfg = NetworkConfig(**far, wrap_around=True)
         beta = generate_drop(cfg, seed=1).beta
         assert np.all(beta > 0) and np.all(np.isfinite(beta))
 

@@ -26,21 +26,32 @@ from pilotsim import (
 from pilotsim import estimation, network, performance
 from pilotsim.performance import evaluate_drops
 from oracles import (micro_instance, oracle_gamma, oracle_lsfd, oracle_sinr,
-                     random_unit_vector)
+                     oracle_strong_groups, random_unit_vector)
 from probes import (gamma_one, map_from_sets, pilot_stack, sinr_pfzf,
                     strong_one)
 
 
 def single_link(beta_val=0.5, p_pilot=2.0, p_uplink=4.0, lp=3, antennas=8):
-    """One AP, one UE, everything servable by hand."""
+    """One AP, one UE on pilot 0, everything servable by hand: the probe's
+    drop, association, pilots, powers and config, whose strong threshold
+    of 1 makes the UE strong at its AP."""
     real = NetworkRealization(np.zeros((1, 2)), np.zeros((1, 2)),
                               np.array([[beta_val]]), 0)
     powers = PowerProfile(np.array([p_pilot]), np.array([p_uplink]))
-    pa = PilotAssignment(np.array([0]), lp)
     assoc = map_from_sets((np.array([0]),), np.array([[True]]))
-    flags, counts = strong_one(real, assoc, 1.0, [pa], antennas)
-    gamma = gamma_one(real.beta, powers, lp, pa)
-    return real, powers, pa, (assoc, flags, counts[0]), gamma, antennas
+    cfg = NetworkConfig(num_aps=1, num_ues=1, antennas_per_ap=antennas,
+                        pilot_length=lp, strong_threshold=1.0)
+    return real, assoc, np.array([0]), powers, cfg
+
+
+def micro_probe(inst):
+    """The probe's drop, association, pilots, powers and config of a
+    `micro_instance`."""
+    cfg = NetworkConfig(antennas_per_ap=inst["antennas"],
+                        pilot_length=inst["lp"],
+                        strong_threshold=inst["threshold"])
+    return (inst["real"], inst["assoc"], inst["assignment"].pilot_of,
+            inst["powers"], cfg)
 
 
 class TestPrelog:
@@ -73,28 +84,22 @@ class TestSinrSingleLink:
     def test_hand_value(self):
         # gamma = 6*0.25/4 = 0.375; gain = 8-1; leak = 0.125
         # SINR = 4*7*0.375 / (4*0.125 + 1) = 10.5/1.5
-        real, powers, pa, grouped, gamma, antennas = single_link()
-        got = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers, *grouped,
-                        pa, antennas)
+        got = sinr_pfzf(0, np.array([1.0]), *single_link())
         assert got == pytest.approx(7.0, rel=1e-14)
 
     def test_formula_sweep(self):
+        # gamma = w b^2 / (w b + 1) with w = 3 p_pilot; gain = 8 - 1
         for beta_val, pp, pu in [(0.2, 1.0, 1.0), (1.5, 3.0, 0.5), (0.9, 10.0, 2.0)]:
-            real, powers, pa, grouped, gamma, antennas = single_link(
-                beta_val, pp, pu)
-            g = gamma[0, 0]
-            want = pu * (antennas - 1) * g / (pu * (beta_val - g) + 1.0)
-            got = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers,
-                            *grouped, pa, antennas)
+            g = 3.0 * pp * beta_val ** 2 / (3.0 * pp * beta_val + 1.0)
+            want = pu * 7.0 * g / (pu * (beta_val - g) + 1.0)
+            got = sinr_pfzf(0, np.array([1.0]), *single_link(beta_val, pp, pu))
             assert got == pytest.approx(want, rel=1e-13)
 
     def test_weight_scale_invariance(self):
-        real, powers, pa, grouped, gamma, antennas = single_link()
-        base = sinr_pfzf(0, np.array([1.0]), real.beta, gamma, powers,
-                         *grouped, pa, antennas)
+        probe = single_link()
+        base = sinr_pfzf(0, np.array([1.0]), *probe)
         for c in (-1.0, 0.5, 10.0):
-            scaled = sinr_pfzf(0, np.array([c]), real.beta, gamma, powers,
-                               *grouped, pa, antennas)
+            scaled = sinr_pfzf(0, np.array([c]), *probe)
             assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -104,16 +109,15 @@ class TestSinrAgainstOracle:
         while hits < 40:
             inst = micro_instance(rng)
             real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-            assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
+            assoc, ants, gamma = inst["assoc"], inst["antennas"], inst["gamma"]
             flags, ls = inst["flags"], inst["counts"]
-            gamma = gamma_one(real.beta, powers, lp, pa)
+            probe = micro_probe(inst)
             for t in range(real.num_ues):
                 serving = assoc.serving_aps[t]
                 a = np.zeros(real.num_aps)
                 a[serving] = oracle_lsfd(t, real.beta, gamma, powers, assoc,
                                          flags, ls, pa, ants)
-                got = sinr_pfzf(t, a[serving], real.beta, gamma,
-                                powers, assoc, flags, ls, pa, ants)
+                got = sinr_pfzf(t, a[serving], *probe)
                 want = oracle_sinr(t, a, real.beta, gamma,
                                    powers.p_uplink, pa.pilot_of,
                                    flags, ls, ants)
@@ -122,11 +126,8 @@ class TestSinrAgainstOracle:
 
     def test_scale_invariance_random(self, rng):
         inst = micro_instance(rng)
-        real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-        assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = gamma_one(real.beta, powers, lp, pa)
-        args = (real.beta, gamma, powers, assoc, inst["flags"], inst["counts"],
-                pa, ants)
+        real, assoc = inst["real"], inst["assoc"]
+        args = micro_probe(inst)
         for t in range(real.num_ues):
             serving = assoc.serving_aps[t]
             w = random_unit_vector(rng, serving.size)
@@ -136,11 +137,8 @@ class TestSinrAgainstOracle:
 
     def test_weight_matrix_matches_vectors(self, rng):
         inst = micro_instance(rng)
-        real, powers, pa = inst["real"], inst["powers"], inst["assignment"]
-        assoc, lp, ants = inst["assoc"], inst["lp"], inst["antennas"]
-        gamma = gamma_one(real.beta, powers, lp, pa)
-        args = (real.beta, gamma, powers, assoc, inst["flags"], inst["counts"],
-                pa, ants)
+        real, assoc = inst["real"], inst["assoc"]
+        args = micro_probe(inst)
         for t in range(real.num_ues):
             probes = rng.normal(size=(6, assoc.serving_aps[t].size))
             got = sinr_pfzf(t, probes, *args)
@@ -152,8 +150,12 @@ class TestSinrAgainstOracle:
 
 class TestLsfdWeights:
     def test_single_serving_ap_unit(self):
-        real, powers, pa, grouped, gamma, antennas = single_link()
-        w = oracle_lsfd(0, real.beta, gamma, powers, *grouped, pa, antennas)
+        # gamma = 6 * 0.25 / 4; the UE is strong at its AP, on one pilot
+        real, assoc, pilots, powers, cfg = single_link()
+        w = oracle_lsfd(0, real.beta, np.array([[0.375]]), powers, assoc,
+                        np.ones((1, 1), dtype=bool), [1],
+                        PilotAssignment(pilots, cfg.pilot_length),
+                        cfg.antennas_per_ap)
         np.testing.assert_array_equal(w, [1.0])
 
     def test_no_copilot_closed_form(self, rng):
@@ -192,16 +194,17 @@ class TestLsfdWeights:
                                    cfg.antennas_per_ap)
         args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
                 cfg.antennas_per_ap)
+        probe = (real, assoc, pa.pilot_of, powers, cfg)
         for t in range(0, cfg.num_ues, 5):
             serving = assoc.serving_aps[t]
-            best = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
+            best = sinr_pfzf(t, oracle_lsfd(t, *args), *probe)
             equal = sinr_pfzf(t, np.full(serving.size, 1.0 / serving.size),
-                              *args)
+                              *probe)
             assert best + 1e-12 * best >= equal
             probes = np.array([random_unit_vector(rng, serving.size)
                                for _ in range(100)])
-            probe = sinr_pfzf(t, probes, *args)
-            assert np.all(best + 1e-12 * best >= probe)
+            probe_sinrs = sinr_pfzf(t, probes, *probe)
+            assert np.all(best + 1e-12 * best >= probe_sinrs)
 
 
 class TestFactorScore:
@@ -279,7 +282,8 @@ class TestEvaluate:
         args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
                 cfg.antennas_per_ap)
         t = 3
-        want = sinr_pfzf(t, oracle_lsfd(t, *args), *args)
+        want = sinr_pfzf(t, oracle_lsfd(t, *args), real, assoc, pa.pilot_of,
+                         powers, cfg)
         assert report.sinr[t] == pytest.approx(want, rel=1e-13)
 
     def test_report_consistency(self, desk_drop):
@@ -337,7 +341,8 @@ def per_ue_sinr(real, assoc, pa, powers, cfg):
                                cfg.antennas_per_ap)
     args = (real.beta, gamma, powers, assoc, flags, counts[0], pa,
             cfg.antennas_per_ap)
-    return np.array([sinr_pfzf(t, oracle_lsfd(t, *args), *args)
+    return np.array([sinr_pfzf(t, oracle_lsfd(t, *args), real, assoc,
+                               pa.pilot_of, powers, cfg)
                      for t in range(real.num_ues)])
 
 
@@ -505,9 +510,8 @@ def bad_systems(spots, q=1.0, b=1.0):
     """An `_lsfd_groups` stand-in: one `unit_systems` system per unit, a UE
     under one (drop, assignment) cell, but with Q = q and b = b at each
     (drop, assignment, UE) of `spots`."""
-    def systems(betas, powers, table, flags, counts, assocs, onehot,
-                antennas):
-        num_drops, num_schemes, num_ues = onehot.shape[:3]
+    def systems(reals, assocs, pilot_of, powers, config):
+        num_drops, num_schemes, num_ues = pilot_of.shape
         bordered = unit_systems(num_drops * num_schemes * num_ues)
         for d, i, t in spots:
             at = (d * num_schemes + i) * num_ues + t
@@ -756,10 +760,11 @@ class TestRelabeling:
 
 class TestContaminationMonotonicity:
     def test_extra_copilot_cannot_raise_sinr(self, desk_drop):
-        # freeze the original-optimal weights and the original grouping, then
-        # inject one more co-pilot UE, served by AP 0 alone and strong
-        # nowhere: with everything else pinned, contamination can only lose
-        # SINR
+        # freeze the original-optimal weights, then inject one more co-pilot
+        # UE, served by AP 0 alone. It is each other AP's strongest UE and
+        # AP 0's weakest by far, so it is strong nowhere and the grouping
+        # stays as it was: with everything else pinned, contamination can
+        # only lose SINR
         cfg, real, powers, assoc = desk_drop(seed=17)
         pa = assign_all(SchemeConfig("eem"), real, assoc, powers,
                         cfg.pilot_length)
@@ -770,11 +775,13 @@ class TestContaminationMonotonicity:
         pilot = int(pa.pilot_of[t])
         w0 = oracle_lsfd(t, real.beta, gamma0, powers, assoc, flags, counts[0],
                          pa, cfg.antennas_per_ap)
-        base = sinr_pfzf(t, w0, real.beta, gamma0, powers, assoc, flags,
-                         counts[0], pa, cfg.antennas_per_ap)
+        base = sinr_pfzf(t, w0, real, assoc, pa.pilot_of, powers, cfg)
 
         new_col = real.beta.max(axis=1, keepdims=True)
-        beta_ext = np.hstack([real.beta, new_col])
+        new_col[0] = real.beta[0].min() * 1e-6
+        real_ext = NetworkRealization(real.ap_positions,
+                                      np.zeros((cfg.num_ues + 1, 2)),
+                                      np.hstack([real.beta, new_col]), 0)
         powers_ext = PowerProfile(np.append(powers.p_pilot, powers.p_pilot[0]),
                                   np.append(powers.p_uplink, powers.p_uplink[0]))
         pa_ext = PilotAssignment(np.append(pa.pilot_of, pilot),
@@ -782,12 +789,17 @@ class TestContaminationMonotonicity:
         new_serves = np.zeros((cfg.num_aps, 1), dtype=bool)
         new_serves[0] = True
         serves_ext = np.hstack([assoc.serves, new_serves])
-        flag_ext = np.hstack([flags, np.zeros((cfg.num_aps, 1), dtype=bool)])
         assoc_ext = map_from_sets(assoc.serving_aps + (np.array([0]),),
                                   serves_ext)
-        gamma1 = gamma_one(beta_ext, powers_ext, cfg.pilot_length, pa_ext)
-        worse = sinr_pfzf(t, w0, beta_ext, gamma1, powers_ext, assoc_ext,
-                          flag_ext, counts[0], pa_ext, cfg.antennas_per_ap)
+        flags_ext, counts_ext = strong_one(real_ext, assoc_ext,
+                                           cfg.strong_threshold, [pa_ext],
+                                           cfg.antennas_per_ap)
+        np.testing.assert_array_equal(
+            flags_ext, np.hstack([flags, np.zeros((cfg.num_aps, 1), bool)]))
+        np.testing.assert_array_equal(counts_ext, counts)
+        gamma1 = gamma_one(real_ext.beta, powers_ext, cfg.pilot_length, pa_ext)
+        worse = sinr_pfzf(t, w0, real_ext, assoc_ext, pa_ext.pilot_of,
+                          powers_ext, cfg)
         assert worse < base
         assert np.all(gamma1[:, :cfg.num_ues] <= gamma0 + 1e-18)
 
@@ -822,14 +834,15 @@ class TestPipelineFuzz:
             want_gamma = oracle_gamma(real.beta, powers.p_pilot, lp,
                                       pa.pilot_of)
             np.testing.assert_allclose(gamma, want_gamma, rtol=1e-12, atol=0)
-            flags, counts = strong_one(real, assoc, cfg.strong_threshold,
-                                       [pa], cfg.antennas_per_ap)
+            _, flags, counts = oracle_strong_groups(
+                real.beta, [np.flatnonzero(row) for row in assoc.serves],
+                pa.pilot_of, cfg.strong_threshold, cfg.antennas_per_ap)
             for t in range(num_ues):
                 a = np.zeros(num_aps)
                 a[assoc.serving_aps[t]] = oracle_lsfd(
-                    t, real.beta, want_gamma, powers, assoc, flags, counts[0],
+                    t, real.beta, want_gamma, powers, assoc, flags, counts,
                     pa, cfg.antennas_per_ap)
                 want = oracle_sinr(t, a, real.beta, want_gamma,
                                    powers.p_uplink, pa.pilot_of,
-                                   flags, counts[0], cfg.antennas_per_ap)
+                                   flags, counts, cfg.antennas_per_ap)
                 assert abs(sinr[t] - want) <= 1e-10 * want

@@ -1,5 +1,8 @@
-"""The README's library quick start runs as written."""
+"""What the README says of the code that a test can check: the library
+quick start runs as written, and `tests/oracles.py` uses no package
+helper."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +41,29 @@ def test_library_quick_start_runs(tmp_path):
     # it prints the drop's sum SE and its 10th-percentile SE
     sum_se, p10 = map(float, out.stdout.split())
     assert 0.0 < p10 < sum_se
+
+
+# what `tests/oracles.py` may take from the package: its data types, and the
+# protocol's message kinds
+ORACLE_IMPORTS = {
+    "pilotsim": {"AssociationMap", "NetworkRealization", "PilotAssignment",
+                 "PowerProfile"},
+    "pilotsim.protocol": {"KIND_NOTIFY", "KIND_OFFER", "KIND_PROBE"},
+}
+
+
+def test_oracles_import_no_package_function():
+    # the oracles are the structurally different path, so they import only
+    # the standard library, numpy and the names above: no package function,
+    # and no test module that calls one
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(
+        encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module, alias.name) for alias in node.names)
+    assert {(module, name) for module, name in imported
+            if module.split(".")[0] not in sys.stdlib_module_names | {"numpy"}
+            and name not in ORACLE_IMPORTS.get(module, ())} == set()
