@@ -16,19 +16,24 @@ one-drop call, which steps unstacked on the drop's own serving sets.
 Per batched step, with the running sums of a ContaminationCache: `eem`
 reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
 turns each probed AP's offer into a pilot bitmask of Python ints (exact
-for any Lp) in one product, and resolves each drop's masks by priority
-intersection, at most 2^S' - S' - 1 of them; `scalable` takes the argmin
-of the sums at each drop's master AP, its first serving AP. Recording the
-picks adds one precomputed row per drop to the sums; no step scans the
-other UEs. The protocol's `best_first`, a stable sort of an AP agent's
-float errors, and `priority_select` wrap the offer rule (`_offered`) and
-the resolution (`_resolve`) that the batched step calls directly.
+for any Lp) in one uint64 product per 64 pilots, and resolves each drop's
+masks by priority intersection, at most 2^S' - S' - 1 of them; `scalable`
+takes the argmin of the sums at each drop's master AP, its first serving
+AP. Recording the picks adds one precomputed row per drop to the sums; no
+step scans the other UEs. The protocol's `best_first`, a stable sort of an
+AP agent's float errors, and `priority_select` wrap the offer rule
+(`_offered`) and the resolution (`_resolve`) that the batched step calls
+directly.
 
 Every seeded pick, `random`'s and a DPB tie's, is the pick that
 `np.random.default_rng([seed, ue]).integers(n)` makes, but no generator is
 built for it: one `_stream_words` call per `assign_drops` or
 `run_protocol` call computes the first output word of every (seed, UE)
-stream of its drops at once, and `_bounded` turns a word into the pick.
+stream of its drops at once, on uint32 and uint64 arrays (`_seed_state` is
+SeedSequence's hashing, then PCG64's 128-bit step on uint64 limbs), and
+Lemire's multiply-shift turns a word into the pick: `random` on its whole
+(D, T) word array, `_bounded` per DPB tie. Only a word that the method
+may reject takes the generator.
 
 Pilot indices are 0-based throughout.
 """
@@ -116,9 +121,11 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
+@functools.cache
 def _hash_constants(start: int, mult: int, n: int) -> tuple:
     """SeedSequence's running hash constant: the value each of n hashes
-    XORs in, and the value it multiplies by (the next one), as columns."""
+    XORs in, and the value it multiplies by (the next one), as uint32
+    columns."""
     xors = [start]
     for _ in range(n):
         xors.append(xors[-1] * mult & _MASK32)
@@ -126,22 +133,71 @@ def _hash_constants(start: int, mult: int, n: int) -> tuple:
             np.array(xors[1:], dtype=np.uint32)[:, None])
 
 
-# a 4-word pool hashes its entropy with 4 constants, then mixes each word
-# into the other 3 with 12 more; the state takes 8 words of a second series
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# a 4-word pool hashes its first 4 entropy words with 4 constants, mixes
+# each word into the other 3 with 12 more, then each later entropy word into
+# all 4 with 4 more each; the state words hash with a second series
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
 _OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
+_U32 = {k: np.uint32(k) for k in (16, 0xCA01F9DD, 0x4973F715)}
+_U64 = {k: np.uint64(k) for k in (1, 32, 58, 63, _MASK32)}
 # PCG64 seeding sets the state to initstate + inc and steps once; the first
-# output steps again, to initstate * M^2 + inc * (M^2 + M + 1)
+# output steps again, to initstate * M^2 + inc * (M^2 + M + 1) mod 2^128;
+# each factor as its (high, low) uint64 limbs
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT2 = _PCG_MULT * _PCG_MULT & _MASK128
-_PCG_INC_MULT = (_PCG_MULT2 + _PCG_MULT + 1) & _MASK128
+_PCG_FACTORS = [(np.uint64(f >> 64), np.uint64(f & _MASK64))
+                for f in (_PCG_MULT ** 2 & _MASK128,
+                          _PCG_MULT ** 2 + _PCG_MULT + 1 & _MASK128)]
 
 
 def _hashmix(words, consts):
     xor, mult = consts
     words = (words ^ xor) * mult
-    return words ^ words >> 16
+    return words ^ words >> _U32[16]
+
+
+def _mix(words, hashed):
+    mixed = words * _U32[0xCA01F9DD] - hashed * _U32[0x4973F715]
+    return mixed ^ mixed >> _U32[16]
+
+
+def _seed_state(entropy, n_words: int, widths=None) -> np.ndarray:
+    """`np.random.SeedSequence(words).generate_state(n_words)` for each
+    column of the (W, N) uint32 array `entropy`, as (n_words, N) uint32.
+
+    A column's words are its entropy's 32-bit words, as SeedSequence takes
+    them from its ints, then zeros; `widths` gives each column's count of
+    words where the columns differ past the pool of 4 (zeros within the
+    pool hash as SeedSequence pads them). The hash constants are made for
+    the widest column.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    width = max(len(entropy), 4)
+    xor, mult = _hash_constants(*_POOL_HASH, 4 * width)
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:4]
+    pool = _hashmix(pool, (xor[:4], mult[:4]))
+    for src, dst in enumerate(_OTHERS):
+        at = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], (xor[at], mult[at])))
+    for i in range(4, width):
+        at = slice(4 * i, 4 * i + 4)
+        mixed = _mix(pool, _hashmix(entropy[i], (xor[at], mult[at])))
+        pool = mixed if widths is None else np.where(i < widths, mixed, pool)
+    return _hashmix(pool[np.arange(n_words) % 4],
+                    _hash_constants(*_STATE_HASH, n_words))
+
+
+def _mulhi(a, b):
+    """High limbs of the 128-bit products of the uint64 array a and the
+    uint64 b, from their 32-bit halves: no partial product or sum passes
+    2^64."""
+    (a_high, a_low), (b_high, b_low) = [(x >> _U64[32], x & _U64[_MASK32])
+                                        for x in (a, b)]
+    low = a_low * b_low
+    mid = a_high * b_low + (low >> _U64[32])
+    mid2 = a_low * b_high + (mid & _U64[_MASK32])
+    return a_high * b_high + (mid >> _U64[32]) + (mid2 >> _U64[32])
 
 
 def _stream_words(seeds, ues) -> np.ndarray:
@@ -149,39 +205,36 @@ def _stream_words(seeds, ues) -> np.ndarray:
     each (seed, ue) pair of the broadcast arrays, as uint64.
 
     Seeds lie in [0, 2^64) and UEs in [0, 2^32). SeedSequence's entropy is
-    seed's one or two 32-bit words, then ue's, zero-padded to its pool of
-    4; its hashing runs on uint32 arrays, since its constants do not depend
-    on the data. PCG64's 128-bit seeding, first step and XSL-RR output run
-    on Python ints; the word is the output's low half.
+    seed's one or two 32-bit words, then ue's; `_seed_state` hashes it into
+    PCG64's 8 state words. PCG64's 128-bit seeding, first step and XSL-RR
+    output run on (high, low) uint64 limbs, each 64 x 64 product's high
+    limb taken from 32-bit halves; the word is the output's low half.
     """
     seeds, ues = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64),
                                      np.asarray(ues, dtype=np.uint64))
     shape = seeds.shape
     seeds, ues = seeds.ravel(), ues.ravel().astype(np.uint32)
-    high = (seeds >> 32).astype(np.uint32)
+    high = (seeds >> _U64[32]).astype(np.uint32)
     wide = high != 0
-    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
-    entropy[0] = seeds.astype(np.uint32)
-    entropy[1] = np.where(wide, high, ues)
-    entropy[2] = np.where(wide, ues, 0)
-    xor, mult = _POOL_HASH
-    pool = _hashmix(entropy, (xor[:4], mult[:4]))
-    for src, dst in enumerate(_OTHERS):
-        at = slice(4 + 3 * src, 7 + 3 * src)
-        hashed = _hashmix(pool[src], (xor[at], mult[at]))
-        mixed = pool[dst] * np.uint32(0xCA01F9DD) - hashed * np.uint32(0x4973F715)
-        pool[dst] = mixed ^ mixed >> 16
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH).astype(np.uint64)
-    # little-endian pairs: initstate's high and low words, then inc's
+    words = _seed_state([seeds.astype(np.uint32), np.where(wide, high, ues),
+                         np.where(wide, ues, np.uint32(0))], 8)
+    # little-endian pairs: initstate's high and low limbs, then inc's
+    words = words.astype(np.uint64)
     init_high, init_low, inc_high, inc_low = (
-        words[0::2] | words[1::2] << 32).astype(object)
-    inc = inc_high << 65 | inc_low << 1 | 1
-    state = ((init_high << 64 | init_low) * _PCG_MULT2
-             + inc * _PCG_INC_MULT) & _MASK128
-    xored = (state >> 64 ^ state) & _MASK64
-    rot = state >> 122
-    words = (xored >> rot | xored << (64 - rot)) & _MASK32
-    return words.astype(np.uint64).reshape(shape)
+        words[0::2] | words[1::2] << _U64[32])
+    # PCG64's increment is 2 inc + 1
+    inc_high = inc_high << _U64[1] | inc_low >> _U64[63]
+    inc_low = inc_low << _U64[1] | _U64[1]
+    (m_high, m_low), (i_high, i_low) = _PCG_FACTORS
+    low_a, low_b = init_low * m_low, inc_low * i_low
+    low = low_a + low_b
+    high = (_mulhi(init_low, m_low) + init_low * m_high + init_high * m_low
+            + _mulhi(inc_low, i_low) + inc_low * i_high + inc_high * i_low
+            + (low < low_a).astype(np.uint64))
+    # XSL-RR: high ^ low rotated right by the state's top 6 bits
+    xored, rot = high ^ low, high >> _U64[58]
+    out = xored >> rot | xored << ((-rot) & _U64[63])
+    return (out & _U64[_MASK32]).reshape(shape)
 
 
 def _bounded(word: int | None, n: int, seed: int, ue: int) -> int:
@@ -271,6 +324,20 @@ def _resolve(masks: list, best: int, seed: int, ue: int, word: int | None,
     return pilots[_bounded(word, len(pilots), seed, ue)]
 
 
+def _offer_masks(within, bits, num_drops: int) -> list:
+    """Each drop's rows of offered pilots (`within`, bool) as bitmasks of
+    Python ints, exact for any Lp: one uint64 product per 64 pilots, whose
+    limbs are joined low to high."""
+    masks = None
+    for lo in range(0, within.shape[-1], 64):
+        limbs = (within[..., lo:lo + 64] @ bits[lo:lo + 64]).reshape(
+            num_drops, -1).tolist()
+        masks = limbs if masks is None else [
+            [mask | limb << lo for mask, limb in zip(*rows)]
+            for rows in zip(masks, limbs)]
+    return masks
+
+
 def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
                order=None, counter: OpCounter | None = None) -> PilotAssignment:
     """Run one scheme over all UEs in arrival order; earlier picks are final.
@@ -327,12 +394,19 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
             raise ValueError("order must be a permutation of all UEs")
     if scheme.scheme_id in ("dpb", "random"):
         # row t: the first word of UE t's stream under each drop's seed
-        words = _stream_words(seeds, np.arange(num_ues)[:, None]).tolist()
+        words = _stream_words(seeds, np.arange(num_ues)[:, None])
     if scheme.scheme_id == "random":
-        # each UE draws from its own stream, whatever the picks before it
-        return np.array([[_bounded(row[d], lp, seed, t)
-                          for t, row in enumerate(words)]
-                         for d, seed in enumerate(seeds)], dtype=int)
+        # each UE draws from its own stream, whatever the picks before it:
+        # Lemire's multiply-shift on every word at once, and `_bounded`'s
+        # generator where it may reject (the product's low half below lp)
+        # and for an lp past 32 bits
+        products = (words * np.uint64(lp) if lp <= 1 << 32
+                    else np.zeros_like(words))
+        picks = (products >> np.uint64(32)).astype(int)
+        for t, d in zip(*np.nonzero(
+                products & np.uint64(_MASK32) < np.uint64(min(lp, 1 << 32)))):
+            picks[t, d] = _bounded(None, lp, seeds[d], int(t))
+        return picks.T
     stacked = num_drops > 1
     # a stack's AP index M hears no UE: the padding of its serving sets
     heard = np.zeros((num_drops, num_aps + stacked, num_ues))
@@ -343,10 +417,9 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
     serving, sizes = _serving_table(assocs, num_aps)
     # DPB probes S APs per drop, padded past its first S' = min(S, |M_t|),
-    # and only those offer; `bits` holds 1 << i for each pilot i as Python
-    # ints, so the offers' masks are exact for any Lp
+    # and only those offer; `bits` holds pilot i's bit in its 64-bit limb
     s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
-    bits = np.array([1 << i for i in range(lp)], dtype=object)
+    bits = np.uint64(1) << (np.arange(lp, dtype=np.uint64) % np.uint64(64))
     # pilots are UE-major, so step t writes row t
     pilot_of = np.full((num_ues, num_drops) if stacked else num_ues, -1)
     for rank, t in enumerate(order.tolist()):
@@ -362,12 +435,13 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
                 counter.add_evals(sum(s_prime[t]) * lp)
             within = _offered(profiles, profiles.min(axis=-1, keepdims=True),
                               scheme.dpb_delta)
-            masks = (within @ bits).reshape(num_drops, -1)
+            masks = _offer_masks(within, bits, num_drops)
             # the strongest AP's least-error pilot, lowest on ties
             best = profiles[..., 0, :].argmin(axis=-1).reshape(num_drops)
             pilots = [_resolve(m[:s], b, seed, t, word, counter)
-                      for m, s, b, seed, word in zip(masks.tolist(), s_prime[t],
-                                                     best.tolist(), seeds, words[t])]
+                      for m, s, b, seed, word in zip(masks, s_prime[t],
+                                                     best.tolist(), seeds,
+                                                     words[t].tolist())]
             if not stacked:
                 pilots = pilots[0]
         else:

@@ -145,8 +145,9 @@ def _run_protocol_audit(args) -> int:
                 args.seed)
     powers = normalize_powers(config)
     totals = {"messages": 0, "payload": 0, "ap_to_ap": 0}
-    for di in range(drops):
-        drop_seed, (seed,) = cell_seeds(args.seed, 0, di, ("dpb",))
+    drop_seeds, (dpb_seeds,) = cell_seeds(args.seed, 0, range(drops),
+                                          ("dpb",))
+    for di, (drop_seed, seed) in enumerate(zip(drop_seeds, dpb_seeds)):
         scheme = dataclasses.replace(dpb, seed=seed)
         real = generate_drop(config, drop_seed)
         assoc = associate_aps(real, config.assoc_threshold)

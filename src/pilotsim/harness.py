@@ -4,6 +4,9 @@ Seeding discipline: `cell_seeds` is the one seeding rule. A cell's drop
 seed depends only on (master_seed, sweep index, drop index), so every scheme
 scores the identical drop and adding schemes never perturbs the geometry.
 Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
+Each seed is `derive_seed` of those parts, numpy's SeedSequence; `cell_seeds`
+computes a chunk's drop seeds and its scheme seeds in one vectorized
+`assignment._seed_state` call each, with the same bits.
 
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
 value, at most `_CHUNK_DROPS` (25) of them: each scheme assigns pilots on
@@ -23,7 +26,9 @@ count.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import operator
 import os
 import platform
 import subprocess
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import SCHEME_IDS, SchemeConfig, assign_drops
+from .assignment import SCHEME_IDS, SchemeConfig, _seed_state, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
 from .performance import evaluate_drops, se_uplink
@@ -151,11 +156,41 @@ class ResultRow:
                 f"{self.sum_se!r},{self.p5_se!r},{self.p10_se!r},{self.mean_se!r}")
 
 
-def cell_seeds(master_seed, sweep_idx, drop_idx, scheme_ids) -> tuple:
-    """A cell's drop seed, and one seed per scheme."""
-    cell = (master_seed, sweep_idx, drop_idx)
-    return derive_seed(*cell), [derive_seed(*cell, 100 + SCHEME_CODE[s])
-                                for s in scheme_ids]
+def _entropy_words(part) -> list:
+    """SeedSequence's entropy words of a nonnegative int: its 32-bit words,
+    least significant first; 0 is one word."""
+    part = operator.index(part)
+    if part < 0:
+        raise ValueError(f"seed parts must be >= 0, got {part}")
+    return [part >> shift & 0xFFFFFFFF
+            for shift in range(0, max(part.bit_length(), 1), 32)]
+
+
+def _derive_seeds(columns) -> list:
+    """`derive_seed` of each list of entropy words in `columns`, in one
+    `_seed_state` call on the lists zero-padded to one width."""
+    if not columns:
+        return []
+    entropy = np.array(list(itertools.zip_longest(*columns, fillvalue=0)),
+                       dtype=np.uint32)
+    state = _seed_state(entropy, 2, np.array([len(c) for c in columns]))
+    state = state.astype(np.uint64)
+    return (state[0] | state[1] << np.uint64(32)).tolist()
+
+
+def cell_seeds(master_seed, sweep_idx, drop_idxs, scheme_ids) -> tuple:
+    """The drop seeds of one sweep value's drops `drop_idxs`, and each
+    scheme's seeds on them: `derive_seed(master_seed, sweep_idx, d)` for
+    each drop d, then one list per scheme of
+    `derive_seed(master_seed, sweep_idx, d, 100 + SCHEME_CODE[scheme])`.
+    Each part's entropy words are made once."""
+    prefix = _entropy_words(master_seed) + _entropy_words(sweep_idx)
+    drops = [prefix + _entropy_words(d) for d in drop_idxs]
+    codes = [_entropy_words(100 + SCHEME_CODE[s]) for s in scheme_ids]
+    seeds = _derive_seeds([drop + code for code in codes for drop in drops])
+    n = len(drops)
+    return _derive_seeds(drops), [seeds[k * n:(k + 1) * n]
+                                  for k in range(len(codes))]
 
 
 def _rows(spec: ExperimentSpec, value, drop_seeds, se) -> list:
@@ -175,7 +210,8 @@ def _rows(spec: ExperimentSpec, value, drop_seeds, se) -> list:
 def _run_chunk(args) -> list:
     """All schemes on a chunk of drops of one sweep value.
 
-    Each drop is built and associated on its own, and a failure there names
+    One `cell_seeds` call gives the chunk's drop and scheme seeds. Each
+    drop is built and associated on its own, and a failure there names
     its drop seed. Each scheme assigns its pilots on every drop of the chunk
     in one `assign_drops` call, a stack of up to `_CHUNK_DROPS` drops, and
     the schemes' (D, T) pilot arrays make one (D, S, T) array. Then one
@@ -190,9 +226,8 @@ def _run_chunk(args) -> list:
     value = spec.sweep_values[sweep_idx]
     cfg = spec.config_for(value)
     where = f"{spec.sweep}={value!r}"
-    drop_seeds, scheme_seeds = zip(*(
-        cell_seeds(spec.master_seed, sweep_idx, di, spec.schemes)
-        for di in drop_idxs))
+    drop_seeds, scheme_seeds = cell_seeds(spec.master_seed, sweep_idx,
+                                          drop_idxs, spec.schemes)
     reals, assocs = [], []
     for seed in drop_seeds:
         try:
@@ -205,7 +240,7 @@ def _run_chunk(args) -> list:
         pilot_of = np.stack([
             assign_drops(replace(spec.dpb, scheme_id=scheme_id), seeds,
                          reals, assocs, powers, cfg.pilot_length)
-            for scheme_id, seeds in zip(spec.schemes, zip(*scheme_seeds))],
+            for scheme_id, seeds in zip(spec.schemes, scheme_seeds)],
             axis=1)
         se = se_uplink(evaluate_drops(reals, assocs, pilot_of, powers, cfg),
                        cfg.coherence_block, cfg.pilot_length)

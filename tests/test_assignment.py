@@ -1,6 +1,7 @@
 """Sequential pilot assignment: greedy, priority-intersection, and baselines."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,8 @@ from pilotsim import (
     priority_select,
 )
 from pilotsim import assignment
-from pilotsim.assignment import (SCHEME_IDS, _bounded, _stream_words,
-                                 assign_drops, eem_step)
+from pilotsim.assignment import (SCHEME_IDS, _bounded, _seed_state,
+                                 _stream_words, assign_drops, eem_step)
 from pilotsim.estimation import ContaminationCache, local_error_profile
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
@@ -314,6 +315,40 @@ class TestRandomPa:
         sigma = np.sqrt(n * (1 / 7) * (6 / 7))
         assert np.all(np.abs(counts - n / 7) <= 3 * sigma)
 
+    def test_rejectable_words_take_the_generator(self, desk_drop,
+                                                 monkeypatch):
+        # word 0 leaves Lemire's low half 0 < lp, where the method may
+        # reject: those entries must draw as the generator does, not pick 0
+        cfg, real, powers, assoc = desk_drop(seed=4)
+        seeds = [1, 2 ** 40 + 3, 2 ** 64 - 1]
+        calls = []
+
+        def some_zero(seeds, ues):
+            words = _stream_words(seeds, ues)
+            calls.append(words.shape)
+            words[np.indices(words.shape).sum(axis=0) % 3 == 0] = 0
+            return words
+
+        monkeypatch.setattr(assignment, "_stream_words", some_zero)
+        got = assign_drops(SchemeConfig("random"), seeds, [real] * 3,
+                           [assoc] * 3, powers, cfg.pilot_length)
+        assert calls == [(cfg.num_ues, 3)]
+        want = [[generator_pick(seed, t, cfg.pilot_length)
+                 for t in range(cfg.num_ues)] for seed in seeds]
+        assert got.tolist() == want
+        zeroed = np.indices(got.T.shape).sum(axis=0).T % 3 == 0
+        assert got[zeroed].any()
+
+    def test_past_32_bits_takes_the_generator(self):
+        real = NetworkRealization(np.zeros((1, 2)), np.zeros((4, 2)),
+                                  np.ones((1, 4)), 0)
+        lp, seeds = 2 ** 32 + 5, [11, 2 ** 63]
+        got = assign_drops(SchemeConfig("random"), seeds, [real] * 2,
+                           [associate_aps(real, 0.95)] * 2, unit_powers(4),
+                           lp)
+        assert got.tolist() == [[generator_pick(seed, t, lp)
+                                 for t in range(4)] for seed in seeds]
+
 
 def generator_pick(seed, ue, n):
     return int(np.random.default_rng([seed, ue]).integers(n))
@@ -360,6 +395,61 @@ class TestStreamKernel:
         for ue in range(4):
             word = int(_stream_words(11, ue))
             assert _bounded(word, n, 11, ue) == generator_pick(11, ue, n)
+
+    @given(st.integers(1, 12).flatmap(lambda width: st.lists(
+               st.lists(st.integers(0, 2 ** 32 - 1), min_size=width,
+                        max_size=width), min_size=1, max_size=4)),
+           st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_seed_state_matches_seed_sequence(self, columns, n):
+        got = _seed_state(np.array(columns, dtype=np.uint32).T, n)
+        assert got.dtype == np.uint32
+        for column, state in zip(columns, got.T, strict=True):
+            np.testing.assert_array_equal(
+                state, np.random.SeedSequence(column).generate_state(n))
+
+    @given(st.lists(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                             max_size=12), min_size=1, max_size=6),
+           st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_seed_state_of_columns_of_any_width(self, columns, n):
+        widths = [len(c) for c in columns]
+        entropy = np.zeros((max(widths), len(columns)), dtype=np.uint32)
+        for k, column in enumerate(columns):
+            entropy[:len(column), k] = column
+        got = _seed_state(entropy, n, np.array(widths))
+        for column, state in zip(columns, got.T, strict=True):
+            np.testing.assert_array_equal(
+                state, np.random.SeedSequence(column).generate_state(n))
+
+    @pytest.mark.parametrize("seeds, ues, shape", [
+        (5, 3, ()),
+        (2 ** 64 - 1, [0, 7], (2,)),
+        ([5, 2 ** 40, 2 ** 64 - 1], np.arange(4)[:, None], (4, 3)),
+        (np.array([9], dtype=np.int64), np.arange(2, dtype=np.uint32), (2,)),
+    ], ids=["scalar", "list", "broadcast", "int64"])
+    def test_kernel_dtypes(self, seeds, ues, shape):
+        # numpy 1.x casts uint64 mixed with int64 to float64; every kernel
+        # operand is an explicit uint32 or uint64, so none is lost
+        words = _stream_words(seeds, ues)
+        assert words.dtype == np.uint64 and words.shape == shape
+        for entropy in ([[1, 2], [3, 4]], [np.arange(3), np.arange(3)],
+                        np.ones((6, 2), dtype=np.int64)):
+            assert _seed_state(entropy, 3).dtype == np.uint32
+
+    def test_peak_memory_of_a_desk_stack(self):
+        # a 25-drop, T=60 stack: 1500 (seed, UE) pairs, on uint64 limbs
+        seeds = [derive_seed(9, d) for d in range(25)]
+        ues = np.arange(60)[:, None]
+        _stream_words(seeds, ues)  # makes the cached hash constants
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _stream_words(seeds, ues)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400_000
 
     @pytest.mark.parametrize("scheme_id", ["random", "dpb"])
     def test_one_kernel_call_per_stack(self, desk_drop, monkeypatch, scheme_id):
@@ -568,6 +658,26 @@ def tallies(counter):
                      counter.intersection_checks])
 
 
+def dpb_matches_oracle(cfg, real, powers, assoc):
+    """One drop's `assign_all` dpb picks and intersection checks against
+    the oracle's offers and priority selection, UE by UE."""
+    lp = cfg.pilot_length
+    scheme = SchemeConfig("dpb", dpb_s=3, seed=1)
+    counter = OpCounter()
+    pa = assign_all(scheme, real, assoc, powers, lp, counter=counter)
+    cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
+    for t in range(cfg.num_ues):
+        offers = [oracle_offer(cache.local_errors(int(m), t),
+                               scheme.dpb_delta).tolist()
+                  for m in assoc.serving_aps[t][:scheme.dpb_s]]
+        ref = OpCounter()
+        ref.start_ue()
+        assert oracle_priority_select(offers, scheme.seed, t,
+                                      ref) == pa.pilot_of[t]
+        assert counter.intersection_checks[t] == ref.intersection_checks[0]
+        cache.record(t, int(pa.pilot_of[t]))
+
+
 class TestAssignDrops:
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from(SCHEME_IDS),
            st.integers(1, 4),
@@ -632,22 +742,14 @@ class TestAssignDrops:
         np.testing.assert_array_equal(tallies(counter), want_tallies)
 
     def test_one_drop_checks_match_oracle(self, desk_drop):
-        cfg, real, powers, assoc = desk_drop(seed=8)
-        lp = cfg.pilot_length
-        scheme = SchemeConfig("dpb", dpb_s=3, seed=1)
-        counter = OpCounter()
-        pa = assign_all(scheme, real, assoc, powers, lp, counter=counter)
-        cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
-        for t in range(cfg.num_ues):
-            offers = [oracle_offer(cache.local_errors(int(m), t),
-                                   scheme.dpb_delta).tolist()
-                      for m in assoc.serving_aps[t][:scheme.dpb_s]]
-            ref = OpCounter()
-            ref.start_ue()
-            assert oracle_priority_select(offers, scheme.seed, t,
-                                          ref) == pa.pilot_of[t]
-            assert counter.intersection_checks[t] == ref.intersection_checks[0]
-            cache.record(t, int(pa.pilot_of[t]))
+        dpb_matches_oracle(*desk_drop(seed=8))
+
+    @pytest.mark.parametrize("lp", [64, 65, 130])
+    def test_masks_past_64_pilots_match_oracle(self, desk_drop, lp):
+        # offers span one, two and three uint64 limbs; T = 50 <= Lp, so
+        # pilots tie often and the common sets reach the top limb
+        dpb_matches_oracle(*desk_drop(seed=8, pilot_length=lp,
+                                      antennas_per_ap=lp + 1))
 
     @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
     def test_rejects_an_empty_stack(self, desk_drop, scheme_id):

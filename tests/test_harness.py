@@ -118,10 +118,31 @@ class TestExperimentSpec:
 
 class TestCellSeeds:
     def test_one_rule_for_drop_and_schemes(self):
-        drop_seed, seeds = cell_seeds(4, 1, 3, ("eem", "dpb"))
-        assert drop_seed == derive_seed(4, 1, 3)
-        assert seeds == [derive_seed(4, 1, 3, 100 + SCHEME_CODE[s])
+        drop_seeds, seeds = cell_seeds(4, 1, [3], ("eem", "dpb"))
+        assert drop_seeds == [derive_seed(4, 1, 3)]
+        assert seeds == [[derive_seed(4, 1, 3, 100 + SCHEME_CODE[s])]
                          for s in ("eem", "dpb")]
+
+    @pytest.mark.parametrize("master", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64,
+                                        2 ** 96 + 7])
+    @pytest.mark.parametrize("sweep_idx", [1, 2 ** 32 + 3])
+    @pytest.mark.parametrize("drop_idxs", [[4], range(25),
+                                           [0, 2 ** 32 - 1, 2 ** 32, 2 ** 70]],
+                             ids=["one", "chunk", "wide"])
+    def test_chunk_matches_derive_seed(self, master, sweep_idx, drop_idxs):
+        # past the pool of 4 entropy words, and with columns of several
+        # widths in one call where a drop index passes 32 bits
+        drop_seeds, seeds = cell_seeds(master, sweep_idx, drop_idxs,
+                                       SCHEME_IDS)
+        assert drop_seeds == [derive_seed(master, sweep_idx, d)
+                              for d in drop_idxs]
+        assert seeds == [[derive_seed(master, sweep_idx, d,
+                                      100 + SCHEME_CODE[s])
+                          for d in drop_idxs] for s in SCHEME_IDS]
+
+    def test_rejects_a_negative_part(self):
+        with pytest.raises(ValueError, match="^seed parts must be >= 0"):
+            cell_seeds(-1, 0, [0], ("eem",))
 
 
 class TestRunExperiment:
@@ -316,14 +337,14 @@ def cell_lines(spec):
         cfg = spec.config_for(value)
         powers = normalize_powers(cfg)
         for di in range(spec.num_drops):
-            drop_seed, seeds = cell_seeds(spec.master_seed, si, di,
-                                          spec.schemes)
+            (drop_seed,), seeds = cell_seeds(spec.master_seed, si, [di],
+                                             spec.schemes)
             real = generate_drop(cfg, drop_seed)
             assoc = associate_aps(real, cfg.assoc_threshold)
             pas = [assign_all(dataclasses.replace(spec.dpb, scheme_id=s,
                                                   seed=seed),
                               real, assoc, powers, cfg.pilot_length)
-                   for s, seed in zip(spec.schemes, seeds)]
+                   for s, (seed,) in zip(spec.schemes, seeds)]
             se = se_uplink(evaluate_drops([real], [assoc], pilot_stack([pas]),
                                           powers, cfg),
                            cfg.coherence_block, cfg.pilot_length)
@@ -909,7 +930,7 @@ class TestCli:
         # one call per sweep value and scheme covers both drops
         assert made == [
             (dataclasses.replace(template, scheme_id=s),
-             [cell_seeds(7, si, di, ("eem", "dpb"))[1][k] for di in range(2)])
+             cell_seeds(7, si, range(2), ("eem", "dpb"))[1][k])
             for si in range(2) for k, s in enumerate(("eem", "dpb"))]
         assert sum(s.scheme_id == "dpb" for s, _ in made) == 2
         meta = json.loads(
@@ -939,9 +960,9 @@ class TestCli:
         assert code == 0
         template = SchemeConfig("dpb", **self.DPB_FILE)
         # each drop runs the protocol, then the direct assignment
-        assert made == [s for di in range(3) for s in
-                        2 * [dataclasses.replace(
-                            template, seed=cell_seeds(7, 0, di, ("dpb",))[1][0])]]
+        _, (seeds,) = cell_seeds(7, 0, range(3), ("dpb",))
+        assert made == [s for seed in seeds for s in
+                        2 * [dataclasses.replace(template, seed=seed)]]
 
     def test_sweep_meta_rebuilds_its_config(self, tmp_path, monkeypatch,
                                             capsys):
