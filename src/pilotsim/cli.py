@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import seeding
 from .assignment import SCHEME_IDS, SchemeConfig, assign_all
 from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, _write_atomic,
                       _write_meta, cell_seeds, emit_cdf, run_experiment)
@@ -151,7 +152,7 @@ def _run_protocol_audit(args) -> int:
         scheme = dataclasses.replace(dpb, seed=seed)
         real = generate_drop(config, drop_seed)
         assoc = associate_aps(real, config.assoc_threshold)
-        order = np.random.default_rng([args.seed, di]).permutation(real.num_ues)
+        order = seeding.arrival_order(args.seed, di, real.num_ues)
         negotiated, log = run_protocol(real, assoc, scheme, order, powers,
                                        config.pilot_length)
         try:

@@ -4,9 +4,8 @@ Seeding discipline: `cell_seeds` is the one seeding rule. A cell's drop
 seed depends only on (master_seed, sweep index, drop index), so every scheme
 scores the identical drop and adding schemes never perturbs the geometry.
 Scheme-level randomness gets its own derived seed per (sweep, drop, scheme).
-Each seed is `derive_seed` of those parts, numpy's SeedSequence; `cell_seeds`
-computes a chunk's drop seeds and its scheme seeds in one vectorized
-`assignment._seed_state` call each, with the same bits.
+Each seed is `seeding.derive_seed` of those parts, made for a whole chunk
+at once by `seeding.derive_seeds`.
 
 The work unit is a chunk of ceil(num_drops / workers) drops of one sweep
 value, at most `_CHUNK_DROPS` (25) of them: each scheme assigns pilots on
@@ -26,9 +25,7 @@ count.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
-import operator
 import os
 import platform
 import subprocess
@@ -39,10 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import SCHEME_IDS, SchemeConfig, _seed_state, assign_drops
+from . import seeding
+from .assignment import SCHEME_IDS, SchemeConfig, assign_drops
 from .network import (NetworkConfig, associate_aps, generate_drop,
                       normalize_powers, require_integer)
 from .performance import evaluate_drops, se_uplink
+from .seeding import derive_seed  # re-exported: perfbench imports it here
 
 __all__ = [
     "CellError",
@@ -93,11 +92,6 @@ def _cell_error(where: str, exc: Exception) -> CellError:
     return CellError(f"{where}: {type(exc).__name__}: {exc}")
 
 
-def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from integer parts, order-sensitive."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     config: NetworkConfig
@@ -125,6 +119,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown schemes {unknown}")
         if not self.schemes or not self.sweep_values:
             raise ValueError("need at least one scheme and one sweep value")
+        # as Python numbers, since the CSVs write each value's repr
+        object.__setattr__(self, "sweep_values", tuple(
+            v.item() if isinstance(v, np.generic) else v
+            for v in self.sweep_values))
         for name in ("schemes", "sweep_values"):
             items = list(getattr(self, name))
             if len(set(items)) != len(items):
@@ -156,41 +154,20 @@ class ResultRow:
                 f"{self.sum_se!r},{self.p5_se!r},{self.p10_se!r},{self.mean_se!r}")
 
 
-def _entropy_words(part) -> list:
-    """SeedSequence's entropy words of a nonnegative int: its 32-bit words,
-    least significant first; 0 is one word."""
-    part = operator.index(part)
-    if part < 0:
-        raise ValueError(f"seed parts must be >= 0, got {part}")
-    return [part >> shift & 0xFFFFFFFF
-            for shift in range(0, max(part.bit_length(), 1), 32)]
-
-
-def _derive_seeds(columns) -> list:
-    """`derive_seed` of each list of entropy words in `columns`, in one
-    `_seed_state` call on the lists zero-padded to one width."""
-    if not columns:
-        return []
-    entropy = np.array(list(itertools.zip_longest(*columns, fillvalue=0)),
-                       dtype=np.uint32)
-    state = _seed_state(entropy, 2, np.array([len(c) for c in columns]))
-    state = state.astype(np.uint64)
-    return (state[0] | state[1] << np.uint64(32)).tolist()
-
-
 def cell_seeds(master_seed, sweep_idx, drop_idxs, scheme_ids) -> tuple:
     """The drop seeds of one sweep value's drops `drop_idxs`, and each
     scheme's seeds on them: `derive_seed(master_seed, sweep_idx, d)` for
     each drop d, then one list per scheme of
     `derive_seed(master_seed, sweep_idx, d, 100 + SCHEME_CODE[scheme])`.
     Each part's entropy words are made once."""
-    prefix = _entropy_words(master_seed) + _entropy_words(sweep_idx)
-    drops = [prefix + _entropy_words(d) for d in drop_idxs]
-    codes = [_entropy_words(100 + SCHEME_CODE[s]) for s in scheme_ids]
-    seeds = _derive_seeds([drop + code for code in codes for drop in drops])
+    words, derive = seeding.entropy_words, seeding.derive_seeds
+    prefix = words(master_seed) + words(sweep_idx)
+    drops = [prefix + words(d) for d in drop_idxs]
+    codes = [words(100 + SCHEME_CODE[s]) for s in scheme_ids]
+    seeds = derive([drop + code for code in codes for drop in drops])
     n = len(drops)
-    return _derive_seeds(drops), [seeds[k * n:(k + 1) * n]
-                                  for k in range(len(codes))]
+    return derive(drops), [seeds[k * n:(k + 1) * n]
+                           for k in range(len(codes))]
 
 
 def _rows(spec: ExperimentSpec, value, drop_seeds, se) -> list:
@@ -283,7 +260,8 @@ def _write_meta(path: Path, config: NetworkConfig, dpb: SchemeConfig,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    _write_atomic(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(meta, indent=2, sort_keys=True,
+                                   default=np.generic.item) + "\n")
     return path
 
 
@@ -324,6 +302,11 @@ def run_experiment(spec: ExperimentSpec):
     """
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    meta_path = _write_meta(out_dir / f"{spec.name}_meta.json", spec.config,
+                            spec.dpb, spec.num_drops, spec.master_seed,
+                            sweep=spec.sweep,
+                            sweep_values=list(spec.sweep_values),
+                            schemes=list(spec.schemes))
     size = min(-(-spec.num_drops // spec.workers), _CHUNK_DROPS)
     chunks = [(spec, si, range(lo, min(lo + size, spec.num_drops)))
               for si in range(len(spec.sweep_values))
@@ -344,12 +327,6 @@ def run_experiment(spec: ExperimentSpec):
 
     agg_path = out_dir / f"{spec.name}_aggregates.csv"
     _write_atomic(agg_path, _aggregate(rows))
-
-    meta_path = _write_meta(out_dir / f"{spec.name}_meta.json", spec.config,
-                            spec.dpb, spec.num_drops, spec.master_seed,
-                            sweep=spec.sweep,
-                            sweep_values=list(spec.sweep_values),
-                            schemes=list(spec.schemes))
 
     return rows, {"results": results_path, "aggregates": agg_path,
                   "metadata": meta_path}

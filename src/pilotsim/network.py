@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
+
 __all__ = [
     "NetworkConfig",
     "NetworkRealization",
@@ -141,7 +143,7 @@ class NetworkConfig:
                     raise ValueError(f"a path loss of {loss_db:.6g} dB at {d_m:.6g} m "
                                      f"gives a gamma that underflows to 0")
         # from 2^53 on, gamma's denominator w b + 1 may round to w b, and a
-        # UE alone on its pilot then gets gamma = b (1 + eps); w b <= w max(g)
+        # lone UE gets gamma = b (1 + eps); a shadowed b can pass max(g)
         at = int(np.argmax(gains))
         if w * gains[at] >= 2.0 ** 53:
             raise ValueError(f"a path loss of {losses[at]:.6g} dB at {probes[at]:.6g} m "
@@ -284,8 +286,7 @@ def generate_drop(config: NetworkConfig, seed: int) -> NetworkRealization:
     and the per-UE quantities are drawn UE-major, so rerunning the same seed
     with extra UEs appended leaves the first T columns of beta unchanged.
     """
-    ap_rng, ue_rng, sh_rng = (np.random.default_rng(s) for s in
-                              np.random.SeedSequence(seed).spawn(3))
+    ap_rng, ue_rng, sh_rng = seeding.drop_streams(seed)
     side = config.area_side_m
     ap_pos = ap_rng.uniform(0.0, side, size=(config.num_aps, 2))
     ue_pos = ue_rng.uniform(0.0, side, size=(config.num_ues, 2))

@@ -15,15 +15,16 @@ by convention. Agents apply the direct implementation's error formula
 same IEEE operations in the same order, and `best_first` and
 `priority_select` wrap its offer rule and resolution, so the negotiated
 assignment is bit-identical to it. A UE's seeded tie draws from its own
-stream, whose first word (`_stream_words`) one call per run precomputes
-for all arriving UEs.
+stream, whose first word one `seeding.stream_words` call per run
+precomputes for all arriving UEs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assignment import SchemeConfig, _stream_words, best_first, priority_select
+from . import seeding
+from .assignment import SchemeConfig, best_first, priority_select
 from .estimation import PilotAssignment, local_error_profile
 from .network import require_integers, require_powers
 
@@ -147,7 +148,7 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
               for b, w in zip(beta, weight)]
     log = TraceLog()
     pilot_of = np.full(num_ues, -1, dtype=int)
-    words = _stream_words(scheme.seed, order).tolist()
+    words = seeding.stream_words(scheme.seed, order).tolist()
     for arrival_index, (t, word) in enumerate(zip(order.tolist(), words)):
         serving = assoc.serving_aps[t].tolist()
         probed = serving[:scheme.dpb_s]

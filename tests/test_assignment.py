@@ -1,7 +1,6 @@
 """Sequential pilot assignment: greedy, priority-intersection, and baselines."""
 
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,16 +20,14 @@ from pilotsim import (
     derive_seed,
     priority_select,
 )
-from pilotsim import assignment
-from pilotsim.assignment import (SCHEME_IDS, _bounded, _seed_state,
-                                 _stream_words, assign_drops, eem_step)
+from pilotsim import assignment, seeding
+from pilotsim.assignment import SCHEME_IDS, assign_drops, eem_step
 from pilotsim.estimation import ContaminationCache, local_error_profile
+from pilotsim.seeding import stream_words
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
-
-
-def unit_powers(n):
-    return PowerProfile(np.ones(n), np.ones(n))
+import test_seeding
+from test_seeding import generator_pick, unit_powers
 
 
 def w_one_powers(n, lp):
@@ -261,12 +258,12 @@ class TestPrioritySelect:
     def test_no_word_makes_no_kernel_call(self, monkeypatch, offers):
         pairs = [(seed, ue) for seed in (0, 9, 2 ** 32 + 5, 2 ** 64 - 1)
                  for ue in range(25)]
-        words = [int(w) for w in _stream_words(*zip(*pairs))]
+        words = [int(w) for w in stream_words(*zip(*pairs))]
 
         def refuse(*args):
             raise AssertionError("priority_select called the stream kernel")
 
-        monkeypatch.setattr(assignment, "_stream_words", refuse)
+        monkeypatch.setattr(seeding, "stream_words", refuse)
         for (seed, ue), word in zip(pairs, words):
             assert (priority_select(offers, seed, ue)
                     == priority_select(offers, seed, ue, word=word))
@@ -315,155 +312,25 @@ class TestRandomPa:
         sigma = np.sqrt(n * (1 / 7) * (6 / 7))
         assert np.all(np.abs(counts - n / 7) <= 3 * sigma)
 
-    def test_rejectable_words_take_the_generator(self, desk_drop,
-                                                 monkeypatch):
-        # word 0 leaves Lemire's low half 0 < lp, where the method may
-        # reject: those entries must draw as the generator does, not pick 0
-        cfg, real, powers, assoc = desk_drop(seed=4)
-        seeds = [1, 2 ** 40 + 3, 2 ** 64 - 1]
-        calls = []
-
-        def some_zero(seeds, ues):
-            words = _stream_words(seeds, ues)
-            calls.append(words.shape)
-            words[np.indices(words.shape).sum(axis=0) % 3 == 0] = 0
-            return words
-
-        monkeypatch.setattr(assignment, "_stream_words", some_zero)
-        got = assign_drops(SchemeConfig("random"), seeds, [real] * 3,
-                           [assoc] * 3, powers, cfg.pilot_length)
-        assert calls == [(cfg.num_ues, 3)]
-        want = [[generator_pick(seed, t, cfg.pilot_length)
-                 for t in range(cfg.num_ues)] for seed in seeds]
-        assert got.tolist() == want
-        zeroed = np.indices(got.T.shape).sum(axis=0).T % 3 == 0
-        assert got[zeroed].any()
-
-    def test_past_32_bits_takes_the_generator(self):
-        real = NetworkRealization(np.zeros((1, 2)), np.zeros((4, 2)),
-                                  np.ones((1, 4)), 0)
-        lp, seeds = 2 ** 32 + 5, [11, 2 ** 63]
-        got = assign_drops(SchemeConfig("random"), seeds, [real] * 2,
-                           [associate_aps(real, 0.95)] * 2, unit_powers(4),
-                           lp)
-        assert got.tolist() == [[generator_pick(seed, t, lp)
-                                 for t in range(4)] for seed in seeds]
-
-
-def generator_pick(seed, ue, n):
-    return int(np.random.default_rng([seed, ue]).integers(n))
+    # the kernel cases live in test_seeding.py; these names keep the ids
+    # they had before they moved
+    test_rejectable_words_take_the_generator = (
+        test_seeding.TestPicks.test_rejectable_words_take_the_generator)
+    test_past_32_bits_takes_the_generator = (
+        test_seeding.TestPicks.test_past_32_bits_takes_the_generator)
 
 
 class TestStreamKernel:
-    """`_stream_words` and `_bounded` against the generator they stand for."""
-
-    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 10 ** 6 - 1),
-           st.integers(1, 2 ** 16))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_default_rng(self, seed, ue, n):
-        word = int(_stream_words(seed, ue))
-        raw = np.random.default_rng([seed, ue]).bit_generator.random_raw()
-        assert word == int(raw) & 0xFFFFFFFF
-        assert _bounded(word, n, seed, ue) == generator_pick(seed, ue, n)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
-                                      2 ** 64 - 1])
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 100, 200])
-    def test_edge_seeds(self, seed, n):
-        word = int(_stream_words(seed, 0))
-        assert _bounded(word, n, seed, 0) == generator_pick(seed, 0, n)
-
-    def test_broadcast_matches_pairwise(self):
-        seeds = [0, 2 ** 32 + 5, 2 ** 64 - 1]
-        ues = np.arange(4)[:, None]
-        words = _stream_words(seeds, ues)
-        assert words.shape == (4, 3)
-        for t in range(4):
-            for d, seed in enumerate(seeds):
-                assert words[t, d] == _stream_words(seed, t)
-
-    @pytest.mark.parametrize("n", [2, 7, 200, 2 ** 16])
-    def test_rejectable_word_falls_back(self, n):
-        # word 0 leaves the product's low half 0 < n, so Lemire's method may
-        # reject it; the pick must then be the generator's own, not 0
-        picks = [_bounded(0, n, 9, ue) for ue in range(8)]
-        assert picks == [generator_pick(9, ue, n) for ue in range(8)]
-        assert any(picks)
-
-    def test_past_32_bits_falls_back(self):
-        n = 2 ** 32 + 5
-        for ue in range(4):
-            word = int(_stream_words(11, ue))
-            assert _bounded(word, n, 11, ue) == generator_pick(11, ue, n)
-
-    @given(st.integers(1, 12).flatmap(lambda width: st.lists(
-               st.lists(st.integers(0, 2 ** 32 - 1), min_size=width,
-                        max_size=width), min_size=1, max_size=4)),
-           st.integers(1, 8))
-    @settings(max_examples=300, deadline=None)
-    def test_seed_state_matches_seed_sequence(self, columns, n):
-        got = _seed_state(np.array(columns, dtype=np.uint32).T, n)
-        assert got.dtype == np.uint32
-        for column, state in zip(columns, got.T, strict=True):
-            np.testing.assert_array_equal(
-                state, np.random.SeedSequence(column).generate_state(n))
-
-    @given(st.lists(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
-                             max_size=12), min_size=1, max_size=6),
-           st.integers(1, 8))
-    @settings(max_examples=300, deadline=None)
-    def test_seed_state_of_columns_of_any_width(self, columns, n):
-        widths = [len(c) for c in columns]
-        entropy = np.zeros((max(widths), len(columns)), dtype=np.uint32)
-        for k, column in enumerate(columns):
-            entropy[:len(column), k] = column
-        got = _seed_state(entropy, n, np.array(widths))
-        for column, state in zip(columns, got.T, strict=True):
-            np.testing.assert_array_equal(
-                state, np.random.SeedSequence(column).generate_state(n))
-
-    @pytest.mark.parametrize("seeds, ues, shape", [
-        (5, 3, ()),
-        (2 ** 64 - 1, [0, 7], (2,)),
-        ([5, 2 ** 40, 2 ** 64 - 1], np.arange(4)[:, None], (4, 3)),
-        (np.array([9], dtype=np.int64), np.arange(2, dtype=np.uint32), (2,)),
-    ], ids=["scalar", "list", "broadcast", "int64"])
-    def test_kernel_dtypes(self, seeds, ues, shape):
-        # numpy 1.x casts uint64 mixed with int64 to float64; every kernel
-        # operand is an explicit uint32 or uint64, so none is lost
-        words = _stream_words(seeds, ues)
-        assert words.dtype == np.uint64 and words.shape == shape
-        for entropy in ([[1, 2], [3, 4]], [np.arange(3), np.arange(3)],
-                        np.ones((6, 2), dtype=np.int64)):
-            assert _seed_state(entropy, 3).dtype == np.uint32
-
-    def test_peak_memory_of_a_desk_stack(self):
-        # a 25-drop, T=60 stack: 1500 (seed, UE) pairs, on uint64 limbs
-        seeds = [derive_seed(9, d) for d in range(25)]
-        ues = np.arange(60)[:, None]
-        _stream_words(seeds, ues)  # makes the cached hash constants
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            _stream_words(seeds, ues)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 400_000
-
-    @pytest.mark.parametrize("scheme_id", ["random", "dpb"])
-    def test_one_kernel_call_per_stack(self, desk_drop, monkeypatch, scheme_id):
-        cfg, real, powers, assoc = desk_drop(seed=4)
-        calls = []
-
-        def counted(seeds, ues):
-            calls.append(np.broadcast(seeds, ues).size)
-            return _stream_words(seeds, ues)
-
-        monkeypatch.setattr(assignment, "_stream_words", counted)
-        assign_drops(SchemeConfig(scheme_id), [1, 2, 3], [real] * 3,
-                     [assoc] * 3, powers, cfg.pilot_length)
-        assert calls == [3 * cfg.num_ues]
+    # these tests live in test_seeding.py; the names here keep the ids they
+    # had before they moved (Hypothesis runs a @given test from one class)
+    _MOVED = test_seeding.TestStreamKernel
+    test_edge_seeds = _MOVED.test_edge_seeds
+    test_broadcast_matches_pairwise = _MOVED.test_broadcast_matches_pairwise
+    test_rejectable_word_falls_back = _MOVED.test_rejectable_word_falls_back
+    test_past_32_bits_falls_back = _MOVED.test_past_32_bits_falls_back
+    test_kernel_dtypes = _MOVED.test_kernel_dtypes
+    test_peak_memory_of_a_desk_stack = _MOVED.test_peak_memory_of_a_desk_stack
+    test_one_kernel_call_per_stack = _MOVED.test_one_kernel_call_per_stack
 
 
 def cache_choice(t, beta, powers, lp, prior):

@@ -38,6 +38,9 @@ from pilotsim.cli import main
 from pilotsim.harness import cell_seeds
 from pilotsim.performance import evaluate_drops
 from probes import pilot_stack
+# the seed tests live in test_seeding.py; they are also collected here,
+# under the ids they had before they moved
+from test_seeding import TestCellSeeds, TestDeriveSeed  # noqa: F401
 
 
 def tiny_config(**over):
@@ -52,19 +55,6 @@ def tiny_spec(tmp_path, **over):
                 output_dir=str(tmp_path), name="t")
     base.update(over)
     return ExperimentSpec(**base)
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
-
-    def test_order_sensitive(self):
-        assert derive_seed(1, 2) != derive_seed(2, 1)
-
-    def test_spread(self):
-        seeds = {derive_seed(7, i) for i in range(500)}
-        assert len(seeds) == 500
-        assert all(0 <= s < 2 ** 64 for s in seeds)
 
 
 class TestExperimentSpec:
@@ -116,36 +106,29 @@ class TestExperimentSpec:
         assert none_spec.config_for(0) is none_spec.config
 
 
-class TestCellSeeds:
-    def test_one_rule_for_drop_and_schemes(self):
-        drop_seeds, seeds = cell_seeds(4, 1, [3], ("eem", "dpb"))
-        assert drop_seeds == [derive_seed(4, 1, 3)]
-        assert seeds == [[derive_seed(4, 1, 3, 100 + SCHEME_CODE[s])]
-                         for s in ("eem", "dpb")]
-
-    @pytest.mark.parametrize("master", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64,
-                                        2 ** 96 + 7])
-    @pytest.mark.parametrize("sweep_idx", [1, 2 ** 32 + 3])
-    @pytest.mark.parametrize("drop_idxs", [[4], range(25),
-                                           [0, 2 ** 32 - 1, 2 ** 32, 2 ** 70]],
-                             ids=["one", "chunk", "wide"])
-    def test_chunk_matches_derive_seed(self, master, sweep_idx, drop_idxs):
-        # past the pool of 4 entropy words, and with columns of several
-        # widths in one call where a drop index passes 32 bits
-        drop_seeds, seeds = cell_seeds(master, sweep_idx, drop_idxs,
-                                       SCHEME_IDS)
-        assert drop_seeds == [derive_seed(master, sweep_idx, d)
-                              for d in drop_idxs]
-        assert seeds == [[derive_seed(master, sweep_idx, d,
-                                      100 + SCHEME_CODE[s])
-                          for d in drop_idxs] for s in SCHEME_IDS]
-
-    def test_rejects_a_negative_part(self):
-        with pytest.raises(ValueError, match="^seed parts must be >= 0"):
-            cell_seeds(-1, 0, [0], ("eem",))
-
-
 class TestRunExperiment:
+    @pytest.mark.parametrize("sweep,values", [("ue_count", (10, 13)),
+                                              ("assoc_threshold", (0.9, 0.95))])
+    def test_numpy_scalars_write_the_same_files(self, tmp_path, sweep,
+                                                values):
+        # a spec of numpy scalars writes the CSVs of one of Python numbers,
+        # byte for byte, and the same meta
+        def files(out, cast, integer):
+            spec = tiny_spec(out, config=tiny_config(num_aps=integer(8)),
+                             sweep=sweep,
+                             sweep_values=tuple(map(cast, values)),
+                             num_drops=integer(2), master_seed=integer(1),
+                             dpb=SchemeConfig("dpb", dpb_s=integer(2)))
+            _, paths = run_experiment(spec)
+            return {kind: path.read_text() for kind, path in paths.items()}
+
+        want = files(tmp_path / "python", type(values[0]), int)
+        got = files(tmp_path / "numpy", np.asarray(values).dtype.type,
+                    np.int64)
+        assert json.loads(got.pop("metadata")) == json.loads(
+            want.pop("metadata"))
+        assert got == want
+
     def test_grid_shape_and_order(self, tmp_path):
         spec = tiny_spec(tmp_path)
         rows, paths = run_experiment(spec)
@@ -428,6 +411,15 @@ def fail_random_on_third_drop(monkeypatch, spec):
 
 
 class TestCellFailures:
+    def test_failed_run_keeps_its_meta(self, tmp_path, monkeypatch):
+        # the meta is written before the first chunk, so a failed run can
+        # be replayed from it
+        fail_evaluations(monkeypatch, {"dpb": ArithmeticError("bad SINR")})
+        with pytest.raises(CellError):
+            run_experiment(tiny_spec(tmp_path))
+        meta = json.loads((tmp_path / "t_meta.json").read_text())
+        assert (meta["master_seed"], meta["sweep_values"]) == (3, [10, 13])
+
     def test_error_names_its_cell(self, tmp_path, monkeypatch):
         fail_evaluations(monkeypatch,
                          {"dpb": ArithmeticError("bad SINR for UE 3")})
@@ -605,7 +597,7 @@ class TestCellFailures:
 
 class TestExports:
     MODULES = ("assignment", "estimation", "harness", "network",
-               "performance", "protocol")
+               "performance", "protocol", "seeding")
 
     @pytest.mark.parametrize("name", MODULES)
     def test_module_all_resolves(self, name):

@@ -23,8 +23,7 @@ from pilotsim import (
     priority_select,
     run_protocol,
 )
-from pilotsim import assignment, protocol
-from pilotsim.assignment import _stream_words, best_first
+from pilotsim.assignment import best_first
 from pilotsim.cli import main
 from pilotsim.estimation import ContaminationCache, local_error_profile
 from pilotsim.harness import SCHEME_CODE
@@ -32,6 +31,7 @@ from pilotsim.protocol import (KIND_NOTIFY, KIND_OFFER, KIND_PROBE,
                                AccessPointAgent, TraceLog)
 from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
 from probes import map_from_sets
+import test_seeding
 
 
 def kind_counts(log):
@@ -262,24 +262,9 @@ class TestRunProtocol:
                                       full.pilot_of[order[:k]])
         assert np.all(part.pilot_of[order[k:]] == -1)
 
-    def test_one_kernel_call_per_run(self, desk_drop, monkeypatch):
-        cfg, real, powers, assoc = desk_drop(seed=6)
-        calls = []
-
-        def counted(seeds, ues):
-            calls.append(np.broadcast(seeds, ues).size)
-            return _stream_words(seeds, ues)
-
-        # run_protocol passes its words on, so priority_select makes none
-        monkeypatch.setattr(protocol, "_stream_words", counted)
-        monkeypatch.setattr(assignment, "_stream_words", counted)
-        order = np.random.default_rng(2).permutation(cfg.num_ues)
-        pa, _ = run_protocol(real, assoc, SchemeConfig("dpb", seed=3), order,
-                             powers, cfg.pilot_length)
-        assert calls == [cfg.num_ues]
-        direct = assign_all(SchemeConfig("dpb", seed=3), real, assoc, powers,
-                            cfg.pilot_length, order)
-        np.testing.assert_array_equal(pa.pilot_of, direct.pilot_of)
+    # moved to test_seeding.py; this name keeps its id
+    test_one_kernel_call_per_run = (
+        test_seeding.TestProtocolWords.test_one_kernel_call_per_run)
 
     def test_rejects_other_schemes_and_bad_orders(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=4)

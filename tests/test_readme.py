@@ -1,8 +1,9 @@
 """What the README says of the code that a test can check: the library
-quick start runs as written, and `tests/oracles.py` uses no package
-helper."""
+quick start runs as written, `tests/oracles.py` uses no package helper, and
+the Layout block names every package module."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -67,3 +68,16 @@ def test_oracles_import_no_package_function():
     assert {(module, name) for module, name in imported
             if module.split(".")[0] not in sys.stdlib_module_names | {"numpy"}
             and name not in ORACLE_IMPORTS.get(module, ())} == set()
+
+
+def test_layout_names_every_module():
+    # the README's Layout block has one entry per package module, whose
+    # name starts a line two spaces in under `src/pilotsim/`
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Layout\n", 1)[1].split("```\n")[1]
+    package = block.split("src/pilotsim/\n", 1)[1]
+    section = itertools.takewhile(lambda line: line.startswith(" "),
+                                  package.splitlines())
+    named = {line.split()[0] for line in section if line[2] != " "}
+    modules = {path.name for path in (ROOT / "src" / "pilotsim").glob("*.py")}
+    assert named == modules - {"__init__.py"}
