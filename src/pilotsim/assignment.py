@@ -10,8 +10,13 @@ prefix-stable under newly arriving UEs.
 `assign_drops` runs one scheme over a stack of D drops that share M, T
 and Lp: one loop over arrival order steps every drop at once, the stack's
 serving sets padded with a dummy AP that hears no UE. `assign_all` is its
-one-drop call, which steps unstacked on the drop's own serving sets.
-`random` reads no earlier pick: `seeding.picks` draws every UE at once.
+one-drop call, which steps unstacked on the drop's own serving sets; `dpb`
+on one drop steps on Python floats instead (`_dpb_drop`), which takes about
+0.6 times the numpy step's time there, and gives its picks bit for bit.
+Stacks keep the numpy step, since 25 desk drops stepped on floats one by
+one took about three times as long, and so do `eem` and `scalable`: a
+float `eem` was 1.9-2.8x slower even at one drop, its cache hearing every
+UE. `random` reads no earlier pick: `seeding.picks` draws every UE at once.
 
 Per batched step, with the running sums of a ContaminationCache: `eem`
 reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
@@ -22,7 +27,7 @@ takes the argmin of the sums at each drop's master AP, its first serving
 AP. Recording the picks adds one precomputed row per drop to the sums; no
 step scans the other UEs. The protocol's `best_first`, a stable sort of an
 AP agent's float errors, and `priority_select` wrap the offer rule
-(`_offered`) and the resolution (`_resolve`) that the batched step calls
+(`_offered`) and the resolution (`_resolve`) that both DPB steps call
 directly.
 
 Pilot indices are 0-based throughout.
@@ -39,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .estimation import ContaminationCache, PilotAssignment
+from .estimation import (ContaminationCache, PilotAssignment,
+                         local_error_profile)
 from .network import (require_integer, require_integers, require_number,
                       require_powers, serving_links)
 
@@ -213,8 +219,9 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     M, a dummy AP that hears no UE."""
     if len(assocs) == 1:
         # every `assign_all` is one drop, as are a large-drop cell and the
-        # protocol audit; padded, one drop ran 1.3-1.4x as long for eem,
-        # 1.2x for dpb and 2.3x for scalable (M x T of 30 x 50 to 200 x 400)
+        # protocol audit; padded, one drop ran 1.3-1.4x as long for eem and
+        # 2.3x for scalable (M x T of 30 x 50 to 200 x 400); one dpb drop
+        # steps on floats and reads no table
         return assocs[0].serving_aps, assocs[0].sizes
     aps, sizes = serving_links(assocs)
     width = int(sizes.max())
@@ -222,6 +229,54 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     padded = np.full(sizes.shape + (width,), num_aps)
     padded[np.arange(width) < sizes[..., None]] = aps
     return padded.swapaxes(0, 1), sizes.T
+
+
+def _dpb_drop(scheme: SchemeConfig, seed: int, real, assoc, powers, lp: int,
+              order, counter: OpCounter | None) -> np.ndarray:
+    """`dpb` on one drop, stepped on Python floats: the (T,) pilots.
+
+    Each AP keeps its pilot sums as a list of Lp floats, and each serving
+    link's b_mt and w_t b_mt are read once, in the order of `assoc.links`.
+    A probed AP's errors are `local_error_profile` pilot by pilot, its
+    offer mask the pilots that `_offered` admits; a UE's pick adds w_t b_mt
+    to its own pilot's sum at its serving APs only, where the numpy cache
+    adds exact zeros elsewhere, so every sum takes the cache's additions in
+    the cache's order and every pick is the stacked step's, bit for bit.
+    """
+    owners = np.repeat(np.arange(real.num_ues), assoc.sizes)
+    betas = real.beta[assoc.links, owners]
+    aps = assoc.links.tolist()
+    weighted = (betas * (powers.p_pilot * lp)[owners]).tolist()
+    betas = betas.tolist()
+    # UE t's serving links, strongest first, are links[starts[t]:ends[t]]
+    ends = np.cumsum(assoc.sizes).tolist()
+    starts = [0, *ends]
+    sums = [[0.0] * lp for _ in range(real.num_aps)]
+    delta = scheme.dpb_delta
+    words = seeding.stream_words(seed, np.arange(real.num_ues)).tolist()
+    pilot_of = np.full(real.num_ues, -1)
+    for t in order.tolist():
+        first, end = starts[t], ends[t]
+        probed = range(first, min(first + scheme.dpb_s, end))
+        if counter is not None:
+            counter.start_ue()
+            counter.add_evals(len(probed) * lp)
+        masks = []
+        for k in probed:
+            own, weighted_own = betas[k], weighted[k]
+            errors = [local_error_profile(weighted_own, own, s)
+                      for s in sums[aps[k]]]
+            least = min(errors)
+            if not masks:
+                # the strongest AP's least-error pilot, lowest on ties
+                best = errors.index(least)
+            masks.append(sum([1 << i for i, e in enumerate(errors)
+                              if _offered(e, least, delta)]))
+        pilot = _resolve(masks, best, seed, t, words[t], counter)
+        for k in range(first, end):
+            sums[aps[k]][pilot] += weighted[k]
+        pilot_of[t] = pilot
+    return pilot_of
 
 
 def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
@@ -233,7 +288,8 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     drop d draws its ties from seeds[d], and `scheme.seed` is not read. One
     loop over arrival order steps every drop at once, so each drop's
     assignment equals `assign_all` on that drop alone; a single drop steps
-    unstacked. Counter tallies are per UE, summed over the drops.
+    unstacked, on Python floats for `dpb`. Counter tallies are per UE,
+    summed over the drops.
     """
     if not reals or not len(seeds) == len(reals) == len(assocs):
         raise ValueError("need at least one drop, with one seed and one "
@@ -253,10 +309,13 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
             raise ValueError("order must be a permutation of all UEs")
     if scheme.scheme_id == "random":
         return seeding.picks(seeds, num_ues, lp)
+    stacked = num_drops > 1
     if scheme.scheme_id == "dpb":
+        if not stacked:
+            return _dpb_drop(scheme, seeds[0], reals[0], assocs[0], powers,
+                             lp, order, counter)[None]
         # row t: the first word of UE t's stream under each drop's seed
         words = seeding.stream_words(seeds, np.arange(num_ues)[:, None])
-    stacked = num_drops > 1
     # a stack's AP index M hears no UE: the padding of its serving sets
     heard = np.zeros((num_drops, num_aps + stacked, num_ues))
     for rows, real, assoc in zip(heard, reals, assocs):
@@ -291,8 +350,6 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
                       for m, s, b, seed, word in zip(masks, s_prime[t],
                                                      best.tolist(), seeds,
                                                      words[t].tolist())]
-            if not stacked:
-                pilots = pilots[0]
         else:
             # least-loaded pilot at the master (first serving) AP, lowest on ties
             pilots = cache.loads(serving[t][..., 0]).argmin(axis=-1)

@@ -5,9 +5,10 @@ Reusing a pilot inflates the estimator's interference denominator and drags
 gamma below its contamination-free ceiling. `local_error_profile` measures
 that loss at one AP for every pilot at once; `ContaminationCache` keeps the
 one table of running sums it reads and gives it one row per requested AP,
-which eem sums over a UE's serving APs (global form) and DPB reads per AP
-(local form). Which UEs an AP hears is fixed by the LSFC matrix the cache
-is built from: the full one, or one masked to the links each AP serves.
+which eem sums over a UE's serving APs (global form) and DPB on a stack of
+drops reads per AP (local form). Which UEs an AP hears is fixed by the LSFC
+matrix the cache is built from: the full one, or one masked to the links
+each AP serves.
 
 All arithmetic stays in linear scale and double precision: the errors are
 differences of near-equal ratios and would not survive dB-domain round trips.
@@ -87,8 +88,9 @@ def local_error_profile(weighted_own: float, own_beta: float,
     w_k b_mk seen at this AP; column vectors of `weighted_own` and
     `own_beta` against rows of sums give one profile per AP, and a float
     sum gives one pilot's error. The only copy of the error formula: the
-    bookkeeping cache calls it on arrays and the protocol AP agents on
-    floats, pilot by pilot, so both paths produce bit-identical errors.
+    bookkeeping cache calls it on arrays, and the one-drop DPB step and the
+    protocol AP agents on floats, pilot by pilot, so every path produces
+    bit-identical errors.
     """
     num = weighted_own * own_beta
     bound = num / (weighted_own + 1.0)
@@ -108,9 +110,10 @@ class ContaminationCache:
     is AP m's local sum over the UEs it serves, every other UE adding an
     exact 0.0. `record` must be called once per assignment, in arrival
     order; sums then accumulate in the same order as the message-passing
-    agents see notifications, which keeps the two DPB code paths bitwise
-    identical. `local_errors` is the one read of the errors: `eem` sums its
-    rows over a UE's serving APs, and `dpb` takes one offer per row.
+    agents and the one-drop DPB step add their floats, which keeps the
+    three DPB code paths bitwise identical. `local_errors` is the one read
+    of the errors: `eem` sums its rows over a UE's serving APs, and `dpb`
+    takes one offer per row.
 
     `beta` is one drop's (M, T) matrix or a (D, M, T) stack of drops that
     share the UE powers. A stack's sums are (D, M, Lp); `record` then takes

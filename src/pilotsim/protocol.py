@@ -11,8 +11,9 @@ written down at all.
 AP agents are constructed with nothing but their own LSFC row restricted to
 the UEs they serve; locality is enforced by what the handlers can reach, not
 by convention. Agents apply the direct implementation's error formula
-(`local_error_profile`) pilot by pilot to sums kept as Python floats, the
-same IEEE operations in the same order, and `best_first` and
+(`local_error_profile`) pilot by pilot to sums kept as Python floats, as
+that implementation does itself on one drop; its numpy step on a stack
+takes the same IEEE operations in the same order. `best_first` and
 `priority_select` wrap its offer rule and resolution, so the negotiated
 assignment is bit-identical to it. A UE's seeded tie draws from its own
 stream, whose first word one `seeding.stream_words` call per run

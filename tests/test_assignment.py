@@ -641,3 +641,29 @@ class TestAssignDrops:
         with pytest.raises(ValueError, match="^seed must"):
             assign_drops(SchemeConfig("random"), [1, seed], [real, real],
                          [assoc, assoc], powers, cfg.pilot_length)
+
+
+class TestDpbLocality:
+    """The abstract's APs use only local information: a DPB step reads an
+    AP's LSFCs of the UEs it serves, so no other link can move a pick."""
+
+    @pytest.mark.parametrize("num_drops", [1, 3])
+    def test_unserved_links_move_no_pick(self, desk_drop, num_drops):
+        drops = [desk_drop(seed=30 + d, num_ues=60) for d in range(num_drops)]
+        cfg, _, powers, _ = drops[0]
+        _, reals, _, assocs = zip(*drops)
+        r = np.random.default_rng(num_drops)
+        # each unserved link scaled by 1e-6 to 1e6, with the same association
+        moved = [NetworkRealization(
+            real.ap_positions, real.ue_positions,
+            np.where(assoc.serves, real.beta,
+                     real.beta * 10.0 ** r.uniform(-6, 6, real.beta.shape)),
+            real.seed) for real, assoc in zip(reals, assocs)]
+        order = r.permutation(cfg.num_ues)
+        seeds = [derive_seed(num_drops, d) for d in range(num_drops)]
+        for scheme_id, same in (("dpb", True), ("eem", False)):
+            picks = [assign_drops(SchemeConfig(scheme_id), seeds, stack,
+                                  assocs, powers, cfg.pilot_length, order)
+                     for stack in (reals, moved)]
+            # eem hears every UE at every serving AP, so the scaling bites
+            assert np.array_equal(*picks) == same

@@ -12,6 +12,7 @@ from pilotsim import (
     BudgetViolation,
     NetworkConfig,
     NetworkRealization,
+    OpCounter,
     PowerProfile,
     SchemeConfig,
     assign_all,
@@ -23,7 +24,7 @@ from pilotsim import (
     priority_select,
     run_protocol,
 )
-from pilotsim.assignment import best_first
+from pilotsim.assignment import assign_drops, best_first
 from pilotsim.cli import main
 from pilotsim.estimation import ContaminationCache, local_error_profile
 from pilotsim.harness import SCHEME_CODE
@@ -302,6 +303,59 @@ class TestRunProtocol:
         counts = kind_counts(log)
         assert counts[KIND_PROBE] == counts[KIND_OFFER] == cfg.num_ues
         assert (pa.pilot_of >= 0).all()
+
+
+# one AP per 5000 m^2
+AP_DENSITY = 2e-4
+
+
+def fixed_density_drop(num_aps, seed):
+    """A wrap-around drop with T = 2M UEs on the side that keeps the AP
+    density at AP_DENSITY."""
+    cfg = NetworkConfig(num_aps=num_aps, num_ues=2 * num_aps,
+                        area_side_m=(num_aps / AP_DENSITY) ** 0.5,
+                        wrap_around=True)
+    real = generate_drop(cfg, seed)
+    return cfg, real, normalize_powers(cfg), associate_aps(
+        real, cfg.assoc_threshold)
+
+
+class TestFixedDensity:
+    """The per-UE costs that the abstract's scalability claim rests on, at
+    three network sizes of one AP density: they hold whatever |M_t| does,
+    and |M_t| itself grows with the network (README reports it)."""
+
+    @pytest.mark.parametrize("num_aps", [25, 100, 400])
+    def test_per_ue_costs(self, num_aps):
+        cfg, real, powers, assoc = fixed_density_drop(num_aps, num_aps)
+        lp, sizes = cfg.pilot_length, assoc.sizes
+        order = np.random.default_rng(num_aps).permutation(cfg.num_ues)
+        scheme = SchemeConfig("dpb", seed=derive_seed(num_aps, 1))
+        s_prime = np.minimum(scheme.dpb_s, sizes)[order]
+        dpb = OpCounter()
+        direct = assign_all(scheme, real, assoc, powers, lp, order, dpb)
+        # tallies are kept in arrival order
+        assert dpb.error_evals == (s_prime * lp).tolist()
+        assert all(checks <= 2 ** s - s - 1
+                   for checks, s in zip(dpb.intersection_checks, s_prime))
+        eem = OpCounter()
+        assign_all(SchemeConfig("eem"), real, assoc, powers, lp, order, eem)
+        want = sizes[order] * lp
+        want[:lp] = 0
+        assert eem.contamination_reads == want.tolist()
+        negotiated, log = run_protocol(real, assoc, scheme, order, powers, lp)
+        report = audit_overhead(log, assoc, scheme.dpb_s)
+        assert report["ap_to_ap"] == 0
+        sent = np.bincount([row[2] for row in log.rows],
+                           minlength=cfg.num_ues)
+        np.testing.assert_array_equal(
+            sent, 2 * np.minimum(scheme.dpb_s, sizes) + sizes)
+        # the stack steps on numpy, one drop on Python floats
+        _, other, _, other_assoc = fixed_density_drop(num_aps, num_aps + 1)
+        stack = assign_drops(scheme, [scheme.seed, 5], [real, other],
+                             [assoc, other_assoc], powers, lp, order)
+        np.testing.assert_array_equal(negotiated.pilot_of, direct.pilot_of)
+        np.testing.assert_array_equal(stack[0], direct.pilot_of)
 
 
 class TestAuditOverhead:
