@@ -11,9 +11,11 @@ prefix-stable under newly arriving UEs.
 and Lp: one loop over arrival order steps every drop at once, the stack's
 serving sets padded with a dummy AP that hears no UE. `assign_all` is its
 one-drop call, which steps unstacked on the drop's own serving sets; `dpb`
-on one drop steps on Python floats instead (`_dpb_drop`), which takes about
-0.6 times the numpy step's time there, and gives its picks bit for bit.
-Stacks keep the numpy step, since 25 desk drops stepped on floats one by
+on one drop steps on Python floats instead (`dpb_arrivals`), which takes
+about 0.6 times the numpy step's time there, and gives its picks bit for
+bit. `dpb_arrivals` is the package's one float DPB loop: the protocol
+(`protocol.run_protocol`) logs its messages from the same yields. Stacks
+keep the numpy step, since 25 desk drops stepped on floats one by
 one took about three times as long, and so do `eem` and `scalable`: a
 float `eem` was 1.9-2.8x slower even at one drop, its cache hearing every
 UE. `random` reads no earlier pick: `seeding.picks` draws every UE at once.
@@ -25,10 +27,9 @@ for any Lp) in one uint64 product per 64 pilots, and resolves each drop's
 masks by priority intersection, at most 2^S' - S' - 1 of them; `scalable`
 takes the argmin of the sums at each drop's master AP, its first serving
 AP. Recording the picks adds one precomputed row per drop to the sums; no
-step scans the other UEs. The protocol's `best_first`, a stable sort of an
-AP agent's float errors, and `priority_select` wrap the offer rule
-(`_offered`) and the resolution (`_resolve`) that both DPB steps call
-directly.
+step scans the other UEs. `best_first`, a stable sort of one AP's errors,
+and `priority_select` expose the offer rule (`_offered`) and the
+resolution (`_resolve`) that both DPB steps call directly.
 
 Pilot indices are 0-based throughout.
 """
@@ -56,6 +57,7 @@ __all__ = [
     "assign_all",
     "assign_drops",
     "eem_step",
+    "dpb_arrivals",
     "best_first",
     "priority_select",
 ]
@@ -148,8 +150,7 @@ def best_first(errors, delta: float) -> list:
 
 
 def priority_select(offers, seed: int = 0, ue: int = 0,
-                    counter: OpCounter | None = None,
-                    word: int | None = None) -> int:
+                    counter: OpCounter | None = None) -> int:
     """Resolve the offers of a UE's priority APs, strongest AP first, into
     one pilot; each offer is a best-first list of pilot indices (Python ints).
 
@@ -157,13 +158,11 @@ def priority_select(offers, seed: int = 0, ue: int = 0,
     are tried in lexicographic order of priority rank (for S = 3: {1,2,3},
     then {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot
     bitmasks wins; a lone pilot is forced, and several are a tie drawn
-    from UE ue's stream under `seed`, whose first word
-    (`seeding.stream_words`) a caller may pass as `word`; without it, only
-    a tie builds the stream's generator. If every intersection is empty,
-    the strongest AP's best pilot wins.
+    from UE ue's stream under `seed`, whose generator only a tie builds.
+    If every intersection is empty, the strongest AP's best pilot wins.
     """
     return _resolve([sum(1 << i for i in offer) for offer in offers],
-                    offers[0][0], seed, ue, word, counter)
+                    offers[0][0], seed, ue, None, counter)
 
 
 def _resolve(masks: list, best: int, seed: int, ue: int, word: int | None,
@@ -231,9 +230,12 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     return padded.swapaxes(0, 1), sizes.T
 
 
-def _dpb_drop(scheme: SchemeConfig, seed: int, real, assoc, powers, lp: int,
-              order, counter: OpCounter | None) -> np.ndarray:
-    """`dpb` on one drop, stepped on Python floats: the (T,) pilots.
+def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
+                 lp: int, order, counter: OpCounter | None = None):
+    """`dpb` on one drop, stepped on Python floats: for each UE t of
+    `order`, any duplicate-free int array of UEs, yield (t, masks, pilot),
+    its probed APs' offers as pilot bitmasks, strongest AP first, and its
+    pick; ties draw from UE t's stream under `seed`.
 
     Each AP keeps its pilot sums as a list of Lp floats, and each serving
     link's b_mt and w_t b_mt are read once, in the order of `assoc.links`.
@@ -253,9 +255,8 @@ def _dpb_drop(scheme: SchemeConfig, seed: int, real, assoc, powers, lp: int,
     starts = [0, *ends]
     sums = [[0.0] * lp for _ in range(real.num_aps)]
     delta = scheme.dpb_delta
-    words = seeding.stream_words(seed, np.arange(real.num_ues)).tolist()
-    pilot_of = np.full(real.num_ues, -1)
-    for t in order.tolist():
+    words = seeding.stream_words(seed, order).tolist()
+    for t, word in zip(order.tolist(), words):
         first, end = starts[t], ends[t]
         probed = range(first, min(first + scheme.dpb_s, end))
         if counter is not None:
@@ -272,11 +273,10 @@ def _dpb_drop(scheme: SchemeConfig, seed: int, real, assoc, powers, lp: int,
                 best = errors.index(least)
             masks.append(sum([1 << i for i, e in enumerate(errors)
                               if _offered(e, least, delta)]))
-        pilot = _resolve(masks, best, seed, t, words[t], counter)
+        pilot = _resolve(masks, best, seed, t, word, counter)
         for k in range(first, end):
             sums[aps[k]][pilot] += weighted[k]
-        pilot_of[t] = pilot
-    return pilot_of
+        yield t, masks, pilot
 
 
 def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
@@ -312,8 +312,12 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     stacked = num_drops > 1
     if scheme.scheme_id == "dpb":
         if not stacked:
-            return _dpb_drop(scheme, seeds[0], reals[0], assocs[0], powers,
-                             lp, order, counter)[None]
+            pilot_of = np.full(num_ues, -1)
+            for t, _, pilot in dpb_arrivals(scheme, seeds[0], reals[0],
+                                            assocs[0], powers, lp, order,
+                                            counter):
+                pilot_of[t] = pilot
+            return pilot_of[None]
         # row t: the first word of UE t's stream under each drop's seed
         words = seeding.stream_words(seeds, np.arange(num_ues)[:, None])
     # a stack's AP index M hears no UE: the padding of its serving sets

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .assignment import SCHEME_IDS, SchemeConfig, assign_all
+from .assignment import SCHEME_IDS, SchemeConfig, assign_drops
 from .harness import (DPB_OPTIONS, CellError, ExperimentSpec, _write_atomic,
                       _write_meta, cell_seeds, emit_cdf, run_experiment)
 from .network import (NetworkConfig, associate_aps, generate_drop,
@@ -160,9 +160,11 @@ def _run_protocol_audit(args) -> int:
         except BudgetViolation as exc:
             print(f"drop {di}: BUDGET VIOLATION: {exc}", file=sys.stderr)
             return 1
-        direct = assign_all(scheme, real, assoc, powers, config.pilot_length,
-                            order=order)
-        if not np.array_equal(negotiated.pilot_of, direct.pilot_of):
+        # the numpy step on the drop stacked with itself: one drop would
+        # step on the float loop that the negotiation ran
+        direct = assign_drops(scheme, [seed] * 2, [real] * 2, [assoc] * 2,
+                              powers, config.pilot_length, order)[0]
+        if not np.array_equal(negotiated.pilot_of, direct):
             print(f"drop {di}: protocol/direct assignment mismatch",
                   file=sys.stderr)
             return 1

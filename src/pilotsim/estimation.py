@@ -88,9 +88,8 @@ def local_error_profile(weighted_own: float, own_beta: float,
     w_k b_mk seen at this AP; column vectors of `weighted_own` and
     `own_beta` against rows of sums give one profile per AP, and a float
     sum gives one pilot's error. The only copy of the error formula: the
-    bookkeeping cache calls it on arrays, and the one-drop DPB step and the
-    protocol AP agents on floats, pilot by pilot, so every path produces
-    bit-identical errors.
+    bookkeeping cache calls it on arrays, and the one-drop DPB loop on
+    floats, pilot by pilot, so both produce bit-identical errors.
     """
     num = weighted_own * own_beta
     bound = num / (weighted_own + 1.0)
@@ -109,9 +108,9 @@ class ContaminationCache:
     `beta[m]`: for `dpb` the cache is built from `beta * serves`, so row m
     is AP m's local sum over the UEs it serves, every other UE adding an
     exact 0.0. `record` must be called once per assignment, in arrival
-    order; sums then accumulate in the same order as the message-passing
-    agents and the one-drop DPB step add their floats, which keeps the
-    three DPB code paths bitwise identical. `local_errors` is the one read
+    order; sums then accumulate in the same order as the one-drop float DPB
+    loop (`assignment.dpb_arrivals`) adds its floats, which keeps the two
+    DPB steps bitwise identical. `local_errors` is the one read
     of the errors: `eem` sums its rows over a UE's serving APs, and `dpb`
     takes one offer per row.
 

@@ -8,25 +8,21 @@ S' offers, and |M_t| notifications. The log keeps one integer row per
 message whose kind fixes which end sends, so an AP-to-AP message cannot be
 written down at all.
 
-AP agents are constructed with nothing but their own LSFC row restricted to
-the UEs they serve; locality is enforced by what the handlers can reach, not
-by convention. Agents apply the direct implementation's error formula
-(`local_error_profile`) pilot by pilot to sums kept as Python floats, as
-that implementation does itself on one drop; its numpy step on a stack
-takes the same IEEE operations in the same order. `best_first` and
-`priority_select` wrap its offer rule and resolution, so the negotiated
-assignment is bit-identical to it. A UE's seeded tie draws from its own
-stream, whose first word one `seeding.stream_words` call per run
-precomputes for all arriving UEs.
+The negotiation is the one-drop float DPB loop, `assignment.dpb_arrivals`:
+each probed AP scores the pilots from its own sums over the UEs it serves,
+and the UE resolves the offers by AP priority and notifies its serving
+APs, which add its pilot to their sums. The log is built from the loop's yields, so the negotiated
+assignment is the one-drop `assign_all`'s by construction; tests check it
+against the numpy step of a stack and against an independent
+message-per-send oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import seeding
-from .assignment import SchemeConfig, best_first, priority_select
-from .estimation import PilotAssignment, local_error_profile
+from .assignment import SchemeConfig, dpb_arrivals
+from .estimation import PilotAssignment
 from .network import require_integers, require_powers
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "KIND_OFFER",
     "KIND_NOTIFY",
     "TraceLog",
-    "AccessPointAgent",
     "BudgetViolation",
     "run_protocol",
     "audit_overhead",
@@ -72,13 +67,13 @@ class TraceLog:
         self.rows = []
 
     def record_arrival(self, arrival_index: int, ue: int, probed: list,
-                       offers: list, serving: list):
-        """One arrival: a probe and its offer per probed AP, then a notify
-        per serving AP."""
+                       offer_sizes: list, serving: list):
+        """One arrival: a probe and its offer, of `offer_sizes[i]` pilots,
+        per probed AP, then a notify per serving AP."""
         rows = self.rows
-        for ap, offer in zip(probed, offers):
+        for ap, size in zip(probed, offer_sizes):
             rows.append((arrival_index, _PROBE, ue, ap, 0))
-            rows.append((arrival_index, _OFFER, ue, ap, len(offer)))
+            rows.append((arrival_index, _OFFER, ue, ap, size))
         rows.extend([(arrival_index, _NOTIFY, ue, ap, 1) for ap in serving])
 
     def export_lines(self):
@@ -90,36 +85,6 @@ class TraceLog:
             yield f"{idx},{kind},{src},{dst},{payload}"
 
 
-class AccessPointAgent:
-    """AP-side handler; owns only what AP m can learn over the air.
-
-    State is the LSFC (and pilot power) of each served UE, known from
-    association, plus per-pilot contamination sums accumulated from
-    notifications, in arrival order, as a list of Python floats.
-    """
-
-    def __init__(self, served_beta: dict, served_weight: dict,
-                 num_pilots: int, delta: float):
-        self._beta = dict(served_beta)
-        self._weight = dict(served_weight)
-        self.pilot_sums = [0.0] * num_pilots
-        self.delta = float(delta)
-
-    def candidate_offer(self, ue: int) -> list:
-        """Pilots within (1 + delta) of the least local error, best-first.
-
-        Ordering by ascending local error (ties by pilot index) is what lets
-        the UE apply the lowest-error fallback without extra payload.
-        """
-        own = self._beta[ue]
-        weighted = self._weight[ue] * own
-        return best_first([local_error_profile(weighted, own, s)
-                           for s in self.pilot_sums], self.delta)
-
-    def learn_assignment(self, ue: int, pilot: int):
-        self.pilot_sums[pilot] += self._weight[ue] * self._beta[ue]
-
-
 def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
                  lp: int):
     """Negotiate pilots for the arriving UEs over logged messages.
@@ -127,7 +92,8 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
     `arrival_order` may be any duplicate-free subset of UEs; UEs that never
     arrive stay unassigned (-1), so replaying a prefix of an arrival sequence
     reproduces exactly the prefix of the full run. Deterministic given
-    (scheme.seed, arrival_order); matches the direct implementation exactly.
+    (scheme.seed, arrival_order): the picks of `dpb_arrivals`, whose
+    yields the log records.
     """
     if scheme.scheme_id != "dpb":
         raise ValueError("the message protocol enacts the distributed scheme only")
@@ -138,26 +104,15 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
         raise ValueError("arrival order must not repeat UEs")
     if order.size and (order.min() < 0 or order.max() >= num_ues):
         raise ValueError("arrival order names unknown UEs")
-    # each AP's served UEs from one pass over the serving links, UE by UE
-    owners = np.repeat(np.arange(num_ues), assoc.sizes)
-    beta, weight = ([{} for _ in range(real.num_aps)] for _ in range(2))
-    for m, t, b, w in zip(assoc.links.tolist(), owners.tolist(),
-                          real.beta[assoc.links, owners].tolist(),
-                          (powers.p_pilot[owners] * lp).tolist()):
-        beta[m][t], weight[m][t] = b, w
-    agents = [AccessPointAgent(b, w, lp, scheme.dpb_delta)
-              for b, w in zip(beta, weight)]
     log = TraceLog()
     pilot_of = np.full(num_ues, -1, dtype=int)
-    words = seeding.stream_words(scheme.seed, order).tolist()
-    for arrival_index, (t, word) in enumerate(zip(order.tolist(), words)):
+    arrivals = dpb_arrivals(scheme, scheme.seed, real, assoc, powers, lp,
+                            order)
+    for arrival_index, (t, masks, pilot) in enumerate(arrivals):
+        # the probed APs are the strongest S' of UE t's serving APs
         serving = assoc.serving_aps[t].tolist()
-        probed = serving[:scheme.dpb_s]
-        offers = [agents[m].candidate_offer(t) for m in probed]
-        pilot = priority_select(offers, scheme.seed, ue=t, word=word)
-        for m in serving:
-            agents[m].learn_assignment(t, pilot)
-        log.record_arrival(arrival_index, t, probed, offers, serving)
+        log.record_arrival(arrival_index, t, serving[:len(masks)],
+                           [mask.bit_count() for mask in masks], serving)
         pilot_of[t] = pilot
     return PilotAssignment(pilot_of, lp), log
 

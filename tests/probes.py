@@ -9,12 +9,15 @@ The package ranks strong sets and computes gammas only for stacks of drops,
 each reading the one-hot of the pilots that `one_hot` builds as an
 evaluation pass does; `strong_one` and `gamma_one` are those calls on one
 drop. `map_from_sets` builds an association from per-UE serving sets, and
-`pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s.
+`pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s. A scheme
+steps one drop and a stack in different code (DPB's float loop against its
+numpy step), so `stack_row` gives a drop's pilots from the stacked step.
 """
 
 import numpy as np
 
-from pilotsim import AssociationMap, estimation, network, performance
+from pilotsim import (AssociationMap, assignment, estimation, network,
+                      performance)
 
 
 def map_from_sets(serving_aps, serves):
@@ -44,6 +47,14 @@ def strong_one(real, assoc, threshold, assignments, antennas):
 def pilot_stack(by_drop):
     """The (D, S, T) pilot array of D drops' S `PilotAssignment`s each."""
     return np.array([[pa.pilot_of for pa in cell] for cell in by_drop])
+
+
+def stack_row(scheme, real, assoc, powers, lp, order=None):
+    """The stacked step's (T,) pilots for one drop: row 0 of
+    `assign_drops` on the drop stacked with itself, both copies drawing
+    their ties under `scheme.seed`."""
+    return assignment.assign_drops(scheme, [scheme.seed] * 2, [real] * 2,
+                                   [assoc] * 2, powers, lp, order)[0]
 
 
 def gamma_one(beta, powers, lp, assignment):

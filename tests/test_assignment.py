@@ -23,7 +23,6 @@ from pilotsim import (
 from pilotsim import assignment, seeding
 from pilotsim.assignment import SCHEME_IDS, assign_drops, eem_step
 from pilotsim.estimation import ContaminationCache, local_error_profile
-from pilotsim.seeding import stream_words
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
 import test_seeding
@@ -251,22 +250,23 @@ class TestPrioritySelect:
             assert (priority_select(offers, seed=4, ue=ue)
                     == [70, 199][generator_pick(4, ue, 2)])
 
-    @pytest.mark.parametrize("offers", [[[1, 4, 5], [4, 1, 5]],
-                                        [[2, 0], [0, 2], [3]],
-                                        [[0, 1], [2], [1]], [[0], [1], [2]]],
-                             ids=["tie3", "tie2", "forced", "fallback"])
-    def test_no_word_makes_no_kernel_call(self, monkeypatch, offers):
+    @pytest.mark.parametrize("offers,common", [
+        ([[1, 4, 5], [4, 1, 5]], [1, 4, 5]), ([[2, 0], [0, 2], [3]], [0, 2]),
+        ([[0, 1], [2], [1]], [1]), ([[0], [1], [2]], [0])],
+        ids=["tie3", "tie2", "forced", "fallback"])
+    def test_no_word_makes_no_kernel_call(self, monkeypatch, offers, common):
+        # `common` is the winning intersection, or the fallback pilot
         pairs = [(seed, ue) for seed in (0, 9, 2 ** 32 + 5, 2 ** 64 - 1)
                  for ue in range(25)]
-        words = [int(w) for w in stream_words(*zip(*pairs))]
+        want = [common[generator_pick(seed, ue, len(common))]
+                for seed, ue in pairs]
 
         def refuse(*args):
             raise AssertionError("priority_select called the stream kernel")
 
         monkeypatch.setattr(seeding, "stream_words", refuse)
-        for (seed, ue), word in zip(pairs, words):
-            assert (priority_select(offers, seed, ue)
-                    == priority_select(offers, seed, ue, word=word))
+        assert [priority_select(offers, seed, ue)
+                for seed, ue in pairs] == want
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=300, deadline=None)

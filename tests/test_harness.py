@@ -932,18 +932,18 @@ class TestCli:
     def test_config_dpb_options_reach_every_audited_drop(self, tmp_path,
                                                           monkeypatch, capsys):
         made = []
-        real_protocol, real_assign = cli.run_protocol, cli.assign_all
+        real_protocol, real_assign = cli.run_protocol, cli.assign_drops
 
         def run_protocol(real, assoc, scheme, *args, **kwargs):
             made.append(scheme)
             return real_protocol(real, assoc, scheme, *args, **kwargs)
 
-        def assign_all(scheme, *args, **kwargs):
+        def assign_drops(scheme, *args, **kwargs):
             made.append(scheme)
             return real_assign(scheme, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run_protocol", run_protocol)
-        monkeypatch.setattr(cli, "assign_all", assign_all)
+        monkeypatch.setattr(cli, "assign_drops", assign_drops)
         cfg = tmp_path / "opts.json"
         cfg.write_text(json.dumps(self.DPB_FILE))
         code = main(["protocol-audit", "--desk-scale", "--config", str(cfg),
@@ -951,7 +951,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         template = SchemeConfig("dpb", **self.DPB_FILE)
-        # each drop runs the protocol, then the direct assignment
+        # each drop runs the protocol, then the stacked numpy step
         _, (seeds,) = cell_seeds(7, 0, range(3), ("dpb",))
         assert made == [s for seed in seeds for s in
                         2 * [dataclasses.replace(template, seed=seed)]]
@@ -1027,14 +1027,16 @@ class TestCli:
         assert captured.out == ""
 
     def test_audit_reports_a_mismatch(self, tmp_path, monkeypatch, capsys):
-        real_assign = cli.assign_all
+        real_protocol = cli.run_protocol
 
-        def assign_all(*args, **kwargs):
-            pa = real_assign(*args, **kwargs)
-            return PilotAssignment((pa.pilot_of + 1) % pa.num_pilots,
-                                   pa.num_pilots)
+        def run_protocol(*args, **kwargs):
+            # one negotiated pick moves to the next pilot
+            pa, log = real_protocol(*args, **kwargs)
+            pilot_of = pa.pilot_of.copy()
+            pilot_of[0] = (pilot_of[0] + 1) % pa.num_pilots
+            return PilotAssignment(pilot_of, pa.num_pilots), log
 
-        monkeypatch.setattr(cli, "assign_all", assign_all)
+        monkeypatch.setattr(cli, "run_protocol", run_protocol)
         code = main(["protocol-audit", "--desk-scale", "--drops", "2",
                      "--out", str(tmp_path / "out")])
         assert code == 1

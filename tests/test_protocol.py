@@ -26,12 +26,11 @@ from pilotsim import (
 )
 from pilotsim.assignment import assign_drops, best_first
 from pilotsim.cli import main
-from pilotsim.estimation import ContaminationCache, local_error_profile
+from pilotsim.estimation import local_error_profile
 from pilotsim.harness import SCHEME_CODE
-from pilotsim.protocol import (KIND_NOTIFY, KIND_OFFER, KIND_PROBE,
-                               AccessPointAgent, TraceLog)
+from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE, TraceLog
 from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
-from probes import map_from_sets
+from probes import map_from_sets, stack_row
 import test_seeding
 
 
@@ -81,7 +80,7 @@ class TestMessage:
 
     def test_valid_kinds(self):
         log = TraceLog()
-        log.record_arrival(0, 3, [1], [[2, 0]], [0])
+        log.record_arrival(0, 3, [1], [2], [0])
         assert list(log.export_lines()) == [
             f"0,{KIND_PROBE},ue3,ap1,0",
             f"0,{KIND_OFFER},ap1,ue3,2",
@@ -122,7 +121,7 @@ class TestMessage:
 class TestTraceLog:
     def test_counters_and_export(self):
         log = TraceLog()
-        log.record_arrival(0, 0, [2], [[4, 1, 0]], [])
+        log.record_arrival(0, 0, [2], [3], [])
         log.record_arrival(1, 1, [], [], [2])
         assert kind_counts(log) == {KIND_PROBE: 1, KIND_OFFER: 1,
                                     KIND_NOTIFY: 1}
@@ -142,47 +141,24 @@ class TestTraceLog:
 
 
 class TestAgents:
-    def test_offer_is_best_first(self):
-        # contamination sums 0.30 / 0.29 / 1.40 at one AP for a unit UE:
-        # candidate set under delta=0.1 is {0, 1}, offered as [1, 0]
-        agent = AccessPointAgent({4: 0.7}, {4: 1.0}, 3, 0.1)
-        agent.pilot_sums[:] = [0.30, 0.29, 1.40]
-        assert agent.candidate_offer(4) == [1, 0]
-
-    def test_learning_moves_offers(self):
-        agent = AccessPointAgent({0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, 2, 0.0)
-        assert agent.candidate_offer(1) == [0, 1]
-        agent.learn_assignment(0, 0)
-        assert agent.candidate_offer(1) == [1]
+    """The negotiation's two roles: the APs' offers and sums, stepped on
+    floats, against the numpy step of a stack, and the UE's resolution
+    against the reference selection."""
 
     @pytest.mark.parametrize("seed,over", [
         (3, {}), (11, dict(pilot_length=3)), (19, dict(wrap_around=True))])
-    def test_agent_sums_are_the_cache_rows(self, desk_drop, seed, over):
-        # a DPB cache hears what each AP serves, so row m is AP m's agent
+    def test_one_drop_picks_are_a_stack_row(self, desk_drop, seed, over):
+        # the APs' float sums and offers of one drop against the numpy
+        # cache of a two-drop stack
         cfg, real, powers, assoc = desk_drop(seed=seed, **over)
+        _, other, _, other_assoc = desk_drop(seed=seed + 1, **over)
         lp = cfg.pilot_length
-        w = powers.p_pilot * lp
-        cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
-        agents = []
-        for m in range(cfg.num_aps):
-            ues = np.flatnonzero(assoc.serves[m]).tolist()
-            agents.append(AccessPointAgent(
-                {k: real.beta[m, k] for k in ues}, {k: w[k] for k in ues},
-                lp, 0.1))
-        r = np.random.default_rng(seed)
-        for t in r.permutation(cfg.num_ues).tolist():
-            for m in assoc.serving_aps[t].tolist():
-                own = real.beta[m, t]
-                profile = local_error_profile(w[t] * own, own,
-                                              agents[m].pilot_sums)
-                assert np.array_equal(cache.local_errors(m, t), profile)
-                assert agents[m].candidate_offer(t) == best_first(profile, 0.1)
-            pilot = int(r.integers(lp))
-            cache.record(t, pilot)
-            for m in assoc.serving_aps[t].tolist():
-                agents[m].learn_assignment(t, pilot)
-            for m, agent in enumerate(agents):
-                assert np.array_equal(cache.sums[m], agent.pilot_sums)
+        order = np.random.default_rng(seed).permutation(cfg.num_ues)
+        scheme = SchemeConfig("dpb", seed=seed)
+        one = assign_all(scheme, real, assoc, powers, lp, order)
+        stack = assign_drops(scheme, [seed, seed + 1], [real, other],
+                             [assoc, other_assoc], powers, lp, order)
+        np.testing.assert_array_equal(stack[0], one.pilot_of)
 
     def test_user_agent_matches_direct_selection(self):
         # the UE's choice from its offers, against the reference selection:
@@ -218,11 +194,11 @@ class TestRunProtocol:
         for seed in range(5):
             cfg, real, powers, assoc = desk_drop(seed=40 + seed)
             sch = SchemeConfig("dpb", seed=seed)
-            direct = assign_all(sch, real, assoc, powers, cfg.pilot_length)
+            direct = stack_row(sch, real, assoc, powers, cfg.pilot_length)
             proto, _ = run_protocol(real, assoc, sch,
                                     np.arange(cfg.num_ues), powers,
                                     cfg.pilot_length)
-            np.testing.assert_array_equal(direct.pilot_of, proto.pilot_of)
+            np.testing.assert_array_equal(direct, proto.pilot_of)
 
     def test_tied_zero_errors_take_lowest_pilot(self):
         # Lp = 4, delta = 0: an AP's unused pilots tie at exactly 0.0 error.
@@ -243,10 +219,10 @@ class TestRunProtocol:
         sch = SchemeConfig("dpb", dpb_delta=0.0, seed=1)
         order = np.arange(7)
         want = [0, 1, 0, 1, 2, 3, 2]
-        direct = assign_all(sch, real, assoc, powers, 4)
+        direct = stack_row(sch, real, assoc, powers, 4)
         proto, _ = run_protocol(real, assoc, sch, order, powers, 4)
         oracle = oracle_protocol_log(real, assoc, sch, order, powers, 4)
-        assert direct.pilot_of.tolist() == want
+        assert direct.tolist() == want
         assert proto.pilot_of.tolist() == want
         assert oracle["pilot_of"].tolist() == want
 
@@ -390,7 +366,7 @@ class TestAuditOverhead:
         sch = SchemeConfig("dpb", seed=2)
         pa, log = run_protocol(real, assoc, sch, np.arange(cfg.num_ues),
                                powers, cfg.pilot_length)
-        log.record_arrival(cfg.num_ues, 0, [1], [[0]], [])
+        log.record_arrival(cfg.num_ues, 0, [1], [1], [])
         with pytest.raises(BudgetViolation) as err:
             audit_overhead(log, assoc, 3)
         assert err.value.ue == 0
@@ -450,13 +426,14 @@ class TestOracleLog:
         if delta is None:
             delta = float(r.uniform(0.0, 2.0))
         own, weight = 10.0 ** r.uniform(-9, -6), 10.0 ** r.uniform(0, 3)
-        agent = AccessPointAgent({3: own}, {3: weight}, lp, delta)
         # a few distinct sums, zero among them, so pilots tie often
-        agent.pilot_sums[:] = r.choice(
-            np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)), size=lp)
-        errors = local_error_profile(weight * own, own,
-                                     np.asarray(agent.pilot_sums))
-        assert agent.candidate_offer(3) == oracle_offer(errors, delta).tolist()
+        sums = r.choice(np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)),
+                        size=lp)
+        # the float errors that an AP of the DPB loop scores, pilot by pilot
+        errors = [local_error_profile(weight * own, own, s)
+                  for s in sums.tolist()]
+        assert (best_first(errors, delta)
+                == oracle_offer(np.array(errors), delta).tolist())
 
 
 def test_cli_trace_matches_oracle(tmp_path, capsys):

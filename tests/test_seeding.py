@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotsim import (NetworkRealization, PowerProfile, SCHEME_CODE,
-                      SCHEME_IDS, SchemeConfig, assign_all, associate_aps,
-                      derive_seed, run_protocol)
+                      SCHEME_IDS, SchemeConfig, associate_aps, derive_seed,
+                      run_protocol)
 from pilotsim import seeding
 from pilotsim.assignment import assign_drops
 from pilotsim.cli import main
 from pilotsim.harness import cell_seeds
 from pilotsim.seeding import _seed_state, bounded, stream_words
+from probes import stack_row
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pilotsim"
 
@@ -193,15 +194,17 @@ class TestProtocolWords:
             calls.append(np.broadcast(seeds, ues).size)
             return stream_words(seeds, ues)
 
-        # run_protocol passes its words on, so priority_select makes none
+        # the float loop draws every arriving UE's word in one call, and
+        # resolves its ties from them
         monkeypatch.setattr(seeding, "stream_words", counted)
         order = np.random.default_rng(2).permutation(cfg.num_ues)
-        pa, _ = run_protocol(real, assoc, SchemeConfig("dpb", seed=3), order,
-                             powers, cfg.pilot_length)
+        scheme = SchemeConfig("dpb", seed=3)
+        pa, _ = run_protocol(real, assoc, scheme, order, powers,
+                             cfg.pilot_length)
         assert calls == [cfg.num_ues]
-        direct = assign_all(SchemeConfig("dpb", seed=3), real, assoc, powers,
-                            cfg.pilot_length, order)
-        np.testing.assert_array_equal(pa.pilot_of, direct.pilot_of)
+        np.testing.assert_array_equal(
+            pa.pilot_of, stack_row(scheme, real, assoc, powers,
+                                   cfg.pilot_length, order))
 
 
 class TestDeriveSeed:
