@@ -1,8 +1,7 @@
 """Pilot assignment and uplink spectral-efficiency simulation for
 distributed massive MIMO networks."""
 
-from .assignment import (OpCounter, SCHEME_IDS, SchemeConfig, assign_all,
-                         best_first, priority_select)
+from .assignment import OpCounter, SCHEME_IDS, SchemeConfig, assign_all
 from .estimation import PilotAssignment
 from .harness import (CellError, ExperimentSpec, ResultRow, SCHEME_CODE,
                       derive_seed, emit_cdf, run_experiment)

@@ -27,9 +27,8 @@ for any Lp) in one uint64 product per 64 pilots, and resolves each drop's
 masks by priority intersection, at most 2^S' - S' - 1 of them; `scalable`
 takes the argmin of the sums at each drop's master AP, its first serving
 AP. Recording the picks adds one precomputed row per drop to the sums; no
-step scans the other UEs. `best_first`, a stable sort of one AP's errors,
-and `priority_select` expose the offer rule (`_offered`) and the
-resolution (`_resolve`) that both DPB steps call directly.
+step scans the other UEs. Both DPB steps make an AP's offer, a pilot set,
+with `_offered` and resolve a UE's offers with `_resolve`.
 
 Pilot indices are 0-based throughout.
 """
@@ -58,8 +57,6 @@ __all__ = [
     "assign_drops",
     "eem_step",
     "dpb_arrivals",
-    "best_first",
-    "priority_select",
 ]
 
 SCHEME_IDS = ("eem", "dpb", "random", "scalable")
@@ -134,42 +131,14 @@ def _offered(errors, least, delta: float):
     return errors <= (1.0 + delta) * least
 
 
-def best_first(errors, delta: float) -> list:
-    """One AP's offer: the pilots within (1 + delta) of its least error,
-    best first, as the prefix that `_offered` admits of one stable sort of
-    the pilot indices (ties by pilot index); Python ints for a list of
-    floats or a 1-D array.
-
-    Errors are nonnegative, so the best pilot always qualifies; delta = 0
-    keeps only the minimizers.
-    """
-    ranked = sorted(range(len(errors)), key=errors.__getitem__)
-    least = errors[ranked[0]]
-    return list(itertools.takewhile(
-        lambda i: _offered(errors[i], least, delta), ranked))
-
-
-def priority_select(offers, seed: int = 0, ue: int = 0,
-                    counter: OpCounter | None = None) -> int:
-    """Resolve the offers of a UE's priority APs, strongest AP first, into
-    one pilot; each offer is a best-first list of pilot indices (Python ints).
-
-    Levels run from all S' offers down to pairs; within a level, AP groups
-    are tried in lexicographic order of priority rank (for S = 3: {1,2,3},
-    then {1,2}, {1,3}, {2,3}). The first nonempty intersection of pilot
-    bitmasks wins; a lone pilot is forced, and several are a tie drawn
-    from UE ue's stream under `seed`, whose generator only a tie builds.
-    If every intersection is empty, the strongest AP's best pilot wins.
-    """
-    return _resolve([sum(1 << i for i in offer) for offer in offers],
-                    offers[0][0], seed, ue, None, counter)
-
-
-def _resolve(masks: list, best: int, seed: int, ue: int, word: int | None,
+def _resolve(masks: list, best: int, seed: int, ue: int, word: int,
              counter: OpCounter | None) -> int:
-    """`priority_select` on the offers' pilot bitmasks (Python ints, so any
-    Lp fits). `best` is the strongest AP's least-error pilot, the fallback.
-    `word` is the first word of UE ue's stream under `seed`, or None."""
+    """UE ue's pilot from its offers, pilot sets as bitmasks of Python ints
+    (any Lp fits), strongest AP first: the first nonempty intersection from
+    all S' offers down to pairs, a level's AP groups in lexicographic order
+    of priority rank (S = 3: {1,2,3}, {1,2}, {1,3}, {2,3}). A lone pilot is
+    forced; several tie, drawn with `word`, UE ue's first stream word under
+    `seed`. With none, `best`, the strongest AP's least-error pilot, wins."""
     common = 0
     for level in range(len(masks), 1, -1):
         for group in itertools.combinations(masks, level):
@@ -310,16 +279,12 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     if scheme.scheme_id == "random":
         return seeding.picks(seeds, num_ues, lp)
     stacked = num_drops > 1
-    if scheme.scheme_id == "dpb":
-        if not stacked:
-            pilot_of = np.full(num_ues, -1)
-            for t, _, pilot in dpb_arrivals(scheme, seeds[0], reals[0],
-                                            assocs[0], powers, lp, order,
-                                            counter):
-                pilot_of[t] = pilot
-            return pilot_of[None]
-        # row t: the first word of UE t's stream under each drop's seed
-        words = seeding.stream_words(seeds, np.arange(num_ues)[:, None])
+    if scheme.scheme_id == "dpb" and not stacked:
+        pilot_of = np.full(num_ues, -1)
+        for t, _, pilot in dpb_arrivals(scheme, seeds[0], reals[0], assocs[0],
+                                        powers, lp, order, counter):
+            pilot_of[t] = pilot
+        return pilot_of[None]
     # a stack's AP index M hears no UE: the padding of its serving sets
     heard = np.zeros((num_drops, num_aps + stacked, num_ues))
     for rows, real, assoc in zip(heard, reals, assocs):
@@ -328,10 +293,13 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
                           if scheme.scheme_id == "dpb" else real.beta)
     cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
     serving, sizes = _serving_table(assocs, num_aps)
-    # DPB probes S APs per drop, padded past its first S' = min(S, |M_t|),
-    # and only those offer; `bits` holds pilot i's bit in its 64-bit limb
-    s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
-    bits = np.uint64(1) << (np.arange(lp, dtype=np.uint64) % np.uint64(64))
+    if scheme.scheme_id == "dpb":
+        # row t: the first word of UE t's stream under each drop's seed
+        words = seeding.stream_words(seeds, np.arange(num_ues)[:, None])
+        # DPB probes S APs per drop, padded past the S' = min(S, |M_t|)
+        # that offer; `bits` holds pilot i's bit in its 64-bit limb
+        s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
+        bits = np.uint64(1) << (np.arange(lp, dtype=np.uint64) % np.uint64(64))
     # pilots are UE-major, so step t writes row t
     pilot_of = np.full((num_ues, num_drops) if stacked else num_ues, -1)
     for rank, t in enumerate(order.tolist()):

@@ -12,12 +12,42 @@ drop. `map_from_sets` builds an association from per-UE serving sets, and
 `pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s. A scheme
 steps one drop and a stack in different code (DPB's float loop against its
 numpy step), so `stack_row` gives a drop's pilots from the stacked step.
+Both steps make an AP's offer with `assignment._offered` and resolve a UE's
+offers with `assignment._resolve`; `offered_set` and `resolve_offers` call
+them on an error array and on best-first lists. `generator_pick` is the
+generator that every seeded pick stands for, and `unit_powers` a power
+profile of ones.
 """
 
 import numpy as np
 
-from pilotsim import (AssociationMap, assignment, estimation, network,
-                      performance)
+from pilotsim import (AssociationMap, PowerProfile, assignment, estimation,
+                      network, performance, seeding)
+
+
+def unit_powers(n):
+    return PowerProfile(np.ones(n), np.ones(n))
+
+
+def generator_pick(seed, ue, n):
+    return int(np.random.default_rng([seed, ue]).integers(n))
+
+
+def offered_set(errors, delta):
+    """The pilots that one AP with these errors offers, as a set of ints."""
+    errors = np.asarray(errors)
+    return set(np.flatnonzero(
+        assignment._offered(errors, errors.min(), delta)).tolist())
+
+
+def resolve_offers(offers, seed=0, ue=0, counter=None):
+    """UE ue's pick from best-first lists of pilot indices, strongest AP
+    first, as the DPB steps resolve it: the offers as bitmasks, the first
+    offer's first pilot as the fallback, ties drawn with the first word of
+    UE ue's stream under `seed`."""
+    masks = [sum(1 << i for i in offer) for offer in offers]
+    return assignment._resolve(masks, offers[0][0], seed, ue,
+                               int(seeding.stream_words(seed, ue)), counter)
 
 
 def map_from_sets(serving_aps, serves):

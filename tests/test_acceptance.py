@@ -16,7 +16,6 @@ from pilotsim import (
     assign_all,
     associate_aps,
     audit_overhead,
-    best_first,
     derive_seed,
     generate_drop,
     normalize_powers,
@@ -27,7 +26,7 @@ from pilotsim import (
 from oracles import (micro_instance, oracle_eem_choice, oracle_error_global,
                      oracle_error_local, oracle_gamma_bound, oracle_lsfd,
                      oracle_sinr, random_unit_vector)
-from probes import gamma_one, sinr_pfzf, stack_row, strong_one
+from probes import gamma_one, offered_set, sinr_pfzf, stack_row, strong_one
 
 DESK = dict(num_aps=30, num_ues=50, antennas_per_ap=8, pilot_length=7)
 
@@ -246,10 +245,10 @@ def test_criterion_10_candidate_set_properties():
     for _ in range(5000):
         errors = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 10)))
         deltas = np.sort(rng.uniform(0.0, 2.0, size=2))
-        narrow = best_first(errors, deltas[0])
-        wide = best_first(errors, deltas[1])
+        narrow = offered_set(errors, deltas[0])
+        wide = offered_set(errors, deltas[1])
         assert int(np.argmin(errors)) in narrow
-        assert set(narrow) <= set(wide)
+        assert narrow <= wide
         calls += 2
     for _ in range(2500):
         t = int(rng.integers(cfg.num_ues))
@@ -259,9 +258,9 @@ def test_criterion_10_candidate_set_properties():
         deltas = np.sort(rng.uniform(0.0, 2.0, size=2))
         errors = np.array([oracle_error_local(t, m, real.beta, powers.p_pilot,
                                               lp, ks) for ks in local])
-        narrow = best_first(errors, deltas[0])
-        wide = best_first(errors, deltas[1])
-        assert len(narrow) >= 1 and set(narrow) <= set(wide)
+        narrow = offered_set(errors, deltas[0])
+        wide = offered_set(errors, deltas[1])
+        assert len(narrow) >= 1 and narrow <= wide
         calls += 2
     assert calls == 15000
     print(f"\nPASS criterion 10: argmin membership and delta-monotonicity "

@@ -16,17 +16,15 @@ from pilotsim import (
     SchemeConfig,
     assign_all,
     associate_aps,
-    best_first,
     derive_seed,
-    priority_select,
 )
-from pilotsim import assignment, seeding
+from pilotsim import assignment
 from pilotsim.assignment import SCHEME_IDS, assign_drops, eem_step
 from pilotsim.estimation import ContaminationCache, local_error_profile
 from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
                      oracle_priority_select, oracle_scalable_choice)
+from probes import generator_pick, offered_set, resolve_offers, unit_powers
 import test_seeding
-from test_seeding import generator_pick, unit_powers
 
 
 def w_one_powers(n, lp):
@@ -126,11 +124,11 @@ class TestEemStep:
 
 
 def local_offer(t, m, delta, beta, powers, lp, local_copilots):
-    """best_first over AP m's local errors, `local_copilots[i]` holding the
+    """AP m's offer from its local errors, `local_copilots[i]` holding the
     UEs it serves on pilot i."""
     errors = np.array([oracle_error_local(t, m, beta, powers.p_pilot, lp, ks)
                        for ks in local_copilots])
-    return best_first(errors, delta)
+    return offered_set(errors, delta)
 
 
 class TestCandidateSets:
@@ -147,7 +145,7 @@ class TestCandidateSets:
             0.0,
         ]
         for delta in (0.0, 0.1, 0.5, 100.0):
-            assert local_offer(3, 0, delta, beta, powers, lp, local) == [2]
+            assert local_offer(3, 0, delta, beta, powers, lp, local) == {2}
         cache = ContaminationCache(beta, powers, lp)
         for t, p in enumerate([0, 1, 0]):
             cache.record(t, p)
@@ -168,9 +166,9 @@ class TestCandidateSets:
         for t, p in enumerate([0, 1, 2, 2]):
             cache.record(t, p)
         np.testing.assert_allclose(cache.local_errors(0, 4), errors, rtol=1e-13)
-        for delta, want in ((0.0, [1]), (0.1, [1, 0]), (5.0, [1, 0, 2])):
+        for delta, want in ((0.0, {1}), (0.1, {0, 1}), (5.0, {0, 1, 2})):
             assert local_offer(4, 0, delta, beta, powers, lp, local) == want
-            assert best_first(cache.local_errors(0, 4), delta) == want
+            assert offered_set(cache.local_errors(0, 4), delta) == want
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 4.0))
     @settings(max_examples=80, deadline=None)
@@ -179,19 +177,18 @@ class TestCandidateSets:
         # a few distinct values, so pilots tie often
         errors = r.choice(r.uniform(0.0, 1.0, size=3),
                           size=int(r.integers(1, 9)))
-        got = best_first(errors, delta)
-        assert got[0] == int(np.argmin(errors))
-        assert got == oracle_offer(errors, delta).tolist()
-        wider = best_first(errors, delta + 0.5)
-        assert got == wider[:len(got)]
-        assert np.all(errors[got] <= (1.0 + delta) * errors.min())
+        got = offered_set(errors, delta)
+        assert int(np.argmin(errors)) in got
+        assert got == set(oracle_offer(errors, delta).tolist())
+        assert got <= offered_set(errors, delta + 0.5)
+        assert np.all(errors[list(got)] <= (1.0 + delta) * errors.min())
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 70),
            st.sampled_from([0.0, 0.1, 5.0, None]))
     @settings(max_examples=200, deadline=None)
     def test_list_and_array_offers_agree(self, seed, lp, delta):
-        # the protocol's agents pass lists of floats, other callers
-        # arrays: both give the oracle's offer as Python ints
+        # the float loop scores Python floats pilot by pilot, the stacked
+        # step arrays: both admit the oracle's candidate set
         r = np.random.default_rng(seed)
         if delta is None:
             delta = float(r.uniform(0.0, 2.0))
@@ -200,73 +197,58 @@ class TestCandidateSets:
         sums = r.choice(np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)),
                         size=lp).tolist()
         errors = [local_error_profile(weight * own, own, s) for s in sums]
-        got = best_first(errors, delta)
-        from_array = best_first(np.array(errors), delta)
-        assert got == from_array
-        assert got == oracle_offer(np.array(errors), delta).tolist()
-        assert all(type(i) is int for i in got + from_array)
+        least = min(errors)
+        got = {i for i, e in enumerate(errors)
+               if assignment._offered(e, least, delta)}
+        assert got == offered_set(np.array(errors), delta)
+        assert got == set(oracle_offer(np.array(errors), delta).tolist())
 
 
 class TestPrioritySelect:
+    """The priority resolution of both DPB steps (`_resolve`), fed
+    best-first lists as `resolve_offers` does."""
+
     def test_full_agreement(self):
-        assert priority_select([[3], [3], [3]]) == 3
+        assert resolve_offers([[3], [3], [3]]) == 3
 
     def test_pairwise_disjoint_falls_back_to_top_ap(self):
-        assert priority_select([[0], [1], [2]]) == 0
+        assert resolve_offers([[0], [1], [2]]) == 0
 
     def test_level_two_order_prefers_stronger_pair(self):
         # sets {0,1}, {2}, {1}: triple empty, (1,2) empty, (1,3) = {1}
-        assert priority_select([[0, 1], [2], [1]]) == 1
+        assert resolve_offers([[0, 1], [2], [1]]) == 1
 
     def test_fallback_takes_lowest_error_member(self):
-        assert priority_select([[2, 1], [0], [3]]) == 2
+        assert resolve_offers([[2, 1], [0], [3]]) == 2
 
     def test_seeded_rule_reproducible_and_in_set(self):
         offers = [[1, 4, 5], [1, 4, 5]]
-        picks = {priority_select(offers, seed=9, ue=u) for u in range(40)}
+        picks = {resolve_offers(offers, seed=9, ue=u) for u in range(40)}
         assert picks <= {1, 4, 5}
         assert len(picks) > 1
-        again = [priority_select(offers, seed=9, ue=u) for u in range(40)]
-        assert again == [priority_select(offers, seed=9, ue=u) for u in range(40)]
+        again = [resolve_offers(offers, seed=9, ue=u) for u in range(40)]
+        assert again == [resolve_offers(offers, seed=9, ue=u) for u in range(40)]
 
     def test_intersection_check_budget(self):
         counter = OpCounter()
         counter.start_ue()
-        priority_select([[0], [1], [2]], counter=counter)
+        resolve_offers([[0], [1], [2]], counter=counter)
         # exhaustive search: one triple plus three pairs
         assert counter.intersection_checks[-1] == 4
 
     def test_single_set_goes_straight_to_tiebreak(self):
         # one offer tries no intersection: its best pilot wins, draws or not
         for ue in range(20):
-            assert priority_select([[4, 2]], seed=9, ue=ue) == 4
+            assert resolve_offers([[4, 2]], seed=9, ue=ue) == 4
 
     def test_pilots_beyond_64_bits(self):
         offers = [[3, 70, 199], [70, 199]]
-        assert priority_select(offers, seed=4, ue=1) in (70, 199)
+        assert resolve_offers(offers, seed=4, ue=1) in (70, 199)
         # a common set that the top AP never offered
         offers = [[3], [199, 70], [70, 199]]
         for ue in range(20):
-            assert (priority_select(offers, seed=4, ue=ue)
+            assert (resolve_offers(offers, seed=4, ue=ue)
                     == [70, 199][generator_pick(4, ue, 2)])
-
-    @pytest.mark.parametrize("offers,common", [
-        ([[1, 4, 5], [4, 1, 5]], [1, 4, 5]), ([[2, 0], [0, 2], [3]], [0, 2]),
-        ([[0, 1], [2], [1]], [1]), ([[0], [1], [2]], [0])],
-        ids=["tie3", "tie2", "forced", "fallback"])
-    def test_no_word_makes_no_kernel_call(self, monkeypatch, offers, common):
-        # `common` is the winning intersection, or the fallback pilot
-        pairs = [(seed, ue) for seed in (0, 9, 2 ** 32 + 5, 2 ** 64 - 1)
-                 for ue in range(25)]
-        want = [common[generator_pick(seed, ue, len(common))]
-                for seed, ue in pairs]
-
-        def refuse(*args):
-            raise AssertionError("priority_select called the stream kernel")
-
-        monkeypatch.setattr(seeding, "stream_words", refuse)
-        assert [priority_select(offers, seed, ue)
-                for seed, ue in pairs] == want
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=300, deadline=None)
@@ -276,11 +258,12 @@ class TestPrioritySelect:
         offers = [r.choice(lp, size=int(r.integers(1, lp + 1)),
                            replace=False).tolist() for _ in range(s)]
         for _ in range(8):
-            run_seed, ue = int(r.integers(2 ** 31)), int(r.integers(1000))
+            run_seed = int(r.integers(2 ** 64, dtype=np.uint64))
+            ue = int(r.integers(1000))
             mine, ref = OpCounter(), OpCounter()
             mine.start_ue()
             ref.start_ue()
-            got = priority_select(offers, run_seed, ue, mine)
+            got = resolve_offers(offers, run_seed, ue, mine)
             want = oracle_priority_select(offers, run_seed, ue, ref)
             assert got == want
             assert mine.intersection_checks == ref.intersection_checks

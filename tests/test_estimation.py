@@ -11,11 +11,7 @@ from pilotsim.estimation import ContaminationCache, local_error_profile
 from pilotsim.performance import evaluate_drops
 from oracles import (oracle_error_global, oracle_error_local, oracle_gamma,
                      oracle_gamma_bound)
-from probes import gamma_one, map_from_sets
-
-
-def unit_powers(n):
-    return PowerProfile(np.ones(n), np.ones(n))
+from probes import gamma_one, map_from_sets, unit_powers
 
 
 def evaluate_on_one_ap(pilots, lp):

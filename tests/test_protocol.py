@@ -21,16 +21,15 @@ from pilotsim import (
     derive_seed,
     generate_drop,
     normalize_powers,
-    priority_select,
     run_protocol,
 )
-from pilotsim.assignment import assign_drops, best_first
+from pilotsim.assignment import assign_drops
 from pilotsim.cli import main
 from pilotsim.estimation import local_error_profile
 from pilotsim.harness import SCHEME_CODE
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE, TraceLog
 from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
-from probes import map_from_sets, stack_row
+from probes import map_from_sets, offered_set, resolve_offers, stack_row
 import test_seeding
 
 
@@ -140,7 +139,7 @@ class TestTraceLog:
             int(line.split(",")[4]) for line in log.export_lines())
 
 
-class TestAgents:
+class TestRoles:
     """The negotiation's two roles: the APs' offers and sums, stepped on
     floats, against the numpy step of a stack, and the UE's resolution
     against the reference selection."""
@@ -160,14 +159,14 @@ class TestAgents:
                              [assoc, other_assoc], powers, lp, order)
         np.testing.assert_array_equal(stack[0], one.pilot_of)
 
-    def test_user_agent_matches_direct_selection(self):
+    def test_ue_resolution_matches_the_oracle(self):
         # the UE's choice from its offers, against the reference selection:
         # all three offers share pilots 0 and 2, a tie each UE draws
         offers = [[2, 0, 5], [0, 2], [5, 2, 0]]
         picks = set()
         for ue in range(40):
             want = oracle_priority_select(offers, 3, ue=ue)
-            assert priority_select(offers, 3, ue=ue) == want
+            assert resolve_offers(offers, 3, ue=ue) == want
             picks.add(want)
         assert picks == {0, 2}
 
@@ -432,8 +431,8 @@ class TestOracleLog:
         # the float errors that an AP of the DPB loop scores, pilot by pilot
         errors = [local_error_profile(weight * own, own, s)
                   for s in sums.tolist()]
-        assert (best_first(errors, delta)
-                == oracle_offer(np.array(errors), delta).tolist())
+        assert (offered_set(errors, delta)
+                == set(oracle_offer(np.array(errors), delta).tolist()))
 
 
 def test_cli_trace_matches_oracle(tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotsim import (NetworkRealization, PowerProfile, SCHEME_CODE,
+from pilotsim import (NetworkRealization, SCHEME_CODE,
                       SCHEME_IDS, SchemeConfig, associate_aps, derive_seed,
                       run_protocol)
 from pilotsim import seeding
@@ -21,17 +21,9 @@ from pilotsim.assignment import assign_drops
 from pilotsim.cli import main
 from pilotsim.harness import cell_seeds
 from pilotsim.seeding import _seed_state, bounded, stream_words
-from probes import stack_row
+from probes import generator_pick, stack_row, unit_powers
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pilotsim"
-
-
-def unit_powers(n):
-    return PowerProfile(np.ones(n), np.ones(n))
-
-
-def generator_pick(seed, ue, n):
-    return int(np.random.default_rng([seed, ue]).integers(n))
 
 
 class TestStreamKernel:
