@@ -12,13 +12,17 @@ and Lp: one loop over arrival order steps every drop at once, the stack's
 serving sets padded with a dummy AP that hears no UE. `assign_all` is its
 one-drop call, which steps unstacked on the drop's own serving sets; `dpb`
 on one drop steps on Python floats instead (`dpb_arrivals`), which takes
-about 0.6 times the numpy step's time there, and gives its picks bit for
-bit. `dpb_arrivals` is the package's one float DPB loop: the protocol
-(`protocol.run_protocol`) logs its messages from the same yields. Stacks
-keep the numpy step, since 25 desk drops stepped on floats one by
-one took about three times as long, and so do `eem` and `scalable`: a
-float `eem` was 1.9-2.8x slower even at one drop, its cache hearing every
-UE. `random` reads no earlier pick: `seeding.picks` draws every UE at once.
+about half the numpy step's time there (0.6 times at Lp = 15), and gives
+its picks bit for bit. A probed AP's error never falls as a pilot's sum
+grows, so the float loop walks its pilots ranked by sum and scores only
+those it can offer, and the first it rejects (`_offer`). `dpb_arrivals` is
+the package's one float DPB loop: the protocol (`protocol.run_protocol`)
+logs its messages from the same yields, the offers and the APs each pick
+was added to. Stacks keep the numpy step, since 25 desk drops stepped on
+floats one by one took about three times as long, and so do `eem` and
+`scalable`: a float `eem` was 1.9-2.8x slower even at one drop, its cache
+hearing every UE. `random` reads no earlier pick: `seeding.picks` draws
+every UE at once.
 
 Per batched step, with the running sums of a ContaminationCache: `eem`
 reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
@@ -199,20 +203,53 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     return padded.swapaxes(0, 1), sizes.T
 
 
+def _offer(row, weighted_own: float, own: float, delta: float) -> tuple:
+    """One AP's offer from its pilot sums `row`, a list of Python floats,
+    as (mask, best): the bitmask of the pilots that `_offered` admits, and
+    the lowest pilot whose error is the least.
+
+    Each rounded step of `local_error_profile` is monotone in the sum, so
+    a pilot's error never falls as its sum grows, in floats as in exact
+    arithmetic: the offer is a prefix of the pilots ranked by sum. The walk
+    scores one error per distinct sum, the least first, and stops at the
+    first pilot rejected; the least error's pilots lead the ranking.
+    """
+    ranked = sorted(range(len(row)), key=row.__getitem__)
+    last = row[ranked[0]]
+    least = error = local_error_profile(weighted_own, own, last)
+    mask, best = 0, ranked[0]
+    for i in ranked:
+        if row[i] != last:
+            last = row[i]
+            error = local_error_profile(weighted_own, own, last)
+            if not _offered(error, least, delta):
+                break
+        if i < best and error == least:
+            best = i
+        mask |= 1 << i
+    return mask, best
+
+
 def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
                  lp: int, order, counter: OpCounter | None = None):
     """`dpb` on one drop, stepped on Python floats: for each UE t of
-    `order`, any duplicate-free int array of UEs, yield (t, masks, pilot),
-    its probed APs' offers as pilot bitmasks, strongest AP first, and its
-    pick; ties draw from UE t's stream under `seed`.
+    `order`, any duplicate-free int array of UEs, yield (t, masks, pilot,
+    aps): its probed APs' offers as pilot bitmasks, strongest AP first, its
+    pick, and the APs whose sums the pick was added to, its serving APs in
+    priority order, of which the first len(masks) are the probed ones. Ties
+    draw from UE t's stream under `seed`.
 
-    Each AP keeps its pilot sums as a list of Lp floats, and each serving
-    link's b_mt and w_t b_mt are read once, in the order of `assoc.links`.
-    A probed AP's errors are `local_error_profile` pilot by pilot, its
-    offer mask the pilots that `_offered` admits; a UE's pick adds w_t b_mt
-    to its own pilot's sum at its serving APs only, where the numpy cache
-    adds exact zeros elsewhere, so every sum takes the cache's additions in
-    the cache's order and every pick is the stacked step's, bit for bit.
+    Each AP keeps its pilot sums as a list of Lp floats, which each serving
+    link holds a reference to, and each link's b_mt and w_t b_mt are read
+    once, in the order of `assoc.links`. An AP's error never falls as a
+    pilot's sum grows, so its offer is a prefix of its pilots ranked by
+    sum: `_offer` walks that ranking, scoring with `local_error_profile`
+    and admitting with `_offered`, and stops at the first pilot rejected,
+    which gives the offer of a full scan; a UE's pick adds w_t b_mt to
+    its own pilot's sum at its serving APs only, where the numpy cache adds
+    exact zeros elsewhere, so every sum takes the cache's additions in the
+    cache's order and every pick is the stacked step's, bit for bit. The
+    counter still tallies S' Lp errors per UE, the scheme's stated cost.
     """
     owners = np.repeat(np.arange(real.num_ues), assoc.sizes)
     betas = real.beta[assoc.links, owners]
@@ -223,6 +260,8 @@ def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
     ends = np.cumsum(assoc.sizes).tolist()
     starts = [0, *ends]
     sums = [[0.0] * lp for _ in range(real.num_aps)]
+    # link k's AP's sums
+    rows = [sums[ap] for ap in aps]
     delta = scheme.dpb_delta
     words = seeding.stream_words(seed, order).tolist()
     for t, word in zip(order.tolist(), words):
@@ -231,21 +270,15 @@ def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
         if counter is not None:
             counter.start_ue()
             counter.add_evals(len(probed) * lp)
-        masks = []
-        for k in probed:
-            own, weighted_own = betas[k], weighted[k]
-            errors = [local_error_profile(weighted_own, own, s)
-                      for s in sums[aps[k]]]
-            least = min(errors)
-            if not masks:
-                # the strongest AP's least-error pilot, lowest on ties
-                best = errors.index(least)
-            masks.append(sum([1 << i for i, e in enumerate(errors)
-                              if _offered(e, least, delta)]))
+        # the fallback: the strongest AP's least-error pilot, lowest on ties
+        mask, best = _offer(rows[first], weighted[first], betas[first], delta)
+        masks = [mask]
+        for k in probed[1:]:
+            masks.append(_offer(rows[k], weighted[k], betas[k], delta)[0])
         pilot = _resolve(masks, best, seed, t, word, counter)
         for k in range(first, end):
-            sums[aps[k]][pilot] += weighted[k]
-        yield t, masks, pilot
+            rows[k][pilot] += weighted[k]
+        yield t, masks, pilot, aps[first:end]
 
 
 def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
@@ -281,8 +314,9 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     stacked = num_drops > 1
     if scheme.scheme_id == "dpb" and not stacked:
         pilot_of = np.full(num_ues, -1)
-        for t, _, pilot in dpb_arrivals(scheme, seeds[0], reals[0], assocs[0],
-                                        powers, lp, order, counter):
+        for t, _, pilot, _ in dpb_arrivals(scheme, seeds[0], reals[0],
+                                           assocs[0], powers, lp, order,
+                                           counter):
             pilot_of[t] = pilot
         return pilot_of[None]
     # a stack's AP index M hears no UE: the padding of its serving sets

@@ -89,7 +89,10 @@ def local_error_profile(weighted_own: float, own_beta: float,
     `own_beta` against rows of sums give one profile per AP, and a float
     sum gives one pilot's error. The only copy of the error formula: the
     bookkeeping cache calls it on arrays, and the one-drop DPB loop on
-    floats, pilot by pilot, so both produce bit-identical errors.
+    floats, one distinct sum at a time in a probed AP's ranking of its
+    pilots by sum, so both produce bit-identical errors. Each rounded step
+    must stay monotone in the sum: the loop relies on a pilot's error
+    never falling as its sum grows to stop at the first pilot it rejects.
     """
     num = weighted_own * own_beta
     bound = num / (weighted_own + 1.0)

@@ -11,10 +11,12 @@ written down at all.
 The negotiation is the one-drop float DPB loop, `assignment.dpb_arrivals`:
 each probed AP scores the pilots from its own sums over the UEs it serves,
 and the UE resolves the offers by AP priority and notifies its serving
-APs, which add its pilot to their sums. The log is built from the loop's yields, so the negotiated
-assignment is the one-drop `assign_all`'s by construction; tests check it
-against the numpy step of a stack and against an independent
-message-per-send oracle.
+APs, which add its pilot to their sums. The log is built from the loop's
+yields: each UE's offers, and the APs the loop added its pick to, of which
+the first S' are the ones it probed; it reads no serving set itself. So
+the negotiated assignment is the one-drop `assign_all`'s by construction;
+tests check it against the numpy step of a stack and against an
+independent message-per-send oracle.
 """
 
 from __future__ import annotations
@@ -108,11 +110,10 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
     pilot_of = np.full(num_ues, -1, dtype=int)
     arrivals = dpb_arrivals(scheme, scheme.seed, real, assoc, powers, lp,
                             order)
-    for arrival_index, (t, masks, pilot) in enumerate(arrivals):
-        # the probed APs are the strongest S' of UE t's serving APs
-        serving = assoc.serving_aps[t].tolist()
-        log.record_arrival(arrival_index, t, serving[:len(masks)],
-                           [mask.bit_count() for mask in masks], serving)
+    for arrival_index, (t, masks, pilot, notified) in enumerate(arrivals):
+        # the loop probed the first S' of the APs it added the pick to
+        log.record_arrival(arrival_index, t, notified[:len(masks)],
+                           [mask.bit_count() for mask in masks], notified)
         pilot_of[t] = pilot
     return PilotAssignment(pilot_of, lp), log
 

@@ -1,5 +1,6 @@
 """Sequential pilot assignment: greedy, priority-intersection, and baselines."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -131,6 +132,26 @@ def local_offer(t, m, delta, beta, powers, lp, local_copilots):
     return offered_set(errors, delta)
 
 
+def nudged(x, ulps):
+    """x moved up by `ulps` units in the last place."""
+    for _ in range(ulps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@st.composite
+def sum_rows(draw):
+    """Adversarial pilot sums of one AP: zero and up to three magnitudes,
+    each possibly nudged up by 1-3 ulps, so sums repeat, a row can be all
+    zeros, and distinct sums, tiny beside the UE's own term, can score one
+    error."""
+    anchors = [0.0, *draw(st.lists(
+        st.floats(-20.0, 7.0).map(lambda e: 10.0 ** e), max_size=3))]
+    entries = st.tuples(st.sampled_from(anchors), st.integers(0, 3))
+    return [nudged(a, k) for a, k in draw(st.lists(entries, min_size=1,
+                                                   max_size=70))]
+
+
 class TestCandidateSets:
     def test_zero_error_pilot_collapses_set(self):
         # instance A: an untouched pilot exists, so the minimum error is 0
@@ -202,6 +223,30 @@ class TestCandidateSets:
                if assignment._offered(e, least, delta)}
         assert got == offered_set(np.array(errors), delta)
         assert got == set(oracle_offer(np.array(errors), delta).tolist())
+
+    @given(row=sum_rows(),
+           weighted_own=st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+           own=st.floats(-13.0, -6.0).map(lambda e: 10.0 ** e),
+           delta=st.sampled_from([0.0, 1e-12, 0.1, 2.0, 1e6]))
+    # distinct sums that score one error: the lower pilot holds the larger
+    @example(row=[1e-20, 0.0], weighted_own=1.0, own=1e-9, delta=0.0)
+    # a larger error within delta of the least is still offered
+    @example(row=[1.0, 1.05], weighted_own=1.0, own=1e-9, delta=0.1)
+    @example(row=[0.0] * 7, weighted_own=1e3, own=1e-9, delta=0.1)
+    @settings(max_examples=300, deadline=None)
+    def test_ranked_walk_matches_a_full_scan(self, row, weighted_own, own,
+                                             delta):
+        # the float loop walks an AP's pilots by sum and stops at the first
+        # one rejected; a full scan scores every pilot
+        errors = [local_error_profile(weighted_own, own, s) for s in row]
+        least = min(errors)
+        mask = sum(1 << i for i, e in enumerate(errors)
+                   if assignment._offered(e, least, delta))
+        assert assignment._offer(row, weighted_own, own, delta) == (
+            mask, errors.index(least))
+        # the walk rests on errors that never fall as sums grow
+        by_sum = [e for _, e in sorted(zip(row, errors))]
+        assert by_sum == sorted(by_sum)
 
 
 class TestPrioritySelect:

@@ -168,6 +168,28 @@ class TestRunExperiment:
         assert meta["config"]["num_aps"] == 8
         assert meta["schemes"] == list(spec.schemes)
 
+    @pytest.mark.parametrize("num_drops", [1, 4])
+    def test_aggregates_recomputed_from_results(self, tmp_path, num_drops):
+        # every aggregates column from the results rows, to the last bit:
+        # means of each (sweep value, scheme) group, the stderr of its sum
+        # SE with ddof=1, and 0.0 for a lone drop
+        _, paths = run_experiment(tiny_spec(tmp_path, num_drops=num_drops))
+        groups = {}
+        for line in paths["results"].read_text().splitlines()[1:]:
+            scheme, value, _, *se = line.split(",")
+            groups.setdefault((float(value), value, scheme), []).append(
+                [float(x) for x in se])
+        want = ["scheme,sweep_value,num_drops,mean_sum_se,stderr_sum_se,"
+                "mean_p5_se,mean_p10_se,mean_user_se"]
+        for (_, value, scheme), se in sorted(groups.items()):
+            sums, *others = (np.array(column) for column in zip(*se))
+            n = sums.size
+            stderr = sums.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+            means = [repr(float(c.mean())) for c in (sums, *others)]
+            want.append(",".join([scheme, value, str(n), means[0],
+                                  repr(float(stderr)), *means[1:]]))
+        assert paths["aggregates"].read_text().splitlines() == want
+
     def test_rerun_and_workers_byte_identical(self, tmp_path):
         a = run_experiment(tiny_spec(tmp_path / "a"))[1]
         b = run_experiment(tiny_spec(tmp_path / "b"))[1]

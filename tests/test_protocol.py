@@ -159,6 +159,27 @@ class TestRoles:
                              [assoc, other_assoc], powers, lp, order)
         np.testing.assert_array_equal(stack[0], one.pilot_of)
 
+    def test_protocol_workload_picks_are_stack_rows(self):
+        # perfbench's protocol cells at its reference seed, seeded and
+        # ordered as that workload does: M = T = 100, drops 0-2. Its own
+        # check compares two runs of the float loop; here the negotiated
+        # picks meet the numpy step
+        cfg = NetworkConfig(num_aps=100, num_ues=100)
+        powers, lp, seed = normalize_powers(cfg), cfg.pilot_length, 1
+        for drop in range(3):
+            real = generate_drop(cfg, derive_seed(seed, 0, drop))
+            assoc = associate_aps(real, cfg.assoc_threshold)
+            order = np.random.default_rng([seed, drop]).permutation(
+                cfg.num_ues)
+            scheme = SchemeConfig("dpb", seed=derive_seed(
+                seed, 0, drop, 100 + SCHEME_CODE["dpb"]))
+            negotiated, log = run_protocol(real, assoc, scheme, order, powers,
+                                           lp)
+            audit_overhead(log, assoc, scheme.dpb_s)
+            np.testing.assert_array_equal(
+                negotiated.pilot_of,
+                stack_row(scheme, real, assoc, powers, lp, order))
+
     def test_ue_resolution_matches_the_oracle(self):
         # the UE's choice from its offers, against the reference selection:
         # all three offers share pilots 0 and 2, a tie each UE draws
