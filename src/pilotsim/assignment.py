@@ -319,13 +319,17 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
                                            counter):
             pilot_of[t] = pilot
         return pilot_of[None]
-    # a stack's AP index M hears no UE: the padding of its serving sets
-    heard = np.zeros((num_drops, num_aps + stacked, num_ues))
-    for rows, real, assoc in zip(heard, reals, assocs):
-        # a DPB AP hears only the UEs it serves
-        rows[:num_aps] = (real.beta * assoc.serves
-                          if scheme.scheme_id == "dpb" else real.beta)
-    cache = ContaminationCache(heard if stacked else heard[0], powers, lp)
+    if stacked:
+        # a stack's AP index M hears no UE: the padding of its serving sets
+        heard = np.zeros((num_drops, num_aps + 1, num_ues))
+        for rows, real, assoc in zip(heard, reals, assocs):
+            # a DPB AP hears only the UEs it serves
+            rows[:num_aps] = (real.beta * assoc.serves
+                              if scheme.scheme_id == "dpb" else real.beta)
+    else:
+        # one eem or scalable drop reads its own LSFCs, uncopied
+        heard = reals[0].beta
+    cache = ContaminationCache(heard, powers, lp)
     serving, sizes = _serving_table(assocs, num_aps)
     if scheme.scheme_id == "dpb":
         # row t: the first word of UE t's stream under each drop's seed

@@ -254,6 +254,30 @@ def _path_loss_db(d_km, p: NetworkConfig) -> np.ndarray:
     )
 
 
+def _lsfc_exponent(d: np.ndarray, shadow_db, p: NetworkConfig) -> np.ndarray:
+    """Turn distances `d` in m, in place, into the exponents x of their
+    LSFCs 10^x, x = (shadow_db - loss) / 10 with both in dB, and return `d`.
+
+    Every link takes the far slope, and the few within the outer breakpoint
+    are then overwritten from `_path_loss_db`, so besides `d` only a mask
+    of the far links and the near ones' losses are held. The bits are those
+    of the three branches over every link."""
+    np.maximum(d, 1.0, out=d)
+    d /= 1000.0
+    far = d > p.d1_m / 1000.0
+    near = np.flatnonzero(~far)
+    near_loss = _path_loss_db(d.flat[near], p)
+    np.log10(d, out=d)
+    d *= 10.0 * p.exp_far
+    d += p.ref_loss_db
+    d.flat[near] = near_loss
+    np.negative(d, out=d)
+    # shadowing applies only beyond the outer breakpoint
+    np.add(d, shadow_db, out=d, where=far)
+    d /= 10.0
+    return d
+
+
 def compute_lsfc(distance_m, shadow_db=0.0, config: NetworkConfig | None = None):
     """Linear-scale LSFC for one distance or an array of distances.
 
@@ -261,20 +285,33 @@ def compute_lsfc(distance_m, shadow_db=0.0, config: NetworkConfig | None = None)
     `NetworkConfig()`); the lognormal shadowing term `shadow_db` is applied
     only beyond the outer breakpoint, where the environment actually
     decorrelates. Distances are clamped to 1 m to avoid the log singularity.
+    The result has the broadcast shape of the two inputs, a numpy float for
+    scalars; the inputs are never written, as the work runs on a copy.
     """
     p = config if config is not None else NetworkConfig()
-    d_km = np.maximum(np.asarray(distance_m, dtype=float), 1.0) / 1000.0
-    shadowed = np.where(d_km > p.d1_m / 1000.0, shadow_db, 0.0)
-    return 10.0 ** ((-_path_loss_db(d_km, p) + shadowed) / 10.0)
+    exponent = _lsfc_exponent(
+        np.array(np.broadcast_arrays(distance_m, shadow_db)[0], dtype=float),
+        shadow_db, p)
+    # a scalar takes numpy's scalar power, which may differ in the last bit
+    # from the array loop's
+    return 10.0 ** (exponent if exponent.ndim else exponent[()])
 
 
 def _pairwise_distances(ap_pos: np.ndarray, ue_pos: np.ndarray,
                         wrap_side: float | None) -> np.ndarray:
+    """The (M, T) AP-UE distances, built in two (M, T) buffers."""
     dx, dy = (ap_pos[:, i, None] - ue_pos[:, i] for i in (0, 1))
     if wrap_side is not None:
-        # shortest distance over the 3x3 torus images, axis by axis
-        dx, dy = (np.minimum(d, wrap_side - d) for d in map(np.abs, (dx, dy)))
-    return np.sqrt(dx * dx + dy * dy)
+        # shortest distance over the 3x3 torus images, axis by axis:
+        # min(d, side - d) in place, since for 0 <= d <= side, side - d is
+        # exact where d > side / 2 (Sterbenz) and at least d elsewhere
+        for d in (dx, dy):
+            np.abs(d, out=d)
+            np.subtract(wrap_side, d, out=d, where=d > wrap_side / 2)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def generate_drop(config: NetworkConfig, seed: int) -> NetworkRealization:
@@ -285,16 +322,19 @@ def generate_drop(config: NetworkConfig, seed: int) -> NetworkRealization:
     positions, and shadowing come from three independently spawned streams,
     and the per-UE quantities are drawn UE-major, so rerunning the same seed
     with extra UEs appended leaves the first T columns of beta unchanged.
+    The set-up holds at most three (M, T) float arrays at its peak: the
+    distances are built in two buffers, and the shadowing, drawn after
+    them, sits beside the one that becomes beta in place.
     """
     ap_rng, ue_rng, sh_rng = seeding.drop_streams(seed)
     side = config.area_side_m
     ap_pos = ap_rng.uniform(0.0, side, size=(config.num_aps, 2))
     ue_pos = ue_rng.uniform(0.0, side, size=(config.num_ues, 2))
+    beta = _pairwise_distances(ap_pos, ue_pos,
+                               side if config.wrap_around else None)
     shadow = sh_rng.normal(0.0, config.shadow_sigma_db,
                            size=(config.num_ues, config.num_aps)).T
-    dist = _pairwise_distances(ap_pos, ue_pos,
-                               side if config.wrap_around else None)
-    beta = compute_lsfc(dist, shadow, config)
+    np.power(10.0, _lsfc_exponent(beta, shadow, config), out=beta)
     return NetworkRealization(ap_pos, ue_pos, beta, int(seed))
 
 
@@ -328,14 +368,16 @@ def _top_share(values: np.ndarray, share: float) -> tuple:
     """Each row's entries ranked largest first, ties in column order, and
     the length of the smallest ranked prefix holding `share` of the row's
     sum. Zero entries are never chosen, so their order does not matter;
-    any sort gives this order on rows without positive ties, and only those
-    rows need the stable one."""
-    order = np.argsort(-values, axis=1)
+    any sort gives this order on rows without positive ties, an ascending
+    one read backwards included, and only those rows need the stable one.
+    Two arrays of the shape of `values` are held: the ranking and the
+    ranked entries, summed in place; the first sort needs no negated copy."""
+    order = np.argsort(values, axis=1)[:, ::-1]
     ranked = values[np.arange(len(values))[:, None], order]
     tied = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] > 0)).any(axis=1)
     if tied.any():
         order[tied] = np.argsort(-values[tied], axis=1, kind="stable")
-    csum = ranked.cumsum(axis=1)
+    csum = ranked.cumsum(axis=1, out=ranked)
     return order, (csum < share * csum[:, -1:]).sum(axis=1) + 1
 
 

@@ -73,6 +73,12 @@ def prelog(coherence_block: int, pilot_length: int) -> float:
 _PASS_DROPS = 6
 
 
+def _stack(arrays) -> np.ndarray:
+    """The arrays stacked on a new leading axis; one array is viewed, not
+    copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _lsfd_groups(reals, assocs, pilot_of, powers, config):
     """The LSFD systems (units, bordered) of one evaluation pass, one per
     serving-set size n in ascending order: `reals` and `assocs` are its D
@@ -101,10 +107,10 @@ def _lsfd_groups(reals, assocs, pilot_of, powers, config):
     num_drops, num_schemes, num_ues = pilot_of.shape
     num_cells, num_aps = num_drops * num_schemes, reals[0].num_aps
     num_pilots, p = config.pilot_length, powers.p_uplink
-    betas = np.stack([real.beta for real in reals])
+    betas = _stack([real.beta for real in reals])
     onehot = np.eye(num_pilots)[pilot_of]
     flags, counts = strong_stack(
-        betas, np.stack([assoc.serves for assoc in assocs]),
+        betas, _stack([assoc.serves for assoc in assocs]),
         config.strong_threshold, onehot, config.antennas_per_ap)
     table_w = np.zeros((num_drops, num_schemes, num_aps, num_ues + 1))
     gamma_stack(betas, powers, onehot, out=table_w[..., :num_ues])

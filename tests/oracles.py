@@ -201,6 +201,27 @@ def oracle_pairwise_distances(ap_pos, ue_pos, wrap_side):
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
+def oracle_lsfc(distance_m, shadow_db, p):
+    """The LSFCs of config `p` as three np.where branches, each evaluated
+    at every link, with the shadowing masked to the far branch."""
+    d0, d1 = p.d0_m / 1000.0, p.d1_m / 1000.0
+    mid_off = 10.0 * (p.exp_far - p.exp_mid) * math.log10(d1)
+    near_off = mid_off + 10.0 * (p.exp_mid - p.exp_near) * math.log10(d0)
+    d_km = np.maximum(np.asarray(distance_m, dtype=float), 1.0) / 1000.0
+    log_d = np.log10(d_km)
+    loss = np.where(
+        d_km > d1,
+        p.ref_loss_db + 10.0 * p.exp_far * log_d,
+        np.where(
+            d_km > d0,
+            p.ref_loss_db + mid_off + 10.0 * p.exp_mid * log_d,
+            p.ref_loss_db + near_off + 10.0 * p.exp_near * log_d,
+        ),
+    )
+    shadowed = np.where(d_km > d1, shadow_db, 0.0)
+    return 10.0 ** ((-loss + shadowed) / 10.0)
+
+
 def brute_force_prefix(column, threshold):
     """Smallest descending prefix reaching threshold * total, linear scan."""
     order = np.argsort(-column, kind="stable")

@@ -1,17 +1,19 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_force_prefix, oracle_pairwise_distances,
+from oracles import (brute_force_prefix, oracle_lsfc, oracle_pairwise_distances,
                      oracle_strong_groups)
 from pilotsim import (SCHEME_IDS, NetworkConfig, NetworkRealization,
                       PilotAssignment, PowerProfile, SchemeConfig, assign_all,
                       associate_aps, compute_lsfc, evaluate, generate_drop,
                       noise_power_dbm, normalize_powers, run_protocol)
+from pilotsim import seeding
 from pilotsim.network import _pairwise_distances, serving_links
 from probes import gamma_one, map_from_sets, strong_one
 
@@ -84,6 +86,38 @@ class TestPathLoss:
         np.testing.assert_allclose(generate_drop(louder, 3).beta,
                                    10.0 * generate_drop(base, 3).beta,
                                    rtol=1e-12)
+
+
+class TestLsfcOracle:
+    @given(num_aps=st.integers(1, 30), num_ues=st.integers(1, 30),
+           side=st.floats(3.0, 2000.0), wrap=st.booleans(),
+           sigma=st.sampled_from([0.0, 3.0, 8.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # links below the 1 m clamp and within d0, within d1, and far only
+    @example(num_aps=1, num_ues=1, side=3.0, wrap=False, sigma=0.0, seed=0)
+    @example(num_aps=30, num_ues=1, side=3.0, wrap=True, sigma=8.0, seed=1)
+    @example(num_aps=20, num_ues=30, side=60.0, wrap=False, sigma=3.0, seed=2)
+    @example(num_aps=1, num_ues=30, side=2000.0, wrap=True, sigma=8.0, seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_drop_and_array_match_the_oracle_bit_for_bit(
+            self, num_aps, num_ues, side, wrap, sigma, seed):
+        # the drop's in-place LSFCs and compute_lsfc on a copy give the bits
+        # of three np.where branches over every link
+        cfg = NetworkConfig(num_aps=num_aps, num_ues=num_ues, area_side_m=side,
+                            wrap_around=wrap, shadow_sigma_db=sigma)
+        real = generate_drop(cfg, seed)
+        dist = oracle_pairwise_distances(real.ap_positions, real.ue_positions,
+                                         side if wrap else None)
+        shadow = seeding.drop_streams(seed)[2].normal(
+            0.0, sigma, size=(num_ues, num_aps)).T
+        want = oracle_lsfc(dist, shadow, cfg)
+        assert real.beta.tobytes() == want.tobytes()
+        kept = dist.copy()
+        assert compute_lsfc(dist, shadow, cfg).tobytes() == want.tobytes()
+        assert dist.tobytes() == kept.tobytes()
+        one = compute_lsfc(float(dist[0, 0]), float(shadow[0, 0]), cfg)
+        assert type(one) is np.float64
+        assert one == oracle_lsfc(float(dist[0, 0]), float(shadow[0, 0]), cfg)
 
 
 class TestPowers:
@@ -331,6 +365,35 @@ def _column_real(column):
     m = column.size
     return NetworkRealization(np.zeros((m, 2)), np.zeros((1, 2)),
                               column[:, None], 0)
+
+
+class TestSetUpMemory:
+    def test_set_up_peaks_in_a_few_buffers(self):
+        # tracemalloc peaks of one large drop's set-up in units of one
+        # (M, T) float array, the result included: the drop is built in two
+        # buffers beside its shadowing, the serving sets are ranked in two,
+        # and one eem drop's cache reads the drop's LSFCs uncopied
+        cfg = NetworkConfig(num_aps=200, num_ues=400)
+        unit = cfg.num_aps * cfg.num_ues * 8
+
+        def peak(call):
+            call()
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1] / unit
+            finally:
+                tracemalloc.stop()
+
+        for wrap in (True, False):
+            real, used = peak(lambda: generate_drop(
+                dataclasses.replace(cfg, wrap_around=wrap), 11))
+            assert used <= 3.0
+        assoc, used = peak(lambda: associate_aps(real, cfg.assoc_threshold))
+        assert used <= 2.75
+        _, used = peak(lambda: assign_all(
+            SchemeConfig("eem"), real, assoc, normalize_powers(cfg),
+            cfg.pilot_length))
+        assert used <= 1.5
 
 
 class TestAssociation:
