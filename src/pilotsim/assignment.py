@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,30 +134,44 @@ def _offered(errors, least, delta: float):
     return errors <= (1.0 + delta) * least
 
 
+@functools.cache
+def _groups(s: int) -> tuple:
+    """The AP index groups that `_resolve` intersects for S' = s offers,
+    in its order of trial."""
+    return tuple(group for level in range(s, 1, -1)
+                 for group in itertools.combinations(range(s), level))
+
+
 def _resolve(masks: list, best: int, seed: int, ue: int, word: int,
              counter: OpCounter | None) -> int:
     """UE ue's pilot from its offers, pilot sets as bitmasks of Python ints
     (any Lp fits), strongest AP first: the first nonempty intersection from
     all S' offers down to pairs, a level's AP groups in lexicographic order
-    of priority rank (S = 3: {1,2,3}, {1,2}, {1,3}, {2,3}). A lone pilot is
-    forced; several tie, drawn with `word`, UE ue's first stream word under
-    `seed`. With none, `best`, the strongest AP's least-error pilot, wins."""
+    of priority rank (S = 3: {1,2,3}, {1,2}, {1,3}, {2,3}), walked from the
+    cached index groups of `_groups`. A lone pilot is forced, its bit's
+    index; several tie, the one drawn with `word`, UE ue's first stream
+    word under `seed`, by rank among them, lowest first. With none, `best`,
+    the strongest AP's least-error pilot, wins."""
     common = 0
-    for level in range(len(masks), 1, -1):
-        for group in itertools.combinations(masks, level):
-            if counter is not None:
-                counter.add_checks(1)
-            common = functools.reduce(operator.and_, group)
-            if common:
-                break
+    checks = 0
+    for group in _groups(len(masks)):
+        checks += 1
+        common = masks[group[0]]
+        for i in group[1:]:
+            common &= masks[i]
         if common:
             break
+    if counter is not None:
+        counter.add_checks(checks)
     if not common:
         return best
-    pilots = [i for i in range(common.bit_length()) if common >> i & 1]
-    if len(pilots) == 1:
-        return pilots[0]
-    return pilots[seeding.bounded(word, len(pilots), seed, ue)]
+    if not common & (common - 1):
+        return common.bit_length() - 1
+    # the draw's rank among the common pilots, lowest first: clear the
+    # lower ones and take the lowest bit left
+    for _ in range(seeding.bounded(word, common.bit_count(), seed, ue)):
+        common &= common - 1
+    return (common & -common).bit_length() - 1
 
 
 def _offer_masks(within, bits, num_drops: int) -> list:

@@ -4,14 +4,17 @@ This reruns the distributed scheme with every piece of information that
 crosses the air logged as a message, so tests can audit the overhead claims
 directly: no AP ever talks to another AP (or to any central node, which
 simply does not exist here), and each arriving UE costs exactly S' probes,
-S' offers, and |M_t| notifications. The log keeps one integer row per
-message whose kind fixes which end sends, so an AP-to-AP message cannot be
-written down at all.
+S' offers, and |M_t| notifications. The log keeps one record per arrival:
+the UE, the APs it probed with the sizes of their offers, and the APs it
+notified. Each of those is a message between the UE and one AP whose kind
+fixes which end sends, so an AP-to-AP message cannot be written down at
+all; the per-message rows and the exported trace are expanded from the
+records only when read.
 
 The negotiation is the one-drop float DPB loop, `assignment.dpb_arrivals`:
 each probed AP scores the pilots from its own sums over the UEs it serves,
 and the UE resolves the offers by AP priority and notifies its serving
-APs, which add its pilot to their sums. The log is built from the loop's
+APs, which add its pilot to their sums. The log's records are the loop's
 yields: each UE's offers, and the APs the loop added its pick to, of which
 the first S' are the ones it probed; it reads no serving set itself. So
 the negotiated assignment is the one-drop `assign_all`'s by construction;
@@ -52,31 +55,43 @@ _DIRECTIONS = {
 _KINDS = tuple(_DIRECTIONS)
 _PROBE, _OFFER, _NOTIFY = (_KINDS.index(k)
                            for k in (KIND_PROBE, KIND_OFFER, KIND_NOTIFY))
-_AP_TO_AP = frozenset(code for code, kind in enumerate(_KINDS)
-                      if _DIRECTIONS[kind] == ("ap", "ap"))
 
 
 class TraceLog:
-    """Ordered message log: one integer row per message.
+    """Ordered message log: one record per arrival.
 
-    A row is (arrival_index, kind code, ue, ap, payload_size), payload
-    counting the pilot indices carried. It names one UE and one AP and its
-    kind fixes the direction, so the log cannot hold an AP-to-AP or
-    UE-to-UE message.
+    A record is (arrival_index, ue, probed, offer_sizes, serving), the
+    lists as `record_arrival` was given them, cut to one offer per probe.
+    `rows` expands them to one integer row per message, (arrival_index,
+    kind code, ue, ap, payload_size), payload counting the pilot indices
+    carried. A row names one UE and one AP and its kind fixes the
+    direction, so the log cannot hold an AP-to-AP or UE-to-UE message.
     """
 
     def __init__(self):
-        self.rows = []
+        self.arrivals = []
 
     def record_arrival(self, arrival_index: int, ue: int, probed: list,
                        offer_sizes: list, serving: list):
         """One arrival: a probe and its offer, of `offer_sizes[i]` pilots,
-        per probed AP, then a notify per serving AP."""
-        rows = self.rows
-        for ap, size in zip(probed, offer_sizes):
-            rows.append((arrival_index, _PROBE, ue, ap, 0))
-            rows.append((arrival_index, _OFFER, ue, ap, size))
-        rows.extend([(arrival_index, _NOTIFY, ue, ap, 1) for ap in serving])
+        per probed AP, then a notify per serving AP. A probe without an
+        offer size, or a size without a probe, is dropped."""
+        if len(probed) != len(offer_sizes):
+            n = min(len(probed), len(offer_sizes))
+            probed, offer_sizes = probed[:n], offer_sizes[:n]
+        self.arrivals.append((arrival_index, ue, probed, offer_sizes,
+                              serving))
+
+    @property
+    def rows(self) -> list:
+        """The messages in send order, one integer row each."""
+        rows = []
+        for idx, ue, probed, sizes, serving in self.arrivals:
+            for ap, size in zip(probed, sizes):
+                rows.append((idx, _PROBE, ue, ap, 0))
+                rows.append((idx, _OFFER, ue, ap, size))
+            rows.extend([(idx, _NOTIFY, ue, ap, 1) for ap in serving])
+        return rows
 
     def export_lines(self):
         """Line-delimited trace: arrival_index,kind,src,dst,payload_size."""
@@ -128,34 +143,39 @@ def audit_overhead(log: TraceLog, assoc, s: int) -> dict:
     """Check every UE's message budget against the trace.
 
     Budget per UE: S'_t probes, S'_t offers, |M_t| notifies, with
-    S'_t = min(S, |M_t|). Raises BudgetViolation naming the first offender.
+    S'_t = min(S, |M_t|), counted over all of the UE's arrival records.
+    Raises BudgetViolation naming the offender of lowest index, and
+    ValueError for a record of a UE that `assoc` does not hold. A record
+    holds only UE-AP messages, so `ap_to_ap` is 0 whatever the log.
     """
-    rows = log.rows
-    # one comprehension per column: zip(*rows) keeps an iterator per row
-    # alive, and the garbage collections those set off cost more
-    kinds = [row[1] for row in rows]
-    kind = np.fromiter(kinds, dtype=np.int64, count=len(rows))
-    ue = np.fromiter([row[2] for row in rows], dtype=np.int64, count=len(rows))
-    size = int(ue.max()) + 1 if ue.size else 0
-    # one column per kind: probes, offers, notifies
-    got = np.stack([np.bincount(ue[kind == code], minlength=size)
-                    for code in (_PROBE, _OFFER, _NOTIFY)], axis=1)
-    ues = np.flatnonzero(got.any(axis=1))
-    got = got[ues]
-    serving = assoc.sizes[ues]
-    s_prime = np.minimum(s, serving)
-    want = np.stack([s_prime, s_prime, serving], axis=1)
-    bad = np.flatnonzero((got != want).any(axis=1))
-    if bad.size:
-        i = bad[0]
-        raise BudgetViolation(
-            int(ues[i]), f"expected {tuple(want[i].tolist())} "
-                         f"(probes, offers, notifies), traced {tuple(got[i].tolist())}")
-    per_ue = {t: {"probes": p, "offers": o, "notifies": n}
-              for t, (p, o, n) in zip(ues.tolist(), got.tolist())}
+    # per UE: (probes, notifies); an offer answers each probe
+    got = {}
+    messages = payload = 0
+    for _, ue, probed, sizes, serving in log.arrivals:
+        messages += 2 * len(probed) + len(serving)
+        payload += sum(sizes) + len(serving)
+        probes, notifies = got.get(ue, (0, 0))
+        got[ue] = (probes + len(probed), notifies + len(serving))
+    ues = sorted(got)
+    if ues and not 0 <= ues[0] <= ues[-1] < assoc.sizes.size:
+        raise ValueError("the trace names UEs that the association lacks")
+    per_ue = {}
+    for ue in ues:
+        probes, notifies = got[ue]
+        if not (probes or notifies):
+            continue
+        serving = int(assoc.sizes[ue])
+        s_prime = min(s, serving)
+        if (probes, notifies) != (s_prime, serving):
+            raise BudgetViolation(
+                int(ue), f"expected {(s_prime, s_prime, serving)} "
+                         f"(probes, offers, notifies), "
+                         f"traced {(probes, probes, notifies)}")
+        per_ue[int(ue)] = {"probes": probes, "offers": probes,
+                           "notifies": notifies}
     return {
         "per_ue": per_ue,
-        "total_messages": len(rows),
-        "total_payload": sum([row[4] for row in rows]),
-        "ap_to_ap": sum(map(kinds.count, _AP_TO_AP)),
+        "total_messages": messages,
+        "total_payload": payload,
+        "ap_to_ap": 0,
     }

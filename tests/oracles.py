@@ -326,6 +326,43 @@ def oracle_protocol_log(real, assoc, scheme, arrival_order, powers, lp):
     }
 
 
+def oracle_audit_rows(log, assoc, s):
+    """`protocol.audit_overhead` counted message by message, as
+    (report, offender): bincounts of the UE column of `log.rows` per kind,
+    each row's kind read from its exported line, checked against the
+    budget S'_t probes, S'_t offers and |M_t| notifies, S'_t = min(s,
+    |M_t|), of every UE with a message. offender is None, or the lowest
+    offending UE and the detail of its BudgetViolation, and then report is
+    None. AP-to-AP messages are counted from the exported lines' ends."""
+    rows = log.rows
+    lines = [line.split(",") for line in log.export_lines()]
+    assert len(lines) == len(rows)
+    kind = np.array([line[1] for line in lines])
+    ue = np.array([row[2] for row in rows], dtype=np.int64)
+    size = int(ue.max()) + 1 if ue.size else 0
+    got = np.stack([np.bincount(ue[kind == k], minlength=size)
+                    for k in (KIND_PROBE, KIND_OFFER, KIND_NOTIFY)], axis=1)
+    ues = np.flatnonzero(got.any(axis=1))
+    got = got[ues]
+    serving = assoc.sizes[ues]
+    s_prime = np.minimum(s, serving)
+    want = np.stack([s_prime, s_prime, serving], axis=1)
+    bad = np.flatnonzero((got != want).any(axis=1))
+    if bad.size:
+        i = bad[0]
+        return None, (int(ues[i]),
+                      f"expected {tuple(want[i].tolist())} (probes, offers, "
+                      f"notifies), traced {tuple(got[i].tolist())}")
+    return {
+        "per_ue": {t: {"probes": p, "offers": o, "notifies": n}
+                   for t, (p, o, n) in zip(ues.tolist(), got.tolist())},
+        "total_messages": len(rows),
+        "total_payload": sum(row[4] for row in rows),
+        "ap_to_ap": sum(line[2].startswith("ap") and line[3].startswith("ap")
+                        for line in lines),
+    }, None
+
+
 def micro_instance(rng):
     """Tiny random system (M <= 3, T <= 4, Lp <= 2) with full structures:
     its association, its strong threshold, and its assignment's gammas,

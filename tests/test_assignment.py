@@ -295,13 +295,27 @@ class TestPrioritySelect:
             assert (resolve_offers(offers, seed=4, ue=ue)
                     == [70, 199][generator_pick(4, ue, 2)])
 
-    @given(st.integers(0, 2 ** 31 - 1))
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+           st.integers(1, 130), st.booleans())
+    @example(7, 3, 130, True)
+    @example(11, 5, 70, True)
     @settings(max_examples=300, deadline=None)
-    def test_matches_intersect1d_oracle(self, seed):
+    def test_matches_intersect1d_oracle(self, seed, s, lp, lone):
+        # S' = 1-5 offers over up to 130 pilots; `lone` plants one pilot,
+        # past bit 63 where Lp allows, in most offers and every other pilot
+        # in one offer at most, so that any common set is that one pilot
         r = np.random.default_rng(seed)
-        s, lp = int(r.integers(1, 5)), int(r.integers(1, 9))
-        offers = [r.choice(lp, size=int(r.integers(1, lp + 1)),
-                           replace=False).tolist() for _ in range(s)]
+        if lone:
+            planted = int(r.integers(64 if lp > 64 else 0, lp))
+            # pilot i joins offer owner[i]; s means none
+            owner = r.integers(s + 1, size=lp)
+            offers = [[i for i in r.permutation(lp).tolist()
+                       if owner[i] == j
+                       or i == planted and r.random() < 0.7]
+                      or [int(r.integers(lp))] for j in range(s)]
+        else:
+            offers = [r.choice(lp, size=int(r.integers(1, lp + 1)),
+                               replace=False).tolist() for _ in range(s)]
         for _ in range(8):
             run_seed = int(r.integers(2 ** 64, dtype=np.uint64))
             ue = int(r.integers(1000))

@@ -28,7 +28,8 @@ from pilotsim.cli import main
 from pilotsim.estimation import local_error_profile
 from pilotsim.harness import SCHEME_CODE
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE, TraceLog
-from oracles import oracle_offer, oracle_priority_select, oracle_protocol_log
+from oracles import (oracle_audit_rows, oracle_offer, oracle_priority_select,
+                     oracle_protocol_log)
 from probes import map_from_sets, offered_set, resolve_offers, stack_row
 import test_seeding
 
@@ -354,7 +355,60 @@ class TestFixedDensity:
         np.testing.assert_array_equal(stack[0], direct.pilot_of)
 
 
+@st.composite
+def drawn_logs(draw):
+    """(log, assoc, s): a log of drawn arrival records against drawn
+    serving sets. A UE may arrive in several records, an arrival may be
+    empty, and a record's probe and offer-size lists may differ in length;
+    about half the UEs keep their budget, their messages split over one to
+    three records."""
+    num_aps, num_ues = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    s = draw(st.integers(1, 4))
+    serving = [draw(st.permutations(range(num_aps)))[
+        :draw(st.integers(1, num_aps))] for _ in range(num_ues)]
+    serves = np.zeros((num_aps, num_ues), bool)
+    for t, aps in enumerate(serving):
+        serves[aps, t] = True
+    aps = st.lists(st.integers(0, num_aps - 1), max_size=5)
+    pilots = st.lists(st.integers(1, 15), max_size=5)
+    records = []
+    for t in range(num_ues):
+        if draw(st.booleans()):
+            probed = serving[t][:min(s, len(serving[t]))]
+            sizes = draw(st.lists(st.integers(1, 15), min_size=len(probed),
+                                  max_size=len(probed)))
+            cuts = sorted(draw(st.lists(st.integers(0, len(serving[t])),
+                                        max_size=2)))
+            bounds = list(zip([0, *cuts], [*cuts, len(serving[t])]))
+            records += [(t, probed[a:b], sizes[a:b], serving[t][a:b])
+                        for a, b in bounds]
+        else:
+            records += [(t, draw(aps), draw(pilots), draw(aps))
+                        for _ in range(draw(st.integers(0, 3)))]
+    records += [(draw(st.integers(0, num_ues - 1)), [], [], [])
+                for _ in range(draw(st.integers(0, 2)))]
+    log = TraceLog()
+    for idx, record in enumerate(draw(st.permutations(records))):
+        log.record_arrival(idx, *record)
+    return log, map_from_sets(serving, serves), s
+
+
 class TestAuditOverhead:
+    @given(drawn_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_record_audit_matches_row_recount(self, drawn):
+        # counting each UE's records against counting the expanded rows by
+        # kind: the same report, or the same offender and message
+        log, assoc, s = drawn
+        want, offender = oracle_audit_rows(log, assoc, s)
+        if offender is None:
+            assert json.dumps(audit_overhead(log, assoc, s)) == json.dumps(want)
+        else:
+            with pytest.raises(BudgetViolation) as got:
+                audit_overhead(log, assoc, s)
+            ue, detail = offender
+            assert (got.value.ue, str(got.value)) == (ue, f"UE {ue}: {detail}")
+
     def test_uniform_instance_totals(self):
         real, assoc, powers, lp = all_serve_instance(num_aps=5, num_ues=10)
         sch = SchemeConfig("dpb", dpb_s=3)
@@ -380,6 +434,14 @@ class TestAuditOverhead:
             serving = len(assoc.serving_aps[t])
             assert stats["probes"] == min(3, serving)
             assert stats["notifies"] == serving
+
+    def test_unknown_ue_raises(self):
+        real, assoc, powers, lp = all_serve_instance(num_aps=2, num_ues=3)
+        for ue in (-1, 3):
+            log = TraceLog()
+            log.record_arrival(0, ue, [0], [1], [0, 1])
+            with pytest.raises(ValueError, match="association lacks"):
+                audit_overhead(log, assoc, 3)
 
     def test_tampered_trace_raises(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=18)
