@@ -21,18 +21,23 @@ logs its messages from the same yields, the offers and the APs each pick
 was added to. Stacks keep the numpy step, since 25 desk drops stepped on
 floats one by one took about three times as long, and so do `eem` and
 `scalable`: a float `eem` was 1.9-2.8x slower even at one drop, its cache
-hearing every UE. `random` reads no earlier pick: `seeding.picks` draws
-every UE at once.
+hearing every UE. `eem` on one drop steps on numpy without the cache's
+`local_errors` (`_eem_drop`): its serving links' b_mt, w_t b_mt and the
+error's per-link half are built once per drop, not gathered again at each
+arrival, which cut the step's time by about a quarter at M = 200,
+T = 400, with the same picks. `random` reads no earlier pick:
+`seeding.picks` draws every UE at once.
 
 Per batched step, with the running sums of a ContaminationCache: `eem`
-reads |M_t| Lp sums per drop; `dpb` evaluates S' Lp local errors per drop,
-turns each probed AP's offer into a pilot bitmask of Python ints (exact
-for any Lp) in one uint64 product per 64 pilots, and resolves each drop's
-masks by priority intersection, at most 2^S' - S' - 1 of them; `scalable`
-takes the argmin of the sums at each drop's master AP, its first serving
-AP. Recording the picks adds one precomputed row per drop to the sums; no
-step scans the other UEs. Both DPB steps make an AP's offer, a pilot set,
-with `_offered` and resolve a UE's offers with `_resolve`.
+reads |M_t| Lp sums per drop, through `local_errors` on a stack and against
+its own link terms on one drop; `dpb` evaluates S' Lp local errors per
+drop, turns each probed AP's offer into a pilot bitmask of Python ints
+(exact for any Lp) in one uint64 product per 64 pilots, and resolves each
+drop's masks by priority intersection, at most 2^S' - S' - 1 of them;
+`scalable` takes the argmin of the sums at each drop's master AP, its
+first serving AP. Recording the picks adds one precomputed row per drop to
+the sums; no step scans the other UEs. Both DPB steps make an AP's offer,
+a pilot set, with `_offered` and resolve a UE's offers with `_resolve`.
 
 Pilot indices are 0-based throughout.
 """
@@ -47,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .estimation import (ContaminationCache, PilotAssignment,
-                         local_error_profile)
+from .estimation import (ContaminationCache, PilotAssignment, error_terms,
+                         sum_errors)
 from .network import (require_integer, require_integers, require_number,
                       require_powers, serving_links)
 
@@ -121,7 +126,8 @@ def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int):
     The first Lp arrivals take the unused pilot matching their arrival rank;
     afterwards the choice is the argmin over all pilots (first minimizer on
     ties, i.e. the lowest pilot index). A stacked cache takes a (D, S) array
-    of serving APs and gives one pilot per drop.
+    of serving APs and gives one pilot per drop. The step of a stack; one
+    drop steps in `_eem_drop`, which gives the same picks.
     """
     if arrival_rank < cache.num_pilots:
         return arrival_rank
@@ -203,10 +209,9 @@ def _serving_table(assocs, num_aps: int) -> tuple:
     drop keeps its own sets; a stack pads them to one width with AP index
     M, a dummy AP that hears no UE."""
     if len(assocs) == 1:
-        # every `assign_all` is one drop, as are a large-drop cell and the
-        # protocol audit; padded, one drop ran 1.3-1.4x as long for eem and
-        # 2.3x for scalable (M x T of 30 x 50 to 200 x 400); one dpb drop
-        # steps on floats and reads no table
+        # one `scalable` drop, as in every such `assign_all`: padded, it ran
+        # 2.3x as long (M x T of 30 x 50 to 200 x 400); one eem or dpb drop
+        # steps on its serving links and reads no table
         return assocs[0].serving_aps, assocs[0].sizes
     aps, sizes = serving_links(assocs)
     width = int(sizes.max())
@@ -224,23 +229,70 @@ def _offer(row, weighted_own: float, own: float, delta: float) -> tuple:
     Each rounded step of `local_error_profile` is monotone in the sum, so
     a pilot's error never falls as its sum grows, in floats as in exact
     arithmetic: the offer is a prefix of the pilots ranked by sum. The walk
-    scores one error per distinct sum, the least first, and stops at the
-    first pilot rejected; the least error's pilots lead the ranking.
+    takes the AP's `error_terms` once and scores one error per distinct
+    sum with `sum_errors`, the least first, and stops at the first pilot
+    rejected; the least error's pilots lead the ranking.
     """
     ranked = sorted(range(len(row)), key=row.__getitem__)
+    num, bound = error_terms(weighted_own, own)
     last = row[ranked[0]]
-    least = error = local_error_profile(weighted_own, own, last)
+    least = error = sum_errors(num, bound, weighted_own, last)
     mask, best = 0, ranked[0]
     for i in ranked:
         if row[i] != last:
             last = row[i]
-            error = local_error_profile(weighted_own, own, last)
+            error = sum_errors(num, bound, weighted_own, last)
             if not _offered(error, least, delta):
                 break
         if i < best and error == least:
             best = i
         mask |= 1 << i
     return mask, best
+
+
+def _link_terms(real, assoc, powers, lp: int) -> tuple:
+    """Each serving link's b_mt and w_t b_mt, w = p_pilot Lp, as float
+    arrays in the order of `assoc.links`."""
+    owners = np.repeat(np.arange(real.num_ues), assoc.sizes)
+    betas = real.beta[assoc.links, owners]
+    return betas, betas * (powers.p_pilot * lp)[owners]
+
+
+def _eem_drop(real, assoc, powers, lp: int, order,
+              counter: OpCounter | None) -> np.ndarray:
+    """`eem` on one drop: the (T,) pilots of `eem_step`, bit for bit.
+
+    The serving links' terms are built once: b_mt and w_t b_mt by
+    `_link_terms` and the error's per-link half by `error_terms`. UE t's
+    step then scores its run of links against the cache's sums at those
+    APs with `sum_errors`, the other half, and takes the argmin of the
+    column sums, as the cache's `local_errors` rows would give; the cache
+    still records every pick.
+    """
+    cache = ContaminationCache(real.beta, powers, lp)
+    betas, weighted = _link_terms(real, assoc, powers, lp)
+    num, bound = error_terms(weighted, betas)
+    # the links' terms as columns, each row against its AP's Lp sums
+    weighted, num, bound = weighted[:, None], num[:, None], bound[:, None]
+    aps = assoc.links
+    # UE t's serving links, strongest first, are links[starts[t]:ends[t]]
+    ends = np.cumsum(assoc.sizes).tolist()
+    starts = [0, *ends]
+    pilot_of = np.full(real.num_ues, -1)
+    for rank, t in enumerate(order.tolist()):
+        if counter is not None:
+            counter.start_ue()
+        if rank < lp:
+            pilot = rank
+        else:
+            k = slice(starts[t], ends[t])
+            pilot = sum_errors(num[k], bound[k], weighted[k],
+                               cache.sums[aps[k]]).sum(axis=0).argmin()
+            if counter is not None:
+                counter.add_reads((ends[t] - starts[t]) * lp)
+        pilot_of[t] = pilot
+        cache.record(t, pilot)
+    return pilot_of
 
 
 def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
@@ -254,9 +306,9 @@ def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
 
     Each AP keeps its pilot sums as a list of Lp floats, which each serving
     link holds a reference to, and each link's b_mt and w_t b_mt are read
-    once, in the order of `assoc.links`. An AP's error never falls as a
-    pilot's sum grows, so its offer is a prefix of its pilots ranked by
-    sum: `_offer` walks that ranking, scoring with `local_error_profile`
+    once, by `_link_terms`. An AP's error never falls as a pilot's sum
+    grows, so its offer is a prefix of its pilots ranked by sum: `_offer`
+    walks that ranking, scoring with the halves of `local_error_profile`
     and admitting with `_offered`, and stops at the first pilot rejected,
     which gives the offer of a full scan; a UE's pick adds w_t b_mt to
     its own pilot's sum at its serving APs only, where the numpy cache adds
@@ -264,11 +316,9 @@ def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
     cache's order and every pick is the stacked step's, bit for bit. The
     counter still tallies S' Lp errors per UE, the scheme's stated cost.
     """
-    owners = np.repeat(np.arange(real.num_ues), assoc.sizes)
-    betas = real.beta[assoc.links, owners]
+    betas, weighted = (a.tolist() for a in _link_terms(real, assoc, powers,
+                                                       lp))
     aps = assoc.links.tolist()
-    weighted = (betas * (powers.p_pilot * lp)[owners]).tolist()
-    betas = betas.tolist()
     # UE t's serving links, strongest first, are links[starts[t]:ends[t]]
     ends = np.cumsum(assoc.sizes).tolist()
     starts = [0, *ends]
@@ -303,8 +353,8 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     drop d draws its ties from seeds[d], and `scheme.seed` is not read. One
     loop over arrival order steps every drop at once, so each drop's
     assignment equals `assign_all` on that drop alone; a single drop steps
-    unstacked, on Python floats for `dpb`. Counter tallies are per UE,
-    summed over the drops.
+    unstacked: on its serving links' terms for `eem` and on Python floats
+    for `dpb`. Counter tallies are per UE, summed over the drops.
     """
     if not reals or not len(seeds) == len(reals) == len(assocs):
         raise ValueError("need at least one drop, with one seed and one "
@@ -325,6 +375,8 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     if scheme.scheme_id == "random":
         return seeding.picks(seeds, num_ues, lp)
     stacked = num_drops > 1
+    if scheme.scheme_id == "eem" and not stacked:
+        return _eem_drop(reals[0], assocs[0], powers, lp, order, counter)[None]
     if scheme.scheme_id == "dpb" and not stacked:
         pilot_of = np.full(num_ues, -1)
         for t, _, pilot, _ in dpb_arrivals(scheme, seeds[0], reals[0],
@@ -340,7 +392,7 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
             rows[:num_aps] = (real.beta * assoc.serves
                               if scheme.scheme_id == "dpb" else real.beta)
     else:
-        # one eem or scalable drop reads its own LSFCs, uncopied
+        # one scalable drop reads its own LSFCs, uncopied
         heard = reals[0].beta
     cache = ContaminationCache(heard, powers, lp)
     serving, sizes = _serving_table(assocs, num_aps)

@@ -3,12 +3,14 @@
 gamma_mt is the mean square of the MMSE channel estimate at AP m for UE t.
 Reusing a pilot inflates the estimator's interference denominator and drags
 gamma below its contamination-free ceiling. `local_error_profile` measures
-that loss at one AP for every pilot at once; `ContaminationCache` keeps the
-one table of running sums it reads and gives it one row per requested AP,
-which eem sums over a UE's serving APs (global form) and DPB on a stack of
-drops reads per AP (local form). Which UEs an AP hears is fixed by the LSFC
-matrix the cache is built from: the full one, or one masked to the links
-each AP serves.
+that loss at one AP for every pilot at once, composed of a per-link half
+(`error_terms`) that no pilot sum moves and a per-sum half (`sum_errors`);
+`ContaminationCache` keeps the one table of running sums it reads and gives
+it one row per requested AP, which eem sums over a UE's serving APs (global
+form) and DPB on a stack of drops reads per AP (local form); one-drop eem
+scores the sums against its links' terms built once. Which UEs an AP
+hears is fixed by the LSFC matrix the cache is built from: the full one,
+or one masked to the links each AP serves.
 
 All arithmetic stays in linear scale and double precision: the errors are
 differences of near-equal ratios and would not survive dB-domain round trips.
@@ -25,8 +27,10 @@ from .network import require_integer, require_integers
 __all__ = [
     "PilotAssignment",
     "ContaminationCache",
+    "error_terms",
     "gamma_stack",
     "local_error_profile",
+    "sum_errors",
 ]
 
 
@@ -80,6 +84,21 @@ def gamma_stack(betas, powers, onehot, out=None) -> np.ndarray:
     return out
 
 
+def error_terms(weighted_own, own_beta) -> tuple:
+    """The per-link half of `local_error_profile`: num = w_t b_mt b_mt and
+    the contamination-free bound num / (w_t b_mt + 1), which no pilot sum
+    moves; floats, or arrays of links."""
+    num = weighted_own * own_beta
+    return num, num / (weighted_own + 1.0)
+
+
+def sum_errors(num, bound, weighted_own, pilot_sums):
+    """The per-sum half of `local_error_profile`: the errors for the link
+    terms of `error_terms` at the contamination sums `pilot_sums`,
+    bound - num / ((w_t b_mt + sum) + 1)."""
+    return bound - num / (weighted_own + pilot_sums + 1.0)
+
+
 def local_error_profile(weighted_own: float, own_beta: float,
                         pilot_sums: np.ndarray) -> np.ndarray:
     """Per-pilot estimation error at one AP for one prospective UE.
@@ -87,16 +106,18 @@ def local_error_profile(weighted_own: float, own_beta: float,
     `pilot_sums[i]` is the accumulated contamination sum_{k on pilot i}
     w_k b_mk seen at this AP; column vectors of `weighted_own` and
     `own_beta` against rows of sums give one profile per AP, and a float
-    sum gives one pilot's error. The only copy of the error formula: the
-    bookkeeping cache calls it on arrays, and the one-drop DPB loop on
-    floats, one distinct sum at a time in a probed AP's ranking of its
-    pilots by sum, so both produce bit-identical errors. Each rounded step
-    must stay monotone in the sum: the loop relies on a pilot's error
-    never falling as its sum grows to stop at the first pilot it rejects.
+    sum gives one pilot's error. The error formula, composed of its two
+    halves, each written once: the bookkeeping cache calls it on arrays;
+    the one-drop DPB loop takes a probed AP's `error_terms` and calls
+    `sum_errors` on floats, one distinct sum at a time in the AP's ranking
+    of its pilots by sum; one-drop `eem` takes its links' `error_terms`
+    once per drop and calls `sum_errors` per arrival. All give
+    bit-identical errors. Each rounded step must stay monotone in the sum:
+    the DPB loop relies on a pilot's error never falling as its sum grows
+    to stop at the first pilot it rejects.
     """
-    num = weighted_own * own_beta
-    bound = num / (weighted_own + 1.0)
-    return bound - num / (weighted_own + pilot_sums + 1.0)
+    return sum_errors(*error_terms(weighted_own, own_beta), weighted_own,
+                      pilot_sums)
 
 
 class ContaminationCache:
@@ -113,9 +134,10 @@ class ContaminationCache:
     exact 0.0. `record` must be called once per assignment, in arrival
     order; sums then accumulate in the same order as the one-drop float DPB
     loop (`assignment.dpb_arrivals`) adds its floats, which keeps the two
-    DPB steps bitwise identical. `local_errors` is the one read
-    of the errors: `eem` sums its rows over a UE's serving APs, and `dpb`
-    takes one offer per row.
+    DPB steps bitwise identical. `local_errors` reads the errors of a
+    stack: `eem` sums its rows over a UE's serving APs, and `dpb` takes one
+    offer per row. One-drop `eem` reads `sums` directly, against link
+    terms it builds once per drop, and records through `record`.
 
     `beta` is one drop's (M, T) matrix or a (D, M, T) stack of drops that
     share the UE powers. A stack's sums are (D, M, Lp); `record` then takes

@@ -11,7 +11,8 @@ evaluation pass does; `strong_one` and `gamma_one` are those calls on one
 drop. `map_from_sets` builds an association from per-UE serving sets, and
 `pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s. A scheme
 steps one drop and a stack in different code (DPB's float loop against its
-numpy step), so `stack_row` gives a drop's pilots from the stacked step.
+numpy step, one-drop `eem`'s link terms against the cache's `local_errors`),
+so `stack_row` gives a drop's pilots from the stacked step.
 Both steps make an AP's offer with `assignment._offered` and resolve a UE's
 offers with `assignment._resolve`; `offered_set` and `resolve_offers` call
 them on an error array and on best-first lists. `generator_pick` is the
@@ -79,12 +80,13 @@ def pilot_stack(by_drop):
     return np.array([[pa.pilot_of for pa in cell] for cell in by_drop])
 
 
-def stack_row(scheme, real, assoc, powers, lp, order=None):
+def stack_row(scheme, real, assoc, powers, lp, order=None, counter=None):
     """The stacked step's (T,) pilots for one drop: row 0 of
     `assign_drops` on the drop stacked with itself, both copies drawing
-    their ties under `scheme.seed`."""
+    their ties under `scheme.seed`; `counter` tallies both copies."""
     return assignment.assign_drops(scheme, [scheme.seed] * 2, [real] * 2,
-                                   [assoc] * 2, powers, lp, order)[0]
+                                   [assoc] * 2, powers, lp, order,
+                                   counter)[0]
 
 
 def gamma_one(beta, powers, lp, assignment):

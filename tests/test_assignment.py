@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotsim import (
+    NetworkConfig,
     NetworkRealization,
     OpCounter,
     PilotAssignment,
@@ -18,13 +19,17 @@ from pilotsim import (
     assign_all,
     associate_aps,
     derive_seed,
+    generate_drop,
+    normalize_powers,
 )
 from pilotsim import assignment
 from pilotsim.assignment import SCHEME_IDS, assign_drops, eem_step
 from pilotsim.estimation import ContaminationCache, local_error_profile
-from oracles import (oracle_eem_choice, oracle_error_local, oracle_offer,
-                     oracle_priority_select, oracle_scalable_choice)
-from probes import generator_pick, offered_set, resolve_offers, unit_powers
+from oracles import (oracle_eem_choice, oracle_error_global,
+                     oracle_error_local, oracle_offer, oracle_priority_select,
+                     oracle_scalable_choice)
+from probes import (generator_pick, offered_set, resolve_offers, stack_row,
+                    unit_powers)
 import test_seeding
 
 
@@ -122,6 +127,77 @@ class TestEemStep:
                 assert reads == 0
             else:
                 assert reads == len(assoc.serving_aps[t]) * cfg.pilot_length
+
+
+def eem_matches_stack_row(cfg, real, powers, assoc, order):
+    """One drop's `eem` picks and reads, stepped on its link terms, against
+    the stacked step's row: the same picks, and half a two-copy stack's
+    reads; returns the picks."""
+    lp = cfg.pilot_length
+    scheme = SchemeConfig("eem")
+    alone, stacked = OpCounter(), OpCounter()
+    got = assign_all(scheme, real, assoc, powers, lp, order, alone).pilot_of
+    np.testing.assert_array_equal(
+        got, stack_row(scheme, real, assoc, powers, lp, order, stacked))
+    np.testing.assert_array_equal(2 * np.array(alone.contamination_reads),
+                                  stacked.contamination_reads)
+    return got
+
+
+class TestEemDrop:
+    """One-drop `eem` scores arrivals on link terms built once per drop; the
+    stacked step, through the cache's `local_errors`, is its oracle."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 24),
+           st.integers(1, 9), st.integers(1, 3),
+           st.sampled_from([0.5, 0.95, 1.0]), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    # T <= Lp: every UE arrives in the unique phase
+    @example(3, 4, 5, 9, 1, 0.95, False, True)
+    # one AP serving every UE
+    @example(4, 1, 24, 2, 1, 1.0, True, False)
+    def test_matches_stack_row_and_oracle(self, seed, m, t, lp, extra,
+                                          threshold, wrap, shadowed):
+        cfg = NetworkConfig(num_aps=m, num_ues=t, pilot_length=lp,
+                            antennas_per_ap=lp + extra,
+                            assoc_threshold=threshold, wrap_around=wrap,
+                            shadow_sigma_db=8.0 if shadowed else 0.0)
+        real = generate_drop(cfg, seed)
+        powers = normalize_powers(cfg)
+        assoc = associate_aps(real, threshold)
+        order = np.random.default_rng(seed).permutation(t)
+        got = eem_matches_stack_row(cfg, real, powers, assoc, order)
+        # the naive scan, from the same earlier picks; a differing pick
+        # must be a tie up to round-off of the two error forms
+        partial = np.full(t, -1)
+        for rank, ue in enumerate(order.tolist()):
+            serving = assoc.serving_aps[ue]
+            pick = got[ue]
+            if rank < lp:
+                assert pick == rank
+            else:
+                want = oracle_eem_choice(ue, real.beta, powers.p_pilot, lp,
+                                         partial, serving)
+                if pick != want:
+                    errors = [oracle_error_global(ue, i, real.beta,
+                                                  powers.p_pilot, lp,
+                                                  partial, serving)
+                              for i in (pick, want)]
+                    assert errors[0] == pytest.approx(errors[1], rel=1e-12,
+                                                      abs=0.0)
+            partial[ue] = pick
+
+    def test_large_drop_matches_stack_row(self):
+        # a perfbench large-drop cell's size, M = 200, T = 400, in a
+        # permuted order
+        cfg = NetworkConfig(num_aps=200, num_ues=400)
+        real = generate_drop(cfg, 44)
+        assoc = associate_aps(real, cfg.assoc_threshold)
+        order = np.random.default_rng(44).permutation(cfg.num_ues)
+        got = eem_matches_stack_row(cfg, real, normalize_powers(cfg), assoc,
+                                    order)
+        # past the unique phase, pilots are reused
+        assert np.bincount(got).min() > 1
 
 
 def local_offer(t, m, delta, beta, powers, lp, local_copilots):
