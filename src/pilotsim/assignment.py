@@ -8,36 +8,32 @@ sequential and never revisit an earlier UE's pilot, so assignments are
 prefix-stable under newly arriving UEs.
 
 `assign_drops` runs one scheme over a stack of D drops that share M, T
-and Lp: one loop over arrival order steps every drop at once, the stack's
-serving sets padded with a dummy AP that hears no UE. `assign_all` is its
-one-drop call, which steps unstacked on the drop's own serving sets; `dpb`
-on one drop steps on Python floats instead (`dpb_arrivals`), which takes
-about half the numpy step's time there (0.6 times at Lp = 15), and gives
-its picks bit for bit. A probed AP's error never falls as a pilot's sum
-grows, so the float loop walks its pilots ranked by sum and scores only
-those it can offer, and the first it rejects (`_offer`). `dpb_arrivals` is
-the package's one float DPB loop: the protocol (`protocol.run_protocol`)
-logs its messages from the same yields, the offers and the APs each pick
-was added to. Stacks keep the numpy step, since 25 desk drops stepped on
-floats one by one took about three times as long, and so do `eem` and
-`scalable`: a float `eem` was 1.9-2.8x slower even at one drop, its cache
-hearing every UE. `eem` on one drop steps on numpy without the cache's
-`local_errors` (`_eem_drop`): its serving links' b_mt, w_t b_mt and the
-error's per-link half are built once per drop, not gathered again at each
-arrival, which cut the step's time by about a quarter at M = 200,
-T = 400, with the same picks. `random` reads no earlier pick:
+and Lp, and `assign_all` is its one-drop call. One loop over arrival order
+steps every drop at once, one drop as a stack of one, on the serving links
+laid out once per call UE by UE and each UE's drop by drop
+(`_link_terms`), so UE t's step reads one slice of links. Only `dpb` on one
+drop steps on Python floats (`dpb_arrivals`), at about half the numpy
+step's time there (0.6 times at Lp = 15), with the same picks bit for bit;
+it walks each probed AP's pilots ranked by sum, since an error never falls
+as its sum grows, and scores only those it can offer, and the first it
+rejects (`_offer`). It is the package's one float DPB loop: the protocol
+(`protocol.run_protocol`) logs its messages from the same yields. Stacks
+keep the numpy step, as 25 desk drops stepped on floats one by one took
+about three times as long, and so do `eem` and `scalable`: a float `eem`
+was 1.9-2.8x slower even at one drop. `random` reads no earlier pick:
 `seeding.picks` draws every UE at once.
 
-Per batched step, with the running sums of a ContaminationCache: `eem`
-reads |M_t| Lp sums per drop, through `local_errors` on a stack and against
-its own link terms on one drop; `dpb` evaluates S' Lp local errors per
-drop, turns each probed AP's offer into a pilot bitmask of Python ints
+Per step, against the running sums of a ContaminationCache: `eem` scores
+UE t's |M_t| Lp errors per drop with `sum_errors` against its links' terms,
+sums each drop's run with one `np.add.reduceat` and takes the argmin;
+`dpb` scores only its probed links, the first S' = min(S, |M_t|) of each
+run, turns each probed AP's offer into a pilot bitmask of Python ints
 (exact for any Lp) in one uint64 product per 64 pilots, and resolves each
 drop's masks by priority intersection, at most 2^S' - S' - 1 of them;
-`scalable` takes the argmin of the sums at each drop's master AP, its
-first serving AP. Recording the picks adds one precomputed row per drop to
-the sums; no step scans the other UEs. Both DPB steps make an AP's offer,
-a pilot set, with `_offered` and resolve a UE's offers with `_resolve`.
+`scalable` takes the argmin of the sums at each drop's master AP, the
+first link of its run. Recording the picks adds one precomputed row per
+drop to the sums; no step scans the other UEs. Both DPB steps make an AP's
+offer, a pilot set, with `_offered` and resolve it with `_resolve`.
 
 Pilot indices are 0-based throughout.
 """
@@ -54,8 +50,8 @@ import numpy as np
 from . import seeding
 from .estimation import (ContaminationCache, PilotAssignment, error_terms,
                          sum_errors)
-from .network import (require_integer, require_integers, require_number,
-                      require_powers, serving_links)
+from .network import (require_associations, require_integer,
+                      require_integers, require_number, require_powers)
 
 __all__ = [
     "SCHEME_IDS",
@@ -63,7 +59,6 @@ __all__ = [
     "OpCounter",
     "assign_all",
     "assign_drops",
-    "eem_step",
     "dpb_arrivals",
 ]
 
@@ -120,20 +115,6 @@ class OpCounter:
         self.intersection_checks[-1] += n
 
 
-def eem_step(t: int, cache: ContaminationCache, serving, arrival_rank: int):
-    """Greedy minimum-aggregate-error pilot for one arriving UE.
-
-    The first Lp arrivals take the unused pilot matching their arrival rank;
-    afterwards the choice is the argmin over all pilots (first minimizer on
-    ties, i.e. the lowest pilot index). A stacked cache takes a (D, S) array
-    of serving APs and gives one pilot per drop. The step of a stack; one
-    drop steps in `_eem_drop`, which gives the same picks.
-    """
-    if arrival_rank < cache.num_pilots:
-        return arrival_rank
-    return cache.local_errors(serving, t).sum(axis=-2).argmin(axis=-1)
-
-
 def _offered(errors, least, delta: float):
     """Which pilots an AP offers: those within (1 + delta) of its least
     error `least`; one float error, or rows of errors against a column."""
@@ -180,17 +161,15 @@ def _resolve(masks: list, best: int, seed: int, ue: int, word: int,
     return (common & -common).bit_length() - 1
 
 
-def _offer_masks(within, bits, num_drops: int) -> list:
-    """Each drop's rows of offered pilots (`within`, bool) as bitmasks of
-    Python ints, exact for any Lp: one uint64 product per 64 pilots, whose
-    limbs are joined low to high."""
+def _offer_masks(within, bits) -> list:
+    """Each row of offered pilots (`within`, bool) as a bitmask of Python
+    ints, exact for any Lp: one uint64 product per 64 pilots, whose limbs
+    are joined low to high."""
     masks = None
     for lo in range(0, within.shape[-1], 64):
-        limbs = (within[..., lo:lo + 64] @ bits[lo:lo + 64]).reshape(
-            num_drops, -1).tolist()
+        limbs = (within[:, lo:lo + 64] @ bits[lo:lo + 64]).tolist()
         masks = limbs if masks is None else [
-            [mask | limb << lo for mask, limb in zip(*rows)]
-            for rows in zip(masks, limbs)]
+            mask | limb << lo for mask, limb in zip(masks, limbs)]
     return masks
 
 
@@ -204,34 +183,16 @@ def assign_all(scheme: SchemeConfig, real, assoc, powers, lp: int,
                                         powers, lp, order, counter)[0], lp)
 
 
-def _serving_table(assocs, num_aps: int) -> tuple:
-    """Serving sets and their sizes, UE-major so step t reads row t. One
-    drop keeps its own sets; a stack pads them to one width with AP index
-    M, a dummy AP that hears no UE."""
-    if len(assocs) == 1:
-        # one `scalable` drop, as in every such `assign_all`: padded, it ran
-        # 2.3x as long (M x T of 30 x 50 to 200 x 400); one eem or dpb drop
-        # steps on its serving links and reads no table
-        return assocs[0].serving_aps, assocs[0].sizes
-    aps, sizes = serving_links(assocs)
-    width = int(sizes.max())
-    # filled drop-major, in the order of `aps`; read through a UE-major view
-    padded = np.full(sizes.shape + (width,), num_aps)
-    padded[np.arange(width) < sizes[..., None]] = aps
-    return padded.swapaxes(0, 1), sizes.T
-
-
 def _offer(row, weighted_own: float, own: float, delta: float) -> tuple:
     """One AP's offer from its pilot sums `row`, a list of Python floats,
     as (mask, best): the bitmask of the pilots that `_offered` admits, and
     the lowest pilot whose error is the least.
 
-    Each rounded step of `local_error_profile` is monotone in the sum, so
-    a pilot's error never falls as its sum grows, in floats as in exact
-    arithmetic: the offer is a prefix of the pilots ranked by sum. The walk
-    takes the AP's `error_terms` once and scores one error per distinct
-    sum with `sum_errors`, the least first, and stops at the first pilot
-    rejected; the least error's pilots lead the ranking.
+    A pilot's error never falls as its sum grows (`sum_errors`), so the
+    offer is a prefix of the pilots ranked by sum. The walk takes the AP's
+    `error_terms` once and scores one error per distinct sum with
+    `sum_errors`, the least first, and stops at the first pilot rejected;
+    the least error's pilots lead the ranking.
     """
     ranked = sorted(range(len(row)), key=row.__getitem__)
     num, bound = error_terms(weighted_own, own)
@@ -250,49 +211,49 @@ def _offer(row, weighted_own: float, own: float, delta: float) -> tuple:
     return mask, best
 
 
-def _link_terms(real, assoc, powers, lp: int) -> tuple:
-    """Each serving link's b_mt and w_t b_mt, w = p_pilot Lp, as float
-    arrays in the order of `assoc.links`."""
-    owners = np.repeat(np.arange(real.num_ues), assoc.sizes)
-    betas = real.beta[assoc.links, owners]
-    return betas, betas * (powers.p_pilot * lp)[owners]
+def _link_runs(assocs, num_aps: int) -> tuple:
+    """The serving links of a stack of D drops as flat (drop, AP) rows
+    d M + m of a (D M, Lp) view of a cache's sums, drop by drop and UE by
+    UE as the associations lay them; the place there of each (UE, drop)
+    run's first link, UE by UE and each UE's runs drop by drop; and the
+    T D + 1 bounds of those runs laid end to end in that order."""
+    rows = np.concatenate([assoc.links + d * num_aps
+                           for d, assoc in enumerate(assocs)])
+    sizes = np.concatenate([assoc.sizes for assoc in assocs])
+    firsts = np.cumsum(sizes)
+    firsts -= sizes
+    runs = sizes.reshape(len(assocs), -1).T.ravel()
+    bounds = np.zeros(runs.size + 1, dtype=int)
+    np.cumsum(runs, out=bounds[1:])
+    return rows, firsts.reshape(len(assocs), -1).T.ravel(), bounds
 
 
-def _eem_drop(real, assoc, powers, lp: int, order,
-              counter: OpCounter | None) -> np.ndarray:
-    """`eem` on one drop: the (T,) pilots of `eem_step`, bit for bit.
-
-    The serving links' terms are built once: b_mt and w_t b_mt by
-    `_link_terms` and the error's per-link half by `error_terms`. UE t's
-    step then scores its run of links against the cache's sums at those
-    APs with `sum_errors`, the other half, and takes the argmin of the
-    column sums, as the cache's `local_errors` rows would give; the cache
-    still records every pick.
-    """
-    cache = ContaminationCache(real.beta, powers, lp)
-    betas, weighted = _link_terms(real, assoc, powers, lp)
-    num, bound = error_terms(weighted, betas)
-    # the links' terms as columns, each row against its AP's Lp sums
-    weighted, num, bound = weighted[:, None], num[:, None], bound[:, None]
-    aps = assoc.links
-    # UE t's serving links, strongest first, are links[starts[t]:ends[t]]
-    ends = np.cumsum(assoc.sizes).tolist()
-    starts = [0, *ends]
-    pilot_of = np.full(real.num_ues, -1)
-    for rank, t in enumerate(order.tolist()):
-        if counter is not None:
-            counter.start_ue()
-        if rank < lp:
-            pilot = rank
-        else:
-            k = slice(starts[t], ends[t])
-            pilot = sum_errors(num[k], bound[k], weighted[k],
-                               cache.sums[aps[k]]).sum(axis=0).argmin()
-            if counter is not None:
-                counter.add_reads((ends[t] - starts[t]) * lp)
-        pilot_of[t] = pilot
-        cache.record(t, pilot)
-    return pilot_of
+def _link_terms(reals, assocs, powers, lp: int) -> tuple:
+    """The serving links of a stack of D drops, UE by UE and each UE's
+    drop by drop, each run in priority order: their flat (drop, AP) rows
+    (`_link_runs`), b_mt and w_t b_mt, w = p_pilot Lp, as float arrays, and
+    the run bounds, UE t's run in drop d being rows[bounds[t D + d]:
+    bounds[t D + d + 1]], so that all of UE t's links are one slice. One
+    drop's rows are its AP indices, in the order of `assoc.links`."""
+    num_ues = reals[0].num_ues
+    rows, firsts, bounds = _link_runs(assocs, reals[0].num_aps)
+    # each link's place among the drop-by-drop links
+    firsts -= bounds[:-1]
+    src = np.repeat(firsts, bounds[1:] - bounds[:-1])
+    src += np.arange(bounds[-1])
+    rows = rows.take(src)
+    # the LSFCs drop by drop, each taken at its flat (m, t) index, which
+    # gathers in about half the time of an (m, t) index pair
+    ues = np.arange(num_ues)
+    betas = np.concatenate([
+        real.beta.ravel().take(assoc.links * num_ues
+                               + np.repeat(ues, assoc.sizes))
+        for real, assoc in zip(reals, assocs)]).take(src)
+    del src
+    per_ue = bounds[::len(assocs)]
+    weighted = (powers.p_pilot * lp)[np.repeat(ues, per_ue[1:] - per_ue[:-1])]
+    weighted *= betas
+    return rows, betas, weighted, bounds
 
 
 def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
@@ -308,20 +269,18 @@ def dpb_arrivals(scheme: SchemeConfig, seed: int, real, assoc, powers,
     link holds a reference to, and each link's b_mt and w_t b_mt are read
     once, by `_link_terms`. An AP's error never falls as a pilot's sum
     grows, so its offer is a prefix of its pilots ranked by sum: `_offer`
-    walks that ranking, scoring with the halves of `local_error_profile`
-    and admitting with `_offered`, and stops at the first pilot rejected,
+    walks that ranking, scoring with `error_terms` and `sum_errors` and
+    admitting with `_offered`, and stops at the first pilot rejected,
     which gives the offer of a full scan; a UE's pick adds w_t b_mt to
     its own pilot's sum at its serving APs only, where the numpy cache adds
     exact zeros elsewhere, so every sum takes the cache's additions in the
     cache's order and every pick is the stacked step's, bit for bit. The
     counter still tallies S' Lp errors per UE, the scheme's stated cost.
     """
-    betas, weighted = (a.tolist() for a in _link_terms(real, assoc, powers,
-                                                       lp))
-    aps = assoc.links.tolist()
-    # UE t's serving links, strongest first, are links[starts[t]:ends[t]]
-    ends = np.cumsum(assoc.sizes).tolist()
-    starts = [0, *ends]
+    # UE t's serving APs, strongest first, are aps[starts[t]:ends[t]]
+    aps, betas, weighted, starts = (
+        a.tolist() for a in _link_terms([real], [assoc], powers, lp))
+    ends = starts[1:]
     sums = [[0.0] * lp for _ in range(real.num_aps)]
     # link k's AP's sums
     rows = [sums[ap] for ap in aps]
@@ -351,10 +310,11 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
 
     The drops share M, T, the UE powers, `order` and `scheme`'s options;
     drop d draws its ties from seeds[d], and `scheme.seed` is not read. One
-    loop over arrival order steps every drop at once, so each drop's
-    assignment equals `assign_all` on that drop alone; a single drop steps
-    unstacked: on its serving links' terms for `eem` and on Python floats
-    for `dpb`. Counter tallies are per UE, summed over the drops.
+    loop over arrival order steps every drop at once on the stack's serving
+    links (`_link_terms`), a single drop as a stack of one, so each drop's
+    assignment equals `assign_all` on that drop alone; `dpb` on a single
+    drop steps on Python floats (`dpb_arrivals`) instead. Counter tallies
+    are per UE, summed over the drops.
     """
     if not reals or not len(seeds) == len(reals) == len(assocs):
         raise ValueError("need at least one drop, with one seed and one "
@@ -365,6 +325,7 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
     num_aps, num_ues = reals[0].beta.shape
     if any(real.beta.shape != (num_aps, num_ues) for real in reals):
         raise ValueError("the drops of a stack must share M and T")
+    require_associations(reals, assocs)
     require_powers(powers, num_ues)
     if order is None:
         order = np.arange(num_ues)
@@ -374,60 +335,87 @@ def assign_drops(scheme: SchemeConfig, seeds, reals, assocs, powers, lp: int,
             raise ValueError("order must be a permutation of all UEs")
     if scheme.scheme_id == "random":
         return seeding.picks(seeds, num_ues, lp)
-    stacked = num_drops > 1
-    if scheme.scheme_id == "eem" and not stacked:
-        return _eem_drop(reals[0], assocs[0], powers, lp, order, counter)[None]
-    if scheme.scheme_id == "dpb" and not stacked:
+    dpb = scheme.scheme_id == "dpb"
+    if dpb and num_drops == 1:
         pilot_of = np.full(num_ues, -1)
         for t, _, pilot, _ in dpb_arrivals(scheme, seeds[0], reals[0],
                                            assocs[0], powers, lp, order,
                                            counter):
             pilot_of[t] = pilot
         return pilot_of[None]
-    if stacked:
-        # a stack's AP index M hears no UE: the padding of its serving sets
-        heard = np.zeros((num_drops, num_aps + 1, num_ues))
-        for rows, real, assoc in zip(heard, reals, assocs):
-            # a DPB AP hears only the UEs it serves
-            rows[:num_aps] = (real.beta * assoc.serves
-                              if scheme.scheme_id == "dpb" else real.beta)
+    # a DPB AP hears only the UEs it serves
+    cache = ContaminationCache([real.beta * assoc.serves if dpb else real.beta
+                                for real, assoc in zip(reals, assocs)],
+                               powers, lp)
+    # row d M + m: the sums at AP m of drop d; a step picks one int for one
+    # drop and one pilot per drop for a stack, as the cache records them
+    sums, picks = cache.sums.reshape(-1, lp), cache.sums.shape[:-2]
+    scalable = scheme.scheme_id == "scalable"
+    if scalable:
+        rows, firsts, bounds = _link_runs(assocs, num_aps)
+        # each drop's master AP, the first link of its run, UE by UE
+        masters = rows[firsts].reshape(num_ues, *picks)
     else:
-        # one scalable drop reads its own LSFCs, uncopied
-        heard = reals[0].beta
-    cache = ContaminationCache(heard, powers, lp)
-    serving, sizes = _serving_table(assocs, num_aps)
-    if scheme.scheme_id == "dpb":
+        rows, betas, weighted, bounds = _link_terms(reals, assocs, powers, lp)
+        num, bound = error_terms(weighted, betas)
+        del betas
+        # the links' terms as columns, each row against its AP's Lp sums
+        weighted, num, bound = weighted[:, None], num[:, None], bound[:, None]
+    if dpb:
+        # a stack's DPB scores only its probed links, the first
+        # S' = min(S, |M_t|) of each run
+        runs = bounds[1:] - bounds[:-1]
+        probed = (np.arange(bounds[-1]) - np.repeat(bounds[:-1], runs)
+                  < scheme.dpb_s)
+        rows, num, bound, weighted = (a[probed] for a in (rows, num, bound,
+                                                          weighted))
+        np.cumsum(np.minimum(runs, scheme.dpb_s), out=bounds[1:])
         # row t: the first word of UE t's stream under each drop's seed
         words = seeding.stream_words(seeds, np.arange(num_ues)[:, None])
-        # DPB probes S APs per drop, padded past the S' = min(S, |M_t|)
-        # that offer; `bits` holds pilot i's bit in its 64-bit limb
-        s_prime = np.minimum(scheme.dpb_s, sizes).reshape(num_ues, -1).tolist()
+        # `bits` holds pilot i's bit in its 64-bit limb
         bits = np.uint64(1) << (np.arange(lp, dtype=np.uint64) % np.uint64(64))
+    # UE t's links are rows[starts[t]:ends[t]], drop d's run from
+    # offsets[t, d] on
+    starts = bounds[:-1:num_drops]
+    offsets = bounds[:-1].reshape(num_ues, num_drops) - starts[:, None]
+    ends, starts = bounds[num_drops::num_drops].tolist(), starts.tolist()
+    # eem sums each drop's errors into `totals`, viewed in the picks' shape
+    totals = np.empty((num_drops, lp))
+    scores = totals.reshape(*picks, lp)
     # pilots are UE-major, so step t writes row t
-    pilot_of = np.full((num_ues, num_drops) if stacked else num_ues, -1)
+    pilot_of = np.full((num_ues, *picks), -1)
     for rank, t in enumerate(order.tolist()):
         if counter is not None:
             counter.start_ue()
-        if scheme.scheme_id == "eem":
-            pilots = eem_step(t, cache, serving[t], rank)
-            if counter is not None and rank >= lp:
-                counter.add_reads(int(sizes[t].sum()) * lp)
-        elif scheme.scheme_id == "dpb":
-            profiles = cache.local_errors(serving[t][..., :scheme.dpb_s], t)
-            if counter is not None:
-                counter.add_evals(sum(s_prime[t]) * lp)
-            within = _offered(profiles, profiles.min(axis=-1, keepdims=True),
-                              scheme.dpb_delta)
-            masks = _offer_masks(within, bits, num_drops)
-            # the strongest AP's least-error pilot, lowest on ties
-            best = profiles[..., 0, :].argmin(axis=-1).reshape(num_drops)
-            pilots = [_resolve(m[:s], b, seed, t, word, counter)
-                      for m, s, b, seed, word in zip(masks, s_prime[t],
-                                                     best.tolist(), seeds,
-                                                     words[t].tolist())]
+        if scalable:
+            # least-loaded pilot at the master AP, lowest on ties
+            pilots = sums[masters[t]].argmin(axis=-1)
+        elif rank < lp and not dpb:
+            # eem's first Lp arrivals take the pilot of their rank
+            pilots = rank
         else:
-            # least-loaded pilot at the master (first serving) AP, lowest on ties
-            pilots = cache.loads(serving[t][..., 0]).argmin(axis=-1)
+            k = slice(starts[t], ends[t])
+            errors = sum_errors(num[k], bound[k], weighted[k], sums[rows[k]])
+            if dpb:
+                if counter is not None:
+                    counter.add_evals(len(errors) * lp)
+                masks = _offer_masks(
+                    _offered(errors, errors.min(axis=-1, keepdims=True),
+                             scheme.dpb_delta), bits)
+                # the strongest AP's least-error pilot, lowest on ties
+                best = errors[offsets[t]].argmin(axis=-1).tolist()
+                cuts = [*offsets[t].tolist(), len(masks)]
+                pilots = [_resolve(masks[a:b], first, seed, t, word, counter)
+                          for a, b, first, seed, word in zip(
+                              cuts, cuts[1:], best, seeds, words[t].tolist())]
+            else:
+                if counter is not None:
+                    counter.add_reads(len(errors) * lp)
+                # eem: the least error summed over each drop's run, lowest
+                # on ties; no run is empty (`AssociationMap` serves every
+                # UE), where reduceat would read the next run's first row
+                np.add.reduceat(errors, offsets[t], axis=0, out=totals)
+                pilots = scores.argmin(axis=-1)
         pilot_of[t] = pilots
         cache.record(t, pilots)
     return pilot_of.reshape(num_ues, num_drops).T

@@ -2,15 +2,14 @@
 
 gamma_mt is the mean square of the MMSE channel estimate at AP m for UE t.
 Reusing a pilot inflates the estimator's interference denominator and drags
-gamma below its contamination-free ceiling. `local_error_profile` measures
-that loss at one AP for every pilot at once, composed of a per-link half
-(`error_terms`) that no pilot sum moves and a per-sum half (`sum_errors`);
-`ContaminationCache` keeps the one table of running sums it reads and gives
-it one row per requested AP, which eem sums over a UE's serving APs (global
-form) and DPB on a stack of drops reads per AP (local form); one-drop eem
-scores the sums against its links' terms built once. Which UEs an AP
-hears is fixed by the LSFC matrix the cache is built from: the full one,
-or one masked to the links each AP serves.
+gamma below its contamination-free ceiling. The estimation error measures
+that loss at one AP for every pilot at once, in two halves, each written
+once: a per-link half (`error_terms`) that no pilot sum moves and a per-sum
+half (`sum_errors`). `ContaminationCache` keeps the one table of running
+sums they are scored against: eem sums a UE's errors over its serving APs
+(global form), and DPB reads them per probed AP (local form). Which UEs an
+AP hears is fixed by the LSFC matrices the cache is built from: the full
+ones, or ones masked to the links each AP serves.
 
 All arithmetic stays in linear scale and double precision: the errors are
 differences of near-equal ratios and would not survive dB-domain round trips.
@@ -29,7 +28,6 @@ __all__ = [
     "ContaminationCache",
     "error_terms",
     "gamma_stack",
-    "local_error_profile",
     "sum_errors",
 ]
 
@@ -85,7 +83,7 @@ def gamma_stack(betas, powers, onehot, out=None) -> np.ndarray:
 
 
 def error_terms(weighted_own, own_beta) -> tuple:
-    """The per-link half of `local_error_profile`: num = w_t b_mt b_mt and
+    """The per-link half of the estimation error: num = w_t b_mt b_mt and
     the contamination-free bound num / (w_t b_mt + 1), which no pilot sum
     moves; floats, or arrays of links."""
     num = weighted_own * own_beta
@@ -93,31 +91,19 @@ def error_terms(weighted_own, own_beta) -> tuple:
 
 
 def sum_errors(num, bound, weighted_own, pilot_sums):
-    """The per-sum half of `local_error_profile`: the errors for the link
-    terms of `error_terms` at the contamination sums `pilot_sums`,
-    bound - num / ((w_t b_mt + sum) + 1)."""
-    return bound - num / (weighted_own + pilot_sums + 1.0)
+    """The per-sum half: UE t's estimation errors at AP m for the link
+    terms of `error_terms`, w_t b_mt and the contamination sums
+    `pilot_sums`, each sum_{k on pilot i} w_k b_mk over the UEs that AP m
+    hears on pilot i, bound - num / ((w_t b_mt + sum) + 1); floats, or
+    columns of links against rows of sums.
 
-
-def local_error_profile(weighted_own: float, own_beta: float,
-                        pilot_sums: np.ndarray) -> np.ndarray:
-    """Per-pilot estimation error at one AP for one prospective UE.
-
-    `pilot_sums[i]` is the accumulated contamination sum_{k on pilot i}
-    w_k b_mk seen at this AP; column vectors of `weighted_own` and
-    `own_beta` against rows of sums give one profile per AP, and a float
-    sum gives one pilot's error. The error formula, composed of its two
-    halves, each written once: the bookkeeping cache calls it on arrays;
-    the one-drop DPB loop takes a probed AP's `error_terms` and calls
-    `sum_errors` on floats, one distinct sum at a time in the AP's ranking
-    of its pilots by sum; one-drop `eem` takes its links' `error_terms`
-    once per drop and calls `sum_errors` per arrival. All give
-    bit-identical errors. Each rounded step must stay monotone in the sum:
-    the DPB loop relies on a pilot's error never falling as its sum grows
-    to stop at the first pilot it rejects.
+    Each rounded step is monotone in the sum, so an error never falls as
+    its sum grows, in floats as in exact arithmetic: the one-drop DPB loop
+    (`assignment._offer`) relies on that to stop at the first pilot it
+    rejects in its ranking by sum. Every caller, on floats or on arrays,
+    scores the same expression and so the same bits.
     """
-    return sum_errors(*error_terms(weighted_own, own_beta), weighted_own,
-                      pilot_sums)
+    return bound - num / (weighted_own + pilot_sums + 1.0)
 
 
 class ContaminationCache:
@@ -125,52 +111,43 @@ class ContaminationCache:
 
     Holding the sums incrementally is what keeps a sequential step at
     O(|M_t| Lp): evaluating a pilot costs one cached read per serving AP
-    instead of a fresh pass over all co-pilot UEs. `sums[m, i]` totals
-    w_k b_mk over the UEs on pilot i that AP m hears, so it carries the
-    factor Lp of w = p_pilot Lp; `scalable` reads its master AP's row, whose
-    argmin that factor leaves unchanged. AP m hears the UEs with nonzero
-    `beta[m]`: for `dpb` the cache is built from `beta * serves`, so row m
-    is AP m's local sum over the UEs it serves, every other UE adding an
-    exact 0.0. `record` must be called once per assignment, in arrival
-    order; sums then accumulate in the same order as the one-drop float DPB
-    loop (`assignment.dpb_arrivals`) adds its floats, which keeps the two
-    DPB steps bitwise identical. `local_errors` reads the errors of a
-    stack: `eem` sums its rows over a UE's serving APs, and `dpb` takes one
-    offer per row. One-drop `eem` reads `sums` directly, against link
-    terms it builds once per drop, and records through `record`.
+    instead of a fresh pass over all co-pilot UEs. The cache holds a stack
+    of D drops that share the UE powers, given as D (M, T) LSFC matrices;
+    `sums[d, m, i]` totals w_k b_mk over the UEs on pilot i that AP m of
+    drop d hears, so it carries the factor Lp of w = p_pilot Lp, which
+    `scalable`'s argmin at its master AP leaves unchanged. AP m hears the
+    UEs with nonzero `beta[m]`: for `dpb` the matrices are `beta * serves`,
+    so an AP's sums are local to the UEs it serves, every other UE adding
+    an exact 0.0. `record` must be called once per UE, in arrival order;
+    sums then accumulate in the same order as the one-drop float DPB loop
+    (`assignment.dpb_arrivals`) adds its floats, which keeps the two DPB
+    steps bitwise identical. The steps read `sums` directly, scoring them
+    with `sum_errors` against link terms built once per call.
 
-    `beta` is one drop's (M, T) matrix or a (D, M, T) stack of drops that
-    share the UE powers. A stack's sums are (D, M, Lp); `record` then takes
-    one pilot per drop, `loads` one AP per drop, and `local_errors` a
-    (D, S) array of S APs per drop.
+    `betas` holds D (M, T) matrices. A stack's sums are (D, M, Lp), and
+    `record` takes one pilot per drop; one drop's are (M, Lp), and `record`
+    takes one int.
     """
 
-    def __init__(self, beta, powers, lp: int):
-        self.beta = np.asarray(beta, dtype=float)
-        self.w = powers.p_pilot * lp
-        self.num_pilots = int(lp)
-        # row t is w_t b_mt over all APs (of every drop): one read per record
-        by_ue = np.moveaxis(self.beta, -1, 0)
-        self.contrib = np.multiply(
-            by_ue, self.w.reshape((-1,) + (1,) * (by_ue.ndim - 1)), order="C")
-        self.sums = np.zeros(self.beta.shape[:-1] + (lp,))
-        # a stack's leading index, pairing each drop with its own pilot or
-        # AP (`_each`) or its own row of APs (`_each_row`); none for one drop
-        drops = [np.arange(len(self.beta))] if self.beta.ndim == 3 else []
-        self._each = tuple(drops)
-        self._each_row = tuple(d[:, None] for d in drops)
+    def __init__(self, betas, powers, lp: int):
+        # a stack's LSFCs in one (D, M, T) array; one drop's read uncopied
+        heard = (np.asarray(betas[0])[None] if len(betas) == 1
+                 else np.stack(betas))
+        # row t is w_t b_mt over every drop's APs, one read per record:
+        # copied UE-major, then scaled in place, which needs a smaller
+        # iteration buffer than one product with the transposed LSFCs
+        contrib = np.array(np.moveaxis(heard, -1, 0), dtype=float, order="C")
+        contrib *= (powers.p_pilot * lp)[:, None, None]
+        self.sums = np.zeros(heard.shape[:-1] + (lp,))
+        if len(betas) == 1:
+            # one drop's tables lose the drop axis, so its picks are ints:
+            # a basic index, at about a third of the cost of an index array
+            contrib, self.sums = contrib[:, 0], self.sums[0]
+        self.contrib = contrib
+        # a stack's leading index, pairing each drop with its own pick
+        self._each = (np.arange(len(betas)),)[:self.sums.ndim - 2]
 
     def record(self, t: int, pilot):
-        """Add UE t on `pilot` at every AP."""
+        """Add UE t on `pilot` at every AP: one int for one drop, one per
+        drop for a stack."""
         self.sums[self._each + (slice(None), pilot)] += self.contrib[t]
-
-    def loads(self, m) -> np.ndarray:
-        """The running sums at AP m, one entry per pilot."""
-        return self.sums[self._each + (m,)]
-
-    def local_errors(self, m, t: int) -> np.ndarray:
-        """Local error profile at AP m, one entry per pilot; an index array
-        of APs gives one row per AP."""
-        at = self._each_row + (m,)
-        own = self.beta[at + (t,)][..., None]
-        return local_error_profile(self.w[t] * own, own, self.sums[at])

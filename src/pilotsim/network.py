@@ -228,6 +228,21 @@ class AssociationMap:
         for name, dtype in (("links", int), ("sizes", int), ("serves", bool)):
             object.__setattr__(self, name, _readonly(
                 np.asarray(getattr(self, name), dtype=dtype)))
+        links, sizes, serves = self.links, self.sizes, self.serves
+        if serves.ndim != 2 or links.ndim != 1 or sizes.ndim != 1:
+            raise ValueError("serves must be an M x T matrix, and links and "
+                             "sizes flat vectors")
+        if sizes.size != serves.shape[1]:
+            raise ValueError(f"sizes counts {sizes.size} UEs, but serves "
+                             f"has {serves.shape[1]}")
+        if sizes.size and sizes.min() < 1:
+            raise ValueError("every UE needs at least one serving AP")
+        if sizes.sum() != links.size:
+            raise ValueError(f"sizes counts {sizes.sum()} serving links, "
+                             f"but links holds {links.size}")
+        if links.size and (links.min() < 0 or links.max() >= serves.shape[0]):
+            raise ValueError(f"a serving AP lies outside [0, "
+                             f"{serves.shape[0]})")
 
     @functools.cached_property
     def serving_aps(self) -> tuple:
@@ -393,6 +408,16 @@ def associate_aps(real: NetworkRealization, assoc_threshold: float) -> Associati
     serves = np.zeros((num_aps, num_ues), dtype=bool)
     serves[links, np.repeat(np.arange(num_ues), size)] = True
     return AssociationMap(links, size, serves)
+
+
+def require_associations(reals, assocs):
+    """Reject an association that does not fit its drop: its `serves` must
+    be the drop's M x T."""
+    for real, assoc in zip(reals, assocs):
+        if assoc.serves.shape != real.beta.shape:
+            raise ValueError("an association of {} APs and {} UEs does not fit"
+                             " a drop of {} APs and {} UEs".format(
+                                 *assoc.serves.shape, *real.beta.shape))
 
 
 def serving_links(assocs) -> tuple:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import gamma_stack
-from .network import require_powers, serving_links, strong_stack
+from .network import (require_associations, require_powers, serving_links,
+                      strong_stack)
 
 __all__ = [
     "SeReport",
@@ -279,6 +280,7 @@ def evaluate_drops(reals, assocs, pilot_of, powers, config) -> np.ndarray:
                          "and its assignments")
     if len({real.beta.shape for real in reals}) > 1:
         raise ValueError("the drops of a stack must share M and T")
+    require_associations(reals, assocs)
     pilot_of = np.asarray(pilot_of)
     if (pilot_of.ndim != 3 or not pilot_of.shape[1]
             or pilot_of.shape[2] != reals[0].num_ues):

@@ -28,7 +28,8 @@ import numpy as np
 
 from .assignment import SchemeConfig, dpb_arrivals
 from .estimation import PilotAssignment
-from .network import require_integers, require_powers
+from .network import (require_associations, require_integers,
+                      require_powers)
 
 __all__ = [
     "KIND_PROBE",
@@ -115,6 +116,7 @@ def run_protocol(real, assoc, scheme: SchemeConfig, arrival_order, powers,
     if scheme.scheme_id != "dpb":
         raise ValueError("the message protocol enacts the distributed scheme only")
     num_ues = real.num_ues
+    require_associations([real], [assoc])
     require_powers(powers, num_ues)
     order = require_integers("arrival order", arrival_order)
     if order.size != np.unique(order).size:

@@ -9,15 +9,16 @@ The package ranks strong sets and computes gammas only for stacks of drops,
 each reading the one-hot of the pilots that `one_hot` builds as an
 evaluation pass does; `strong_one` and `gamma_one` are those calls on one
 drop. `map_from_sets` builds an association from per-UE serving sets, and
-`pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s. A scheme
-steps one drop and a stack in different code (DPB's float loop against its
-numpy step, one-drop `eem`'s link terms against the cache's `local_errors`),
-so `stack_row` gives a drop's pilots from the stacked step.
-Both steps make an AP's offer with `assignment._offered` and resolve a UE's
-offers with `assignment._resolve`; `offered_set` and `resolve_offers` call
-them on an error array and on best-first lists. `generator_pick` is the
-generator that every seeded pick stands for, and `unit_powers` a power
-profile of ones.
+`pilot_stack` the (D, S, T) pilot array of `PilotAssignment`s. DPB steps
+one drop on Python floats and a stack on numpy, so `stack_row` gives a
+drop's pilots from the stacked step; the other schemes step one drop as a
+stack of one. `local_error` is the package's estimation error, its two
+halves composed, and `cache_errors` scores a one-drop cache's sums with it
+as the steps do. Both DPB steps make an AP's offer with
+`assignment._offered` and resolve a UE's offers with `assignment._resolve`;
+`offered_set` and `resolve_offers` call them on an error array and on
+best-first lists. `generator_pick` is the generator that every seeded pick
+stands for, and `unit_powers` a power profile of ones.
 """
 
 import numpy as np
@@ -32,6 +33,24 @@ def unit_powers(n):
 
 def generator_pick(seed, ue, n):
     return int(np.random.default_rng([seed, ue]).integers(n))
+
+
+def local_error(weighted_own, own_beta, pilot_sums):
+    """UE t's estimation error at one AP, w_t b_mt = `weighted_own` and
+    b_mt = `own_beta`, for the contamination sums `pilot_sums`: the
+    package's `sum_errors` of its `error_terms`, on floats or arrays."""
+    return estimation.sum_errors(
+        *estimation.error_terms(weighted_own, own_beta), weighted_own,
+        pilot_sums)
+
+
+def cache_errors(cache, beta, powers, t, aps):
+    """UE t's errors at AP `aps` of a one-drop cache built from the LSFC
+    matrix `beta` and `powers`, one per pilot; an index array of APs gives
+    one row per AP."""
+    own = np.asarray(beta)[aps, t][..., None]
+    weighted = powers.p_pilot[t] * cache.sums.shape[-1] * own
+    return local_error(weighted, own, cache.sums[aps])
 
 
 def offered_set(errors, delta):

@@ -23,13 +23,13 @@ from pilotsim import (
     normalize_powers,
 )
 from pilotsim import assignment
-from pilotsim.assignment import SCHEME_IDS, assign_drops, eem_step
-from pilotsim.estimation import ContaminationCache, local_error_profile
+from pilotsim.assignment import SCHEME_IDS, assign_drops
+from pilotsim.estimation import ContaminationCache
 from oracles import (oracle_eem_choice, oracle_error_global,
                      oracle_error_local, oracle_offer, oracle_priority_select,
                      oracle_scalable_choice)
-from probes import (generator_pick, offered_set, resolve_offers, stack_row,
-                    unit_powers)
+from probes import (cache_errors, generator_pick, local_error, map_from_sets,
+                    offered_set, resolve_offers, stack_row, unit_powers)
 import test_seeding
 
 
@@ -84,24 +84,44 @@ class TestSchemeConfig:
             assert SchemeConfig("dpb", seed=seed).seed == seed
 
 
+def eem_rows(betas, lp, order=None):
+    """`eem` on one-AP drops whose UEs' LSFCs are the rows of `betas`,
+    under unit powers: the (D, T) pilots of each drop alone and, as a
+    second array, of the drops stacked."""
+    reals = [NetworkRealization(np.zeros((1, 2)), np.zeros((len(row), 2)),
+                                np.array([row], dtype=float), 0)
+             for row in betas]
+    assocs = [associate_aps(real, 1.0) for real in reals]
+    powers = unit_powers(len(betas[0]))
+    alone = np.concatenate([
+        assign_drops(SchemeConfig("eem"), [0], [real], [assoc], powers, lp,
+                     order) for real, assoc in zip(reals, assocs)])
+    return alone, assign_drops(SchemeConfig("eem"), [0] * len(reals), reals,
+                               assocs, powers, lp, order)
+
+
 class TestEemStep:
     def test_unique_phase_uses_rank(self):
-        beta = np.ones((2, 5))
-        cache = ContaminationCache(beta, unit_powers(5), 3)
-        for rank in range(3):
-            assert eem_step(4, cache, [0, 1], rank) == rank
+        # the first Lp arrivals take the pilot of their arrival rank
+        order = np.array([4, 1, 3, 0, 2])
+        alone, stacked = eem_rows([[1.0] * 5, [0.5, 1.0, 2.0, 0.1, 1e-3]], 3,
+                                  order)
+        for pilots in (*alone, *stacked):
+            assert pilots[order[:3]].tolist() == [0, 1, 2]
 
     def test_all_zero_errors_tie_to_pilot_zero(self):
-        # nothing recorded yet: every pilot has zero error, lowest index wins
-        beta = np.ones((1, 2))
-        cache = ContaminationCache(beta, unit_powers(2), 3)
-        assert eem_step(1, cache, [0], arrival_rank=3) == 0
+        # UE 2's own term absorbs the tiny sums of UEs 0 and 1 in rounding,
+        # so every pilot scores an error of exactly 0 and the lowest wins,
+        # although pilot 1 holds the smaller sum
+        tiny = [1e-100, 1e-200, 1.0]
+        alone, stacked = eem_rows([tiny, tiny], 2)
+        assert alone.tolist() == stacked.tolist() == [[0, 1, 0]] * 2
 
     def test_avoids_contaminated_pilot(self):
-        beta = np.array([[1.0, 1.0]])
-        cache = ContaminationCache(beta, unit_powers(2), 2)
-        cache.record(0, 0)
-        assert eem_step(1, cache, [0], arrival_rank=2) == 1
+        # UE 2 takes the pilot of the weaker earlier UE: pilot 1 in the
+        # first drop, pilot 0 in the second
+        alone, stacked = eem_rows([[1.0, 1e-3, 1.0], [1e-3, 1.0, 1.0]], 2)
+        assert alone.tolist() == stacked.tolist() == [[0, 1, 1], [0, 1, 0]]
 
     def test_full_trajectory_matches_naive_scan(self, desk_drop):
         cfg, real, powers, assoc = desk_drop(seed=31)
@@ -130,9 +150,9 @@ class TestEemStep:
 
 
 def eem_matches_stack_row(cfg, real, powers, assoc, order):
-    """One drop's `eem` picks and reads, stepped on its link terms, against
-    the stacked step's row: the same picks, and half a two-copy stack's
-    reads; returns the picks."""
+    """One drop's `eem` picks and reads against its row of a two-copy
+    stack, which the same step runs: the same picks, and half the stack's
+    reads, whatever the stacking; returns the picks."""
     lp = cfg.pilot_length
     scheme = SchemeConfig("eem")
     alone, stacked = OpCounter(), OpCounter()
@@ -144,9 +164,32 @@ def eem_matches_stack_row(cfg, real, powers, assoc, order):
     return got
 
 
+def assert_eem_matches_oracle(real, assoc, powers, lp, order, got):
+    """One drop's `eem` picks `got` against the naive scan, from the same
+    earlier picks; a differing pick must be a tie up to round-off of the two
+    error forms."""
+    partial = np.full(real.num_ues, -1)
+    for rank, ue in enumerate(order.tolist()):
+        serving = assoc.serving_aps[ue]
+        pick = got[ue]
+        if rank < lp:
+            assert pick == rank
+        else:
+            want = oracle_eem_choice(ue, real.beta, powers.p_pilot, lp,
+                                     partial, serving)
+            if pick != want:
+                errors = [oracle_error_global(ue, i, real.beta,
+                                              powers.p_pilot, lp, partial,
+                                              serving)
+                          for i in (pick, want)]
+                assert errors[0] == pytest.approx(errors[1], rel=1e-12,
+                                                  abs=0.0)
+        partial[ue] = pick
+
+
 class TestEemDrop:
-    """One-drop `eem` scores arrivals on link terms built once per drop; the
-    stacked step, through the cache's `local_errors`, is its oracle."""
+    """One-drop `eem` is the step of a stack of one: its picks must not
+    depend on the stacking, and the naive scan is their oracle."""
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 24),
            st.integers(1, 9), st.integers(1, 3),
@@ -167,25 +210,7 @@ class TestEemDrop:
         assoc = associate_aps(real, threshold)
         order = np.random.default_rng(seed).permutation(t)
         got = eem_matches_stack_row(cfg, real, powers, assoc, order)
-        # the naive scan, from the same earlier picks; a differing pick
-        # must be a tie up to round-off of the two error forms
-        partial = np.full(t, -1)
-        for rank, ue in enumerate(order.tolist()):
-            serving = assoc.serving_aps[ue]
-            pick = got[ue]
-            if rank < lp:
-                assert pick == rank
-            else:
-                want = oracle_eem_choice(ue, real.beta, powers.p_pilot, lp,
-                                         partial, serving)
-                if pick != want:
-                    errors = [oracle_error_global(ue, i, real.beta,
-                                                  powers.p_pilot, lp,
-                                                  partial, serving)
-                              for i in (pick, want)]
-                    assert errors[0] == pytest.approx(errors[1], rel=1e-12,
-                                                      abs=0.0)
-            partial[ue] = pick
+        assert_eem_matches_oracle(real, assoc, powers, lp, order, got)
 
     def test_large_drop_matches_stack_row(self):
         # a perfbench large-drop cell's size, M = 200, T = 400, in a
@@ -243,10 +268,11 @@ class TestCandidateSets:
         ]
         for delta in (0.0, 0.1, 0.5, 100.0):
             assert local_offer(3, 0, delta, beta, powers, lp, local) == {2}
-        cache = ContaminationCache(beta, powers, lp)
+        cache = ContaminationCache([beta], powers, lp)
         for t, p in enumerate([0, 1, 0]):
             cache.record(t, p)
-        np.testing.assert_allclose(cache.local_errors(0, 3), errors, rtol=1e-13)
+        np.testing.assert_allclose(cache_errors(cache, beta, powers, 3, 0),
+                                   errors, rtol=1e-13)
 
     def test_delta_widens_set(self):
         # instance B: all pilots carry contamination, delta controls width
@@ -259,13 +285,14 @@ class TestCandidateSets:
             0.042004138338752606,
             0.1301707779886148,
         ])
-        cache = ContaminationCache(beta, powers, lp)
+        cache = ContaminationCache([beta], powers, lp)
         for t, p in enumerate([0, 1, 2, 2]):
             cache.record(t, p)
-        np.testing.assert_allclose(cache.local_errors(0, 4), errors, rtol=1e-13)
+        cached = cache_errors(cache, beta, powers, 4, 0)
+        np.testing.assert_allclose(cached, errors, rtol=1e-13)
         for delta, want in ((0.0, {1}), (0.1, {0, 1}), (5.0, {0, 1, 2})):
             assert local_offer(4, 0, delta, beta, powers, lp, local) == want
-            assert offered_set(cache.local_errors(0, 4), delta) == want
+            assert offered_set(cached, delta) == want
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 4.0))
     @settings(max_examples=80, deadline=None)
@@ -293,7 +320,7 @@ class TestCandidateSets:
         # a few distinct sums, zero among them, so pilots tie often
         sums = r.choice(np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)),
                         size=lp).tolist()
-        errors = [local_error_profile(weight * own, own, s) for s in sums]
+        errors = [local_error(weight * own, own, s) for s in sums]
         least = min(errors)
         got = {i for i, e in enumerate(errors)
                if assignment._offered(e, least, delta)}
@@ -314,7 +341,7 @@ class TestCandidateSets:
                                              delta):
         # the float loop walks an AP's pilots by sum and stops at the first
         # one rejected; a full scan scores every pilot
-        errors = [local_error_profile(weighted_own, own, s) for s in row]
+        errors = [local_error(weighted_own, own, s) for s in row]
         least = min(errors)
         mask = sum(1 << i for i, e in enumerate(errors)
                    if assignment._offered(e, least, delta))
@@ -453,7 +480,7 @@ class TestStreamKernel:
 
 def cache_choice(t, beta, powers, lp, prior):
     """assign_all's scalable read: holders recorded, argmin at the master."""
-    cache = ContaminationCache(beta, powers, lp)
+    cache = ContaminationCache([beta], powers, lp)
     for k, pilot in enumerate(prior):
         if pilot >= 0 and k != t:
             cache.record(k, pilot)
@@ -650,9 +677,10 @@ def dpb_matches_oracle(cfg, real, powers, assoc):
     scheme = SchemeConfig("dpb", dpb_s=3, seed=1)
     counter = OpCounter()
     pa = assign_all(scheme, real, assoc, powers, lp, counter=counter)
-    cache = ContaminationCache(real.beta * assoc.serves, powers, lp)
+    heard = real.beta * assoc.serves
+    cache = ContaminationCache([heard], powers, lp)
     for t in range(cfg.num_ues):
-        offers = [oracle_offer(cache.local_errors(int(m), t),
+        offers = [oracle_offer(cache_errors(cache, heard, powers, t, int(m)),
                                scheme.dpb_delta).tolist()
                   for m in assoc.serving_aps[t][:scheme.dpb_s]]
         ref = OpCounter()
@@ -724,6 +752,53 @@ class TestAssignDrops:
                               cfg.pilot_length, order, alone)
             np.testing.assert_array_equal(pilots, want.pilot_of)
             want_tallies = want_tallies + tallies(alone)
+        np.testing.assert_array_equal(tallies(counter), want_tallies)
+
+    @pytest.mark.parametrize("scheme_id", ["eem", "scalable", "dpb"])
+    @pytest.mark.parametrize("num_ues, lp", [(5, 7), (9, 3)],
+                             ids=["T<=Lp", "T>Lp"])
+    @pytest.mark.parametrize("s", [2, 5])
+    def test_ragged_stacks_match_each_drop(self, scheme_id, num_ues, lp, s):
+        # three drops of M = 4 whose runs differ in length across the
+        # stack: every UE served by one AP, every UE by all four, and a mix;
+        # S = 2 lies below some |M_t| and above others, S = 5 above all
+        num_aps = 4
+        r = np.random.default_rng(num_ues * 10 + s)
+        reals, assocs = [], []
+        for sizes in (np.ones(num_ues, int), np.full(num_ues, num_aps),
+                      r.integers(1, num_aps + 1, num_ues)):
+            beta = 10.0 ** r.uniform(-12.0, -6.0, size=(num_aps, num_ues))
+            sets = [np.argsort(-beta[:, t])[:k] for t, k in enumerate(sizes)]
+            serves = np.zeros((num_aps, num_ues), bool)
+            for t, aps in enumerate(sets):
+                serves[aps, t] = True
+            reals.append(NetworkRealization(np.zeros((num_aps, 2)),
+                                            np.zeros((num_ues, 2)), beta, 0))
+            assocs.append(map_from_sets(sets, serves))
+        powers = PowerProfile(10.0 ** r.uniform(0.0, 3.0, num_ues),
+                              np.ones(num_ues))
+        order = r.permutation(num_ues)
+        seeds = [3, 5, 8]
+        scheme = SchemeConfig(scheme_id, s)
+        counter = OpCounter()
+        got = assign_drops(scheme, seeds, reals, assocs, powers, lp, order,
+                           counter)
+        want_tallies = 0
+        for seed, real, assoc, pilots in zip(seeds, reals, assocs, got,
+                                             strict=True):
+            alone = OpCounter()
+            want = assign_all(replace(scheme, seed=seed), real, assoc, powers,
+                              lp, order, alone)
+            np.testing.assert_array_equal(pilots, want.pilot_of)
+            want_tallies = want_tallies + tallies(alone)
+            # a stack of one steps `eem` and `scalable` as the stack does,
+            # so the naive scans judge the picks themselves
+            if scheme_id == "eem":
+                assert_eem_matches_oracle(real, assoc, powers, lp, order,
+                                          pilots)
+            elif scheme_id == "scalable":
+                np.testing.assert_array_equal(pilots, oracle_scalable_run(
+                    real.beta, powers, lp, order))
         np.testing.assert_array_equal(tallies(counter), want_tallies)
 
     def test_one_drop_checks_match_oracle(self, desk_drop):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from pilotsim import (NetworkConfig, NetworkRealization, PilotAssignment,
                       PowerProfile)
-from pilotsim.estimation import ContaminationCache, local_error_profile
+from pilotsim.estimation import ContaminationCache
 from pilotsim.performance import evaluate_drops
 from oracles import (oracle_error_global, oracle_error_local, oracle_gamma,
                      oracle_gamma_bound)
-from probes import gamma_one, map_from_sets, unit_powers
+from probes import (cache_errors, gamma_one, local_error, map_from_sets,
+                    unit_powers)
 
 
 def evaluate_on_one_ap(pilots, lp):
@@ -29,12 +30,13 @@ def evaluate_on_one_ap(pilots, lp):
 def cached_global_error(t, pilot, beta, powers, lp, assignment, serving):
     """Aggregate error of UE t taking `pilot`, read from a cache that holds
     every other assigned UE."""
-    cache = ContaminationCache(beta, powers, lp)
+    cache = ContaminationCache([beta], powers, lp)
     for k, i in enumerate(assignment.pilot_of.tolist()):
         if i >= 0 and k != t:
             cache.record(k, i)
     serving = np.asarray(serving, dtype=int)
-    return float(cache.local_errors(serving, t).sum(axis=0)[pilot])
+    errors = cache_errors(cache, beta, powers, t, serving)
+    return float(errors.sum(axis=0)[pilot])
 
 
 def error_scale(t, serving, beta, powers, lp):
@@ -47,11 +49,11 @@ def error_scale(t, serving, beta, powers, lp):
 
 def cached_local_error(t, m, beta, powers, lp, copilots):
     """Error of UE t at AP m with the given UEs as its local co-pilots."""
-    cache = ContaminationCache(beta, powers, lp)
+    cache = ContaminationCache([beta], powers, lp)
     for k in copilots:
         if k != t:
             cache.record(int(k), 0)
-    return float(cache.local_errors(m, t)[0])
+    return float(cache_errors(cache, beta, powers, t, m)[0])
 
 
 class TestPilotAssignment:
@@ -315,11 +317,11 @@ class TestContaminationCache:
         for _ in range(20):
             beta, powers, pa = self._random_state(rng)
             lp, t = pa.num_pilots, pa.pilot_of.size - 1
-            cache = ContaminationCache(beta, powers, lp)
+            cache = ContaminationCache([beta], powers, lp)
             for k in range(t):
                 cache.record(k, int(pa.pilot_of[k]))
             serving = [0, 2, 3]
-            profile = cache.local_errors(serving, t).sum(axis=0)
+            profile = cache_errors(cache, beta, powers, t, serving).sum(axis=0)
             direct = [oracle_error_global(t, i, beta, powers.p_pilot, lp,
                                           pa.pilot_of, serving)
                       for i in range(lp)]
@@ -335,11 +337,11 @@ class TestContaminationCache:
         # here serves t, as a probed AP always does
         serves = rng.random(beta.shape) < 0.6
         serves[:, t] = True
-        cache = ContaminationCache(beta * serves, powers, lp)
+        cache = ContaminationCache([beta * serves], powers, lp)
         for k in range(t):
             cache.record(k, int(pa.pilot_of[k]))
         for m in range(beta.shape[0]):
-            got = cache.local_errors(m, t)
+            got = cache_errors(cache, beta * serves, powers, t, m)
             for i in range(lp):
                 members = np.flatnonzero(pa.pilot_of == i)
                 local = members[serves[m, members]]
@@ -348,24 +350,32 @@ class TestContaminationCache:
                 assert abs(got[i] - want) <= 1e-12 * scale
 
     def test_multi_ap_rows_equal_per_ap_profiles(self, rng):
+        # the numpy steps score columns of links against rows of sums, the
+        # one-drop DPB loop one Python float at a time: the same bits
         for _ in range(20):
             beta, powers, pa = self._random_state(rng)
             t = pa.pilot_of.size - 1
             serves = rng.random(beta.shape) < 0.6
             serves[:, t] = True
-            cache = ContaminationCache(beta * serves, powers, pa.num_pilots)
+            cache = ContaminationCache([beta * serves], powers, pa.num_pilots)
             for k in range(t):
                 cache.record(k, int(pa.pilot_of[k]))
             aps = rng.permutation(beta.shape[0])[:int(rng.integers(1, 4))]
-            rows = cache.local_errors(aps, t)
+            rows = cache_errors(cache, beta * serves, powers, t, aps)
             assert rows.shape == (aps.size, pa.num_pilots)
-            for row, m in zip(rows, aps):
-                assert np.array_equal(row, cache.local_errors(int(m), t))
+            for row, m in zip(rows, aps.tolist()):
+                assert np.array_equal(row, cache_errors(cache, beta * serves,
+                                                        powers, t, m))
+                weighted = float(powers.p_pilot[t] * pa.num_pilots
+                                 * beta[m, t])
+                floats = [local_error(weighted, float(beta[m, t]), s)
+                          for s in cache.sums[m].tolist()]
+                assert row.tolist() == floats
 
     def test_profile_shared_helper_consistency(self):
-        # the scalar helper and the cached profile agree entry by entry
+        # the error's two halves, composed, on an array of sums
         sums = np.array([0.0, 0.4, 2.5])
-        out = local_error_profile(2.0, 3.0, sums)
+        out = local_error(2.0, 3.0, sums)
         bound = 6.0 / 3.0
         np.testing.assert_allclose(
             out, [bound - 6.0 / 3.0, bound - 6.0 / 3.4, bound - 6.0 / 5.5],

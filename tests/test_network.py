@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (brute_force_prefix, oracle_lsfc, oracle_pairwise_distances,
                      oracle_strong_groups)
-from pilotsim import (SCHEME_IDS, NetworkConfig, NetworkRealization,
-                      PilotAssignment, PowerProfile, SchemeConfig, assign_all,
-                      associate_aps, compute_lsfc, evaluate, generate_drop,
-                      noise_power_dbm, normalize_powers, run_protocol)
+from pilotsim import (SCHEME_IDS, AssociationMap, NetworkConfig,
+                      NetworkRealization, PilotAssignment, PowerProfile,
+                      SchemeConfig, assign_all, associate_aps, compute_lsfc,
+                      evaluate, generate_drop, noise_power_dbm,
+                      normalize_powers, run_protocol)
 from pilotsim import seeding
+from pilotsim.assignment import assign_drops
 from pilotsim.network import _pairwise_distances, serving_links
 from probes import gamma_one, map_from_sets, strong_one
 
@@ -180,6 +182,67 @@ class TestPowers:
             elif call == "evaluate":
                 evaluate(real, assoc, PilotAssignment(np.arange(12) % 7, 7),
                          powers, cfg)
+            else:
+                assign_all(SchemeConfig(call), real, assoc, powers,
+                           cfg.pilot_length)
+
+
+class TestAssociationMap:
+    """A map is checked when it is built, in O(T + links), and each entry
+    point checks that it fits its drop before any work."""
+
+    def test_rejects_an_empty_serving_set(self):
+        with pytest.raises(ValueError, match="^every UE needs at least one "
+                                             "serving AP$"):
+            map_from_sets(((), (2, 0)), np.ones((3, 2), bool))
+
+    def test_rejects_sizes_of_another_ue_count(self):
+        with pytest.raises(ValueError, match="^sizes counts 2 UEs, but serves "
+                                             "has 3$"):
+            map_from_sets(((0,), (1, 0)), np.ones((2, 3), bool))
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [1, 3]])
+    def test_rejects_sizes_that_miss_the_links(self, sizes):
+        with pytest.raises(ValueError, match=f"^sizes counts {sum(sizes)} "
+                                             f"serving links, but links "
+                                             f"holds 3$"):
+            AssociationMap(np.array([0, 1, 0]), sizes, np.ones((2, 2), bool))
+
+    @pytest.mark.parametrize("ap", [-1, 2])
+    def test_rejects_a_link_outside_the_aps(self, ap):
+        with pytest.raises(ValueError, match=r"^a serving AP lies outside "
+                                             r"\[0, 2\)$"):
+            map_from_sets(((0,), (ap, 1)), np.ones((2, 2), bool))
+
+    def test_rejects_a_serves_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="^serves must be an M x T "
+                                             "matrix"):
+            AssociationMap(np.array([0]), [1], np.ones(2, bool))
+
+    @pytest.mark.parametrize("call", [*SCHEME_IDS, "stack", "protocol",
+                                      "evaluate"])
+    @pytest.mark.parametrize("shape", [(3, 6), (5, 4)], ids=["M", "T"])
+    def test_association_of_another_drop_rejected(self, desk_drop, call,
+                                                  shape):
+        # a (3, 6) map passed with a (5, 6) drop once gave pilots for every
+        # scheme, and evaluation failed later on a numpy broadcast
+        cfg, real, powers, _ = desk_drop(num_aps=5, num_ues=6)
+        other = NetworkConfig(num_aps=shape[0], num_ues=shape[1])
+        assoc = associate_aps(generate_drop(other, 1), 0.95)
+        with pytest.raises(ValueError, match=rf"^an association of {shape[0]}"
+                                             rf" APs and {shape[1]} UEs does "
+                                             rf"not fit a drop of 5 APs and 6 "
+                                             rf"UEs$"):
+            if call == "protocol":
+                run_protocol(real, assoc, SchemeConfig("dpb"), np.arange(6),
+                             powers, cfg.pilot_length)
+            elif call == "evaluate":
+                evaluate(real, assoc, PilotAssignment(np.arange(6) % 7, 7),
+                         powers, cfg)
+            elif call == "stack":
+                _, fits, _, fitting = desk_drop(num_aps=5, num_ues=6, seed=2)
+                assign_drops(SchemeConfig("eem"), [0, 0], [fits, real],
+                             [fitting, assoc], powers, cfg.pilot_length)
             else:
                 assign_all(SchemeConfig(call), real, assoc, powers,
                            cfg.pilot_length)
@@ -494,11 +557,6 @@ class TestServingLinks:
         for mine, theirs in zip(built.serving_aps, assoc.serving_aps,
                                 strict=True):
             np.testing.assert_array_equal(mine, theirs)
-        # an empty serving set is a size of 0 and adds no link
-        lone = map_from_sets(((), (2, 0)), np.ones((3, 2), bool))
-        assert lone.sizes.tolist() == [0, 2]
-        assert lone.links.tolist() == [2, 0]
-        assert [aps.tolist() for aps in lone.serving_aps] == [[], [2, 0]]
 
 
 class TestStrongGrouping:
@@ -591,6 +649,8 @@ class TestStrongGrouping:
         # three LSFC levels per instance, so ties are common
         beta = r.choice(10.0 ** r.uniform(-12.0, -6.0, size=3), size=(m, t))
         serves = r.random((m, t)) < 0.6  # some APs serve nobody
+        # every UE is served, as an association requires
+        serves[0, ~serves.any(axis=0)] = True
         # one to three complete assignments ranked together
         asgs = [PilotAssignment(r.integers(0, lp, size=t), lp)
                 for _ in range(int(r.integers(1, 4)))]

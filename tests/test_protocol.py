@@ -25,12 +25,12 @@ from pilotsim import (
 )
 from pilotsim.assignment import assign_drops
 from pilotsim.cli import main
-from pilotsim.estimation import local_error_profile
 from pilotsim.harness import SCHEME_CODE
 from pilotsim.protocol import KIND_NOTIFY, KIND_OFFER, KIND_PROBE, TraceLog
 from oracles import (oracle_audit_rows, oracle_offer, oracle_priority_select,
                      oracle_protocol_log)
-from probes import map_from_sets, offered_set, resolve_offers, stack_row
+from probes import (local_error, map_from_sets, offered_set, resolve_offers,
+                    stack_row)
 import test_seeding
 
 
@@ -512,7 +512,7 @@ class TestOracleLog:
         sums = r.choice(np.append(0.0, 10.0 ** r.uniform(-4, 1, size=3)),
                         size=lp)
         # the float errors that an AP of the DPB loop scores, pilot by pilot
-        errors = [local_error_profile(weight * own, own, s)
+        errors = [local_error(weight * own, own, s)
                   for s in sums.tolist()]
         assert (offered_set(errors, delta)
                 == set(oracle_offer(np.array(errors), delta).tolist()))
